@@ -17,14 +17,8 @@ Protocol code never reads ground-truth time; only the simulator and the
 checkers hold that handle.
 """
 
-from .errors import (
-    Fenced,
-    InvalidConfig,
-    LivelockGuard,
-    OracleUnavailable,
-    UnknownTxn,
-)
-from .tsbatch import Timestamp, TimestampBatch, build_batch, commit_wait_ns, compare
+from .errors import InvalidConfig, LivelockGuard, OracleUnavailable
+from .tsbatch import Timestamp, TimestampBatch, build_batch, commit_wait_ns
 
 __version__ = "0.1.0"
 
@@ -36,16 +30,13 @@ def run_scenario(sc):
 
 
 __all__ = [
-    "Fenced",
     "InvalidConfig",
     "LivelockGuard",
     "OracleUnavailable",
-    "UnknownTxn",
     "Timestamp",
     "TimestampBatch",
     "build_batch",
     "commit_wait_ns",
-    "compare",
     "run_scenario",
     "__version__",
 ]

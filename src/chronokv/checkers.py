@@ -561,15 +561,19 @@ def shrink_counterexample(items: list, still_fails, budget: int = 1000) -> list:
 
 
 def run_all_checks(h: History, interval_ns: int, epsilon_ns: int,
-                   end_ns: int = None) -> list:
-    return [
-        check_timestamp_property(h),
-        check_oracle_bounds(h, epsilon_ns),
-        check_strict_serializability(h),
-        check_commit_records(h),
-        check_epoch_cuts(h, interval_ns),
-        check_replica_consistency(h, interval_ns),
-        check_visibility_monotonic(h),
-        check_deadlock_freedom(h),
-        check_push_progress(h, end_ns=end_ns),
-    ]
+                   end_ns: int = None, group: str = None) -> list:
+    """Every checker's verdict, or only those of one property ``group``:
+    "ss" for transactions, records and pushes, "replica" for epoch cuts,
+    replays and replica reads."""
+    checks = (
+        ("ss", lambda: check_timestamp_property(h)),
+        ("ss", lambda: check_oracle_bounds(h, epsilon_ns)),
+        ("ss", lambda: check_strict_serializability(h)),
+        ("ss", lambda: check_commit_records(h)),
+        ("replica", lambda: check_epoch_cuts(h, interval_ns)),
+        ("replica", lambda: check_replica_consistency(h, interval_ns)),
+        ("replica", lambda: check_visibility_monotonic(h)),
+        ("ss", lambda: check_deadlock_freedom(h)),
+        ("ss", lambda: check_push_progress(h, end_ns=end_ns)),
+    )
+    return [check() for g, check in checks if group in (None, g)]

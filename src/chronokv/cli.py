@@ -27,6 +27,8 @@ def _cmd_run(args) -> int:
             "seed": sc.seed,
             "interval_ms": sc.interval_ms,
             "epsilon_ns": sc.epsilon_ns,
+            "data_nodes": cluster.router.ids,
+            "replicas_of": result.replicas_of(),
         })
     summary = metrics.run_summary(result)
     json.dump(summary, sys.stdout, indent=2, default=str)
@@ -39,6 +41,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_check(args) -> int:
     from . import checkers, metrics
+    from .cluster import Router
     from .history import build_history, read_trace
 
     meta, events = read_trace(args.trace)
@@ -48,33 +51,23 @@ def _cmd_check(args) -> int:
     end_ns = events[-1][0] if events else None
 
     verdicts = []
-    if args.property in ("all", "ss"):
-        verdicts += [
-            checkers.check_timestamp_property(h),
-            checkers.check_oracle_bounds(h, epsilon_ns),
-            checkers.check_strict_serializability(h),
-            checkers.check_commit_records(h),
-            checkers.check_push_progress(h, end_ns=end_ns),
-        ]
-    if args.property in ("all", "replica"):
-        verdicts += [
-            checkers.check_epoch_cuts(h, interval_ns),
-            checkers.check_replica_consistency(h, interval_ns),
-            checkers.check_visibility_monotonic(h),
-        ]
+    if args.property != "visibility":
+        verdicts = checkers.run_all_checks(
+            h, interval_ns, epsilon_ns, end_ns=end_ns,
+            group=None if args.property == "all" else args.property)
     for v in verdicts:
         print(v.summary())
 
     if args.property in ("all", "visibility"):
-        vis = metrics.visibility_delays(h)
-        delays = [d for _t, d in vis["series"]]
-        summary = metrics.summarize_delays(delays)
-        summary["unresolved"] = vis["unresolved"]
-        if delays:
-            shape = metrics.sawtooth_period_ns(vis["series"], interval_ns)
-            if shape.get("ok"):
-                summary["sawtooth_period_ms"] = shape["period_ns"] / MS
-        print("visibility: " + json.dumps(summary))
+        # Traces written before the header named the topology wait on
+        # every replica in the trace.
+        written = None
+        if "data_nodes" in meta:
+            written = Router(meta["data_nodes"]).written_primaries
+        vis = metrics.measure_visibility(
+            h, replicas_of=meta.get("replicas_of"), written_primaries=written,
+            interval_ns=interval_ns)
+        print("visibility: " + json.dumps(vis["summary"]))
         if args.csv:
             with open(args.csv, "w") as out:
                 out.write("commit_ms,delay_ms\n")

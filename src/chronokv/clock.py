@@ -15,7 +15,7 @@ from typing import NamedTuple, Optional
 
 from .errors import InvalidConfig
 from .messages import TsErr, TsReq, TsResp
-from .simnet import MS, US, Network, Node, Simulation
+from .simnet import US, Network, Node, Simulation
 
 DEFAULT_EPSILON_NS = 100 * US
 DEFAULT_MAX_DRIFT_PPM = 200
@@ -166,8 +166,3 @@ class OracleServer(Node):
             "oracle", srv=self.server_id, lo=reading.earliest, hi=reading.latest
         )
         self.k.reply(env, TsResp(reading.earliest, reading.latest, self.server_id))
-
-
-def oracle_now(core: TTCOracle, true_now: int) -> UncertainTime:
-    """Direct (non-networked) oracle read; convenience for tests."""
-    return core.sample(true_now)

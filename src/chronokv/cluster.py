@@ -18,7 +18,7 @@ from .coordinator import Coordinator
 from .errors import InvalidConfig
 from .mvto import DataNode
 from .replica import ReplicaNode
-from .replication import RoleDirectory, SharedStorage
+from .replication import RoleDirectory, SharedStorage, recorder_role
 from .scenario import Scenario, full_rtt_table
 from .simnet import MS, LatencyMatrix, Network, Simulation
 from .tsbatch import commit_wait_ns
@@ -35,9 +35,9 @@ class Router:
     def primary(self, key: str) -> str:
         return self.ids[zlib.crc32(key.encode()) % len(self.ids)]
 
-    @staticmethod
-    def recorder_role(node_id: str) -> str:
-        return f"rec/{node_id}"
+    def written_primaries(self, t) -> set:
+        """Primaries of the keys a traced transaction wrote."""
+        return {self.primary(op[2]) for op in t.ops if op[1] == "w"}
 
 
 @dataclass
@@ -71,13 +71,12 @@ class RunResult:
         """primary node id -> replica node ids, or None without a cluster."""
         if self.cluster is None:
             return None
-        return {nid: list(rids)
-                for nid, rids in self.cluster.ship_map.items()
-                if not nid.startswith("rec/")}
+        ship_map = self.cluster.ship_map
+        return {nid: list(ship_map[nid])
+                for nid in self.cluster.router.ids if nid in ship_map}
 
     def written_primaries(self, t) -> set:
-        router = self.cluster.router
-        return {router.primary(op[2]) for op in t.ops if op[1] == "w"}
+        return self.cluster.router.written_primaries(t)
 
 
 class Cluster:
@@ -111,11 +110,6 @@ class Cluster:
                              strawman=(sc.ts_mode == "strawman"))
         self.uncertainty_wait_ns = cwt
 
-        def proxy_args(region):
-            return dict(oracle_ids=[f"ts.{region}"], ttl_ns=sc.ttl_ns,
-                        step_ns=sc.step_ns, epsilon_ns=sc.epsilon_ns,
-                        max_drift_ppm=sc.max_drift_ppm, mode=sc.ts_mode)
-
         data_ids = sc.data_node_ids()
         self.router = Router(data_ids)
 
@@ -126,35 +120,13 @@ class Cluster:
             for rr in sc.replicate_to:
                 rid = f"{nid}@{rr}"
                 self.ship_map.setdefault(nid, []).append(rid)
-                self.ship_map.setdefault(f"rec/{nid}", []).append(rid)
+                self.ship_map.setdefault(recorder_role(nid), []).append(rid)
 
-        self.data_nodes = []
-        for nid, region in zip(data_ids, sc.data_nodes):
-            node = DataNode(
-                self.sim, self.net, nid, region, self._drift(nid),
-                storage=self.storage[region],
-                directory=RoleDirectory(self.storage),
-                tsproxy_args=proxy_args(region), ship_map=self.ship_map,
-                interval_ns=sc.interval_ns,
-                uncertainty_wait_ns=self.uncertainty_wait_ns,
-                max_drift_ppm=sc.max_drift_ppm,
-            )
-            self.storage[region].set_initial_owner(node.role_self, nid)
-            self.data_nodes.append(node)
-
-        self.standby_nodes = []
-        for nid, region in zip(sc.standby_ids(), sc.standbys):
-            node = DataNode(
-                self.sim, self.net, nid, region, self._drift(nid),
-                storage=self.storage[region],
-                directory=RoleDirectory(self.storage),
-                tsproxy_args=proxy_args(region), ship_map=self.ship_map,
-                interval_ns=sc.interval_ns,
-                uncertainty_wait_ns=self.uncertainty_wait_ns,
-                max_drift_ppm=sc.max_drift_ppm,
-            )
-            self.storage[region].set_initial_owner(node.role_self, nid)
-            self.standby_nodes.append(node)
+        self.data_nodes = [self._data_node(nid, region)
+                           for nid, region in zip(data_ids, sc.data_nodes)]
+        self.standby_nodes = [self._data_node(nid, region)
+                              for nid, region in zip(sc.standby_ids(),
+                                                     sc.standbys)]
 
         self.replicas = []
         for nid in data_ids:
@@ -170,7 +142,7 @@ class Cluster:
         for nid, region in zip(sc.coordinator_ids(), sc.coordinators):
             self.coordinators.append(Coordinator(
                 self.sim, self.net, nid, region, self._drift(nid),
-                tsproxy_args=proxy_args(region), router=self.router,
+                tsproxy_args=self._proxy_args(region), router=self.router,
                 membership=RoleDirectory(self.storage),
                 recorder_nodes=recorder_nodes,
             ))
@@ -183,6 +155,28 @@ class Cluster:
         self._check_fault_targets()
         self._started = False
         self._clients = None
+
+    def _proxy_args(self, region: str) -> dict:
+        sc = self.scenario
+        return dict(oracle_ids=[f"ts.{region}"], ttl_ns=sc.ttl_ns,
+                    step_ns=sc.step_ns, epsilon_ns=sc.epsilon_ns,
+                    max_drift_ppm=sc.max_drift_ppm, mode=sc.ts_mode)
+
+    def _data_node(self, nid: str, region: str) -> DataNode:
+        """A data node owning its own recorder role. Standbys are built
+        the same way; the router just never picks them."""
+        sc = self.scenario
+        node = DataNode(
+            self.sim, self.net, nid, region, self._drift(nid),
+            storage=self.storage[region],
+            directory=RoleDirectory(self.storage),
+            tsproxy_args=self._proxy_args(region), ship_map=self.ship_map,
+            interval_ns=sc.interval_ns,
+            uncertainty_wait_ns=self.uncertainty_wait_ns,
+            max_drift_ppm=sc.max_drift_ppm,
+        )
+        self.storage[region].set_initial_owner(node.role_self, nid)
+        return node
 
     def _drift(self, node_id: str) -> int:
         if node_id in self.scenario.node_drift_ppm:

@@ -23,7 +23,7 @@ named by the membership register.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .errors import OracleUnavailable
@@ -44,7 +44,7 @@ from .messages import (
     ReadReq,
     WriteReq,
 )
-from .replication import RecordEntry
+from .replication import RecordEntry, recorder_role
 from .simnet import MS, RPC_TIMEOUT, Future, Node
 from .tsbatch import Timestamp, TsProxy
 
@@ -105,24 +105,27 @@ class RecorderState:
 
     # -- wire entry points ----------------------------------------------------
 
-    def handle_decide(self, env, req: DecideReq) -> None:
-        rs = self.roles.get(req.role)
+    def _owned(self, env, role: str) -> Optional[_RoleState]:
+        """The state of ``role`` if this recorder owns it. Otherwise the
+        request in ``env`` is held while the role is being adopted, or
+        refused with NotOwner."""
+        rs = self.roles.get(role)
         if rs is None:
-            if req.role in self.adopting:
-                self.adopting[req.role].append(env)
+            if role in self.adopting:
+                self.adopting[role].append(env)
             else:
-                self.node.k.reply(env, NotOwner(req.role))
+                self.node.k.reply(env, NotOwner(role))
+        return rs
+
+    def handle_decide(self, env, req: DecideReq) -> None:
+        if self._owned(env, req.role) is None:
             return
         self.node.k.spawn(self._decide_task(req.role, req.txn, req.decision,
                                             req.proposals, req.coordinator, env))
 
     def handle_push(self, env, req) -> None:
-        rs = self.roles.get(req.role)
+        rs = self._owned(env, req.role)
         if rs is None:
-            if req.role in self.adopting:
-                self.adopting[req.role].append(env)
-            else:
-                self.node.k.reply(env, NotOwner(req.role))
             return
         rec = rs.records.get(req.txn)
         if rec is not None and rec.status != IN_PROGRESS:
@@ -132,12 +135,7 @@ class RecorderState:
         rs.pending.setdefault(req.txn, []).append((env, self.node.k.local_now()))
 
     def handle_record_create(self, env, req: RecordCreate) -> None:
-        rs = self.roles.get(req.role)
-        if rs is None:
-            if req.role in self.adopting:
-                self.adopting[req.role].append(env)
-            else:
-                self.node.k.reply(env, NotOwner(req.role))
+        if self._owned(env, req.role) is None:
             return
 
         def task():
@@ -254,17 +252,22 @@ class RecorderState:
             for env in held:
                 self.node.k.reply(env, NotOwner(role))
             return
+        yield from self.load_role(role)
+        self._grace = self.node.k.local_now()
+        self.node.k.trace("takeover", role=role, node=self.node.node_id)
+        held = self.adopting.pop(role, [])
+        for env in held:
+            self.node.on_envelope(env)
+
+    def load_role(self, role: str):
+        """Generator: rebuild the records of ``role`` from its durable
+        stream and serve the role from them."""
         entries = yield self.node.storage.read_stream(role)
         records: dict[str, TxnRecord] = {}
         for e in entries:
             if isinstance(e, RecordEntry):
                 records[e.txn] = TxnRecord(e.status, e.epoch, e.coordinator)
         self.roles[role] = _RoleState(records)
-        self._grace = self.node.k.local_now()
-        self.node.k.trace("takeover", role=role, node=self.node.node_id)
-        held = self.adopting.pop(role, [])
-        for env in held:
-            self.node.on_envelope(env)
 
     # -- progress sweep -------------------------------------------------------------
 
@@ -447,7 +450,7 @@ class Coordinator(Node):
             h.op_idx += 1
         if h.role is None:  # the abort path may need to reach this recorder
             lead_node = self.router.primary(writes[0][0])
-            h.role = self.router.recorder_role(lead_node)
+            h.role = recorder_role(lead_node)
         first = not h.first_done
         plan = [(key, ops, first and n == 0)
                 for n, (key, ops) in enumerate(carried.items())]

@@ -18,8 +18,6 @@ transaction can hide in a log segment later than the epoch that claims it.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from .errors import OracleUnavailable
 from .replication import CutEntry
 from .simnet import MS

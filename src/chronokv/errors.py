@@ -9,13 +9,5 @@ class OracleUnavailable(RuntimeError):
     """The time oracle could not produce a usable batch within the retry cap."""
 
 
-class Fenced(RuntimeError):
-    """A durable append was rejected because the writer lost its role."""
-
-
-class UnknownTxn(KeyError):
-    """A finalize referenced a transaction this node has never heard of."""
-
-
 class LivelockGuard(RuntimeError):
     """The event loop exceeded its event budget; the run is likely livelocked."""

@@ -71,9 +71,6 @@ class History:
     takeovers: list = field(default_factory=list)   # (t, role, node)
     fenced: list = field(default_factory=list)      # (t, node, role)
 
-    def committed_txns(self) -> list:
-        return [t for t in self.txns.values() if t.committed]
-
 
 def build_history(events) -> History:
     h = History()

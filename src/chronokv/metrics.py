@@ -70,15 +70,23 @@ def visibility_delays(h: History, replicas_of: dict = None,
 
 
 def measure_visibility(h: History, replicas_of: dict = None,
-                       written_primaries=None) -> dict:
+                       written_primaries=None, interval_ns: int = None) -> dict:
     """Delay series plus its summary in one call: {"series", "summary",
     "unresolved"}. The series is the primary signal (the shape lives
-    there); the summary carries max/p50/p90/p99."""
+    there); the summary carries max/p50/p90/p99 and the unresolved count,
+    and, given the epoch ``interval_ns``, the sawtooth period the series
+    shows."""
     vis = visibility_delays(h, replicas_of=replicas_of,
                             written_primaries=written_primaries)
+    summary = summarize_delays([d for _t, d in vis["series"]])
+    summary["unresolved"] = vis["unresolved"]
+    if interval_ns is not None and vis["series"]:
+        shape = sawtooth_period_ns(vis["series"], interval_ns)
+        if shape.get("ok"):
+            summary["sawtooth_period_ms"] = shape["period_ns"] / MS
     return {
         "series": vis["series"],
-        "summary": summarize_delays([d for _t, d in vis["series"]]),
+        "summary": summary,
         "unresolved": vis["unresolved"],
     }
 
@@ -185,16 +193,9 @@ def run_summary(result) -> dict:
         "replica_reads": len(h.rreads),
         "epoch_cuts": len(h.cuts),
     }
-    replicas_of = result.replicas_of()
-    vis = visibility_delays(
-        h, replicas_of=replicas_of,
-        written_primaries=result.written_primaries if replicas_of else None)
-    delays = [d for _t, d in vis["series"]]
-    if delays:
-        summary["visibility"] = summarize_delays(delays)
-        summary["visibility"]["unresolved"] = vis["unresolved"]
-        shape = sawtooth_period_ns(vis["series"], sc.interval_ms * MS)
-        if shape.get("ok"):
-            summary["visibility"]["sawtooth_period_ms"] = \
-                shape["period_ns"] / MS
+    vis = measure_visibility(h, replicas_of=result.replicas_of(),
+                             written_primaries=result.written_primaries,
+                             interval_ns=sc.interval_ms * MS)
+    if vis["series"]:
+        summary["visibility"] = vis["summary"]
     return summary

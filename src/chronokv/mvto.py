@@ -21,7 +21,7 @@ from __future__ import annotations
 import bisect
 from typing import Optional
 
-from .coordinator import RecorderState, TxnRecord, _RoleState
+from .coordinator import RecorderState
 from .epochs import EpochCutter, promised_end_ns
 from .errors import OracleUnavailable
 from .messages import (
@@ -49,6 +49,7 @@ from .replication import (
     FinalizeEntry,
     IntentEntry,
     RecordEntry,
+    recorder_role,
 )
 from .simnet import MS, RPC_TIMEOUT, Future, Node
 from .tsbatch import Timestamp, TsProxy
@@ -74,13 +75,18 @@ class KeyChain:
         self.intents: dict[str, WriteIntent] = {}
         self.rt: Optional[Timestamp] = None
 
-    def visible(self, ts: Timestamp):
-        """Newest committed version at or below ts -> (vts, value)."""
+    def visible(self, ts: Timestamp, view: Optional[int] = None):
+        """Newest committed version at or below ts -> (vts, value). Given
+        a replica's ``view``, versions committed into a later epoch are
+        skipped."""
         i = bisect.bisect_right(self.order, ts) - 1
-        if i < 0:
-            return None, None
-        vts = self.order[i]
-        return vts, self.versions[vts][0]
+        while i >= 0:
+            vts = self.order[i]
+            value, epoch = self.versions[vts]
+            if view is None or epoch <= view:
+                return vts, value
+            i -= 1
+        return None, None
 
 
 class KeyStore:
@@ -155,6 +161,95 @@ def apply_log_entry(store: KeyStore, entry) -> Optional[int]:
     raise TypeError(f"unknown log entry {entry!r}")
 
 
+class Settler:
+    """Settles undecided intents for the readers parked on them.
+
+    A reader that meets an undecided intent below its timestamp waits for
+    the writer's verdict instead of guessing, and one push task per
+    transaction asks the writer's recorder for it. Primaries and replicas
+    settle alike; each hands in ``apply(txn, decision, epoch)``, which
+    folds a pushed verdict into its own state. Verdicts that arrive by
+    other means (a finalize, a shipped log entry) wake the waiters
+    through ``wake``.
+    """
+
+    PUSH_ATTEMPTS = 300
+
+    def __init__(self, node: Node, store: KeyStore, apply):
+        self.node = node
+        self.store = store
+        self.apply = apply
+        self._decided: dict[str, Future] = {}
+        self._inflight: dict[str, bool] = {}
+
+    def settle_below(self, chain: KeyChain, ts: Timestamp, reader: str,
+                     blocks, pushed: list):
+        """Generator: wait until no undecided intent on ``chain`` below
+        ``ts`` for which ``blocks(intent)`` holds is left. Each writer
+        waited on is added once to ``pushed``."""
+        while True:
+            for txn, intent in chain.intents.items():
+                if intent.ts < ts and blocks(intent):
+                    break
+            else:
+                return
+            if txn not in pushed:
+                pushed.append(txn)
+            yield from self.wait(txn, intent.role, reader)
+
+    def wait(self, txn: str, role: str, reader: str):
+        """Generator: park ``reader`` until ``txn`` is decided."""
+        if txn in self.store.decided:
+            return
+        k = self.node.k
+        k.trace("push_wait", node=self.node.node_id, reader=reader, txn=txn)
+        fut = self._decided.get(txn)
+        if fut is None:
+            fut = self._decided[txn] = Future(self.node.sim)
+        if txn not in self._inflight:
+            self._inflight[txn] = True
+            k.spawn(self._push_task(txn, role))
+        yield fut
+        k.trace("push_done", node=self.node.node_id, reader=reader, txn=txn)
+
+    def settle(self, txn: str, decision: str, epoch) -> None:
+        """Apply a verdict and wake whoever waits on it."""
+        self.apply(txn, decision, epoch)
+        self.wake(txn)
+
+    def wake(self, txn: str) -> None:
+        """Release the readers parked on ``txn``, which is decided."""
+        fut = self._decided.pop(txn, None)
+        if fut is not None:
+            fut.resolve(self.store.decided[txn])
+
+    def _push_task(self, txn: str, role: str):
+        k = self.node.k
+        membership = self.node.membership
+        attempts = 0
+        while txn not in self.store.decided:
+            attempts += 1
+            if attempts > self.PUSH_ATTEMPTS:
+                k.trace("push_stuck", node=self.node.node_id, txn=txn)
+                break
+            owner = yield from membership.lookup(role)
+            if owner is None:
+                yield k.sleep_local(5 * MS)
+                continue
+            timeout = max(k.rpc_timeout_for(owner), 30 * MS)
+            resp = yield k.rpc(owner, PushReq(role, txn, self.node.node_id),
+                               timeout)
+            if resp is RPC_TIMEOUT:
+                membership.invalidate(role)
+                continue
+            if isinstance(resp, NotOwner):
+                membership.invalidate(role)
+                yield k.sleep_local(1 * MS)
+                continue
+            self.settle(txn, resp.decision, resp.epoch)
+        self._inflight.pop(txn, None)
+
+
 class DataNode(Node):
     """Primary for a key range; also hosts a recorder and an epoch cutter."""
 
@@ -166,7 +261,7 @@ class DataNode(Node):
         super().__init__(sim, net, node_id, region, drift_ppm)
         self.storage = storage
         self.stream = node_id  # this node's data log
-        self.role_self = f"rec/{node_id}"
+        self.role_self = recorder_role(node_id)
         self.ship_map = ship_map
         self._tsproxy_args = tsproxy_args
         self._recorder_args = {}
@@ -174,16 +269,19 @@ class DataNode(Node):
             self._recorder_args["hb_timeout_local_ns"] = hb_timeout_ns
         if sweep_interval_ns is not None:
             self._recorder_args["sweep_interval_ns"] = sweep_interval_ns
-        self.tsproxy = TsProxy(self.k, **tsproxy_args)
         self.membership = directory
-        self.recorder = RecorderState(self, **self._recorder_args)
         self.cutter = EpochCutter(self, interval_ns, max_drift_ppm,
                                   uncertainty_wait_ns)
-        self.store = KeyStore()
+        self._volatile_state()
         self.rt_floor: Optional[int] = None
         self.ready = True
-        self._decided_fut: dict[str, Future] = {}
-        self._push_inflight: dict[str, bool] = {}
+
+    def _volatile_state(self) -> None:
+        """What a crash loses; a restart rebuilds it from storage."""
+        self.tsproxy = TsProxy(self.k, **self._tsproxy_args)
+        self.recorder = RecorderState(self, **self._recorder_args)
+        self.store = KeyStore()
+        self.settler = Settler(self, self.store, self._apply_finalize)
 
     def epoch_now(self) -> int:
         return self.cutter.epoch_now()
@@ -210,7 +308,8 @@ class DataNode(Node):
         elif isinstance(p, WriteReq):
             self.k.spawn(self._write_task(env, p))
         elif isinstance(p, FinalizeReq):
-            known = self._apply_finalize(p.txn, p.decision, p.epoch)
+            known = p.txn in self.store.txn_keys or p.txn in self.store.decided
+            self.settler.settle(p.txn, p.decision, p.epoch)
             self.k.reply(env, FinalizeResp(known))
         elif isinstance(p, DecideReq):
             self.recorder.handle_decide(env, p)
@@ -224,59 +323,13 @@ class DataNode(Node):
     def _read_task(self, env, r: ReadReq):
         chain = self.store.touch(r.key)
         pushed = []
-        while True:
-            blocker = None
-            for txn, intent in chain.intents.items():
-                if intent.ts < r.ts and txn != r.reader:
-                    blocker = (txn, intent.role)
-                    break
-            if blocker is None:
-                break
-            txn, role = blocker
-            if txn not in pushed:
-                pushed.append(txn)
-            yield from self._await_decision(txn, role, r.reader)
+        yield from self.settler.settle_below(
+            chain, r.ts, r.reader, lambda intent: intent.txn != r.reader,
+            pushed)
         if chain.rt is None or r.ts > chain.rt:
             chain.rt = r.ts
         vts, value = chain.visible(r.ts)
         self.k.reply(env, ReadResp(value, vts, pushed))
-
-    def _await_decision(self, txn: str, role: str, reader: str):
-        if txn in self.store.decided:
-            return
-        self.k.trace("push_wait", node=self.node_id, reader=reader, txn=txn)
-        fut = self._decided_fut.get(txn)
-        if fut is None:
-            fut = self._decided_fut[txn] = Future(self.sim)
-        if txn not in self._push_inflight:
-            self._push_inflight[txn] = True
-            self.k.spawn(self._push_task(txn, role))
-        yield fut
-        self.k.trace("push_done", node=self.node_id, reader=reader, txn=txn)
-
-    def _push_task(self, txn: str, role: str):
-        attempts = 0
-        while txn not in self.store.decided:
-            attempts += 1
-            if attempts > 300:
-                self.k.trace("push_stuck", node=self.node_id, txn=txn)
-                self._push_inflight.pop(txn, None)
-                return
-            owner = yield from self.membership.lookup(role)
-            if owner is None:
-                yield self.k.sleep_local(5 * MS)
-                continue
-            timeout = max(self.k.rpc_timeout_for(owner), 30 * MS)
-            resp = yield self.k.rpc(owner, PushReq(role, txn, self.node_id), timeout)
-            if resp is RPC_TIMEOUT:
-                self.membership.invalidate(role)
-                continue
-            if isinstance(resp, NotOwner):
-                self.membership.invalidate(role)
-                yield self.k.sleep_local(1 * MS)
-                continue
-            self._apply_finalize(txn, resp.decision, resp.epoch)
-        self._push_inflight.pop(txn, None)
 
     # -- writes -------------------------------------------------------------------
 
@@ -338,15 +391,9 @@ class DataNode(Node):
 
     # -- settling -----------------------------------------------------------------
 
-    def _apply_finalize(self, txn: str, decision: str, epoch, log: bool = True) -> bool:
-        known = txn in self.store.txn_keys or txn in self.store.decided
-        if self.store.resolve(txn, decision, epoch) and log:
+    def _apply_finalize(self, txn: str, decision: str, epoch) -> None:
+        if self.store.resolve(txn, decision, epoch):
             self.append_log([FinalizeEntry(txn, decision, epoch)])
-        fut = self._decided_fut.pop(txn, None)
-        if fut is not None and not fut.done:
-            fut.resolve((decision, epoch))
-        self._push_inflight.pop(txn, None)
-        return known
 
     # -- durable log ----------------------------------------------------------------
 
@@ -377,11 +424,7 @@ class DataNode(Node):
         # durable streams have been replayed.
         self.alive = True
         self.ready = False
-        self.store = KeyStore()
-        self._decided_fut = {}
-        self._push_inflight = {}
-        self.tsproxy = TsProxy(self.k, **self._tsproxy_args)
-        self.recorder = RecorderState(self, **self._recorder_args)
+        self._volatile_state()
         self.k.spawn(self._recover())
 
     def _recover(self):
@@ -396,12 +439,7 @@ class DataNode(Node):
         # assigns to this node (its own role, plus any it had adopted).
         roles = yield self.storage.list_roles_owned(self.node_id)
         for role in roles:
-            rentries = yield self.storage.read_stream(role)
-            records = {}
-            for e in rentries:
-                if isinstance(e, RecordEntry):
-                    records[e.txn] = TxnRecord(e.status, e.epoch, e.coordinator)
-            self.recorder.roles[role] = _RoleState(records)
+            yield from self.recorder.load_role(role)
         # The read-timestamp cache died with the process. Refuse writes
         # below a floor no pre-crash read can have exceeded: the next
         # timestamp the oracle hands out, or the last promised cut end.

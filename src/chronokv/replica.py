@@ -12,28 +12,22 @@ marker ``n``, so a replayed view is a closed book — the replica can
 answer from local state alone.
 
 Two wrinkles remain. Undecided intents below the read timestamp are
-settled exactly like on the primary, except the outcome often already
-sits in the replicated record stream (the local cache) and only
-otherwise costs a cross-region push. And committed versions carry their
-commit epoch, so a version from a *later* epoch that happens to have a
-small timestamp stays invisible until its own view replays.
+settled by the primary's own ``mvto.Settler``: the reader parks and a
+push asks the writer's recorder. Here the outcome often already sits in
+the replicated record stream (the local cache), which wakes the reader
+as it is applied, so the cross-region push is needed only otherwise.
+And committed versions carry their commit epoch, so a version from a
+*later* epoch that happens to have a small timestamp stays invisible
+until its own view replays.
 """
 
 from __future__ import annotations
 
-import bisect
-
 from .epochs import ceiling_epoch
-from .messages import (
-    CatchUp,
-    LogShip,
-    NotOwner,
-    PushReq,
-    ReplicaReadReq,
-    ReplicaReadResp,
-)
-from .mvto import KeyStore, apply_log_entry
-from .simnet import MS, RPC_TIMEOUT, Future, Node
+from .messages import CatchUp, LogShip, ReplicaReadReq, ReplicaReadResp
+from .mvto import KeyStore, Settler, apply_log_entry
+from .replication import recorder_role
+from .simnet import MS, Future, Node
 
 DEFAULT_CATCHUP_INTERVAL_NS = 100 * MS
 
@@ -47,7 +41,7 @@ class ReplicaNode(Node):
         super().__init__(sim, net, node_id, region, drift_ppm)
         self.primary_id = primary_id
         self.data_stream = primary_id
-        self.role_stream = f"rec/{primary_id}"
+        self.role_stream = recorder_role(primary_id)
         self.interval_ns = interval_ns
         self.catchup_interval = catchup_interval_ns
         self.membership = directory
@@ -56,8 +50,7 @@ class ReplicaNode(Node):
         self._parked: dict[str, dict[int, list]] = {}
         self.replayed_epoch = 0
         self._view_waiters: dict[int, Future] = {}
-        self._decided_fut: dict[str, Future] = {}
-        self._push_inflight: dict[str, bool] = {}
+        self.settler = Settler(self, self.store, self.store.resolve)
 
     def start(self) -> None:
         self.k.spawn(self._catchup_loop())
@@ -113,9 +106,7 @@ class ReplicaNode(Node):
                     self._view_waiters.pop(v).resolve()
         txn = getattr(entry, "txn", None)
         if txn is not None and txn in self.store.decided:
-            fut = self._decided_fut.pop(txn, None)
-            if fut is not None and not fut.done:
-                fut.resolve(self.store.decided[txn])
+            self.settler.wake(txn)
 
     def _catchup_loop(self):
         while True:
@@ -139,78 +130,15 @@ class ReplicaNode(Node):
         reads = []
         for key in r.keys:
             chain = self.store.touch(key)
-            while True:
-                blocker = None
-                for txn, intent in chain.intents.items():
-                    # An intent can only commit into epoch >= its proposal,
-                    # so proposals beyond the view can't affect this read.
-                    if intent.ts < r.ts and intent.proposal <= view:
-                        blocker = (txn, intent.role)
-                        break
-                if blocker is None:
-                    break
-                txn, role = blocker
-                if txn not in pushed:
-                    pushed.append(txn)
-                yield from self._settle(txn, role, r.reader)
-            vts, value = self._visible(chain, r.ts, view)
+            # An intent can only commit into epoch >= its proposal, so
+            # proposals beyond the view can't affect this read.
+            yield from self.settler.settle_below(
+                chain, r.ts, r.reader, lambda intent: intent.proposal <= view,
+                pushed)
+            vts, value = chain.visible(r.ts, view)
             reads.append((key, vts, value))
         self.k.trace("rread", node=self.node_id, reader=r.reader,
                      ts=list(r.ts), view=view, mode=r.mode,
                      reads=[[k, list(v) if v else None, val]
                             for k, v, val in reads])
         self.k.reply(env, ReplicaReadResp(view, reads, pushed))
-
-    @staticmethod
-    def _visible(chain, ts, view):
-        i = bisect.bisect_right(chain.order, ts) - 1
-        while i >= 0:
-            vts = chain.order[i]
-            value, epoch = chain.versions[vts]
-            if epoch <= view:
-                return vts, value
-            i -= 1
-        return None, None
-
-    # -- intent settlement -------------------------------------------------------------
-
-    def _settle(self, txn: str, role: str, reader: str):
-        if txn in self.store.decided:
-            return
-        self.k.trace("push_wait", node=self.node_id, reader=reader, txn=txn)
-        fut = self._decided_fut.get(txn)
-        if fut is None:
-            fut = self._decided_fut[txn] = Future(self.sim)
-        if txn not in self._push_inflight:
-            self._push_inflight[txn] = True
-            self.k.spawn(self._push_task(txn, role))
-        yield fut
-        self.k.trace("push_done", node=self.node_id, reader=reader, txn=txn)
-
-    def _push_task(self, txn: str, role: str):
-        attempts = 0
-        while txn not in self.store.decided:
-            attempts += 1
-            if attempts > 300:
-                self.k.trace("push_stuck", node=self.node_id, txn=txn)
-                self._push_inflight.pop(txn, None)
-                return
-            owner = yield from self.membership.lookup(role)
-            if owner is None:
-                yield self.k.sleep_local(5 * MS)
-                continue
-            timeout = max(self.k.rpc_timeout_for(owner), 30 * MS)
-            resp = yield self.k.rpc(owner, PushReq(role, txn, self.node_id),
-                                    timeout)
-            if resp is RPC_TIMEOUT:
-                self.membership.invalidate(role)
-                continue
-            if isinstance(resp, NotOwner):
-                self.membership.invalidate(role)
-                yield self.k.sleep_local(1 * MS)
-                continue
-            self.store.resolve(txn, resp.decision, resp.epoch)
-            fut = self._decided_fut.pop(txn, None)
-            if fut is not None and not fut.done:
-                fut.resolve((resp.decision, resp.epoch))
-        self._push_inflight.pop(txn, None)

@@ -6,7 +6,7 @@ transaction-record updates. Streams live in a per-region SharedStorage
 that survives every crash. Appends become durable after a configurable
 flush latency and are applied atomically in event order, which makes the
 membership registers linearizable and lets fencing be checked at the
-moment an append lands: a recorder that lost its role gets Fenced instead
+moment an append lands: a recorder that lost its role gets a fence instead
 of a commit point.
 
 Transaction records are traced when their append lands, not when the
@@ -23,7 +23,7 @@ missing position.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 from .simnet import MS, Future, Simulation
 
@@ -104,44 +104,35 @@ class SharedStorage:
         self.sim.after(self.flush_ns, flush)
         return fut
 
-    def read_stream(self, stream: str, start: int = 0) -> Future:
+    def _after_read(self, compute) -> Future:
+        """A future resolved with ``compute()`` after the read latency."""
         fut = Future(self.sim)
-
-        def serve():
-            fut.resolve(list(self.streams.get(stream, ())[start:]))
-
-        self.sim.after(self.read_ns, serve)
+        self.sim.after(self.read_ns, lambda: fut.resolve(compute()))
         return fut
+
+    def read_stream(self, stream: str, start: int = 0) -> Future:
+        return self._after_read(
+            lambda: list(self.streams.get(stream, ())[start:]))
 
     def cas_membership(self, role: str, expected: str, new: str) -> Future:
         """Compare-and-swap the role owner; resolves with True iff it won."""
-        fut = Future(self.sim)
 
         def apply():
-            if self.membership.get(role) == expected:
-                self.membership[role] = new
-                fut.resolve(True)
-            else:
-                fut.resolve(False)
+            if self.membership.get(role) != expected:
+                return False
+            self.membership[role] = new
+            return True
 
-        self.sim.after(self.read_ns, apply)
-        return fut
+        return self._after_read(apply)
 
     def get_owner(self, role: str) -> Future:
-        fut = Future(self.sim)
-        self.sim.after(self.read_ns, lambda: fut.resolve(self.membership.get(role)))
-        return fut
+        return self._after_read(lambda: self.membership.get(role))
 
     def list_roles_owned(self, node_id: str) -> Future:
         """Roles the register currently assigns to ``node_id`` (used by a
         restarting node to find which record streams to reload)."""
-        fut = Future(self.sim)
-
-        def serve():
-            fut.resolve([r for r, o in self.membership.items() if o == node_id])
-
-        self.sim.after(self.read_ns, serve)
-        return fut
+        return self._after_read(
+            lambda: [r for r, o in self.membership.items() if o == node_id])
 
 
 class MembershipCache:
@@ -167,6 +158,12 @@ class MembershipCache:
         if owner is not None:
             self._cache[role] = owner
         return owner
+
+
+def recorder_role(node_id: str) -> str:
+    """The recorder role a data node owns from birth. Its name ends with
+    the node's region, which ``RoleDirectory.home_region`` reads back."""
+    return f"rec/{node_id}"
 
 
 class RoleDirectory:

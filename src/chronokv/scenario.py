@@ -17,7 +17,6 @@ intra-region RTT (which would dwarf the batch lifetime).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 import yaml
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 import heapq
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
 from .errors import LivelockGuard
 
@@ -527,25 +527,3 @@ class NodeKernel:
         else:
             base = node.net.latency.one_way_ns(node.region, dst.region) * 2
         return max(int(base * 2.5), floor_ns)
-
-
-def rpc_retry(kernel: NodeKernel, dst_fn, payload, attempts: int = 25,
-              backoff_ns: int = 2 * MS):
-    """Generator helper: call ``dst_fn()`` for a target, rpc it, retry on
-    timeout with a linear backoff. Yields futures; returns the first real
-    reply payload, or RPC_TIMEOUT once attempts are exhausted.
-
-    ``dst_fn`` is re-evaluated per attempt so callers can re-route (e.g.
-    after a membership change).
-    """
-    for i in range(attempts):
-        dst = dst_fn()
-        if dst is None:
-            yield kernel.sleep_local(backoff_ns * (i + 1))
-            continue
-        resp = yield kernel.rpc(dst, payload, kernel.rpc_timeout_for(dst))
-        if resp is not RPC_TIMEOUT:
-            return resp
-        if backoff_ns:
-            yield kernel.sleep_local(backoff_ns * (i + 1))
-    return RPC_TIMEOUT

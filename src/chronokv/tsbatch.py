@@ -24,12 +24,10 @@ from typing import NamedTuple, Optional, Union
 from .clock import UncertainTime
 from .errors import InvalidConfig, OracleUnavailable
 from .messages import TsReq, TsResp
-from .simnet import MS, RPC_TIMEOUT, NodeKernel
+from .simnet import MS, NodeKernel
 
 DEFAULT_TTL_NS = 100_000
 DEFAULT_STEP_NS = 10
-
-LESS, EQUAL, GREATER = -1, 0, 1
 
 
 class Timestamp(NamedTuple):
@@ -37,14 +35,6 @@ class Timestamp(NamedTuple):
 
     nanos: int
     server_id: int
-
-
-def compare(a: Timestamp, b: Timestamp) -> int:
-    if a < b:
-        return LESS
-    if a > b:
-        return GREATER
-    return EQUAL
 
 
 class BatchState(enum.Enum):
@@ -55,7 +45,6 @@ class BatchState(enum.Enum):
 @dataclass(slots=True)
 class TimestampBatch:
     low: int  # first issuable nanosecond
-    up: int  # exclusive horizon: low + ttl
     step_ns: int
     capacity: int
     server_id: int
@@ -91,7 +80,6 @@ def build_batch(reading: UncertainTime, ttl_ns: int, step_ns: int,
     low = reading.latest + ttl_ns
     return TimestampBatch(
         low=low,
-        up=low + ttl_ns,
         step_ns=step_ns,
         capacity=ttl_ns // step_ns,
         server_id=reading.server_id,
@@ -110,10 +98,6 @@ def commit_wait_ns(ttl_ns: int, epsilon_ns: int, max_drift_ppm: int,
     base = 2 * epsilon_ns if strawman else 2 * (ttl_ns + epsilon_ns)
     num = base * (1_000_000 + max_drift_ppm)
     return -(-num // 1_000_000)
-
-
-def commit_wait_elapsed(deadline_local: int, local_now: int) -> bool:
-    return local_now >= deadline_local
 
 
 class TsProxy:

@@ -13,10 +13,19 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass, field
 
+from .clock import ClockConfig, OracleServer
 from .errors import OracleUnavailable
 from .messages import ReplicaReadReq
-from .simnet import MS, RPC_TIMEOUT
-from .tsbatch import Timestamp
+from .simnet import (
+    MS,
+    RPC_TIMEOUT,
+    FaultSchedule,
+    LatencyMatrix,
+    Network,
+    Node,
+    Simulation,
+)
+from .tsbatch import Timestamp, TsProxy
 
 
 class ZipfKeys:
@@ -176,6 +185,35 @@ def _replica_reader(coord, cluster, cs, rng, idx, zipf):
 # timestamp service micro-benchmark
 
 
+class _Host(Node):
+    kind = "host"
+
+    def handle(self, env):
+        pass
+
+
+def _oracle_region(seed: int, epsilon_ns: int, ttl_ns: int, step_ns: int,
+                   max_drift_ppm: int):
+    """One region holding one time oracle, for hosts that only take
+    timestamps. Returns the simulation and ``add_host(idx, drift_ppm,
+    mode)``, which adds host ``h<idx>`` with its own timestamp proxy."""
+    region = "R0"
+    sim = Simulation(seed)
+    net = Network(sim, LatencyMatrix([region], {(region, region): 0.2}),
+                  FaultSchedule())
+    cfg = ClockConfig(epsilon_ns=epsilon_ns, max_drift_ppm=max_drift_ppm)
+    OracleServer(sim, net, f"ts.{region}", region, server_id=0, cfg=cfg,
+                 step_ns=step_ns, ttl_ns=ttl_ns)
+
+    def add_host(idx: int, drift_ppm: int, mode: str = "batched"):
+        host = _Host(sim, net, f"h{idx}.{region}", region, drift_ppm=drift_ppm)
+        return host, TsProxy(host.k, [f"ts.{region}"], ttl_ns=ttl_ns,
+                             step_ns=step_ns, epsilon_ns=epsilon_ns,
+                             max_drift_ppm=max_drift_ppm, mode=mode)
+
+    return sim, add_host
+
+
 def timestamp_property_sweep(seed: int, txns: int = 10_000, hosts: int = 10,
                              streams_per_host: int = 2,
                              epsilon_ns: int = 100_000, ttl_ns: int = 100_000,
@@ -187,25 +225,8 @@ def timestamp_property_sweep(seed: int, txns: int = 10_000, hosts: int = 10,
     clocks — and the oracle places true time adversarially within its
     interval. Returns counters and the (hopefully empty) violation list.
     """
-    from .clock import ClockConfig, OracleServer
-    from .simnet import FaultSchedule, LatencyMatrix, Network, Node, Simulation
-    from .tsbatch import TsProxy
-
-    region = "R0"
-    sim = Simulation(seed)
-    net = Network(sim, LatencyMatrix([region], {(region, region): 0.2}),
-                  FaultSchedule())
-    cfg = ClockConfig(epsilon_ns=epsilon_ns, max_drift_ppm=max_drift_ppm)
-    oracle_id = f"ts.{region}"
-    OracleServer(sim, net, oracle_id, region, server_id=0, cfg=cfg,
-                 step_ns=step_ns, ttl_ns=ttl_ns)
-
-    class _Host(Node):
-        kind = "host"
-
-        def handle(self, env):
-            pass
-
+    sim, add_host = _oracle_region(seed, epsilon_ns, ttl_ns, step_ns,
+                                   max_drift_ppm)
     state = {"done": 0, "issued": 0, "fetches": 0, "oracle_failures": 0}
     violations = []
     total_streams = hosts * streams_per_host
@@ -231,10 +252,8 @@ def timestamp_property_sweep(seed: int, txns: int = 10_000, hosts: int = 10,
     idx = 0
     for hi in range(hosts):
         drift = max_drift_ppm if hi % 2 == 0 else -max_drift_ppm
-        host = _Host(sim, net, f"h{hi}.{region}", region, drift_ppm=drift)
         # one proxy per host: its streams share the batch
-        proxy = TsProxy(host.k, [oracle_id], ttl_ns=ttl_ns, step_ns=step_ns,
-                        epsilon_ns=epsilon_ns, max_drift_ppm=max_drift_ppm)
+        host, proxy = add_host(hi, drift)
         for si in range(streams_per_host):
             quota = txns // total_streams + (1 if idx < txns % total_streams
                                              else 0)
@@ -262,28 +281,9 @@ def bench_timestamp_service(seed: int, mode: str, n: int = 20_000,
     from the live batch completes in the same instant (latency 0); only
     fetch initiators pay the oracle round trip.
     """
-    from .clock import ClockConfig, OracleServer
-    from .simnet import FaultSchedule, LatencyMatrix, Network, Node, Simulation
-    from .tsbatch import TsProxy
-
-    region = "R0"
-    sim = Simulation(seed)
-    net = Network(sim, LatencyMatrix([region], {(region, region): 0.2}),
-                  FaultSchedule())
-    cfg = ClockConfig(epsilon_ns=epsilon_ns, max_drift_ppm=max_drift_ppm)
-    OracleServer(sim, net, f"ts.{region}", region, server_id=0, cfg=cfg,
-                 step_ns=step_ns, ttl_ns=ttl_ns)
-
-    class _Host(Node):
-        kind = "host"
-
-        def handle(self, env):
-            pass
-
-    host = _Host(sim, net, f"h0.{region}", region, drift_ppm=0)
-    proxy = TsProxy(host.k, [f"ts.{region}"], ttl_ns=ttl_ns, step_ns=step_ns,
-                    epsilon_ns=epsilon_ns, max_drift_ppm=max_drift_ppm,
-                    mode=mode)
+    sim, add_host = _oracle_region(seed, epsilon_ns, ttl_ns, step_ns,
+                                   max_drift_ppm)
+    host, proxy = add_host(0, 0, mode)
     lats = []
     state = {"done": False, "failures": 0, "last": None}
 

@@ -7,23 +7,25 @@ import pytest
 from chronokv.cli import main
 
 
-def small_yaml(tmp_path, **extra):
-    lines = [
-        "name: cli-unit",
-        "seed: 3",
-        "duration_ms: 30000",
-        "regions: [SH, BJ]",
-        "data_nodes: [SH]",
-        "replicate_to: [BJ]",
-        "coordinators: [SH]",
-        "clients_per_coordinator: 1",
-        "txns_per_client: 12",
-        "interval_ms: 50",
-        "workload: {kind: ycsb, keys: 16, write_ratio: 0.8}",
-    ]
-    lines += [f"{k}: {v}" for k, v in extra.items()]
+SMALL = {
+    "name": "cli-unit",
+    "seed": "3",
+    "duration_ms": "30000",
+    "regions": "[SH, BJ]",
+    "data_nodes": "[SH]",
+    "replicate_to": "[BJ]",
+    "coordinators": "[SH]",
+    "clients_per_coordinator": "1",
+    "txns_per_client": "12",
+    "interval_ms": "50",
+    "workload": "{kind: ycsb, keys: 16, write_ratio: 0.8}",
+}
+
+
+def small_yaml(tmp_path, **overrides):
+    fields = {**SMALL, **overrides}
     p = tmp_path / "scenario.yaml"
-    p.write_text("\n".join(lines) + "\n")
+    p.write_text("".join(f"{k}: {v}\n" for k, v in fields.items()))
     return str(p)
 
 
@@ -61,6 +63,7 @@ def test_check_passes_on_a_clean_trace(tmp_path, capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert "strict-serializability" in out and "FAIL" not in out
+    assert "deadlock-freedom: ok" in out
     assert csv.read_text().startswith("commit_ms,delay_ms\n")
 
 
@@ -93,6 +96,20 @@ def test_check_property_subsets_run_only_their_checkers(tmp_path, capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert out.startswith("visibility: ")
+
+
+def test_check_measures_visibility_like_run_on_two_primaries(tmp_path, capsys):
+    # Each transaction waits only on the replicas of the primaries it
+    # wrote, in check as in run: the trace header names the topology.
+    trace = tmp_path / "two.trace"
+    scenario = small_yaml(tmp_path, data_nodes="[SH, BJ]",
+                          replicate_to="[SH, BJ]", txns_per_client=40)
+    main(["run", "--scenario", scenario, "--trace", str(trace)])
+    run_vis = json.loads(capsys.readouterr().out)["visibility"]
+    rc = main(["check", "--trace", str(trace), "--property", "visibility"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert json.loads(out.removeprefix("visibility: ")) == run_vis
 
 
 def test_bench_ts_reports_batching_stats_in_both_modes(capsys):

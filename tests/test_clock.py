@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from chronokv.clock import ClockConfig, TTCOracle, oracle_now
+from chronokv.clock import ClockConfig, TTCOracle
 from chronokv.errors import InvalidConfig
 
 EPS = 100_000
@@ -120,12 +120,6 @@ def test_non_grid_sampling_skips_residue_tracking():
 def test_zero_epsilon_returns_the_exact_instant():
     core = TTCOracle(3, 0, random.Random(1))
     assert core.sample(777) == (777, 777, 3)
-
-
-def test_oracle_now_convenience_matches_sample():
-    a = fresh(seed=2)
-    b = fresh(seed=2)
-    assert oracle_now(a, 50_000) == b.sample(50_000)
 
 
 def test_impossible_rate_raises_instead_of_lying():

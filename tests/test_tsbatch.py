@@ -8,16 +8,11 @@ from chronokv.errors import InvalidConfig, OracleUnavailable
 from chronokv.messages import TsReq, TsErr
 from chronokv.simnet import MS, FaultSchedule, OracleOutage
 from chronokv.tsbatch import (
-    EQUAL,
-    GREATER,
-    LESS,
     BatchState,
     Timestamp,
     TsProxy,
     build_batch,
-    commit_wait_elapsed,
     commit_wait_ns,
-    compare,
     validate_batch_params,
 )
 
@@ -38,7 +33,6 @@ def batch(latest=1_000_000, acquired_local=0):
 def test_batch_covers_one_ttl_starting_one_ttl_above_the_reading():
     b = batch(latest=1_000_000)
     assert b.low == 1_100_000
-    assert b.up == 1_200_000
     assert b.capacity == 10_000
     assert b.server_id == 0
 
@@ -80,10 +74,11 @@ def test_ttl_must_be_a_multiple_of_step():
 
 
 def test_timestamps_order_by_nanos_then_server():
-    assert compare(Timestamp(5, 0), Timestamp(6, 0)) is LESS
-    assert compare(Timestamp(6, 0), Timestamp(5, 9)) is GREATER
-    assert compare(Timestamp(5, 1), Timestamp(5, 2)) is LESS
-    assert compare(Timestamp(5, 2), Timestamp(5, 2)) is EQUAL
+    assert Timestamp(5, 0) < Timestamp(6, 0)
+    assert Timestamp(6, 0) > Timestamp(5, 9)
+    assert Timestamp(5, 1) < Timestamp(5, 2)
+    assert Timestamp(5, 2) == Timestamp(5, 2)
+    assert not Timestamp(5, 2) < Timestamp(5, 2)
 
 
 # -- commit wait ------------------------------------------------------------------
@@ -98,11 +93,6 @@ def test_commit_wait_constants():
 def test_commit_wait_rounds_up():
     # 2*(1+0)*1.0002 = 2.0004 -> 3
     assert commit_wait_ns(1, 0, D) == 3
-
-
-def test_commit_wait_elapsed_is_a_plain_deadline():
-    assert not commit_wait_elapsed(100, 99)
-    assert commit_wait_elapsed(100, 100)
 
 
 # -- proxy over the wire ------------------------------------------------------------
