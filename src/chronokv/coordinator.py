@@ -60,10 +60,15 @@ class TxnRecord:
 
 
 class _RoleState:
-    __slots__ = ("records", "pending", "deciding")
+    __slots__ = ("records", "in_progress", "pending", "deciding")
 
     def __init__(self, records=None):
         self.records: dict[str, TxnRecord] = records or {}
+        # The in-progress subset of ``records``, in the same order, so the
+        # sweep scans only what it may abort.
+        self.in_progress: dict[str, TxnRecord] = {
+            txn: rec for txn, rec in self.records.items()
+            if rec.status == IN_PROGRESS}
         # txn -> [(envelope, arrived_local_ns)] readers parked until a decision
         self.pending: dict[str, list] = {}
         # txn -> Future guarding a decision append already in flight
@@ -157,7 +162,8 @@ class RecorderState:
             return False
         if txn in rs.records:
             return True
-        rs.records[txn] = TxnRecord(IN_PROGRESS, None, coordinator)
+        rs.records[txn] = rs.in_progress[txn] = \
+            TxnRecord(IN_PROGRESS, None, coordinator)
         res = yield self.node.storage.append(
             role, [RecordEntry(txn, IN_PROGRESS, None, coordinator)],
             writer=self.node.node_id, role=role,
@@ -217,6 +223,7 @@ class RecorderState:
             gate.resolve()
             return NotOwner(role)
         rs.records[txn] = TxnRecord(status, epoch, coordinator)
+        rs.in_progress.pop(txn, None)
         rs.deciding.pop(txn, None)
         # Parked readers learn the outcome before the coordinator does.
         for penv, _ in rs.pending.pop(txn, ()):
@@ -280,8 +287,8 @@ class RecorderState:
                 if rs is None:
                     continue
                 doomed = []
-                for txn, rec in rs.records.items():
-                    if rec.status == IN_PROGRESS and txn not in rs.deciding \
+                for txn, rec in rs.in_progress.items():
+                    if txn not in rs.deciding \
                             and self._coordinator_stale(rec.coordinator):
                         doomed.append((txn, rec.coordinator))
                 # Readers parked on a transaction nobody ever registered:
