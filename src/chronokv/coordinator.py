@@ -1,24 +1,28 @@
 """Transaction coordination and commit recording.
 
 A coordinator runs transactions for co-located clients: it takes one
-timestamp up front (which doubles as the read snapshot and the commit
-timestamp), executes reads one at a time against the data nodes and
-each run of consecutive writes concurrently, then — after the commit
-wait tied to that timestamp has elapsed on its local clock — asks the
-transaction's recorder for a single durable decision. The recorder is
-the data node that received the lead write of the transaction's first
-write run; its answer is the commit point. A run sends one write per
-distinct key, carrying that key's last value, so no two writes of one
-transaction to one key are ever in flight together. Everything after
-(finalize messages installing or discarding intents) is asynchronous
-cleanup that readers can force at any time by pushing the recorder.
+timestamp up front, which doubles as the read snapshot and the commit
+timestamp, so what an op returns depends on that timestamp and not on
+when the op is sent. The ops between two holds therefore leave at once,
+one chain per key: a chain keeps its key's ops in program order, and
+consecutive writes in it are coalesced into one write carrying the last
+value, so no two writes of one transaction to one key are ever in flight
+together. After the commit wait tied to the timestamp has elapsed on its
+local clock, the coordinator asks the transaction's recorder for a
+single durable decision. The recorder is the data node that receives the
+transaction's first write in program order; its answer is the commit
+point. Everything after (finalize messages installing or discarding
+intents) is asynchronous cleanup that readers can force at any time by
+pushing the recorder.
 
 Recorders also guarantee progress for everyone else's transactions: they
 watch coordinator heartbeats and durably abort the in-progress records of
 coordinators that have gone quiet, answering any readers parked on them.
-Losing a role is discovered the hard way — a durable append bounces with
-a fence — after which the old recorder redirects traffic to the successor
-named by the membership register.
+A coordinator that is alive but gave up reaching a recorder keeps asking
+it to abort in the background until it answers. Losing a role is
+discovered the hard way — a durable append bounces with a fence — after
+which the old recorder redirects traffic to the successor named by the
+membership register.
 """
 
 from __future__ import annotations
@@ -152,11 +156,10 @@ class RecorderState:
     # -- record creation -------------------------------------------------------
 
     def create_in_progress(self, role: str, txn: str, coordinator: str):
-        """Generator -> bool. Durably registers the transaction before the
-        lead write of its first write run acks, so pushes have something
-        to park on. Writes sent alongside the lead may ack first; a push
-        that arrives before the record parks all the same, until the
-        decision."""
+        """Generator -> bool. Durably registers the transaction before its
+        first write acks, so pushes have something to park on. Writes sent
+        alongside it may ack first; a push that arrives before the record
+        parks all the same, until the decision."""
         rs = self.roles.get(role)
         if rs is None:
             return False
@@ -318,8 +321,8 @@ class TxnResult:
 class TxnHandle:
     __slots__ = (
         "txn", "ts", "cwt_deadline_local", "status", "reads", "write_buf",
-        "write_order", "intent_nodes", "proposals", "role", "first_done",
-        "reason", "op_idx",
+        "write_order", "intent_nodes", "proposals", "role", "may_have_written",
+        "reason",
     )
 
     def __init__(self, txn: str, ts: Timestamp, cwt_deadline_local: int):
@@ -333,9 +336,9 @@ class TxnHandle:
         self.intent_nodes: dict[str, bool] = {}
         self.proposals: list[int] = []
         self.role: Optional[str] = None
-        self.first_done = False
+        # A write acked or timed out: an intent, and the record, may exist.
+        self.may_have_written = False
         self.reason: Optional[str] = None
-        self.op_idx = 0
 
 
 class Coordinator(Node):
@@ -391,9 +394,9 @@ class Coordinator(Node):
         h = TxnHandle(txn, ts, self.k.local_now() + self.tsproxy.cwt_ns)
         return h
 
-    def execute_read(self, h: TxnHandle, key: str):
-        idx = h.op_idx
-        h.op_idx += 1
+    def execute_read(self, h: TxnHandle, key: str, idx: int):
+        """Generator -> value. Read ``key`` at ``h.ts`` as op ``idx``; a key
+        this transaction has written is read from its own write buffer."""
         if key in h.write_buf:
             value = h.write_buf[key]
             h.reads.append((idx, key, h.ts, value))
@@ -403,8 +406,8 @@ class Coordinator(Node):
         node = self.router.primary(key)
         resp = yield from self._data_rpc(node, ReadReq(key, h.ts, h.txn))
         if resp is RPC_TIMEOUT:
-            h.status = "failed"
-            h.reason = "unreachable"
+            if h.status == "active":
+                h.status, h.reason = "failed", "unreachable"
             return None
         vts = Timestamp(*resp.version_ts) if resp.version_ts else None
         h.reads.append((idx, key, vts, resp.value))
@@ -415,26 +418,27 @@ class Coordinator(Node):
     def execute_write(self, h: TxnHandle, key: str, ops: list, first: bool):
         """Generator -> bool. Install this transaction's intent on ``key``.
 
-        ``run_txn`` sends one write per distinct key of a run of
-        consecutive writes, all at once (``_execute_write_run``): ``ops``
-        is the ``(index, value)`` of every op of the run on ``key``, and
-        the write carries the last value; ``first`` says whether it
-        creates the record. Each op is traced with its own index once the
-        write is acknowledged. A write that fails ends the transaction;
-        writes of the same run still in flight finish, so their intents
-        are known to the abort."""
+        ``ops`` is the ``(index, value)`` of every op of a run of
+        consecutive writes to ``key`` in its chain (see ``_run_chain``); the
+        write carries the last value, and each op is traced with its own
+        index once the write is acknowledged. ``first`` says whether the
+        write creates the record. A write that fails ends the transaction;
+        ops of other chains already in flight finish, so their intents are
+        known to the abort."""
         node = self.router.primary(key)
         req = WriteReq(key, h.txn, h.ts, ops[-1][1], h.role, first,
                        self.node_id)
         resp = yield from self._data_rpc(node, req)
-        if resp is RPC_TIMEOUT or not resp.ok:
+        if resp is RPC_TIMEOUT:
+            h.may_have_written = True
             if h.status == "active":
-                if resp is RPC_TIMEOUT:
-                    h.status, h.reason = "failed", "unreachable"
-                else:
-                    h.status, h.reason = "aborted", "rt_conflict"
+                h.status, h.reason = "failed", "unreachable"
             return False
-        h.first_done = True
+        if not resp.ok:
+            if h.status == "active":
+                h.status, h.reason = "aborted", "rt_conflict"
+            return False
+        h.may_have_written = True
         h.intent_nodes[node] = True
         if resp.proposal is not None:
             h.proposals.append(resp.proposal)
@@ -444,31 +448,33 @@ class Coordinator(Node):
             self.k.trace("op", txn=h.txn, i=idx, op="w", key=key, val=value)
         return True
 
-    def _execute_write_run(self, h: TxnHandle, writes: list):
-        """Generator: send a run of consecutive ``(key, value)`` writes at
-        once and wait for them all. Repeated keys are coalesced into one
-        write: two writes to one key must not race, since the later intent
-        wins whichever lands last. The recorder role is fixed before any
-        write is sent; only the run's lead write creates the record, and
-        only if no write has acked yet."""
-        carried: dict[str, list] = {}
-        for key, value in writes:
-            carried.setdefault(key, []).append((h.op_idx, value))
-            h.op_idx += 1
-        if h.role is None:  # the abort path may need to reach this recorder
-            lead_node = self.router.primary(writes[0][0])
-            h.role = recorder_role(lead_node)
-        first = not h.first_done
-        plan = [(key, ops, first and n == 0)
-                for n, (key, ops) in enumerate(carried.items())]
-        if len(plan) == 1:
-            # Inline, as a lone write always ran: a task would add an event
-            # and reorder same-instant sends.
-            yield from self.execute_write(h, *plan[0])
+    def _run_segment(self, h: TxnHandle, chains: dict, lead: int):
+        """Generator: start every chain at once and wait for them all."""
+        if not chains:
             return
-        tasks = [self.k.spawn(self.execute_write(h, *w)) for w in plan]
+        first, *rest = chains.values()
+        tasks = [self.k.spawn(self._run_chain(h, c, lead)) for c in rest]
+        yield from self._run_chain(h, first, lead)  # inline: one task fewer
         for task in tasks:
             yield task
+
+    def _run_chain(self, h: TxnHandle, chain: list, lead: int):
+        """Generator: the ``(index, op)`` of one key, in program order.
+        Reads go one at a time; each run of consecutive writes is one
+        write, and the write carrying op ``lead`` creates the record. No
+        op is sent once the transaction has failed."""
+        i = 0
+        while i < len(chain) and h.status == "active":
+            idx, op = chain[i]
+            i += 1
+            if op[0] == "r":
+                yield from self.execute_read(h, op[1], idx)
+                continue
+            ops = [(idx, op[2])]
+            while i < len(chain) and chain[i][1][0] == "w":
+                ops.append((chain[i][0], chain[i][1][2]))
+                i += 1
+            yield from self.execute_write(h, op[1], ops, ops[0][0] == lead)
 
     def commit(self, h: TxnHandle):
         """Generator -> final status string. Blocks until the commit wait
@@ -488,6 +494,7 @@ class Coordinator(Node):
             h.status = "unknown"
             h.reason = "decide_unreachable"
             self._finish(h, None)
+            self.k.spawn(self._abort_in_background(h))
             return "unknown"
         if resp.status == COMMITTED:
             h.status = "committed"
@@ -535,16 +542,29 @@ class Coordinator(Node):
 
     def _abandon(self, h: TxnHandle):
         """Abort path: make the abort durable if a record or an intent may
-        exist (any write acked, even when its run's lead did not), then
-        sweep intents. Failures here are tolerable — the recorder sweep and
-        reader pushes finish the job."""
-        if h.role is not None and (h.first_done or h.status == "failed"):
-            yield from self._decide(h, ABORT, attempts=5)
+        exist, then sweep intents. An abort the recorder does not answer
+        is retried in the background."""
+        if h.may_have_written:
+            resp = yield from self._decide(h, ABORT, attempts=5)
+            if resp is None:
+                self.k.spawn(self._abort_in_background(h))
         if h.intent_nodes:
             self._broadcast_finalize(h, ABORT, None)
         status = "aborted" if h.status != "failed" else "failed"
         self._finish(h, None)
         return status
+
+    def _abort_in_background(self, h: TxnHandle):
+        """Generator task: ask the recorder to abort ``h`` until it answers,
+        then finalize the intents with the outcome it holds, which is a
+        commit if the lost decide landed first. The sweep aborts only for
+        coordinators gone quiet, so without this the record would stay in
+        progress and readers of the keys would park on it."""
+        resp = None
+        while resp is None:
+            resp = yield from self._decide(h, ABORT)
+        decision = COMMIT if resp.status == COMMITTED else ABORT
+        self._broadcast_finalize(h, decision, resp.epoch)
 
     def _broadcast_finalize(self, h: TxnHandle, decision: str, epoch) -> None:
         for nid in h.intent_nodes:
@@ -562,12 +582,17 @@ class Coordinator(Node):
 
     def run_txn(self, program):
         """Generator -> TxnResult. ``program`` is a list of ops:
-        ("r", key) | ("w", key, value) | ("hold", local_ns).
+        ("r", key) | ("w", key, value) | ("hold", local_ns). Each op's index
+        is its position in the program.
 
-        Reads and holds run one at a time. Each run of consecutive writes
-        is sent at once, one write per distinct key (see
-        ``execute_write``), and the next op starts when all of them are
-        answered: a run pays one round trip, not one per write."""
+        A hold is a barrier. The ops between two holds are split into one
+        chain per key, in program order, and every chain starts at once
+        (see ``_run_chain``): the snapshot is ``ts`` whenever an op is
+        sent, and a chain keeps each key's ops ordered, because a read
+        must not overtake the transaction's own write to its key. So a
+        segment pays about one round trip per op on its busiest key, not
+        one per op. The recorder role is fixed before any op is sent, from
+        the first write in program order."""
         try:
             h = yield from self.begin()
         except OracleUnavailable:
@@ -576,24 +601,23 @@ class Coordinator(Node):
                          status="failed", ts=None, epoch=None, reason="oracle")
             return TxnResult(f"{self.node_id}:{self._txn_n}", "failed", None, [], [],
                              reason="oracle")
-        i = 0
-        while i < len(program):
-            op = program[i]
-            i += 1
-            if op[0] == "r":
-                yield from self.execute_read(h, op[1])
-            elif op[0] == "w":
-                run = [op[1:]]
-                while i < len(program) and program[i][0] == "w":
-                    run.append(program[i][1:])
-                    i += 1
-                yield from self._execute_write_run(h, run)
+        lead = next((i for i, op in enumerate(program) if op[0] == "w"), None)
+        if lead is not None:  # the abort path may need to reach this recorder
+            h.role = recorder_role(self.router.primary(program[lead][1]))
+        chains: dict[str, list] = {}
+        for idx, op in enumerate(program):
+            if op[0] in ("r", "w"):
+                chains.setdefault(op[1], []).append((idx, op))
             elif op[0] == "hold":
+                yield from self._run_segment(h, chains, lead)
+                chains = {}
+                if h.status != "active":
+                    break
                 yield self.k.sleep_local(op[1])
             else:
                 raise ValueError(f"unknown op {op!r}")
-            if h.status != "active":
-                break
+        else:
+            yield from self._run_segment(h, chains, lead)
         status = yield from self.commit(h)
-        return TxnResult(h.txn, status, h.ts, list(h.reads),
+        return TxnResult(h.txn, status, h.ts, sorted(h.reads),
                          sorted(h.write_order), reason=h.reason)

@@ -38,6 +38,7 @@ class TxnInfo:
     epoch: Optional[int] = None
     reason: Optional[str] = None
     ops: list = field(default_factory=list)  # (i, kind, key, vts, val)
+    coord: Optional[str] = None    # the coordinator that began it
 
     @property
     def committed(self) -> bool:
@@ -77,7 +78,8 @@ def build_history(events) -> History:
     rr_pending: dict = {}
     for t, kind, f in events:
         if kind == "txn_begin":
-            h.txns[f["txn"]] = TxnInfo(f["txn"], begin_ns=t)
+            h.txns[f["txn"]] = TxnInfo(f["txn"], begin_ns=t,
+                                       coord=f.get("coord"))
         elif kind == "txn_ts":
             info = h.txns.get(f["txn"])
             if info is not None:

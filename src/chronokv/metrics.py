@@ -155,21 +155,34 @@ def sawtooth_period_ns(series: list, interval_ns: int,
 
 
 def latency_summary(h: History) -> dict:
-    """Client-observed transaction latency, split by outcome."""
+    """Client-observed transaction latency, split by outcome, plus the
+    committed latency by coordinator region (``committed_by_region``).
+    A coordinator's id ends with its region (``c0.SH``)."""
     out = {}
     for status in ("committed", "aborted"):
         vals = [t.end_ns - t.begin_ns for t in h.txns.values()
                 if t.status == status and t.end_ns is not None]
-        if not vals:
-            continue
-        arr = np.asarray(vals, dtype=float)
-        out[status] = {
-            "count": len(vals),
-            "p50_ms": float(np.percentile(arr, 50)) / MS,
-            "p99_ms": float(np.percentile(arr, 99)) / MS,
-            "max_ms": float(arr.max()) / MS,
-        }
+        if vals:
+            out[status] = _latency(vals)
+    by_region: dict = {}
+    for t in h.txns.values():
+        if t.committed and t.coord is not None:
+            by_region.setdefault(t.coord.rsplit(".", 1)[-1], []).append(
+                t.end_ns - t.begin_ns)
+    if by_region:
+        out["committed_by_region"] = {
+            region: _latency(vals) for region, vals in sorted(by_region.items())}
     return out
+
+
+def _latency(vals: list) -> dict:
+    arr = np.asarray(vals, dtype=float)
+    return {
+        "count": len(vals),
+        "p50_ms": float(np.percentile(arr, 50)) / MS,
+        "p99_ms": float(np.percentile(arr, 99)) / MS,
+        "max_ms": float(arr.max()) / MS,
+    }
 
 
 def run_summary(result) -> dict:

@@ -10,9 +10,9 @@ from chronokv.checkers import (
 )
 from chronokv.cluster import Cluster, run_scenario
 from chronokv.history import build_history
-from chronokv.messages import DecideReq, WriteReq
+from chronokv.messages import DecideReq, ReadReq, ReadResp, WriteReq
 from chronokv.scenario import Scenario, WorkloadSpec
-from chronokv.simnet import MS, SEC, CrashDirective, FaultSchedule
+from chronokv.simnet import MS, SEC, CrashDirective, FaultSchedule, MsgFilter
 
 
 def small(seed=7, **kw):
@@ -107,12 +107,12 @@ def test_timestamp_service_counters_are_consistent():
 # -- single transactions driven by hand on an idle cluster -------------------
 
 
-def idle_cluster():
+def idle_cluster(faults=None):
     """Two data nodes (SH, BJ) and one SH coordinator, with no clients."""
     cluster = Cluster(Scenario(
         name="verbs", seed=1, duration_ms=60_000, regions=["SH", "BJ"],
         data_nodes=["SH", "BJ"], coordinators=["SH"],
-        clients_per_coordinator=0,
+        clients_per_coordinator=0, faults=faults or FaultSchedule(),
     ))
     cluster.start()
     return cluster, cluster.coordinators[0]
@@ -124,7 +124,8 @@ def keys_on(cluster, node_id, n=1):
 
 
 def record_sends(cluster, kind):
-    """(instant, payload) of every ``kind`` message sent from now on."""
+    """(instant, payload) of every ``kind`` message sent from now on;
+    ``kind`` is a class or a tuple of classes."""
     sent = []
     send = cluster.net.send
 
@@ -147,11 +148,11 @@ def test_a_write_run_is_sent_at_once_coalesced_with_one_lead_write():
     res = drive(cluster.sim, coord.k, coord.run_txn(program))
     assert res.status == "committed"
 
-    # one write per distinct key, each run's writes in one instant; a
-    # repeated key carries its last value; only the lead creates the record
+    # one write per distinct key, all in one instant; a key's consecutive
+    # writes carry its last value; only the first write creates the record
     assert [(p.key, p.value, p.first) for _t, p in sent] == [
-        (a, "v2", True), (b, "v1", False), (c, "v4", False), (a, "v5", False)]
-    assert sent[0][0] == sent[1][0] < sent[2][0] == sent[3][0]
+        (a, "v5", True), (b, "v1", False), (c, "v4", False)]
+    assert len({t for t, _p in sent}) == 1
     assert {p.role for _t, p in sent} == {"rec/d0.SH"}
 
     # every op keeps its own index and value
@@ -167,6 +168,113 @@ def test_a_write_run_is_sent_at_once_coalesced_with_one_lead_write():
     after = drive(cluster.sim, coord.k,
                   coord.run_txn([("r", a), ("r", b), ("r", c)]))
     assert [r[3] for r in after.reads] == ["v5", "v1", "v4"]
+
+
+def test_reads_of_distinct_keys_leave_in_one_instant():
+    cluster, coord = idle_cluster()
+    a, c = keys_on(cluster, "d0.SH", 2)
+    [b] = keys_on(cluster, "d1.BJ")
+    drive(cluster.sim, coord.k, coord.run_txn([("w", b, "old")]))
+    sent = record_sends(cluster, ReadReq)
+    res = drive(cluster.sim, coord.k,
+                coord.run_txn([("r", a), ("r", b), ("r", c)]))
+    assert [p.key for _t, p in sent] == [a, b, c]
+    assert len({t for t, _p in sent}) == 1
+    assert [r[:2] for r in res.reads] == [(0, a), (1, b), (2, c)]
+    assert res.reads[1][3] == "old"
+
+
+def test_a_write_after_a_read_of_its_key_waits_for_the_reply():
+    cluster, coord = idle_cluster()
+    [b] = keys_on(cluster, "d1.BJ")
+    sent = record_sends(cluster, (ReadReq, ReadResp, WriteReq))
+    res = drive(cluster.sim, coord.k,
+                coord.run_txn([("r", b), ("w", b, "v1")]))
+    assert res.status == "committed"
+    assert [type(p) for _t, p in sent] == [ReadReq, ReadResp, WriteReq]
+    # the reply crosses back from BJ before the write leaves SH
+    assert sent[0][0] < sent[1][0] < sent[2][0]
+
+
+def test_a_read_after_a_write_of_its_key_is_served_from_the_write():
+    cluster, coord = idle_cluster()
+    [b] = keys_on(cluster, "d1.BJ")
+    reads = record_sends(cluster, ReadReq)
+    res = drive(cluster.sim, coord.k,
+                coord.run_txn([("w", b, "v0"), ("r", b)]))
+    assert res.status == "committed"
+    assert reads == []
+    assert res.reads == [(1, b, res.ts, "v0")]
+
+
+def test_a_hold_is_a_barrier():
+    cluster, coord = idle_cluster()
+    [a] = keys_on(cluster, "d0.SH")
+    b, c = keys_on(cluster, "d1.BJ", 2)
+    sent = record_sends(cluster, (ReadReq, WriteReq))
+    replies = record_sends(cluster, ReadResp)
+    hold = 20 * MS
+    res = drive(cluster.sim, coord.k, coord.run_txn(
+        [("r", b), ("w", a, "v1"), ("hold", hold), ("r", c), ("w", b, "v4")]))
+    assert res.status == "committed"
+    assert [(type(p), p.key) for _t, p in sent] == [
+        (ReadReq, b), (WriteReq, a), (ReadReq, c), (WriteReq, b)]
+    assert sent[0][0] == sent[1][0] and sent[2][0] == sent[3][0]
+    # the hold starts only once the read of b, across the WAN, is answered
+    assert sent[2][0] >= replies[0][0] + hold * 0.99 > sent[0][0] + hold
+    assert res.writes == [(1, a, "v1"), (4, b, "v4")]
+    assert [r[:2] for r in res.reads] == [(0, b), (3, c)]
+
+
+def test_an_rt_conflict_stops_other_chains_and_finalizes_their_intents():
+    cluster, coord = idle_cluster()
+    sim = cluster.sim
+    [a] = keys_on(cluster, "d0.SH")
+    b, c = keys_on(cluster, "d1.BJ", 2)
+    sent = record_sends(cluster, WriteReq)
+    writer = coord.k.spawn(coord.run_txn(
+        [("hold", 100 * MS), ("w", a, "w.0"), ("w", c, "w.1"), ("r", b),
+         ("w", b, "w.3")]))
+    sim.run_until(sim.now + 10 * MS)
+    drive(sim, coord.k, coord.run_txn([("r", a)]))
+    sim.run_until(1 << 62, stop=lambda: writer.done)
+    res = writer.value
+    assert (res.status, res.reason) == ("aborted", "rt_conflict")
+    # a's write is refused at once, in SH; b's read is still on the wire
+    # to BJ then, so b's write is never sent; c's write was and landed
+    assert [p.key for _t, p in sent if p.txn == res.txn] == [a, c]
+    assert res.writes == [(2, c, "w.1")]
+
+    sim.run_until(sim.now + 1 * SEC)
+    h = build_history(sim.trace.events)
+    assert terminal_records(h)[res.txn][0] == "aborted"
+    for node in cluster.data_nodes:
+        for chain in node.store.chains.values():
+            assert res.txn not in chain.intents
+
+
+def test_a_commit_given_up_as_unknown_is_aborted_once_its_recorder_answers():
+    # every decide is lost for 5 s, well past the coordinator's retries
+    lost = MsgFilter(kinds=frozenset({"DecideReq"}), prob=1.0,
+                     end_ns=5 * SEC)
+    cluster, coord = idle_cluster(FaultSchedule(msg_filters=[lost]))
+    sim = cluster.sim
+    [a] = keys_on(cluster, "d0.SH")
+    res = drive(sim, coord.k, coord.run_txn([("w", a, "lost")]))
+    assert (res.status, res.reason) == ("unknown", "decide_unreachable")
+    assert sim.now < 5 * SEC
+
+    # the coordinator stays alive and keeps heartbeating, so only its own
+    # retries can decide the record
+    sim.run_until(6 * SEC)
+    h = build_history(sim.trace.events)
+    assert terminal_records(h)[res.txn][0] == "aborted"
+    for chain in cluster.data_nodes[0].store.chains.values():
+        assert res.txn not in chain.intents
+    reader = drive(sim, coord.k, coord.run_txn([("r", a)]))
+    assert reader.reads[0][3] is None
+    assert not [p for p in build_history(sim.trace.events).pushes
+                if p[3] == reader.txn]
 
 
 @pytest.mark.parametrize("conflict", ["lead", "other"])

@@ -5,6 +5,7 @@ import random
 from chronokv.cluster import run_scenario
 from chronokv.history import History, TxnInfo
 from chronokv.metrics import (
+    latency_summary,
     measure_visibility,
     run_summary,
     sawtooth_period_ns,
@@ -102,6 +103,25 @@ def test_sawtooth_rejects_short_or_flat_series():
     assert not sawtooth_period_ns(flat, interval)["ok"]
 
 
+def test_latency_summary_splits_committed_latency_by_coordinator_region():
+    h = History()
+    for n, (coord, ms, status) in enumerate([
+            ("c0.SH", 10, "committed"), ("c0.SH", 30, "committed"),
+            ("c2.SH", 20, "committed"), ("c1.BJ", 80, "committed"),
+            ("c1.BJ", 500, "aborted"), ("c1.BJ", 7, None)]):
+        h.txns[f"t{n}"] = TxnInfo(
+            f"t{n}", begin_ns=0, coord=coord, status=status,
+            end_ns=None if status is None else ms * 1_000_000)
+    lat = latency_summary(h)
+    assert lat["committed"]["count"] == 4
+    by_region = lat["committed_by_region"]
+    assert list(by_region) == ["BJ", "SH"]
+    assert by_region["BJ"]["count"] == 1 and by_region["BJ"]["p50_ms"] == 80
+    assert by_region["SH"]["count"] == 3
+    assert by_region["SH"]["p50_ms"] == 20
+    assert 29 < by_region["SH"]["p99_ms"] <= 30
+
+
 def test_run_summary_reports_counts_latency_and_batching():
     r = run_scenario(Scenario(
         name="metrics-unit", seed=23, duration_ms=30_000,
@@ -114,6 +134,9 @@ def test_run_summary_reports_counts_latency_and_batching():
     assert s["txns"] == 40
     assert s["committed"] == r.committed
     assert s["latency"]["committed"]["count"] == r.committed
+    # the regions come from txn_begin's coordinator, through the history
+    assert {region: v["count"] for region, v in
+            s["latency"]["committed_by_region"].items()} == {"SH": r.committed}
     assert s["ts_requests"] == 40
     assert s["epoch_cuts"] > 0
     assert s["visibility"]["count"] > 0

@@ -20,9 +20,9 @@ SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 PINNED = {
     "baseline.yaml":
-        "6b844448f15d827150a549171aed8b786e898a40f3a7cad792ffade9db8db6d3",
+        "58847743f2d8d90324f40a9ca6b2fa81c5cacdb4b7d21dee67f032ce682b11ba",
     "faults.yaml":
-        "33a6145a07a7d3655f7d45656c53d46dabb7cd8ef83ed3675e0c149ffc6401e0",
+        "6bf5e3997717045e8b70ee97417565a0dcbb17356caf5122b96e98bba9dca4fe",
 }
 
 
