@@ -455,8 +455,12 @@ class Coordinator(Node):
         first, *rest = chains.values()
         tasks = [self.k.spawn(self._run_chain(h, c, lead)) for c in rest]
         yield from self._run_chain(h, first, lead)  # inline: one task fewer
-        for task in tasks:
-            yield task
+        # Hold no task while waiting on it: a frame holding the future it
+        # waits on forms a cycle with the future's callback, and a task
+        # killed by a crash would then be freed, and its client's finally
+        # run, whenever the cycle collector happens to run.
+        while tasks:
+            yield tasks.pop(0)
 
     def _run_chain(self, h: TxnHandle, chain: list, lead: int):
         """Generator: the ``(index, op)`` of one key, in program order.

@@ -170,23 +170,37 @@ class Future:
             self.sim.after(0, lambda cb=cb: cb(value))
 
 
+class _Task:
+    """Drives one generator task (see ``spawn``). Nothing in a task refers
+    back to it, so once nothing can resume it any more (its node crashed
+    while it waited on an rpc, say) it is freed at that instant, and its
+    generator's ``finally`` blocks run then rather than whenever the cycle
+    collector happens to run."""
+
+    __slots__ = ("gen", "guard", "result")
+
+    def __init__(self, gen, guard, result: Future):
+        self.gen = gen
+        self.guard = guard
+        self.result = result
+
+    def step(self, value=None) -> None:
+        if self.guard is not None and not self.guard():
+            return
+        try:
+            fut = self.gen.send(value)
+        except StopIteration as stop:
+            self.result.resolve(stop.value)
+            return
+        fut.add_done(self.step)
+
+
 def spawn(sim: Simulation, gen, guard: Optional[Callable[[], bool]] = None) -> Future:
     """Drive a generator task that yields Futures; returns a Future for its
     StopIteration value. ``guard`` is checked before every resume -- a node
     passes its incarnation check so tasks die silently across a crash."""
     result = Future(sim)
-
-    def step(value=None):
-        if guard is not None and not guard():
-            return
-        try:
-            fut = gen.send(value)
-        except StopIteration as stop:
-            result.resolve(stop.value)
-            return
-        fut.add_done(step)
-
-    sim.after(0, step)
+    sim.after(0, _Task(gen, guard, result).step)
     return result
 
 

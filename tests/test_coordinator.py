@@ -1,5 +1,7 @@
 """End-to-end coordinator behaviour on small clusters."""
 
+import gc
+
 import pytest
 from conftest import drive
 
@@ -251,6 +253,31 @@ def test_an_rt_conflict_stops_other_chains_and_finalizes_their_intents():
     for node in cluster.data_nodes:
         for chain in node.store.chains.values():
             assert res.txn not in chain.intents
+
+
+def test_a_client_killed_by_a_crash_mid_segment_is_released_at_the_crash():
+    # The run ends once every client has ended, so a client that dies with
+    # its coordinator must end at the crash, not at the next collection.
+    cluster, coord = idle_cluster()
+    sim = cluster.sim
+    [a] = keys_on(cluster, "d0.SH")
+    b, c = keys_on(cluster, "d1.BJ", 2)
+    released = []
+
+    def client():
+        try:
+            yield from coord.run_txn([("r", a), ("r", b), ("w", c, "v")])
+        finally:
+            released.append(sim.now)
+
+    gc.disable()
+    try:
+        coord.k.spawn(client())
+        sim.run_until(sim.now + 5 * MS)  # the reads of b and c are in flight
+        coord.crash()
+        assert released == [sim.now]
+    finally:
+        gc.enable()
 
 
 def test_a_commit_given_up_as_unknown_is_aborted_once_its_recorder_answers():

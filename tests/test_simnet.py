@@ -1,5 +1,7 @@
 """Simulation substrate: virtual time, drifting clocks, message faults."""
 
+import gc
+
 import pytest
 
 from conftest import Host, drive, one_region
@@ -238,6 +240,30 @@ def test_crash_drops_inbound_and_kills_tasks_and_timers():
     b.k.send("a.R0", "for-the-living")
     sim.run_until(40 * MS)
     assert [e.payload for e in a.inbox] == ["for-the-living"]
+
+
+def test_a_task_killed_by_a_crash_is_released_at_the_crash():
+    # Without the cycle collector, a dead task is freed only if nothing
+    # refers to it; then its finally runs at a fixed virtual instant.
+    sim, net = one_region()
+    a = Host(sim, net, "a.R0", "R0")
+    Host(sim, net, "mute.R0", "R0")  # never replies
+    released = []
+
+    def task():
+        try:
+            yield a.k.rpc("mute.R0", "ping", 50 * MS)
+        finally:
+            released.append(sim.now)
+
+    gc.disable()
+    try:
+        a.k.spawn(task())
+        sim.run_until(1 * MS)
+        a.crash()
+        assert released == [1 * MS]
+    finally:
+        gc.enable()
 
 
 def test_reorder_holds_messages_back():
