@@ -448,7 +448,7 @@ class Coordinator(Node):
             self.k.trace("op", txn=h.txn, i=idx, op="w", key=key, val=value)
         return True
 
-    def _run_segment(self, h: TxnHandle, chains: dict, lead: int):
+    def _run_segment(self, h: TxnHandle, chains: dict, lead: Optional[int]):
         """Generator: start every chain at once and wait for them all."""
         if not chains:
             return
@@ -462,7 +462,7 @@ class Coordinator(Node):
         while tasks:
             yield tasks.pop(0)
 
-    def _run_chain(self, h: TxnHandle, chain: list, lead: int):
+    def _run_chain(self, h: TxnHandle, chain: list, lead: Optional[int]):
         """Generator: the ``(index, op)`` of one key, in program order.
         Reads go one at a time; each run of consecutive writes is one
         write, and the write carrying op ``lead`` creates the record. No
