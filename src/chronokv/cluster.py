@@ -158,7 +158,7 @@ class Cluster:
 
     def _proxy_args(self, region: str) -> dict:
         sc = self.scenario
-        return dict(oracle_ids=[f"ts.{region}"], ttl_ns=sc.ttl_ns,
+        return dict(oracle_id=f"ts.{region}", ttl_ns=sc.ttl_ns,
                     step_ns=sc.step_ns, epsilon_ns=sc.epsilon_ns,
                     max_drift_ppm=sc.max_drift_ppm, mode=sc.ts_mode)
 

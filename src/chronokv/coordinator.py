@@ -21,8 +21,13 @@ coordinators that have gone quiet, answering any readers parked on them.
 A coordinator that is alive but gave up reaching a recorder keeps asking
 it to abort in the background until it answers. Losing a role is
 discovered the hard way — a durable append bounces with a fence — after
-which the old recorder redirects traffic to the successor named by the
-membership register.
+which the old recorder answers NotOwner and the sender looks up the
+successor named by the membership register.
+
+Retries: a decide goes to whoever owns the recorder role, through
+``RoleDirectory.call``, which re-reads the owner after a timeout or a
+NotOwner. An op goes to the key's fixed primary and is simply re-sent.
+Both back off by ``retry_backoff_ns`` before the try after a timeout.
 """
 
 from __future__ import annotations
@@ -49,11 +54,12 @@ from .messages import (
     WriteReq,
 )
 from .replication import RecordEntry, recorder_role
-from .simnet import MS, RPC_TIMEOUT, Future, Node
+from .simnet import MS, RPC_TIMEOUT, Future, Node, retry_backoff_ns
 from .tsbatch import Timestamp, TsProxy
 
-DEFAULT_HB_INTERVAL_NS = 100 * MS
-DEFAULT_HB_TIMEOUT_NS = 500 * MS
+HB_INTERVAL_NS = 100 * MS
+HB_TIMEOUT_NS = 500 * MS  # silence after which the sweep aborts records
+SWEEP_INTERVAL_NS = 100 * MS
 
 
 @dataclass(slots=True)
@@ -83,11 +89,8 @@ class RecorderState:
     """The recorder component hosted by a data node. May own several roles
     (its own from birth, others adopted through takeover)."""
 
-    def __init__(self, node, hb_timeout_local_ns: int = DEFAULT_HB_TIMEOUT_NS,
-                 sweep_interval_ns: int = 100 * MS):
+    def __init__(self, node):
         self.node = node
-        self.hb_timeout = hb_timeout_local_ns
-        self.sweep_interval = sweep_interval_ns
         self.roles: dict[str, _RoleState] = {}
         self.adopting: dict[str, list] = {}  # role -> envelopes held during adoption
         self.last_heard: dict[str, int] = {}
@@ -100,9 +103,6 @@ class RecorderState:
     def claim_initial(self, role: str) -> None:
         self.roles[role] = _RoleState()
 
-    def owns(self, role: str) -> bool:
-        return role in self.roles
-
     # -- liveness of coordinators -------------------------------------------
 
     def on_heartbeat(self, coordinator: str) -> None:
@@ -110,7 +110,7 @@ class RecorderState:
 
     def _coordinator_stale(self, coordinator: str) -> bool:
         heard = self.last_heard.get(coordinator, self._grace)
-        return self.node.k.local_now() - heard > self.hb_timeout
+        return self.node.k.local_now() - heard > HB_TIMEOUT_NS
 
     # -- wire entry points ----------------------------------------------------
 
@@ -149,7 +149,7 @@ class RecorderState:
 
         def task():
             ok = yield from self.create_in_progress(req.role, req.txn, req.coordinator)
-            self.node.k.reply(env, RecordCreated(ok) if ok else NotOwner(req.role))
+            self.node.k.reply(env, RecordCreated() if ok else NotOwner(req.role))
 
         self.node.k.spawn(task())
 
@@ -283,7 +283,7 @@ class RecorderState:
 
     def _sweep_loop(self):
         while True:
-            yield self.node.k.sleep_local(self.sweep_interval)
+            yield self.node.k.sleep_local(SWEEP_INTERVAL_NS)
             now_local = self.node.k.local_now()
             for role in list(self.roles.keys()):
                 rs = self.roles.get(role)
@@ -300,7 +300,7 @@ class RecorderState:
                 for txn, waiters in rs.pending.items():
                     if txn in rs.records or txn in rs.deciding:
                         continue
-                    if waiters and now_local - waiters[0][1] > self.hb_timeout:
+                    if waiters and now_local - waiters[0][1] > HB_TIMEOUT_NS:
                         doomed.append((txn, "?"))
                 for txn, coord in doomed:
                     self.node.k.spawn(
@@ -347,15 +347,13 @@ class Coordinator(Node):
     kind = "coord"
 
     def __init__(self, sim, net, node_id, region, drift_ppm, tsproxy_args,
-                 router, membership, recorder_nodes: list[str],
-                 hb_interval_ns: int = DEFAULT_HB_INTERVAL_NS):
+                 router, membership, recorder_nodes: list[str]):
         super().__init__(sim, net, node_id, region, drift_ppm)
         self._tsproxy_args = tsproxy_args
         self.tsproxy = TsProxy(self.k, **tsproxy_args)
         self.router = router
         self.membership = membership
         self.recorder_nodes = recorder_nodes
-        self.hb_interval = hb_interval_ns
         self._txn_n = 0
         self.aborts_by_reason: dict[str, int] = {}
 
@@ -377,7 +375,7 @@ class Coordinator(Node):
         while True:
             for nid in self.recorder_nodes:
                 self.k.send(nid, Heartbeat(self.node_id))
-            yield self.k.sleep_local(self.hb_interval)
+            yield self.k.sleep_local(HB_INTERVAL_NS)
 
     # -- transaction verbs ------------------------------------------------------
 
@@ -519,30 +517,19 @@ class Coordinator(Node):
     # -- helpers -----------------------------------------------------------------
 
     def _data_rpc(self, node_id: str, payload, attempts: int = 30):
+        timeout = self.k.rpc_timeout_for(node_id)
         for i in range(attempts):
-            resp = yield self.k.rpc(node_id, payload, self.k.rpc_timeout_for(node_id))
+            if i:
+                yield self.k.sleep_local(retry_backoff_ns(i - 1))
+            resp = yield self.k.rpc(node_id, payload, timeout)
             if resp is not RPC_TIMEOUT:
                 return resp
-            yield self.k.sleep_local(min(2 * MS * (i + 1), 50 * MS))
         return RPC_TIMEOUT
 
     def _decide(self, h: TxnHandle, decision: str, attempts: int = 30):
-        for i in range(attempts):
-            owner = yield from self.membership.lookup(h.role)
-            if owner is None:
-                yield self.k.sleep_local(5 * MS)
-                continue
-            req = DecideReq(h.role, h.txn, decision, list(h.proposals), self.node_id)
-            resp = yield self.k.rpc(owner, req, self.k.rpc_timeout_for(owner))
-            if resp is RPC_TIMEOUT:
-                self.membership.invalidate(h.role)
-                yield self.k.sleep_local(min(2 * MS * (i + 1), 50 * MS))
-                continue
-            if isinstance(resp, NotOwner):
-                self.membership.invalidate(h.role)
-                continue
-            return resp
-        return None
+        """Generator -> the recorder's DecideResp, or None."""
+        req = DecideReq(h.role, h.txn, decision, list(h.proposals), self.node_id)
+        return (yield from self.membership.call(self.k, h.role, req, attempts))
 
     def _abandon(self, h: TxnHandle):
         """Abort path: make the abort durable if a record or an intent may

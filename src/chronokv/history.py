@@ -66,11 +66,7 @@ class History:
     records: list = field(default_factory=list)     # (t, role, txn, status, epoch)
     pushes: list = field(default_factory=list)      # (t, kind, node, reader, txn)
     oracle: list = field(default_factory=list)      # (t, srv, lo, hi)
-    crashes: list = field(default_factory=list)     # (t, node)
-    restarts: list = field(default_factory=list)    # (t, node)
     recoveries: list = field(default_factory=list)  # (t, node, cuts, rt_floor)
-    takeovers: list = field(default_factory=list)   # (t, role, node)
-    fenced: list = field(default_factory=list)      # (t, node, role)
 
 
 def build_history(events) -> History:
@@ -119,16 +115,8 @@ def build_history(events) -> History:
             h.pushes.append((t, kind, f["node"], f["reader"], f["txn"]))
         elif kind == "oracle":
             h.oracle.append((t, f["srv"], f["lo"], f["hi"]))
-        elif kind == "crash":
-            h.crashes.append((t, f["node"]))
-        elif kind == "restart":
-            h.restarts.append((t, f["node"]))
         elif kind == "recovered":
             h.recoveries.append((t, f["node"], f["cuts"], f["rt_floor"]))
-        elif kind == "takeover":
-            h.takeovers.append((t, f["role"], f["node"]))
-        elif kind == "fenced":
-            h.fenced.append((t, f["node"], f["role"]))
     return h
 
 

@@ -4,7 +4,7 @@ only. Timestamps travel as (nanos, server_id) tuples."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 COMMIT = "commit"
@@ -51,7 +51,6 @@ class ReadReq:
 class ReadResp:
     value: Optional[str]
     version_ts: Optional[tuple]
-    pushed: list = field(default_factory=list)
 
 
 @dataclass(slots=True)
@@ -98,7 +97,7 @@ class RecordCreate:
 
 @dataclass(slots=True)
 class RecordCreated:
-    ok: bool
+    """The record is durable; a create that fails answers NotOwner."""
 
 
 @dataclass(slots=True)
@@ -171,4 +170,3 @@ class ReplicaReadReq:
 class ReplicaReadResp:
     view: int
     reads: list  # [(key, value, version_ts)]
-    pushed: list = field(default_factory=list)

@@ -35,12 +35,10 @@ from .messages import (
     FinalizeResp,
     Heartbeat,
     LogShip,
-    NotOwner,
     PushReq,
     ReadReq,
     ReadResp,
     RecordCreate,
-    RecordCreated,
     WriteReq,
     WriteResp,
 )
@@ -51,7 +49,7 @@ from .replication import (
     RecordEntry,
     recorder_role,
 )
-from .simnet import MS, RPC_TIMEOUT, Future, Node
+from .simnet import MS, Future, Node
 from .tsbatch import Timestamp, TsProxy
 
 
@@ -166,7 +164,10 @@ class Settler:
 
     A reader that meets an undecided intent below its timestamp waits for
     the writer's verdict instead of guessing, and one push task per
-    transaction asks the writer's recorder for it. Primaries and replicas
+    transaction asks the writer's recorder for it. A push is a long poll:
+    the recorder answers once the transaction is decided, so each try
+    waits at least 30 ms and a timed-out try re-polls at once, up to
+    ``PUSH_ATTEMPTS`` tries. Primaries and replicas
     settle alike; each hands in ``apply(txn, decision, epoch)``, which
     folds a pushed verdict into its own state. Verdicts that arrive by
     other means (a finalize, a shipped log entry) wake the waiters
@@ -183,18 +184,15 @@ class Settler:
         self._inflight: dict[str, bool] = {}
 
     def settle_below(self, chain: KeyChain, ts: Timestamp, reader: str,
-                     blocks, pushed: list):
+                     blocks):
         """Generator: wait until no undecided intent on ``chain`` below
-        ``ts`` for which ``blocks(intent)`` holds is left. Each writer
-        waited on is added once to ``pushed``."""
+        ``ts`` for which ``blocks(intent)`` holds is left."""
         while True:
             for txn, intent in chain.intents.items():
                 if intent.ts < ts and blocks(intent):
                     break
             else:
                 return
-            if txn not in pushed:
-                pushed.append(txn)
             yield from self.wait(txn, intent.role, reader)
 
     def wait(self, txn: str, role: str, reader: str):
@@ -225,28 +223,17 @@ class Settler:
 
     def _push_task(self, txn: str, role: str):
         k = self.node.k
-        membership = self.node.membership
+        req = PushReq(role, txn, self.node.node_id)
         attempts = 0
         while txn not in self.store.decided:
-            attempts += 1
-            if attempts > self.PUSH_ATTEMPTS:
+            if attempts == self.PUSH_ATTEMPTS:
                 k.trace("push_stuck", node=self.node.node_id, txn=txn)
                 break
-            owner = yield from membership.lookup(role)
-            if owner is None:
-                yield k.sleep_local(5 * MS)
-                continue
-            timeout = max(k.rpc_timeout_for(owner), 30 * MS)
-            resp = yield k.rpc(owner, PushReq(role, txn, self.node.node_id),
-                               timeout)
-            if resp is RPC_TIMEOUT:
-                membership.invalidate(role)
-                continue
-            if isinstance(resp, NotOwner):
-                membership.invalidate(role)
-                yield k.sleep_local(1 * MS)
-                continue
-            self.settle(txn, resp.decision, resp.epoch)
+            attempts += 1
+            resp = yield from self.node.membership.call(k, role, req,
+                                                        floor_ns=30 * MS)
+            if resp is not None:
+                self.settle(txn, resp.decision, resp.epoch)
         self._inflight.pop(txn, None)
 
 
@@ -257,18 +244,13 @@ class DataNode(Node):
 
     def __init__(self, sim, net, node_id, region, drift_ppm, storage, directory,
                  tsproxy_args, ship_map, interval_ns, uncertainty_wait_ns,
-                 max_drift_ppm, hb_timeout_ns=None, sweep_interval_ns=None):
+                 max_drift_ppm):
         super().__init__(sim, net, node_id, region, drift_ppm)
         self.storage = storage
         self.stream = node_id  # this node's data log
         self.role_self = recorder_role(node_id)
         self.ship_map = ship_map
         self._tsproxy_args = tsproxy_args
-        self._recorder_args = {}
-        if hb_timeout_ns is not None:
-            self._recorder_args["hb_timeout_local_ns"] = hb_timeout_ns
-        if sweep_interval_ns is not None:
-            self._recorder_args["sweep_interval_ns"] = sweep_interval_ns
         self.membership = directory
         self.cutter = EpochCutter(self, interval_ns, max_drift_ppm,
                                   uncertainty_wait_ns)
@@ -279,7 +261,7 @@ class DataNode(Node):
     def _volatile_state(self) -> None:
         """What a crash loses; a restart rebuilds it from storage."""
         self.tsproxy = TsProxy(self.k, **self._tsproxy_args)
-        self.recorder = RecorderState(self, **self._recorder_args)
+        self.recorder = RecorderState(self)
         self.store = KeyStore()
         self.settler = Settler(self, self.store, self._apply_finalize)
 
@@ -322,14 +304,12 @@ class DataNode(Node):
 
     def _read_task(self, env, r: ReadReq):
         chain = self.store.touch(r.key)
-        pushed = []
         yield from self.settler.settle_below(
-            chain, r.ts, r.reader, lambda intent: intent.txn != r.reader,
-            pushed)
+            chain, r.ts, r.reader, lambda intent: intent.txn != r.reader)
         if chain.rt is None or r.ts > chain.rt:
             chain.rt = r.ts
         vts, value = chain.visible(r.ts)
-        self.k.reply(env, ReadResp(value, vts, pushed))
+        self.k.reply(env, ReadResp(value, vts))
 
     # -- writes -------------------------------------------------------------------
 
@@ -363,31 +343,14 @@ class DataNode(Node):
     def _ensure_record(self, w: WriteReq):
         """Generator -> bool: the recorder role has a durable in-progress
         record for this transaction. Usually local; after a takeover the
-        request chases the membership register."""
-        if self.recorder.owns(w.role):
-            ok = yield from self.recorder.create_in_progress(
-                w.role, w.txn, w.coordinator)
-            if ok:
-                return True
-        for i in range(6):
-            owner = yield from self.membership.lookup(w.role)
-            if owner is None:
-                yield self.k.sleep_local(5 * MS)
-                continue
-            if owner == self.node_id and self.recorder.owns(w.role):
-                ok = yield from self.recorder.create_in_progress(
-                    w.role, w.txn, w.coordinator)
-                if ok:
-                    return True
-                continue
-            req = RecordCreate(w.role, w.txn, w.coordinator)
-            resp = yield self.k.rpc(owner, req, self.k.rpc_timeout_for(owner))
-            if isinstance(resp, RecordCreated) and resp.ok:
-                return True
-            self.membership.invalidate(w.role)
-            if resp is RPC_TIMEOUT:
-                yield self.k.sleep_local(min(2 * MS * (i + 1), 20 * MS))
-        return False
+        request goes to the owner the membership register names."""
+        ok = yield from self.recorder.create_in_progress(
+            w.role, w.txn, w.coordinator)
+        if ok:
+            return True
+        req = RecordCreate(w.role, w.txn, w.coordinator)
+        resp = yield from self.membership.call(self.k, w.role, req, attempts=6)
+        return resp is not None
 
     # -- settling -----------------------------------------------------------------
 

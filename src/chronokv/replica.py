@@ -29,21 +29,19 @@ from .mvto import KeyStore, Settler, apply_log_entry
 from .replication import recorder_role
 from .simnet import MS, Future, Node
 
-DEFAULT_CATCHUP_INTERVAL_NS = 100 * MS
+CATCHUP_INTERVAL_NS = 100 * MS
 
 
 class ReplicaNode(Node):
     kind = "replica"
 
     def __init__(self, sim, net, node_id, region, drift_ppm, primary_id,
-                 directory, interval_ns,
-                 catchup_interval_ns=DEFAULT_CATCHUP_INTERVAL_NS):
+                 directory, interval_ns):
         super().__init__(sim, net, node_id, region, drift_ppm)
         self.primary_id = primary_id
         self.data_stream = primary_id
         self.role_stream = recorder_role(primary_id)
         self.interval_ns = interval_ns
-        self.catchup_interval = catchup_interval_ns
         self.membership = directory
         self.store = KeyStore()
         self.applied: dict[str, int] = {}
@@ -110,7 +108,7 @@ class ReplicaNode(Node):
 
     def _catchup_loop(self):
         while True:
-            yield self.k.sleep_local(self.catchup_interval)
+            yield self.k.sleep_local(CATCHUP_INTERVAL_NS)
             for stream in (self.data_stream, self.role_stream):
                 self.k.send(self.primary_id,
                             CatchUp(stream, self.applied.get(stream, 0)))
@@ -126,19 +124,17 @@ class ReplicaNode(Node):
             if fut is None:
                 fut = self._view_waiters[view] = Future(self.sim)
             yield fut
-        pushed = []
         reads = []
         for key in r.keys:
             chain = self.store.touch(key)
             # An intent can only commit into epoch >= its proposal, so
             # proposals beyond the view can't affect this read.
             yield from self.settler.settle_below(
-                chain, r.ts, r.reader, lambda intent: intent.proposal <= view,
-                pushed)
+                chain, r.ts, r.reader, lambda intent: intent.proposal <= view)
             vts, value = chain.visible(r.ts, view)
             reads.append((key, vts, value))
         self.k.trace("rread", node=self.node_id, reader=r.reader,
                      ts=list(r.ts), view=view, mode=r.mode,
                      reads=[[k, list(v) if v else None, val]
                             for k, v, val in reads])
-        self.k.reply(env, ReplicaReadResp(view, reads, pushed))
+        self.k.reply(env, ReplicaReadResp(view, reads))

@@ -14,6 +14,10 @@ recorder learns that it did: the stream outlives the recorder, so a
 record whose writer crashed mid-append is still durable, and still
 traced. A fenced append lands nothing and traces nothing.
 
+Every request to a recorder role (a decide, a record creation, a push)
+goes to the owner its membership register names, through the one retry
+loop ``RoleDirectory.call``.
+
 Log positions double as replication sequence numbers: primaries ship
 durable entries to replicas, which apply them strictly in order and
 repair gaps go-back-N style by asking for everything from the first
@@ -25,7 +29,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .simnet import MS, Future, Simulation
+from .messages import NotOwner
+from .simnet import MS, RPC_TIMEOUT, Future, Simulation, retry_backoff_ns
 
 FENCED = "fenced"
 
@@ -67,11 +72,10 @@ class SharedStorage:
     """Region-local durable layer: fenced append streams plus a linearizable
     membership register per recorder role."""
 
-    def __init__(self, sim: Simulation, flush_ns: int = MS // 2,
-                 read_ns: Optional[int] = None):
+    def __init__(self, sim: Simulation, flush_ns: int = MS // 2):
         self.sim = sim
         self.flush_ns = max(1, flush_ns)
-        self.read_ns = read_ns if read_ns is not None else max(1, flush_ns // 2)
+        self.read_ns = max(1, flush_ns // 2)
         self.streams: dict[str, list] = {}
         self.membership: dict[str, str] = {}
 
@@ -135,31 +139,6 @@ class SharedStorage:
             lambda: [r for r, o in self.membership.items() if o == node_id])
 
 
-class MembershipCache:
-    """Node-side view of role ownership: serve from cache, refresh from
-    storage on a miss or after an explicit invalidation."""
-
-    def __init__(self, storage: SharedStorage):
-        self.storage = storage
-        self._cache: dict[str, str] = {}
-
-    def invalidate(self, role: str) -> None:
-        self._cache.pop(role, None)
-
-    def peek(self, role: str) -> Optional[str]:
-        return self._cache.get(role)
-
-    def lookup(self, role: str):
-        """Generator -> current owner (may yield one storage read)."""
-        owner = self._cache.get(role)
-        if owner is not None:
-            return owner
-        owner = yield self.storage.get_owner(role)
-        if owner is not None:
-            self._cache[role] = owner
-        return owner
-
-
 def recorder_role(node_id: str) -> str:
     """The recorder role a data node owns from birth. Its name ends with
     the node's region, which ``RoleDirectory.home_region`` reads back."""
@@ -167,25 +146,56 @@ def recorder_role(node_id: str) -> str:
 
 
 class RoleDirectory:
-    """Role lookups routed to the storage holding the role's record stream.
+    """A node's cache of recorder role owners, and the one way to send a
+    request to a role's owner.
 
-    A role's name ends with its home region (``rec/d0.SH`` lives in SH) and
-    that never changes — takeover moves the owner, not the stream. Pushes
-    and decides from any region resolve owners through this directory.
+    The truth is the membership register in the storage of the role's
+    home region, which ends its name (``rec/d0.SH`` lives in SH) and never
+    changes: takeover moves the owner, not the stream. A cached lookup
+    costs nothing; a miss, or one after ``invalidate``, reads the register.
     """
 
     def __init__(self, storages: dict[str, SharedStorage]):
-        self._caches = {r: MembershipCache(s) for r, s in storages.items()}
+        self._storages = storages
+        self._owners: dict[str, str] = {}
 
     @staticmethod
     def home_region(role: str) -> str:
         return role.rsplit(".", 1)[1]
 
     def invalidate(self, role: str) -> None:
-        self._caches[self.home_region(role)].invalidate(role)
-
-    def peek(self, role: str) -> Optional[str]:
-        return self._caches[self.home_region(role)].peek(role)
+        self._owners.pop(role, None)
 
     def lookup(self, role: str):
-        return (yield from self._caches[self.home_region(role)].lookup(role))
+        """Generator -> current owner (may yield one storage read)."""
+        owner = self._owners.get(role)
+        if owner is not None:
+            return owner
+        owner = yield self._storages[self.home_region(role)].get_owner(role)
+        if owner is not None:
+            self._owners[role] = owner
+        return owner
+
+    def call(self, k, role: str, payload, attempts: int = 1,
+             floor_ns: int = 5 * MS):
+        """Generator -> the reply of ``role``'s owner to ``payload`` sent
+        from kernel ``k``, or None after ``attempts`` tries. With no owner
+        registered a try sleeps 5 ms. A timeout (at least ``floor_ns``)
+        drops the cached owner, and the next try first backs off by
+        ``retry_backoff_ns``; a NotOwner drops it and the next try starts
+        at once."""
+        for i in range(attempts):
+            owner = yield from self.lookup(role)
+            if owner is None:
+                yield k.sleep_local(5 * MS)
+                continue
+            resp = yield k.rpc(owner, payload, k.rpc_timeout_for(owner, floor_ns))
+            if resp is RPC_TIMEOUT:
+                self.invalidate(role)
+                if i + 1 < attempts:
+                    yield k.sleep_local(retry_backoff_ns(i))
+            elif isinstance(resp, NotOwner):
+                self.invalidate(role)
+            else:
+                return resp
+        return None

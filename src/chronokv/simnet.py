@@ -34,6 +34,12 @@ SEC = 1_000_000_000
 RPC_TIMEOUT = object()
 
 
+def retry_backoff_ns(attempt: int) -> int:
+    """Local-clock pause before the try after try ``attempt`` (counted
+    from 0) timed out: 2 ms more per try, at most 50 ms."""
+    return min(2 * MS * (attempt + 1), 50 * MS)
+
+
 # ---------------------------------------------------------------------------
 # clock drift arithmetic
 #

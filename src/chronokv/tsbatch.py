@@ -24,7 +24,7 @@ from typing import NamedTuple, Optional, Union
 from .clock import UncertainTime
 from .errors import InvalidConfig, OracleUnavailable
 from .messages import TsReq, TsResp
-from .simnet import MS, NodeKernel
+from .simnet import MS, Future, NodeKernel
 
 DEFAULT_TTL_NS = 100_000
 DEFAULT_STEP_NS = 10
@@ -113,16 +113,14 @@ class TsProxy:
 
     RETRY_CAP = 3
 
-    def __init__(self, kernel: NodeKernel, oracle_ids: list[str], ttl_ns: int,
+    def __init__(self, kernel: NodeKernel, oracle_id: str, ttl_ns: int,
                  step_ns: int, epsilon_ns: int, max_drift_ppm: int,
                  mode: str = "batched"):
         validate_batch_params(ttl_ns, step_ns)
         if mode not in ("batched", "strawman"):
             raise InvalidConfig(f"unknown timestamp mode {mode!r}")
-        if not oracle_ids:
-            raise InvalidConfig("at least one oracle server required")
         self.k = kernel
-        self.oracle_ids = list(oracle_ids)
+        self.oracle_id = oracle_id
         self.ttl_ns = ttl_ns
         self.step_ns = step_ns
         self.epsilon_ns = epsilon_ns
@@ -130,7 +128,6 @@ class TsProxy:
         self.mode = mode
         self.batch: Optional[TimestampBatch] = None
         self._inflight = None  # shared Future while a fetch is on the wire
-        self._rr = 0
         # counters for the batching-effectiveness report
         self.requests = 0
         self.fetches = 0
@@ -141,25 +138,19 @@ class TsProxy:
         return commit_wait_ns(self.ttl_ns, self.epsilon_ns, self.max_drift_ppm,
                               strawman=(self.mode == "strawman"))
 
-    def _pick_oracle(self) -> str:
-        oid = self.oracle_ids[self._rr % len(self.oracle_ids)]
-        self._rr += 1
-        return oid
+    def _timeout(self) -> int:
+        return max(4 * self.k.rpc_timeout_for(self.oracle_id, floor_ns=0), MS)
 
     def _fetch(self):
         """Generator: one shared oracle round trip; returns True on success."""
         if self._inflight is not None:
             ok = yield self._inflight
             return ok
-        from .simnet import Future  # local import to avoid cycle at module load
-
         fut = Future(self.k._node.sim)
         self._inflight = fut
         sent_local = self.k.local_now()
         self.fetches += 1
-        oid = self._pick_oracle()
-        timeout = max(4 * self.k.rpc_timeout_for(oid, floor_ns=0), MS)
-        resp = yield self.k.rpc(oid, TsReq(), timeout)
+        resp = yield self.k.rpc(self.oracle_id, TsReq(), self._timeout())
         ok = isinstance(resp, TsResp)
         if ok:
             reading = UncertainTime(resp.earliest, resp.latest, resp.server_id)
@@ -205,9 +196,8 @@ class TsProxy:
     def _acquire_strawman(self):
         for attempt in range(self.RETRY_CAP + 1):
             self.fetches += 1
-            oid = self._pick_oracle()
-            resp = yield self.k.rpc(oid, TsReq(grid=False),
-                                    max(4 * self.k.rpc_timeout_for(oid, floor_ns=0), MS))
+            resp = yield self.k.rpc(self.oracle_id, TsReq(grid=False),
+                                    self._timeout())
             if isinstance(resp, TsResp):
                 return Timestamp(resp.latest, resp.server_id)
             yield self.k.sleep_local(self.ttl_ns)

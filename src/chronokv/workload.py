@@ -207,7 +207,7 @@ def _oracle_region(seed: int, epsilon_ns: int, ttl_ns: int, step_ns: int,
 
     def add_host(idx: int, drift_ppm: int, mode: str = "batched"):
         host = _Host(sim, net, f"h{idx}.{region}", region, drift_ppm=drift_ppm)
-        return host, TsProxy(host.k, [f"ts.{region}"], ttl_ns=ttl_ns,
+        return host, TsProxy(host.k, f"ts.{region}", ttl_ns=ttl_ns,
                              step_ns=step_ns, epsilon_ns=epsilon_ns,
                              max_drift_ppm=max_drift_ppm, mode=mode)
 

@@ -1,0 +1,79 @@
+"""Static hygiene of the package: no module imports a name it never uses,
+and every exception the package exports is raised somewhere in it."""
+
+import ast
+from pathlib import Path
+
+import chronokv
+
+SRC = Path(chronokv.__file__).resolve().parent
+MODULES = sorted(SRC.glob("*.py"))
+
+
+def parse(path):
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def imported_names(tree):
+    """Name bound by each import of ``tree`` -> its line, ``__future__``
+    imports aside."""
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                names[bound] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                names[alias.asname or alias.name] = node.lineno
+    return names
+
+
+def used_names(tree):
+    """Names loaded anywhere in ``tree``, plus those ``__all__`` exports."""
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__"
+                for t in node.targets):
+            used |= {e.value for e in node.value.elts}
+    return used
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    unused = []
+    for path in MODULES:
+        tree = parse(path)
+        used = used_names(tree)
+        unused += [f"{path.name}:{line} {name}"
+                   for name, line in imported_names(tree).items()
+                   if name not in used]
+    assert unused == []
+
+
+def raised_names():
+    """Names of the exceptions a ``raise`` in the package names."""
+    names = set()
+    for path in MODULES:
+        for node in ast.walk(parse(path)):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) \
+                    else node.exc
+                if isinstance(exc, ast.Name):
+                    names.add(exc.id)
+    return names
+
+
+def test_every_exported_exception_is_raised():
+    exported = [name for name in chronokv.__all__
+                if isinstance(getattr(chronokv, name), type)
+                and issubclass(getattr(chronokv, name), BaseException)]
+    assert exported, "the package exports no exception"
+    assert sorted(set(exported) - raised_names()) == []
+
+
+def test_an_unused_import_is_caught():
+    tree = ast.parse("import os\nfrom a import b, c as d\nprint(b)\n")
+    names = imported_names(tree)
+    assert sorted(n for n in names if n not in used_names(tree)) == \
+        ["d", "os"]

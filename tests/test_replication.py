@@ -1,16 +1,17 @@
-"""Durable streams, membership registers, and fencing at the flush point."""
+"""Durable streams, membership registers, fencing at the flush point, and
+requests to a recorder role's owner."""
 
-from conftest import Host, one_region
+from conftest import Host, drive, one_region
 
 from chronokv.history import build_history
+from chronokv.messages import NotOwner
 from chronokv.replication import (
     FENCED,
-    MembershipCache,
     RecordEntry,
     RoleDirectory,
     SharedStorage,
 )
-from chronokv.simnet import Simulation, spawn
+from chronokv.simnet import MS, Node, Simulation, spawn
 
 
 def rig(flush_ns=500_000):
@@ -106,24 +107,25 @@ def test_list_roles_owned():
         ["rec/a.R0", "rec/b.R0"]
 
 
-def test_membership_cache_serves_hits_without_storage():
+def test_cached_lookup_takes_no_time_and_invalidated_one_reads_storage():
     sim, st = rig()
-    st.set_initial_owner("r", "n0")
-    cache = MembershipCache(st)
+    st.set_initial_owner("rec/d0.R0", "n0")
+    d = RoleDirectory({"R0": st})
 
     def lookup():
-        return (yield from cache.lookup("r"))
+        return (yield from d.lookup("rec/d0.R0"))
 
     assert run(sim, spawn(sim, lookup())) == "n0"
-    t_after_first = sim.now
-    assert cache.peek("r") == "n0"
-    # cached: a second lookup completes without advancing time
+    assert sim.now == st.read_ns  # a miss reads the register
+    # cached: a second lookup completes without advancing time, and does
+    # not see an owner change it was not told about
+    st.membership["rec/d0.R0"] = "n1"
     assert run(sim, spawn(sim, lookup())) == "n0"
-    assert sim.now == t_after_first
+    assert sim.now == st.read_ns
     # invalidation forces a re-read that observes the new owner
-    st.membership["r"] = "n1"
-    cache.invalidate("r")
+    d.invalidate("rec/d0.R0")
     assert run(sim, spawn(sim, lookup())) == "n1"
+    assert sim.now == 2 * st.read_ns
 
 
 def test_role_directory_routes_by_home_region():
@@ -138,6 +140,85 @@ def test_role_directory_routes_by_home_region():
 
     assert run(sim, spawn(sim, d.lookup("rec/d0.SH"))) == "d0.SH"
     assert run(sim, spawn(sim, d.lookup("rec/d4.SG"))) == "s0.SG"
-    assert d.peek("rec/d0.SH") == "d0.SH"
-    d.invalidate("rec/d0.SH")
-    assert d.peek("rec/d0.SH") is None
+
+
+# -- RoleDirectory.call ---------------------------------------------------------
+
+ROLE = "rec/d0.R0"
+ONE_WAY = 100_000  # half the 0.2 ms rtt of one_region, without jitter
+
+
+class Owner(Node):
+    """Answers every request with ``answer``, or stays silent when it is
+    None, and remembers when each request arrived."""
+
+    kind = "host"
+
+    def __init__(self, sim, net, node_id, answer):
+        super().__init__(sim, net, node_id, "R0")
+        self.answer = answer
+        self.arrivals = []
+
+    def handle(self, env):
+        self.arrivals.append(self.sim.now)
+        if self.answer is not None:
+            self.k.reply(env, self.answer)
+
+
+def call_rig(owner="d0.R0"):
+    sim, net = one_region(jitter_pct=0)
+    st = SharedStorage(sim)
+    if owner is not None:
+        st.set_initial_owner(ROLE, owner)
+    caller = Host(sim, net, "c0.R0", "R0")
+    return sim, net, st, caller, RoleDirectory({"R0": st})
+
+
+def test_call_follows_not_owner_to_the_new_owner_without_sleeping():
+    sim, net, st, caller, d = call_rig()
+    old = Owner(sim, net, "d0.R0", NotOwner(ROLE))
+    new = Owner(sim, net, "s0.R0", "created")
+    drive(sim, caller.k, d.lookup(ROLE))  # warm the cache with the old owner
+    st.membership[ROLE] = "s0.R0"  # a takeover the caller has not seen
+    start = sim.now
+    assert drive(sim, caller.k, d.call(caller.k, ROLE, "req", 3)) == "created"
+    assert len(old.arrivals) == len(new.arrivals) == 1
+    # a round trip to the old owner, one register read, a round trip to
+    # the new owner, and no sleep anywhere
+    assert sim.now - start == 2 * ONE_WAY + st.read_ns + 2 * ONE_WAY
+
+
+def test_call_backs_off_between_timeouts_and_not_after_the_last():
+    sim, net, st, caller, d = call_rig()
+    silent = Owner(sim, net, "d0.R0", None)
+    attempts = 30
+    timeout = caller.k.rpc_timeout_for("d0.R0")
+    assert timeout == 5 * MS  # the floor, for a 0.2 ms rtt
+    assert drive(sim, caller.k, d.call(caller.k, ROLE, "req", attempts)) \
+        is None
+    arrivals = silent.arrivals
+    assert len(arrivals) == attempts
+    # each timeout drops the owner, so the next try re-reads the register
+    # after its back-off
+    sleeps = [b - a - timeout - st.read_ns
+              for a, b in zip(arrivals, arrivals[1:])]
+    assert sleeps == [min(2 * (i + 1), 50) * MS for i in range(attempts - 1)]
+    assert sleeps[-1] == 50 * MS
+    # the call returns when the last try times out
+    assert sim.now == arrivals[-1] - ONE_WAY + timeout
+
+
+def test_call_floor_lengthens_the_timeout():
+    for floor_ns in (5 * MS, 30 * MS):
+        sim, net, st, caller, d = call_rig()
+        Owner(sim, net, "d0.R0", None)
+        got = drive(sim, caller.k,
+                    d.call(caller.k, ROLE, "req", floor_ns=floor_ns))
+        assert got is None
+        assert sim.now == st.read_ns + floor_ns
+
+
+def test_call_without_an_owner_sleeps_and_gives_up_after_its_attempts():
+    sim, net, st, caller, d = call_rig(owner=None)
+    assert drive(sim, caller.k, d.call(caller.k, ROLE, "req", 4)) is None
+    assert sim.now == 4 * (st.read_ns + 5 * MS)

@@ -22,7 +22,7 @@ PINNED = {
     "baseline.yaml":
         "58847743f2d8d90324f40a9ca6b2fa81c5cacdb4b7d21dee67f032ce682b11ba",
     "faults.yaml":
-        "6bf5e3997717045e8b70ee97417565a0dcbb17356caf5122b96e98bba9dca4fe",
+        "ad45daed08174f12bfee9f89e9813508220e92cdb302b87a028dcb8aca123fdb",
 }
 
 

@@ -105,7 +105,7 @@ def proxy_rig(seed=1, faults=None, mode="batched", drift_ppm=0):
                  step_ns=STEP, ttl_ns=TTL,
                  outages=(faults.oracle_outages if faults else None))
     host = Host(sim, net, "h.R0", "R0", drift_ppm=drift_ppm)
-    proxy = TsProxy(host.k, ["ts.R0"], ttl_ns=TTL, step_ns=STEP,
+    proxy = TsProxy(host.k, "ts.R0", ttl_ns=TTL, step_ns=STEP,
                     epsilon_ns=EPS, max_drift_ppm=D, mode=mode)
     return sim, host, proxy
 
@@ -195,8 +195,5 @@ def test_strawman_mode_pays_a_round_trip_every_time():
 def test_unknown_mode_rejected():
     sim, host, _ = proxy_rig()
     with pytest.raises(InvalidConfig):
-        TsProxy(host.k, ["ts.R0"], ttl_ns=TTL, step_ns=STEP, epsilon_ns=EPS,
+        TsProxy(host.k, "ts.R0", ttl_ns=TTL, step_ns=STEP, epsilon_ns=EPS,
                 max_drift_ppm=D, mode="psychic")
-    with pytest.raises(InvalidConfig):
-        TsProxy(host.k, [], ttl_ns=TTL, step_ns=STEP, epsilon_ns=EPS,
-                max_drift_ppm=D)
