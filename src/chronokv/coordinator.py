@@ -381,11 +381,17 @@ class Coordinator(Node):
 
     def begin(self):
         """Generator -> TxnHandle. The commit wait starts now, at timestamp
-        acquisition, so execution time is absorbed into it."""
+        acquisition, so execution time is absorbed into it. If the oracle
+        is unavailable, the handle has failed and has no timestamp."""
         self._txn_n += 1
         txn = f"{self.node_id}:{self._txn_n}"
         self.k.trace("txn_begin", txn=txn, coord=self.node_id)
-        ts = yield from self.tsproxy.acquire()
+        try:
+            ts = yield from self.tsproxy.acquire()
+        except OracleUnavailable:
+            h = TxnHandle(txn, None, None)
+            h.status, h.reason = "failed", "oracle"
+            return h
         # Traced now, not only in txn_end: a recorder can commit the
         # transaction after this coordinator has crashed.
         self.k.trace("txn_ts", txn=txn, ts=list(ts))
@@ -566,8 +572,8 @@ class Coordinator(Node):
         if status in ("aborted", "failed", "unknown"):
             self.aborts_by_reason[h.reason or "?"] = \
                 self.aborts_by_reason.get(h.reason or "?", 0) + 1
-        self.k.trace("txn_end", txn=h.txn, status=status, ts=list(h.ts),
-                     epoch=epoch, reason=h.reason)
+        self.k.trace("txn_end", txn=h.txn, status=status,
+                     ts=h.ts and list(h.ts), epoch=epoch, reason=h.reason)
 
     # -- one full transaction ------------------------------------------------------
 
@@ -584,14 +590,10 @@ class Coordinator(Node):
         segment pays about one round trip per op on its busiest key, not
         one per op. The recorder role is fixed before any op is sent, from
         the first write in program order."""
-        try:
-            h = yield from self.begin()
-        except OracleUnavailable:
-            self.aborts_by_reason["oracle"] = self.aborts_by_reason.get("oracle", 0) + 1
-            self.k.trace("txn_end", txn=f"{self.node_id}:{self._txn_n}",
-                         status="failed", ts=None, epoch=None, reason="oracle")
-            return TxnResult(f"{self.node_id}:{self._txn_n}", "failed", None, [], [],
-                             reason="oracle")
+        h = yield from self.begin()
+        if h.ts is None:
+            self._finish(h, None)
+            return TxnResult(h.txn, h.status, None, [], [], reason=h.reason)
         lead = next((i for i, op in enumerate(program) if op[0] == "w"), None)
         if lead is not None:  # the abort path may need to reach this recorder
             h.role = recorder_role(self.router.primary(program[lead][1]))

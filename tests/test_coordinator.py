@@ -1,6 +1,8 @@
 """End-to-end coordinator behaviour on small clusters."""
 
 import gc
+from collections import Counter
+from pathlib import Path
 
 import pytest
 from conftest import drive
@@ -13,8 +15,15 @@ from chronokv.checkers import (
 from chronokv.cluster import Cluster, run_scenario
 from chronokv.history import build_history
 from chronokv.messages import DecideReq, ReadReq, ReadResp, WriteReq
-from chronokv.scenario import Scenario, WorkloadSpec
-from chronokv.simnet import MS, SEC, CrashDirective, FaultSchedule, MsgFilter
+from chronokv.scenario import Scenario, WorkloadSpec, load_scenario
+from chronokv.simnet import (
+    MS,
+    SEC,
+    CrashDirective,
+    FaultSchedule,
+    MsgFilter,
+    OracleOutage,
+)
 
 
 def small(seed=7, **kw):
@@ -62,6 +71,27 @@ def test_txn_ids_stay_unique_across_a_coordinator_restart():
     assert len(ids) == len(set(ids))
     # the restarted coordinator keeps issuing txns afterwards
     assert r.committed > 0
+
+
+def faults_yaml_trace():
+    path = Path(__file__).resolve().parent.parent / "scenarios/faults.yaml"
+    return Cluster(load_scenario(str(path))).run().trace
+
+
+def oracle_outage_trace():
+    # Both clients of c0.SH begin while its oracle is down, and share the
+    # fetch that fails them.
+    fs = FaultSchedule(oracle_outages=[OracleOutage(0, 0, 1 << 62)])
+    return run_scenario(small(txns_per_client=3, faults=fs)).trace
+
+
+@pytest.mark.parametrize("trace", [faults_yaml_trace, oracle_outage_trace])
+def test_every_transaction_ends_once(trace):
+    events = trace()
+    begins = Counter(f["txn"] for _, kind, f in events if kind == "txn_begin")
+    ends = Counter(f["txn"] for _, kind, f in events if kind == "txn_end")
+    assert begins and ends == begins
+    assert set(begins.values()) == {1}
 
 
 def test_blind_writes_never_abort():
