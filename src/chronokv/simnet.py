@@ -35,8 +35,8 @@ RPC_TIMEOUT = object()
 
 
 def retry_backoff_ns(attempt: int) -> int:
-    """Local-clock pause before the try after try ``attempt`` (counted
-    from 0) timed out: 2 ms more per try, at most 50 ms."""
+    """Local-clock pause before retrying a request whose try number
+    ``attempt``, counted from 0, timed out: 2 ms per try, at most 50 ms."""
     return min(2 * MS * (attempt + 1), 50 * MS)
 
 
