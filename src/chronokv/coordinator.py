@@ -7,13 +7,19 @@ when the op is sent. The ops between two holds therefore leave at once,
 one chain per key: a chain keeps its key's ops in program order, and
 consecutive writes in it are coalesced into one write carrying the last
 value, so no two writes of one transaction to one key are ever in flight
-together. After the commit wait tied to the timestamp has elapsed on its
-local clock, the coordinator asks the transaction's recorder for a
-single durable decision. The recorder is the data node that receives the
-transaction's first write in program order; its answer is the commit
-point. Everything after (finalize messages installing or discarding
-intents) is asynchronous cleanup that readers can force at any time by
-pushing the recorder.
+together. Reads are held back so that they land together with the
+segment's farthest op (see ``Coordinator._run_chain``).
+
+Every writing transaction's record lives at the coordinator's home role:
+the recorder role of the data node nearest to it, fixed when the
+coordinator is built. The coordinator creates the record alongside the
+transaction's first ops. Once the record exists and the commit wait tied
+to the timestamp has elapsed on its local clock, it asks the recorder for
+a single durable decision, an intra-region round trip; the answer is the
+commit point. Everything after (finalize messages installing or
+discarding intents) is asynchronous cleanup that readers can force at
+any time by pushing the recorder. A replica's push may instead get an
+epoch floor that the commit will meet (see ``mvto.Settler``).
 
 Recorders also guarantee progress for everyone else's transactions: they
 watch coordinator heartbeats and durably abort the in-progress records of
@@ -24,10 +30,11 @@ discovered the hard way — a durable append bounces with a fence — after
 which the old recorder answers NotOwner and the sender looks up the
 successor named by the membership register.
 
-Retries: a decide goes to whoever owns the recorder role, through
-``RoleDirectory.call``, which re-reads the owner after a timeout or a
-NotOwner. An op goes to the key's fixed primary and is simply re-sent.
-Both back off by ``retry_backoff_ns`` before the try after a timeout.
+Retries: a record creation and a decide go to whoever owns the home role,
+through ``RoleDirectory.call``, which re-reads the owner after a timeout
+or a NotOwner. An op goes to the key's fixed primary and is simply
+re-sent. Both back off by ``retry_backoff_ns`` before the try after a
+timeout.
 """
 
 from __future__ import annotations
@@ -47,6 +54,7 @@ from .messages import (
     Heartbeat,
     IN_PROGRESS,
     NotOwner,
+    PushReq,
     PushResp,
     RecordCreate,
     RecordCreated,
@@ -132,7 +140,11 @@ class RecorderState:
         self.node.k.spawn(self._decide_task(req.role, req.txn, req.decision,
                                             req.proposals, req.coordinator, env))
 
-    def handle_push(self, env, req) -> None:
+    def handle_push(self, env, req: PushReq) -> None:
+        """Answer a decided transaction's verdict at once. A replica's push
+        (``req.above`` set) for a record in progress that is not being
+        decided gets an epoch floor; any other push parks until the
+        decision."""
         rs = self._owned(env, req.role)
         if rs is None:
             return
@@ -141,41 +153,49 @@ class RecorderState:
             decision = COMMIT if rec.status == COMMITTED else ABORT
             self.node.k.reply(env, PushResp(req.txn, decision, rec.epoch))
             return
+        if rec is not None and req.above is not None \
+                and req.txn not in rs.deciding:
+            # Raised now, so a decision that starts later commits at or
+            # above it; answered once durable.
+            rec.epoch = max(rec.epoch or 0, req.above + 1)
+            self._append_in_progress(env, req.role, req.txn, rec,
+                                     PushResp(req.txn, None, rec.epoch))
+            return
         rs.pending.setdefault(req.txn, []).append((env, self.node.k.local_now()))
 
     def handle_record_create(self, env, req: RecordCreate) -> None:
-        if self._owned(env, req.role) is None:
+        """Durably register a transaction as in progress before its
+        coordinator decides, so that pushes have a record to park on and
+        the sweep can abort it should the coordinator go quiet."""
+        rs = self._owned(env, req.role)
+        if rs is None:
             return
+        if req.txn in rs.records or req.txn in rs.deciding:
+            self.node.k.reply(env, RecordCreated())  # a retry, or too late
+            return
+        rec = rs.records[req.txn] = rs.in_progress[req.txn] = \
+            TxnRecord(IN_PROGRESS, None, req.coordinator)
+        self._append_in_progress(env, req.role, req.txn, rec, RecordCreated())
+
+    def _append_in_progress(self, env, role: str, txn: str, rec: TxnRecord,
+                            answer) -> None:
+        """Append the in-progress ``rec`` of ``txn`` to ``role``'s stream
+        now, so it lands before any decision appended later, and reply
+        ``answer`` to ``env`` once it is durable."""
+        entry = RecordEntry(txn, IN_PROGRESS, rec.epoch, rec.coordinator)
+        flush = self.node.storage.append(role, [entry],
+                                         writer=self.node.node_id, role=role)
 
         def task():
-            ok = yield from self.create_in_progress(req.role, req.txn, req.coordinator)
-            self.node.k.reply(env, RecordCreated() if ok else NotOwner(req.role))
+            res = yield flush
+            if res[0] != "ok":
+                self._fence_lost(role)
+                self.node.k.reply(env, NotOwner(role))
+                return
+            self.node.ship_stream(role, res[1], [entry])
+            self.node.k.reply(env, answer)
 
         self.node.k.spawn(task())
-
-    # -- record creation -------------------------------------------------------
-
-    def create_in_progress(self, role: str, txn: str, coordinator: str):
-        """Generator -> bool. Durably registers the transaction before its
-        first write acks, so pushes have something to park on. Writes sent
-        alongside it may ack first; a push that arrives before the record
-        parks all the same, until the decision."""
-        rs = self.roles.get(role)
-        if rs is None:
-            return False
-        if txn in rs.records:
-            return True
-        rs.records[txn] = rs.in_progress[txn] = \
-            TxnRecord(IN_PROGRESS, None, coordinator)
-        res = yield self.node.storage.append(
-            role, [RecordEntry(txn, IN_PROGRESS, None, coordinator)],
-            writer=self.node.node_id, role=role,
-        )
-        if res[0] != "ok":
-            self._fence_lost(role)
-            return False
-        self.node.ship_stream(role, res[1], [RecordEntry(txn, IN_PROGRESS, None, coordinator)])
-        return True
 
     # -- deciding ----------------------------------------------------------------
 
@@ -209,7 +229,8 @@ class RecorderState:
         if decision == COMMIT:
             from .epochs import assign_commit_epoch
 
-            epoch = assign_commit_epoch(proposals, self.node.epoch_now())
+            floor = rec.epoch if rec is not None else None
+            epoch = assign_commit_epoch(proposals, self.node.epoch_now(), floor)
             status = COMMITTED
         else:
             epoch = None
@@ -271,7 +292,9 @@ class RecorderState:
 
     def load_role(self, role: str):
         """Generator: rebuild the records of ``role`` from its durable
-        stream and serve the role from them."""
+        stream and serve the role from them. A transaction's last entry
+        wins, which restores its highest epoch floor: no in-progress entry
+        is appended once a decision has started."""
         entries = yield self.node.storage.read_stream(role)
         records: dict[str, TxnRecord] = {}
         for e in entries:
@@ -321,7 +344,7 @@ class TxnResult:
 class TxnHandle:
     __slots__ = (
         "txn", "ts", "cwt_deadline_local", "status", "reads", "write_buf",
-        "write_order", "intent_nodes", "proposals", "role", "may_have_written",
+        "write_order", "intent_nodes", "proposals", "role", "created",
         "reason",
     )
 
@@ -335,10 +358,18 @@ class TxnHandle:
         self.write_order: list = []
         self.intent_nodes: dict[str, bool] = {}
         self.proposals: list[int] = []
+        # A writer's recorder role, set once its record creation is sent:
+        # from then on the record, and intents, may exist.
         self.role: Optional[str] = None
-        # A write acked or timed out: an intent, and the record, may exist.
-        self.may_have_written = False
+        self.created: Optional[Future] = None  # the record creation task
         self.reason: Optional[str] = None
+
+    def take_created(self) -> Future:
+        """The record creation's future, dropped from the handle so that
+        only the event queue holds it while a task waits on it (see
+        ``Coordinator._run_segment``)."""
+        fut, self.created = self.created, None
+        return fut
 
 
 class Coordinator(Node):
@@ -354,6 +385,9 @@ class Coordinator(Node):
         self.router = router
         self.membership = membership
         self.recorder_nodes = recorder_nodes
+        # The recorder role of the nearest data node (ties go to the first
+        # in router order) holds the record of every writing transaction.
+        self.home_role = recorder_role(min(router.ids, key=self.k.one_way_ns))
         self._txn_n = 0
         self.aborts_by_reason: dict[str, int] = {}
 
@@ -419,22 +453,19 @@ class Coordinator(Node):
                      vts=list(vts) if vts else None, val=resp.value)
         return resp.value
 
-    def execute_write(self, h: TxnHandle, key: str, ops: list, first: bool):
+    def execute_write(self, h: TxnHandle, key: str, ops: list):
         """Generator -> bool. Install this transaction's intent on ``key``.
 
         ``ops`` is the ``(index, value)`` of every op of a run of
         consecutive writes to ``key`` in its chain (see ``_run_chain``); the
         write carries the last value, and each op is traced with its own
-        index once the write is acknowledged. ``first`` says whether the
-        write creates the record. A write that fails ends the transaction;
-        ops of other chains already in flight finish, so their intents are
-        known to the abort."""
+        index once the write is acknowledged. A write that fails ends the
+        transaction; ops of other chains already in flight finish, so
+        their intents are known to the abort."""
         node = self.router.primary(key)
-        req = WriteReq(key, h.txn, h.ts, ops[-1][1], h.role, first,
-                       self.node_id)
+        req = WriteReq(key, h.txn, h.ts, ops[-1][1], h.role)
         resp = yield from self._data_rpc(node, req)
         if resp is RPC_TIMEOUT:
-            h.may_have_written = True
             if h.status == "active":
                 h.status, h.reason = "failed", "unreachable"
             return False
@@ -442,7 +473,6 @@ class Coordinator(Node):
             if h.status == "active":
                 h.status, h.reason = "aborted", "rt_conflict"
             return False
-        h.may_have_written = True
         h.intent_nodes[node] = True
         if resp.proposal is not None:
             h.proposals.append(resp.proposal)
@@ -452,13 +482,18 @@ class Coordinator(Node):
             self.k.trace("op", txn=h.txn, i=idx, op="w", key=key, val=value)
         return True
 
-    def _run_segment(self, h: TxnHandle, chains: dict, lead: Optional[int]):
-        """Generator: start every chain at once and wait for them all."""
+    def _run_segment(self, h: TxnHandle, chains: dict):
+        """Generator: start every chain at once and wait for them all. The
+        segment cannot end before its farthest primary has answered, so
+        reads are held back to land no sooner than that primary is
+        reached (see ``_run_chain``)."""
         if not chains:
             return
+        horizon = self.k.local_now() + max(
+            self.k.one_way_ns(self.router.primary(key)) for key in chains)
         first, *rest = chains.values()
-        tasks = [self.k.spawn(self._run_chain(h, c, lead)) for c in rest]
-        yield from self._run_chain(h, first, lead)  # inline: one task fewer
+        tasks = [self.k.spawn(self._run_chain(h, c, horizon)) for c in rest]
+        yield from self._run_chain(h, first, horizon)  # inline: one task fewer
         # Hold no task while waiting on it: a frame holding the future it
         # waits on forms a cycle with the future's callback, and a task
         # killed by a crash would then be freed, and its client's finally
@@ -466,28 +501,46 @@ class Coordinator(Node):
         while tasks:
             yield tasks.pop(0)
 
-    def _run_chain(self, h: TxnHandle, chain: list, lead: Optional[int]):
+    def _run_chain(self, h: TxnHandle, chain: list, horizon: int):
         """Generator: the ``(index, op)`` of one key, in program order.
         Reads go one at a time; each run of consecutive writes is one
-        write, and the write carrying op ``lead`` creates the record. No
-        op is sent once the transaction has failed."""
+        write. No op is sent once the transaction has failed.
+
+        Aligned reads: a read sets its key's read timestamp when it lands,
+        and a primary refuses the writes below that timestamp still on
+        their way from farther regions. So a read sent to a primary waits
+        on the local clock until it would land at ``horizon``, the local
+        instant the segment's farthest primary is reached. Writes, and
+        reads served from the write buffer, never wait."""
         i = 0
         while i < len(chain) and h.status == "active":
             idx, op = chain[i]
             i += 1
             if op[0] == "r":
-                yield from self.execute_read(h, op[1], idx)
+                key = op[1]
+                if key not in h.write_buf:
+                    wait = (horizon - self.k.local_now()
+                            - self.k.one_way_ns(self.router.primary(key)))
+                    if wait > 0:
+                        yield self.k.sleep_local(wait)
+                        if h.status != "active":
+                            break
+                yield from self.execute_read(h, key, idx)
                 continue
             ops = [(idx, op[2])]
             while i < len(chain) and chain[i][1][0] == "w":
                 ops.append((chain[i][0], chain[i][1][2]))
                 i += 1
-            yield from self.execute_write(h, op[1], ops, ops[0][0] == lead)
+            yield from self.execute_write(h, op[1], ops)
 
     def commit(self, h: TxnHandle):
-        """Generator -> final status string. Blocks until the commit wait
-        for h.ts has elapsed on the local clock, then (for writers) asks the
-        recorder for the one durable decision."""
+        """Generator -> final status string. A writer first waits for its
+        record to be created. Then the commit wait for h.ts must have
+        elapsed on the local clock, and a writer asks its recorder for the
+        one durable decision."""
+        if h.status == "active" and h.created is not None \
+                and not h.created.done:
+            yield h.take_created()
         if h.status != "active":
             return (yield from self._abandon(h))
         remaining = h.cwt_deadline_local - self.k.local_now()
@@ -537,11 +590,19 @@ class Coordinator(Node):
         req = DecideReq(h.role, h.txn, decision, list(h.proposals), self.node_id)
         return (yield from self.membership.call(self.k, h.role, req, attempts))
 
+    def _create_record(self, h: TxnHandle):
+        """Generator task: create ``h``'s in-progress record at its role.
+        A creation that no owner answers fails the transaction."""
+        req = RecordCreate(h.role, h.txn, self.node_id)
+        resp = yield from self.membership.call(self.k, h.role, req, attempts=6)
+        if resp is None and h.status == "active":
+            h.status, h.reason = "failed", "unreachable"
+
     def _abandon(self, h: TxnHandle):
         """Abort path: make the abort durable if a record or an intent may
         exist, then sweep intents. An abort the recorder does not answer
         is retried in the background."""
-        if h.may_have_written:
+        if h.role is not None:
             resp = yield from self._decide(h, ABORT, attempts=5)
             if resp is None:
                 self.k.spawn(self._abort_in_background(h))
@@ -588,21 +649,21 @@ class Coordinator(Node):
         sent, and a chain keeps each key's ops ordered, because a read
         must not overtake the transaction's own write to its key. So a
         segment pays about one round trip per op on its busiest key, not
-        one per op. The recorder role is fixed before any op is sent, from
-        the first write in program order."""
+        one per op. A writer's record is created at the home role
+        alongside the first segment's ops."""
         h = yield from self.begin()
         if h.ts is None:
             self._finish(h, None)
             return TxnResult(h.txn, h.status, None, [], [], reason=h.reason)
-        lead = next((i for i, op in enumerate(program) if op[0] == "w"), None)
-        if lead is not None:  # the abort path may need to reach this recorder
-            h.role = recorder_role(self.router.primary(program[lead][1]))
+        if any(op[0] == "w" for op in program):
+            h.role = self.home_role
+            h.created = self.k.spawn(self._create_record(h))
         chains: dict[str, list] = {}
         for idx, op in enumerate(program):
             if op[0] in ("r", "w"):
                 chains.setdefault(op[1], []).append((idx, op))
             elif op[0] == "hold":
-                yield from self._run_segment(h, chains, lead)
+                yield from self._run_segment(h, chains)
                 chains = {}
                 if h.status != "active":
                     break
@@ -610,7 +671,7 @@ class Coordinator(Node):
             else:
                 raise ValueError(f"unknown op {op!r}")
         else:
-            yield from self._run_segment(h, chains, lead)
+            yield from self._run_segment(h, chains)
         status = yield from self.commit(h)
         return TxnResult(h.txn, status, h.ts, sorted(h.reads),
                          sorted(h.write_order), reason=h.reason)

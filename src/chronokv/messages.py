@@ -1,6 +1,7 @@
 """Wire payloads. Every message rides a simnet envelope that adds sender,
-receiver, and a per-sender sequence number; payloads carry protocol fields
-only. Timestamps travel as (nanos, server_id) tuples."""
+receiver and, for an rpc, the request id its reply answers; payloads
+carry protocol fields only. Timestamps travel as (nanos, server_id)
+tuples."""
 
 from __future__ import annotations
 
@@ -60,8 +61,6 @@ class WriteReq:
     ts: tuple
     value: str
     role: str  # recorder role handling this transaction
-    first: bool  # first write of the transaction creates its record
-    coordinator: str
 
 
 @dataclass(slots=True)
@@ -72,14 +71,11 @@ class WriteResp:
 
 @dataclass(slots=True)
 class FinalizeReq:
+    """One-way: install or discard the transaction's intents."""
+
     txn: str
     decision: str  # COMMIT | ABORT
     epoch: Optional[int]
-
-
-@dataclass(slots=True)
-class FinalizeResp:
-    ok: bool  # False signals the node had no trace of the transaction
 
 
 # -- recorder ------------------------------------------------------------------
@@ -87,8 +83,9 @@ class FinalizeResp:
 
 @dataclass(slots=True)
 class RecordCreate:
-    """Create an in-progress record at the current owner of a role (used when
-    the first-write node no longer owns its own recorder role)."""
+    """Create a transaction's in-progress record at the current owner of
+    its coordinator's home role. The coordinator sends it alongside the
+    transaction's first ops and decides only once it is answered."""
 
     role: str
     txn: str
@@ -125,13 +122,16 @@ class PushReq:
     role: str
     txn: str
     reader: str
+    # A replica's replayed epoch: the recorder may answer an undecided
+    # transaction with an epoch floor above it. None when a primary pushes.
+    above: Optional[int] = None
 
 
 @dataclass(slots=True)
 class PushResp:
     txn: str
-    decision: str
-    epoch: Optional[int]
+    decision: Optional[str]  # COMMIT | ABORT, or None for an epoch floor
+    epoch: Optional[int]  # commit epoch, or the floor the commit will meet
 
 
 @dataclass(slots=True)

@@ -32,7 +32,6 @@ from .messages import (
     CatchUp,
     DecideReq,
     FinalizeReq,
-    FinalizeResp,
     Heartbeat,
     LogShip,
     PushReq,
@@ -172,14 +171,26 @@ class Settler:
     folds a pushed verdict into its own state. Verdicts that arrive by
     other means (a finalize, a shipped log entry) wake the waiters
     through ``wake``.
+
+    A replica also hands in ``above()``, its replayed epoch, and its
+    pushes carry it. The recorder may then answer an undecided
+    transaction with an epoch floor above that instead of a verdict: the
+    floor is durable in the record, and the transaction commits into the
+    floor's epoch or a later one, so it cannot land in a view the replica
+    has already served. The settler raises the proposals of the
+    transaction's intents to the floor and wakes the waiters. A waiter
+    whose view the intent no longer reaches goes on; the others wait
+    again, and a later push raises the floor further once the replica
+    has replayed it.
     """
 
     PUSH_ATTEMPTS = 300
 
-    def __init__(self, node: Node, store: KeyStore, apply):
+    def __init__(self, node: Node, store: KeyStore, apply, above=None):
         self.node = node
         self.store = store
         self.apply = apply
+        self.above = above
         self._decided: dict[str, Future] = {}
         self._inflight: dict[str, bool] = {}
 
@@ -196,7 +207,8 @@ class Settler:
             yield from self.wait(txn, intent.role, reader)
 
     def wait(self, txn: str, role: str, reader: str):
-        """Generator: park ``reader`` until ``txn`` is decided."""
+        """Generator: park ``reader`` until ``txn`` is decided or gets an
+        epoch floor."""
         if txn in self.store.decided:
             return
         k = self.node.k
@@ -216,24 +228,38 @@ class Settler:
         self.wake(txn)
 
     def wake(self, txn: str) -> None:
-        """Release the readers parked on ``txn``, which is decided."""
+        """Release the readers parked on ``txn``, which is decided or has
+        an epoch floor; each re-checks what still blocks it."""
         fut = self._decided.pop(txn, None)
         if fut is not None:
-            fut.resolve(self.store.decided[txn])
+            fut.resolve()
+
+    def _raise_floor(self, txn: str, floor: int) -> None:
+        for key in self.store.txn_keys.get(txn, ()):
+            intent = self.store.chains[key].intents[txn]
+            intent.proposal = max(intent.proposal, floor)
+        self.wake(txn)
 
     def _push_task(self, txn: str, role: str):
+        """Push until ``txn`` is decided, or until a floor answers a
+        replica's push: the waiters it leaves blocked push again."""
         k = self.node.k
-        req = PushReq(role, txn, self.node.node_id)
         attempts = 0
         while txn not in self.store.decided:
             if attempts == self.PUSH_ATTEMPTS:
                 k.trace("push_stuck", node=self.node.node_id, txn=txn)
                 break
             attempts += 1
+            above = self.above() if self.above is not None else None
+            req = PushReq(role, txn, self.node.node_id, above)
             resp = yield from self.node.membership.call(k, role, req,
                                                         floor_ns=30 * MS)
-            if resp is not None:
-                self.settle(txn, resp.decision, resp.epoch)
+            if resp is None:
+                continue
+            if resp.decision is None:
+                self._raise_floor(txn, resp.epoch)
+                break
+            self.settle(txn, resp.decision, resp.epoch)
         self._inflight.pop(txn, None)
 
 
@@ -290,9 +316,7 @@ class DataNode(Node):
         elif isinstance(p, WriteReq):
             self.k.spawn(self._write_task(env, p))
         elif isinstance(p, FinalizeReq):
-            known = p.txn in self.store.txn_keys or p.txn in self.store.decided
             self.settler.settle(p.txn, p.decision, p.epoch)
-            self.k.reply(env, FinalizeResp(known))
         elif isinstance(p, DecideReq):
             self.recorder.handle_decide(env, p)
         elif isinstance(p, PushReq):
@@ -330,27 +354,8 @@ class DataNode(Node):
         else:
             intent.value = w.value
         entry = IntentEntry(w.txn, w.key, w.ts, w.value, w.role, intent.proposal)
-        flush = self.append_log([entry])
-        ok = True
-        if w.first:
-            ok = yield from self._ensure_record(w)
-        yield flush
-        if not ok:
-            self.k.reply(env, WriteResp(False, None))
-            return
+        yield self.append_log([entry])
         self.k.reply(env, WriteResp(True, intent.proposal))
-
-    def _ensure_record(self, w: WriteReq):
-        """Generator -> bool: the recorder role has a durable in-progress
-        record for this transaction. Usually local; after a takeover the
-        request goes to the owner the membership register names."""
-        ok = yield from self.recorder.create_in_progress(
-            w.role, w.txn, w.coordinator)
-        if ok:
-            return True
-        req = RecordCreate(w.role, w.txn, w.coordinator)
-        resp = yield from self.membership.call(self.k, w.role, req, attempts=6)
-        return resp is not None
 
     # -- settling -----------------------------------------------------------------
 

@@ -16,9 +16,13 @@ settled by the primary's own ``mvto.Settler``: the reader parks and a
 push asks the writer's recorder. Here the outcome often already sits in
 the replicated record stream (the local cache), which wakes the reader
 as it is applied, so the cross-region push is needed only otherwise.
-And committed versions carry their commit epoch, so a version from a
-*later* epoch that happens to have a small timestamp stays invisible
-until its own view replays.
+The push carries the replayed epoch, and the recorder of a transaction
+still in progress answers it with an epoch floor above that epoch, which
+the commit will meet: the intent then lies beyond every view served so
+far, and the reader goes on without waiting for a transaction that may
+itself be parked behind a slow writer. And committed versions carry
+their commit epoch, so a version from a *later* epoch that happens to
+have a small timestamp stays invisible until its own view replays.
 """
 
 from __future__ import annotations
@@ -48,7 +52,8 @@ class ReplicaNode(Node):
         self._parked: dict[str, dict[int, list]] = {}
         self.replayed_epoch = 0
         self._view_waiters: dict[int, Future] = {}
-        self.settler = Settler(self, self.store, self.store.resolve)
+        self.settler = Settler(self, self.store, self.store.resolve,
+                               above=lambda: self.replayed_epoch)
 
     def start(self) -> None:
         self.k.spawn(self._catchup_loop())

@@ -305,12 +305,11 @@ class FaultSchedule:
 
 
 class Envelope:
-    __slots__ = ("src", "dst", "seq", "rid", "is_reply", "payload")
+    __slots__ = ("src", "dst", "rid", "is_reply", "payload")
 
-    def __init__(self, src, dst, seq, rid, is_reply, payload):
+    def __init__(self, src, dst, rid, is_reply, payload):
         self.src = src
         self.dst = dst
-        self.seq = seq
         self.rid = rid
         self.is_reply = is_reply
         self.payload = payload
@@ -356,13 +355,16 @@ class Network:
                     return True
         return False
 
-    def _base_delay(self, src: "Node", dst: "Node") -> int:
-        # Time-oracle traffic stays inside the rack: it does not ride the
-        # inter-node latency matrix.
+    def one_way_ns(self, src: "Node", dst: "Node") -> int:
+        """The configured one-way delay from ``src`` to ``dst``, before
+        jitter. Time-oracle traffic stays inside the rack: it does not
+        ride the inter-node latency matrix."""
         if src.kind == "oracle" or dst.kind == "oracle":
-            base = self.oracle_one_way_ns
-        else:
-            base = self.latency.one_way_ns(src.region, dst.region)
+            return self.oracle_one_way_ns
+        return self.latency.one_way_ns(src.region, dst.region)
+
+    def _base_delay(self, src: "Node", dst: "Node") -> int:
+        base = self.one_way_ns(src, dst)
         if self.jitter:
             base = int(base * (1.0 + self._rng.uniform(-self.jitter, self.jitter)))
         return max(base, 1)
@@ -385,7 +387,7 @@ class Network:
         if self.faults.reorder_prob and self._rng.random() < self.faults.reorder_prob:
             # Hold the message back long enough to overtake later traffic.
             delay = int(delay * self._rng.uniform(1.5, 3.0))
-        env = Envelope(src.node_id, dst_id, src.next_seq(), rid, is_reply, payload)
+        env = Envelope(src.node_id, dst_id, rid, is_reply, payload)
         self.sim.after(delay, lambda: self._deliver(env))
         if self.faults.duplicate_prob and self._rng.random() < self.faults.duplicate_prob:
             dup_delay = int(delay * self._rng.uniform(1.0, 2.0))
@@ -419,13 +421,8 @@ class Node:
         self.region = region
         self.alive = True
         self.incarnation = 0
-        self._send_seq = 0
         self.k = NodeKernel(self, drift_ppm)
         net.register(self)
-
-    def next_seq(self) -> int:
-        self._send_seq += 1
-        return self._send_seq
 
     def on_envelope(self, env: Envelope) -> None:
         if env.is_reply:
@@ -444,6 +441,7 @@ class Node:
         self.alive = False
         self.incarnation += 1
         self.k._pending_rpc.clear()
+        self.k._timers.clear()
         self.sim.trace.emit("crash", node=self.node_id)
         self.on_crash()
 
@@ -465,7 +463,8 @@ class NodeKernel:
     """Per-node capability handle: drifting local clock, local timers,
     messaging, rpc with timeouts, task spawning and tracing. No ground truth."""
 
-    __slots__ = ("_node", "drift_ppm", "_offset", "_pending_rpc", "_next_rid")
+    __slots__ = ("_node", "drift_ppm", "_offset", "_pending_rpc", "_next_rid",
+                 "_timers", "_next_timer")
 
     def __init__(self, node: Node, drift_ppm: int):
         self._node = node
@@ -475,22 +474,33 @@ class NodeKernel:
         self._offset = node.sim.rng("clock-offsets").randrange(0, SEC)
         self._pending_rpc: dict[int, Future] = {}
         self._next_rid = 1
+        # timer id -> callback of each pending local timer; a crash drops
+        # them all, so a task asleep on one is freed at the crash
+        self._timers: dict[int, Callable[[], None]] = {}
+        self._next_timer = 1
 
     # -- clock ---------------------------------------------------------------
 
     def local_now(self) -> int:
         return self._offset + true_interval_to_local(self._node.sim.now, self.drift_ppm)
 
-    def set_local_timer(self, local_duration_ns: int, fn) -> _Event:
-        """Fire ``fn`` once the node's own clock has advanced the duration."""
+    def set_local_timer(self, local_duration_ns: int, fn) -> None:
+        """Fire ``fn`` once the node's own clock has advanced the duration,
+        unless the node crashes first. A dead node sets no timer."""
+        node = self._node
+        if not node.alive:
+            return
         true_delay = max(1, local_interval_to_true(local_duration_ns, self.drift_ppm))
-        inc = self._node.incarnation
+        tid = self._next_timer
+        self._next_timer += 1
+        self._timers[tid] = fn
 
         def fire():
-            if self._node.alive and self._node.incarnation == inc:
+            fn = self._timers.pop(tid, None)
+            if fn is not None:
                 fn()
 
-        return self._node.sim.after(true_delay, fire)
+        node.sim.after(true_delay, fire)
 
     def sleep_local(self, local_duration_ns: int) -> Future:
         fut = Future(self._node.sim)
@@ -537,13 +547,12 @@ class NodeKernel:
     def trace(self, kind: str, **fields) -> None:
         self._node.sim.trace.emit(kind, **fields)
 
+    def one_way_ns(self, dst_id: str) -> int:
+        """The configured one-way delay to ``dst_id``, before jitter."""
+        node = self._node
+        return node.net.one_way_ns(node, node.net.nodes[dst_id])
+
     def rpc_timeout_for(self, dst_id: str, floor_ns: int = 5 * MS) -> int:
         """A generous per-attempt timeout for a destination, derived from the
         configured link rtt (local-clock nanoseconds)."""
-        node = self._node
-        dst = node.net.nodes[dst_id]
-        if dst.kind == "oracle" or node.kind == "oracle":
-            base = node.net.oracle_one_way_ns * 2
-        else:
-            base = node.net.latency.one_way_ns(node.region, dst.region) * 2
-        return max(int(base * 2.5), floor_ns)
+        return max(int(self.one_way_ns(dst_id) * 2 * 2.5), floor_ns)

@@ -14,7 +14,14 @@ from chronokv.checkers import (
 )
 from chronokv.cluster import Cluster, run_scenario
 from chronokv.history import build_history
-from chronokv.messages import DecideReq, ReadReq, ReadResp, WriteReq
+from chronokv.messages import (
+    DecideReq,
+    ReadReq,
+    ReadResp,
+    RecordCreate,
+    RecordCreated,
+    WriteReq,
+)
 from chronokv.scenario import Scenario, WorkloadSpec, load_scenario
 from chronokv.simnet import (
     MS,
@@ -170,6 +177,71 @@ def record_sends(cluster, kind):
     return sent
 
 
+@pytest.mark.parametrize("data_nodes, coordinators, homes", [
+    # every coordinator shares a region with a data node
+    (["SH", "BJ", "GZ", "GY", "SG"], ["SH", "BJ", "GZ", "GY", "SG"],
+     ["d0.SH", "d1.BJ", "d2.GZ", "d3.GY", "d4.SG"]),
+    # as in a07: BJ has no data node, so its coordinator records in SH
+    (["SH"], ["SH", "BJ"], ["d0.SH", "d0.SH"]),
+    # the nearest is not the first in router order; SG is 23.4 ms from
+    # GZ, 30 ms from GY, 34.65 ms from SH; ties go to the first
+    (["SH", "GY", "GZ", "SH"], ["SG", "SH"], ["d2.GZ", "d0.SH"]),
+])
+def test_each_coordinator_records_at_its_nearest_data_node(
+        data_nodes, coordinators, homes):
+    cluster = Cluster(Scenario(name="homes", seed=1, data_nodes=data_nodes,
+                               coordinators=coordinators,
+                               clients_per_coordinator=0))
+    assert [c.home_role for c in cluster.coordinators] == \
+        [f"rec/{h}" for h in homes]
+
+
+def test_a_writer_creates_its_record_at_home_and_decides_only_after():
+    # the first two creations are lost, so the record lands only after
+    # the write has long been acknowledged
+    lost = MsgFilter(kinds=frozenset({"RecordCreate"}), prob=1.0,
+                     end_ns=10 * MS)
+    cluster, coord = idle_cluster(FaultSchedule(msg_filters=[lost]))
+    [b] = keys_on(cluster, "d1.BJ")
+    sent = record_sends(cluster, (RecordCreate, RecordCreated, WriteReq,
+                                  DecideReq))
+    res = drive(cluster.sim, coord.k, coord.run_txn([("w", b, "v")]))
+    assert res.status == "committed"
+    kinds = [type(p) for _t, p in sent]
+    assert kinds == [WriteReq, RecordCreate, RecordCreate, RecordCreate,
+                     RecordCreated, DecideReq]
+    # sent with the first ops, once one storage read has named the role's
+    # owner; to the home role; answered before the decide leaves
+    assert sent[1][0] - sent[0][0] == cluster.storage["SH"].read_ns
+    assert {p.role for _t, p in sent if isinstance(p, RecordCreate)} == \
+        {coord.home_role} == {"rec/d0.SH"}
+    assert sent[4][0] > 10 * MS
+    assert sent[4][0] < sent[5][0]
+    assert sent[5][1].role == coord.home_role
+    # the record is written in SH, though the only write went to BJ
+    h = build_history(cluster.sim.trace.events)
+    assert {role for _t, role, txn, *_ in h.records if txn == res.txn} == \
+        {"rec/d0.SH"}
+
+
+def test_a_record_creation_nobody_answers_fails_the_txn_and_leaves_no_intent():
+    lost = MsgFilter(kinds=frozenset({"RecordCreate"}), prob=1.0)
+    cluster, coord = idle_cluster(FaultSchedule(msg_filters=[lost]))
+    sim = cluster.sim
+    [a] = keys_on(cluster, "d0.SH")
+    [b] = keys_on(cluster, "d1.BJ")
+    res = drive(sim, coord.k, coord.run_txn([("w", a, "v0"), ("w", b, "v1")]))
+    assert (res.status, res.reason) == ("failed", "unreachable")
+
+    sim.run_until(sim.now + 1 * SEC)
+    h = build_history(sim.trace.events)
+    assert terminal_records(h)[res.txn][0] == "aborted"
+    for node in cluster.data_nodes:
+        for chain in node.store.chains.values():
+            assert res.txn not in chain.intents
+            assert chain.order == []
+
+
 def test_a_write_run_is_sent_at_once_coalesced_with_one_lead_write():
     cluster, coord = idle_cluster()
     a, c = keys_on(cluster, "d0.SH", 2)
@@ -181,9 +253,9 @@ def test_a_write_run_is_sent_at_once_coalesced_with_one_lead_write():
     assert res.status == "committed"
 
     # one write per distinct key, all in one instant; a key's consecutive
-    # writes carry its last value; only the first write creates the record
-    assert [(p.key, p.value, p.first) for _t, p in sent] == [
-        (a, "v5", True), (b, "v1", False), (c, "v4", False)]
+    # writes carry its last value
+    assert [(p.key, p.value) for _t, p in sent] == [
+        (a, "v5"), (b, "v1"), (c, "v4")]
     assert len({t for t, _p in sent}) == 1
     assert {p.role for _t, p in sent} == {"rec/d0.SH"}
 
@@ -210,8 +282,15 @@ def test_reads_of_distinct_keys_leave_in_one_instant():
     sent = record_sends(cluster, ReadReq)
     res = drive(cluster.sim, coord.k,
                 coord.run_txn([("r", a), ("r", b), ("r", c)]))
-    assert [p.key for _t, p in sent] == [a, b, c]
-    assert len({t for t, _p in sent}) == 1
+    # aligned: the reads land in one instant, so the far read of b leaves
+    # as soon as the timestamp is taken and the near ones wait for it
+    [ts_at] = [t for t, kind, f in cluster.sim.trace.events
+               if kind == "txn_ts" and f["txn"] == res.txn]
+    assert [(t, p.key) for t, p in sent][0] == (ts_at, b)
+    assert sorted(p.key for _t, p in sent) == sorted([a, b, c])
+    landed = {t + coord.k.one_way_ns(cluster.router.primary(p.key))
+              for t, p in sent}
+    assert len(landed) == 1
     assert [r[:2] for r in res.reads] == [(0, a), (1, b), (2, c)]
     assert res.reads[1][3] == "old"
 

@@ -1,10 +1,23 @@
 """Replica reads: epoch-gated visibility in fresh, stale, and mixed modes."""
 
 import pytest
+from conftest import drive
 
 from chronokv.checkers import run_all_checks
-from chronokv.cluster import run_scenario
+from chronokv.cluster import Cluster, run_scenario
+from chronokv.messages import (
+    COMMIT,
+    COMMITTED,
+    DecideReq,
+    DecideResp,
+    PushReq,
+    PushResp,
+    RecordCreate,
+    RecordCreated,
+    ReplicaReadReq,
+)
 from chronokv.scenario import Scenario, WorkloadSpec
+from chronokv.simnet import MS, SEC
 
 
 def replica_scenario(seed, mode, **kw):
@@ -81,3 +94,71 @@ def test_replica_reads_only_return_committed_versions():
                 seen += 1
                 assert vts in stamps
     assert seen > 0
+
+
+# -- epoch floors: replica reads decoupled from a slow transaction -------------
+
+
+def idle_replicated_cluster():
+    """One SH data node replicated to BJ, one SH coordinator, no clients."""
+    cluster = Cluster(Scenario(
+        name="floor", seed=1, duration_ms=60_000, regions=["SH", "BJ"],
+        data_nodes=["SH"], replicate_to=["BJ"], coordinators=["SH"],
+        clients_per_coordinator=0, interval_ms=50,
+    ))
+    cluster.start()
+    return cluster, cluster.coordinators[0]
+
+
+def test_a_replica_read_does_not_wait_for_a_txn_parked_behind_a_slow_writer():
+    cluster, coord = idle_replicated_cluster()
+    sim = cluster.sim
+    slow = coord.k.spawn(coord.run_txn([("w", "x", "slow"),
+                                        ("hold", 600 * MS)]))
+    sim.run_until(sim.now + 10 * MS)  # the slow intent on x is installed
+    # t's read of x parks behind the slow writer; its write of y lands
+    t = coord.k.spawn(coord.run_txn([("r", "x"), ("w", "y", "t")]))
+    sim.run_until(sim.now + 10 * MS)
+    assert "t" in [i.value for i in
+                   cluster.data_nodes[0].store.chains["y"].intents.values()]
+
+    def replica_read():
+        ts = yield from coord.tsproxy.acquire()
+        start = sim.now
+        resp = yield coord.k.rpc("d0.SH@BJ",
+                                 ReplicaReadReq(["y"], ts, "rr", "fresh"),
+                                 10 * SEC)
+        return sim.now - start, resp
+
+    took, resp = drive(sim, coord.k, replica_read())
+    # a view, a cut and one push round, not the slow writer's hold
+    assert took < 200 * MS
+    assert not t.done and not slow.done
+    assert resp.reads == [("y", None, None)]
+    sim.run_until(1 << 62, stop=lambda: t.done)
+    assert t.value.status == "committed"
+    [epoch] = [f["epoch"] for _t, kind, f in sim.trace.events
+               if kind == "txn_end" and f["txn"] == t.value.txn]
+    assert epoch > resp.view
+
+
+def test_a_decide_after_an_epoch_floor_commits_at_or_above_it():
+    cluster, coord = idle_replicated_cluster()
+    sim = cluster.sim
+    node = cluster.data_nodes[0]
+    role = node.role_self
+
+    def call(payload):
+        def task():
+            return (yield coord.k.rpc(node.node_id, payload, 100 * MS))
+        return drive(sim, coord.k, task())
+
+    assert call(RecordCreate(role, "tx", coord.node_id)) == RecordCreated()
+    assert call(PushReq(role, "tx", "rr", above=40)) == PushResp("tx", None, 41)
+    # the floor is durable: a restarted recorder reloads it
+    node.crash()
+    node.restart()
+    sim.run_until(sim.now + 1 * SEC)
+    assert node.epoch_now() < 41
+    assert call(DecideReq(role, "tx", COMMIT, [1], coord.node_id)) == \
+        DecideResp(COMMITTED, 41)

@@ -266,6 +266,29 @@ def test_a_task_killed_by_a_crash_is_released_at_the_crash():
         gc.enable()
 
 
+def test_a_task_asleep_on_a_local_timer_is_released_at_the_crash():
+    # A crash drops the node's pending timers, as it drops its pending
+    # rpcs, so the event queue no longer holds the sleeping task.
+    sim, net = one_region()
+    a = Host(sim, net, "a.R0", "R0")
+    released = []
+
+    def task():
+        try:
+            yield a.k.sleep_local(50 * MS)  # a transaction's hold
+        finally:
+            released.append(sim.now)
+
+    gc.disable()
+    try:
+        a.k.spawn(task())
+        sim.run_until(1 * MS)
+        a.crash()
+        assert released == [1 * MS]
+    finally:
+        gc.enable()
+
+
 def test_reorder_holds_messages_back():
     # with reorder_prob=1 every message is delayed 1.5-3x its base latency;
     # a later send can overtake an earlier one given enough spread

@@ -20,9 +20,9 @@ SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 PINNED = {
     "baseline.yaml":
-        "58847743f2d8d90324f40a9ca6b2fa81c5cacdb4b7d21dee67f032ce682b11ba",
+        "9b2807f89b15e761228b4ce67ad72cbf0efe55b449e36e7010596d53bf630c6a",
     "faults.yaml":
-        "ad45daed08174f12bfee9f89e9813508220e92cdb302b87a028dcb8aca123fdb",
+        "1935b85d45a597bd5a528ac6aa9a7fff2a8f7156531282fc3f2c137562f754d8",
 }
 
 
