@@ -18,7 +18,7 @@ from .coordinator import Coordinator
 from .errors import InvalidConfig
 from .mvto import DataNode
 from .replica import ReplicaNode
-from .replication import RoleDirectory, SharedStorage, recorder_role
+from .replication import RoleDirectory, SharedStorage
 from .scenario import Scenario, full_rtt_table
 from .simnet import MS, LatencyMatrix, Network, Simulation
 from .tsbatch import commit_wait_ns
@@ -71,9 +71,8 @@ class RunResult:
         """primary node id -> replica node ids, or None without a cluster."""
         if self.cluster is None:
             return None
-        ship_map = self.cluster.ship_map
-        return {nid: list(ship_map[nid])
-                for nid in self.cluster.router.ids if nid in ship_map}
+        return {nid: list(rids)
+                for nid, rids in self.cluster.replicas_of.items()}
 
     def written_primaries(self, t) -> set:
         return self.cluster.router.written_primaries(t)
@@ -113,14 +112,10 @@ class Cluster:
         data_ids = sc.data_node_ids()
         self.router = Router(data_ids)
 
-        # Which replicas each stream ships to, shared by every writer of
-        # that stream (the adopter of a role ships the role's stream too).
-        self.ship_map: dict[str, list] = {}
-        for nid in data_ids:
-            for rr in sc.replicate_to:
-                rid = f"{nid}@{rr}"
-                self.ship_map.setdefault(nid, []).append(rid)
-                self.ship_map.setdefault(recorder_role(nid), []).append(rid)
+        # The replicas of each data node, which its data log ships to.
+        self.replicas_of: dict[str, list] = {
+            nid: [f"{nid}@{rr}" for rr in sc.replicate_to]
+            for nid in data_ids if sc.replicate_to}
 
         self.data_nodes = [self._data_node(nid, region)
                            for nid, region in zip(data_ids, sc.data_nodes)]
@@ -170,7 +165,8 @@ class Cluster:
             self.sim, self.net, nid, region, self._drift(nid),
             storage=self.storage[region],
             directory=RoleDirectory(self.storage),
-            tsproxy_args=self._proxy_args(region), ship_map=self.ship_map,
+            tsproxy_args=self._proxy_args(region),
+            replicas=self.replicas_of.get(nid, []),
             interval_ns=sc.interval_ns,
             uncertainty_wait_ns=self.uncertainty_wait_ns,
             max_drift_ppm=sc.max_drift_ppm,

@@ -12,29 +12,33 @@ segment's farthest op (see ``Coordinator._run_chain``).
 
 Every writing transaction's record lives at the coordinator's home role:
 the recorder role of the data node nearest to it, fixed when the
-coordinator is built. The coordinator creates the record alongside the
-transaction's first ops. Once the record exists and the commit wait tied
-to the timestamp has elapsed on its local clock, it asks the recorder for
-a single durable decision, an intra-region round trip; the answer is the
-commit point. Everything after (finalize messages installing or
-discarding intents) is asynchronous cleanup that readers can force at
-any time by pushing the recorder. A replica's push may instead get an
-epoch floor that the commit will meet (see ``mvto.Settler``).
+coordinator is built. Nothing is recorded up front. Once the commit wait
+tied to the timestamp has elapsed on its local clock, the coordinator
+asks the recorder for a single durable decision, an intra-region round
+trip; the answer is the commit point, and usually the record's only
+entry. Everything after (finalize messages installing or discarding
+intents) is asynchronous cleanup that readers can force at any time by
+pushing the recorder. A replica's push may instead get an epoch floor
+that the commit will meet (see ``mvto.Settler``); the floor is the one
+thing written to a record before its decision.
 
-Recorders also guarantee progress for everyone else's transactions: they
-watch coordinator heartbeats and durably abort the in-progress records of
-coordinators that have gone quiet, answering any readers parked on them.
-A coordinator that is alive but gave up reaching a recorder keeps asking
+Recorders also guarantee progress for everyone else's transactions. A
+transaction's id names its coordinator (``Coordinator.coordinator_of``),
+and recorders watch coordinator heartbeats: once a coordinator has gone
+quiet, the sweep durably aborts its transactions that hold a floored
+record or have readers parked on them, answering those readers. A
+coordinator that is alive but gave up reaching a recorder keeps asking
 it to abort in the background until it answers. Losing a role is
 discovered the hard way — a durable append bounces with a fence — after
 which the old recorder answers NotOwner and the sender looks up the
 successor named by the membership register.
 
-Retries: a record creation and a decide go to whoever owns the home role,
-through ``RoleDirectory.call``, which re-reads the owner after a timeout
-or a NotOwner. An op goes to the key's fixed primary and is simply
-re-sent. Both back off by ``retry_backoff_ns`` before the try after a
-timeout.
+Retries: a decide goes to whoever owns the home role, through
+``RoleDirectory.call``, which re-reads the owner after a timeout or a
+NotOwner. An op goes to the key's fixed primary and is simply re-sent,
+and a timestamp the oracle cannot give is asked for again, in the same
+loop (``Coordinator._retrying``). Both kinds of retry back off by
+``retry_backoff_ns`` before the try after a failure.
 """
 
 from __future__ import annotations
@@ -56,8 +60,6 @@ from .messages import (
     NotOwner,
     PushReq,
     PushResp,
-    RecordCreate,
-    RecordCreated,
     ReadReq,
     WriteReq,
 )
@@ -66,7 +68,7 @@ from .simnet import MS, RPC_TIMEOUT, Future, Node, retry_backoff_ns
 from .tsbatch import Timestamp, TsProxy
 
 HB_INTERVAL_NS = 100 * MS
-HB_TIMEOUT_NS = 500 * MS  # silence after which the sweep aborts records
+HB_TIMEOUT_NS = 500 * MS  # silence after which the sweep aborts txns
 SWEEP_INTERVAL_NS = 100 * MS
 
 
@@ -74,7 +76,6 @@ SWEEP_INTERVAL_NS = 100 * MS
 class TxnRecord:
     status: str
     epoch: Optional[int]
-    coordinator: str
 
 
 class _RoleState:
@@ -87,7 +88,7 @@ class _RoleState:
         self.in_progress: dict[str, TxnRecord] = {
             txn: rec for txn, rec in self.records.items()
             if rec.status == IN_PROGRESS}
-        # txn -> [(envelope, arrived_local_ns)] readers parked until a decision
+        # txn -> envelopes of the readers parked until a decision
         self.pending: dict[str, list] = {}
         # txn -> Future guarding a decision append already in flight
         self.deciding: dict[str, Future] = {}
@@ -138,13 +139,13 @@ class RecorderState:
         if self._owned(env, req.role) is None:
             return
         self.node.k.spawn(self._decide_task(req.role, req.txn, req.decision,
-                                            req.proposals, req.coordinator, env))
+                                            req.proposals, env))
 
     def handle_push(self, env, req: PushReq) -> None:
         """Answer a decided transaction's verdict at once. A replica's push
-        (``req.above`` set) for a record in progress that is not being
-        decided gets an epoch floor; any other push parks until the
-        decision."""
+        (``req.above`` set) for a transaction that is not being decided
+        gets an epoch floor, which creates its in-progress record if there
+        is none; any other push parks until the decision."""
         rs = self._owned(env, req.role)
         if rs is None:
             return
@@ -153,58 +154,37 @@ class RecorderState:
             decision = COMMIT if rec.status == COMMITTED else ABORT
             self.node.k.reply(env, PushResp(req.txn, decision, rec.epoch))
             return
-        if rec is not None and req.above is not None \
-                and req.txn not in rs.deciding:
-            # Raised now, so a decision that starts later commits at or
-            # above it; answered once durable.
-            rec.epoch = max(rec.epoch or 0, req.above + 1)
-            self._append_in_progress(env, req.role, req.txn, rec,
-                                     PushResp(req.txn, None, rec.epoch))
+        if req.above is None or req.txn in rs.deciding:
+            rs.pending.setdefault(req.txn, []).append(env)
             return
-        rs.pending.setdefault(req.txn, []).append((env, self.node.k.local_now()))
-
-    def handle_record_create(self, env, req: RecordCreate) -> None:
-        """Durably register a transaction as in progress before its
-        coordinator decides, so that pushes have a record to park on and
-        the sweep can abort it should the coordinator go quiet."""
-        rs = self._owned(env, req.role)
-        if rs is None:
-            return
-        if req.txn in rs.records or req.txn in rs.deciding:
-            self.node.k.reply(env, RecordCreated())  # a retry, or too late
-            return
-        rec = rs.records[req.txn] = rs.in_progress[req.txn] = \
-            TxnRecord(IN_PROGRESS, None, req.coordinator)
-        self._append_in_progress(env, req.role, req.txn, rec, RecordCreated())
-
-    def _append_in_progress(self, env, role: str, txn: str, rec: TxnRecord,
-                            answer) -> None:
-        """Append the in-progress ``rec`` of ``txn`` to ``role``'s stream
-        now, so it lands before any decision appended later, and reply
-        ``answer`` to ``env`` once it is durable."""
-        entry = RecordEntry(txn, IN_PROGRESS, rec.epoch, rec.coordinator)
-        flush = self.node.storage.append(role, [entry],
-                                         writer=self.node.node_id, role=role)
+        if rec is None:
+            rec = rs.records[req.txn] = rs.in_progress[req.txn] = \
+                TxnRecord(IN_PROGRESS, None)
+        # Raised and appended now, so a decision that starts later commits
+        # at or above the floor, and its entry lands after this one.
+        rec.epoch = max(rec.epoch or 0, req.above + 1)
+        answer = PushResp(req.txn, None, rec.epoch)
+        flush = self.node.storage.append(
+            req.role, [RecordEntry(req.txn, IN_PROGRESS, rec.epoch)],
+            writer=self.node.node_id, role=req.role)
 
         def task():
-            res = yield flush
-            if res[0] != "ok":
-                self._fence_lost(role)
-                self.node.k.reply(env, NotOwner(role))
-                return
-            self.node.ship_stream(role, res[1], [entry])
-            self.node.k.reply(env, answer)
+            if (yield flush)[0] == "ok":
+                self.node.k.reply(env, answer)
+            else:
+                self._fence_lost(req.role)
+                self.node.k.reply(env, NotOwner(req.role))
 
         self.node.k.spawn(task())
 
     # -- deciding ----------------------------------------------------------------
 
-    def _decide_task(self, role, txn, decision, proposals, coordinator, env):
-        resp = yield from self._decide_core(role, txn, decision, proposals, coordinator)
+    def _decide_task(self, role, txn, decision, proposals, env):
+        resp = yield from self._decide_core(role, txn, decision, proposals)
         if env is not None:
             self.node.k.reply(env, resp)
 
-    def _decide_core(self, role, txn, decision, proposals, coordinator):
+    def _decide_core(self, role, txn, decision, proposals):
         """Generator -> DecideResp | NotOwner. At most one durable decision
         per transaction; every later call answers from the record."""
         rs = self.roles.get(role)
@@ -235,7 +215,7 @@ class RecorderState:
         else:
             epoch = None
             status = ABORTED
-        entry = RecordEntry(txn, status, epoch, coordinator)
+        entry = RecordEntry(txn, status, epoch)
         res = yield self.node.storage.append(role, [entry],
                                              writer=self.node.node_id, role=role)
         rs_now = self.roles.get(role)
@@ -246,13 +226,12 @@ class RecorderState:
         if rs_now is not rs:  # adopted away and back? treat as fenced
             gate.resolve()
             return NotOwner(role)
-        rs.records[txn] = TxnRecord(status, epoch, coordinator)
+        rs.records[txn] = TxnRecord(status, epoch)
         rs.in_progress.pop(txn, None)
         rs.deciding.pop(txn, None)
         # Parked readers learn the outcome before the coordinator does.
-        for penv, _ in rs.pending.pop(txn, ()):
+        for penv in rs.pending.pop(txn, ()):
             self.node.k.reply(penv, PushResp(txn, decision, epoch))
-        self.node.ship_stream(role, res[1], [entry])
         gate.resolve()
         return DecideResp(status, epoch)
 
@@ -263,8 +242,8 @@ class RecorderState:
         if rs is None:
             return
         self.node.k.trace("fenced", node=self.node.node_id, role=role)
-        for txn, waiters in rs.pending.items():
-            for penv, _ in waiters:
+        for waiters in rs.pending.values():
+            for penv in waiters:
                 self.node.k.reply(penv, NotOwner(role))
         for gate in rs.deciding.values():
             gate.resolve()
@@ -299,7 +278,7 @@ class RecorderState:
         records: dict[str, TxnRecord] = {}
         for e in entries:
             if isinstance(e, RecordEntry):
-                records[e.txn] = TxnRecord(e.status, e.epoch, e.coordinator)
+                records[e.txn] = TxnRecord(e.status, e.epoch)
         self.roles[role] = _RoleState(records)
 
     # -- progress sweep -------------------------------------------------------------
@@ -307,28 +286,19 @@ class RecorderState:
     def _sweep_loop(self):
         while True:
             yield self.node.k.sleep_local(SWEEP_INTERVAL_NS)
-            now_local = self.node.k.local_now()
             for role in list(self.roles.keys()):
                 rs = self.roles.get(role)
                 if rs is None:
                     continue
-                doomed = []
-                for txn, rec in rs.in_progress.items():
-                    if txn not in rs.deciding \
-                            and self._coordinator_stale(rec.coordinator):
-                        doomed.append((txn, rec.coordinator))
-                # Readers parked on a transaction nobody ever registered:
-                # the record creation was fenced away or lost with a crash.
-                # Age them into an abort so pushes always terminate.
-                for txn, waiters in rs.pending.items():
-                    if txn in rs.records or txn in rs.deciding:
-                        continue
-                    if waiters and now_local - waiters[0][1] > HB_TIMEOUT_NS:
-                        doomed.append((txn, "?"))
-                for txn, coord in doomed:
-                    self.node.k.spawn(
-                        self._decide_task(role, txn, ABORT, [], coord, None)
-                    )
+                # Floored records first, then the transactions that readers
+                # are parked on but that have no record yet.
+                unrecorded = [txn for txn in rs.pending
+                              if txn not in rs.records]
+                for txn in [*rs.in_progress, *unrecorded]:
+                    if txn not in rs.deciding and self._coordinator_stale(
+                            Coordinator.coordinator_of(txn)):
+                        self.node.k.spawn(
+                            self._decide_task(role, txn, ABORT, [], None))
 
 
 @dataclass(slots=True)
@@ -344,8 +314,7 @@ class TxnResult:
 class TxnHandle:
     __slots__ = (
         "txn", "ts", "cwt_deadline_local", "status", "reads", "write_buf",
-        "write_order", "intent_nodes", "proposals", "role", "created",
-        "reason",
+        "write_order", "intent_nodes", "proposals", "role", "reason",
     )
 
     def __init__(self, txn: str, ts: Timestamp, cwt_deadline_local: int):
@@ -358,18 +327,10 @@ class TxnHandle:
         self.write_order: list = []
         self.intent_nodes: dict[str, bool] = {}
         self.proposals: list[int] = []
-        # A writer's recorder role, set once its record creation is sent:
-        # from then on the record, and intents, may exist.
+        # A writer's recorder role, set before its first op is sent: from
+        # then on intents, and a record, may exist.
         self.role: Optional[str] = None
-        self.created: Optional[Future] = None  # the record creation task
         self.reason: Optional[str] = None
-
-    def take_created(self) -> Future:
-        """The record creation's future, dropped from the handle so that
-        only the event queue holds it while a task waits on it (see
-        ``Coordinator._run_segment``)."""
-        fut, self.created = self.created, None
-        return fut
 
 
 class Coordinator(Node):
@@ -415,14 +376,14 @@ class Coordinator(Node):
 
     def begin(self):
         """Generator -> TxnHandle. The commit wait starts now, at timestamp
-        acquisition, so execution time is absorbed into it. If the oracle
-        is unavailable, the handle has failed and has no timestamp."""
+        acquisition, so execution time is absorbed into it. A timestamp the
+        oracle cannot give is asked for again, as often as an op is sent;
+        if it never comes, the handle has failed and has no timestamp."""
         self._txn_n += 1
         txn = f"{self.node_id}:{self._txn_n}"
         self.k.trace("txn_begin", txn=txn, coord=self.node_id)
-        try:
-            ts = yield from self.tsproxy.acquire()
-        except OracleUnavailable:
+        ts = yield from self._retrying(self._acquire_once)
+        if ts is None:
             h = TxnHandle(txn, None, None)
             h.status, h.reason = "failed", "oracle"
             return h
@@ -431,6 +392,12 @@ class Coordinator(Node):
         self.k.trace("txn_ts", txn=txn, ts=list(ts))
         h = TxnHandle(txn, ts, self.k.local_now() + self.tsproxy.cwt_ns)
         return h
+
+    @staticmethod
+    def coordinator_of(txn: str) -> str:
+        """The coordinator that began ``txn``, read back from the id that
+        ``begin`` minted."""
+        return txn.rsplit(":", 1)[0]
 
     def execute_read(self, h: TxnHandle, key: str, idx: int):
         """Generator -> value. Read ``key`` at ``h.ts`` as op ``idx``; a key
@@ -443,7 +410,7 @@ class Coordinator(Node):
             return value
         node = self.router.primary(key)
         resp = yield from self._data_rpc(node, ReadReq(key, h.ts, h.txn))
-        if resp is RPC_TIMEOUT:
+        if resp is None:
             if h.status == "active":
                 h.status, h.reason = "failed", "unreachable"
             return None
@@ -465,7 +432,7 @@ class Coordinator(Node):
         node = self.router.primary(key)
         req = WriteReq(key, h.txn, h.ts, ops[-1][1], h.role)
         resp = yield from self._data_rpc(node, req)
-        if resp is RPC_TIMEOUT:
+        if resp is None:
             if h.status == "active":
                 h.status, h.reason = "failed", "unreachable"
             return False
@@ -534,13 +501,9 @@ class Coordinator(Node):
             yield from self.execute_write(h, op[1], ops)
 
     def commit(self, h: TxnHandle):
-        """Generator -> final status string. A writer first waits for its
-        record to be created. Then the commit wait for h.ts must have
-        elapsed on the local clock, and a writer asks its recorder for the
-        one durable decision."""
-        if h.status == "active" and h.created is not None \
-                and not h.created.done:
-            yield h.take_created()
+        """Generator -> final status string. The commit wait for h.ts must
+        have elapsed on the local clock; then a writer asks its recorder
+        for the one durable decision."""
         if h.status != "active":
             return (yield from self._abandon(h))
         remaining = h.cwt_deadline_local - self.k.local_now()
@@ -575,33 +538,43 @@ class Coordinator(Node):
 
     # -- helpers -----------------------------------------------------------------
 
-    def _data_rpc(self, node_id: str, payload, attempts: int = 30):
-        timeout = self.k.rpc_timeout_for(node_id)
+    def _retrying(self, attempt, attempts: int = 30):
+        """Generator -> the first result other than None of ``attempt()``, a
+        generator, or None after ``attempts`` tries. Each try after the
+        first backs off by ``retry_backoff_ns``."""
         for i in range(attempts):
             if i:
                 yield self.k.sleep_local(retry_backoff_ns(i - 1))
-            resp = yield self.k.rpc(node_id, payload, timeout)
-            if resp is not RPC_TIMEOUT:
+            resp = yield from attempt()
+            if resp is not None:
                 return resp
-        return RPC_TIMEOUT
+        return None
+
+    def _acquire_once(self):
+        try:
+            return (yield from self.tsproxy.acquire())
+        except OracleUnavailable:
+            return None
+
+    def _data_rpc(self, node_id: str, payload):
+        """Generator -> ``node_id``'s reply to ``payload``, or None."""
+        timeout = self.k.rpc_timeout_for(node_id)
+
+        def attempt():
+            resp = yield self.k.rpc(node_id, payload, timeout)
+            return None if resp is RPC_TIMEOUT else resp
+
+        return (yield from self._retrying(attempt))
 
     def _decide(self, h: TxnHandle, decision: str, attempts: int = 30):
         """Generator -> the recorder's DecideResp, or None."""
-        req = DecideReq(h.role, h.txn, decision, list(h.proposals), self.node_id)
+        req = DecideReq(h.role, h.txn, decision, list(h.proposals))
         return (yield from self.membership.call(self.k, h.role, req, attempts))
 
-    def _create_record(self, h: TxnHandle):
-        """Generator task: create ``h``'s in-progress record at its role.
-        A creation that no owner answers fails the transaction."""
-        req = RecordCreate(h.role, h.txn, self.node_id)
-        resp = yield from self.membership.call(self.k, h.role, req, attempts=6)
-        if resp is None and h.status == "active":
-            h.status, h.reason = "failed", "unreachable"
-
     def _abandon(self, h: TxnHandle):
-        """Abort path: make the abort durable if a record or an intent may
-        exist, then sweep intents. An abort the recorder does not answer
-        is retried in the background."""
+        """Abort path: make the abort durable if an intent, or a floored
+        record, may exist, then sweep intents. An abort the recorder does
+        not answer is retried in the background."""
         if h.role is not None:
             resp = yield from self._decide(h, ABORT, attempts=5)
             if resp is None:
@@ -616,8 +589,8 @@ class Coordinator(Node):
         """Generator task: ask the recorder to abort ``h`` until it answers,
         then finalize the intents with the outcome it holds, which is a
         commit if the lost decide landed first. The sweep aborts only for
-        coordinators gone quiet, so without this the record would stay in
-        progress and readers of the keys would park on it."""
+        coordinators gone quiet, so without this readers of the keys would
+        park on the intents for good."""
         resp = None
         while resp is None:
             resp = yield from self._decide(h, ABORT)
@@ -649,15 +622,13 @@ class Coordinator(Node):
         sent, and a chain keeps each key's ops ordered, because a read
         must not overtake the transaction's own write to its key. So a
         segment pays about one round trip per op on its busiest key, not
-        one per op. A writer's record is created at the home role
-        alongside the first segment's ops."""
+        one per op. A writer's record will be at the home role."""
         h = yield from self.begin()
         if h.ts is None:
             self._finish(h, None)
             return TxnResult(h.txn, h.status, None, [], [], reason=h.reason)
         if any(op[0] == "w" for op in program):
             h.role = self.home_role
-            h.created = self.k.spawn(self._create_record(h))
         chains: dict[str, list] = {}
         for idx, op in enumerate(program):
             if op[0] in ("r", "w"):

@@ -82,28 +82,11 @@ class FinalizeReq:
 
 
 @dataclass(slots=True)
-class RecordCreate:
-    """Create a transaction's in-progress record at the current owner of
-    its coordinator's home role. The coordinator sends it alongside the
-    transaction's first ops and decides only once it is answered."""
-
-    role: str
-    txn: str
-    coordinator: str
-
-
-@dataclass(slots=True)
-class RecordCreated:
-    """The record is durable; a create that fails answers NotOwner."""
-
-
-@dataclass(slots=True)
 class DecideReq:
     role: str
     txn: str
     decision: str
     proposals: list  # epochs proposed by write acks
-    coordinator: str
 
 
 @dataclass(slots=True)
@@ -144,15 +127,13 @@ class Heartbeat:
 
 @dataclass(slots=True)
 class LogShip:
-    stream: str
-    start: int  # sequence number of entries[0] in the stream
+    start: int  # position of entries[0] in the primary's data log
     entries: list
 
 
 @dataclass(slots=True)
 class CatchUp:
-    stream: str
-    have: int  # replica has entries [0, have)
+    have: int  # replica has entries [0, have) of its primary's data log
 
 
 # -- replica reads ----------------------------------------------------------------

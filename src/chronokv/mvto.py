@@ -10,7 +10,8 @@ optimistically and settled by the recorder later.
 
 The node's durable state is a single ordered log per node (intents,
 finalizes, epoch cut markers) in region-local shared storage, plus one
-record stream per recorder role. Recovery is a replay of those streams;
+record stream per recorder role; only the data log ships to the node's
+replicas. Recovery is a replay of those streams;
 the read-timestamp cache is intentionally not logged, so a restarted node
 refuses writes below a conservative floor instead (the last promised cut
 boundary or a fresh timestamp, whichever is higher).
@@ -25,10 +26,7 @@ from .coordinator import RecorderState
 from .epochs import EpochCutter, promised_end_ns
 from .errors import OracleUnavailable
 from .messages import (
-    ABORT,
-    ABORTED,
     COMMIT,
-    COMMITTED,
     CatchUp,
     DecideReq,
     FinalizeReq,
@@ -37,17 +35,10 @@ from .messages import (
     PushReq,
     ReadReq,
     ReadResp,
-    RecordCreate,
     WriteReq,
     WriteResp,
 )
-from .replication import (
-    CutEntry,
-    FinalizeEntry,
-    IntentEntry,
-    RecordEntry,
-    recorder_role,
-)
+from .replication import CutEntry, FinalizeEntry, IntentEntry, recorder_role
 from .simnet import MS, Future, Node
 from .tsbatch import Timestamp, TsProxy
 
@@ -104,7 +95,7 @@ class KeyStore:
     def insert_version(self, key: str, ts: Timestamp, value, epoch) -> None:
         # Last write wins: one transaction's later intent for the same key
         # supersedes the earlier one even when they fold in separately
-        # (e.g. the commit record outran the intents to a replica).
+        # (e.g. the outcome was settled before the intents were replayed).
         chain = self.touch(key)
         if ts not in chain.versions:
             bisect.insort(chain.order, ts)
@@ -149,12 +140,6 @@ def apply_log_entry(store: KeyStore, entry) -> Optional[int]:
         return None
     if isinstance(entry, CutEntry):
         return entry.epoch
-    if isinstance(entry, RecordEntry):
-        if entry.status == COMMITTED:
-            store.resolve(entry.txn, COMMIT, entry.epoch)
-        elif entry.status == ABORTED:
-            store.resolve(entry.txn, ABORT, None)
-        return None
     raise TypeError(f"unknown log entry {entry!r}")
 
 
@@ -169,7 +154,7 @@ class Settler:
     ``PUSH_ATTEMPTS`` tries. Primaries and replicas
     settle alike; each hands in ``apply(txn, decision, epoch)``, which
     folds a pushed verdict into its own state. Verdicts that arrive by
-    other means (a finalize, a shipped log entry) wake the waiters
+    other means (a finalize, or one shipped to a replica) wake the waiters
     through ``wake``.
 
     A replica also hands in ``above()``, its replayed epoch, and its
@@ -269,13 +254,13 @@ class DataNode(Node):
     kind = "data"
 
     def __init__(self, sim, net, node_id, region, drift_ppm, storage, directory,
-                 tsproxy_args, ship_map, interval_ns, uncertainty_wait_ns,
+                 tsproxy_args, replicas, interval_ns, uncertainty_wait_ns,
                  max_drift_ppm):
         super().__init__(sim, net, node_id, region, drift_ppm)
         self.storage = storage
         self.stream = node_id  # this node's data log
         self.role_self = recorder_role(node_id)
-        self.ship_map = ship_map
+        self.replicas = replicas  # where the data log ships
         self._tsproxy_args = tsproxy_args
         self.membership = directory
         self.cutter = EpochCutter(self, interval_ns, max_drift_ppm,
@@ -321,8 +306,6 @@ class DataNode(Node):
             self.recorder.handle_decide(env, p)
         elif isinstance(p, PushReq):
             self.recorder.handle_push(env, p)
-        elif isinstance(p, RecordCreate):
-            self.recorder.handle_record_create(env, p)
 
     # -- reads -------------------------------------------------------------------
 
@@ -370,19 +353,16 @@ class DataNode(Node):
 
         def shipped(res):
             if res[0] == "ok":
-                self.ship_stream(self.stream, res[1], entries)
+                for dst in self.replicas:
+                    self.k.send(dst, LogShip(res[1], entries))
 
         fut.add_done(shipped)
         return fut
 
-    def ship_stream(self, stream: str, start: int, entries: list) -> None:
-        for dst in self.ship_map.get(stream, ()):
-            self.k.send(dst, LogShip(stream, start, entries))
-
     def _serve_catchup(self, env, req: CatchUp):
-        entries = yield self.storage.read_stream(req.stream, req.have)
+        entries = yield self.storage.read_stream(self.stream, req.have)
         if entries:
-            self.k.send(env.src, LogShip(req.stream, req.have, entries))
+            self.k.send(env.src, LogShip(req.have, entries))
 
     # -- crash recovery ---------------------------------------------------------------
 

@@ -1,8 +1,8 @@
 """Read-only replicas driven by shipped logs and promised epochs.
 
-A replica applies its primary's durable log strictly in order. A segment
-arriving ahead of the prefix is parked, not applied: usually the missing
-piece is just jittered and lands a moment later, so parking costs
+A replica applies its primary's durable data log strictly in order. A
+segment arriving ahead of the prefix is parked, not applied: usually the
+missing piece is just jittered and lands a moment later, so parking costs
 nothing, while a catch-up request naming the prefix we already have
 covers the genuinely-dropped case. Applying the cut marker for epoch
 ``n`` makes views 1..n servable: a read at timestamp ``ts`` belongs to
@@ -13,16 +13,15 @@ answer from local state alone.
 
 Two wrinkles remain. Undecided intents below the read timestamp are
 settled by the primary's own ``mvto.Settler``: the reader parks and a
-push asks the writer's recorder. Here the outcome often already sits in
-the replicated record stream (the local cache), which wakes the reader
-as it is applied, so the cross-region push is needed only otherwise.
-The push carries the replayed epoch, and the recorder of a transaction
-still in progress answers it with an epoch floor above that epoch, which
-the commit will meet: the intent then lies beyond every view served so
-far, and the reader goes on without waiting for a transaction that may
-itself be parked behind a slow writer. And committed versions carry
-their commit epoch, so a version from a *later* epoch that happens to
-have a small timestamp stays invisible until its own view replays.
+push asks the writer's recorder, unless the primary's finalize arrives
+in the log first and wakes it. The push carries the replayed epoch, and
+the recorder of a transaction not yet being decided answers it with an
+epoch floor above that epoch, which the commit will meet: the intent
+then lies beyond every view served so far, and the reader goes on
+without waiting for a transaction that may itself be parked behind a
+slow writer. And committed versions carry their commit epoch, so a
+version from a *later* epoch that happens to have a small timestamp
+stays invisible until its own view replays.
 """
 
 from __future__ import annotations
@@ -30,7 +29,6 @@ from __future__ import annotations
 from .epochs import ceiling_epoch
 from .messages import CatchUp, LogShip, ReplicaReadReq, ReplicaReadResp
 from .mvto import KeyStore, Settler, apply_log_entry
-from .replication import recorder_role
 from .simnet import MS, Future, Node
 
 CATCHUP_INTERVAL_NS = 100 * MS
@@ -43,13 +41,11 @@ class ReplicaNode(Node):
                  directory, interval_ns):
         super().__init__(sim, net, node_id, region, drift_ppm)
         self.primary_id = primary_id
-        self.data_stream = primary_id
-        self.role_stream = recorder_role(primary_id)
         self.interval_ns = interval_ns
         self.membership = directory
         self.store = KeyStore()
-        self.applied: dict[str, int] = {}
-        self._parked: dict[str, dict[int, list]] = {}
+        self.applied = 0  # entries of the primary's log applied so far
+        self._parked: dict[int, list] = {}  # start -> entries beyond a gap
         self.replayed_epoch = 0
         self._view_waiters: dict[int, Future] = {}
         self.settler = Settler(self, self.store, self.store.resolve,
@@ -68,39 +64,35 @@ class ReplicaNode(Node):
     # -- log application ---------------------------------------------------------
 
     def _on_ship(self, ship: LogShip) -> None:
-        have = self.applied.get(ship.stream, 0)
-        if ship.start > have:
+        if ship.start > self.applied:
             # Gap: park the segment for when the prefix lands, and ask
             # the primary to resend from our prefix in case it's lost.
-            parked = self._parked.setdefault(ship.stream, {})
+            parked = self._parked
             old = parked.get(ship.start)
             if old is None or len(old) < len(ship.entries):
                 parked[ship.start] = ship.entries
-            if len(parked) > 64:  # a busy stream under heavy loss
+            if len(parked) > 64:  # a busy log under heavy loss
                 parked.pop(max(parked))
-            self.k.send(self.primary_id, CatchUp(ship.stream, have))
+            self.k.send(self.primary_id, CatchUp(self.applied))
             return
-        self._ingest(ship.stream, ship.start, ship.entries)
+        self._ingest(ship.start, ship.entries)
 
-    def _ingest(self, stream: str, start: int, entries: list) -> None:
-        have = self.applied.get(stream, 0)
-        for entry in entries[have - start:]:
-            self._apply(stream, entry)
-        parked = self._parked.get(stream)
+    def _ingest(self, start: int, entries: list) -> None:
+        for entry in entries[self.applied - start:]:
+            self._apply(entry)
+        parked = self._parked
         while parked:
-            have = self.applied.get(stream, 0)
             start = min(parked)
-            if start > have:
+            if start > self.applied:
                 break
             entries = parked.pop(start)
-            for entry in entries[have - start:]:
-                self._apply(stream, entry)
+            for entry in entries[self.applied - start:]:
+                self._apply(entry)
 
-    def _apply(self, stream: str, entry) -> None:
-        self.applied[stream] = self.applied.get(stream, 0) + 1
+    def _apply(self, entry) -> None:
+        self.applied += 1
         epoch = apply_log_entry(self.store, entry)
-        if epoch is not None and stream == self.data_stream \
-                and epoch > self.replayed_epoch:
+        if epoch is not None and epoch > self.replayed_epoch:
             self.replayed_epoch = epoch
             self.k.trace("replay", node=self.node_id, src=self.primary_id,
                          epoch=epoch)
@@ -114,9 +106,7 @@ class ReplicaNode(Node):
     def _catchup_loop(self):
         while True:
             yield self.k.sleep_local(CATCHUP_INTERVAL_NS)
-            for stream in (self.data_stream, self.role_stream):
-                self.k.send(self.primary_id,
-                            CatchUp(stream, self.applied.get(stream, 0)))
+            self.k.send(self.primary_id, CatchUp(self.applied))
 
     # -- reads ----------------------------------------------------------------------
 

@@ -2,7 +2,8 @@
 
 Each data node owns an append-only stream of log entries (write intents,
 finalizations, epoch cut markers) and each recorder role owns a stream of
-transaction-record updates. Streams live in a per-region SharedStorage
+transaction-record updates: a decision, sometimes preceded by an epoch
+floor. Streams live in a per-region SharedStorage
 that survives every crash. Appends become durable after a configurable
 flush latency and are applied atomically in event order, which makes the
 membership registers linearizable and lets fencing be checked at the
@@ -14,14 +15,15 @@ recorder learns that it did: the stream outlives the recorder, so a
 record whose writer crashed mid-append is still durable, and still
 traced. A fenced append lands nothing and traces nothing.
 
-Every request to a recorder role (a decide, a record creation, a push)
-goes to the owner its membership register names, through the one retry
-loop ``RoleDirectory.call``.
+Every request to a recorder role (a decide or a push) goes to the owner
+its membership register names, through the one retry loop
+``RoleDirectory.call``.
 
 Log positions double as replication sequence numbers: primaries ship
-durable entries to replicas, which apply them strictly in order and
-repair gaps go-back-N style by asking for everything from the first
-missing position.
+their data log's durable entries to replicas, which apply them strictly
+in order and repair gaps go-back-N style by asking for everything from
+the first missing position. Record streams are not shipped: a replica
+learns outcomes from its primary's finalizes, or by pushing.
 """
 
 from __future__ import annotations
@@ -65,7 +67,6 @@ class RecordEntry:
     txn: str
     status: str
     epoch: Optional[int]
-    coordinator: str
 
 
 class SharedStorage:

@@ -13,15 +13,9 @@ from chronokv.checkers import (
     terminal_records,
 )
 from chronokv.cluster import Cluster, run_scenario
+from chronokv.coordinator import HB_TIMEOUT_NS, SWEEP_INTERVAL_NS
 from chronokv.history import build_history
-from chronokv.messages import (
-    DecideReq,
-    ReadReq,
-    ReadResp,
-    RecordCreate,
-    RecordCreated,
-    WriteReq,
-)
+from chronokv.messages import DecideReq, ReadReq, ReadResp, WriteReq
 from chronokv.scenario import Scenario, WorkloadSpec, load_scenario
 from chronokv.simnet import (
     MS,
@@ -196,50 +190,26 @@ def test_each_coordinator_records_at_its_nearest_data_node(
         [f"rec/{h}" for h in homes]
 
 
-def test_a_writer_creates_its_record_at_home_and_decides_only_after():
-    # the first two creations are lost, so the record lands only after
-    # the write has long been acknowledged
-    lost = MsgFilter(kinds=frozenset({"RecordCreate"}), prob=1.0,
-                     end_ns=10 * MS)
-    cluster, coord = idle_cluster(FaultSchedule(msg_filters=[lost]))
+def test_a_writer_records_only_its_decision_at_home():
+    cluster, coord = idle_cluster()
     [b] = keys_on(cluster, "d1.BJ")
-    sent = record_sends(cluster, (RecordCreate, RecordCreated, WriteReq,
-                                  DecideReq))
+    decides = record_sends(cluster, DecideReq)
     res = drive(cluster.sim, coord.k, coord.run_txn([("w", b, "v")]))
     assert res.status == "committed"
-    kinds = [type(p) for _t, p in sent]
-    assert kinds == [WriteReq, RecordCreate, RecordCreate, RecordCreate,
-                     RecordCreated, DecideReq]
-    # sent with the first ops, once one storage read has named the role's
-    # owner; to the home role; answered before the decide leaves
-    assert sent[1][0] - sent[0][0] == cluster.storage["SH"].read_ns
-    assert {p.role for _t, p in sent if isinstance(p, RecordCreate)} == \
-        {coord.home_role} == {"rec/d0.SH"}
-    assert sent[4][0] > 10 * MS
-    assert sent[4][0] < sent[5][0]
-    assert sent[5][1].role == coord.home_role
-    # the record is written in SH, though the only write went to BJ
+    assert [p.role for _t, p in decides] == ["rec/d0.SH"]
+    # the record is written once, in SH, though the only write went to BJ
     h = build_history(cluster.sim.trace.events)
-    assert {role for _t, role, txn, *_ in h.records if txn == res.txn} == \
-        {"rec/d0.SH"}
+    assert [(role, status) for _t, role, txn, status, _e in h.records
+            if txn == res.txn] == [("rec/d0.SH", "committed")]
 
 
-def test_a_record_creation_nobody_answers_fails_the_txn_and_leaves_no_intent():
-    lost = MsgFilter(kinds=frozenset({"RecordCreate"}), prob=1.0)
-    cluster, coord = idle_cluster(FaultSchedule(msg_filters=[lost]))
-    sim = cluster.sim
+def test_a_txn_begun_during_a_short_oracle_outage_commits():
+    fs = FaultSchedule(oracle_outages=[OracleOutage(0, 0, 200 * MS)])
+    cluster, coord = idle_cluster(fs)
     [a] = keys_on(cluster, "d0.SH")
-    [b] = keys_on(cluster, "d1.BJ")
-    res = drive(sim, coord.k, coord.run_txn([("w", a, "v0"), ("w", b, "v1")]))
-    assert (res.status, res.reason) == ("failed", "unreachable")
-
-    sim.run_until(sim.now + 1 * SEC)
-    h = build_history(sim.trace.events)
-    assert terminal_records(h)[res.txn][0] == "aborted"
-    for node in cluster.data_nodes:
-        for chain in node.store.chains.values():
-            assert res.txn not in chain.intents
-            assert chain.order == []
+    res = drive(cluster.sim, coord.k, coord.run_txn([("w", a, "v")]))
+    assert res.status == "committed", res.reason
+    assert res.ts.nanos > 200 * MS
 
 
 def test_a_write_run_is_sent_at_once_coalesced_with_one_lead_write():
@@ -461,3 +431,53 @@ def test_a_commit_settled_after_its_coordinator_crashed_keeps_its_ts():
     assert verdict.ok, verdict.violations
     # the reader's real-time order, then the replay of orphan and reader
     assert verdict.checked == 3
+
+
+# -- the recorder sweep ------------------------------------------------------
+
+
+def two_coordinator_cluster():
+    """One SH data node and two SH coordinators, with no clients: c0.SH
+    writes, c1.SH reads."""
+    cluster = Cluster(Scenario(
+        name="sweep", seed=1, duration_ms=60_000, regions=["SH", "BJ"],
+        data_nodes=["SH"], coordinators=["SH", "SH"],
+        clients_per_coordinator=0,
+    ))
+    cluster.start()
+    return cluster, cluster.coordinators
+
+
+def test_a_reader_parked_on_a_crashed_coordinators_txn_reads_the_old_value():
+    cluster, (writer, reader) = two_coordinator_cluster()
+    sim = cluster.sim
+    drive(sim, writer.k, writer.run_txn([("w", "x", "old")]))
+    w = writer.k.spawn(writer.run_txn([("w", "x", "new"), ("hold", SEC)]))
+    sim.run_until(sim.now + 10 * MS)  # the intent on x is installed
+    [txn] = [i.txn for i in cluster.data_nodes[0].store.chains["x"]
+             .intents.values()]
+    writer.crash()
+    crashed = sim.now
+    res = drive(sim, reader.k, reader.run_txn([("r", "x")]))
+    assert not w.done
+    assert res.status == "committed"
+    assert res.reads[0][3] == "old"
+    assert sim.now - crashed < HB_TIMEOUT_NS + 2 * SWEEP_INTERVAL_NS + 100 * MS
+    h = build_history(sim.trace.events)
+    assert [status for _t, _role, t, status, _e in h.records if t == txn] == \
+        ["aborted"]
+
+
+def test_a_reader_parked_past_the_heartbeat_timeout_on_a_live_txn_waits():
+    cluster, (writer, reader) = two_coordinator_cluster()
+    sim = cluster.sim
+    drive(sim, writer.k, writer.run_txn([("w", "x", "old")]))
+    w = writer.k.spawn(writer.run_txn([("w", "x", "new"),
+                                       ("hold", 800 * MS)]))
+    sim.run_until(sim.now + 10 * MS)
+    start = sim.now
+    res = drive(sim, reader.k, reader.run_txn([("r", "x")]))
+    assert sim.now - start > HB_TIMEOUT_NS
+    assert res.reads[0][3] == "new"
+    sim.run_until(1 << 62, stop=lambda: w.done)
+    assert w.value.status == "committed"

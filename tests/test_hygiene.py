@@ -1,5 +1,6 @@
 """Static hygiene of the package: no module imports a name it never uses,
-and every exception the package exports is raised somewhere in it."""
+every exception the package exports is raised somewhere in it, and every
+wire message is sent by some module."""
 
 import ast
 from pathlib import Path
@@ -70,6 +71,24 @@ def test_every_exported_exception_is_raised():
                 and issubclass(getattr(chronokv, name), BaseException)]
     assert exported, "the package exports no exception"
     assert sorted(set(exported) - raised_names()) == []
+
+
+def constructed_names(tree):
+    """Names that a call in ``tree`` calls directly, as in ``Name(...)``."""
+    return {node.func.id for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+
+
+def test_every_message_class_is_constructed_outside_its_module():
+    messages = SRC / "messages.py"
+    defined = {node.name for node in parse(messages).body
+               if isinstance(node, ast.ClassDef)}
+    constructed = set()
+    for path in MODULES:
+        if path != messages:
+            constructed |= constructed_names(parse(path))
+    assert defined, "chronokv.messages defines no class"
+    assert sorted(defined - constructed) == []
 
 
 def test_an_unused_import_is_caught():

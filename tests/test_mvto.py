@@ -2,7 +2,7 @@
 
 import pytest
 
-from chronokv.messages import ABORT, ABORTED, COMMIT, COMMITTED
+from chronokv.messages import ABORT, COMMIT, COMMITTED
 from chronokv.mvto import KeyStore, WriteIntent, apply_log_entry
 from chronokv.replication import (
     CutEntry,
@@ -105,34 +105,19 @@ def test_replay_cut_marker_reports_its_epoch():
                                           "rec/d0", 1)) is None
 
 
-def test_replay_record_entries_settle_like_finalize():
-    s = KeyStore()
-    apply_log_entry(s, IntentEntry("t1", "k", ts(5), "v5", "rec/d0", 1))
-    apply_log_entry(s, IntentEntry("t2", "k", ts(6), "v6", "rec/d0", 1))
-    apply_log_entry(s, RecordEntry("t1", COMMITTED, 2, "c0"))
-    apply_log_entry(s, RecordEntry("t2", ABORTED, None, "c0"))
-    assert s.chains["k"].visible(ts(9)) == (ts(5), "v5")
-    assert s.decided == {"t1": (COMMIT, 2), "t2": (ABORT, None)}
-
-
-def test_replay_in_progress_record_settles_nothing():
-    from chronokv.messages import IN_PROGRESS
-
-    s = KeyStore()
-    apply_log_entry(s, RecordEntry("t1", IN_PROGRESS, None, "c0"))
-    assert s.decided == {}
-
-
 def test_replay_rejects_unknown_entries():
     with pytest.raises(TypeError):
         apply_log_entry(KeyStore(), object())
+    # records live in recorder streams, never in a data log
+    with pytest.raises(TypeError):
+        apply_log_entry(KeyStore(), RecordEntry("t1", COMMITTED, 2))
 
 
 def test_same_txn_writes_two_timestamps_to_one_key_record_first():
     # a transaction wrote the key twice (two intents at different ts);
-    # the record outran both intents to this store
+    # the outcome was settled before either intent was replayed
     s = KeyStore()
-    apply_log_entry(s, RecordEntry("t1", COMMITTED, 3, "c0"))
+    s.resolve("t1", COMMIT, 3)
     apply_log_entry(s, IntentEntry("t1", "k", ts(5), "old", "rec/d0", 1))
     apply_log_entry(s, IntentEntry("t1", "k", ts(5), "new", "rec/d0", 1))
     assert s.chains["k"].versions[ts(5)] == ("new", 3)

@@ -12,8 +12,6 @@ from chronokv.messages import (
     DecideResp,
     PushReq,
     PushResp,
-    RecordCreate,
-    RecordCreated,
     ReplicaReadReq,
 )
 from chronokv.scenario import Scenario, WorkloadSpec
@@ -153,12 +151,14 @@ def test_a_decide_after_an_epoch_floor_commits_at_or_above_it():
             return (yield coord.k.rpc(node.node_id, payload, 100 * MS))
         return drive(sim, coord.k, task())
 
-    assert call(RecordCreate(role, "tx", coord.node_id)) == RecordCreated()
-    assert call(PushReq(role, "tx", "rr", above=40)) == PushResp("tx", None, 41)
+    # a live coordinator's transaction, so the sweep leaves its record be
+    txn = f"{coord.node_id}:99"
+    # the push creates the record, with the floor
+    assert call(PushReq(role, txn, "rr", above=40)) == PushResp(txn, None, 41)
     # the floor is durable: a restarted recorder reloads it
     node.crash()
     node.restart()
     sim.run_until(sim.now + 1 * SEC)
     assert node.epoch_now() < 41
-    assert call(DecideReq(role, "tx", COMMIT, [1], coord.node_id)) == \
+    assert call(DecideReq(role, txn, COMMIT, [1])) == \
         DecideResp(COMMITTED, 41)

@@ -58,7 +58,7 @@ def test_record_landing_after_its_writer_crashed_is_traced_at_the_flush():
     writer = Host(sim, net, "d0.R0", "R0")
     st = SharedStorage(sim, flush_ns=1_000_000)
     st.set_initial_owner("rec/d0.R0", "d0.R0")
-    entry = RecordEntry("c0.R0:1", "committed", 3, "c0.R0")
+    entry = RecordEntry("c0.R0:1", "committed", 3)
 
     def recorder():
         yield st.append("rec/d0.R0", [entry], writer="d0.R0",
@@ -75,15 +75,13 @@ def test_record_landing_after_its_writer_crashed_is_traced_at_the_flush():
 def test_fenced_record_append_is_not_traced():
     sim, st = rig(flush_ns=1_000_000)
     st.set_initial_owner("rec/x.R0", "n0")
-    fut = st.append("rec/x.R0", [RecordEntry("c0.R0:1", "aborted", None,
-                                             "c0.R0")],
+    fut = st.append("rec/x.R0", [RecordEntry("c0.R0:1", "aborted", None)],
                     writer="n0", role="rec/x.R0")
     assert run(sim, st.cas_membership("rec/x.R0", "n0", "n1")) is True
     assert run(sim, fut) == (FENCED,)
     assert build_history(sim.trace.events).records == []
     # the new owner's record does land, and is traced
-    fut = st.append("rec/x.R0", [RecordEntry("c0.R0:1", "aborted", None,
-                                             "c0.R0")],
+    fut = st.append("rec/x.R0", [RecordEntry("c0.R0:1", "aborted", None)],
                     writer="n1", role="rec/x.R0")
     assert run(sim, fut) == ("ok", 0)
     assert [r[2:] for r in build_history(sim.trace.events).records] == \

@@ -20,9 +20,9 @@ SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 PINNED = {
     "baseline.yaml":
-        "9b2807f89b15e761228b4ce67ad72cbf0efe55b449e36e7010596d53bf630c6a",
+        "703eb6bacfa218f72a4397e039ce3cae5dbe47ba6791a47edc204613d599db9e",
     "faults.yaml":
-        "1935b85d45a597bd5a528ac6aa9a7fff2a8f7156531282fc3f2c137562f754d8",
+        "29acb3796a613c6c62be6439a96feea6953bc03afd40a6236c8f8ed31961d781",
 }
 
 
