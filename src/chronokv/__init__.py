@@ -4,8 +4,8 @@ clocks, plus the offline checkers that prove each run behaved.
 
 The package splits into three layers:
 
-* simulation substrate -- ``simnet`` (event loop, network, faults) and
-  ``clock`` (ground truth, drifting node clocks, time oracles);
+* simulation substrate -- ``simnet`` (event loop, network, faults,
+  drifting node clocks) and ``clock`` (time oracles);
 * the protocol itself -- ``tsbatch`` (timestamp batches and commit wait),
   ``mvto`` (multi-version data nodes), ``coordinator`` (transactions and
   recorders), ``epochs`` (promised epoch cuts) and ``replica``/

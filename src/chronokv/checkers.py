@@ -503,13 +503,17 @@ def check_deadlock_freedom(h: History) -> Verdict:
     return v
 
 
-def check_push_progress(h: History, end_ns: int = None,
-                        tail_grace_ns: int = 500_000_000) -> Verdict:
+#: How long before a run's end a wait's outcome may arrive and leave the
+#: wait open at the end without a violation.
+PUSH_TAIL_GRACE_NS = 500_000_000
+
+
+def check_push_progress(h: History, end_ns: int = None) -> Verdict:
     """Every reader that suspended on an undecided write eventually got an
     answer, and waits only ever point from a higher-timestamp reader to a
     lower-timestamp writer — the shape that makes cycles impossible.
     Waits still open when the run ends are excused only if the outcome
-    arrived within the grace window of the end."""
+    arrived within ``PUSH_TAIL_GRACE_NS`` of the end."""
     v = Verdict("push-progress")
     if not h.pushes:
         return v
@@ -531,7 +535,7 @@ def check_push_progress(h: History, end_ns: int = None,
             v.checked += 1
     for (node, reader, txn), t in open_waits.items():
         rec = records.get(txn)
-        if rec is not None and end_ns - rec[2] > tail_grace_ns:
+        if rec is not None and end_ns - rec[2] > PUSH_TAIL_GRACE_NS:
             v.flag(f"{reader}@{node} still waiting on {txn}, decided "
                    f"{end_ns - rec[2]}ns before the run ended")
     return v

@@ -1,25 +1,19 @@
-"""Clock machinery: uncertainty-bounded time oracles and per-node drift.
+"""Time oracles: servers that answer a time request with an interval of
+half-width epsilon guaranteed to contain the true instant.
 
-Ground truth lives on the simulation. Every node sees only its own local
-clock, which drifts within a configured bound; oracle servers answer time
-requests with an interval guaranteed to contain the true instant, with
-half-width epsilon. Where the true instant falls inside that interval is
-adversarial: drawn uniformly per call from a seeded stream, so sweeps
-exercise the worst placements.
+Ground truth lives on the simulation; the oracle is the clock hardware,
+so it reads it directly, while every other node sees only its own
+drifting local clock (see ``simnet.NodeKernel``). Where the true instant
+falls inside the interval is adversarial: drawn uniformly per call from a
+seeded stream, so sweeps exercise the worst placements.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
-from .errors import InvalidConfig
 from .messages import TsErr, TsReq, TsResp
 from .simnet import US, Network, Node, Simulation
-
-DEFAULT_EPSILON_NS = 100 * US
-DEFAULT_MAX_DRIFT_PPM = 200
-DEFAULT_ORACLE_RTT_NS = 18 * US  # in-rack fetch, well under the batch TTL
 
 
 class UncertainTime(NamedTuple):
@@ -28,24 +22,6 @@ class UncertainTime(NamedTuple):
     earliest: int
     latest: int
     server_id: int
-
-
-@dataclass
-class ClockConfig:
-    epsilon_ns: int = DEFAULT_EPSILON_NS
-    max_drift_ppm: int = DEFAULT_MAX_DRIFT_PPM
-    # Per-node drift in signed ppm; nodes not listed use default_drift_ppm.
-    node_drift_ppm: dict[str, int] = field(default_factory=dict)
-    default_drift_ppm: int = 0
-    oracle_rtt_ns: int = DEFAULT_ORACLE_RTT_NS
-
-    def drift_for(self, node_id: str) -> int:
-        d = self.node_drift_ppm.get(node_id, self.default_drift_ppm)
-        if abs(d) > self.max_drift_ppm:
-            raise InvalidConfig(
-                f"node {node_id} drift {d}ppm exceeds bound {self.max_drift_ppm}ppm"
-            )
-        return d
 
 
 class TTCOracle:
@@ -82,8 +58,6 @@ class TTCOracle:
 
     def sample(self, true_now: int, grid: bool = True) -> UncertainTime:
         eps = self.epsilon_ns
-        if eps == 0:
-            return UncertainTime(true_now, true_now, self.server_id)
         skew = self.rng.randrange(0, 2 * eps + 1)
         lo = max(self._last_latest + 1, true_now)
         hi = true_now + 2 * eps
@@ -137,12 +111,12 @@ class OracleServer(Node):
     kind = "oracle"
 
     def __init__(self, sim: Simulation, net: Network, node_id: str, region: str,
-                 server_id: int, cfg: ClockConfig, step_ns: int, ttl_ns: int,
+                 server_id: int, epsilon_ns: int, step_ns: int, ttl_ns: int,
                  outages: Optional[list] = None):
         super().__init__(sim, net, node_id, region, drift_ppm=0)
         self.server_id = server_id
         self.core = TTCOracle(
-            server_id, cfg.epsilon_ns, sim.rng(f"oracle/{server_id}"),
+            server_id, epsilon_ns, sim.rng(f"oracle/{server_id}"),
             step_ns=step_ns, ttl_ns=ttl_ns,
         )
         self.outages = outages or []

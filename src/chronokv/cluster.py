@@ -13,7 +13,7 @@ import zlib
 from dataclasses import dataclass, field
 
 from . import workload
-from .clock import ClockConfig, OracleServer
+from .clock import OracleServer
 from .coordinator import Coordinator
 from .errors import InvalidConfig
 from .mvto import DataNode
@@ -21,7 +21,6 @@ from .replica import ReplicaNode
 from .replication import RoleDirectory, SharedStorage
 from .scenario import Scenario, full_rtt_table
 from .simnet import MS, LatencyMatrix, Network, Simulation
-from .tsbatch import commit_wait_ns
 
 
 class Router:
@@ -82,18 +81,10 @@ class Cluster:
     def __init__(self, sc: Scenario):
         self.scenario = sc
         self.sim = Simulation(sc.seed)
-        self.latency = LatencyMatrix(sc.regions,
-                                     full_rtt_table(sc.regions, sc.rtt_overrides))
-        self.net = Network(self.sim, self.latency, sc.faults,
-                           oracle_one_way_ns=sc.oracle_rtt_ns // 2)
+        self.latency = LatencyMatrix(sc.regions, full_rtt_table(sc.regions))
+        self.net = Network(self.sim, self.latency, sc.faults)
         self.storage = {r: SharedStorage(self.sim, flush_ns=sc.flush_ns)
                         for r in sc.regions}
-        self.clock_cfg = ClockConfig(
-            epsilon_ns=sc.epsilon_ns, max_drift_ppm=sc.max_drift_ppm,
-            node_drift_ppm=dict(sc.node_drift_ppm),
-            default_drift_ppm=sc.default_drift_ppm,
-            oracle_rtt_ns=sc.oracle_rtt_ns,
-        )
         self._drift_rng = self.sim.rng("drift") if sc.drift_spread else None
 
         self.oracles = []
@@ -101,13 +92,9 @@ class Cluster:
             outages = [o for o in sc.faults.oracle_outages if o.server_id == i]
             self.oracles.append(OracleServer(
                 self.sim, self.net, f"ts.{region}", region, server_id=i,
-                cfg=self.clock_cfg, step_ns=sc.step_ns, ttl_ns=sc.ttl_ns,
+                epsilon_ns=sc.epsilon_ns, step_ns=sc.step_ns, ttl_ns=sc.ttl_ns,
                 outages=outages,
             ))
-
-        cwt = commit_wait_ns(sc.ttl_ns, sc.epsilon_ns, sc.max_drift_ppm,
-                             strawman=(sc.ts_mode == "strawman"))
-        self.uncertainty_wait_ns = cwt
 
         data_ids = sc.data_node_ids()
         self.router = Router(data_ids)
@@ -168,19 +155,20 @@ class Cluster:
             tsproxy_args=self._proxy_args(region),
             replicas=self.replicas_of.get(nid, []),
             interval_ns=sc.interval_ns,
-            uncertainty_wait_ns=self.uncertainty_wait_ns,
-            max_drift_ppm=sc.max_drift_ppm,
         )
         self.storage[region].set_initial_owner(node.role_self, nid)
         return node
 
     def _drift(self, node_id: str) -> int:
-        if node_id in self.scenario.node_drift_ppm:
-            return self.clock_cfg.drift_for(node_id)
+        """A node's drift: as the scenario lists it, else seeded in
+        [-D, D] with ``drift_spread``, else none."""
+        sc = self.scenario
+        if node_id in sc.node_drift_ppm:
+            return sc.node_drift_ppm[node_id]
         if self._drift_rng is not None:
-            d = self.scenario.max_drift_ppm
+            d = sc.max_drift_ppm
             return self._drift_rng.randrange(-d, d + 1)
-        return self.clock_cfg.default_drift_ppm
+        return 0
 
     def _check_fault_targets(self) -> None:
         recorder_capable = {n.node_id

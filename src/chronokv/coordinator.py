@@ -152,7 +152,7 @@ class RecorderState:
         rec = rs.records.get(req.txn)
         if rec is not None and rec.status != IN_PROGRESS:
             decision = COMMIT if rec.status == COMMITTED else ABORT
-            self.node.k.reply(env, PushResp(req.txn, decision, rec.epoch))
+            self.node.k.reply(env, PushResp(decision, rec.epoch))
             return
         if req.above is None or req.txn in rs.deciding:
             rs.pending.setdefault(req.txn, []).append(env)
@@ -163,7 +163,7 @@ class RecorderState:
         # Raised and appended now, so a decision that starts later commits
         # at or above the floor, and its entry lands after this one.
         rec.epoch = max(rec.epoch or 0, req.above + 1)
-        answer = PushResp(req.txn, None, rec.epoch)
+        answer = PushResp(None, rec.epoch)
         flush = self.node.storage.append(
             req.role, [RecordEntry(req.txn, IN_PROGRESS, rec.epoch)],
             writer=self.node.node_id, role=req.role)
@@ -231,7 +231,7 @@ class RecorderState:
         rs.deciding.pop(txn, None)
         # Parked readers learn the outcome before the coordinator does.
         for penv in rs.pending.pop(txn, ()):
-            self.node.k.reply(penv, PushResp(txn, decision, epoch))
+            self.node.k.reply(penv, PushResp(decision, epoch))
         gate.resolve()
         return DecideResp(status, epoch)
 

@@ -7,7 +7,8 @@ logged cut markers 1..k is *in* epoch ``k+1``, and that spanning epoch
 number is what writes propose. A cut for epoch ``n`` is only logged once
 the node has proof the true instant is past ``T_n``: it grabs a timestamp,
 re-arms until the timestamp exceeds the promised end, then waits out the
-timestamp's own uncertainty horizon on its local timer. Late cuts are
+timestamp's own uncertainty horizon, the commit wait of its timestamp
+proxy (``TsProxy.cwt_ns``), on its local timer. Late cuts are
 fine (the schedule is a promise about lower bounds, not an alarm clock);
 early cuts would break replica reads and never happen.
 
@@ -24,9 +25,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .errors import OracleUnavailable
 from .replication import CutEntry
-from .simnet import MS
 
 
 def promised_end_ns(epoch: int, interval_ns: int) -> int:
@@ -46,26 +45,24 @@ def assign_commit_epoch(proposals, recorder_epoch: int,
 class EpochCutter:
     """Per-data-node loop that logs one cut marker per promised epoch.
 
-    Timer arithmetic multiplies by (1 + max drift) so a fast local clock
-    still cannot fire before the promised instant; the verify loop mops up
-    whatever earliness jitter remains. When the node falls behind (crash,
-    oracle outage), non-positive re-arms clamp to immediate so it cuts
-    straight through the backlog.
+    Timer arithmetic multiplies by (1 + max drift), the drift bound of the
+    node's timestamp proxy, so a fast local clock still cannot fire before
+    the promised instant; the verify loop mops up whatever earliness
+    jitter remains. When the node falls behind (crash, oracle outage),
+    non-positive re-arms clamp to immediate so it cuts straight through
+    the backlog.
     """
 
-    def __init__(self, node, interval_ns: int, max_drift_ppm: int,
-                 uncertainty_wait_ns: int):
+    def __init__(self, node, interval_ns: int):
         self.node = node  # DataNode: provides tsproxy, append_log, kernel
         self.interval_ns = interval_ns
-        self.max_drift_ppm = max_drift_ppm
-        self.uncertainty_wait_ns = uncertainty_wait_ns
         self.cuts_done = 0
 
     def epoch_now(self) -> int:
         return self.cuts_done + 1
 
     def _stretch(self, ns: int) -> int:
-        return ns * (1_000_000 + self.max_drift_ppm) // 1_000_000
+        return ns * (1_000_000 + self.node.tsproxy.max_drift_ppm) // 1_000_000
 
     def start(self) -> None:
         self.node.k.spawn(self.run())
@@ -80,18 +77,14 @@ class EpochCutter:
             promised = promised_end_ns(target, self.interval_ns)
             # Re-arm until a fresh timestamp proves the promised end passed.
             while True:
-                try:
-                    ts = yield from self.node.tsproxy.acquire()
-                except OracleUnavailable:
-                    yield k.sleep_local(5 * MS)
-                    continue
+                ts = yield from self.node.tsproxy.acquire_waiting()
                 if ts.nanos > promised:
                     break
                 yield k.sleep_local(max(1, promised - ts.nanos))
             # The timestamp may lead true time by its whole uncertainty
             # horizon; wait it out so the cut instant truly follows the
             # promised end.
-            yield k.sleep_local(self.uncertainty_wait_ns)
+            yield k.sleep_local(self.node.tsproxy.cwt_ns)
             self.node.append_log([CutEntry(target)])
             self.cuts_done = target
             k.trace("cut", node=self.node.node_id, epoch=target, promised=promised)

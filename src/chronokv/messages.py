@@ -104,7 +104,6 @@ class NotOwner:
 class PushReq:
     role: str
     txn: str
-    reader: str
     # A replica's replayed epoch: the recorder may answer an undecided
     # transaction with an epoch floor above it. None when a primary pushes.
     above: Optional[int] = None
@@ -112,7 +111,6 @@ class PushReq:
 
 @dataclass(slots=True)
 class PushResp:
-    txn: str
     decision: Optional[str]  # COMMIT | ABORT, or None for an epoch floor
     epoch: Optional[int]  # commit epoch, or the floor the commit will meet
 

@@ -6,7 +6,7 @@ fine, nothing feeds back into the simulation.
 
 from __future__ import annotations
 
-import numpy as np
+import math
 
 from .checkers import terminal_records
 from .history import History
@@ -91,31 +91,45 @@ def measure_visibility(h: History, replicas_of: dict = None,
     }
 
 
+def percentile(values, q) -> float:
+    """The ``q``-th percentile (0 <= q <= 100) of ``values``, interpolated
+    linearly between the two nearest ranks. This is numpy's default
+    ("linear") method, computed in the same float steps, so the two agree
+    bit for bit."""
+    s = sorted(map(float, values))
+    idx = (len(s) - 1) * (q / 100)
+    if idx >= len(s) - 1:
+        return s[-1]
+    lo = math.floor(idx)
+    a, b = s[lo], s[lo + 1]
+    g = idx - lo
+    # interpolate from the nearer rank, as numpy does
+    return b - (b - a) * (1 - g) if g >= 0.5 else a + (b - a) * g
+
+
 def summarize_delays(delays: list) -> dict:
     if not delays:
         return {"count": 0}
-    arr = np.asarray(delays, dtype=float)
     return {
         "count": len(delays),
-        "max_ns": int(arr.max()),
-        "p50_ns": int(np.percentile(arr, 50)),
-        "p90_ns": int(np.percentile(arr, 90)),
-        "p99_ns": int(np.percentile(arr, 99)),
-        "mean_ns": float(arr.mean()),
+        "max_ns": int(max(delays)),
+        "p50_ns": int(percentile(delays, 50)),
+        "p90_ns": int(percentile(delays, 90)),
+        "p99_ns": int(percentile(delays, 99)),
+        "mean_ns": sum(delays) / len(delays),
     }
 
 
-def sawtooth_period_ns(series: list, interval_ns: int,
-                       bin_ns: int = None) -> dict:
+def sawtooth_period_ns(series: list, interval_ns: int) -> dict:
     """Estimate the dominant period of the delay-vs-commit-time signal.
 
-    The series is resampled onto a uniform grid (empty bins carry the
-    previous value forward), mean-removed, and autocorrelated; the
-    strongest lag in [0.4, 1.6] x the expected interval is reported.
-    A sawtooth of period P shows its first autocorrelation peak at P.
+    The series is resampled onto a grid of bins one twentieth of the
+    interval wide (empty bins carry the previous value forward),
+    mean-removed, and autocorrelated; the strongest lag in [0.4, 1.6] x
+    the expected interval is reported. A sawtooth of period P shows its
+    first autocorrelation peak at P.
     """
-    if bin_ns is None:
-        bin_ns = max(1, interval_ns // 20)
+    bin_ns = max(1, interval_ns // 20)
     if len(series) < 8:
         return {"ok": False, "reason": "too few points"}
     t0 = series[0][0]
@@ -123,33 +137,36 @@ def sawtooth_period_ns(series: list, interval_ns: int,
     nbins = span // bin_ns + 1
     if nbins < 3 * (interval_ns // bin_ns):
         return {"ok": False, "reason": "run too short for autocorrelation"}
-    sums = np.zeros(nbins)
-    counts = np.zeros(nbins)
+    sums = [0.0] * nbins
+    counts = [0] * nbins
     for t, d in series:
         b = (t - t0) // bin_ns
         sums[b] += d
         counts[b] += 1
-    sig = np.empty(nbins)
+    sig = []
     last = 0.0
-    for i in range(nbins):
-        if counts[i]:
-            last = sums[i] / counts[i]
-        sig[i] = last
-    sig = sig - sig.mean()
-    denom = float(np.dot(sig, sig))
+    for total, n in zip(sums, counts):
+        if n:
+            last = total / n
+        sig.append(last)
+    mean = sum(sig) / nbins
+    sig = [x - mean for x in sig]
+    denom = sum(x * x for x in sig)
     if denom == 0.0:
         return {"ok": False, "reason": "flat signal"}
-    ac = np.correlate(sig, sig, mode="full")[nbins - 1:] / denom
     lo = max(1, int(0.4 * interval_ns / bin_ns))
     hi = min(nbins - 1, int(1.6 * interval_ns / bin_ns))
     if hi <= lo:
         return {"ok": False, "reason": "grid too coarse"}
-    window = ac[lo:hi + 1]
-    peak = lo + int(np.argmax(window))
+
+    def corr(lag):
+        return sum(x * y for x, y in zip(sig, sig[lag:])) / denom
+
+    peak = max(range(lo, hi + 1), key=corr)  # the first, on a tie
     return {
         "ok": True,
         "period_ns": peak * bin_ns,
-        "peak_corr": float(ac[peak]),
+        "peak_corr": corr(peak),
         "bin_ns": bin_ns,
     }
 
@@ -176,12 +193,11 @@ def latency_summary(h: History) -> dict:
 
 
 def _latency(vals: list) -> dict:
-    arr = np.asarray(vals, dtype=float)
     return {
         "count": len(vals),
-        "p50_ms": float(np.percentile(arr, 50)) / MS,
-        "p99_ms": float(np.percentile(arr, 99)) / MS,
-        "max_ms": float(arr.max()) / MS,
+        "p50_ms": percentile(vals, 50) / MS,
+        "p99_ms": percentile(vals, 99) / MS,
+        "max_ms": max(vals) / MS,
     }
 
 

@@ -24,7 +24,6 @@ from typing import Optional
 
 from .coordinator import RecorderState
 from .epochs import EpochCutter, promised_end_ns
-from .errors import OracleUnavailable
 from .messages import (
     COMMIT,
     CatchUp,
@@ -236,7 +235,7 @@ class Settler:
                 break
             attempts += 1
             above = self.above() if self.above is not None else None
-            req = PushReq(role, txn, self.node.node_id, above)
+            req = PushReq(role, txn, above)
             resp = yield from self.node.membership.call(k, role, req,
                                                         floor_ns=30 * MS)
             if resp is None:
@@ -254,8 +253,7 @@ class DataNode(Node):
     kind = "data"
 
     def __init__(self, sim, net, node_id, region, drift_ppm, storage, directory,
-                 tsproxy_args, replicas, interval_ns, uncertainty_wait_ns,
-                 max_drift_ppm):
+                 tsproxy_args, replicas, interval_ns):
         super().__init__(sim, net, node_id, region, drift_ppm)
         self.storage = storage
         self.stream = node_id  # this node's data log
@@ -263,8 +261,7 @@ class DataNode(Node):
         self.replicas = replicas  # where the data log ships
         self._tsproxy_args = tsproxy_args
         self.membership = directory
-        self.cutter = EpochCutter(self, interval_ns, max_drift_ppm,
-                                  uncertainty_wait_ns)
+        self.cutter = EpochCutter(self, interval_ns)
         self._volatile_state()
         self.rt_floor: Optional[int] = None
         self.ready = True
@@ -391,12 +388,7 @@ class DataNode(Node):
         # The read-timestamp cache died with the process. Refuse writes
         # below a floor no pre-crash read can have exceeded: the next
         # timestamp the oracle hands out, or the last promised cut end.
-        while True:
-            try:
-                fresh = yield from self.tsproxy.acquire()
-                break
-            except OracleUnavailable:
-                yield self.k.sleep_local(5 * MS)
+        fresh = yield from self.tsproxy.acquire_waiting()
         self.rt_floor = max(promised_end_ns(cuts, self.cutter.interval_ns),
                             fresh.nanos)
         self.recorder.start()

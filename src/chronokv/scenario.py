@@ -6,20 +6,26 @@ region lists — data nodes ``d0.SH, d1.BJ, ...``, standbys ``s0.SH, ...``,
 coordinators ``c0.SH, ...``, oracles ``ts.SH``, replicas ``d0.SH@SG`` —
 and fault entries refer to nodes by those ids.
 
-All durations in field names carry their unit. The region set and
-round-trip table default to a five-site wide-area layout where the
-farthest pair sits ~78ms apart and intra-region hops cost 0.2ms; the
-timestamp oracle is reached over a dedicated low-latency path instead
-of the general mesh, so a batch fetch costs microseconds, not the
-intra-region RTT (which would dwarf the batch lifetime).
+All durations in field names carry their unit. The region set defaults
+to a five-site wide-area layout, and the round-trip table between sites
+is fixed: the farthest pair sits ~78ms apart and intra-region hops cost
+0.2ms. The timestamp oracle is reached over a dedicated low-latency path
+(``simnet.ORACLE_ONE_WAY_NS``) instead of the general mesh, so a batch
+fetch costs microseconds, not the intra-region RTT (which would dwarf
+the batch lifetime).
+
+Input fails loudly: a key the loader does not know, at any level, a
+message filter naming no class in ``messages``, or a partition of a
+region outside ``regions`` raises InvalidConfig.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import yaml
 
+from . import messages
 from .errors import InvalidConfig
 from .simnet import (
     MS,
@@ -50,8 +56,13 @@ DEFAULT_RTT_MS = {
 
 INTRA_REGION_RTT_MS = 0.2
 
+# The payload kinds a message filter can name.
+MESSAGE_KINDS = frozenset(
+    name for name, obj in vars(messages).items()
+    if isinstance(obj, type) and obj.__module__ == messages.__name__)
 
-def full_rtt_table(regions, overrides=None):
+
+def full_rtt_table(regions):
     table = {}
     for i, a in enumerate(regions):
         table[(a, a)] = INTRA_REGION_RTT_MS
@@ -59,14 +70,13 @@ def full_rtt_table(regions, overrides=None):
             key = (a, b) if (a, b) in DEFAULT_RTT_MS else (b, a)
             if key in DEFAULT_RTT_MS:
                 table[(a, b)] = DEFAULT_RTT_MS[key]
-    if overrides:
-        for k, v in overrides.items():
-            if isinstance(k, str):
-                a, b = k.split("-")
-                table[(a, b)] = float(v)
-            else:
-                table[tuple(k)] = float(v)
     return table
+
+
+def _check_keys(d: dict, known, where: str) -> None:
+    for key in d:
+        if key not in known:
+            raise InvalidConfig(f"unknown key {key!r} in {where}")
 
 
 @dataclass
@@ -98,15 +108,12 @@ class Scenario:
     drain_ms: int = 1_000          # extra time for finalize/replication tails
 
     regions: list = field(default_factory=lambda: list(DEFAULT_REGIONS))
-    rtt_overrides: dict = field(default_factory=dict)
 
     # clocks and timestamps
     epsilon_ns: int = 100_000
-    max_drift_ppm: int = 200
-    node_drift_ppm: dict = field(default_factory=dict)
-    default_drift_ppm: int = 0
-    drift_spread: bool = False     # give every node a seeded drift in [-D, D]
-    oracle_rtt_ns: int = 18_000
+    max_drift_ppm: int = 200       # D, the bound on every node's drift
+    node_drift_ppm: dict = field(default_factory=dict)  # node id -> drift
+    drift_spread: bool = False     # give other nodes a seeded drift in [-D, D]
     ts_mode: str = "batched"       # batched | strawman
     ttl_ns: int = 100_000
     step_ns: int = 10
@@ -122,7 +129,6 @@ class Scenario:
     workload: WorkloadSpec = field(default_factory=WorkloadSpec)
     clients_per_coordinator: int = 2
     txns_per_client: int = 50
-    think_ns: int = 0
     replica_readers: int = 0
     replica_reads_per_reader: int = 20
     replica_read_mode: str = "fresh"   # fresh | stale | mixed
@@ -155,7 +161,25 @@ class Scenario:
             raise InvalidConfig("need at least one coordinator")
         if self.interval_ms <= 0:
             raise InvalidConfig("interval_ms must be positive")
+        if self.epsilon_ns <= 0:
+            raise InvalidConfig("epsilon_ns must be positive")
+        for node, d in self.node_drift_ppm.items():
+            if abs(d) > self.max_drift_ppm:
+                raise InvalidConfig(f"node {node} drift {d}ppm exceeds "
+                                    f"bound {self.max_drift_ppm}ppm")
+        for p in self.faults.partitions:
+            outside = set(p.regions) - known
+            if outside:
+                raise InvalidConfig(f"partition regions {sorted(outside)} "
+                                    f"not in {self.regions}")
+        for f in self.faults.msg_filters:
+            unknown = set(f.kinds) - MESSAGE_KINDS
+            if unknown:
+                raise InvalidConfig(f"message filter kinds {sorted(unknown)} "
+                                    f"name no message class")
         if isinstance(self.workload, dict):
+            _check_keys(self.workload, {f.name for f in fields(WorkloadSpec)},
+                        "workload")
             self.workload = WorkloadSpec(**self.workload)
         self.workload.validate()
 
@@ -178,19 +202,31 @@ def _ms(v) -> int:
     return int(float(v) * MS)
 
 
+# The keys of each kind of fault entry.
+_FAULT_ENTRY_KEYS = {
+    "crashes": {"node", "at_ms", "restart_at_ms"},
+    "partitions": {"regions", "from_ms", "to_ms"},
+    "oracle_outages": {"region", "from_ms", "to_ms"},
+    "takeovers": {"role", "to", "at_ms"},
+    "msg_filters": {"kinds", "prob", "from_ms", "to_ms"},
+}
+
+
 def scenario_from_dict(d: dict) -> Scenario:
+    _check_keys(d, {f.name for f in fields(Scenario)}, "scenario")
     d = dict(d)
+    d["workload"] = d.get("workload") or {}
     fault_d = d.pop("faults", None) or {}
-    wl = d.pop("workload", None)
-    sc = Scenario(**d)
-    if wl:
-        sc.workload = WorkloadSpec(**wl)
-        sc.workload.validate()
-    sc.faults = _faults_from_dict(fault_d, sc)
-    return sc
+    regions = d.get("regions", DEFAULT_REGIONS)
+    return Scenario(**d, faults=_faults_from_dict(fault_d, regions))
 
 
-def _faults_from_dict(fd: dict, sc: Scenario) -> FaultSchedule:
+def _faults_from_dict(fd: dict, regions: list) -> FaultSchedule:
+    _check_keys(fd, {"drop_prob", "reorder_prob", "duplicate_prob",
+                     *_FAULT_ENTRY_KEYS}, "faults")
+    for kind, keys in _FAULT_ENTRY_KEYS.items():
+        for entry in fd.get(kind, ()):
+            _check_keys(entry, keys, f"faults.{kind}")
     fs = FaultSchedule(
         drop_prob=float(fd.get("drop_prob", 0.0)),
         reorder_prob=float(fd.get("reorder_prob", 0.0)),
@@ -209,10 +245,10 @@ def _faults_from_dict(fd: dict, sc: Scenario) -> FaultSchedule:
         ))
     for o in fd.get("oracle_outages", ()):
         region = o["region"]
-        if region not in sc.regions:
+        if region not in regions:
             raise InvalidConfig(f"oracle outage names unknown region {region!r}")
         fs.oracle_outages.append(OracleOutage(
-            server_id=sc.regions.index(region),
+            server_id=regions.index(region),
             start_ns=_ms(o["from_ms"]), end_ns=_ms(o["to_ms"]),
         ))
     for t in fd.get("takeovers", ()):

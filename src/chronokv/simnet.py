@@ -67,25 +67,18 @@ def true_interval_to_local(true_ns: int, drift_ppm: int) -> int:
     return true_ns * (1_000_000 - drift_ppm) // 1_000_000
 
 
-class _Event:
-    __slots__ = ("fn",)
-
-    def __init__(self, fn):
-        self.fn = fn
-
-    def cancel(self) -> None:
-        self.fn = None
+#: Events a run may execute before it is taken for livelocked.
+EVENT_CAP = 200_000_000
 
 
 class Simulation:
     """Virtual time, the event heap, and named deterministic RNG streams."""
 
-    def __init__(self, seed: int = 0, event_cap: int = 200_000_000):
+    def __init__(self, seed: int = 0):
         self.seed = seed
         self.now = 0
-        self.event_cap = event_cap
         self.events_run = 0
-        self._heap: list[tuple[int, int, _Event]] = []
+        self._heap: list[tuple[int, int, Callable[[], None]]] = []
         self._seq = 0
         self._rngs: dict[str, random.Random] = {}
         self.trace = TraceLog(self)
@@ -101,16 +94,14 @@ class Simulation:
             r = self._rngs[name] = random.Random(f"{self.seed}/{name}")
         return r
 
-    def at(self, when: int, fn: Callable[[], None]) -> _Event:
+    def at(self, when: int, fn: Callable[[], None]) -> None:
         if when < self.now:
             when = self.now
-        ev = _Event(fn)
-        heapq.heappush(self._heap, (when, self._seq, ev))
+        heapq.heappush(self._heap, (when, self._seq, fn))
         self._seq += 1
-        return ev
 
-    def after(self, delay: int, fn: Callable[[], None]) -> _Event:
-        return self.at(self.now + delay, fn)
+    def after(self, delay: int, fn: Callable[[], None]) -> None:
+        self.at(self.now + delay, fn)
 
     def run_until(self, deadline: int, stop: Optional[Callable[[], bool]] = None) -> int:
         """Run events with time <= deadline; returns events executed.
@@ -121,21 +112,17 @@ class Simulation:
         ran = 0
         heap = self._heap
         while heap:
-            when, _, ev = heap[0]
+            when, _, fn = heap[0]
             if when > deadline:
                 break
             heapq.heappop(heap)
-            fn = ev.fn
-            if fn is None:
-                continue
-            ev.fn = None
             self.now = when
             fn()
             ran += 1
             self.events_run += 1
-            if self.events_run > self.event_cap:
+            if self.events_run > EVENT_CAP:
                 raise LivelockGuard(
-                    f"event budget exceeded ({self.event_cap}) at t={self.now}ns"
+                    f"event budget exceeded ({EVENT_CAP}) at t={self.now}ns"
                 )
             if stop is not None and stop():
                 return ran
@@ -315,6 +302,11 @@ class Envelope:
         self.payload = payload
 
 
+#: One-way delay between a node and its region's time oracle: an in-rack
+#: path, so a batch fetch costs microseconds, well under the batch TTL.
+ORACLE_ONE_WAY_NS = 9 * US
+
+
 class Network:
     """Delivers envelopes between nodes with per-link latency, jitter, and
     the run's fault schedule (drops, reorders, duplicates, partitions)."""
@@ -325,17 +317,14 @@ class Network:
         latency: LatencyMatrix,
         faults: FaultSchedule,
         jitter_pct: float = 10.0,
-        oracle_one_way_ns: int = 9 * US,
     ):
         self.sim = sim
         self.latency = latency
         self.faults = faults
         self.jitter = jitter_pct / 100.0
-        self.oracle_one_way_ns = oracle_one_way_ns
         self.nodes: dict[str, Node] = {}
         self._rng = sim.rng("net")
         self.dropped = 0
-        self.delivered = 0
 
     def register(self, node: "Node") -> None:
         if node.node_id in self.nodes:
@@ -360,7 +349,7 @@ class Network:
         jitter. Time-oracle traffic stays inside the rack: it does not
         ride the inter-node latency matrix."""
         if src.kind == "oracle" or dst.kind == "oracle":
-            return self.oracle_one_way_ns
+            return ORACLE_ONE_WAY_NS
         return self.latency.one_way_ns(src.region, dst.region)
 
     def _base_delay(self, src: "Node", dst: "Node") -> int:
@@ -403,7 +392,6 @@ class Network:
         if self._partitioned(src_region, dst.region, self.sim.now):
             self.dropped += 1
             return
-        self.delivered += 1
         dst.on_envelope(env)
 
 

@@ -17,17 +17,13 @@ folded in: the batch is usable only while ``elapsed * (1 + D) < ttl``.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Union
+from typing import NamedTuple, Optional
 
 from .clock import UncertainTime
 from .errors import InvalidConfig, OracleUnavailable
 from .messages import TsReq, TsResp
 from .simnet import MS, Future, NodeKernel
-
-DEFAULT_TTL_NS = 100_000
-DEFAULT_STEP_NS = 10
 
 
 class Timestamp(NamedTuple):
@@ -35,11 +31,6 @@ class Timestamp(NamedTuple):
 
     nanos: int
     server_id: int
-
-
-class BatchState(enum.Enum):
-    EXPIRED = "expired"
-    EXHAUSTED = "exhausted"
 
 
 @dataclass(slots=True)
@@ -57,11 +48,11 @@ class TimestampBatch:
         elapsed = local_now - self.acquired_local
         return elapsed * (1_000_000 + self.max_drift_ppm) >= self.ttl_ns * 1_000_000
 
-    def next_timestamp(self, local_now: int) -> Union[Timestamp, BatchState]:
-        if self.expired(local_now):
-            return BatchState.EXPIRED
-        if self.issued >= self.capacity:
-            return BatchState.EXHAUSTED
+    def next_timestamp(self, local_now: int) -> Optional[Timestamp]:
+        """The next timestamp on the grid, or None once the batch has
+        expired or is used up."""
+        if self.expired(local_now) or self.issued >= self.capacity:
+            return None
         ts = Timestamp(self.low + self.issued * self.step_ns, self.server_id)
         self.issued += 1
         return ts
@@ -107,11 +98,13 @@ class TsProxy:
     in-flight fetch; concurrent acquirers share the fetch. A fetch that
     comes back already expired (slow oracle path) triggers an immediate
     refetch, up to 3 retries, after which OracleUnavailable surfaces to
-    the caller. In strawman mode every acquire pays an oracle round trip
-    and the returned timestamp is the reading's upper bound.
+    the caller; ``acquire_waiting`` instead pauses and asks again until a
+    timestamp comes. In strawman mode every acquire pays an oracle round
+    trip and the returned timestamp is the reading's upper bound.
     """
 
     RETRY_CAP = 3
+    OUTAGE_PAUSE_NS = 5 * MS  # acquire_waiting's pause after a failure
 
     def __init__(self, kernel: NodeKernel, oracle_id: str, ttl_ns: int,
                  step_ns: int, epsilon_ns: int, max_drift_ppm: int,
@@ -173,7 +166,7 @@ class TsProxy:
             b = self.batch
             if b is not None:
                 got = b.next_timestamp(self.k.local_now())
-                if isinstance(got, Timestamp):
+                if got is not None:
                     if not fetched:
                         self.served_local += 1
                     return got
@@ -192,6 +185,16 @@ class TsProxy:
             ):
                 # fetch "succeeded" but the round trip outlived the TTL
                 failures += 1
+
+    def acquire_waiting(self):
+        """Generator -> Timestamp. Like ``acquire``, but an oracle that
+        cannot give one is asked again after ``OUTAGE_PAUSE_NS`` on the
+        local clock, for as long as it takes."""
+        while True:
+            try:
+                return (yield from self.acquire())
+            except OracleUnavailable:
+                yield self.k.sleep_local(self.OUTAGE_PAUSE_NS)
 
     def _acquire_strawman(self):
         for attempt in range(self.RETRY_CAP + 1):

@@ -13,7 +13,7 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass, field
 
-from .clock import ClockConfig, OracleServer
+from .clock import OracleServer
 from .errors import OracleUnavailable
 from .messages import ReplicaReadReq
 from .simnet import (
@@ -127,9 +127,6 @@ def _txn_client(coord, cluster, cs, rng, cid, zipf):
                                     f"{cid}.{i}", zipf)
             res = yield from coord.run_txn(program)
             cs.txns.append(res)
-            if sc.think_ns:
-                pause = 1 + int(rng.expovariate(1.0 / sc.think_ns))
-                yield coord.k.sleep_local(pause)
     finally:
         cs.pending -= 1
 
@@ -201,9 +198,8 @@ def _oracle_region(seed: int, epsilon_ns: int, ttl_ns: int, step_ns: int,
     sim = Simulation(seed)
     net = Network(sim, LatencyMatrix([region], {(region, region): 0.2}),
                   FaultSchedule())
-    cfg = ClockConfig(epsilon_ns=epsilon_ns, max_drift_ppm=max_drift_ppm)
-    OracleServer(sim, net, f"ts.{region}", region, server_id=0, cfg=cfg,
-                 step_ns=step_ns, ttl_ns=ttl_ns)
+    OracleServer(sim, net, f"ts.{region}", region, server_id=0,
+                 epsilon_ns=epsilon_ns, step_ns=step_ns, ttl_ns=ttl_ns)
 
     def add_host(idx: int, drift_ppm: int, mode: str = "batched"):
         host = _Host(sim, net, f"h{idx}.{region}", region, drift_ppm=drift_ppm)

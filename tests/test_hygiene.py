@@ -1,14 +1,21 @@
 """Static hygiene of the package: no module imports a name it never uses,
-every exception the package exports is raised somewhere in it, and every
-wire message is sent by some module."""
+every exception the package exports is raised somewhere in it, every
+wire message is sent by some module, and the declared runtime
+dependencies are exactly the third-party packages the modules import."""
 
 import ast
+import re
+import sys
+from importlib.metadata import packages_distributions
 from pathlib import Path
+
+import pytest
 
 import chronokv
 
 SRC = Path(chronokv.__file__).resolve().parent
 MODULES = sorted(SRC.glob("*.py"))
+PYPROJECT = SRC.parent.parent / "pyproject.toml"
 
 
 def parse(path):
@@ -96,3 +103,28 @@ def test_an_unused_import_is_caught():
     names = imported_names(tree)
     assert sorted(n for n in names if n not in used_names(tree)) == \
         ["d", "os"]
+
+
+def third_party_imports():
+    """Top-level names of the modules the package imports that are
+    neither the standard library nor the package itself."""
+    names = set()
+    for path in MODULES:
+        for node in ast.walk(parse(path)):
+            if isinstance(node, ast.Import):
+                names |= {alias.name.split(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names.add(node.module.split(".")[0])
+    return names - set(sys.stdlib_module_names) - {"chronokv"}
+
+
+def test_runtime_dependencies_are_exactly_the_imported_packages():
+    tomllib = pytest.importorskip("tomllib")
+    with open(PYPROJECT, "rb") as f:
+        declared = tomllib.load(f)["project"]["dependencies"]
+    declared = {re.match(r"[A-Za-z0-9._-]+", d).group().lower()
+                for d in declared}
+    dists = packages_distributions()
+    imported = {dist.lower() for name in third_party_imports()
+                for dist in dists.get(name, [name])}
+    assert imported == declared

@@ -2,11 +2,14 @@
 
 import random
 
+import pytest
+
 from chronokv.cluster import run_scenario
 from chronokv.history import History, TxnInfo
 from chronokv.metrics import (
     latency_summary,
     measure_visibility,
+    percentile,
     run_summary,
     sawtooth_period_ns,
     summarize_delays,
@@ -77,6 +80,20 @@ def test_summarize_delays_frozen_percentiles():
     assert s["p99_ns"] == 99
     assert abs(s["mean_ns"] - 50.5) < 1e-9
     assert summarize_delays([]) == {"count": 0}
+
+
+def test_percentile_matches_numpy_bit_for_bit():
+    np = pytest.importorskip("numpy")
+    rng = random.Random(12)
+    for case in range(600):
+        size = rng.choice([1, 2, 3, 10, rng.randrange(1, 500)])
+        if case % 2:
+            vals = [rng.randrange(0, 10**12) for _ in range(size)]
+        else:
+            vals = [rng.uniform(-1e6, 1e9) for _ in range(size)]
+        for q in (50, 90, 99):
+            assert percentile(vals, q) == \
+                float(np.percentile(np.asarray(vals, dtype=float), q))
 
 
 def test_sawtooth_period_recovered_from_a_synthetic_signal():

@@ -154,7 +154,7 @@ def test_a_decide_after_an_epoch_floor_commits_at_or_above_it():
     # a live coordinator's transaction, so the sweep leaves its record be
     txn = f"{coord.node_id}:99"
     # the push creates the record, with the floor
-    assert call(PushReq(role, txn, "rr", above=40)) == PushResp(txn, None, 41)
+    assert call(PushReq(role, txn, above=40)) == PushResp(None, 41)
     # the floor is durable: a restarted recorder reloads it
     node.crash()
     node.restart()

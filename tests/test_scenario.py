@@ -2,6 +2,7 @@
 
 import pytest
 
+from chronokv.cluster import Cluster
 from chronokv.errors import InvalidConfig
 from chronokv.scenario import (
     Scenario,
@@ -21,10 +22,10 @@ def test_defaults_are_a_five_region_wide_area_cluster():
     assert sc.interval_ns == 100_000_000
 
 
-def test_rtt_table_covers_every_pair_and_takes_overrides():
-    t = full_rtt_table(["SH", "BJ", "SG"], overrides={"SH-BJ": 10.0})
+def test_rtt_table_covers_every_pair():
+    t = full_rtt_table(["SH", "BJ", "SG"])
     assert t[("SH", "SH")] == 0.2
-    assert t[("SH", "BJ")] == 10.0
+    assert t[("SH", "BJ")] == 27.3
     assert t[("BJ", "SG")] == 77.6
     assert t[("SH", "SG")] == 69.3
 
@@ -49,7 +50,8 @@ def test_scenario_from_dict_round_trips_faults():
                             "from_ms": 100, "to_ms": 200}],
             "oracle_outages": [{"region": "BJ", "from_ms": 50, "to_ms": 60}],
             "takeovers": [{"role": "rec/d0.SH", "to": "s0.SH", "at_ms": 950}],
-            "msg_filters": [{"kinds": ["decide"], "prob": 0.5, "to_ms": 100}],
+            "msg_filters": [{"kinds": ["DecideReq"], "prob": 0.5,
+                             "to_ms": 100}],
         },
     })
     assert sc.workload.kind == "rmw"
@@ -61,7 +63,7 @@ def test_scenario_from_dict_round_trips_faults():
     assert fs.partitions[0].regions == frozenset({"SH", "BJ"})
     assert fs.oracle_outages[0].server_id == 1  # BJ is regions[1]
     assert fs.takeovers[0].to_node == "s0.SH"
-    assert fs.msg_filters[0].kinds == frozenset({"decide"})
+    assert fs.msg_filters[0].kinds == frozenset({"DecideReq"})
 
 
 @pytest.mark.parametrize("bad", [
@@ -73,10 +75,46 @@ def test_scenario_from_dict_round_trips_faults():
     dict(data_nodes=["MARS"]),
     dict(ttl_ns=105, step_ns=10),        # ttl must be a step multiple
     dict(workload=WorkloadSpec(kind="nope")),
+    dict(epsilon_ns=0),
+    dict(epsilon_ns=-1),
 ])
 def test_invalid_scenarios_are_rejected(bad):
     with pytest.raises(InvalidConfig):
         Scenario(**bad)
+
+
+def test_node_drift_is_applied_within_its_bound_and_rejected_beyond():
+    sc = Scenario(max_drift_ppm=200,
+                  node_drift_ppm={"d0.SH": 200, "d1.BJ": -200})
+    nodes = Cluster(sc).nodes
+    assert nodes["d0.SH"].k.drift_ppm == 200
+    assert nodes["d1.BJ"].k.drift_ppm == -200
+    assert nodes["c0.SH"].k.drift_ppm == 0  # unlisted, no drift_spread
+    with pytest.raises(InvalidConfig, match="c0.SH drift 201ppm"):
+        Scenario(max_drift_ppm=200, node_drift_ppm={"c0.SH": 201})
+
+
+TWO_REGIONS = {"regions": ["SH", "BJ"], "data_nodes": ["SH"],
+               "coordinators": ["BJ"]}
+
+
+@pytest.mark.parametrize("extra, named", [
+    ({"think_ms": 5}, "think_ms"),
+    ({"rtt_overrides": {"SH-BJ": 10.0}}, "rtt_overrides"),
+    ({"workload": {"kind": "rmw", "theta": 0.9}}, "theta"),
+    ({"faults": {"crashs": [{"node": "c0.BJ", "at_ms": 5}]}}, "crashs"),
+    ({"faults": {"crashes": [{"node": "c0.BJ", "at_ms": 5,
+                              "restart_at": 9}]}}, "restart_at"),
+    ({"faults": {"partitions": [{"regions": ["SH"], "from_ms": 0,
+                                 "to_ms": 1, "until_ms": 2}]}}, "until_ms"),
+    ({"faults": {"msg_filters": [{"kinds": ["decide"], "prob": 0.5}]}},
+     "decide"),
+    ({"faults": {"partitions": [{"regions": ["SH", "SG"], "from_ms": 0,
+                                 "to_ms": 1}]}}, "SG"),
+])
+def test_scenario_input_that_names_nothing_is_rejected(extra, named):
+    with pytest.raises(InvalidConfig, match=named):
+        scenario_from_dict({**TWO_REGIONS, **extra})
 
 
 def test_oracle_outage_for_unknown_region_is_rejected():

@@ -67,15 +67,6 @@ def test_run_until_advances_clock_to_deadline():
     assert sim.now == 5_000
 
 
-def test_cancelled_event_never_fires():
-    sim = Simulation(seed=7)
-    seen = []
-    ev = sim.at(10, lambda: seen.append("x"))
-    ev.cancel()
-    sim.run_until(100)
-    assert seen == []
-
-
 def test_stop_predicate_halts_mid_run():
     sim = Simulation(seed=7)
     seen = []
@@ -159,8 +150,6 @@ def test_send_delivers_within_jitter_bounds():
     a.k.send("b.R0", "hello")
     sim.run_until(20 * MS)
     assert len(b.inbox) == 1
-    # delivery stamped into sim.now history: bounded by ±10% jitter
-    assert net.delivered == 1
 
 
 def test_rpc_round_trip_and_timeout():

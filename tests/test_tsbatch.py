@@ -3,12 +3,11 @@
 import pytest
 
 from conftest import Host, drive, one_region
-from chronokv.clock import ClockConfig, OracleServer, UncertainTime
+from chronokv.clock import OracleServer, UncertainTime
 from chronokv.errors import InvalidConfig, OracleUnavailable
 from chronokv.messages import TsReq, TsErr
 from chronokv.simnet import MS, FaultSchedule, OracleOutage
 from chronokv.tsbatch import (
-    BatchState,
     Timestamp,
     TsProxy,
     build_batch,
@@ -51,7 +50,7 @@ def test_batch_exhausts_after_capacity():
     for i in range(5):
         ts = b.next_timestamp(0)
         assert ts == Timestamp(150 + 10 * i, 7)
-    assert b.next_timestamp(0) is BatchState.EXHAUSTED
+    assert b.next_timestamp(0) is None
 
 
 def test_batch_expiry_boundary_is_drift_compensated():
@@ -59,7 +58,7 @@ def test_batch_expiry_boundary_is_drift_compensated():
     # expired once elapsed*(1e6+200) >= ttl*1e6: first failing integer
     assert not b.expired(99_980)
     assert b.expired(99_981)
-    assert b.next_timestamp(99_981) is BatchState.EXPIRED
+    assert b.next_timestamp(99_981) is None
 
 
 def test_ttl_must_be_a_multiple_of_step():
@@ -100,8 +99,7 @@ def test_commit_wait_rounds_up():
 
 def proxy_rig(seed=1, faults=None, mode="batched", drift_ppm=0):
     sim, net = one_region(seed=seed, faults=faults)
-    cfg = ClockConfig(epsilon_ns=EPS, max_drift_ppm=D)
-    OracleServer(sim, net, "ts.R0", "R0", server_id=0, cfg=cfg,
+    OracleServer(sim, net, "ts.R0", "R0", server_id=0, epsilon_ns=EPS,
                  step_ns=STEP, ttl_ns=TTL,
                  outages=(faults.oracle_outages if faults else None))
     host = Host(sim, net, "h.R0", "R0", drift_ppm=drift_ppm)
@@ -172,6 +170,24 @@ def test_proxy_times_out_to_oracle_unavailable():
             return "unavailable"
 
     assert drive(sim, host.k, attempt()) == "unavailable"
+
+
+def test_acquire_waiting_outlasts_an_outage_in_five_ms_pauses():
+    faults = FaultSchedule(oracle_outages=[
+        OracleOutage(server_id=0, start_ns=0, end_ns=20 * MS)])
+    sim, host, proxy = proxy_rig(faults=faults)
+
+    def attempt():
+        ts = yield from proxy.acquire_waiting()
+        return ts, sim.now
+
+    ts, now = drive(sim, host.k, attempt())
+    assert ts.nanos > now
+    # A failed acquire takes about 0.5 ms (four TsErr replies, each
+    # followed by a TTL sleep) and is followed by a 5 ms pause, so the
+    # fifth acquire, at about 22 ms, is the first after the outage.
+    assert 20 * MS < now < 25 * MS
+    assert proxy.requests == 5
 
 
 def test_strawman_mode_pays_a_round_trip_every_time():
