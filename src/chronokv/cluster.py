@@ -114,7 +114,7 @@ class Cluster:
         for nid in data_ids:
             for rr in sc.replicate_to:
                 self.replicas.append(ReplicaNode(
-                    self.sim, self.net, f"{nid}@{rr}", rr, self._drift(f"{nid}@{rr}"),
+                    self.sim, self.net, f"{nid}@{rr}", rr, self.drift(f"{nid}@{rr}"),
                     primary_id=nid, directory=RoleDirectory(self.storage),
                     interval_ns=sc.interval_ns,
                 ))
@@ -123,8 +123,8 @@ class Cluster:
         self.coordinators = []
         for nid, region in zip(sc.coordinator_ids(), sc.coordinators):
             self.coordinators.append(Coordinator(
-                self.sim, self.net, nid, region, self._drift(nid),
-                tsproxy_args=self._proxy_args(region), router=self.router,
+                self.sim, self.net, nid, region, self.drift(nid),
+                tsproxy_args=self.proxy_args(region), router=self.router,
                 membership=RoleDirectory(self.storage),
                 recorder_nodes=recorder_nodes,
             ))
@@ -138,7 +138,7 @@ class Cluster:
         self._started = False
         self._clients = None
 
-    def _proxy_args(self, region: str) -> dict:
+    def proxy_args(self, region: str) -> dict:
         sc = self.scenario
         return dict(oracle_id=f"ts.{region}", ttl_ns=sc.ttl_ns,
                     step_ns=sc.step_ns, epsilon_ns=sc.epsilon_ns,
@@ -149,17 +149,17 @@ class Cluster:
         the same way; the router just never picks them."""
         sc = self.scenario
         node = DataNode(
-            self.sim, self.net, nid, region, self._drift(nid),
+            self.sim, self.net, nid, region, self.drift(nid),
             storage=self.storage[region],
             directory=RoleDirectory(self.storage),
-            tsproxy_args=self._proxy_args(region),
+            tsproxy_args=self.proxy_args(region),
             replicas=self.replicas_of.get(nid, []),
             interval_ns=sc.interval_ns,
         )
         self.storage[region].set_initial_owner(node.role_self, nid)
         return node
 
-    def _drift(self, node_id: str) -> int:
+    def drift(self, node_id: str) -> int:
         """A node's drift: as the scenario lists it, else seeded in
         [-D, D] with ``drift_spread``, else none."""
         sc = self.scenario

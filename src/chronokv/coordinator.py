@@ -33,12 +33,19 @@ discovered the hard way — a durable append bounces with a fence — after
 which the old recorder answers NotOwner and the sender looks up the
 successor named by the membership register.
 
-Retries: a decide goes to whoever owns the home role, through
+Retries: a re-sent request never stops listening for the replies to
+its earlier tries (``simnet.Call``), so under drops and reordering the
+first reply to any try ends the wait. An op goes to the key's fixed
+primary, and each try waits for the link's round trip with room for its
+jitter and a flush (``Coordinator._data_timeout``), at least 5 ms. A
+read parked behind an undecided intent says so at once
+(``messages.ReadParked``): from then on its tries are not counted, and
+it is only asked again every ``LONG_POLL_NS`` in case its answer is lost.
+A decide goes to whoever owns the home role, through
 ``RoleDirectory.call``, which re-reads the owner after a timeout or a
-NotOwner. An op goes to the key's fixed primary and is simply re-sent,
-and a timestamp the oracle cannot give is asked for again, in the same
-loop (``Coordinator._retrying``). Both kinds of retry back off by
-``retry_backoff_ns`` before the try after a failure.
+NotOwner. An op and a timestamp the oracle cannot give are retried in
+one loop (``Coordinator._retrying``). Every kind of retry backs off by
+``retry_backoff_ns`` before the try after a timeout.
 """
 
 from __future__ import annotations
@@ -60,10 +67,11 @@ from .messages import (
     NotOwner,
     PushReq,
     PushResp,
+    ReadParked,
     ReadReq,
     WriteReq,
 )
-from .replication import RecordEntry, recorder_role
+from .replication import LONG_POLL_NS, RecordEntry, recorder_role
 from .simnet import MS, RPC_TIMEOUT, Future, Node, retry_backoff_ns
 from .tsbatch import Timestamp, TsProxy
 
@@ -430,7 +438,7 @@ class Coordinator(Node):
         transaction; ops of other chains already in flight finish, so
         their intents are known to the abort."""
         node = self.router.primary(key)
-        req = WriteReq(key, h.txn, h.ts, ops[-1][1], h.role)
+        req = WriteReq(key, h.txn, h.ts, ops[-1][1], h.role, ops[-1][0])
         resp = yield from self._data_rpc(node, req)
         if resp is None:
             if h.status == "active":
@@ -556,15 +564,34 @@ class Coordinator(Node):
         except OracleUnavailable:
             return None
 
+    def _data_timeout(self, node_id: str) -> int:
+        """A data op's per-try timeout: 1.25 round trips to ``node_id``,
+        which cover its two ±10% jittered legs and a write's flush, and
+        at least 5 ms."""
+        return max(self.k.one_way_ns(node_id) * 5 // 2, 5 * MS)
+
     def _data_rpc(self, node_id: str, payload):
-        """Generator -> ``node_id``'s reply to ``payload``, or None."""
-        timeout = self.k.rpc_timeout_for(node_id)
+        """Generator -> ``node_id``'s reply to ``payload``, or None. A try
+        answered by ``ReadParked`` waits for the answer that follows, and
+        asks again every ``LONG_POLL_NS`` (or try timeout, if longer)
+        while the read stays parked; only a try that hears nothing at all
+        counts against the retries."""
+        timeout = self._data_timeout(node_id)
+        reask = max(timeout, LONG_POLL_NS)
+        call = self.k.call(node_id, payload)
 
         def attempt():
-            resp = yield self.k.rpc(node_id, payload, timeout)
+            resp = yield call.ask(timeout)
+            while isinstance(resp, ReadParked):
+                resp = yield call.listen(reask)
+                if resp is RPC_TIMEOUT:
+                    resp = yield call.ask(timeout)
             return None if resp is RPC_TIMEOUT else resp
 
-        return (yield from self._retrying(attempt))
+        try:
+            return (yield from self._retrying(attempt))
+        finally:
+            call.close()
 
     def _decide(self, h: TxnHandle, decision: str, attempts: int = 30):
         """Generator -> the recorder's DecideResp, or None."""

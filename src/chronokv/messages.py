@@ -55,12 +55,23 @@ class ReadResp:
 
 
 @dataclass(slots=True)
+class ReadParked:
+    """Interim reply: the read waits behind an undecided intent, and its
+    ReadResp follows under the same request id once the writer's verdict
+    is in. The sender stops counting tries; it only asks again now and
+    then, in case the answer is lost."""
+
+
+@dataclass(slots=True)
 class WriteReq:
     key: str
     txn: str
     ts: tuple
     value: str
     role: str  # recorder role handling this transaction
+    # Program index of the write's last op. A late try of an earlier
+    # write of the key must not overwrite a later one.
+    idx: int = 0
 
 
 @dataclass(slots=True)

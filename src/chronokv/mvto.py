@@ -8,6 +8,13 @@ key's read timestamp are rejected (a reader already took a snapshot that
 the write would retroactively invalidate); everything else is accepted
 optimistically and settled by the recorder later.
 
+A primary's parked read tells its sender at once with a ``ReadParked``
+reply, and its ``ReadResp`` follows under the same request id when the
+verdict is in. The sender then stops counting tries and only asks again
+every ``LONG_POLL_NS``, in case that answer is lost. So a read stays
+parked for as long as its writer takes to be decided, while the
+Settler keeps pushing, not for as long as the sender's retries last.
+
 The node's durable state is a single ordered log per node (intents,
 finalizes, epoch cut markers) in region-local shared storage, plus one
 record stream per recorder role; only the data log ships to the node's
@@ -32,25 +39,34 @@ from .messages import (
     Heartbeat,
     LogShip,
     PushReq,
+    ReadParked,
     ReadReq,
     ReadResp,
     WriteReq,
     WriteResp,
 )
-from .replication import CutEntry, FinalizeEntry, IntentEntry, recorder_role
-from .simnet import MS, Future, Node
+from .replication import (
+    LONG_POLL_NS,
+    CutEntry,
+    FinalizeEntry,
+    IntentEntry,
+    recorder_role,
+)
+from .simnet import Future, Node
 from .tsbatch import Timestamp, TsProxy
 
 
 class WriteIntent:
-    __slots__ = ("txn", "ts", "value", "role", "proposal")
+    __slots__ = ("txn", "ts", "value", "role", "proposal", "idx")
 
-    def __init__(self, txn: str, ts: Timestamp, value, role: str, proposal: int):
+    def __init__(self, txn: str, ts: Timestamp, value, role: str, proposal: int,
+                 idx: int = 0):
         self.txn = txn
         self.ts = ts
         self.value = value
         self.role = role
         self.proposal = proposal
+        self.idx = idx  # program index of the op whose value it holds
 
 
 class KeyChain:
@@ -131,7 +147,7 @@ def apply_log_entry(store: KeyStore, entry) -> Optional[int]:
             store.insert_intent(
                 entry.key,
                 WriteIntent(entry.txn, entry.ts, entry.value, entry.role,
-                            entry.proposal),
+                            entry.proposal, entry.idx),
             )
         return None
     if isinstance(entry, FinalizeEntry):
@@ -179,15 +195,19 @@ class Settler:
         self._inflight: dict[str, bool] = {}
 
     def settle_below(self, chain: KeyChain, ts: Timestamp, reader: str,
-                     blocks):
+                     blocks, on_park=None):
         """Generator: wait until no undecided intent on ``chain`` below
-        ``ts`` for which ``blocks(intent)`` holds is left."""
+        ``ts`` for which ``blocks(intent)`` holds is left. ``on_park()``
+        is called once, before the first wait, if there is one."""
         while True:
             for txn, intent in chain.intents.items():
                 if intent.ts < ts and blocks(intent):
                     break
             else:
                 return
+            if on_park is not None:
+                on_park()
+                on_park = None
             yield from self.wait(txn, intent.role, reader)
 
     def wait(self, txn: str, role: str, reader: str):
@@ -237,7 +257,7 @@ class Settler:
             above = self.above() if self.above is not None else None
             req = PushReq(role, txn, above)
             resp = yield from self.node.membership.call(k, role, req,
-                                                        floor_ns=30 * MS)
+                                                        floor_ns=LONG_POLL_NS)
             if resp is None:
                 continue
             if resp.decision is None:
@@ -309,7 +329,8 @@ class DataNode(Node):
     def _read_task(self, env, r: ReadReq):
         chain = self.store.touch(r.key)
         yield from self.settler.settle_below(
-            chain, r.ts, r.reader, lambda intent: intent.txn != r.reader)
+            chain, r.ts, r.reader, lambda intent: intent.txn != r.reader,
+            on_park=lambda: self.k.reply(env, ReadParked()))
         if chain.rt is None or r.ts > chain.rt:
             chain.rt = r.ts
         vts, value = chain.visible(r.ts)
@@ -329,11 +350,19 @@ class DataNode(Node):
                     (self.rt_floor is not None and w.ts.nanos < self.rt_floor):
                 self.k.reply(env, WriteResp(False, None))
                 return
-            intent = WriteIntent(w.txn, w.ts, w.value, w.role, self.epoch_now())
+            intent = WriteIntent(w.txn, w.ts, w.value, w.role, self.epoch_now(),
+                                 w.idx)
             self.store.insert_intent(w.key, intent)
+        elif w.idx < intent.idx:
+            # A late try of an earlier write of the key, re-sent after a
+            # timeout and overtaken by the later write: that value stands.
+            self.k.reply(env, WriteResp(True, intent.proposal))
+            return
         else:
             intent.value = w.value
-        entry = IntentEntry(w.txn, w.key, w.ts, w.value, w.role, intent.proposal)
+            intent.idx = w.idx
+        entry = IntentEntry(w.txn, w.key, w.ts, w.value, w.role, intent.proposal,
+                            w.idx)
         yield self.append_log([entry])
         self.k.reply(env, WriteResp(True, intent.proposal))
 

@@ -17,7 +17,8 @@ traced. A fenced append lands nothing and traces nothing.
 
 Every request to a recorder role (a decide or a push) goes to the owner
 its membership register names, through the one retry loop
-``RoleDirectory.call``.
+``RoleDirectory.call``. Consecutive tries to one owner are tries of one
+``simnet.Call``, so a reply to any of them is heard.
 
 Log positions double as replication sequence numbers: primaries ship
 their data log's durable entries to replicas, which apply them strictly
@@ -36,6 +37,10 @@ from .simnet import MS, RPC_TIMEOUT, Future, Simulation, retry_backoff_ns
 
 FENCED = "fenced"
 
+#: The shortest wait of a long poll: a push for a verdict, or a read
+#: parked behind one, is asked again no sooner than this.
+LONG_POLL_NS = 30 * MS
+
 
 # -- log entries -------------------------------------------------------------
 
@@ -48,6 +53,7 @@ class IntentEntry:
     value: str
     role: str  # recorder role that will decide this transaction
     proposal: int  # epoch in force when the intent was logged
+    idx: int = 0  # the WriteReq's idx
 
 
 @dataclass(slots=True, frozen=True)
@@ -184,19 +190,29 @@ class RoleDirectory:
         registered a try sleeps 5 ms. A timeout (at least ``floor_ns``)
         drops the cached owner, and the next try first backs off by
         ``retry_backoff_ns``; a NotOwner drops it and the next try starts
-        at once."""
-        for i in range(attempts):
-            owner = yield from self.lookup(role)
-            if owner is None:
-                yield k.sleep_local(5 * MS)
-                continue
-            resp = yield k.rpc(owner, payload, k.rpc_timeout_for(owner, floor_ns))
-            if resp is RPC_TIMEOUT:
-                self.invalidate(role)
-                if i + 1 < attempts:
-                    yield k.sleep_local(retry_backoff_ns(i))
-            elif isinstance(resp, NotOwner):
-                self.invalidate(role)
-            else:
-                return resp
-        return None
+        at once. Tries in a row to one owner listen for each other's
+        replies (see ``simnet.Call``)."""
+        call = None
+        try:
+            for i in range(attempts):
+                owner = yield from self.lookup(role)
+                if owner is None:
+                    yield k.sleep_local(5 * MS)
+                    continue
+                if call is None or call.dst != owner:
+                    if call is not None:
+                        call.close()
+                    call = k.call(owner, payload)
+                resp = yield call.ask(k.rpc_timeout_for(owner, floor_ns))
+                if resp is RPC_TIMEOUT:
+                    self.invalidate(role)
+                    if i + 1 < attempts:
+                        yield k.sleep_local(retry_backoff_ns(i))
+                elif isinstance(resp, NotOwner):
+                    self.invalidate(role)
+                else:
+                    return resp
+            return None
+        finally:
+            if call is not None:
+                call.close()

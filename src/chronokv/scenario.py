@@ -202,13 +202,14 @@ def _ms(v) -> int:
     return int(float(v) * MS)
 
 
-# The keys of each kind of fault entry.
+# The keys of each kind of fault entry: those it must have, and those it
+# may have.
 _FAULT_ENTRY_KEYS = {
-    "crashes": {"node", "at_ms", "restart_at_ms"},
-    "partitions": {"regions", "from_ms", "to_ms"},
-    "oracle_outages": {"region", "from_ms", "to_ms"},
-    "takeovers": {"role", "to", "at_ms"},
-    "msg_filters": {"kinds", "prob", "from_ms", "to_ms"},
+    "crashes": ({"node", "at_ms"}, {"restart_at_ms"}),
+    "partitions": ({"regions", "from_ms", "to_ms"}, set()),
+    "oracle_outages": ({"region", "from_ms", "to_ms"}, set()),
+    "takeovers": ({"role", "to", "at_ms"}, set()),
+    "msg_filters": ({"kinds", "prob"}, {"from_ms", "to_ms"}),
 }
 
 
@@ -224,9 +225,13 @@ def scenario_from_dict(d: dict) -> Scenario:
 def _faults_from_dict(fd: dict, regions: list) -> FaultSchedule:
     _check_keys(fd, {"drop_prob", "reorder_prob", "duplicate_prob",
                      *_FAULT_ENTRY_KEYS}, "faults")
-    for kind, keys in _FAULT_ENTRY_KEYS.items():
+    for kind, (required, optional) in _FAULT_ENTRY_KEYS.items():
         for entry in fd.get(kind, ()):
-            _check_keys(entry, keys, f"faults.{kind}")
+            _check_keys(entry, required | optional, f"faults.{kind}")
+            missing = sorted(required - set(entry))
+            if missing:
+                raise InvalidConfig(
+                    f"missing key {missing[0]!r} in faults.{kind}")
     fs = FaultSchedule(
         drop_prob=float(fd.get("drop_prob", 0.0)),
         reorder_prob=float(fd.get("reorder_prob", 0.0)),

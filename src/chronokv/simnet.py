@@ -449,7 +449,8 @@ class Node:
 
 class NodeKernel:
     """Per-node capability handle: drifting local clock, local timers,
-    messaging, rpc with timeouts, task spawning and tracing. No ground truth."""
+    messaging, rpc with timeouts and calls that retry, task spawning and
+    tracing. No ground truth."""
 
     __slots__ = ("_node", "drift_ppm", "_offset", "_pending_rpc", "_next_rid",
                  "_timers", "_next_timer")
@@ -460,7 +461,9 @@ class NodeKernel:
         # Arbitrary epoch offset so absolute local readings are meaningless
         # across nodes; only intervals carry information.
         self._offset = node.sim.rng("clock-offsets").randrange(0, SEC)
-        self._pending_rpc: dict[int, Future] = {}
+        # request id -> the Future of a one-shot rpc, or the _Replies of
+        # the Call that sent it
+        self._pending_rpc: dict[int, object] = {}
         self._next_rid = 1
         # timer id -> callback of each pending local timer; a crash drops
         # them all, so a task asleep on one is freed at the crash
@@ -503,14 +506,20 @@ class NodeKernel:
     def reply(self, env: Envelope, payload) -> None:
         self._node.net.send(self._node, env.src, payload, rid=env.rid, is_reply=True)
 
-    def rpc(self, dst_id: str, payload, timeout_local_ns: int) -> Future:
-        """Send a request and resolve with the reply payload, or with
-        RPC_TIMEOUT if nothing came back within the local-clock timeout."""
+    def _send_request(self, dst_id: str, payload, pending) -> int:
         rid = self._next_rid
         self._next_rid += 1
-        fut = Future(self._node.sim)
-        self._pending_rpc[rid] = fut
+        self._pending_rpc[rid] = pending
         self._node.net.send(self._node, dst_id, payload, rid=rid, is_reply=False)
+        return rid
+
+    def rpc(self, dst_id: str, payload, timeout_local_ns: int) -> Future:
+        """Send a request and resolve with the reply payload, or with
+        RPC_TIMEOUT if nothing came back within the local-clock timeout.
+        A reply after the timeout is dropped; see ``call`` for requests
+        that may be sent again."""
+        fut = Future(self._node.sim)
+        rid = self._send_request(dst_id, payload, fut)
 
         def on_timeout():
             pending = self._pending_rpc.pop(rid, None)
@@ -520,10 +529,18 @@ class NodeKernel:
         self.set_local_timer(timeout_local_ns, on_timeout)
         return fut
 
+    def call(self, dst_id: str, payload) -> "Call":
+        """A request to ``dst_id`` that may be sent several times, every
+        try listening for the replies to all of them (see ``Call``)."""
+        return Call(self, dst_id, payload)
+
     def _complete_rpc(self, rid: int, payload) -> None:
-        fut = self._pending_rpc.pop(rid, None)
-        if fut is not None:
-            fut.resolve(payload)
+        pending = self._pending_rpc.get(rid)
+        if isinstance(pending, _Replies):
+            pending.hear(payload)
+        elif pending is not None:
+            del self._pending_rpc[rid]
+            pending.resolve(payload)
 
     # -- tasks / trace ---------------------------------------------------------
 
@@ -544,3 +561,86 @@ class NodeKernel:
         """A generous per-attempt timeout for a destination, derived from the
         configured link rtt (local-clock nanoseconds)."""
         return max(int(self.one_way_ns(dst_id) * 2 * 2.5), floor_ns)
+
+
+class _Replies:
+    """What a call has heard: the replies nobody took yet, and the Future
+    of the wait for the next one. The kernel holds it under each of the
+    call's request ids, and the call does not: so a task that a crash
+    kills, with its kernel's pending requests, holds no path back to
+    itself and is freed at the crash."""
+
+    __slots__ = ("queue", "waiting")
+
+    def __init__(self):
+        self.queue: list = []
+        self.waiting: Optional[Future] = None
+
+    def hear(self, payload) -> None:
+        waiting = self.waiting
+        if waiting is None:
+            self.queue.append(payload)
+        else:
+            self.waiting = None
+            waiting.resolve(payload)
+
+
+class Call:
+    """One request to one destination, sent once per try.
+
+    Each try goes out under a fresh request id, and every id stays
+    pending until ``close``: a re-send never discards an earlier try, so
+    the first reply to any try is heard, however late it comes. That is
+    the hedged-request rule of "The Tail at Scale" (Dean and Barroso,
+    CACM 2013): under drops and reordering a late reply to the first try
+    often lands before the reply to the second. A destination may answer
+    one try more than once (an interim reply first, see
+    ``messages.ReadParked``), and replies are taken in arrival order.
+    """
+
+    __slots__ = ("_k", "dst", "_payload", "_rids")
+
+    def __init__(self, k: NodeKernel, dst: str, payload):
+        self._k = k
+        self.dst = dst
+        self._payload = payload
+        self._rids: list[int] = []
+
+    def _replies(self) -> _Replies:
+        if self._rids:
+            return self._k._pending_rpc[self._rids[0]]
+        return _Replies()
+
+    def ask(self, timeout_local_ns: int) -> Future:
+        """Send one more try, unless a reply is already waiting to be
+        taken; resolves with the next reply, or with RPC_TIMEOUT if none
+        came within the local-clock timeout."""
+        replies = self._replies()
+        if not replies.queue:
+            self._rids.append(
+                self._k._send_request(self.dst, self._payload, replies))
+        return self.listen(timeout_local_ns)
+
+    def listen(self, timeout_local_ns: int) -> Future:
+        """Like ``ask``, without sending."""
+        replies = self._replies()
+        fut = Future(self._k._node.sim)
+        if replies.queue:
+            fut.resolve(replies.queue.pop(0))
+            return fut
+        replies.waiting = fut
+
+        def on_timeout():
+            if replies.waiting is fut:
+                replies.waiting = None
+                fut.resolve(RPC_TIMEOUT)
+
+        self._k.set_local_timer(timeout_local_ns, on_timeout)
+        return fut
+
+    def close(self) -> None:
+        """Stop listening: later replies to any try are dropped."""
+        pending = self._k._pending_rpc
+        for rid in self._rids:
+            pending.pop(rid, None)
+        self._rids.clear()

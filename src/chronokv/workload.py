@@ -1,11 +1,14 @@
 """Synthetic clients: transaction mixes, replica readers, and a
 timestamp-service micro-benchmark.
 
-Clients are closed-loop generator tasks running on their home
-coordinator's kernel, each with its own named RNG stream, so a run is a
-pure function of the scenario seed. Written values are globally unique
-(``client.txnseq.opidx``) which lets the checkers match every read to
-the exact write that produced it.
+Clients are closed-loop generator tasks, each with its own named RNG
+stream, so a run is a pure function of the scenario seed. Transaction
+clients run on their home coordinator's kernel. Replica readers are
+clients of the replicas, not of the coordinator: each coordinator's
+readers share one client host in its region, with its own timestamp
+proxy, so they outlive a crash of the coordinator. Written values are
+globally unique (``client.txnseq.opidx``) which lets the checkers match
+every read to the exact write that produced it.
 """
 
 from __future__ import annotations
@@ -111,12 +114,38 @@ def spawn_clients(cluster) -> ClientSet:
             rng = cluster.sim.rng(f"client/{cid}")
             cs.pending += 1
             coord.k.spawn(_txn_client(coord, cluster, cs, rng, cid, zipf))
+    if not sc.replicate_to:
+        return cs
+    # Built after every cluster node, so no earlier seeded draw moves.
+    hosts: dict = {}
     for j in range(sc.replica_readers):
-        coord = cluster.coordinators[j % len(cluster.coordinators)]
+        i = j % len(cluster.coordinators)
+        host = hosts.get(i)
+        if host is None:
+            region = cluster.coordinators[i].region
+            hid = f"r{i}.{region}"
+            host = hosts[i] = ClientHost(cluster.sim, cluster.net, hid, region,
+                                         cluster.drift(hid),
+                                         cluster.proxy_args(region))
         rng = cluster.sim.rng(f"rreader/{j}")
         cs.pending += 1
-        coord.k.spawn(_replica_reader(coord, cluster, cs, rng, j, zipf))
+        host.k.spawn(_replica_reader(host, cluster, cs, rng, j, zipf))
     return cs
+
+
+class ClientHost(Node):
+    """A client machine: it sends requests and takes timestamps from its
+    own proxy, and serves nothing."""
+
+    kind = "client"
+
+    def __init__(self, sim, net, node_id: str, region: str, drift_ppm: int,
+                 tsproxy_args: dict):
+        super().__init__(sim, net, node_id, region, drift_ppm)
+        self.tsproxy = TsProxy(self.k, **tsproxy_args)
+
+    def handle(self, env) -> None:
+        pass
 
 
 def _txn_client(coord, cluster, cs, rng, cid, zipf):
@@ -131,20 +160,18 @@ def _txn_client(coord, cluster, cs, rng, cid, zipf):
         cs.pending -= 1
 
 
-def _replica_reader(coord, cluster, cs, rng, idx, zipf):
+def _replica_reader(host, cluster, cs, rng, idx, zipf):
     sc = cluster.scenario
     stale_lag = sc.stale_lag_ms * MS
     try:
-        if not sc.replicate_to:
-            return
         for i in range(sc.replica_reads_per_reader):
             mode = sc.replica_read_mode
             if mode == "mixed":
                 mode = "fresh" if rng.random() < 0.5 else "stale"
             try:
-                fresh = yield from coord.tsproxy.acquire()
+                fresh = yield from host.tsproxy.acquire()
             except OracleUnavailable:
-                yield coord.k.sleep_local(5 * MS)
+                yield host.k.sleep_local(5 * MS)
                 continue
             if mode == "fresh":
                 ts = fresh
@@ -163,30 +190,25 @@ def _replica_reader(coord, cluster, cs, rng, idx, zipf):
                 # Fresh reads may legitimately block for a whole epoch
                 # interval before the needed cut replays; time out well
                 # beyond that.
-                timeout = max(coord.k.rpc_timeout_for(target),
+                timeout = max(host.k.rpc_timeout_for(target),
                               3 * sc.interval_ns + 100 * MS)
-                resp = RPC_TIMEOUT
-                for _ in range(10):
-                    resp = yield coord.k.rpc(target, req, timeout)
-                    if resp is not RPC_TIMEOUT:
-                        break
-                if resp is not RPC_TIMEOUT:
-                    cs.replica_reads.append(
-                        (f"{reader}.{n}", ts, mode, target, resp))
-            yield coord.k.sleep_local(5 * MS)
+                call = host.k.call(target, req)
+                try:
+                    for _ in range(10):
+                        resp = yield call.ask(timeout)
+                        if resp is not RPC_TIMEOUT:
+                            cs.replica_reads.append(
+                                (f"{reader}.{n}", ts, mode, target, resp))
+                            break
+                finally:
+                    call.close()
+            yield host.k.sleep_local(5 * MS)
     finally:
         cs.pending -= 1
 
 
 # ---------------------------------------------------------------------------
 # timestamp service micro-benchmark
-
-
-class _Host(Node):
-    kind = "host"
-
-    def handle(self, env):
-        pass
 
 
 def _oracle_region(seed: int, epsilon_ns: int, ttl_ns: int, step_ns: int,
@@ -202,10 +224,11 @@ def _oracle_region(seed: int, epsilon_ns: int, ttl_ns: int, step_ns: int,
                  epsilon_ns=epsilon_ns, step_ns=step_ns, ttl_ns=ttl_ns)
 
     def add_host(idx: int, drift_ppm: int, mode: str = "batched"):
-        host = _Host(sim, net, f"h{idx}.{region}", region, drift_ppm=drift_ppm)
-        return host, TsProxy(host.k, f"ts.{region}", ttl_ns=ttl_ns,
-                             step_ns=step_ns, epsilon_ns=epsilon_ns,
-                             max_drift_ppm=max_drift_ppm, mode=mode)
+        host = ClientHost(sim, net, f"h{idx}.{region}", region, drift_ppm,
+                          dict(oracle_id=f"ts.{region}", ttl_ns=ttl_ns,
+                               step_ns=step_ns, epsilon_ns=epsilon_ns,
+                               max_drift_ppm=max_drift_ppm, mode=mode))
+        return host, host.tsproxy
 
     return sim, add_host
 

@@ -16,6 +16,7 @@ from chronokv.cluster import Cluster, run_scenario
 from chronokv.coordinator import HB_TIMEOUT_NS, SWEEP_INTERVAL_NS
 from chronokv.history import build_history
 from chronokv.messages import DecideReq, ReadReq, ReadResp, WriteReq
+from chronokv.replication import LONG_POLL_NS
 from chronokv.scenario import Scenario, WorkloadSpec, load_scenario
 from chronokv.simnet import (
     MS,
@@ -277,6 +278,33 @@ def test_a_write_after_a_read_of_its_key_waits_for_the_reply():
     assert sent[0][0] < sent[1][0] < sent[2][0]
 
 
+def test_a_late_try_of_an_earlier_write_does_not_overwrite_a_later_one():
+    # w(a) r(a) w(a): the first write's re-send can land after the
+    # second write, once the first try's reply has let the chain go on
+    cluster, coord = idle_cluster()
+    sim = cluster.sim
+    node = cluster.data_nodes[0]
+    [a] = keys_on(cluster, node.node_id)
+    txn = f"{coord.node_id}:99"
+    ts = drive(sim, coord.k, coord.tsproxy.acquire())
+
+    def write(idx, value):
+        def task():
+            req = WriteReq(a, txn, ts, value, coord.home_role, idx)
+            return (yield coord.k.rpc(node.node_id, req, 100 * MS))
+        return drive(sim, coord.k, task())
+
+    assert write(0, "v0").ok
+    assert write(2, "v2").ok
+    assert write(0, "v0").ok  # the late try
+    assert node.store.chains[a].intents[txn].value == "v2"
+    # nor is it logged, so a replay keeps the later value too
+    node.crash()
+    node.restart()
+    sim.run_until(sim.now + 1 * SEC)
+    assert node.store.chains[a].intents[txn].value == "v2"
+
+
 def test_a_read_after_a_write_of_its_key_is_served_from_the_write():
     cluster, coord = idle_cluster()
     [b] = keys_on(cluster, "d1.BJ")
@@ -479,5 +507,28 @@ def test_a_reader_parked_past_the_heartbeat_timeout_on_a_live_txn_waits():
     res = drive(sim, reader.k, reader.run_txn([("r", "x")]))
     assert sim.now - start > HB_TIMEOUT_NS
     assert res.reads[0][3] == "new"
+    sim.run_until(1 << 62, stop=lambda: w.done)
+    assert w.value.status == "committed"
+
+
+@pytest.mark.parametrize("hold", [2 * SEC, 5 * SEC])
+def test_a_read_parked_behind_a_long_hold_commits(hold):
+    # the read's retries would have run out after about 1 s; a parked
+    # read waits as long as its writer takes to be decided
+    cluster, (writer, reader) = two_coordinator_cluster()
+    sim = cluster.sim
+    drive(sim, writer.k, writer.run_txn([("w", "x", "old")]))
+    w = writer.k.spawn(writer.run_txn([("w", "x", "new"), ("hold", hold)]))
+    sim.run_until(sim.now + 10 * MS)
+    reads = record_sends(cluster, ReadReq)
+    start = sim.now
+    res = drive(sim, reader.k, reader.run_txn([("r", "x")]))
+    assert (res.status, res.reason) == ("committed", None)
+    assert res.reads[0][3] == "new"
+    assert sim.now - start > hold - 20 * MS
+    # told the read is parked, the reader only asks again every 30 ms
+    sent = [t for t, p in reads if p.reader == res.txn]
+    assert all(b - a >= LONG_POLL_NS for a, b in zip(sent, sent[1:]))
+    assert len(sent) <= hold // LONG_POLL_NS + 1
     sim.run_until(1 << 62, stop=lambda: w.done)
     assert w.value.status == "committed"

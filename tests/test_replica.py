@@ -15,7 +15,7 @@ from chronokv.messages import (
     ReplicaReadReq,
 )
 from chronokv.scenario import Scenario, WorkloadSpec
-from chronokv.simnet import MS, SEC
+from chronokv.simnet import MS, SEC, CrashDirective, FaultSchedule
 
 
 def replica_scenario(seed, mode, **kw):
@@ -162,3 +162,20 @@ def test_a_decide_after_an_epoch_floor_commits_at_or_above_it():
     assert node.epoch_now() < 41
     assert call(DecideReq(role, txn, COMMIT, [1])) == \
         DecideResp(COMMITTED, 41)
+
+
+def test_a_replica_reader_outlives_its_coordinators_crash():
+    # the reader is a client of the replicas, on a host of its own
+    sc = dict(clients_per_coordinator=0, replica_readers=1,
+              replica_reads_per_reader=10)
+    dry = run_scenario(replica_scenario(5, "fresh", **sc))
+    start, reader = next((t, f["reader"]) for t, kind, f in dry.trace
+                         if kind == "rread_start")
+    # the same run, with the coordinator crashed while that read is out
+    crash = CrashDirective(node="c0.SH", at_ns=start + 1)
+    r = run_scenario(replica_scenario(
+        5, "fresh", faults=FaultSchedule(crashes=[crash]), **sc))
+    assert ("crash", {"node": "c0.SH"}) in [(k, f) for _t, k, f in r.trace]
+    answered = [rr[0] for rr in r.replica_reads]
+    assert reader in answered
+    assert len(answered) == 10

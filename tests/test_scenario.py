@@ -117,6 +117,19 @@ def test_scenario_input_that_names_nothing_is_rejected(extra, named):
         scenario_from_dict({**TWO_REGIONS, **extra})
 
 
+@pytest.mark.parametrize("faults, missing", [
+    ({"crashes": [{"node": "c0.BJ"}]}, "at_ms"),
+    ({"crashes": [{"at_ms": 5}]}, "node"),
+    ({"partitions": [{"regions": ["SH"], "from_ms": 0}]}, "to_ms"),
+    ({"oracle_outages": [{"region": "SH", "to_ms": 1}]}, "from_ms"),
+    ({"takeovers": [{"role": "rec/d0.SH", "at_ms": 5}]}, "to"),
+    ({"msg_filters": [{"kinds": ["DecideReq"]}]}, "prob"),
+])
+def test_a_fault_entry_missing_a_key_is_rejected_naming_it(faults, missing):
+    with pytest.raises(InvalidConfig, match=f"missing key '{missing}'"):
+        scenario_from_dict({**TWO_REGIONS, "faults": faults})
+
+
 def test_oracle_outage_for_unknown_region_is_rejected():
     with pytest.raises(InvalidConfig, match="unknown region"):
         scenario_from_dict({

@@ -8,6 +8,7 @@ from conftest import Host, drive, one_region
 from chronokv.simnet import (
     MS,
     RPC_TIMEOUT,
+    US,
     FaultSchedule,
     Future,
     LatencyMatrix,
@@ -171,6 +172,61 @@ def test_rpc_round_trip_and_timeout():
     good, bad = drive(sim, caller.k, program())
     assert good == ("echo", "ping")
     assert bad is RPC_TIMEOUT
+
+
+def test_a_reply_to_an_earlier_try_completes_the_call():
+    # one-way 0.1 ms, no jitter: the first try's reply is held 6 ms, past
+    # its 5 ms timeout; the re-send's is held 3 ms
+    sim, net = one_region(jitter_pct=0.0)
+    holds = [6 * MS, 3 * MS]
+
+    class Slow(Host):
+        def handle(self, env):
+            try_no = len(self.inbox)
+            self.inbox.append(env)
+            self.k.set_local_timer(holds[try_no],
+                                   lambda: self.k.reply(env, try_no))
+
+    slow = Slow(sim, net, "slow.R0", "R0")
+    caller = Host(sim, net, "caller.R0", "R0")
+
+    def program():
+        call = caller.k.call("slow.R0", "ping")
+        first = yield call.ask(5 * MS)
+        second = yield call.ask(5 * MS)
+        call.close()
+        return first, second, sim.now
+
+    first, second, at = drive(sim, caller.k, program())
+    assert first is RPC_TIMEOUT
+    assert len(slow.inbox) == 2  # the re-send went out at the timeout
+    # the first try's reply, at its own instant: 0.1 + 6 + 0.1 ms, before
+    # the re-send's at 5 + 0.1 + 3 + 0.1 ms
+    assert (second, at) == (0, 6 * MS + 200 * US)
+
+
+def test_a_call_takes_a_reply_heard_between_tries_without_sending():
+    sim, net = one_region(jitter_pct=0.0)
+
+    class Late(Host):
+        def handle(self, env):
+            self.inbox.append(env)
+            self.k.set_local_timer(6 * MS, lambda: self.k.reply(env, "late"))
+
+    late = Late(sim, net, "late.R0", "R0")
+    caller = Host(sim, net, "caller.R0", "R0")
+
+    def program():
+        call = caller.k.call("late.R0", "ping")
+        first = yield call.ask(5 * MS)
+        yield caller.k.sleep_local(2 * MS)  # a back-off; the reply lands
+        second = yield call.ask(5 * MS)
+        call.close()
+        return first, second, sim.now
+
+    first, second, at = drive(sim, caller.k, program())
+    assert (first, second, at) == (RPC_TIMEOUT, "late", 7 * MS)
+    assert len(late.inbox) == 1
 
 
 def test_drop_prob_one_loses_everything():

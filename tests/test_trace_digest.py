@@ -20,9 +20,9 @@ SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 PINNED = {
     "baseline.yaml":
-        "703eb6bacfa218f72a4397e039ce3cae5dbe47ba6791a47edc204613d599db9e",
+        "6887bf1cc7a0c00c1e59600679873884e5653659d7aa289e3bdff09be41d3391",
     "faults.yaml":
-        "29acb3796a613c6c62be6439a96feea6953bc03afd40a6236c8f8ed31961d781",
+        "2280fe9ad13f50b49a0673e6388a9d20bfe3b232539f2571845e61a1c50eb140",
 }
 
 
