@@ -30,7 +30,7 @@ US = 1_000
 MS = 1_000_000
 SEC = 1_000_000_000
 
-#: Sentinel resolved into an rpc future when no reply arrived in time.
+#: Sentinel a call's wait resolves with when no reply arrived in time.
 RPC_TIMEOUT = object()
 
 
@@ -449,8 +449,8 @@ class Node:
 
 class NodeKernel:
     """Per-node capability handle: drifting local clock, local timers,
-    messaging, rpc with timeouts and calls that retry, task spawning and
-    tracing. No ground truth."""
+    messaging, requests that may be sent again (``call``), task spawning
+    and tracing. No ground truth."""
 
     __slots__ = ("_node", "drift_ppm", "_offset", "_pending_rpc", "_next_rid",
                  "_timers", "_next_timer")
@@ -461,9 +461,8 @@ class NodeKernel:
         # Arbitrary epoch offset so absolute local readings are meaningless
         # across nodes; only intervals carry information.
         self._offset = node.sim.rng("clock-offsets").randrange(0, SEC)
-        # request id -> the Future of a one-shot rpc, or the _Replies of
-        # the Call that sent it
-        self._pending_rpc: dict[int, object] = {}
+        # request id -> the _Replies of the Call that sent it
+        self._pending_rpc: dict[int, _Replies] = {}
         self._next_rid = 1
         # timer id -> callback of each pending local timer; a crash drops
         # them all, so a task asleep on one is freed at the crash
@@ -506,28 +505,12 @@ class NodeKernel:
     def reply(self, env: Envelope, payload) -> None:
         self._node.net.send(self._node, env.src, payload, rid=env.rid, is_reply=True)
 
-    def _send_request(self, dst_id: str, payload, pending) -> int:
+    def _send_request(self, dst_id: str, payload, pending: "_Replies") -> int:
         rid = self._next_rid
         self._next_rid += 1
         self._pending_rpc[rid] = pending
         self._node.net.send(self._node, dst_id, payload, rid=rid, is_reply=False)
         return rid
-
-    def rpc(self, dst_id: str, payload, timeout_local_ns: int) -> Future:
-        """Send a request and resolve with the reply payload, or with
-        RPC_TIMEOUT if nothing came back within the local-clock timeout.
-        A reply after the timeout is dropped; see ``call`` for requests
-        that may be sent again."""
-        fut = Future(self._node.sim)
-        rid = self._send_request(dst_id, payload, fut)
-
-        def on_timeout():
-            pending = self._pending_rpc.pop(rid, None)
-            if pending is not None:
-                pending.resolve(RPC_TIMEOUT)
-
-        self.set_local_timer(timeout_local_ns, on_timeout)
-        return fut
 
     def call(self, dst_id: str, payload) -> "Call":
         """A request to ``dst_id`` that may be sent several times, every
@@ -536,11 +519,8 @@ class NodeKernel:
 
     def _complete_rpc(self, rid: int, payload) -> None:
         pending = self._pending_rpc.get(rid)
-        if isinstance(pending, _Replies):
+        if pending is not None:
             pending.hear(payload)
-        elif pending is not None:
-            del self._pending_rpc[rid]
-            pending.resolve(payload)
 
     # -- tasks / trace ---------------------------------------------------------
 

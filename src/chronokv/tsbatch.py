@@ -105,6 +105,9 @@ class TsProxy:
 
     RETRY_CAP = 3
     OUTAGE_PAUSE_NS = 5 * MS  # acquire_waiting's pause after a failure
+    # An oracle round trip's timeout. The oracle sits in the rack, so its
+    # round trip takes microseconds; a fetch unanswered in 1 ms is lost.
+    FETCH_TIMEOUT_NS = MS
 
     def __init__(self, kernel: NodeKernel, oracle_id: str, ttl_ns: int,
                  step_ns: int, epsilon_ns: int, max_drift_ppm: int,
@@ -131,8 +134,13 @@ class TsProxy:
         return commit_wait_ns(self.ttl_ns, self.epsilon_ns, self.max_drift_ppm,
                               strawman=(self.mode == "strawman"))
 
-    def _timeout(self) -> int:
-        return max(4 * self.k.rpc_timeout_for(self.oracle_id, floor_ns=0), MS)
+    def _ask_oracle(self, req: TsReq):
+        """Generator -> the oracle's reply to one try of ``req``, or
+        RPC_TIMEOUT."""
+        call = self.k.call(self.oracle_id, req)
+        resp = yield call.ask(self.FETCH_TIMEOUT_NS)
+        call.close()
+        return resp
 
     def _fetch(self):
         """Generator: one shared oracle round trip; returns True on success."""
@@ -143,7 +151,7 @@ class TsProxy:
         self._inflight = fut
         sent_local = self.k.local_now()
         self.fetches += 1
-        resp = yield self.k.rpc(self.oracle_id, TsReq(), self._timeout())
+        resp = yield from self._ask_oracle(TsReq())
         ok = isinstance(resp, TsResp)
         if ok:
             reading = UncertainTime(resp.earliest, resp.latest, resp.server_id)
@@ -199,8 +207,7 @@ class TsProxy:
     def _acquire_strawman(self):
         for attempt in range(self.RETRY_CAP + 1):
             self.fetches += 1
-            resp = yield self.k.rpc(self.oracle_id, TsReq(grid=False),
-                                    self._timeout())
+            resp = yield from self._ask_oracle(TsReq(grid=False))
             if isinstance(resp, TsResp):
                 return Timestamp(resp.latest, resp.server_id)
             yield self.k.sleep_local(self.ttl_ns)

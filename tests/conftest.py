@@ -39,3 +39,12 @@ def drive(sim, kernel, gen, deadline=1 << 62):
     sim.run_until(deadline, stop=lambda: fut.done)
     assert fut.done, "task did not finish before the deadline"
     return fut.value
+
+
+def ask_once(kernel, dst, payload, timeout_ns):
+    """Generator -> ``dst``'s reply to one try of ``payload`` sent from
+    ``kernel``, or RPC_TIMEOUT."""
+    call = kernel.call(dst, payload)
+    resp = yield call.ask(timeout_ns)
+    call.close()
+    return resp

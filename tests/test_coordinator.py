@@ -5,7 +5,7 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
-from conftest import drive
+from conftest import ask_once, drive
 
 from chronokv.checkers import (
     check_strict_serializability,
@@ -291,7 +291,7 @@ def test_a_late_try_of_an_earlier_write_does_not_overwrite_a_later_one():
     def write(idx, value):
         def task():
             req = WriteReq(a, txn, ts, value, coord.home_role, idx)
-            return (yield coord.k.rpc(node.node_id, req, 100 * MS))
+            return (yield from ask_once(coord.k, node.node_id, req, 100 * MS))
         return drive(sim, coord.k, task())
 
     assert write(0, "v0").ok

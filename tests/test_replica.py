@@ -1,7 +1,7 @@
 """Replica reads: epoch-gated visibility in fresh, stale, and mixed modes."""
 
 import pytest
-from conftest import drive
+from conftest import ask_once, drive
 
 from chronokv.checkers import run_all_checks
 from chronokv.cluster import Cluster, run_scenario
@@ -123,9 +123,9 @@ def test_a_replica_read_does_not_wait_for_a_txn_parked_behind_a_slow_writer():
     def replica_read():
         ts = yield from coord.tsproxy.acquire()
         start = sim.now
-        resp = yield coord.k.rpc("d0.SH@BJ",
-                                 ReplicaReadReq(["y"], ts, "rr", "fresh"),
-                                 10 * SEC)
+        resp = yield from ask_once(coord.k, "d0.SH@BJ",
+                                   ReplicaReadReq(["y"], ts, "rr", "fresh"),
+                                   10 * SEC)
         return sim.now - start, resp
 
     took, resp = drive(sim, coord.k, replica_read())
@@ -148,7 +148,8 @@ def test_a_decide_after_an_epoch_floor_commits_at_or_above_it():
 
     def call(payload):
         def task():
-            return (yield coord.k.rpc(node.node_id, payload, 100 * MS))
+            return (yield from ask_once(coord.k, node.node_id, payload,
+                                        100 * MS))
         return drive(sim, coord.k, task())
 
     # a live coordinator's transaction, so the sweep leaves its record be

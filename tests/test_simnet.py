@@ -4,7 +4,7 @@ import gc
 
 import pytest
 
-from conftest import Host, drive, one_region
+from conftest import Host, ask_once, drive, one_region
 from chronokv.simnet import (
     MS,
     RPC_TIMEOUT,
@@ -165,8 +165,8 @@ def test_rpc_round_trip_and_timeout():
     caller = Host(sim, net, "caller.R0", "R0")
 
     def program():
-        good = yield caller.k.rpc("echo.R0", "ping", 50 * MS)
-        bad = yield caller.k.rpc("mute.R0", "ping", 5 * MS)
+        good = yield from ask_once(caller.k, "echo.R0", "ping", 50 * MS)
+        bad = yield from ask_once(caller.k, "mute.R0", "ping", 5 * MS)
         return good, bad
 
     good, bad = drive(sim, caller.k, program())
@@ -297,7 +297,7 @@ def test_a_task_killed_by_a_crash_is_released_at_the_crash():
 
     def task():
         try:
-            yield a.k.rpc("mute.R0", "ping", 50 * MS)
+            yield from ask_once(a.k, "mute.R0", "ping", 50 * MS)
         finally:
             released.append(sim.now)
 
