@@ -119,14 +119,12 @@ class Cluster:
                     interval_ns=sc.interval_ns,
                 ))
 
-        recorder_nodes = data_ids + sc.standby_ids()
         self.coordinators = []
         for nid, region in zip(sc.coordinator_ids(), sc.coordinators):
             self.coordinators.append(Coordinator(
                 self.sim, self.net, nid, region, self.drift(nid),
                 tsproxy_args=self.proxy_args(region), router=self.router,
                 membership=RoleDirectory(self.storage),
-                recorder_nodes=recorder_nodes,
             ))
 
         self.nodes = {}

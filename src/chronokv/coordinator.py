@@ -24,11 +24,13 @@ thing written to a record before its decision.
 
 Recorders also guarantee progress for everyone else's transactions. A
 transaction's id names its coordinator (``Coordinator.coordinator_of``),
-and recorders watch coordinator heartbeats: once a coordinator has gone
-quiet, the sweep durably aborts its transactions that hold a floored
-record or have readers parked on them, answering those readers. A
-coordinator that is alive but gave up reaching a recorder keeps asking
-it to abort in the background until it answers. Losing a role is
+and only the owner of that coordinator's home role judges it, so the
+coordinator heartbeats that owner alone, read from the membership
+register before each beat. Once a coordinator has gone quiet, the sweep
+durably aborts its transactions that hold a floored record or have
+readers parked on them, answering those readers. A coordinator that is
+alive but gave up reaching a recorder keeps asking it to abort in the
+background until it answers. Losing a role is
 discovered the hard way — a durable append bounces with a fence — after
 which the old recorder answers NotOwner and the sender looks up the
 successor named by the membership register.
@@ -347,13 +349,12 @@ class Coordinator(Node):
     kind = "coord"
 
     def __init__(self, sim, net, node_id, region, drift_ppm, tsproxy_args,
-                 router, membership, recorder_nodes: list[str]):
+                 router, membership):
         super().__init__(sim, net, node_id, region, drift_ppm)
         self._tsproxy_args = tsproxy_args
         self.tsproxy = TsProxy(self.k, **tsproxy_args)
         self.router = router
         self.membership = membership
-        self.recorder_nodes = recorder_nodes
         # The recorder role of the nearest data node (ties go to the first
         # in router order) holds the record of every writing transaction.
         self.home_role = recorder_role(min(router.ids, key=self.k.one_way_ns))
@@ -367,17 +368,20 @@ class Coordinator(Node):
         self.k.spawn(self._heartbeat_loop())
 
     def on_restart(self) -> None:
-        # In-flight transactions died with the process; their recorders
-        # sweep the orphaned records once heartbeats go stale. The txn
-        # counter survives so ids never repeat across incarnations.
+        # In-flight transactions died with the process; the owner of the
+        # home role sweeps them once heartbeats go stale. The txn counter
+        # survives so ids never repeat across incarnations.
         self.tsproxy = TsProxy(self.k, **self._tsproxy_args)
         self.alive = True
         self.k.spawn(self._heartbeat_loop())
 
     def _heartbeat_loop(self):
+        # The owner is read afresh: the cached one changes only after a
+        # decide fails, and an adopter sweeps a coordinator it never hears.
         while True:
-            for nid in self.recorder_nodes:
-                self.k.send(nid, Heartbeat(self.node_id))
+            owner = yield from self.membership.refresh(self.home_role)
+            if owner is not None:
+                self.k.send(owner, Heartbeat(self.node_id))
             yield self.k.sleep_local(HB_INTERVAL_NS)
 
     # -- transaction verbs ------------------------------------------------------

@@ -11,7 +11,8 @@ optimistically and settled by the recorder later.
 A primary's parked read tells its sender at once with a ``ReadParked``
 reply, and its ``ReadResp`` follows under the same request id when the
 verdict is in. The sender then stops counting tries and only asks again
-every ``LONG_POLL_NS``, in case that answer is lost. So a read stays
+every ``LONG_POLL_NS``, in case that answer is lost; a re-ask of a read
+still parked gets only another ``ReadParked``. So a read stays
 parked for as long as its writer takes to be decided, while the
 Settler keeps pushing, not for as long as the sender's retries last.
 
@@ -245,13 +246,15 @@ class Settler:
         self.wake(txn)
 
     def _push_task(self, txn: str, role: str):
-        """Push until ``txn`` is decided, or until a floor answers a
-        replica's push: the waiters it leaves blocked push again."""
+        """Push until ``txn`` is decided, until a floor answers a
+        replica's push, or for ``PUSH_ATTEMPTS`` tries: the waiters it
+        leaves blocked push again."""
         k = self.node.k
         attempts = 0
         while txn not in self.store.decided:
             if attempts == self.PUSH_ATTEMPTS:
                 k.trace("push_stuck", node=self.node.node_id, txn=txn)
+                self.wake(txn)
                 break
             attempts += 1
             above = self.above() if self.above is not None else None
@@ -292,6 +295,8 @@ class DataNode(Node):
         self.recorder = RecorderState(self)
         self.store = KeyStore()
         self.settler = Settler(self, self.store, self._apply_finalize)
+        # (reader, key, ts) of each read parked here
+        self.parked: set[tuple] = set()
 
     def epoch_now(self) -> int:
         return self.cutter.epoch_now()
@@ -327,10 +332,20 @@ class DataNode(Node):
     # -- reads -------------------------------------------------------------------
 
     def _read_task(self, env, r: ReadReq):
+        read = (r.reader, r.key, r.ts)
+        if read in self.parked:  # its first request is answered when it wakes
+            self.k.reply(env, ReadParked())
+            return
+
+        def on_park():
+            self.parked.add(read)
+            self.k.reply(env, ReadParked())
+
         chain = self.store.touch(r.key)
         yield from self.settler.settle_below(
             chain, r.ts, r.reader, lambda intent: intent.txn != r.reader,
-            on_park=lambda: self.k.reply(env, ReadParked()))
+            on_park=on_park)
+        self.parked.discard(read)
         if chain.rt is None or r.ts > chain.rt:
             chain.rt = r.ts
         vts, value = chain.visible(r.ts)

@@ -159,7 +159,8 @@ class RoleDirectory:
     The truth is the membership register in the storage of the role's
     home region, which ends its name (``rec/d0.SH`` lives in SH) and never
     changes: takeover moves the owner, not the stream. A cached lookup
-    costs nothing; a miss, or one after ``invalidate``, reads the register.
+    costs nothing; a miss, or one after ``invalidate``, reads the register
+    through ``refresh``.
     """
 
     def __init__(self, storages: dict[str, SharedStorage]):
@@ -178,6 +179,11 @@ class RoleDirectory:
         owner = self._owners.get(role)
         if owner is not None:
             return owner
+        return (yield from self.refresh(role))
+
+    def refresh(self, role: str):
+        """Generator -> the owner the register names now, read from
+        storage, which the cache then holds."""
         owner = yield self._storages[self.home_region(role)].get_owner(role)
         if owner is not None:
             self._owners[role] = owner

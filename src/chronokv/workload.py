@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from .clock import OracleServer
 from .errors import OracleUnavailable
 from .messages import ReplicaReadReq
+from .metrics import percentile
 from .simnet import (
     MS,
     RPC_TIMEOUT,
@@ -168,11 +169,7 @@ def _replica_reader(host, cluster, cs, rng, idx, zipf):
             mode = sc.replica_read_mode
             if mode == "mixed":
                 mode = "fresh" if rng.random() < 0.5 else "stale"
-            try:
-                fresh = yield from host.tsproxy.acquire()
-            except OracleUnavailable:
-                yield host.k.sleep_local(5 * MS)
-                continue
+            fresh = yield from host.tsproxy.acquire_waiting()
             if mode == "fresh":
                 ts = fresh
             else:
@@ -320,13 +317,6 @@ def bench_timestamp_service(seed: int, mode: str, n: int = 20_000,
 
     host.k.spawn(driver())
     sim.run_until(1 << 60, stop=lambda: state["done"])
-    lats.sort()
-
-    def pct(p):
-        if not lats:
-            return 0
-        return lats[min(len(lats) - 1, int(p * len(lats)))]
-
     return {
         "mode": mode,
         "requests": proxy.requests,
@@ -334,8 +324,8 @@ def bench_timestamp_service(seed: int, mode: str, n: int = 20_000,
         "served_local": proxy.served_local,
         "local_ratio": proxy.served_local / max(1, proxy.requests),
         "failures": state["failures"],
-        "latency_p50_ns": pct(0.50),
-        "latency_p99_ns": pct(0.99),
-        "latency_max_ns": lats[-1] if lats else 0,
+        "latency_p50_ns": percentile(lats, 50) if lats else 0,
+        "latency_p99_ns": percentile(lats, 99) if lats else 0,
+        "latency_max_ns": max(lats, default=0),
         "commit_wait_ns": proxy.cwt_ns,
     }

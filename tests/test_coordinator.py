@@ -15,7 +15,14 @@ from chronokv.checkers import (
 from chronokv.cluster import Cluster, run_scenario
 from chronokv.coordinator import HB_TIMEOUT_NS, SWEEP_INTERVAL_NS
 from chronokv.history import build_history
-from chronokv.messages import DecideReq, ReadReq, ReadResp, WriteReq
+from chronokv.messages import (
+    DecideReq,
+    Heartbeat,
+    ReadReq,
+    ReadResp,
+    WriteReq,
+)
+from chronokv.mvto import Settler
 from chronokv.replication import LONG_POLL_NS
 from chronokv.scenario import Scenario, WorkloadSpec, load_scenario
 from chronokv.simnet import (
@@ -520,15 +527,94 @@ def test_a_read_parked_behind_a_long_hold_commits(hold):
     drive(sim, writer.k, writer.run_txn([("w", "x", "old")]))
     w = writer.k.spawn(writer.run_txn([("w", "x", "new"), ("hold", hold)]))
     sim.run_until(sim.now + 10 * MS)
-    reads = record_sends(cluster, ReadReq)
+    reads = record_sends(cluster, (ReadReq, ReadResp))
     start = sim.now
     res = drive(sim, reader.k, reader.run_txn([("r", "x")]))
     assert (res.status, res.reason) == ("committed", None)
     assert res.reads[0][3] == "new"
     assert sim.now - start > hold - 20 * MS
     # told the read is parked, the reader only asks again every 30 ms
-    sent = [t for t, p in reads if p.reader == res.txn]
+    sent = [t for t, p in reads if isinstance(p, ReadReq)
+            and p.reader == res.txn]
     assert all(b - a >= LONG_POLL_NS for a, b in zip(sent, sent[1:]))
     assert len(sent) <= hold // LONG_POLL_NS + 1
+    # and a re-ask does not park the read again: one answer comes back
+    # (the writer reads nothing, so every ReadResp is the reader's)
+    assert sum(isinstance(p, ReadResp) for _t, p in reads) <= 2
     sim.run_until(1 << 62, stop=lambda: w.done)
     assert w.value.status == "committed"
+
+
+def test_a_read_parked_past_a_stuck_push_is_answered_once_a_push_lands(
+        monkeypatch):
+    # Every push is lost for a while, and every finalize for good, so
+    # only a push can tell the primary the writer's verdict. A push task
+    # that gives up wakes its waiters, which push again: a re-ask of the
+    # parked read would not.
+    monkeypatch.setattr(Settler, "PUSH_ATTEMPTS", 3)
+    cluster, (writer, reader) = two_coordinator_cluster()
+    sim = cluster.sim
+    drive(sim, writer.k, writer.run_txn([("w", "x", "old")]))
+    filters = cluster.net.faults.msg_filters
+    filters.append(MsgFilter(frozenset({"FinalizeReq"}), 1.0))
+    filters.append(MsgFilter(frozenset({"PushReq"}), 1.0,
+                             end_ns=sim.now + 600 * MS))
+    w = writer.k.spawn(writer.run_txn([("w", "x", "new"),
+                                       ("hold", 200 * MS)]))
+    sim.run_until(sim.now + 10 * MS)
+    res = drive(sim, reader.k, reader.run_txn([("r", "x")]),
+                deadline=sim.now + 5 * SEC)
+    assert w.value.status == "committed"
+    assert res.reads[0][3] == "new"
+    assert any(kind == "push_stuck" for _t, kind, _f in sim.trace.events)
+
+
+# -- heartbeats and takeover -------------------------------------------------
+
+
+def standby_cluster():
+    """One SH data node, one SH standby and two SH coordinators, with no
+    clients: c0.SH writes, c1.SH reads."""
+    cluster = Cluster(Scenario(
+        name="standby", seed=1, duration_ms=60_000, regions=["SH", "BJ"],
+        data_nodes=["SH"], standbys=["SH"], coordinators=["SH", "SH"],
+        clients_per_coordinator=0,
+    ))
+    cluster.start()
+    return cluster, cluster.coordinators
+
+
+def test_a_coordinator_heartbeats_only_its_home_roles_owner():
+    cluster, (c0, c1) = standby_cluster()
+    [owner], [standby] = cluster.data_nodes, cluster.standby_nodes
+    beats = record_sends(cluster, Heartbeat)
+    cluster.sim.run_until(cluster.sim.now + SEC)
+    assert c0.home_role == owner.role_self
+    assert 9 <= sum(p.coordinator == c0.node_id for _t, p in beats) <= 11
+    # every beat went to the owner: the standby heard none
+    assert set(owner.recorder.last_heard) == {c0.node_id, c1.node_id}
+    assert standby.recorder.last_heard == {}
+
+
+def test_a_takeover_during_a_live_writers_hold_does_not_sweep_it():
+    # The reader parks on the writer's intent and pushes the writer's
+    # home role. The standby that adopts the role mid-hold sweeps the
+    # parked-on transaction unless it hears the writer's heartbeats,
+    # which go to the owner the register names, not the one cached.
+    cluster, (writer, reader) = standby_cluster()
+    sim = cluster.sim
+    standby = cluster.standby_nodes[0]
+    drive(sim, writer.k, writer.run_txn([("w", "x", "old")]))
+    w = writer.k.spawn(writer.run_txn([("w", "x", "new"),
+                                       ("hold", 1500 * MS)]))
+    sim.run_until(sim.now + 10 * MS)
+    r = reader.k.spawn(reader.run_txn([("r", "x")]))
+    sim.run_until(sim.now + 100 * MS)
+    assert not r.done  # parked
+    standby.k.spawn(standby.recorder.adopt_role(writer.home_role, "d0.SH"))
+    sim.run_until(1 << 62, stop=lambda: w.done and r.done)
+    assert [f["node"] for _t, kind, f in sim.trace.events
+            if kind == "takeover"] == [standby.node_id]
+    assert (w.value.status, w.value.reason) == ("committed", None)
+    assert r.value.status == "committed"
+    assert r.value.reads[0][3] == "new"

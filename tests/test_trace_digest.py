@@ -20,9 +20,9 @@ SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 PINNED = {
     "baseline.yaml":
-        "6887bf1cc7a0c00c1e59600679873884e5653659d7aa289e3bdff09be41d3391",
+        "b2748365ad7967c169e08a4ec94458ee91a93b8ec8eb99b9474e84beacb1ac53",
     "faults.yaml":
-        "2280fe9ad13f50b49a0673e6388a9d20bfe3b232539f2571845e61a1c50eb140",
+        "d6bd5de5631864ab0ec8a9fff5308d3f3915107a87f120f527cffb5285a001d7",
 }
 
 
