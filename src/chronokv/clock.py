@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import NamedTuple, Optional
 
 from .messages import TsErr, TsReq, TsResp
-from .simnet import US, Network, Node, Simulation
+from .simnet import Network, Node, Simulation
 
 
 class UncertainTime(NamedTuple):
@@ -30,33 +30,21 @@ class TTCOracle:
 
     Guarantees, per server:
       * containment: earliest <= true <= latest, with latest-earliest == 2*eps;
-      * strictly increasing ``latest`` across calls;
-      * no two ``latest`` values less than ``ttl_ns`` apart are congruent
-        modulo ``step_ns``. Batches derive every issued timestamp from
-        ``latest`` on a fixed step grid, so same-server grid collisions --
-        two batches whose windows overlap and align -- would mint duplicate
-        timestamps. Monotonicity alone does not rule that out; spacing the
-        bounds off each other's grid residue does.
+      * strictly increasing ``latest`` across calls.
 
-    The first two confine ``latest`` to the window
-    ``[max(last_latest + 1, true_now), true_now + 2*eps]``. The drawn value
-    is nudged upward off occupied residues; if that would leave the window,
-    the search continues over the whole window, upward from the drawn value
-    and then wrapping to its low end. A call raises only when the window is
-    empty or holds no value on a free residue.
+    Both confine ``latest`` to the window
+    ``[max(last_latest + 1, true_now), true_now + 2*eps]``; the drawn value
+    is bumped up to the window's low end when it falls below it. A call
+    raises only when the window is empty.
     """
 
-    def __init__(self, server_id: int, epsilon_ns: int, rng, step_ns: int = 10,
-                 ttl_ns: int = 100 * US):
+    def __init__(self, server_id: int, epsilon_ns: int, rng):
         self.server_id = server_id
         self.epsilon_ns = epsilon_ns
         self.rng = rng
-        self.step_ns = max(1, step_ns)
-        self.ttl_ns = ttl_ns
         self._last_latest = -1
-        self._recent: list[int] = []  # recent latest values, for grid spacing
 
-    def sample(self, true_now: int, grid: bool = True) -> UncertainTime:
+    def sample(self, true_now: int) -> UncertainTime:
         eps = self.epsilon_ns
         skew = self.rng.randrange(0, 2 * eps + 1)
         lo = max(self._last_latest + 1, true_now)
@@ -66,43 +54,8 @@ class TTCOracle:
                 "oracle cannot satisfy monotonic unique bounds at this rate"
             )
         latest = max(true_now + (2 * eps - skew), lo)
-        if grid:
-            latest = self._off_occupied_residues(latest, lo, hi)
-            self._recent.append(latest)
         self._last_latest = latest
         return UncertainTime(latest - 2 * eps, latest, self.server_id)
-
-    def _off_occupied_residues(self, start: int, lo: int, hi: int) -> int:
-        """A value in [lo, hi] on a grid residue that no earlier ``latest``
-        less than one TTL below it holds, preferring ``start``."""
-        # Two batch bases can mint the same timestamp only when their
-        # issue windows overlap (bases less than TTL apart) and they
-        # agree modulo the grid step; nudge off occupied residues.
-        step, ttl = self.step_ns, self.ttl_ns
-        self._recent = [v for v in self._recent if v > lo - ttl]
-        occupied = {v % step for v in self._recent if v > start - ttl}
-        for latest in range(start, min(start + step, hi + 1)):
-            if latest % step not in occupied:
-                return latest
-        # The nudge ran out of window: take the first free value upward
-        # from start, else from the window's low end. A residue frees up
-        # one TTL after the newest latest that holds it.
-        newest: dict[int, int] = {}
-        for v in self._recent:
-            newest[v % step] = max(v, newest.get(v % step, v))
-        for first, last in ((start, hi), (lo, start - 1)):
-            found = []
-            for r in range(step):
-                value = max(first, newest[r] + ttl) if r in newest else first
-                value += (r - value) % step
-                if value <= last:
-                    found.append(value)
-            if found:
-                return min(found)
-        raise RuntimeError(
-            "all grid residues occupied: more than step_ns batch fetches "
-            "within one TTL window"
-        )
 
 
 class OracleServer(Node):
@@ -111,14 +64,12 @@ class OracleServer(Node):
     kind = "oracle"
 
     def __init__(self, sim: Simulation, net: Network, node_id: str, region: str,
-                 server_id: int, epsilon_ns: int, step_ns: int, ttl_ns: int,
+                 server_id: int, epsilon_ns: int,
                  outages: Optional[list] = None):
         super().__init__(sim, net, node_id, region, drift_ppm=0)
         self.server_id = server_id
-        self.core = TTCOracle(
-            server_id, epsilon_ns, sim.rng(f"oracle/{server_id}"),
-            step_ns=step_ns, ttl_ns=ttl_ns,
-        )
+        self.core = TTCOracle(server_id, epsilon_ns,
+                              sim.rng(f"oracle/{server_id}"))
         self.outages = outages or []
 
     def _out(self) -> bool:
@@ -135,7 +86,7 @@ class OracleServer(Node):
             self.k.reply(env, TsErr())
             return
         # The oracle *is* the clock hardware: it reads ground truth.
-        reading = self.core.sample(self.sim.true_now(), grid=env.payload.grid)
+        reading = self.core.sample(self.sim.true_now())
         self.sim.trace.emit(
             "oracle", srv=self.server_id, lo=reading.earliest, hi=reading.latest
         )

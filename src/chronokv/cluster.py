@@ -87,14 +87,11 @@ class Cluster:
                         for r in sc.regions}
         self._drift_rng = self.sim.rng("drift") if sc.drift_spread else None
 
-        self.oracles = []
-        for i, region in enumerate(sc.regions):
-            outages = [o for o in sc.faults.oracle_outages if o.server_id == i]
-            self.oracles.append(OracleServer(
-                self.sim, self.net, f"ts.{region}", region, server_id=i,
-                epsilon_ns=sc.epsilon_ns, step_ns=sc.step_ns, ttl_ns=sc.ttl_ns,
-                outages=outages,
-            ))
+        self.oracles = [
+            OracleServer(self.sim, self.net, f"ts.{region}", region,
+                         server_id=i, epsilon_ns=sc.epsilon_ns,
+                         outages=sc.faults.oracle_outages)
+            for i, region in enumerate(sc.regions)]
 
         data_ids = sc.data_node_ids()
         self.router = Router(data_ids)

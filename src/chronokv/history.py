@@ -25,7 +25,9 @@ SCHEMA_VERSION = 1
 
 
 def _ts(v) -> Optional[Timestamp]:
-    return None if v is None else Timestamp(v[0], v[1])
+    # Traces written before timestamps carried their batch hold 2-element
+    # lists; those read as batch 0.
+    return None if v is None else Timestamp(*v)
 
 
 @dataclass

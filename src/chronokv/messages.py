@@ -1,7 +1,7 @@
 """Wire payloads. Every message rides a simnet envelope that adds sender,
 receiver and, for an rpc, the request id its reply answers; payloads
-carry protocol fields only. Timestamps travel as (nanos, server_id)
-tuples."""
+carry protocol fields only. Timestamps travel as (nanos, server_id,
+batch) tuples."""
 
 from __future__ import annotations
 
@@ -21,9 +21,7 @@ ABORTED = "aborted"
 
 @dataclass(slots=True)
 class TsReq:
-    # grid=True: the reading seeds a timestamp batch, so its upper bound
-    # must stay off the step grid of other recent batch bases.
-    grid: bool = True
+    pass
 
 
 @dataclass(slots=True)

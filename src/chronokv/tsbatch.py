@@ -2,14 +2,21 @@
 issued, globally ordered timestamps.
 
 A batch built from an oracle reading with upper bound U covers
-``[U + ttl, U + 2*ttl)`` on a fixed nanosecond step grid, so it holds
-exactly ``ttl // step`` timestamps. The lower bound sits a full TTL above
+``[U + ttl, U + 2*ttl)`` in fixed nanosecond steps, so it holds exactly
+``ttl // step`` timestamps. The lower bound sits a full TTL above
 the oracle's upper bound; as long as the batch is only used while less
 than one TTL of (drift-compensated) local time has passed since the fetch
 was *sent*, every issued timestamp is strictly in the future of the true
 instant it was handed out. That is what lets a transaction's commit wait
 be a constant: by ``2*(ttl+eps)`` of true time after issuance, the
 timestamp is strictly in the past.
+
+The step only spaces a batch's own timestamps apart. Two batches from
+one server may overlap and share nanosecond values; each timestamp
+carries its batch's lower bound as a final tie-break, and since a
+server's upper bounds strictly increase, no two batches share one. So no
+two issued timestamps are equal (Lamport's rule: equal clock values are
+ordered by their issuer).
 
 Expiry is judged on the owner's local timer with the worst-case drift
 folded in: the batch is usable only while ``elapsed * (1 + D) < ttl``.
@@ -27,10 +34,12 @@ from .simnet import MS, Future, NodeKernel
 
 
 class Timestamp(NamedTuple):
-    """Total order: nanoseconds first, oracle server id as the tie-break."""
+    """Total order: nanoseconds first, then the oracle server id, then the
+    issuing batch's lower bound (0 for a timestamp no batch issued)."""
 
     nanos: int
     server_id: int
+    batch: int = 0
 
 
 @dataclass(slots=True)
@@ -49,11 +58,12 @@ class TimestampBatch:
         return elapsed * (1_000_000 + self.max_drift_ppm) >= self.ttl_ns * 1_000_000
 
     def next_timestamp(self, local_now: int) -> Optional[Timestamp]:
-        """The next timestamp on the grid, or None once the batch has
+        """The batch's next timestamp, or None once the batch has
         expired or is used up."""
         if self.expired(local_now) or self.issued >= self.capacity:
             return None
-        ts = Timestamp(self.low + self.issued * self.step_ns, self.server_id)
+        ts = Timestamp(self.low + self.issued * self.step_ns, self.server_id,
+                       self.low)
         self.issued += 1
         return ts
 
@@ -183,14 +193,11 @@ class TsProxy:
                     f"no live batch after {self.RETRY_CAP} retries"
                 )
             fetched = True
-            before = self.batch
             ok = yield from self._fetch()
             if not ok:
                 failures += 1
                 yield self.k.sleep_local(self.ttl_ns)
-            elif self.batch is before or (
-                self.batch is not None and self.batch.expired(self.k.local_now())
-            ):
+            elif self.batch.expired(self.k.local_now()):
                 # fetch "succeeded" but the round trip outlived the TTL
                 failures += 1
 
@@ -207,7 +214,7 @@ class TsProxy:
     def _acquire_strawman(self):
         for attempt in range(self.RETRY_CAP + 1):
             self.fetches += 1
-            resp = yield from self._ask_oracle(TsReq(grid=False))
+            resp = yield from self._ask_oracle(TsReq())
             if isinstance(resp, TsResp):
                 return Timestamp(resp.latest, resp.server_id)
             yield self.k.sleep_local(self.ttl_ns)

@@ -218,7 +218,7 @@ def _oracle_region(seed: int, epsilon_ns: int, ttl_ns: int, step_ns: int,
     net = Network(sim, LatencyMatrix([region], {(region, region): 0.2}),
                   FaultSchedule())
     OracleServer(sim, net, f"ts.{region}", region, server_id=0,
-                 epsilon_ns=epsilon_ns, step_ns=step_ns, ttl_ns=ttl_ns)
+                 epsilon_ns=epsilon_ns)
 
     def add_host(idx: int, drift_ppm: int, mode: str = "batched"):
         host = ClientHost(sim, net, f"h{idx}.{region}", region, drift_ppm,

@@ -72,6 +72,19 @@ def test_timestamp_comes_from_txn_ts_and_a_later_txn_end_keeps_it():
         ("committed", Timestamp(700, 1), 2)
 
 
+def test_two_element_timestamps_of_older_traces_read_as_batch_zero():
+    events = [
+        (10, "txn_begin", {"txn": "old", "coord": "c0"}),
+        (20, "txn_ts", {"txn": "old", "ts": [500, 1]}),
+        (30, "txn_begin", {"txn": "new", "coord": "c0"}),
+        (40, "txn_ts", {"txn": "new", "ts": [500, 1, 400]}),
+    ]
+    h = build_history(events)
+    assert h.txns["old"].ts == Timestamp(500, 1, 0)
+    assert h.txns["new"].ts == Timestamp(500, 1, 400)
+    assert h.txns["old"].ts < h.txns["new"].ts
+
+
 def test_read_trace_rejects_unknown_schema_versions(tmp_path):
     p = tmp_path / "bad.trace"
     p.write_text('{"kind": "header", "schema": 99}\n')

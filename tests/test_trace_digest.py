@@ -20,9 +20,9 @@ SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 PINNED = {
     "baseline.yaml":
-        "b2748365ad7967c169e08a4ec94458ee91a93b8ec8eb99b9474e84beacb1ac53",
+        "05cd7fe9297a82810a7e576cc7ae7612d481439b1939a222cb18fe5300b61020",
     "faults.yaml":
-        "d6bd5de5631864ab0ec8a9fff5308d3f3915107a87f120f527cffb5285a001d7",
+        "102dac257e930d7c59beec6b8855727f89d6d41f6751f290a64f3d28ac5a210a",
 }
 
 

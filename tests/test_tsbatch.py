@@ -1,11 +1,16 @@
 """Timestamp batches and the per-node proxy."""
 
+from collections import Counter
+
 import pytest
 
 from conftest import Host, drive, one_region
+from chronokv.checkers import run_all_checks
 from chronokv.clock import OracleServer, UncertainTime
+from chronokv.cluster import run_scenario
 from chronokv.errors import InvalidConfig, OracleUnavailable
 from chronokv.messages import TsReq, TsErr
+from chronokv.scenario import Scenario
 from chronokv.simnet import MS, FaultSchedule, OracleOutage
 from chronokv.tsbatch import (
     Timestamp,
@@ -39,8 +44,9 @@ def test_batch_covers_one_ttl_starting_one_ttl_above_the_reading():
 def test_batch_issues_the_grid_in_order():
     b = batch(latest=1_000_000)
     got = [b.next_timestamp(local_now=0) for _ in range(3)]
-    assert got == [Timestamp(1_100_000, 0), Timestamp(1_100_010, 0),
-                   Timestamp(1_100_020, 0)]
+    assert got == [Timestamp(1_100_000, 0, 1_100_000),
+                   Timestamp(1_100_010, 0, 1_100_000),
+                   Timestamp(1_100_020, 0, 1_100_000)]
 
 
 def test_batch_exhausts_after_capacity():
@@ -49,7 +55,7 @@ def test_batch_exhausts_after_capacity():
     assert b.capacity == 5
     for i in range(5):
         ts = b.next_timestamp(0)
-        assert ts == Timestamp(150 + 10 * i, 7)
+        assert ts == Timestamp(150 + 10 * i, 7, 150)
     assert b.next_timestamp(0) is None
 
 
@@ -78,6 +84,22 @@ def test_timestamps_order_by_nanos_then_server():
     assert Timestamp(5, 1) < Timestamp(5, 2)
     assert Timestamp(5, 2) == Timestamp(5, 2)
     assert not Timestamp(5, 2) < Timestamp(5, 2)
+    # then the issuing batch, 0 when left out
+    assert Timestamp(5, 2) == Timestamp(5, 2, 0)
+    assert Timestamp(5, 2, 100) < Timestamp(5, 2, 110)
+    assert Timestamp(5, 2, 110) < Timestamp(5, 3, 100)
+    assert Timestamp(5, 2, 110) < Timestamp(6, 2, 100)
+
+
+def test_overlapping_aligned_batches_of_one_server_issue_distinct_timestamps():
+    # two readings of one server one step apart: their windows overlap in
+    # all but one step and agree modulo the step
+    a = build_batch(UncertainTime(0, 1_000_000, 0), TTL, STEP, 0, D)
+    b = build_batch(UncertainTime(STEP, 1_000_000 + STEP, 0), TTL, STEP, 0, D)
+    issued = [x.next_timestamp(0) for x in (a, b) for _ in range(a.capacity)]
+    nanos = {ts.nanos for ts in issued}
+    assert len(nanos) == a.capacity + 1
+    assert len(set(issued)) == 2 * a.capacity
 
 
 # -- commit wait ------------------------------------------------------------------
@@ -100,7 +122,6 @@ def test_commit_wait_rounds_up():
 def proxy_rig(seed=1, faults=None, mode="batched", drift_ppm=0):
     sim, net = one_region(seed=seed, faults=faults)
     OracleServer(sim, net, "ts.R0", "R0", server_id=0, epsilon_ns=EPS,
-                 step_ns=STEP, ttl_ns=TTL,
                  outages=(faults.oracle_outages if faults else None))
     host = Host(sim, net, "h.R0", "R0", drift_ppm=drift_ppm)
     proxy = TsProxy(host.k, "ts.R0", ttl_ns=TTL, step_ns=STEP,
@@ -213,3 +234,27 @@ def test_unknown_mode_rejected():
     with pytest.raises(InvalidConfig):
         TsProxy(host.k, "ts.R0", ttl_ns=TTL, step_ns=STEP, epsilon_ns=EPS,
                 max_drift_ppm=D, mode="psychic")
+
+
+# -- many proxies on one oracle ------------------------------------------------
+
+
+@pytest.mark.parametrize("mode", ["batched", "strawman"])
+@pytest.mark.parametrize("coordinators", [15, 50])
+def test_many_coordinators_on_one_oracle_keep_timestamps_unique(
+        coordinators, mode):
+    r = run_scenario(Scenario(
+        name="scale", seed=1, coordinators=["SH"] * coordinators,
+        clients_per_coordinator=2, txns_per_client=10, ts_mode=mode))
+    sc = r.scenario
+    h = r.history()
+    for v in run_all_checks(h, sc.interval_ns, sc.epsilon_ns, end_ns=r.end_ns):
+        assert v.ok, (v.name, v.violations[:5])
+    stamps = [t.ts for t in h.txns.values() if t.ts is not None]
+    assert len(stamps) == 2 * 10 * coordinators
+    assert len(set(stamps)) == len(stamps)
+    if mode == "batched":
+        # batches of one oracle overlap: some timestamps differ only in
+        # their batch
+        pairs = Counter((ts.nanos, ts.server_id) for ts in stamps)
+        assert max(pairs.values()) > 1
