@@ -45,9 +45,10 @@ read parked behind an undecided intent says so at once
 it is only asked again every ``LONG_POLL_NS`` in case its answer is lost.
 A decide goes to whoever owns the home role, through
 ``RoleDirectory.call``, which re-reads the owner after a timeout or a
-NotOwner. An op and a timestamp the oracle cannot give are retried in
-one loop (``Coordinator._retrying``). Every kind of retry backs off by
-``retry_backoff_ns`` before the try after a timeout.
+NotOwner. A data op's tries are made in ``Coordinator._data_rpc``; a
+timestamp the oracle cannot give is asked for again by
+``TsProxy.acquire_waiting``, 30 times at most. Every kind of retry backs
+off by ``retry_backoff_ns`` before the try after a failed one.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import OracleUnavailable
+from .epochs import assign_commit_epoch
 from .messages import (
     ABORT,
     ABORTED,
@@ -217,8 +218,6 @@ class RecorderState:
         gate = Future(self.node.sim)
         rs.deciding[txn] = gate
         if decision == COMMIT:
-            from .epochs import assign_commit_epoch
-
             floor = rec.epoch if rec is not None else None
             epoch = assign_commit_epoch(proposals, self.node.epoch_now(), floor)
             status = COMMITTED
@@ -394,7 +393,7 @@ class Coordinator(Node):
         self._txn_n += 1
         txn = f"{self.node_id}:{self._txn_n}"
         self.k.trace("txn_begin", txn=txn, coord=self.node_id)
-        ts = yield from self._retrying(self._acquire_once)
+        ts = yield from self.tsproxy.acquire_waiting(attempts=30)
         if ts is None:
             h = TxnHandle(txn, None, None)
             h.status, h.reason = "failed", "oracle"
@@ -543,30 +542,7 @@ class Coordinator(Node):
         self._finish(h, None)
         return "aborted"
 
-    def abort(self, h: TxnHandle):
-        h.status = "aborted"
-        h.reason = h.reason or "client"
-        return (yield from self._abandon(h))
-
     # -- helpers -----------------------------------------------------------------
-
-    def _retrying(self, attempt, attempts: int = 30):
-        """Generator -> the first result other than None of ``attempt()``, a
-        generator, or None after ``attempts`` tries. Each try after the
-        first backs off by ``retry_backoff_ns``."""
-        for i in range(attempts):
-            if i:
-                yield self.k.sleep_local(retry_backoff_ns(i - 1))
-            resp = yield from attempt()
-            if resp is not None:
-                return resp
-        return None
-
-    def _acquire_once(self):
-        try:
-            return (yield from self.tsproxy.acquire())
-        except OracleUnavailable:
-            return None
 
     def _data_timeout(self, node_id: str) -> int:
         """A data op's per-try timeout: 1.25 round trips to ``node_id``,
@@ -575,25 +551,27 @@ class Coordinator(Node):
         return max(self.k.one_way_ns(node_id) * 5 // 2, 5 * MS)
 
     def _data_rpc(self, node_id: str, payload):
-        """Generator -> ``node_id``'s reply to ``payload``, or None. A try
-        answered by ``ReadParked`` waits for the answer that follows, and
-        asks again every ``LONG_POLL_NS`` (or try timeout, if longer)
-        while the read stays parked; only a try that hears nothing at all
-        counts against the retries."""
+        """Generator -> ``node_id``'s reply to ``payload``, or None after
+        30 tries, each after the first backed off by ``retry_backoff_ns``.
+        A try answered by ``ReadParked`` waits for the answer that
+        follows, and asks again every ``LONG_POLL_NS`` (or try timeout, if
+        longer) while the read stays parked; only a try that hears nothing
+        at all counts against the retries."""
         timeout = self._data_timeout(node_id)
         reask = max(timeout, LONG_POLL_NS)
         call = self.k.call(node_id, payload)
-
-        def attempt():
-            resp = yield call.ask(timeout)
-            while isinstance(resp, ReadParked):
-                resp = yield call.listen(reask)
-                if resp is RPC_TIMEOUT:
-                    resp = yield call.ask(timeout)
-            return None if resp is RPC_TIMEOUT else resp
-
         try:
-            return (yield from self._retrying(attempt))
+            for i in range(30):
+                if i:
+                    yield self.k.sleep_local(retry_backoff_ns(i - 1))
+                resp = yield call.ask(timeout)
+                while isinstance(resp, ReadParked):
+                    resp = yield call.listen(reask)
+                    if resp is RPC_TIMEOUT:
+                        resp = yield call.ask(timeout)
+                if resp is not RPC_TIMEOUT:
+                    return resp
+            return None
         finally:
             call.close()
 

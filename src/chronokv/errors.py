@@ -6,7 +6,7 @@ class InvalidConfig(ValueError):
 
 
 class OracleUnavailable(RuntimeError):
-    """The time oracle could not produce a usable batch within the retry cap."""
+    """One ask of the time oracle gave no usable timestamp."""
 
 
 class LivelockGuard(RuntimeError):

@@ -12,9 +12,10 @@ seed plus the name, which keeps one component's draws from perturbing
 another's.
 
 Capability split: protocol code acts through a :class:`NodeKernel`, which
-exposes the node's *drifting* local clock, local timers, messaging and rpc
--- and nothing that reveals ground truth. ``Simulation.true_now()`` is held
-by the simulator itself, the trace log, and the offline checkers only.
+exposes the node's *drifting* local clock, local timers, messaging and
+calls (requests that may be sent again, see :class:`Call`) -- and nothing
+that reveals ground truth. ``Simulation.true_now()`` is held by the
+simulator itself, the trace log, and the offline checkers only.
 """
 
 from __future__ import annotations
@@ -166,7 +167,7 @@ class Future:
 class _Task:
     """Drives one generator task (see ``spawn``). Nothing in a task refers
     back to it, so once nothing can resume it any more (its node crashed
-    while it waited on an rpc, say) it is freed at that instant, and its
+    while it waited on a call, say) it is freed at that instant, and its
     generator's ``finally`` blocks run then rather than whenever the cycle
     collector happens to run."""
 
@@ -383,13 +384,12 @@ class Network:
             self.sim.after(dup_delay, lambda: self._deliver(env))
 
     def _deliver(self, env: Envelope) -> None:
-        dst = self.nodes.get(env.dst)
-        if dst is None or not dst.alive:
+        dst = self.nodes[env.dst]
+        if not dst.alive:
             self.dropped += 1
             return
-        src = self.nodes.get(env.src)
-        src_region = src.region if src is not None else dst.region
-        if self._partitioned(src_region, dst.region, self.sim.now):
+        if self._partitioned(self.nodes[env.src].region, dst.region,
+                             self.sim.now):
             self.dropped += 1
             return
         dst.on_envelope(env)
@@ -431,7 +431,6 @@ class Node:
         self.k._pending_rpc.clear()
         self.k._timers.clear()
         self.sim.trace.emit("crash", node=self.node_id)
-        self.on_crash()
 
     def restart(self) -> None:
         # Subclasses rebuild volatile state (possibly asynchronously from
@@ -439,9 +438,6 @@ class Node:
         self.incarnation += 1
         self.sim.trace.emit("restart", node=self.node_id)
         self.on_restart()
-
-    def on_crash(self) -> None:
-        pass
 
     def on_restart(self) -> None:
         self.alive = True

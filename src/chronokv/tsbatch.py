@@ -24,13 +24,14 @@ folded in: the batch is usable only while ``elapsed * (1 + D) < ttl``.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from .clock import UncertainTime
 from .errors import InvalidConfig, OracleUnavailable
 from .messages import TsReq, TsResp
-from .simnet import MS, Future, NodeKernel
+from .simnet import MS, Future, NodeKernel, retry_backoff_ns
 
 
 class Timestamp(NamedTuple):
@@ -105,16 +106,14 @@ class TsProxy:
     """Per-node timestamp source.
 
     In batched mode it keeps at most one live batch and at most one
-    in-flight fetch; concurrent acquirers share the fetch. A fetch that
-    comes back already expired (slow oracle path) triggers an immediate
-    refetch, up to 3 retries, after which OracleUnavailable surfaces to
-    the caller; ``acquire_waiting`` instead pauses and asks again until a
-    timestamp comes. In strawman mode every acquire pays an oracle round
-    trip and the returned timestamp is the reading's upper bound.
+    in-flight fetch; concurrent acquirers share the fetch. In strawman
+    mode every acquire pays an oracle round trip of its own and the
+    returned timestamp is the reading's upper bound; a shared fetch would
+    hand one ``latest`` to two acquirers. Either way ``acquire`` asks the
+    oracle at most once and raises OracleUnavailable if that gives no
+    timestamp; ``acquire_waiting`` is the one loop that asks again.
     """
 
-    RETRY_CAP = 3
-    OUTAGE_PAUSE_NS = 5 * MS  # acquire_waiting's pause after a failure
     # An oracle round trip's timeout. The oracle sits in the rack, so its
     # round trip takes microseconds; a fetch unanswered in 1 ms is lost.
     FETCH_TIMEOUT_NS = MS
@@ -144,78 +143,65 @@ class TsProxy:
         return commit_wait_ns(self.ttl_ns, self.epsilon_ns, self.max_drift_ppm,
                               strawman=(self.mode == "strawman"))
 
-    def _ask_oracle(self, req: TsReq):
-        """Generator -> the oracle's reply to one try of ``req``, or
-        RPC_TIMEOUT."""
-        call = self.k.call(self.oracle_id, req)
+    def _ask_oracle(self):
+        """Generator -> the oracle's reply to one TsReq, or RPC_TIMEOUT."""
+        self.fetches += 1
+        call = self.k.call(self.oracle_id, TsReq())
         resp = yield call.ask(self.FETCH_TIMEOUT_NS)
         call.close()
         return resp
 
     def _fetch(self):
-        """Generator: one shared oracle round trip; returns True on success."""
+        """Generator: one shared oracle round trip, which replaces the
+        batch if it succeeds."""
         if self._inflight is not None:
-            ok = yield self._inflight
-            return ok
+            yield self._inflight
+            return
         fut = Future(self.k._node.sim)
         self._inflight = fut
         sent_local = self.k.local_now()
-        self.fetches += 1
-        resp = yield from self._ask_oracle(TsReq())
-        ok = isinstance(resp, TsResp)
-        if ok:
+        resp = yield from self._ask_oracle()
+        if isinstance(resp, TsResp):
             reading = UncertainTime(resp.earliest, resp.latest, resp.server_id)
             self.batch = build_batch(reading, self.ttl_ns, self.step_ns,
                                      acquired_local=sent_local,
                                      max_drift_ppm=self.max_drift_ppm)
         self._inflight = None
-        fut.resolve(ok)
-        return ok
+        fut.resolve()
+
+    def _next_from_batch(self) -> Optional[Timestamp]:
+        b = self.batch
+        return None if b is None else b.next_timestamp(self.k.local_now())
 
     def acquire(self):
-        """Generator -> Timestamp. Raises OracleUnavailable when the oracle
-        cannot produce a live batch within the retry cap."""
+        """Generator -> Timestamp: the live batch's next one, or else one
+        from a single oracle fetch. Raises OracleUnavailable when the fetch
+        fails, or its batch is expired or used up by the time it lands."""
         self.requests += 1
         if self.mode == "strawman":
-            return (yield from self._acquire_strawman())
-        fetched = False
-        failures = 0
-        while True:
-            b = self.batch
-            if b is not None:
-                got = b.next_timestamp(self.k.local_now())
-                if got is not None:
-                    if not fetched:
-                        self.served_local += 1
-                    return got
-            if failures > self.RETRY_CAP:
-                raise OracleUnavailable(
-                    f"no live batch after {self.RETRY_CAP} retries"
-                )
-            fetched = True
-            ok = yield from self._fetch()
-            if not ok:
-                failures += 1
-                yield self.k.sleep_local(self.ttl_ns)
-            elif self.batch.expired(self.k.local_now()):
-                # fetch "succeeded" but the round trip outlived the TTL
-                failures += 1
+            resp = yield from self._ask_oracle()
+            if not isinstance(resp, TsResp):
+                raise OracleUnavailable("the oracle gave no reading")
+            return Timestamp(resp.latest, resp.server_id)
+        ts = self._next_from_batch()
+        if ts is not None:
+            self.served_local += 1
+            return ts
+        yield from self._fetch()
+        ts = self._next_from_batch()
+        if ts is None:
+            raise OracleUnavailable("the fetch gave no live batch")
+        return ts
 
-    def acquire_waiting(self):
-        """Generator -> Timestamp. Like ``acquire``, but an oracle that
-        cannot give one is asked again after ``OUTAGE_PAUSE_NS`` on the
-        local clock, for as long as it takes."""
-        while True:
+    def acquire_waiting(self, attempts: Optional[int] = None):
+        """Generator -> Timestamp, or None after ``attempts`` failed tries
+        (never, if ``attempts`` is None). Each try after the first backs
+        off by ``retry_backoff_ns`` on the local clock."""
+        for i in itertools.count():
+            if i:
+                yield self.k.sleep_local(retry_backoff_ns(i - 1))
             try:
                 return (yield from self.acquire())
             except OracleUnavailable:
-                yield self.k.sleep_local(self.OUTAGE_PAUSE_NS)
-
-    def _acquire_strawman(self):
-        for attempt in range(self.RETRY_CAP + 1):
-            self.fetches += 1
-            resp = yield from self._ask_oracle(TsReq())
-            if isinstance(resp, TsResp):
-                return Timestamp(resp.latest, resp.server_id)
-            yield self.k.sleep_local(self.ttl_ns)
-        raise OracleUnavailable("direct oracle reads failing")
+                if attempts is not None and i + 1 >= attempts:
+                    return None

@@ -20,6 +20,7 @@ from chronokv.messages import (
     Heartbeat,
     ReadReq,
     ReadResp,
+    TsReq,
     WriteReq,
 )
 from chronokv.mvto import Settler
@@ -218,6 +219,25 @@ def test_a_txn_begun_during_a_short_oracle_outage_commits():
     res = drive(cluster.sim, coord.k, coord.run_txn([("w", a, "v")]))
     assert res.status == "committed", res.reason
     assert res.ts.nanos > 200 * MS
+
+
+def test_a_begin_in_a_permanent_outage_fails_after_thirty_fetches():
+    fs = FaultSchedule(oracle_outages=[OracleOutage(0, 0, 1 << 62)])
+    cluster, coord = idle_cluster(fs)
+    fetches = []
+    send = cluster.net.send
+
+    def recording(src, dst_id, payload, rid=0, is_reply=False):
+        if src is coord and isinstance(payload, TsReq):
+            fetches.append(cluster.sim.now)
+        send(src, dst_id, payload, rid, is_reply)
+
+    cluster.net.send = recording
+    h = drive(cluster.sim, coord.k, coord.begin())
+    assert (h.status, h.reason, h.ts) == ("failed", "oracle", None)
+    assert len(fetches) == 30
+    # 29 backoffs of 2, 4, ..., 50 ms, the last four capped: 850 ms
+    assert 849 * MS < fetches[-1] - fetches[0] < 852 * MS
 
 
 def test_a_write_run_is_sent_at_once_coalesced_with_one_lead_write():

@@ -22,7 +22,7 @@ PINNED = {
     "baseline.yaml":
         "05cd7fe9297a82810a7e576cc7ae7612d481439b1939a222cb18fe5300b61020",
     "faults.yaml":
-        "102dac257e930d7c59beec6b8855727f89d6d41f6751f290a64f3d28ac5a210a",
+        "e99a5953ee2407dde0366198132c003068b476e73883c4c7364a92c01d947c81",
 }
 
 

@@ -193,6 +193,43 @@ def test_proxy_times_out_to_oracle_unavailable():
     assert drive(sim, host.k, attempt()) == "unavailable"
 
 
+@pytest.mark.parametrize("mode", ["batched", "strawman"])
+def test_an_acquire_in_an_outage_asks_the_oracle_once(mode):
+    faults = FaultSchedule(oracle_outages=[
+        OracleOutage(server_id=0, start_ns=0, end_ns=1 << 62)])
+    sim, host, proxy = proxy_rig(faults=faults, mode=mode)
+    asked = []
+    send = host.net.send
+
+    def recording(src, dst_id, payload, rid=0, is_reply=False):
+        if isinstance(payload, TsReq):
+            asked.append(dst_id)
+        send(src, dst_id, payload, rid, is_reply)
+
+    host.net.send = recording
+
+    def attempt():
+        try:
+            yield from proxy.acquire()
+            return "issued"
+        except OracleUnavailable:
+            return "unavailable"
+
+    assert drive(sim, host.k, attempt()) == "unavailable"
+    assert asked == ["ts.R0"]
+    assert proxy.fetches == 1
+
+
+def test_acquire_waiting_gives_up_after_its_attempts():
+    faults = FaultSchedule(oracle_outages=[
+        OracleOutage(server_id=0, start_ns=0, end_ns=1 << 62)])
+    sim, host, proxy = proxy_rig(faults=faults)
+    assert drive(sim, host.k, proxy.acquire_waiting(attempts=3)) is None
+    assert proxy.requests == proxy.fetches == 3
+    # backed off by 2 and then 4 ms
+    assert 6 * MS < sim.now < 7 * MS
+
+
 def test_acquire_waiting_outlasts_an_outage_in_five_ms_pauses():
     faults = FaultSchedule(oracle_outages=[
         OracleOutage(server_id=0, start_ns=0, end_ns=20 * MS)])
@@ -204,9 +241,9 @@ def test_acquire_waiting_outlasts_an_outage_in_five_ms_pauses():
 
     ts, now = drive(sim, host.k, attempt())
     assert ts.nanos > now
-    # A failed acquire takes about 0.5 ms (four TsErr replies, each
-    # followed by a TTL sleep) and is followed by a 5 ms pause, so the
-    # fifth acquire, at about 22 ms, is the first after the outage.
+    # Each failed acquire is one TsErr reply, and the tries back off by
+    # 2, 4, 6 and 8 ms: they go at about 0, 2, 6, 12 and 20 ms, so the
+    # fifth is the first after the outage.
     assert 20 * MS < now < 25 * MS
     assert proxy.requests == 5
 
