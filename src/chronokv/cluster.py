@@ -124,11 +124,6 @@ class Cluster:
                 membership=RoleDirectory(self.storage),
             ))
 
-        self.nodes = {}
-        for n in (self.oracles + self.data_nodes + self.standby_nodes
-                  + self.replicas + self.coordinators):
-            self.nodes[n.node_id] = n
-
         self._check_fault_targets()
         self._started = False
         self._clients = None
@@ -193,7 +188,7 @@ class Cluster:
             n.start()
         sc = self.scenario
         for c in sc.faults.crashes:
-            node = self.nodes[c.node]
+            node = self.net.nodes[c.node]
             self.sim.at(c.at_ns, node.crash)
             if c.restart_at_ns is not None:
                 self.sim.at(c.restart_at_ns, node.restart)
@@ -205,7 +200,7 @@ class Cluster:
         def fire():
             home = RoleDirectory.home_region(t.role)
             old = self.storage[home].membership.get(t.role)
-            new = self.nodes[t.to_node]
+            new = self.net.nodes[t.to_node]
             new.k.spawn(new.recorder.adopt_role(t.role, old))
 
         return fire

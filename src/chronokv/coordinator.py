@@ -35,20 +35,19 @@ discovered the hard way — a durable append bounces with a fence — after
 which the old recorder answers NotOwner and the sender looks up the
 successor named by the membership register.
 
-Retries: a re-sent request never stops listening for the replies to
-its earlier tries (``simnet.Call``), so under drops and reordering the
-first reply to any try ends the wait. An op goes to the key's fixed
-primary, and each try waits for the link's round trip with room for its
-jitter and a flush (``Coordinator._data_timeout``), at least 5 ms. A
-read parked behind an undecided intent says so at once
-(``messages.ReadParked``): from then on its tries are not counted, and
-it is only asked again every ``LONG_POLL_NS`` in case its answer is lost.
-A decide goes to whoever owns the home role, through
-``RoleDirectory.call``, which re-reads the owner after a timeout or a
-NotOwner. A data op's tries are made in ``Coordinator._data_rpc``; a
-timestamp the oracle cannot give is asked for again by
-``TsProxy.acquire_waiting``, 30 times at most. Every kind of retry backs
-off by ``retry_backoff_ns`` before the try after a failed one.
+Retries: there is one retry loop per kind of destination, both in
+``replication``, and both back off by ``retry_backoff_ns`` before the
+try after an unanswered one. An op goes to the key's fixed primary
+through ``call_node``: 30 tries, each waiting for the link's round trip
+with room for its jitter and a flush. A read parked behind an undecided
+intent says so at once (``messages.ReadParked``): from then on its tries
+are not counted, and it is only asked again every ``LONG_POLL_NS`` in
+case its answer is lost. A decide goes to whoever owns the home role
+through ``RoleDirectory.call``, which re-reads the owner after a timeout
+or a NotOwner; a commit's decide makes 30 tries, and an abort no one
+answered is asked for in the background until it is. A timestamp the
+oracle cannot give is asked for again by ``TsProxy.acquire_waiting``, 30
+times at most.
 """
 
 from __future__ import annotations
@@ -70,12 +69,11 @@ from .messages import (
     NotOwner,
     PushReq,
     PushResp,
-    ReadParked,
     ReadReq,
     WriteReq,
 )
-from .replication import LONG_POLL_NS, RecordEntry, recorder_role
-from .simnet import MS, RPC_TIMEOUT, Future, Node, retry_backoff_ns
+from .replication import RecordEntry, call_node, recorder_role
+from .simnet import MS, Future, Node
 from .tsbatch import Timestamp, TsProxy
 
 HB_INTERVAL_NS = 100 * MS
@@ -149,7 +147,7 @@ class RecorderState:
     def handle_decide(self, env, req: DecideReq) -> None:
         if self._owned(env, req.role) is None:
             return
-        self.node.k.spawn(self._decide_task(req.role, req.txn, req.decision,
+        self.node.k.spawn(self._decide_core(req.role, req.txn, req.decision,
                                             req.proposals, env))
 
     def handle_push(self, env, req: PushReq) -> None:
@@ -190,30 +188,29 @@ class RecorderState:
 
     # -- deciding ----------------------------------------------------------------
 
-    def _decide_task(self, role, txn, decision, proposals, env):
-        resp = yield from self._decide_core(role, txn, decision, proposals)
-        if env is not None:
-            self.node.k.reply(env, resp)
+    def _decide_core(self, role, txn, decision, proposals, env):
+        """Generator task: at most one durable decision per transaction;
+        every later call answers from the record. The answer, a DecideResp
+        or NotOwner, goes to ``env`` unless it is None (the sweep's)."""
 
-    def _decide_core(self, role, txn, decision, proposals):
-        """Generator -> DecideResp | NotOwner. At most one durable decision
-        per transaction; every later call answers from the record."""
+        def answer(resp):
+            if env is not None:
+                self.node.k.reply(env, resp)
+
         rs = self.roles.get(role)
         if rs is None:
-            return NotOwner(role)
+            return answer(NotOwner(role))
         rec = rs.records.get(txn)
         if rec is not None and rec.status != IN_PROGRESS:
-            return DecideResp(rec.status, rec.epoch)
+            return answer(DecideResp(rec.status, rec.epoch))
         inflight = rs.deciding.get(txn)
         if inflight is not None:
             yield inflight
             rs2 = self.roles.get(role)
-            if rs2 is None:
-                return NotOwner(role)
-            rec = rs2.records.get(txn)
+            rec = rs2 and rs2.records.get(txn)
             if rec is None or rec.status == IN_PROGRESS:
-                return NotOwner(role)
-            return DecideResp(rec.status, rec.epoch)
+                return answer(NotOwner(role))
+            return answer(DecideResp(rec.status, rec.epoch))
 
         gate = Future(self.node.sim)
         rs.deciding[txn] = gate
@@ -231,10 +228,10 @@ class RecorderState:
         if res[0] != "ok":
             self._fence_lost(role)
             gate.resolve()
-            return NotOwner(role)
+            return answer(NotOwner(role))
         if rs_now is not rs:  # adopted away and back? treat as fenced
             gate.resolve()
-            return NotOwner(role)
+            return answer(NotOwner(role))
         rs.records[txn] = TxnRecord(status, epoch)
         rs.in_progress.pop(txn, None)
         rs.deciding.pop(txn, None)
@@ -242,7 +239,7 @@ class RecorderState:
         for penv in rs.pending.pop(txn, ()):
             self.node.k.reply(penv, PushResp(decision, epoch))
         gate.resolve()
-        return DecideResp(status, epoch)
+        return answer(DecideResp(status, epoch))
 
     # -- fencing / takeover --------------------------------------------------------
 
@@ -307,7 +304,7 @@ class RecorderState:
                     if txn not in rs.deciding and self._coordinator_stale(
                             Coordinator.coordinator_of(txn)):
                         self.node.k.spawn(
-                            self._decide_task(role, txn, ABORT, [], None))
+                            self._decide_core(role, txn, ABORT, [], None))
 
 
 @dataclass(slots=True)
@@ -420,7 +417,7 @@ class Coordinator(Node):
                          vts=list(h.ts), val=value)
             return value
         node = self.router.primary(key)
-        resp = yield from self._data_rpc(node, ReadReq(key, h.ts, h.txn))
+        resp = yield from call_node(self.k, node, ReadReq(key, h.ts, h.txn))
         if resp is None:
             if h.status == "active":
                 h.status, h.reason = "failed", "unreachable"
@@ -442,7 +439,7 @@ class Coordinator(Node):
         their intents are known to the abort."""
         node = self.router.primary(key)
         req = WriteReq(key, h.txn, h.ts, ops[-1][1], h.role, ops[-1][0])
-        resp = yield from self._data_rpc(node, req)
+        resp = yield from call_node(self.k, node, req)
         if resp is None:
             if h.status == "active":
                 h.status, h.reason = "failed", "unreachable"
@@ -544,39 +541,10 @@ class Coordinator(Node):
 
     # -- helpers -----------------------------------------------------------------
 
-    def _data_timeout(self, node_id: str) -> int:
-        """A data op's per-try timeout: 1.25 round trips to ``node_id``,
-        which cover its two ±10% jittered legs and a write's flush, and
-        at least 5 ms."""
-        return max(self.k.one_way_ns(node_id) * 5 // 2, 5 * MS)
-
-    def _data_rpc(self, node_id: str, payload):
-        """Generator -> ``node_id``'s reply to ``payload``, or None after
-        30 tries, each after the first backed off by ``retry_backoff_ns``.
-        A try answered by ``ReadParked`` waits for the answer that
-        follows, and asks again every ``LONG_POLL_NS`` (or try timeout, if
-        longer) while the read stays parked; only a try that hears nothing
-        at all counts against the retries."""
-        timeout = self._data_timeout(node_id)
-        reask = max(timeout, LONG_POLL_NS)
-        call = self.k.call(node_id, payload)
-        try:
-            for i in range(30):
-                if i:
-                    yield self.k.sleep_local(retry_backoff_ns(i - 1))
-                resp = yield call.ask(timeout)
-                while isinstance(resp, ReadParked):
-                    resp = yield call.listen(reask)
-                    if resp is RPC_TIMEOUT:
-                        resp = yield call.ask(timeout)
-                if resp is not RPC_TIMEOUT:
-                    return resp
-            return None
-        finally:
-            call.close()
-
-    def _decide(self, h: TxnHandle, decision: str, attempts: int = 30):
-        """Generator -> the recorder's DecideResp, or None."""
+    def _decide(self, h: TxnHandle, decision: str,
+                attempts: Optional[int] = 30):
+        """Generator -> the recorder's DecideResp, or None after
+        ``attempts`` tries (never, if ``attempts`` is None)."""
         req = DecideReq(h.role, h.txn, decision, list(h.proposals))
         return (yield from self.membership.call(self.k, h.role, req, attempts))
 
@@ -600,9 +568,7 @@ class Coordinator(Node):
         commit if the lost decide landed first. The sweep aborts only for
         coordinators gone quiet, so without this readers of the keys would
         park on the intents for good."""
-        resp = None
-        while resp is None:
-            resp = yield from self._decide(h, ABORT)
+        resp = yield from self._decide(h, ABORT, attempts=None)
         decision = COMMIT if resp.status == COMMITTED else ABORT
         self._broadcast_finalize(h, decision, resp.epoch)
 
@@ -633,9 +599,8 @@ class Coordinator(Node):
         segment pays about one round trip per op on its busiest key, not
         one per op. A writer's record will be at the home role."""
         h = yield from self.begin()
-        if h.ts is None:
-            self._finish(h, None)
-            return TxnResult(h.txn, h.status, None, [], [], reason=h.reason)
+        if h.status != "active":  # no timestamp: nothing is sent
+            program = ()
         if any(op[0] == "w" for op in program):
             h.role = self.home_role
         chains: dict[str, list] = {}

@@ -166,8 +166,8 @@ class Settler:
     the writer's verdict instead of guessing, and one push task per
     transaction asks the writer's recorder for it. A push is a long poll:
     the recorder answers once the transaction is decided, so each try
-    waits at least 30 ms and a timed-out try re-polls at once, up to
-    ``PUSH_ATTEMPTS`` tries. Primaries and replicas
+    waits at least 30 ms and a timed-out try re-polls at once, for as
+    long as the transaction stays undecided. Primaries and replicas
     settle alike; each hands in ``apply(txn, decision, epoch)``, which
     folds a pushed verdict into its own state. Verdicts that arrive by
     other means (a finalize, or one shipped to a replica) wake the waiters
@@ -184,8 +184,6 @@ class Settler:
     again, and a later push raises the floor further once the replica
     has replayed it.
     """
-
-    PUSH_ATTEMPTS = 300
 
     def __init__(self, node: Node, store: KeyStore, apply, above=None):
         self.node = node
@@ -246,17 +244,11 @@ class Settler:
         self.wake(txn)
 
     def _push_task(self, txn: str, role: str):
-        """Push until ``txn`` is decided, until a floor answers a
-        replica's push, or for ``PUSH_ATTEMPTS`` tries: the waiters it
-        leaves blocked push again."""
+        """Push until ``txn`` is decided, or until a floor answers a
+        replica's push: the waiters the floor leaves blocked push again.
+        Each try carries the replica's replayed epoch as it is then."""
         k = self.node.k
-        attempts = 0
         while txn not in self.store.decided:
-            if attempts == self.PUSH_ATTEMPTS:
-                k.trace("push_stuck", node=self.node.node_id, txn=txn)
-                self.wake(txn)
-                break
-            attempts += 1
             above = self.above() if self.above is not None else None
             req = PushReq(role, txn, above)
             resp = yield from self.node.membership.call(k, role, req,

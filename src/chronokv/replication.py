@@ -1,4 +1,5 @@
-"""Durable logs and the shared storage layer beneath them.
+"""Durable logs, the shared storage layer beneath them, and the retry
+loops every request is sent through.
 
 Each data node owns an append-only stream of log entries (write intents,
 finalizations, epoch cut markers) and each recorder role owns a stream of
@@ -15,10 +16,15 @@ recorder learns that it did: the stream outlives the recorder, so a
 record whose writer crashed mid-append is still durable, and still
 traced. A fenced append lands nothing and traces nothing.
 
-Every request to a recorder role (a decide or a push) goes to the owner
-its membership register names, through the one retry loop
-``RoleDirectory.call``. Consecutive tries to one owner are tries of one
-``simnet.Call``, so a reply to any of them is heard.
+Every request that may be sent again goes through one of two retry
+loops, one per kind of destination. A request to a fixed node (a data
+op, a replica read, an oracle fetch) goes through ``call_node``. A
+request to a recorder role (a decide or a push) goes to the owner its
+membership register names, through ``RoleDirectory.call``, which
+re-reads the owner when a try times out or is refused. Consecutive
+tries to one node are tries of one ``simnet.Call``, so a reply to any
+of them is heard (the hedged-request rule of Dean and Barroso, "The
+Tail at Scale", CACM 2013).
 
 Log positions double as replication sequence numbers: primaries ship
 their data log's durable entries to replicas, which apply them strictly
@@ -29,10 +35,11 @@ learns outcomes from its primary's finalizes, or by pushing.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Optional
 
-from .messages import NotOwner
+from .messages import NotOwner, ReadParked
 from .simnet import MS, RPC_TIMEOUT, Future, Simulation, retry_backoff_ns
 
 FENCED = "fenced"
@@ -40,6 +47,37 @@ FENCED = "fenced"
 #: The shortest wait of a long poll: a push for a verdict, or a read
 #: parked behind one, is asked again no sooner than this.
 LONG_POLL_NS = 30 * MS
+
+
+def call_node(k, node_id: str, payload, timeout_ns: Optional[int] = None,
+              attempts: int = 30):
+    """Generator -> ``node_id``'s reply to ``payload`` sent from kernel
+    ``k``, or None after ``attempts`` tries, each after the first backed
+    off by ``retry_backoff_ns``. A try waits ``timeout_ns``; by default
+    1.25 round trips to ``node_id``, which cover its two ±10% jittered
+    legs and a write's flush, and at least 5 ms. A try answered by
+    ``ReadParked`` waits for the answer that follows, and asks again
+    every ``LONG_POLL_NS`` (or try timeout, if longer) while the read
+    stays parked; only a try that hears nothing at all counts against
+    ``attempts``."""
+    if timeout_ns is None:
+        timeout_ns = max(k.one_way_ns(node_id) * 5 // 2, 5 * MS)
+    reask = max(timeout_ns, LONG_POLL_NS)
+    call = k.call(node_id, payload)
+    try:
+        for i in range(attempts):
+            if i:
+                yield k.sleep_local(retry_backoff_ns(i - 1))
+            resp = yield call.ask(timeout_ns)
+            while isinstance(resp, ReadParked):
+                resp = yield call.listen(reask)
+                if resp is RPC_TIMEOUT:
+                    resp = yield call.ask(timeout_ns)
+            if resp is not RPC_TIMEOUT:
+                return resp
+        return None
+    finally:
+        call.close()
 
 
 # -- log entries -------------------------------------------------------------
@@ -189,18 +227,20 @@ class RoleDirectory:
             self._owners[role] = owner
         return owner
 
-    def call(self, k, role: str, payload, attempts: int = 1,
+    def call(self, k, role: str, payload, attempts: Optional[int] = 1,
              floor_ns: int = 5 * MS):
         """Generator -> the reply of ``role``'s owner to ``payload`` sent
-        from kernel ``k``, or None after ``attempts`` tries. With no owner
-        registered a try sleeps 5 ms. A timeout (at least ``floor_ns``)
-        drops the cached owner, and the next try first backs off by
-        ``retry_backoff_ns``; a NotOwner drops it and the next try starts
-        at once. Tries in a row to one owner listen for each other's
-        replies (see ``simnet.Call``)."""
+        from kernel ``k``, or None after ``attempts`` tries (never, if
+        ``attempts`` is None). With no owner registered a try sleeps 5 ms.
+        A timeout (at least ``floor_ns``) drops the cached owner, and the
+        next try first backs off by ``retry_backoff_ns``; a NotOwner drops
+        it and the next try starts at once. Tries in a row to one owner
+        listen for each other's replies (see ``simnet.Call``)."""
         call = None
         try:
-            for i in range(attempts):
+            for i in itertools.count():
+                if i == attempts:
+                    return None
                 owner = yield from self.lookup(role)
                 if owner is None:
                     yield k.sleep_local(5 * MS)
@@ -212,13 +252,12 @@ class RoleDirectory:
                 resp = yield call.ask(k.rpc_timeout_for(owner, floor_ns))
                 if resp is RPC_TIMEOUT:
                     self.invalidate(role)
-                    if i + 1 < attempts:
+                    if i + 1 != attempts:
                         yield k.sleep_local(retry_backoff_ns(i))
                 elif isinstance(resp, NotOwner):
                     self.invalidate(role)
                 else:
                     return resp
-            return None
         finally:
             if call is not None:
                 call.close()

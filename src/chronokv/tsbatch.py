@@ -31,6 +31,7 @@ from typing import NamedTuple, Optional
 from .clock import UncertainTime
 from .errors import InvalidConfig, OracleUnavailable
 from .messages import TsReq, TsResp
+from .replication import call_node
 from .simnet import MS, Future, NodeKernel, retry_backoff_ns
 
 
@@ -144,12 +145,10 @@ class TsProxy:
                               strawman=(self.mode == "strawman"))
 
     def _ask_oracle(self):
-        """Generator -> the oracle's reply to one TsReq, or RPC_TIMEOUT."""
+        """Generator -> the oracle's reply to one TsReq, or None."""
         self.fetches += 1
-        call = self.k.call(self.oracle_id, TsReq())
-        resp = yield call.ask(self.FETCH_TIMEOUT_NS)
-        call.close()
-        return resp
+        return (yield from call_node(self.k, self.oracle_id, TsReq(),
+                                     self.FETCH_TIMEOUT_NS, attempts=1))
 
     def _fetch(self):
         """Generator: one shared oracle round trip, which replaces the

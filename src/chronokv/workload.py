@@ -6,9 +6,12 @@ stream, so a run is a pure function of the scenario seed. Transaction
 clients run on their home coordinator's kernel. Replica readers are
 clients of the replicas, not of the coordinator: each coordinator's
 readers share one client host in its region, with its own timestamp
-proxy, so they outlive a crash of the coordinator. Written values are
-globally unique (``client.txnseq.opidx``) which lets the checkers match
-every read to the exact write that produced it.
+proxy, so they outlive a crash of the coordinator. A replica read is
+sent through ``replication.call_node`` like any request to a fixed
+node, with a try timeout long enough to wait out a fresh read's view;
+a read whose every try goes unanswered is not recorded. Written values
+are globally unique (``client.txnseq.opidx``) which lets the checkers
+match every read to the exact write that produced it.
 """
 
 from __future__ import annotations
@@ -20,9 +23,9 @@ from .clock import OracleServer
 from .errors import OracleUnavailable
 from .messages import ReplicaReadReq
 from .metrics import percentile
+from .replication import call_node
 from .simnet import (
     MS,
-    RPC_TIMEOUT,
     FaultSchedule,
     LatencyMatrix,
     Network,
@@ -189,16 +192,10 @@ def _replica_reader(host, cluster, cs, rng, idx, zipf):
                 # beyond that.
                 timeout = max(host.k.rpc_timeout_for(target),
                               3 * sc.interval_ns + 100 * MS)
-                call = host.k.call(target, req)
-                try:
-                    for _ in range(10):
-                        resp = yield call.ask(timeout)
-                        if resp is not RPC_TIMEOUT:
-                            cs.replica_reads.append(
-                                (f"{reader}.{n}", ts, mode, target, resp))
-                            break
-                finally:
-                    call.close()
+                resp = yield from call_node(host.k, target, req, timeout)
+                if resp is not None:
+                    cs.replica_reads.append(
+                        (f"{reader}.{n}", ts, mode, target, resp))
             yield host.k.sleep_local(5 * MS)
     finally:
         cs.pending -= 1

@@ -18,12 +18,12 @@ from chronokv.history import build_history
 from chronokv.messages import (
     DecideReq,
     Heartbeat,
+    PushReq,
     ReadReq,
     ReadResp,
     TsReq,
     WriteReq,
 )
-from chronokv.mvto import Settler
 from chronokv.replication import LONG_POLL_NS
 from chronokv.scenario import Scenario, WorkloadSpec, load_scenario
 from chronokv.simnet import (
@@ -565,28 +565,31 @@ def test_a_read_parked_behind_a_long_hold_commits(hold):
     assert w.value.status == "committed"
 
 
-def test_a_read_parked_past_a_stuck_push_is_answered_once_a_push_lands(
-        monkeypatch):
+def test_a_read_parked_past_a_stuck_push_is_answered_once_a_push_lands():
     # Every push is lost for a while, and every finalize for good, so
-    # only a push can tell the primary the writer's verdict. A push task
-    # that gives up wakes its waiters, which push again: a re-ask of the
-    # parked read would not.
-    monkeypatch.setattr(Settler, "PUSH_ATTEMPTS", 3)
+    # only a push can tell the primary the writer's verdict. The push
+    # task polls until the writer is decided, so the first push past the
+    # window brings the verdict: a re-ask of the parked read would not.
     cluster, (writer, reader) = two_coordinator_cluster()
     sim = cluster.sim
     drive(sim, writer.k, writer.run_txn([("w", "x", "old")]))
     filters = cluster.net.faults.msg_filters
     filters.append(MsgFilter(frozenset({"FinalizeReq"}), 1.0))
-    filters.append(MsgFilter(frozenset({"PushReq"}), 1.0,
-                             end_ns=sim.now + 600 * MS))
+    lost_until = sim.now + 600 * MS
+    filters.append(MsgFilter(frozenset({"PushReq"}), 1.0, end_ns=lost_until))
     w = writer.k.spawn(writer.run_txn([("w", "x", "new"),
                                        ("hold", 200 * MS)]))
     sim.run_until(sim.now + 10 * MS)
+    pushes = record_sends(cluster, PushReq)
     res = drive(sim, reader.k, reader.run_txn([("r", "x")]),
                 deadline=sim.now + 5 * SEC)
     assert w.value.status == "committed"
     assert res.reads[0][3] == "new"
-    assert any(kind == "push_stuck" for _t, kind, _f in sim.trace.events)
+    assert sim.now > lost_until
+    # one push task: its tries keep coming, each a long poll apart
+    assert len(pushes) > 1
+    sent = [t for t, _p in pushes]
+    assert all(b - a >= LONG_POLL_NS for a, b in zip(sent, sent[1:]))
 
 
 # -- heartbeats and takeover -------------------------------------------------

@@ -15,7 +15,13 @@ from chronokv.messages import (
     ReplicaReadReq,
 )
 from chronokv.scenario import Scenario, WorkloadSpec
-from chronokv.simnet import MS, SEC, CrashDirective, FaultSchedule
+from chronokv.simnet import (
+    MS,
+    SEC,
+    CrashDirective,
+    FaultSchedule,
+    retry_backoff_ns,
+)
 
 
 def replica_scenario(seed, mode, **kw):
@@ -180,3 +186,27 @@ def test_a_replica_reader_outlives_its_coordinators_crash():
     answered = [rr[0] for rr in r.replica_reads]
     assert reader in answered
     assert len(answered) == 10
+
+
+def test_a_lost_replica_read_is_asked_again_after_a_backoff():
+    cluster = Cluster(replica_scenario(
+        5, "fresh", clients_per_coordinator=0, replica_readers=1,
+        replica_reads_per_reader=1))
+    sent = []
+    send = cluster.net.send
+
+    def first_read_lost(src, dst_id, payload, rid=0, is_reply=False):
+        if isinstance(payload, ReplicaReadReq):
+            sent.append(cluster.sim.now)
+            if len(sent) == 1:
+                return
+        send(src, dst_id, payload, rid, is_reply)
+
+    cluster.net.send = first_read_lost
+    r = cluster.run()
+    # the reader's try timeout waits out three epoch intervals; it has no
+    # drift, so its local waits are true ones
+    timeout = 3 * r.scenario.interval_ns + 100 * MS
+    assert len(sent) == 2
+    assert sent[1] - sent[0] == timeout + retry_backoff_ns(0)
+    assert [rr[0] for rr in r.replica_reads] == ["rr0.0.0"]

@@ -1,17 +1,27 @@
 """Durable streams, membership registers, fencing at the flush point, and
-requests to a recorder role's owner."""
+the retry loops for requests to a fixed node and to a recorder role's
+owner."""
 
 from conftest import Host, drive, one_region
 
 from chronokv.history import build_history
-from chronokv.messages import NotOwner
+from chronokv.messages import NotOwner, ReadParked
 from chronokv.replication import (
     FENCED,
+    LONG_POLL_NS,
     RecordEntry,
     RoleDirectory,
     SharedStorage,
+    call_node,
 )
-from chronokv.simnet import MS, Node, Simulation, spawn
+from chronokv.simnet import (
+    MS,
+    SEC,
+    Node,
+    Simulation,
+    retry_backoff_ns,
+    spawn,
+)
 
 
 def rig(flush_ns=500_000):
@@ -156,9 +166,11 @@ class Owner(Node):
         super().__init__(sim, net, node_id, "R0")
         self.answer = answer
         self.arrivals = []
+        self.last = None  # the latest request envelope
 
     def handle(self, env):
         self.arrivals.append(self.sim.now)
+        self.last = env
         if self.answer is not None:
             self.k.reply(env, self.answer)
 
@@ -216,7 +228,62 @@ def test_call_floor_lengthens_the_timeout():
         assert sim.now == st.read_ns + floor_ns
 
 
+def test_call_without_a_limit_asks_until_it_is_answered():
+    sim, net, _st, caller, d = call_rig()
+    owner = Owner(sim, net, "d0.R0", None)
+    sim.at(2 * SEC, lambda: setattr(owner, "answer", "late"))
+    got = drive(sim, caller.k, d.call(caller.k, ROLE, "req", attempts=None))
+    assert got == "late"
+    assert len(owner.arrivals) > 30  # past a commit's decide
+    assert owner.arrivals[-1] >= 2 * SEC
+
+
 def test_call_without_an_owner_sleeps_and_gives_up_after_its_attempts():
     sim, net, st, caller, d = call_rig(owner=None)
     assert drive(sim, caller.k, d.call(caller.k, ROLE, "req", 4)) is None
     assert sim.now == 4 * (st.read_ns + 5 * MS)
+
+
+# -- call_node -------------------------------------------------------------------
+
+
+def test_node_loop_backs_off_between_unanswered_tries_and_not_after_the_last():
+    sim, net, _st, caller, _d = call_rig()
+    silent = Owner(sim, net, "d0.R0", None)
+    attempts = 6
+    timeout = 5 * MS  # the floor: 1.25 round trips of 0.2 ms are less
+    assert drive(sim, caller.k,
+                 call_node(caller.k, "d0.R0", "req", attempts=attempts)) \
+        is None
+    arrivals = silent.arrivals
+    assert len(arrivals) == attempts
+    sleeps = [b - a - timeout for a, b in zip(arrivals, arrivals[1:])]
+    assert sleeps == [retry_backoff_ns(i) for i in range(attempts - 1)]
+    # the loop returns when the last try times out
+    assert sim.now == arrivals[-1] - ONE_WAY + timeout
+
+
+def test_node_loop_does_not_count_parked_tries_and_reasks_every_long_poll():
+    sim, net, _st, caller, _d = call_rig()
+    parker = Owner(sim, net, "d0.R0", ReadParked())
+    answer_at = 4 * LONG_POLL_NS
+    sim.at(answer_at, lambda: parker.k.reply(parker.last, "value"))
+    # one try: a loop that counted the parked ones would give up at the
+    # first re-ask, long before the answer
+    assert drive(sim, caller.k,
+                 call_node(caller.k, "d0.R0", "req", attempts=1)) == "value"
+    assert sim.now == answer_at + ONE_WAY
+    # each re-ask leaves LONG_POLL_NS after the parked reply came back
+    gaps = [b - a for a, b in zip(parker.arrivals, parker.arrivals[1:])]
+    assert gaps == [LONG_POLL_NS + 2 * ONE_WAY] * (len(parker.arrivals) - 1)
+    assert len(parker.arrivals) == 4
+
+
+def test_node_loop_with_one_attempt_sends_exactly_once():
+    sim, net, _st, caller, _d = call_rig()
+    silent = Owner(sim, net, "d0.R0", None)
+    got = drive(sim, caller.k,
+                call_node(caller.k, "d0.R0", "req", 7 * MS, attempts=1))
+    assert got is None
+    assert len(silent.arrivals) == 1
+    assert sim.now == 7 * MS

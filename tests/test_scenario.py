@@ -86,7 +86,7 @@ def test_invalid_scenarios_are_rejected(bad):
 def test_node_drift_is_applied_within_its_bound_and_rejected_beyond():
     sc = Scenario(max_drift_ppm=200,
                   node_drift_ppm={"d0.SH": 200, "d1.BJ": -200})
-    nodes = Cluster(sc).nodes
+    nodes = Cluster(sc).net.nodes
     assert nodes["d0.SH"].k.drift_ppm == 200
     assert nodes["d1.BJ"].k.drift_ppm == -200
     assert nodes["c0.SH"].k.drift_ppm == 0  # unlisted, no drift_spread

@@ -22,7 +22,7 @@ PINNED = {
     "baseline.yaml":
         "05cd7fe9297a82810a7e576cc7ae7612d481439b1939a222cb18fe5300b61020",
     "faults.yaml":
-        "e99a5953ee2407dde0366198132c003068b476e73883c4c7364a92c01d947c81",
+        "8da4c62493936bf3a5f07c95294e5664aac53f60301560b4ae0df909fcf5569d",
 }
 
 
