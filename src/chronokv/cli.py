@@ -1,4 +1,4 @@
-"""Command-line front end: run scenarios, check traces, bench timestamps."""
+"""Command-line front end: run scenarios and check their traces."""
 
 from __future__ import annotations
 
@@ -77,16 +77,6 @@ def _cmd_check(args) -> int:
     return 0 if all(verdicts) else 1
 
 
-def _cmd_bench_ts(args) -> int:
-    from .workload import bench_timestamp_service
-
-    stats = bench_timestamp_service(
-        seed=args.seed, mode=args.mode, n=args.n, spacing_ns=args.spacing_ns)
-    json.dump(stats, sys.stdout, indent=2)
-    print()
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="chronokv",
@@ -110,14 +100,6 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--epsilon-ns", type=int, default=None)
     check.add_argument("--csv", help="dump the visibility series as CSV")
     check.set_defaults(fn=_cmd_check)
-
-    bench = sub.add_parser("bench-ts", help="timestamp service microbenchmark")
-    bench.add_argument("--mode", required=True,
-                       choices=["batched", "strawman"])
-    bench.add_argument("--n", type=int, default=20_000)
-    bench.add_argument("--spacing-ns", type=int, default=50)
-    bench.add_argument("--seed", type=int, default=1)
-    bench.set_defaults(fn=_cmd_bench_ts)
     return p
 
 

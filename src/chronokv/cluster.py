@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from . import workload
 from .clock import OracleServer
 from .coordinator import Coordinator
-from .errors import InvalidConfig
 from .mvto import DataNode
 from .replica import ReplicaNode
 from .replication import RoleDirectory, SharedStorage
@@ -124,15 +123,14 @@ class Cluster:
                 membership=RoleDirectory(self.storage),
             ))
 
-        self._check_fault_targets()
         self._started = False
         self._clients = None
 
     def proxy_args(self, region: str) -> dict:
         sc = self.scenario
         return dict(oracle_id=f"ts.{region}", ttl_ns=sc.ttl_ns,
-                    step_ns=sc.step_ns, epsilon_ns=sc.epsilon_ns,
-                    max_drift_ppm=sc.max_drift_ppm, mode=sc.ts_mode)
+                    epsilon_ns=sc.epsilon_ns, max_drift_ppm=sc.max_drift_ppm,
+                    mode=sc.ts_mode)
 
     def _data_node(self, nid: str, region: str) -> DataNode:
         """A data node owning its own recorder role. Standbys are built
@@ -159,20 +157,6 @@ class Cluster:
             d = sc.max_drift_ppm
             return self._drift_rng.randrange(-d, d + 1)
         return 0
-
-    def _check_fault_targets(self) -> None:
-        recorder_capable = {n.node_id
-                            for n in self.data_nodes + self.standby_nodes}
-        crashable = recorder_capable | {n.node_id for n in self.coordinators}
-        for c in self.scenario.faults.crashes:
-            if c.node not in crashable:
-                raise InvalidConfig(
-                    f"crash target {c.node!r} is not a data/standby/"
-                    f"coordinator node")
-        for t in self.scenario.faults.takeovers:
-            if t.to_node not in recorder_capable:
-                raise InvalidConfig(
-                    f"takeover target {t.to_node!r} is not a data/standby node")
 
     # -- orchestration ------------------------------------------------------------
 

@@ -1,12 +1,35 @@
 """Multi-version timestamp-ordered storage and the primary data node.
 
 Each key keeps a chain of committed versions plus at most a handful of
-undecided write intents. Reads at timestamp ``ts`` must not answer while
-any intent below ``ts`` is undecided — instead of guessing, the reader
-pushes the writer's recorder for the verdict and rescans. Writes below a
-key's read timestamp are rejected (a reader already took a snapshot that
-the write would retroactively invalidate); everything else is accepted
-optimistically and settled by the recorder later.
+undecided write intents. The rules of multi-version timestamp ordering
+(Bernstein & Goodman, TODS 1983) live once each on the store, free of
+any node, message or clock:
+
+- the read-wait rule, ``KeyChain.blocker``: a read at ``ts`` must not
+  answer while an undecided intent below ``ts`` may commit into what it
+  reads. Instead of guessing, the reader waits while ``Settler`` pushes
+  the writer's recorder for the verdict, then asks again. Primaries and
+  replicas both wait through ``Settler.settle_below``;
+- the read rule, ``KeyChain.read``: raise the key's read timestamp, then
+  answer the newest committed version at or below ``ts``. Primaries
+  serve reads by it; a replica never raises a read timestamp and reads
+  ``KeyChain.visible`` in its view;
+- the write rule, ``KeyStore.write``: refuse a write below the key's read
+  timestamp (a reader already took a snapshot the write would
+  retroactively invalidate) or below a restarted node's floor, and
+  accept everything else optimistically as an intent. Only primaries
+  write;
+- the settle rule, ``KeyStore.resolve`` with ``KeyStore.insert_intent``:
+  a verdict promotes or drops a transaction's intents, and an intent
+  whose verdict is already known applies it at once. Primaries settle
+  on finalizes, and both node kinds on the verdicts their pushes bring
+  back; ``apply_log_entry`` replays the data log by the same two
+  methods for crash recovery and for replicas. ``KeyStore.raise_floor``
+  lifts the proposals of a replica's intents when a push answers with
+  an epoch floor instead.
+
+The nodes keep only what the rules leave out: the waiting, the log
+appends, the replies and the traces.
 
 A primary's parked read tells its sender at once with a ``ReadParked``
 reply, and its ``ReadResp`` follows under the same request id when the
@@ -92,6 +115,26 @@ class KeyChain:
             i -= 1
         return None, None
 
+    def blocker(self, ts: Timestamp, reader: str,
+                view: Optional[int] = None) -> Optional[WriteIntent]:
+        """The read-wait rule: the first undecided intent below ``ts``
+        that a read by ``reader`` must wait for, or None. A reader never
+        waits for its own intent. A replica passes its ``view``: an
+        intent commits into its proposal's epoch or a later one, so one
+        proposed beyond the view cannot reach the read."""
+        for intent in self.intents.values():
+            if intent.ts < ts and intent.txn != reader and \
+                    (view is None or intent.proposal <= view):
+                return intent
+        return None
+
+    def read(self, ts: Timestamp):
+        """The read rule, once nothing blocks it: raise the read
+        timestamp to ``ts``, then return ``visible(ts)``."""
+        if self.rt is None or ts > self.rt:
+            self.rt = ts
+        return self.visible(ts)
+
 
 class KeyStore:
     """Version chains plus transaction bookkeeping shared by primaries,
@@ -118,8 +161,44 @@ class KeyStore:
         chain.versions[ts] = (value, epoch)
 
     def insert_intent(self, key: str, intent: WriteIntent) -> None:
+        """Hold ``intent`` until its transaction is decided, or apply the
+        outcome at once if it is already known (a log replay may meet the
+        finalize before the intent)."""
+        known = self.decided.get(intent.txn)
+        if known is not None:
+            if known[0] == COMMIT:
+                self.insert_version(key, intent.ts, intent.value, known[1])
+            return
         self.touch(key).intents[intent.txn] = intent
         self.txn_keys.setdefault(intent.txn, {})[key] = True
+
+    def write(self, key: str, intent: WriteIntent,
+              floor: Optional[int] = None) -> Optional[WriteIntent]:
+        """The write rule -> the intent ``key`` now holds for the
+        transaction, or None if the write is refused. A transaction's
+        first write of a key is refused below the key's read timestamp or
+        below ``floor``, a restarted node's bound in nanoseconds; its
+        later writes of the key replace the value, unless they are late
+        tries of an earlier op (a smaller ``idx``), which change nothing."""
+        chain = self.touch(key)
+        held = chain.intents.get(intent.txn)
+        if held is None:
+            if (chain.rt is not None and intent.ts < chain.rt) or \
+                    (floor is not None and intent.ts.nanos < floor):
+                return None
+            self.insert_intent(key, intent)
+            return intent
+        if intent.idx >= held.idx:
+            held.value = intent.value
+            held.idx = intent.idx
+        return held
+
+    def raise_floor(self, txn: str, floor: int) -> None:
+        """An epoch floor for ``txn``: it commits into epoch ``floor`` or
+        later, so lift its intents' proposals to at least that."""
+        for key in self.txn_keys.get(txn, ()):
+            intent = self.chains[key].intents[txn]
+            intent.proposal = max(intent.proposal, floor)
 
     def resolve(self, txn: str, decision: str, epoch) -> bool:
         """Settle a transaction: drop or promote its intents. Idempotent;
@@ -137,19 +216,13 @@ class KeyStore:
 def apply_log_entry(store: KeyStore, entry) -> Optional[int]:
     """Replay one durable log entry into a store. Returns the epoch number
     when the entry is a cut marker, else None. Used verbatim by crash
-    recovery and by replicas, so ordering quirks (outcome landing before
-    the intent it settles) are handled here once."""
+    recovery and by replicas."""
     if isinstance(entry, IntentEntry):
-        if entry.txn in store.decided:
-            decision, epoch = store.decided[entry.txn]
-            if decision == COMMIT:
-                store.insert_version(entry.key, entry.ts, entry.value, epoch)
-        else:
-            store.insert_intent(
-                entry.key,
-                WriteIntent(entry.txn, entry.ts, entry.value, entry.role,
-                            entry.proposal, entry.idx),
-            )
+        store.insert_intent(
+            entry.key,
+            WriteIntent(entry.txn, entry.ts, entry.value, entry.role,
+                        entry.proposal, entry.idx),
+        )
         return None
     if isinstance(entry, FinalizeEntry):
         store.resolve(entry.txn, entry.decision, entry.epoch)
@@ -194,20 +267,18 @@ class Settler:
         self._inflight: dict[str, bool] = {}
 
     def settle_below(self, chain: KeyChain, ts: Timestamp, reader: str,
-                     blocks, on_park=None):
-        """Generator: wait until no undecided intent on ``chain`` below
-        ``ts`` for which ``blocks(intent)`` holds is left. ``on_park()``
-        is called once, before the first wait, if there is one."""
+                     view: Optional[int] = None, on_park=None):
+        """Generator: wait until ``chain.blocker(ts, reader, view)`` finds
+        nothing. ``on_park()`` is called once, before the first wait, if
+        there is one."""
         while True:
-            for txn, intent in chain.intents.items():
-                if intent.ts < ts and blocks(intent):
-                    break
-            else:
+            intent = chain.blocker(ts, reader, view)
+            if intent is None:
                 return
             if on_park is not None:
                 on_park()
                 on_park = None
-            yield from self.wait(txn, intent.role, reader)
+            yield from self.wait(intent.txn, intent.role, reader)
 
     def wait(self, txn: str, role: str, reader: str):
         """Generator: park ``reader`` until ``txn`` is decided or gets an
@@ -237,12 +308,6 @@ class Settler:
         if fut is not None:
             fut.resolve()
 
-    def _raise_floor(self, txn: str, floor: int) -> None:
-        for key in self.store.txn_keys.get(txn, ()):
-            intent = self.store.chains[key].intents[txn]
-            intent.proposal = max(intent.proposal, floor)
-        self.wake(txn)
-
     def _push_task(self, txn: str, role: str):
         """Push until ``txn`` is decided, or until a floor answers a
         replica's push: the waiters the floor leaves blocked push again.
@@ -256,7 +321,8 @@ class Settler:
             if resp is None:
                 continue
             if resp.decision is None:
-                self._raise_floor(txn, resp.epoch)
+                self.store.raise_floor(txn, resp.epoch)
+                self.wake(txn)
                 break
             self.settle(txn, resp.decision, resp.epoch)
         self._inflight.pop(txn, None)
@@ -334,13 +400,10 @@ class DataNode(Node):
             self.k.reply(env, ReadParked())
 
         chain = self.store.touch(r.key)
-        yield from self.settler.settle_below(
-            chain, r.ts, r.reader, lambda intent: intent.txn != r.reader,
-            on_park=on_park)
+        yield from self.settler.settle_below(chain, r.ts, r.reader,
+                                             on_park=on_park)
         self.parked.discard(read)
-        if chain.rt is None or r.ts > chain.rt:
-            chain.rt = r.ts
-        vts, value = chain.visible(r.ts)
+        vts, value = chain.read(r.ts)
         self.k.reply(env, ReadResp(value, vts))
 
     # -- writes -------------------------------------------------------------------
@@ -350,27 +413,17 @@ class DataNode(Node):
             # Late retry of a settled transaction; nothing left to promise.
             self.k.reply(env, WriteResp(True, None))
             return
-        chain = self.store.touch(w.key)
-        intent = chain.intents.get(w.txn)
+        intent = self.store.write(
+            w.key, WriteIntent(w.txn, w.ts, w.value, w.role, self.epoch_now(),
+                               w.idx),
+            floor=self.rt_floor)
         if intent is None:
-            if (chain.rt is not None and w.ts < chain.rt) or \
-                    (self.rt_floor is not None and w.ts.nanos < self.rt_floor):
-                self.k.reply(env, WriteResp(False, None))
-                return
-            intent = WriteIntent(w.txn, w.ts, w.value, w.role, self.epoch_now(),
-                                 w.idx)
-            self.store.insert_intent(w.key, intent)
-        elif w.idx < intent.idx:
-            # A late try of an earlier write of the key, re-sent after a
-            # timeout and overtaken by the later write: that value stands.
-            self.k.reply(env, WriteResp(True, intent.proposal))
+            self.k.reply(env, WriteResp(False, None))
             return
-        else:
-            intent.value = w.value
-            intent.idx = w.idx
-        entry = IntentEntry(w.txn, w.key, w.ts, w.value, w.role, intent.proposal,
-                            w.idx)
-        yield self.append_log([entry])
+        if intent.idx == w.idx:  # else a late try, overtaken: nothing to log
+            entry = IntentEntry(w.txn, w.key, w.ts, w.value, w.role,
+                                intent.proposal, w.idx)
+            yield self.append_log([entry])
         self.k.reply(env, WriteResp(True, intent.proposal))
 
     # -- settling -----------------------------------------------------------------

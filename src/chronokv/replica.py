@@ -14,14 +14,16 @@ answer from local state alone.
 Two wrinkles remain. Undecided intents below the read timestamp are
 settled by the primary's own ``mvto.Settler``: the reader parks and a
 push asks the writer's recorder, unless the primary's finalize arrives
-in the log first and wakes it. The push carries the replayed epoch, and
-the recorder of a transaction not yet being decided answers it with an
-epoch floor above that epoch, which the commit will meet: the intent
-then lies beyond every view served so far, and the reader goes on
-without waiting for a transaction that may itself be parked behind a
-slow writer. And committed versions carry their commit epoch, so a
-version from a *later* epoch that happens to have a small timestamp
-stays invisible until its own view replays.
+in the log first and wakes it. Only intents proposed into the view or
+earlier block a read (``KeyChain.blocker`` with the view): an intent
+commits into its proposal's epoch or a later one. The push carries the
+replayed epoch, and the recorder of a transaction not yet being decided
+answers it with an epoch floor above that epoch, which the commit will
+meet: the intent then lies beyond every view served so far, and the
+reader goes on without waiting for a transaction that may itself be
+parked behind a slow writer. And committed versions carry their commit
+epoch, so a version from a *later* epoch that happens to have a small
+timestamp stays invisible until its own view replays.
 """
 
 from __future__ import annotations
@@ -122,10 +124,7 @@ class ReplicaNode(Node):
         reads = []
         for key in r.keys:
             chain = self.store.touch(key)
-            # An intent can only commit into epoch >= its proposal, so
-            # proposals beyond the view can't affect this read.
-            yield from self.settler.settle_below(
-                chain, r.ts, r.reader, lambda intent: intent.proposal <= view)
+            yield from self.settler.settle_below(chain, r.ts, r.reader, view)
             vts, value = chain.visible(r.ts, view)
             reads.append((key, vts, value))
         self.k.trace("rread", node=self.node_id, reader=r.reader,

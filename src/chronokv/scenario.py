@@ -15,8 +15,12 @@ fetch costs microseconds, not the intra-region RTT (which would dwarf
 the batch lifetime).
 
 Input fails loudly: a key the loader does not know, at any level, a
-message filter naming no class in ``messages``, or a partition of a
-region outside ``regions`` raises InvalidConfig.
+message filter naming no class in ``messages``, a partition of a region
+outside ``regions``, a crash of a node that no data node, standby or
+coordinator has, a takeover of a role or to a node that no data node or
+standby has, a probability outside [0, 1], a fault window or restart
+that does not end after it starts, replica readers without replicas,
+and a negative drift bound or client count all raise InvalidConfig.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ import yaml
 
 from . import messages
 from .errors import InvalidConfig
+from .replication import recorder_role
 from .simnet import (
     MS,
     CrashDirective,
@@ -116,7 +121,6 @@ class Scenario:
     drift_spread: bool = False     # give other nodes a seeded drift in [-D, D]
     ts_mode: str = "batched"       # batched | strawman
     ttl_ns: int = 100_000
-    step_ns: int = 10
     interval_ms: int = 100         # epoch length
 
     # topology: one entry per node, naming its region
@@ -144,7 +148,7 @@ class Scenario:
     faults: FaultSchedule = field(default_factory=FaultSchedule)
 
     def __post_init__(self):
-        validate_batch_params(self.ttl_ns, self.step_ns)
+        validate_batch_params(self.ttl_ns)
         if self.ts_mode not in ("batched", "strawman"):
             raise InvalidConfig(f"unknown ts_mode {self.ts_mode!r}")
         if self.replica_read_mode not in ("fresh", "stale", "mixed"):
@@ -163,25 +167,61 @@ class Scenario:
             raise InvalidConfig("interval_ms must be positive")
         if self.epsilon_ns <= 0:
             raise InvalidConfig("epsilon_ns must be positive")
+        for name in ("max_drift_ppm", "clients_per_coordinator",
+                     "replica_readers"):
+            if getattr(self, name) < 0:
+                raise InvalidConfig(f"{name} must be >= 0")
+        if self.replica_readers and not self.replicate_to:
+            raise InvalidConfig("replica_readers need replicate_to")
         for node, d in self.node_drift_ppm.items():
             if abs(d) > self.max_drift_ppm:
                 raise InvalidConfig(f"node {node} drift {d}ppm exceeds "
                                     f"bound {self.max_drift_ppm}ppm")
-        for p in self.faults.partitions:
-            outside = set(p.regions) - known
-            if outside:
-                raise InvalidConfig(f"partition regions {sorted(outside)} "
-                                    f"not in {self.regions}")
-        for f in self.faults.msg_filters:
-            unknown = set(f.kinds) - MESSAGE_KINDS
-            if unknown:
-                raise InvalidConfig(f"message filter kinds {sorted(unknown)} "
-                                    f"name no message class")
+        self._check_faults()
         if isinstance(self.workload, dict):
             _check_keys(self.workload, {f.name for f in fields(WorkloadSpec)},
                         "workload")
             self.workload = WorkloadSpec(**self.workload)
         self.workload.validate()
+
+    def _check_faults(self) -> None:
+        fs = self.faults
+        probs = [(name, getattr(fs, name))
+                 for name in ("drop_prob", "reorder_prob", "duplicate_prob")]
+        probs += [("msg_filters prob", f.prob) for f in fs.msg_filters]
+        for name, prob in probs:
+            if not 0.0 <= prob <= 1.0:
+                raise InvalidConfig(f"{name} {prob} outside [0, 1]")
+        recorders = set(self.data_node_ids() + self.standby_ids())
+        for c in fs.crashes:
+            if c.node not in recorders | set(self.coordinator_ids()):
+                raise InvalidConfig(f"crash target {c.node!r} is not a "
+                                    f"data/standby/coordinator node")
+            if c.restart_at_ns is not None and c.restart_at_ns <= c.at_ns:
+                raise InvalidConfig(
+                    f"crash of {c.node}: restart_at_ms not after at_ms")
+        for kind, windows in (("partition", fs.partitions),
+                              ("oracle outage", fs.oracle_outages)):
+            for w in windows:
+                if w.end_ns <= w.start_ns:
+                    raise InvalidConfig(f"{kind}: to_ms not after from_ms")
+        for w in fs.partitions:
+            outside = set(w.regions) - set(self.regions)
+            if outside:
+                raise InvalidConfig(f"partition regions {sorted(outside)} "
+                                    f"not in {self.regions}")
+        for t in fs.takeovers:
+            if t.role not in {recorder_role(n) for n in recorders}:
+                raise InvalidConfig(f"takeover role {t.role!r} is owned by "
+                                    f"no data or standby node")
+            if t.to_node not in recorders:
+                raise InvalidConfig(f"takeover target {t.to_node!r} is not "
+                                    f"a data/standby node")
+        for f in fs.msg_filters:
+            unknown = set(f.kinds) - MESSAGE_KINDS
+            if unknown:
+                raise InvalidConfig(f"message filter kinds {sorted(unknown)} "
+                                    f"name no message class")
 
     @property
     def interval_ns(self) -> int:

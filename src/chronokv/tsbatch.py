@@ -2,11 +2,11 @@
 issued, globally ordered timestamps.
 
 A batch built from an oracle reading with upper bound U covers
-``[U + ttl, U + 2*ttl)`` in fixed nanosecond steps, so it holds exactly
-``ttl // step`` timestamps. The lower bound sits a full TTL above
-the oracle's upper bound; as long as the batch is only used while less
-than one TTL of (drift-compensated) local time has passed since the fetch
-was *sent*, every issued timestamp is strictly in the future of the true
+``[U + ttl, U + 2*ttl)`` in steps of ``STEP_NS`` nanoseconds, so it
+holds exactly ``ttl // STEP_NS`` timestamps. The lower bound sits a full
+TTL above the oracle's upper bound; as long as the batch is only used
+while less than one TTL of (drift-compensated) local time has passed
+since the fetch was *sent*, every issued timestamp is strictly in the future of the true
 instant it was handed out. That is what lets a transaction's commit wait
 be a constant: by ``2*(ttl+eps)`` of true time after issuance, the
 timestamp is strictly in the past.
@@ -34,6 +34,9 @@ from .messages import TsReq, TsResp
 from .replication import call_node
 from .simnet import MS, Future, NodeKernel, retry_backoff_ns
 
+# The spacing of a batch's timestamps; a TTL must be a multiple of it.
+STEP_NS = 10
+
 
 class Timestamp(NamedTuple):
     """Total order: nanoseconds first, then the oracle server id, then the
@@ -47,7 +50,6 @@ class Timestamp(NamedTuple):
 @dataclass(slots=True)
 class TimestampBatch:
     low: int  # first issuable nanosecond
-    step_ns: int
     capacity: int
     server_id: int
     acquired_local: int  # owner's local clock when the fetch was *sent*
@@ -64,27 +66,26 @@ class TimestampBatch:
         expired or is used up."""
         if self.expired(local_now) or self.issued >= self.capacity:
             return None
-        ts = Timestamp(self.low + self.issued * self.step_ns, self.server_id,
+        ts = Timestamp(self.low + self.issued * STEP_NS, self.server_id,
                        self.low)
         self.issued += 1
         return ts
 
 
-def validate_batch_params(ttl_ns: int, step_ns: int) -> None:
-    if ttl_ns <= 0 or step_ns <= 0:
-        raise InvalidConfig("ttl and step must be positive")
-    if ttl_ns % step_ns != 0:
-        raise InvalidConfig(f"step {step_ns}ns must divide ttl {ttl_ns}ns")
+def validate_batch_params(ttl_ns: int) -> None:
+    if ttl_ns <= 0:
+        raise InvalidConfig("ttl must be positive")
+    if ttl_ns % STEP_NS != 0:
+        raise InvalidConfig(f"step {STEP_NS}ns must divide ttl {ttl_ns}ns")
 
 
-def build_batch(reading: UncertainTime, ttl_ns: int, step_ns: int,
+def build_batch(reading: UncertainTime, ttl_ns: int,
                 acquired_local: int, max_drift_ppm: int) -> TimestampBatch:
-    validate_batch_params(ttl_ns, step_ns)
+    validate_batch_params(ttl_ns)
     low = reading.latest + ttl_ns
     return TimestampBatch(
         low=low,
-        step_ns=step_ns,
-        capacity=ttl_ns // step_ns,
+        capacity=ttl_ns // STEP_NS,
         server_id=reading.server_id,
         acquired_local=acquired_local,
         ttl_ns=ttl_ns,
@@ -120,15 +121,13 @@ class TsProxy:
     FETCH_TIMEOUT_NS = MS
 
     def __init__(self, kernel: NodeKernel, oracle_id: str, ttl_ns: int,
-                 step_ns: int, epsilon_ns: int, max_drift_ppm: int,
-                 mode: str = "batched"):
-        validate_batch_params(ttl_ns, step_ns)
+                 epsilon_ns: int, max_drift_ppm: int, mode: str = "batched"):
+        validate_batch_params(ttl_ns)
         if mode not in ("batched", "strawman"):
             raise InvalidConfig(f"unknown timestamp mode {mode!r}")
         self.k = kernel
         self.oracle_id = oracle_id
         self.ttl_ns = ttl_ns
-        self.step_ns = step_ns
         self.epsilon_ns = epsilon_ns
         self.max_drift_ppm = max_drift_ppm
         self.mode = mode
@@ -162,7 +161,7 @@ class TsProxy:
         resp = yield from self._ask_oracle()
         if isinstance(resp, TsResp):
             reading = UncertainTime(resp.earliest, resp.latest, resp.server_id)
-            self.batch = build_batch(reading, self.ttl_ns, self.step_ns,
+            self.batch = build_batch(reading, self.ttl_ns,
                                      acquired_local=sent_local,
                                      max_drift_ppm=self.max_drift_ppm)
         self._inflight = None

@@ -205,7 +205,7 @@ def _replica_reader(host, cluster, cs, rng, idx, zipf):
 # timestamp service micro-benchmark
 
 
-def _oracle_region(seed: int, epsilon_ns: int, ttl_ns: int, step_ns: int,
+def _oracle_region(seed: int, epsilon_ns: int, ttl_ns: int,
                    max_drift_ppm: int):
     """One region holding one time oracle, for hosts that only take
     timestamps. Returns the simulation and ``add_host(idx, drift_ppm,
@@ -220,7 +220,7 @@ def _oracle_region(seed: int, epsilon_ns: int, ttl_ns: int, step_ns: int,
     def add_host(idx: int, drift_ppm: int, mode: str = "batched"):
         host = ClientHost(sim, net, f"h{idx}.{region}", region, drift_ppm,
                           dict(oracle_id=f"ts.{region}", ttl_ns=ttl_ns,
-                               step_ns=step_ns, epsilon_ns=epsilon_ns,
+                               epsilon_ns=epsilon_ns,
                                max_drift_ppm=max_drift_ppm, mode=mode))
         return host, host.tsproxy
 
@@ -230,7 +230,7 @@ def _oracle_region(seed: int, epsilon_ns: int, ttl_ns: int, step_ns: int,
 def timestamp_property_sweep(seed: int, txns: int = 10_000, hosts: int = 10,
                              streams_per_host: int = 2,
                              epsilon_ns: int = 100_000, ttl_ns: int = 100_000,
-                             step_ns: int = 10, max_drift_ppm: int = 200):
+                             max_drift_ppm: int = 200):
     """The timestamp guarantee, measured against ground truth: for every
     transaction-shaped cycle (acquire, commit-wait on the local clock),
     the true instant before acquisition < ts < the true instant after the
@@ -238,8 +238,7 @@ def timestamp_property_sweep(seed: int, txns: int = 10_000, hosts: int = 10,
     clocks — and the oracle places true time adversarially within its
     interval. Returns counters and the (hopefully empty) violation list.
     """
-    sim, add_host = _oracle_region(seed, epsilon_ns, ttl_ns, step_ns,
-                                   max_drift_ppm)
+    sim, add_host = _oracle_region(seed, epsilon_ns, ttl_ns, max_drift_ppm)
     state = {"done": 0, "issued": 0, "fetches": 0, "oracle_failures": 0}
     violations = []
     total_streams = hosts * streams_per_host
@@ -286,16 +285,14 @@ def timestamp_property_sweep(seed: int, txns: int = 10_000, hosts: int = 10,
 
 def bench_timestamp_service(seed: int, mode: str, n: int = 20_000,
                             spacing_ns: int = 50, epsilon_ns: int = 100_000,
-                            ttl_ns: int = 100_000, step_ns: int = 10,
-                            max_drift_ppm: int = 200):
+                            ttl_ns: int = 100_000, max_drift_ppm: int = 200):
     """Drive a single proxy with ``n`` acquisitions ``spacing_ns`` apart.
 
     Returns counters and acquisition-latency stats. An acquisition served
     from the live batch completes in the same instant (latency 0); only
     fetch initiators pay the oracle round trip.
     """
-    sim, add_host = _oracle_region(seed, epsilon_ns, ttl_ns, step_ns,
-                                   max_drift_ppm)
+    sim, add_host = _oracle_region(seed, epsilon_ns, ttl_ns, max_drift_ppm)
     host, proxy = add_host(0, 0, mode)
     lats = []
     state = {"done": False, "failures": 0, "last": None}

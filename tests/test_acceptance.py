@@ -74,7 +74,7 @@ def test_a01_timestamps_inside_true_lifetimes_under_adversarial_clocks():
     for seed in SWEEP_SEEDS:
         out = timestamp_property_sweep(
             seed, txns=SWEEP_TXNS, epsilon_ns=100_000, ttl_ns=100_000,
-            step_ns=10, max_drift_ppm=200)
+            max_drift_ppm=200)
         assert out["violations"] == [], (seed, out["violations"][:3])
         assert out["oracle_failures"] == 0
         assert out["txns"] == SWEEP_TXNS
@@ -293,13 +293,12 @@ LOCAL_RATIO_FLOOR = 0.999
 def test_a09_batched_mode_serves_nearly_all_requests_locally():
     stats = bench_timestamp_service(
         seed=1, mode="batched", n=50_000, spacing_ns=BATCH_STEP_NS,
-        ttl_ns=BATCH_TTL_NS, step_ns=BATCH_STEP_NS)
+        ttl_ns=BATCH_TTL_NS)
     assert stats["requests"] == 50_000
     assert stats["failures"] == 0
     ratio = stats["served_local"] / stats["requests"]
     assert ratio >= LOCAL_RATIO_FLOOR, stats
-    batch = build_batch(UncertainTime(800_000, 1_000_000, 0),
-                        BATCH_TTL_NS, BATCH_STEP_NS,
+    batch = build_batch(UncertainTime(800_000, 1_000_000, 0), BATCH_TTL_NS,
                         acquired_local=0, max_drift_ppm=200)
     assert batch.capacity == 10_000
     print(f"a09 PASS: {ratio:.2%} served locally "

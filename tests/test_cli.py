@@ -112,27 +112,10 @@ def test_check_measures_visibility_like_run_on_two_primaries(tmp_path, capsys):
     assert json.loads(out.removeprefix("visibility: ")) == run_vis
 
 
-def test_bench_ts_reports_batching_stats_in_both_modes(capsys):
-    rc = main(["bench-ts", "--mode", "batched", "--n", "3000"])
-    assert rc == 0
-    batched = json.loads(capsys.readouterr().out)
-    rc = main(["bench-ts", "--mode", "strawman", "--n", "200"])
-    assert rc == 0
-    strawman = json.loads(capsys.readouterr().out)
-    assert batched["requests"] == 3000
-    assert batched["served_local"] / batched["requests"] > 0.99
-    assert strawman["served_local"] == 0
-    assert strawman["fetches"] == strawman["requests"] == 200
-    assert batched["commit_wait_ns"] > strawman["commit_wait_ns"]
-
-
 def test_unknown_arguments_exit_with_usage_errors():
     with pytest.raises(SystemExit) as e:
         main([])
     assert e.value.code == 2
     with pytest.raises(SystemExit) as e:
         main(["check", "--trace", "x", "--property", "bogus"])
-    assert e.value.code == 2
-    with pytest.raises(SystemExit) as e:
-        main(["bench-ts", "--mode", "warp"])
     assert e.value.code == 2

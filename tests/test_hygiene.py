@@ -1,7 +1,8 @@
 """Static hygiene of the package: no module imports a name it never uses,
 every exception the package exports is raised somewhere in it, every
-wire message is sent by some module, and the declared runtime
-dependencies are exactly the third-party packages the modules import."""
+wire message is sent by some module, the declared runtime dependencies
+are exactly the third-party packages the modules import, and the
+``test`` extra is exactly the third-party packages the tests import."""
 
 import ast
 import re
@@ -16,6 +17,7 @@ import chronokv
 SRC = Path(chronokv.__file__).resolve().parent
 MODULES = sorted(SRC.glob("*.py"))
 PYPROJECT = SRC.parent.parent / "pyproject.toml"
+TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
 
 
 def parse(path):
@@ -105,26 +107,40 @@ def test_an_unused_import_is_caught():
         ["d", "os"]
 
 
-def third_party_imports():
-    """Top-level names of the modules the package imports that are
-    neither the standard library nor the package itself."""
+def third_party_imports(paths):
+    """Distribution names, lower-cased, of the modules ``paths`` import
+    that are neither the standard library, the package nor one of
+    ``paths`` themselves."""
     names = set()
-    for path in MODULES:
+    for path in paths:
         for node in ast.walk(parse(path)):
             if isinstance(node, ast.Import):
                 names |= {alias.name.split(".")[0] for alias in node.names}
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
                 names.add(node.module.split(".")[0])
-    return names - set(sys.stdlib_module_names) - {"chronokv"}
+    names -= set(sys.stdlib_module_names) | {"chronokv"}
+    names -= {path.stem for path in paths}
+    dists = packages_distributions()
+    return {dist.lower() for name in names for dist in dists.get(name, [name])}
+
+
+def pyproject():
+    tomllib = pytest.importorskip("tomllib")
+    with open(PYPROJECT, "rb") as f:
+        return tomllib.load(f)["project"]
+
+
+def package_names(requirements):
+    """Lower-cased names of pyproject requirement strings."""
+    return {re.match(r"[A-Za-z0-9._-]+", r).group().lower()
+            for r in requirements}
 
 
 def test_runtime_dependencies_are_exactly_the_imported_packages():
-    tomllib = pytest.importorskip("tomllib")
-    with open(PYPROJECT, "rb") as f:
-        declared = tomllib.load(f)["project"]["dependencies"]
-    declared = {re.match(r"[A-Za-z0-9._-]+", d).group().lower()
-                for d in declared}
-    dists = packages_distributions()
-    imported = {dist.lower() for name in third_party_imports()
-                for dist in dists.get(name, [name])}
-    assert imported == declared
+    assert third_party_imports(MODULES) == \
+        package_names(pyproject()["dependencies"])
+
+
+def test_test_extra_is_exactly_the_packages_the_tests_import():
+    assert third_party_imports(TESTS) == \
+        package_names(pyproject()["optional-dependencies"]["test"])

@@ -1,7 +1,19 @@
-"""Version chains, intent settlement, and log replay semantics."""
+"""Version chains, intent settlement, and log replay semantics; the
+MVTO rules checked as a state machine."""
 
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    invariant,
+    precondition,
+    rule,
+    run_state_machine_as_test,
+)
 
+from chronokv.checkers import check_strict_serializability
+from chronokv.history import History, TxnInfo
 from chronokv.messages import ABORT, COMMIT, COMMITTED
 from chronokv.mvto import KeyStore, WriteIntent, apply_log_entry
 from chronokv.replication import (
@@ -122,3 +134,158 @@ def test_same_txn_writes_two_timestamps_to_one_key_record_first():
     apply_log_entry(s, IntentEntry("t1", "k", ts(5), "new", "rec/d0", 1))
     assert s.chains["k"].versions[ts(5)] == ("new", 3)
     assert s.chains["k"].order == [ts(5)]
+
+
+# -- the read-wait and write rules' node inputs -------------------------------
+
+
+def test_blocker_skips_intents_proposed_beyond_a_replicas_view():
+    s = KeyStore()
+    s.insert_intent("k", intent("t1", 5, proposal=3))
+    chain = s.chains["k"]
+    assert chain.blocker(ts(9), "r", view=2) is None
+    assert chain.blocker(ts(9), "r", view=3).txn == "t1"
+    assert chain.blocker(ts(9), "r").txn == "t1"
+    assert chain.blocker(ts(9), "t1") is None  # its own intent
+    assert chain.blocker(ts(5), "r") is None   # not below the read
+
+
+def test_write_below_the_restart_floor_is_refused():
+    s = KeyStore()
+    assert s.write("k", intent("t1", 99), floor=100) is None
+    assert s.chains["k"].intents == {}
+    held = s.write("k", intent("t2", 100), floor=100)
+    assert held is not None
+    assert s.chains["k"].intents == {"t2": held}
+
+
+# -- the rules as a state machine ---------------------------------------------
+
+KEYS = ("x", "y", "z")
+
+
+class MvtoMachine(RuleBasedStateMachine):
+    """Transactions on a few keys, served by the store's rules as a data
+    node serves them, with the log the node would append.
+
+    Timestamps are drawn, not read from a clock, so every transaction
+    overlaps every other in real time and only the timestamp order is
+    checked. A read that ``blocker`` makes wait is not answered; the
+    transaction may ask again later. A transaction whose write is refused
+    aborts, as its coordinator would."""
+
+    def __init__(self):
+        super().__init__()
+        self.store = KeyStore()
+        self.log = []
+        self.txns = {}       # txn -> TxnInfo
+        self.open = []       # undecided txns, in begin order
+        self.read_ts = {}    # key -> highest timestamp a read was served at
+        self.epoch = 1
+
+    def pick(self, n):
+        return self.txns[self.open[n % len(self.open)]]
+
+    @rule(nanos=st.integers(1, 40))
+    def begin(self, nanos):
+        n = len(self.txns)
+        txn = f"t{n}"
+        self.txns[txn] = TxnInfo(txn, begin_ns=0, end_ns=1,
+                                 ts=Timestamp(nanos, 0, n))
+        self.open.append(txn)
+
+    @precondition(lambda self: self.open)
+    @rule(n=st.integers(0, 7), key=st.sampled_from(KEYS))
+    def read(self, n, key):
+        t = self.pick(n)
+        own = [op for op in t.ops if op[1] == "w" and op[2] == key]
+        if own:  # the coordinator answers from the transaction's writes
+            t.ops.append((len(t.ops), "r", key, t.ts, own[-1][4]))
+            return
+        chain = self.store.touch(key)
+        if chain.blocker(t.ts, t.txn) is not None:
+            return
+        vts, value = chain.read(t.ts)
+        self.read_ts[key] = max(self.read_ts.get(key, t.ts), t.ts)
+        t.ops.append((len(t.ops), "r", key, vts, value))
+
+    @precondition(lambda self: self.open)
+    @rule(n=st.integers(0, 7), key=st.sampled_from(KEYS))
+    def write(self, n, key):
+        t = self.pick(n)
+        i = len(t.ops)
+        value = f"{t.txn}.{i}"
+        first = not any(op[1] == "w" and op[2] == key for op in t.ops)
+        below_rt = key in self.read_ts and t.ts < self.read_ts[key]
+        held = self.store.write(
+            key, WriteIntent(t.txn, t.ts, value, "rec/d0", self.epoch, i))
+        assert (held is None) == (first and below_rt)
+        if held is None:
+            self.decide_as(t, ABORT)
+            return
+        assert (held.value, held.idx) == (value, i)
+        self.log.append(IntentEntry(t.txn, key, t.ts, value, "rec/d0",
+                                    held.proposal, i))
+        t.ops.append((i, "w", key, None, value))
+
+    @precondition(lambda self: any(
+        op[1] == "w" for txn in self.open for op in self.txns[txn].ops))
+    @rule(n=st.integers(0, 7), m=st.integers(0, 7))
+    def retry_a_write(self, n, m):
+        """A late try of one of a transaction's writes: only its latest
+        write of the key stands."""
+        writer = [txn for txn in self.open
+                  if any(op[1] == "w" for op in self.txns[txn].ops)]
+        t = self.txns[writer[n % len(writer)]]
+        writes = [op for op in t.ops if op[1] == "w"]
+        i, _, key, _, value = writes[m % len(writes)]
+        latest = [op for op in writes if op[2] == key][-1]
+        held = self.store.write(
+            key, WriteIntent(t.txn, t.ts, value, "rec/d0", self.epoch, i))
+        assert (held.value, held.idx) == (latest[4], latest[0])
+        if held.idx == i:
+            self.log.append(IntentEntry(t.txn, key, t.ts, value, "rec/d0",
+                                        held.proposal, i))
+
+    @precondition(lambda self: self.open)
+    @rule(n=st.integers(0, 7), commit=st.booleans())
+    def decide(self, n, commit):
+        self.decide_as(self.pick(n), COMMIT if commit else ABORT)
+
+    def decide_as(self, t, decision):
+        self.open.remove(t.txn)
+        t.status = "committed" if decision == COMMIT else "aborted"
+        if self.store.resolve(t.txn, decision, self.epoch):
+            self.log.append(FinalizeEntry(t.txn, decision, self.epoch))
+        self.epoch += 1
+
+    @invariant()
+    def replaying_the_log_rebuilds_the_store(self):
+        replayed = KeyStore()
+        for entry in self.log:
+            apply_log_entry(replayed, entry)
+        assert durable_state(replayed) == durable_state(self.store)
+
+    @invariant()
+    def committed_reads_replay_serially_in_timestamp_order(self):
+        h = History(txns={txn: t for txn, t in self.txns.items()
+                          if t.committed})
+        v = check_strict_serializability(h)
+        assert v.ok, v.violations
+
+
+def durable_state(store):
+    """What the log must rebuild: versions, intents and decisions; not
+    the read timestamps, which a restart replaces by a floor."""
+    versions = {key: (chain.order, chain.versions)
+                for key, chain in store.chains.items() if chain.versions}
+    intents = {(key, txn): (i.ts, i.value, i.role, i.proposal, i.idx)
+               for key, chain in store.chains.items()
+               for txn, i in chain.intents.items()}
+    return versions, intents, store.decided, store.txn_keys
+
+
+def test_mvto_rules_hold_as_a_state_machine():
+    run_state_machine_as_test(MvtoMachine, settings=settings(
+        derandomize=True, database=None, deadline=None, max_examples=150,
+        stateful_step_count=40))

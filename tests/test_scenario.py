@@ -73,10 +73,13 @@ def test_scenario_from_dict_round_trips_faults():
     dict(coordinators=[]),
     dict(interval_ms=0),
     dict(data_nodes=["MARS"]),
-    dict(ttl_ns=105, step_ns=10),        # ttl must be a step multiple
+    dict(ttl_ns=105),                    # ttl must be a step multiple
     dict(workload=WorkloadSpec(kind="nope")),
     dict(epsilon_ns=0),
     dict(epsilon_ns=-1),
+    dict(max_drift_ppm=-1),
+    dict(clients_per_coordinator=-1),
+    dict(replica_readers=-1),
 ])
 def test_invalid_scenarios_are_rejected(bad):
     with pytest.raises(InvalidConfig):
@@ -111,6 +114,23 @@ TWO_REGIONS = {"regions": ["SH", "BJ"], "data_nodes": ["SH"],
      "decide"),
     ({"faults": {"partitions": [{"regions": ["SH", "SG"], "from_ms": 0,
                                  "to_ms": 1}]}}, "SG"),
+    ({"faults": {"drop_prob": 1.5}}, "drop_prob"),
+    ({"faults": {"reorder_prob": -0.1}}, "reorder_prob"),
+    ({"faults": {"duplicate_prob": 2}}, "duplicate_prob"),
+    ({"faults": {"msg_filters": [{"kinds": ["DecideReq"], "prob": 1.5}]}},
+     "msg_filters prob"),
+    ({"faults": {"crashes": [{"node": "c0.BJ", "at_ms": 5,
+                              "restart_at_ms": 5}]}}, "restart_at_ms"),
+    ({"faults": {"partitions": [{"regions": ["SH"], "from_ms": 5,
+                                 "to_ms": 5}]}}, "partition: to_ms"),
+    ({"faults": {"oracle_outages": [{"region": "SH", "from_ms": 5,
+                                     "to_ms": 1}]}}, "oracle outage: to_ms"),
+    ({"faults": {"takeovers": [{"role": "rec/d9.SH", "to": "d0.SH",
+                                "at_ms": 5}]}}, "rec/d9.SH"),
+    ({"replica_readers": 1}, "replicate_to"),
+    ({"faults": {"crashes": [{"node": "c9.BJ", "at_ms": 5}]}}, "c9.BJ"),
+    ({"faults": {"takeovers": [{"role": "rec/d0.SH", "to": "c0.BJ",
+                                "at_ms": 5}]}}, "c0.BJ"),
 ])
 def test_scenario_input_that_names_nothing_is_rejected(extra, named):
     with pytest.raises(InvalidConfig, match=named):

@@ -13,6 +13,7 @@ from chronokv.messages import TsReq, TsErr
 from chronokv.scenario import Scenario
 from chronokv.simnet import MS, FaultSchedule, OracleOutage
 from chronokv.tsbatch import (
+    STEP_NS,
     Timestamp,
     TsProxy,
     build_batch,
@@ -21,14 +22,13 @@ from chronokv.tsbatch import (
 )
 
 TTL = 100_000
-STEP = 10
 EPS = 100_000
 D = 200
 
 
 def batch(latest=1_000_000, acquired_local=0):
     return build_batch(UncertainTime(latest - 2 * EPS, latest, 0),
-                       TTL, STEP, acquired_local, D)
+                       TTL, acquired_local, D)
 
 
 # -- batch construction --------------------------------------------------------
@@ -50,7 +50,7 @@ def test_batch_issues_the_grid_in_order():
 
 
 def test_batch_exhausts_after_capacity():
-    b = build_batch(UncertainTime(0, 100, 7), ttl_ns=50, step_ns=10,
+    b = build_batch(UncertainTime(0, 100, 7), ttl_ns=50,
                     acquired_local=0, max_drift_ppm=D)
     assert b.capacity == 5
     for i in range(5):
@@ -68,11 +68,12 @@ def test_batch_expiry_boundary_is_drift_compensated():
 
 
 def test_ttl_must_be_a_multiple_of_step():
+    assert STEP_NS == 10
     with pytest.raises(InvalidConfig):
-        validate_batch_params(100_000, 3)
+        validate_batch_params(100_005)
     with pytest.raises(InvalidConfig):
-        validate_batch_params(0, 10)
-    validate_batch_params(100_000, 10)  # fine
+        validate_batch_params(0)
+    validate_batch_params(100_000)  # fine
 
 
 # -- ordering -------------------------------------------------------------------
@@ -94,8 +95,8 @@ def test_timestamps_order_by_nanos_then_server():
 def test_overlapping_aligned_batches_of_one_server_issue_distinct_timestamps():
     # two readings of one server one step apart: their windows overlap in
     # all but one step and agree modulo the step
-    a = build_batch(UncertainTime(0, 1_000_000, 0), TTL, STEP, 0, D)
-    b = build_batch(UncertainTime(STEP, 1_000_000 + STEP, 0), TTL, STEP, 0, D)
+    a = build_batch(UncertainTime(0, 1_000_000, 0), TTL, 0, D)
+    b = build_batch(UncertainTime(STEP_NS, 1_000_000 + STEP_NS, 0), TTL, 0, D)
     issued = [x.next_timestamp(0) for x in (a, b) for _ in range(a.capacity)]
     nanos = {ts.nanos for ts in issued}
     assert len(nanos) == a.capacity + 1
@@ -124,7 +125,7 @@ def proxy_rig(seed=1, faults=None, mode="batched", drift_ppm=0):
     OracleServer(sim, net, "ts.R0", "R0", server_id=0, epsilon_ns=EPS,
                  outages=(faults.oracle_outages if faults else None))
     host = Host(sim, net, "h.R0", "R0", drift_ppm=drift_ppm)
-    proxy = TsProxy(host.k, "ts.R0", ttl_ns=TTL, step_ns=STEP,
+    proxy = TsProxy(host.k, "ts.R0", ttl_ns=TTL,
                     epsilon_ns=EPS, max_drift_ppm=D, mode=mode)
     return sim, host, proxy
 
@@ -269,7 +270,7 @@ def test_strawman_mode_pays_a_round_trip_every_time():
 def test_unknown_mode_rejected():
     sim, host, _ = proxy_rig()
     with pytest.raises(InvalidConfig):
-        TsProxy(host.k, "ts.R0", ttl_ns=TTL, step_ns=STEP, epsilon_ns=EPS,
+        TsProxy(host.k, "ts.R0", ttl_ns=TTL, epsilon_ns=EPS,
                 max_drift_ppm=D, mode="psychic")
 
 

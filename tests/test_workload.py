@@ -7,7 +7,7 @@ import pytest
 from chronokv.errors import InvalidConfig
 from chronokv.scenario import WorkloadSpec
 from chronokv.simnet import MS
-from chronokv.workload import ZipfKeys, generate
+from chronokv.workload import ZipfKeys, bench_timestamp_service, generate
 
 
 def test_generate_is_deterministic_in_spec_and_seed():
@@ -90,3 +90,13 @@ def test_generate_rejects_invalid_specs():
         generate(WorkloadSpec(kind="nope"), seed=1, count=1)
     with pytest.raises(InvalidConfig):
         generate(WorkloadSpec(write_ratio=1.5), seed=1, count=1)
+
+
+def test_bench_timestamp_service_reports_batching_stats_in_both_modes():
+    batched = bench_timestamp_service(seed=1, mode="batched", n=3000)
+    strawman = bench_timestamp_service(seed=1, mode="strawman", n=200)
+    assert batched["requests"] == 3000
+    assert batched["served_local"] / batched["requests"] > 0.99
+    assert strawman["served_local"] == 0
+    assert strawman["fetches"] == strawman["requests"] == 200
+    assert batched["commit_wait_ns"] > strawman["commit_wait_ns"]
