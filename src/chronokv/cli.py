@@ -40,32 +40,35 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    """Check a trace that ``run --trace`` wrote. Its header names the
+    epoch interval, epsilon and the topology, so visibility is measured
+    as in ``run``; a header that lacks one of them exits 2."""
     from . import checkers, metrics
     from .cluster import Router
     from .history import build_history, read_trace
 
     meta, events = read_trace(args.trace)
-    interval_ns = (args.interval_ms or meta.get("interval_ms", 100)) * MS
-    epsilon_ns = args.epsilon_ns or meta.get("epsilon_ns", 100_000)
+    for key in ("interval_ms", "epsilon_ns", "data_nodes", "replicas_of"):
+        if key not in meta:
+            print(f"chronokv check: trace header lacks {key!r}",
+                  file=sys.stderr)
+            return 2
+    interval_ns = meta["interval_ms"] * MS
     h = build_history(events)
     end_ns = events[-1][0] if events else None
 
     verdicts = []
     if args.property != "visibility":
         verdicts = checkers.run_all_checks(
-            h, interval_ns, epsilon_ns, end_ns=end_ns,
+            h, interval_ns, meta["epsilon_ns"], end_ns=end_ns,
             group=None if args.property == "all" else args.property)
     for v in verdicts:
         print(v.summary())
 
     if args.property in ("all", "visibility"):
-        # Traces written before the header named the topology wait on
-        # every replica in the trace.
-        written = None
-        if "data_nodes" in meta:
-            written = Router(meta["data_nodes"]).written_primaries
         vis = metrics.measure_visibility(
-            h, replicas_of=meta.get("replicas_of"), written_primaries=written,
+            h, replicas_of=meta["replicas_of"],
+            written_primaries=Router(meta["data_nodes"]).written_primaries,
             interval_ns=interval_ns)
         print("visibility: " + json.dumps(vis["summary"]))
         if args.csv:
@@ -95,9 +98,6 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--trace", required=True)
     check.add_argument("--property", default="all",
                        choices=["all", "ss", "replica", "visibility"])
-    check.add_argument("--interval-ms", type=int, default=None,
-                       help="epoch interval if the trace header lacks it")
-    check.add_argument("--epsilon-ns", type=int, default=None)
     check.add_argument("--csv", help="dump the visibility series as CSV")
     check.set_defaults(fn=_cmd_check)
     return p

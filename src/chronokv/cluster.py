@@ -5,11 +5,17 @@ coordinators) so seeded drift assignment and node ids are reproducible.
 Standby nodes are full data nodes that the key router simply never picks:
 they cut epochs, host their own recorder role, and can adopt someone
 else's — which is exactly what the takeover fault injects.
+
+A run's result is its trace. Transaction outcomes are read from the
+history built over it, so a transaction that a crash killed before it
+ended counts as unknown; only the timestamp proxies' counters, which the
+trace does not hold, are collected from the nodes.
 """
 
 from __future__ import annotations
 
 import zlib
+from collections import Counter
 from dataclasses import dataclass, field
 
 from . import workload
@@ -41,13 +47,7 @@ class Router:
 @dataclass
 class RunResult:
     scenario: Scenario
-    txns: list
     replica_reads: list
-    committed: int = 0
-    aborted: int = 0
-    failed: int = 0
-    unknown: int = 0
-    abort_reasons: dict = field(default_factory=dict)
     ts_requests: int = 0
     ts_fetches: int = 0
     ts_local: int = 0
@@ -55,20 +55,20 @@ class RunResult:
     trace: list = field(default_factory=list)
     cluster: object = None
 
-    @property
-    def finished(self) -> int:
-        return self.committed + self.aborted + self.failed + self.unknown
-
     def history(self):
         from .history import build_history
         if getattr(self, "_history", None) is None:
             self._history = build_history(self.trace)
         return self._history
 
+    def outcomes(self) -> Counter:
+        """Status -> number of transactions begun in the trace; one that
+        never ended counts as unknown."""
+        return Counter(t.status or "unknown"
+                       for t in self.history().txns.values())
+
     def replicas_of(self):
-        """primary node id -> replica node ids, or None without a cluster."""
-        if self.cluster is None:
-            return None
+        """primary node id -> replica node ids."""
         return {nid: list(rids)
                 for nid, rids in self.cluster.replicas_of.items()}
 
@@ -82,8 +82,7 @@ class Cluster:
         self.sim = Simulation(sc.seed)
         self.latency = LatencyMatrix(sc.regions, full_rtt_table(sc.regions))
         self.net = Network(self.sim, self.latency, sc.faults)
-        self.storage = {r: SharedStorage(self.sim, flush_ns=sc.flush_ns)
-                        for r in sc.regions}
+        self.storage = {r: SharedStorage(self.sim) for r in sc.regions}
         self._drift_rng = self.sim.rng("drift") if sc.drift_spread else None
 
         self.oracles = [
@@ -199,25 +198,14 @@ class Cluster:
         return self._collect(clients)
 
     def _collect(self, clients) -> RunResult:
-        res = RunResult(scenario=self.scenario, txns=list(clients.txns),
+        res = RunResult(scenario=self.scenario,
                         replica_reads=list(clients.replica_reads),
                         end_ns=self.sim.now,
                         trace=self.sim.trace.events, cluster=self)
-        for t in clients.txns:
-            if t.status == "committed":
-                res.committed += 1
-            elif t.status == "aborted":
-                res.aborted += 1
-            elif t.status == "unknown":
-                res.unknown += 1
-            else:
-                res.failed += 1
         for c in self.coordinators:
             res.ts_requests += c.tsproxy.requests
             res.ts_fetches += c.tsproxy.fetches
             res.ts_local += c.tsproxy.served_local
-            for reason, n in c.aborts_by_reason.items():
-                res.abort_reasons[reason] = res.abort_reasons.get(reason, 0) + n
         return res
 
 

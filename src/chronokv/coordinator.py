@@ -347,7 +347,6 @@ class Coordinator(Node):
     def __init__(self, sim, net, node_id, region, drift_ppm, tsproxy_args,
                  router, membership):
         super().__init__(sim, net, node_id, region, drift_ppm)
-        self._tsproxy_args = tsproxy_args
         self.tsproxy = TsProxy(self.k, **tsproxy_args)
         self.router = router
         self.membership = membership
@@ -366,8 +365,9 @@ class Coordinator(Node):
     def on_restart(self) -> None:
         # In-flight transactions died with the process; the owner of the
         # home role sweeps them once heartbeats go stale. The txn counter
-        # survives so ids never repeat across incarnations.
-        self.tsproxy = TsProxy(self.k, **self._tsproxy_args)
+        # survives so ids never repeat across incarnations, and the
+        # timestamp proxy keeps its counters.
+        self.tsproxy.forget()
         self.alive = True
         self.k.spawn(self._heartbeat_loop())
 

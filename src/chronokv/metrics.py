@@ -7,6 +7,7 @@ fine, nothing feeds back into the simulation.
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 from .checkers import terminal_records
 from .history import History
@@ -15,16 +16,15 @@ from .messages import COMMITTED
 MS = 1_000_000
 
 
-def visibility_delays(h: History, replicas_of: dict = None,
-                      written_primaries=None) -> dict:
+def visibility_delays(h: History, replicas_of: dict,
+                      written_primaries) -> dict:
     """Per committed transaction: time from its durable commit record to
     the first instant every relevant replica can serve a read view
     covering its commit epoch (replayed_epoch >= commit_epoch).
 
-    ``replicas_of`` maps primary node id -> replica node ids. Combined
-    with ``written_primaries(txn) -> set of primary ids`` the measurement
-    is restricted to replicas of the primaries the transaction wrote;
-    without them it conservatively waits on every replica in the trace.
+    The relevant replicas are those of the primaries the transaction
+    wrote: ``written_primaries(txn)`` gives the set of primary ids, and
+    ``replicas_of`` maps a primary id to its replica ids.
 
     Returns {"series": [(commit_ns, delay_ns)], "unresolved": n}; the
     series is sorted by commit time. Transactions whose epoch never got
@@ -34,7 +34,6 @@ def visibility_delays(h: History, replicas_of: dict = None,
     reach: dict = {}  # replica -> [(epoch, t)] in replay order
     for t, node, _src, epoch in h.replays:
         reach.setdefault(node, []).append((epoch, t))
-    src_of = {node: src for _t, node, src, _e in h.replays}
 
     def first_at(node, epoch):
         for e, t in reach.get(node, ()):
@@ -53,11 +52,8 @@ def visibility_delays(h: History, replicas_of: dict = None,
         if not has_write or rec is None or rec[0] != COMMITTED:
             continue
         commit_ns = rec[2]
-        if replicas_of is not None and written_primaries is not None:
-            targets = [r for p in written_primaries(t)
-                       for r in replicas_of.get(p, ())]
-        else:
-            targets = [r for r, src in src_of.items()]
+        targets = [r for p in written_primaries(t)
+                   for r in replicas_of.get(p, ())]
         if not targets:
             continue
         instants = [first_at(r, t.epoch) for r in targets]
@@ -69,13 +65,14 @@ def visibility_delays(h: History, replicas_of: dict = None,
     return {"series": series, "unresolved": unresolved}
 
 
-def measure_visibility(h: History, replicas_of: dict = None,
-                       written_primaries=None, interval_ns: int = None) -> dict:
+def measure_visibility(h: History, replicas_of: dict, written_primaries,
+                       interval_ns: int = None) -> dict:
     """Delay series plus its summary in one call: {"series", "summary",
-    "unresolved"}. The series is the primary signal (the shape lives
-    there); the summary carries max/p50/p90/p99 and the unresolved count,
-    and, given the epoch ``interval_ns``, the sawtooth period the series
-    shows."""
+    "unresolved"}, over the replicas that ``visibility_delays`` waits on.
+    The series is the primary signal (the shape lives there); the summary
+    carries max/p50/p90/p99 and the unresolved count, and, given the
+    epoch ``interval_ns``, the sawtooth period the series shows. ``run``
+    and ``check`` both measure visibility here."""
     vis = visibility_delays(h, replicas_of=replicas_of,
                             written_primaries=written_primaries)
     summary = summarize_delays([d for _t, d in vis["series"]])
@@ -202,18 +199,20 @@ def _latency(vals: list) -> dict:
 
 
 def run_summary(result) -> dict:
-    """Flat dict for the CLI: outcome counts, latency, batching stats."""
+    """Flat dict for the CLI: outcome counts, latency, batching stats.
+    All but the ``ts_*`` figures, which the trace does not hold, are read
+    from the history, where a transaction that never ended is unknown."""
     h = result.history()
     sc = result.scenario
+    outcomes = result.outcomes()
     ts_req = result.ts_requests
     summary = {
         "seed": sc.seed,
-        "txns": len(result.txns),
-        "committed": result.committed,
-        "aborted": result.aborted,
-        "failed": result.failed,
-        "unknown": result.unknown,
-        "abort_reasons": dict(result.abort_reasons),
+        "txns": len(h.txns),
+        **{status: outcomes[status]
+           for status in ("committed", "aborted", "failed", "unknown")},
+        "abort_reasons": dict(Counter(t.reason for t in h.txns.values()
+                                      if t.reason is not None)),
         "latency": latency_summary(h),
         "ts_requests": ts_req,
         "ts_fetches": result.ts_fetches,

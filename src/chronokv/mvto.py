@@ -263,8 +263,10 @@ class Settler:
         self.store = store
         self.apply = apply
         self.above = above
+        # txn -> the Future its waiters park on. The txn's push task runs
+        # while it is here, or polls on after a finalize's wake, when the
+        # txn is decided and no waiter looks here.
         self._decided: dict[str, Future] = {}
-        self._inflight: dict[str, bool] = {}
 
     def settle_below(self, chain: KeyChain, ts: Timestamp, reader: str,
                      view: Optional[int] = None, on_park=None):
@@ -290,8 +292,6 @@ class Settler:
         fut = self._decided.get(txn)
         if fut is None:
             fut = self._decided[txn] = Future(self.node.sim)
-        if txn not in self._inflight:
-            self._inflight[txn] = True
             k.spawn(self._push_task(txn, role))
         yield fut
         k.trace("push_done", node=self.node.node_id, reader=reader, txn=txn)
@@ -325,7 +325,6 @@ class Settler:
                 self.wake(txn)
                 break
             self.settle(txn, resp.decision, resp.epoch)
-        self._inflight.pop(txn, None)
 
 
 class DataNode(Node):

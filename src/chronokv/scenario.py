@@ -20,7 +20,8 @@ outside ``regions``, a crash of a node that no data node, standby or
 coordinator has, a takeover of a role or to a node that no data node or
 standby has, a probability outside [0, 1], a fault window or restart
 that does not end after it starts, replica readers without replicas,
-and a negative drift bound or client count all raise InvalidConfig.
+and a negative drift bound, count, duration or hold all raise
+InvalidConfig.
 """
 
 from __future__ import annotations
@@ -99,8 +100,11 @@ class WorkloadSpec:
             raise InvalidConfig(f"unknown workload kind {self.kind!r}")
         if self.keys < 1 or self.ops_per_txn < 1:
             raise InvalidConfig("workload needs at least one key and one op")
-        if not 0.0 <= self.write_ratio <= 1.0:
-            raise InvalidConfig("write_ratio outside [0, 1]")
+        for name in ("write_ratio", "slow_fraction"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise InvalidConfig(f"{name} outside [0, 1]")
+        if self.hold_intervals < 0.0:
+            raise InvalidConfig("hold_intervals must be >= 0")
         if self.zipf_theta < 0.0:
             raise InvalidConfig("zipf_theta must be >= 0")
 
@@ -136,10 +140,6 @@ class Scenario:
     replica_readers: int = 0
     replica_reads_per_reader: int = 20
     replica_read_mode: str = "fresh"   # fresh | stale | mixed
-    stale_lag_ms: int = 300
-
-    # storage
-    flush_ns: int = 500_000
 
     # stop as soon as every client finished (False: run the full duration,
     # e.g. to accumulate epoch cuts past the end of the workload)
@@ -167,8 +167,9 @@ class Scenario:
             raise InvalidConfig("interval_ms must be positive")
         if self.epsilon_ns <= 0:
             raise InvalidConfig("epsilon_ns must be positive")
-        for name in ("max_drift_ppm", "clients_per_coordinator",
-                     "replica_readers"):
+        for name in ("duration_ms", "drain_ms", "max_drift_ppm",
+                     "clients_per_coordinator", "txns_per_client",
+                     "replica_readers", "replica_reads_per_reader"):
             if getattr(self, name) < 0:
                 raise InvalidConfig(f"{name} must be >= 0")
         if self.replica_readers and not self.replicate_to:

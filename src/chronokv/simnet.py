@@ -501,12 +501,10 @@ class NodeKernel:
     def reply(self, env: Envelope, payload) -> None:
         self._node.net.send(self._node, env.src, payload, rid=env.rid, is_reply=True)
 
-    def _send_request(self, dst_id: str, payload, pending: "_Replies") -> int:
-        rid = self._next_rid
-        self._next_rid += 1
+    def _send_request(self, dst_id: str, payload, rid: int,
+                      pending: "_Replies") -> None:
         self._pending_rpc[rid] = pending
         self._node.net.send(self._node, dst_id, payload, rid=rid, is_reply=False)
-        return rid
 
     def call(self, dst_id: str, payload) -> "Call":
         """A request to ``dst_id`` that may be sent several times, every
@@ -541,10 +539,10 @@ class NodeKernel:
 
 class _Replies:
     """What a call has heard: the replies nobody took yet, and the Future
-    of the wait for the next one. The kernel holds it under each of the
-    call's request ids, and the call does not: so a task that a crash
-    kills, with its kernel's pending requests, holds no path back to
-    itself and is freed at the crash."""
+    of the wait for the next one. The kernel holds it under the call's
+    request id, and the call does not: so a task that a crash kills, with
+    its kernel's pending requests, holds no path back to itself and is
+    freed at the crash."""
 
     __slots__ = ("queue", "waiting")
 
@@ -564,7 +562,7 @@ class _Replies:
 class Call:
     """One request to one destination, sent once per try.
 
-    Each try goes out under a fresh request id, and every id stays
+    Every try goes out under the call's one request id, which stays
     pending until ``close``: a re-send never discards an earlier try, so
     the first reply to any try is heard, however late it comes. That is
     the hedged-request rule of "The Tail at Scale" (Dean and Barroso,
@@ -574,18 +572,17 @@ class Call:
     ``messages.ReadParked``), and replies are taken in arrival order.
     """
 
-    __slots__ = ("_k", "dst", "_payload", "_rids")
+    __slots__ = ("_k", "dst", "_payload", "_rid")
 
     def __init__(self, k: NodeKernel, dst: str, payload):
         self._k = k
         self.dst = dst
         self._payload = payload
-        self._rids: list[int] = []
+        self._rid = k._next_rid
+        k._next_rid += 1
 
     def _replies(self) -> _Replies:
-        if self._rids:
-            return self._k._pending_rpc[self._rids[0]]
-        return _Replies()
+        return self._k._pending_rpc.get(self._rid) or _Replies()
 
     def ask(self, timeout_local_ns: int) -> Future:
         """Send one more try, unless a reply is already waiting to be
@@ -593,8 +590,7 @@ class Call:
         came within the local-clock timeout."""
         replies = self._replies()
         if not replies.queue:
-            self._rids.append(
-                self._k._send_request(self.dst, self._payload, replies))
+            self._k._send_request(self.dst, self._payload, self._rid, replies)
         return self.listen(timeout_local_ns)
 
     def listen(self, timeout_local_ns: int) -> Future:
@@ -616,7 +612,4 @@ class Call:
 
     def close(self) -> None:
         """Stop listening: later replies to any try are dropped."""
-        pending = self._k._pending_rpc
-        for rid in self._rids:
-            pending.pop(rid, None)
-        self._rids.clear()
+        self._k._pending_rpc.pop(self._rid, None)

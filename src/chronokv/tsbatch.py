@@ -143,6 +143,12 @@ class TsProxy:
         return commit_wait_ns(self.ttl_ns, self.epsilon_ns, self.max_drift_ppm,
                               strawman=(self.mode == "strawman"))
 
+    def forget(self) -> None:
+        """Drop what a crash of the owner loses: the live batch and the
+        fetch on the wire. The counters survive."""
+        self.batch = None
+        self._inflight = None
+
     def _ask_oracle(self):
         """Generator -> the oracle's reply to one TsReq, or None."""
         self.fetches += 1

@@ -9,9 +9,13 @@ readers share one client host in its region, with its own timestamp
 proxy, so they outlive a crash of the coordinator. A replica read is
 sent through ``replication.call_node`` like any request to a fixed
 node, with a try timeout long enough to wait out a fresh read's view;
-a read whose every try goes unanswered is not recorded. Written values
-are globally unique (``client.txnseq.opidx``) which lets the checkers
-match every read to the exact write that produced it.
+a read whose every try goes unanswered is not recorded. A stale read
+asks for a view ``STALE_LAG_NS`` older than a fresh timestamp. Written
+values are globally unique (``client.txnseq.opidx``) which lets the
+checkers match every read to the exact write that produced it.
+
+The client set keeps no transaction outcomes: the trace holds every
+transaction, one whose client a crash killed included.
 """
 
 from __future__ import annotations
@@ -33,6 +37,9 @@ from .simnet import (
     Simulation,
 )
 from .tsbatch import Timestamp, TsProxy
+
+# How far behind a fresh timestamp a stale replica read asks to read.
+STALE_LAG_NS = 300 * MS
 
 
 class ZipfKeys:
@@ -100,7 +107,6 @@ def generate(spec, seed: int, count: int, interval_ns: int = 100 * MS):
 
 @dataclass
 class ClientSet:
-    txns: list = field(default_factory=list)
     replica_reads: list = field(default_factory=list)
     pending: int = 0
 
@@ -158,15 +164,13 @@ def _txn_client(coord, cluster, cs, rng, cid, zipf):
         for i in range(sc.txns_per_client):
             program = build_program(rng, sc.workload, sc.interval_ns,
                                     f"{cid}.{i}", zipf)
-            res = yield from coord.run_txn(program)
-            cs.txns.append(res)
+            yield from coord.run_txn(program)
     finally:
         cs.pending -= 1
 
 
 def _replica_reader(host, cluster, cs, rng, idx, zipf):
     sc = cluster.scenario
-    stale_lag = sc.stale_lag_ms * MS
     try:
         for i in range(sc.replica_reads_per_reader):
             mode = sc.replica_read_mode
@@ -176,7 +180,8 @@ def _replica_reader(host, cluster, cs, rng, idx, zipf):
             if mode == "fresh":
                 ts = fresh
             else:
-                ts = Timestamp(max(1, fresh.nanos - stale_lag), fresh.server_id)
+                ts = Timestamp(max(1, fresh.nanos - STALE_LAG_NS),
+                               fresh.server_id)
             region = sc.replicate_to[rng.randrange(len(sc.replicate_to))]
             keys = sorted({zipf.sample(rng), zipf.sample(rng)})
             # A key is readable only at replicas of its own primary.

@@ -111,17 +111,18 @@ def _chaos_scenario(seed: int) -> Scenario:
 
 def test_a02_strict_serializability_survives_chaos_on_twenty_seeds():
     t0 = time.monotonic()
-    finished = 0
+    txns = 0
     for seed in CHAOS_SEEDS:
         r = run_scenario(_chaos_scenario(seed))
         h = _all_checks(r, f"chaos-{seed}")
         v = check_strict_serializability(h)
         assert v.ok, (seed, v.violations[:5])
-        assert r.committed > 0
-        finished += r.finished
+        outcomes = r.outcomes()
+        assert outcomes["committed"] > 0
+        txns += sum(outcomes.values())
     elapsed = time.monotonic() - t0
     assert elapsed < CHAOS_BUDGET_S, f"sweep took {elapsed:.0f}s"
-    print(f"a02 PASS: 20 seeds, {finished} txns finished under "
+    print(f"a02 PASS: 20 seeds, {txns} txns run under "
           f"drop/reorder/crash/takeover in {elapsed:.0f}s")
 
 
@@ -159,10 +160,11 @@ def test_a04_blind_write_workload_commits_without_a_single_abort():
                               write_ratio=1.0, zipf_theta=0.99),
     )
     r = run_scenario(sc)
-    assert r.finished == 10_000
-    assert r.aborted == 0, r.abort_reasons
-    assert r.failed == 0 and r.unknown == 0
-    assert r.committed == 10_000
+    outcomes = r.outcomes()
+    assert sum(outcomes.values()) == 10_000
+    assert outcomes["aborted"] == 0, outcomes
+    assert outcomes["failed"] == 0 and outcomes["unknown"] == 0
+    assert outcomes["committed"] == 10_000
     _all_checks(r, "blind")
     print("a04 PASS: 10000 blind writes on 4 hot keys, 0 aborts")
 
@@ -373,7 +375,8 @@ def test_a10_exactly_one_durable_outcome_per_transaction_under_faults():
         for t in h.txns.values():
             if t.status == "committed" and any(op[1] == "w" for op in t.ops):
                 assert records[t.txn][0] == "committed", t.txn
-        ran.append((sc.name, r.finished, r.unknown))
+        outcomes = r.outcomes()
+        ran.append((sc.name, sum(outcomes.values()), outcomes["unknown"]))
     assert len(ran) == 6
     print("a10 PASS: " + "; ".join(
         f"{name}: {n} txns ({u} settled by record)" for name, n, u in ran))

@@ -72,7 +72,8 @@ def test_check_fails_on_a_trace_with_a_planted_violation(tmp_path, capsys):
     trace = tmp_path / "bad.trace"
     trace.write_text("\n".join([
         json.dumps({"kind": "header", "schema": 1,
-                    "interval_ms": 100, "epsilon_ns": 100000}),
+                    "interval_ms": 100, "epsilon_ns": 100000,
+                    "data_nodes": ["d0.SH"], "replicas_of": {}}),
         json.dumps([1000, "txn_begin", {"txn": "t0"}]),
         json.dumps([2000, "txn_end", {"txn": "t0", "status": "committed",
                                       "ts": [5000, 0], "epoch": 1}]),
@@ -81,6 +82,18 @@ def test_check_fails_on_a_trace_with_a_planted_violation(tmp_path, capsys):
     out = capsys.readouterr().out
     assert rc == 1
     assert "timestamp-in-lifetime: FAIL" in out
+
+
+def test_check_exits_2_naming_a_key_the_trace_header_lacks(tmp_path, capsys):
+    trace = tmp_path / "headless.trace"
+    trace.write_text("\n".join([
+        json.dumps({"kind": "header", "schema": 1, "interval_ms": 100,
+                    "epsilon_ns": 100000, "data_nodes": ["d0.SH"]}),
+        json.dumps([1000, "txn_begin", {"txn": "t0"}]),
+    ]) + "\n")
+    rc = main(["check", "--trace", str(trace)])
+    assert rc == 2
+    assert "'replicas_of'" in capsys.readouterr().err
 
 
 def test_check_property_subsets_run_only_their_checkers(tmp_path, capsys):

@@ -24,6 +24,7 @@ from chronokv.messages import (
     TsReq,
     WriteReq,
 )
+from chronokv.metrics import run_summary
 from chronokv.replication import LONG_POLL_NS
 from chronokv.scenario import Scenario, WorkloadSpec, load_scenario
 from chronokv.simnet import (
@@ -55,10 +56,11 @@ def small(seed=7, **kw):
 
 def test_small_run_commits_and_accounts_for_every_txn():
     r = run_scenario(small())
-    assert r.finished == 80
-    assert r.committed > 0
-    assert r.failed == 0 and r.unknown == 0
-    for t in r.txns:
+    outcomes = r.outcomes()
+    assert sum(outcomes.values()) == 80
+    assert outcomes["committed"] > 0
+    assert outcomes["failed"] == 0 and outcomes["unknown"] == 0
+    for t in r.history().txns.values():
         assert t.status in ("committed", "aborted")
         if t.status == "committed":
             assert t.ts is not None
@@ -68,7 +70,7 @@ def test_small_run_commits_and_accounts_for_every_txn():
 
 def test_commit_timestamps_are_unique_and_ordered_within_a_client():
     r = run_scenario(small(seed=9))
-    stamps = [t.ts for t in r.txns if t.status == "committed"]
+    stamps = [t.ts for t in r.history().txns.values() if t.committed]
     assert len(stamps) == len(set(stamps))
 
 
@@ -77,10 +79,24 @@ def test_txn_ids_stay_unique_across_a_coordinator_restart():
     fs.crashes.append(CrashDirective(node="c0.SH", at_ns=2_000_000_000,
                                      restart_at_ns=2_500_000_000))
     r = run_scenario(small(seed=11, txns_per_client=60, faults=fs))
-    ids = [t.txn for t in r.txns]
+    ids = [f["txn"] for _t, kind, f in r.trace if kind == "txn_begin"]
     assert len(ids) == len(set(ids))
     # the restarted coordinator keeps issuing txns afterwards
-    assert r.committed > 0
+    assert r.outcomes()["committed"] > 0
+
+
+def test_run_summary_counts_the_txns_a_coordinator_crash_killed():
+    # The crash kills c0.SH's clients mid-transaction; the trace holds
+    # those transactions, and the restart keeps the proxy's counters.
+    fs = FaultSchedule()
+    fs.crashes.append(CrashDirective(node="c0.SH", at_ns=500 * MS,
+                                     restart_at_ns=1_000 * MS))
+    r = run_scenario(small(seed=11, txns_per_client=60, faults=fs))
+    s = run_summary(r)
+    begins = sum(1 for _t, kind, _f in r.trace if kind == "txn_begin")
+    assert s["txns"] == begins == 50
+    assert s["unknown"] == 2
+    assert s["ts_requests"] == begins
 
 
 def faults_yaml_trace():
@@ -113,9 +129,10 @@ def test_blind_writes_never_abort():
                               write_ratio=1.0, zipf_theta=0.99),
     )
     r = run_scenario(sc)
-    assert r.finished == 200
-    assert r.aborted == 0, r.abort_reasons
-    assert r.committed == 200
+    outcomes = r.outcomes()
+    assert sum(outcomes.values()) == 200
+    assert outcomes["aborted"] == 0, outcomes
+    assert outcomes["committed"] == 200
 
 
 def test_contended_read_modify_write_aborts_carry_reasons():
@@ -127,17 +144,18 @@ def test_contended_read_modify_write_aborts_carry_reasons():
                               write_ratio=1.0, zipf_theta=0.0),
     )
     r = run_scenario(sc)
-    assert r.aborted > 0
-    assert sum(r.abort_reasons.values()) == r.aborted
-    for t in r.txns:
+    s = run_summary(r)
+    assert s["aborted"] > 0
+    assert sum(s["abort_reasons"].values()) == s["aborted"]
+    for t in r.history().txns.values():
         if t.status == "aborted":
-            assert t.reason in r.abort_reasons
+            assert t.reason in s["abort_reasons"]
 
 
 def test_timestamp_service_counters_are_consistent():
     r = run_scenario(small(seed=13))
     # one timestamp acquisition per transaction
-    assert r.ts_requests == r.finished
+    assert r.ts_requests == sum(r.outcomes().values())
     # a request is served from the live batch, by its own fetch, or by
     # piggybacking on a fetch already in flight -- so local + fetches
     # never exceeds requests, and with 100us batches against ~27ms txn

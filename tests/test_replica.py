@@ -55,7 +55,7 @@ def checks_for(r):
 @pytest.mark.parametrize("mode", ["fresh", "stale", "mixed"])
 def test_replica_reads_complete_and_pass_all_checks(mode):
     r = run_scenario(replica_scenario(21, mode))
-    assert r.committed > 0
+    assert r.outcomes()["committed"] > 0
     h = r.history()
     assert len(h.rreads) == 75
     for v in checks_for(r):
@@ -75,8 +75,7 @@ def test_fresh_replica_reads_see_the_latest_cut_epoch():
 
 def test_stale_reads_finish_faster_than_fresh_on_average():
     fresh = run_scenario(replica_scenario(29, "fresh"))
-    stale = run_scenario(replica_scenario(29, "stale",
-                                          stale_lag_ms=300))
+    stale = run_scenario(replica_scenario(29, "stale"))
 
     def mean_latency(r):
         rr = r.history().rreads

@@ -131,6 +131,14 @@ TWO_REGIONS = {"regions": ["SH", "BJ"], "data_nodes": ["SH"],
     ({"faults": {"crashes": [{"node": "c9.BJ", "at_ms": 5}]}}, "c9.BJ"),
     ({"faults": {"takeovers": [{"role": "rec/d0.SH", "to": "c0.BJ",
                                 "at_ms": 5}]}}, "c0.BJ"),
+    ({"workload": {"kind": "mix", "slow_fraction": 1.5}}, "slow_fraction"),
+    ({"workload": {"kind": "mix", "slow_fraction": -0.1}}, "slow_fraction"),
+    ({"workload": {"kind": "slow_commit", "hold_intervals": -1}},
+     "hold_intervals"),
+    ({"txns_per_client": -1}, "txns_per_client"),
+    ({"replica_reads_per_reader": -1}, "replica_reads_per_reader"),
+    ({"drain_ms": -1}, "drain_ms"),
+    ({"duration_ms": -5}, "duration_ms"),
 ])
 def test_scenario_input_that_names_nothing_is_rejected(extra, named):
     with pytest.raises(InvalidConfig, match=named):

@@ -1,4 +1,5 @@
-"""The trace of each shipped scenario, pinned by its SHA-256.
+"""The trace of each shipped scenario and benchmark workload, pinned by
+its SHA-256.
 
 A run is a pure function of its scenario and seed, so a change that only
 restructures code must leave every trace byte-identical. The digest
@@ -8,6 +9,8 @@ the trace on purpose re-pins the digests and says why.
 """
 
 import hashlib
+import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
@@ -16,7 +19,8 @@ from chronokv.cluster import Cluster
 from chronokv.history import write_trace
 from chronokv.scenario import load_scenario
 
-SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+ROOT = Path(__file__).resolve().parent.parent
+SCENARIOS = ROOT / "scenarios"
 
 PINNED = {
     "baseline.yaml":
@@ -25,13 +29,47 @@ PINNED = {
         "8da4c62493936bf3a5f07c95294e5664aac53f60301560b4ae0df909fcf5569d",
 }
 
+# The benchmark's workloads at seed 1, full size.
+PINNED_WORKLOADS = {
+    "steady":
+        "da319703ea62936d14bc8604a571fe8394ed2a1ae7d49931c6258251214756c5",
+    "hot-rmw":
+        "13f928c86027ca8ac24841651f405c29b669e8b99972da19872643846b4d6b00",
+    "chaos":
+        "6428593d7a4211e6518f08e2c96cafd2b08d6741180123d5bb678911479e891f",
+}
+
+
+def trace_digest(tmp_path, events) -> str:
+    path = tmp_path / "run.trace"
+    write_trace(str(path), events)
+    with open(path, "rb") as src:
+        src.readline()  # header
+        return hashlib.sha256(src.read()).hexdigest()
+
+
+def benchmark_workloads() -> dict:
+    """``perfbench/workloads.py``'s WORKLOADS, loaded by path: the
+    benchmark is a directory of scripts, not a package."""
+    name = "perfbench_workloads"
+    module = sys.modules.get(name)
+    if module is None:
+        spec = importlib.util.spec_from_file_location(
+            name, ROOT / "perfbench" / "workloads.py")
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[name] = module  # dataclasses look their module up
+        spec.loader.exec_module(module)
+    return module.WORKLOADS
+
 
 @pytest.mark.parametrize("name", sorted(PINNED))
 def test_trace_digest_is_pinned(tmp_path, name):
     result = Cluster(load_scenario(str(SCENARIOS / name))).run()
-    path = tmp_path / "run.trace"
-    write_trace(str(path), result.trace)
-    with open(path, "rb") as src:
-        src.readline()  # header
-        digest = hashlib.sha256(src.read()).hexdigest()
-    assert digest == PINNED[name]
+    assert trace_digest(tmp_path, result.trace) == PINNED[name]
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_WORKLOADS))
+def test_benchmark_workload_trace_digest_is_pinned(tmp_path, name):
+    sc = benchmark_workloads()[name].build(1, False)
+    result = Cluster(sc).run()
+    assert trace_digest(tmp_path, result.trace) == PINNED_WORKLOADS[name]
