@@ -6,8 +6,8 @@ applied in timestamp order must reproduce every read (the timestamp
 order *is* the serial order), and whenever one transaction releases
 before another begins, the earlier one must carry the smaller timestamp
 (so the serial order extends real time). Together these are strict
-serializability; a brute-force oracle for small histories double-checks
-the definition directly by searching interleavings.
+serializability. The tests hold a brute-force oracle that double-checks
+the definition on small histories by searching interleavings.
 
 A transaction whose client never learned the outcome (decide reply lost)
 is settled here by its durable record when one exists; only truly
@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from .epochs import ceiling_epoch, promised_end_ns
 from .history import History, TxnInfo
 from .messages import COMMITTED, IN_PROGRESS
-from .tsbatch import Timestamp
 
 
 @dataclass
@@ -189,136 +188,6 @@ def check_strict_serializability(h: History, initial: dict = None) -> Verdict:
         for key, val in _final_writes(t).items():
             store[key] = (t.ts, val)
     return v
-
-
-def _replay_values_only(txn: TxnInfo, store: dict) -> bool:
-    """Replay against ``store`` (key -> value), then apply writes in place.
-    The brute-force oracle compares values only: version timestamps are an
-    implementation detail the definition of serializability doesn't see."""
-    buf: dict = {}
-    for _i, kind, key, _vts, val in sorted(txn.ops):
-        if kind == "w":
-            buf[key] = val
-        elif buf.get(key, store.get(key)) != val:
-            return False
-    store.update(buf)
-    return True
-
-
-def brute_force_serializable(txns: list, initial: dict = None):
-    """Search for any total order that respects real time and reproduces
-    all reads (values only). Returns a witness order or None. Factorial:
-    only sensible for small histories."""
-    txns = [t for t in txns if t.committed]
-    store0 = dict(initial or {})
-
-    def extend(order, remaining, store):
-        if not remaining:
-            return order
-        for idx, t in enumerate(remaining):
-            # t may go next only if nothing unscheduled released before
-            # t began (such a transaction must precede t in real time).
-            if any(u.end_ns < t.begin_ns for u in remaining if u is not t):
-                continue
-            trial = dict(store)
-            if not _replay_values_only(t, trial):
-                continue
-            found = extend(order + [t],
-                           remaining[:idx] + remaining[idx + 1:], trial)
-            if found is not None:
-                return found
-        return None
-
-    return extend([], list(txns), store0)
-
-
-# ---------------------------------------------------------------------------
-# synthetic histories for cross-validating the two checkers
-
-
-def synthesize_history(rng, txn_count: int = 5, key_count: int = 3,
-                       corrupt: str = "none") -> History:
-    """Build a small history with known ground truth.
-
-    ``corrupt="none"`` yields a genuinely serializable run: overlapping
-    intervals, each containing its commit point, reads filled in from the
-    serial order (interval containment makes real-time order agree with
-    commit order automatically). ``"fabricate"`` rewrites one read to a
-    value no write ever produced; ``"stale_chain"`` builds a strictly
-    sequential run — a unique admissible order — and points one read at
-    an outdated version. Both corruptions are unserializable by
-    construction, so the fast checker and the brute-force oracle must
-    agree on every output of this generator."""
-    keys = [f"x{i}" for i in range(key_count)]
-    sequential = corrupt == "stale_chain"
-    h = History()
-    store: dict = {}
-    t_cursor = 1000
-    for n in range(txn_count):
-        if sequential:
-            begin = t_cursor + rng.randrange(5, 20)
-            dur = rng.randrange(10, 30)
-            end = begin + dur
-            commit_at = begin + dur // 2
-            t_cursor = end
-        else:
-            commit_at = t_cursor
-            begin = commit_at - rng.randrange(5, 400)
-            end = commit_at + rng.randrange(5, 400)
-            t_cursor += rng.randrange(20, 120)
-        ts = Timestamp(commit_at, 0)
-        txn = TxnInfo(f"t{n}", begin_ns=begin, end_ns=end,
-                      status="committed", ts=ts)
-        buf: dict = {}
-        for i in range(rng.randrange(1, 4)):
-            key = keys[rng.randrange(len(keys))]
-            if rng.random() < 0.5:
-                val = f"t{n}.{i}"
-                txn.ops.append((i, "w", key, None, val))
-                buf[key] = val
-            else:
-                if key in buf:
-                    vts, val = ts, buf[key]
-                else:
-                    vts, val = store.get(key, (None, None))
-                txn.ops.append((i, "r", key, vts, val))
-        for key, val in buf.items():
-            store[key] = (ts, val)
-        h.txns[txn.txn] = txn
-    if corrupt == "fabricate":
-        _corrupt_fabricate(rng, h)
-    elif corrupt == "stale_chain":
-        _corrupt_stale(rng, h)
-    return h
-
-
-def _corrupt_fabricate(rng, h: History) -> None:
-    reads = [(txn, op) for txn in h.txns.values()
-             for op in txn.ops if op[1] == "r"]
-    if not reads:
-        txn = next(iter(h.txns.values()))
-        txn.ops.append((len(txn.ops), "r", "x0", Timestamp(1, 0),
-                        "value-from-nowhere"))
-        return
-    txn, op = reads[rng.randrange(len(reads))]
-    i, _kind, key, _vts, _val = op
-    txn.ops[txn.ops.index(op)] = (i, "r", key, Timestamp(1, 0),
-                                  "value-from-nowhere")
-
-
-def _corrupt_stale(rng, h: History) -> None:
-    """In a sequential history, point the last transaction's read at a
-    version one writer too old (planting the two writes if needed)."""
-    txns = sorted(h.txns.values(), key=lambda t: t.ts)
-    if len(txns) < 3:
-        return _corrupt_fabricate(rng, h)
-    w1, w2, victim = txns[0], txns[1], txns[-1]
-    key = "x0"
-    for t in (w1, w2, victim):
-        t.ops = [op for op in t.ops if op[2] != key]
-    w1.ops.append((len(w1.ops), "w", key, None, "old-version"))
-    w2.ops.append((len(w2.ops), "w", key, None, "new-version"))
-    victim.ops.append((len(victim.ops), "r", key, w1.ts, "old-version"))
 
 
 # ---------------------------------------------------------------------------
@@ -539,29 +408,6 @@ def check_push_progress(h: History, end_ns: int = None) -> Verdict:
             v.flag(f"{reader}@{node} still waiting on {txn}, decided "
                    f"{end_ns - rec[2]}ns before the run ended")
     return v
-
-
-# ---------------------------------------------------------------------------
-# debugging aid
-
-
-def shrink_counterexample(items: list, still_fails, budget: int = 1000) -> list:
-    """Greedy delta-debugger: drop items while the predicate keeps
-    failing. ``still_fails(subset) -> bool``."""
-    current = list(items)
-    spent = 0
-    improved = True
-    while improved and spent < budget:
-        improved = False
-        for i in range(len(current) - 1, -1, -1):
-            if spent >= budget:
-                break
-            trial = current[:i] + current[i + 1:]
-            spent += 1
-            if still_fails(trial):
-                current = trial
-                improved = True
-    return current
 
 
 def run_all_checks(h: History, interval_ns: int, epsilon_ns: int,

@@ -73,7 +73,7 @@ from .messages import (
     WriteReq,
 )
 from .replication import RecordEntry, call_node, recorder_role
-from .simnet import MS, Future, Node
+from .simnet import MS, Node
 from .tsbatch import Timestamp, TsProxy
 
 HB_INTERVAL_NS = 100 * MS
@@ -97,10 +97,11 @@ class _RoleState:
         self.in_progress: dict[str, TxnRecord] = {
             txn: rec for txn, rec in self.records.items()
             if rec.status == IN_PROGRESS}
-        # txn -> envelopes of the readers parked until a decision
+        # txn -> envelopes parked until its decision: readers' pushes,
+        # and decides that arrived while the decision was in flight
         self.pending: dict[str, list] = {}
-        # txn -> Future guarding a decision append already in flight
-        self.deciding: dict[str, Future] = {}
+        # txns whose decision append is in flight
+        self.deciding: set[str] = set()
 
 
 class RecorderState:
@@ -189,9 +190,11 @@ class RecorderState:
     # -- deciding ----------------------------------------------------------------
 
     def _decide_core(self, role, txn, decision, proposals, env):
-        """Generator task: at most one durable decision per transaction;
-        every later call answers from the record. The answer, a DecideResp
-        or NotOwner, goes to ``env`` unless it is None (the sweep's)."""
+        """Generator task: at most one durable decision per transaction.
+        A decide that arrives while the decision is in flight parks with
+        the pushes until it lands; every later one answers from the
+        record. The answer, a DecideResp or NotOwner, goes to ``env``
+        unless it is None (the sweep's)."""
 
         def answer(resp):
             if env is not None:
@@ -203,17 +206,12 @@ class RecorderState:
         rec = rs.records.get(txn)
         if rec is not None and rec.status != IN_PROGRESS:
             return answer(DecideResp(rec.status, rec.epoch))
-        inflight = rs.deciding.get(txn)
-        if inflight is not None:
-            yield inflight
-            rs2 = self.roles.get(role)
-            rec = rs2 and rs2.records.get(txn)
-            if rec is None or rec.status == IN_PROGRESS:
-                return answer(NotOwner(role))
-            return answer(DecideResp(rec.status, rec.epoch))
+        if txn in rs.deciding:
+            if env is not None:
+                rs.pending.setdefault(txn, []).append(env)
+            return
 
-        gate = Future(self.node.sim)
-        rs.deciding[txn] = gate
+        rs.deciding.add(txn)
         if decision == COMMIT:
             floor = rec.epoch if rec is not None else None
             epoch = assign_commit_epoch(proposals, self.node.epoch_now(), floor)
@@ -227,18 +225,19 @@ class RecorderState:
         rs_now = self.roles.get(role)
         if res[0] != "ok":
             self._fence_lost(role)
-            gate.resolve()
             return answer(NotOwner(role))
         if rs_now is not rs:  # adopted away and back? treat as fenced
-            gate.resolve()
             return answer(NotOwner(role))
         rs.records[txn] = TxnRecord(status, epoch)
         rs.in_progress.pop(txn, None)
-        rs.deciding.pop(txn, None)
-        # Parked readers learn the outcome before the coordinator does.
+        rs.deciding.discard(txn)
+        # Parked readers learn the outcome before the coordinator does;
+        # each parked envelope gets the answer its request asked for.
         for penv in rs.pending.pop(txn, ()):
-            self.node.k.reply(penv, PushResp(decision, epoch))
-        gate.resolve()
+            if isinstance(penv.payload, DecideReq):
+                self.node.k.reply(penv, DecideResp(status, epoch))
+            else:
+                self.node.k.reply(penv, PushResp(decision, epoch))
         return answer(DecideResp(status, epoch))
 
     # -- fencing / takeover --------------------------------------------------------
@@ -251,8 +250,6 @@ class RecorderState:
         for waiters in rs.pending.values():
             for penv in waiters:
                 self.node.k.reply(penv, NotOwner(role))
-        for gate in rs.deciding.values():
-            gate.resolve()
 
     def adopt_role(self, role: str, expected_owner: str):
         """Generator task run on the successor: fence the old owner via a
@@ -307,20 +304,10 @@ class RecorderState:
                             self._decide_core(role, txn, ABORT, [], None))
 
 
-@dataclass(slots=True)
-class TxnResult:
-    txn: str
-    status: str
-    ts: Optional[Timestamp]
-    reads: list
-    writes: list
-    reason: Optional[str] = None
-
-
 class TxnHandle:
     __slots__ = (
         "txn", "ts", "cwt_deadline_local", "status", "reads", "write_buf",
-        "write_order", "intent_nodes", "proposals", "role", "reason",
+        "writes", "intent_nodes", "proposals", "role", "reason",
     )
 
     def __init__(self, txn: str, ts: Timestamp, cwt_deadline_local: int):
@@ -330,7 +317,7 @@ class TxnHandle:
         self.status = "active"
         self.reads: list = []
         self.write_buf: dict[str, str] = {}
-        self.write_order: list = []
+        self.writes: list = []
         self.intent_nodes: dict[str, bool] = {}
         self.proposals: list[int] = []
         # A writer's recorder role, set before its first op is sent: from
@@ -453,7 +440,7 @@ class Coordinator(Node):
             h.proposals.append(resp.proposal)
         for idx, value in ops:
             h.write_buf[key] = value
-            h.write_order.append((idx, key, value))
+            h.writes.append((idx, key, value))
             self.k.trace("op", txn=h.txn, i=idx, op="w", key=key, val=value)
         return True
 
@@ -517,7 +504,7 @@ class Coordinator(Node):
         remaining = h.cwt_deadline_local - self.k.local_now()
         if remaining > 0:
             yield self.k.sleep_local(remaining)
-        if not h.write_order:
+        if not h.writes:
             h.status = "committed"
             self._finish(h, None)
             return "committed"
@@ -587,7 +574,8 @@ class Coordinator(Node):
     # -- one full transaction ------------------------------------------------------
 
     def run_txn(self, program):
-        """Generator -> TxnResult. ``program`` is a list of ops:
+        """Generator -> TxnHandle, with ``reads`` and ``writes`` sorted by
+        op index. ``program`` is a list of ops:
         ("r", key) | ("w", key, value) | ("hold", local_ns). Each op's index
         is its position in the program.
 
@@ -617,6 +605,7 @@ class Coordinator(Node):
                 raise ValueError(f"unknown op {op!r}")
         else:
             yield from self._run_segment(h, chains)
-        status = yield from self.commit(h)
-        return TxnResult(h.txn, status, h.ts, sorted(h.reads),
-                         sorted(h.write_order), reason=h.reason)
+        yield from self.commit(h)
+        h.reads.sort()
+        h.writes.sort()
+        return h

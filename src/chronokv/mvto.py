@@ -339,7 +339,7 @@ class DataNode(Node):
         self.stream = node_id  # this node's data log
         self.role_self = recorder_role(node_id)
         self.replicas = replicas  # where the data log ships
-        self._tsproxy_args = tsproxy_args
+        self.tsproxy = TsProxy(self.k, **tsproxy_args)
         self.membership = directory
         self.cutter = EpochCutter(self, interval_ns)
         self._volatile_state()
@@ -347,8 +347,9 @@ class DataNode(Node):
         self.ready = True
 
     def _volatile_state(self) -> None:
-        """What a crash loses; a restart rebuilds it from storage."""
-        self.tsproxy = TsProxy(self.k, **self._tsproxy_args)
+        """What a crash loses; a restart rebuilds it from storage. The
+        timestamp proxy drops its batch and keeps its counters."""
+        self.tsproxy.forget()
         self.recorder = RecorderState(self)
         self.store = KeyStore()
         self.settler = Settler(self, self.store, self._apply_finalize)

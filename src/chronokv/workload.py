@@ -1,5 +1,4 @@
-"""Synthetic clients: transaction mixes, replica readers, and a
-timestamp-service micro-benchmark.
+"""Synthetic clients: transaction mixes and replica readers.
 
 Clients are closed-loop generator tasks, each with its own named RNG
 stream, so a run is a pure function of the scenario seed. Transaction
@@ -23,19 +22,9 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass, field
 
-from .clock import OracleServer
-from .errors import OracleUnavailable
 from .messages import ReplicaReadReq
-from .metrics import percentile
 from .replication import call_node
-from .simnet import (
-    MS,
-    FaultSchedule,
-    LatencyMatrix,
-    Network,
-    Node,
-    Simulation,
-)
+from .simnet import MS, Node
 from .tsbatch import Timestamp, TsProxy
 
 # How far behind a fresh timestamp a stale replica read asks to read.
@@ -91,18 +80,6 @@ def build_program(rng, spec, interval_ns: int, tag: str, zipf: ZipfKeys):
     else:  # pragma: no cover - validated at scenario load
         raise ValueError(kind)
     return ops
-
-
-def generate(spec, seed: int, count: int, interval_ns: int = 100 * MS):
-    """Standalone stream of transaction programs — what the clients would
-    run, without a cluster. Deterministic in (spec, seed)."""
-    import random
-
-    spec.validate()
-    rng = random.Random(seed)
-    zipf = ZipfKeys(spec.keys, spec.zipf_theta)
-    return [build_program(rng, spec, interval_ns, f"gen.{i}", zipf)
-            for i in range(count)]
 
 
 @dataclass
@@ -204,127 +181,3 @@ def _replica_reader(host, cluster, cs, rng, idx, zipf):
             yield host.k.sleep_local(5 * MS)
     finally:
         cs.pending -= 1
-
-
-# ---------------------------------------------------------------------------
-# timestamp service micro-benchmark
-
-
-def _oracle_region(seed: int, epsilon_ns: int, ttl_ns: int,
-                   max_drift_ppm: int):
-    """One region holding one time oracle, for hosts that only take
-    timestamps. Returns the simulation and ``add_host(idx, drift_ppm,
-    mode)``, which adds host ``h<idx>`` with its own timestamp proxy."""
-    region = "R0"
-    sim = Simulation(seed)
-    net = Network(sim, LatencyMatrix([region], {(region, region): 0.2}),
-                  FaultSchedule())
-    OracleServer(sim, net, f"ts.{region}", region, server_id=0,
-                 epsilon_ns=epsilon_ns)
-
-    def add_host(idx: int, drift_ppm: int, mode: str = "batched"):
-        host = ClientHost(sim, net, f"h{idx}.{region}", region, drift_ppm,
-                          dict(oracle_id=f"ts.{region}", ttl_ns=ttl_ns,
-                               epsilon_ns=epsilon_ns,
-                               max_drift_ppm=max_drift_ppm, mode=mode))
-        return host, host.tsproxy
-
-    return sim, add_host
-
-
-def timestamp_property_sweep(seed: int, txns: int = 10_000, hosts: int = 10,
-                             streams_per_host: int = 2,
-                             epsilon_ns: int = 100_000, ttl_ns: int = 100_000,
-                             max_drift_ppm: int = 200):
-    """The timestamp guarantee, measured against ground truth: for every
-    transaction-shaped cycle (acquire, commit-wait on the local clock),
-    the true instant before acquisition < ts < the true instant after the
-    wait. Hosts alternate between +D and -D drift — the worst legal
-    clocks — and the oracle places true time adversarially within its
-    interval. Returns counters and the (hopefully empty) violation list.
-    """
-    sim, add_host = _oracle_region(seed, epsilon_ns, ttl_ns, max_drift_ppm)
-    state = {"done": 0, "issued": 0, "fetches": 0, "oracle_failures": 0}
-    violations = []
-    total_streams = hosts * streams_per_host
-
-    def stream(host, proxy, cwt_ns, quota, rng):
-        for _ in range(quota):
-            start = sim.true_now()
-            try:
-                ts = yield from proxy.acquire()
-            except OracleUnavailable:
-                state["oracle_failures"] += 1
-                continue
-            yield host.k.sleep_local(cwt_ns)
-            end = sim.true_now()
-            state["issued"] += 1
-            if not (start < ts.nanos < end):
-                if len(violations) < 50:
-                    violations.append((host.node_id, start, ts.nanos, end))
-            # jitter the inter-txn gap so hosts fall out of lockstep
-            yield host.k.sleep_local(rng.randrange(1, 10_000))
-        state["done"] += 1
-
-    idx = 0
-    for hi in range(hosts):
-        drift = max_drift_ppm if hi % 2 == 0 else -max_drift_ppm
-        # one proxy per host: its streams share the batch
-        host, proxy = add_host(hi, drift)
-        for si in range(streams_per_host):
-            quota = txns // total_streams + (1 if idx < txns % total_streams
-                                             else 0)
-            rng = sim.rng(f"p1/{hi}/{si}")
-            host.k.spawn(stream(host, proxy, proxy.cwt_ns, quota, rng))
-            idx += 1
-
-    sim.run_until(1 << 62, stop=lambda: state["done"] == total_streams)
-    return {
-        "seed": seed,
-        "txns": state["issued"],
-        "violations": violations,
-        "oracle_failures": state["oracle_failures"],
-        "commit_wait_ns": proxy.cwt_ns,
-    }
-
-
-def bench_timestamp_service(seed: int, mode: str, n: int = 20_000,
-                            spacing_ns: int = 50, epsilon_ns: int = 100_000,
-                            ttl_ns: int = 100_000, max_drift_ppm: int = 200):
-    """Drive a single proxy with ``n`` acquisitions ``spacing_ns`` apart.
-
-    Returns counters and acquisition-latency stats. An acquisition served
-    from the live batch completes in the same instant (latency 0); only
-    fetch initiators pay the oracle round trip.
-    """
-    sim, add_host = _oracle_region(seed, epsilon_ns, ttl_ns, max_drift_ppm)
-    host, proxy = add_host(0, 0, mode)
-    lats = []
-    state = {"done": False, "failures": 0, "last": None}
-
-    def driver():
-        for _ in range(n):
-            t0 = sim.now
-            try:
-                ts = yield from proxy.acquire()
-                state["last"] = ts
-                lats.append(sim.now - t0)
-            except OracleUnavailable:
-                state["failures"] += 1
-            yield host.k.sleep_local(spacing_ns)
-        state["done"] = True
-
-    host.k.spawn(driver())
-    sim.run_until(1 << 60, stop=lambda: state["done"])
-    return {
-        "mode": mode,
-        "requests": proxy.requests,
-        "fetches": proxy.fetches,
-        "served_local": proxy.served_local,
-        "local_ratio": proxy.served_local / max(1, proxy.requests),
-        "failures": state["failures"],
-        "latency_p50_ns": percentile(lats, 50) if lats else 0,
-        "latency_p99_ns": percentile(lats, 99) if lats else 0,
-        "latency_max_ns": max(lats, default=0),
-        "commit_wait_ns": proxy.cwt_ns,
-    }

@@ -15,12 +15,17 @@ all. Tolerances are pinned as constants next to the test they gate.
 import random
 import time
 
-from chronokv.checkers import (
+from oracles import (
+    bench_timestamp_service,
     brute_force_serializable,
+    synthesize_history,
+    timestamp_property_sweep,
+)
+
+from chronokv.checkers import (
     check_deadlock_freedom,
     check_strict_serializability,
     run_all_checks,
-    synthesize_history,
     terminal_records,
 )
 from chronokv.clock import UncertainTime
@@ -36,7 +41,6 @@ from chronokv.simnet import (
     TakeoverDirective,
 )
 from chronokv.tsbatch import build_batch
-from chronokv.workload import bench_timestamp_service, timestamp_property_sweep
 
 MS = 1_000_000
 SEC = 1_000 * MS

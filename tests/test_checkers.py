@@ -3,8 +3,13 @@ timestamp-order replay against a brute-force interleaving search."""
 
 import random
 
-from chronokv.checkers import (
+from oracles import (
     brute_force_serializable,
+    shrink_counterexample,
+    synthesize_history,
+)
+
+from chronokv.checkers import (
     check_commit_records,
     check_deadlock_freedom,
     check_epoch_cuts,
@@ -15,8 +20,6 @@ from chronokv.checkers import (
     check_timestamp_property,
     check_visibility_monotonic,
     effective_outcomes,
-    shrink_counterexample,
-    synthesize_history,
 )
 from chronokv.history import History, ReplicaRead, TxnInfo
 from chronokv.tsbatch import Timestamp

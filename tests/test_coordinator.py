@@ -16,9 +16,14 @@ from chronokv.cluster import Cluster, run_scenario
 from chronokv.coordinator import HB_TIMEOUT_NS, SWEEP_INTERVAL_NS
 from chronokv.history import build_history
 from chronokv.messages import (
+    COMMIT,
+    COMMITTED,
     DecideReq,
+    DecideResp,
     Heartbeat,
+    NotOwner,
     PushReq,
+    PushResp,
     ReadReq,
     ReadResp,
     TsReq,
@@ -99,6 +104,24 @@ def test_run_summary_counts_the_txns_a_coordinator_crash_killed():
     assert s["ts_requests"] == begins
 
 
+def test_a_restarted_data_node_keeps_its_timestamp_proxy():
+    # A crash drops the proxy's batch, as a coordinator's does; its
+    # counters go on across the restart.
+    fs = FaultSchedule()
+    fs.crashes.append(CrashDirective(node="d0.SH", at_ns=SEC,
+                                     restart_at_ns=2 * SEC))
+    cluster = Cluster(small(clients_per_coordinator=0, stop_on_idle=False,
+                            duration_ms=3000, faults=fs))
+    node = cluster.data_nodes[0]
+    proxy = node.tsproxy
+    before = []
+    # scheduled before run() schedules the crash at the same instant
+    cluster.sim.at(SEC, lambda: before.append(proxy.requests))
+    cluster.run()
+    assert node.tsproxy is proxy
+    assert proxy.requests > before[0]
+
+
 def faults_yaml_trace():
     path = Path(__file__).resolve().parent.parent / "scenarios/faults.yaml"
     return Cluster(load_scenario(str(path))).run().trace
@@ -162,6 +185,46 @@ def test_timestamp_service_counters_are_consistent():
     # gaps nearly every acquisition needs a fresh fetch
     assert r.ts_local + r.ts_fetches <= r.ts_requests
     assert r.ts_fetches >= r.ts_requests // 2
+
+
+# -- the recorder's waiting list ----------------------------------------------
+
+
+def ask_recorder_at_once(move_register: bool):
+    """Two decides of one transaction and a push of it, sent to its
+    recorder at one instant; ``move_register`` hands the role to another
+    node while the decision's append is in flight. Returns the three
+    answers and the txns of the trace's ``record`` events."""
+    cluster = Cluster(small(clients_per_coordinator=0))
+    cluster.start()
+    sim, coord = cluster.sim, cluster.coordinators[0]
+    node, other = cluster.data_nodes
+    role, txn = node.role_self, f"{coord.node_id}:99"
+    decide = DecideReq(role, txn, COMMIT, [1])
+    reqs = [decide, decide, PushReq(role, txn)]
+    asks = [coord.k.spawn(ask_once(coord.k, node.node_id, req, 100 * MS))
+            for req in reqs]
+    if move_register:
+        sim.run_until(sim.now + node.storage.flush_ns // 2)
+        node.storage.membership[role] = other.node_id
+    sim.run_until(1 << 62, stop=lambda: all(a.done for a in asks))
+    records = [f["txn"] for _t, kind, f in sim.trace.events
+               if kind == "record"]
+    return [a.value for a in asks], records, txn
+
+
+def test_decides_of_a_decision_in_flight_wait_for_it_with_the_pushes():
+    (first, second, push), records, txn = ask_recorder_at_once(False)
+    assert isinstance(first, DecideResp) and first.status == COMMITTED
+    assert second == first
+    assert push == PushResp(COMMIT, first.epoch)
+    assert records == [txn]
+
+
+def test_a_fenced_decision_answers_every_waiting_envelope_not_owner():
+    answers, records, _txn = ask_recorder_at_once(True)
+    assert answers == [NotOwner("rec/d0.SH")] * 3
+    assert records == []
 
 
 # -- single transactions driven by hand on an idle cluster -------------------

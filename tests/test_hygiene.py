@@ -1,8 +1,10 @@
 """Static hygiene of the package: no module imports a name it never uses,
-every exception the package exports is raised somewhere in it, every
-wire message is sent by some module, the declared runtime dependencies
-are exactly the third-party packages the modules import, and the
-``test`` extra is exactly the third-party packages the tests import."""
+every module-level function and class is used by the package or the
+benchmark, every exception the package exports is raised somewhere in
+it, every wire message is sent by some module, the declared runtime
+dependencies are exactly the third-party packages the modules import,
+and the ``test`` extra is exactly the third-party packages the tests
+import."""
 
 import ast
 import re
@@ -17,6 +19,7 @@ import chronokv
 SRC = Path(chronokv.__file__).resolve().parent
 MODULES = sorted(SRC.glob("*.py"))
 PYPROJECT = SRC.parent.parent / "pyproject.toml"
+BENCH = sorted((SRC.parent.parent / "perfbench").glob("*.py"))
 TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
 
 
@@ -59,6 +62,46 @@ def test_no_module_imports_a_name_it_never_uses():
                    for name, line in imported_names(tree).items()
                    if name not in used]
     assert unused == []
+
+
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def referenced_names(tree):
+    """Names ``tree`` loads, reads as an attribute or imports, leaving out
+    each module-level definition's references to its own name."""
+    names = set()
+    for stmt in tree.body:
+        found = set()
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                found.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                found.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                found |= {alias.name for alias in node.names}
+        if isinstance(stmt, DEFINITIONS):
+            found.discard(stmt.name)
+        names |= found
+    return names
+
+
+def test_every_function_and_class_has_a_caller_outside_the_tests():
+    referenced = set(chronokv.__all__)
+    for path in MODULES + BENCH:
+        referenced |= referenced_names(parse(path))
+    assert BENCH, "no benchmark script found"
+    unused = [f"{path.name}:{node.lineno} {node.name}"
+              for path in MODULES for node in parse(path).body
+              if isinstance(node, DEFINITIONS) and node.name not in referenced]
+    assert unused == []
+
+
+def test_a_definition_referenced_only_by_itself_is_caught():
+    tree = ast.parse("def f(n):\n    return f(n - 1)\n"
+                     "class C:\n    pass\n"
+                     "def g():\n    return C.x\n")
+    assert referenced_names(tree) == {"n", "C", "x"}
 
 
 def raised_names():

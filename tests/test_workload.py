@@ -3,11 +3,12 @@
 from collections import Counter
 
 import pytest
+from oracles import bench_timestamp_service, generate
 
 from chronokv.errors import InvalidConfig
 from chronokv.scenario import WorkloadSpec
 from chronokv.simnet import MS
-from chronokv.workload import ZipfKeys, bench_timestamp_service, generate
+from chronokv.workload import ZipfKeys
 
 
 def test_generate_is_deterministic_in_spec_and_seed():
