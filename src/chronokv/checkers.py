@@ -146,7 +146,7 @@ def _replay_reads(txn: TxnInfo, store: dict, v: Verdict = None) -> bool:
     return ok
 
 
-def check_strict_serializability(h: History, initial: dict = None) -> Verdict:
+def check_strict_serializability(h: History) -> Verdict:
     """Committed transactions, replayed in timestamp order, must reproduce
     every read; and timestamp order must extend real-time order."""
     v = Verdict("strict-serializability")
@@ -176,7 +176,7 @@ def check_strict_serializability(h: History, initial: dict = None) -> Verdict:
                    f"{t.txn} (ts={t.ts.nanos}, began {t.begin_ns})")
 
     # (b) reads: timestamp order is the serial order.
-    store = {k: (None, val) for k, val in (initial or {}).items()}
+    store = {}
     for t in sorted(committed + ghost, key=lambda t: t.ts):
         v.checked += 1
         if t in ghost:

@@ -165,8 +165,6 @@ class Cluster:
         self._started = True
         for n in self.data_nodes + self.standby_nodes:
             n.start()
-        for n in self.replicas:
-            n.start()
         for n in self.coordinators:
             n.start()
         sc = self.scenario

@@ -40,7 +40,8 @@ Retries: there is one retry loop per kind of destination, both in
 try after an unanswered one. An op goes to the key's fixed primary
 through ``call_node``: 30 tries, each waiting for the link's round trip
 with room for its jitter and a flush. A read parked behind an undecided
-intent says so at once (``messages.ReadParked``): from then on its tries
+intent says so at once (``messages.Pending``), as does every server to
+a re-ask of a request it is still serving: from then on the op's tries
 are not counted, and it is only asked again every ``LONG_POLL_NS`` in
 case its answer is lost. A decide goes to whoever owns the home role
 through ``RoleDirectory.call``, which re-reads the owner after a timeout
@@ -97,9 +98,10 @@ class _RoleState:
         self.in_progress: dict[str, TxnRecord] = {
             txn: rec for txn, rec in self.records.items()
             if rec.status == IN_PROGRESS}
-        # txn -> envelopes parked until its decision: readers' pushes,
-        # and decides that arrived while the decision was in flight
-        self.pending: dict[str, list] = {}
+        # txn -> {(sender, request kind): envelope} parked until its
+        # decision: readers' pushes, and decides that arrived while it was
+        # in flight. A sender's newer try replaces its older, closed one.
+        self.pending: dict[str, dict] = {}
         # txns whose decision append is in flight
         self.deciding: set[str] = set()
 
@@ -111,7 +113,6 @@ class RecorderState:
     def __init__(self, node):
         self.node = node
         self.roles: dict[str, _RoleState] = {}
-        self.adopting: dict[str, list] = {}  # role -> envelopes held during adoption
         self.last_heard: dict[str, int] = {}
         self._grace = node.k.local_now()
 
@@ -134,15 +135,12 @@ class RecorderState:
     # -- wire entry points ----------------------------------------------------
 
     def _owned(self, env, role: str) -> Optional[_RoleState]:
-        """The state of ``role`` if this recorder owns it. Otherwise the
-        request in ``env`` is held while the role is being adopted, or
-        refused with NotOwner."""
+        """The state of ``role`` if this recorder serves it; else ``env``
+        is answered NotOwner, also mid-adoption: the sender re-reads the
+        register and asks again."""
         rs = self.roles.get(role)
         if rs is None:
-            if role in self.adopting:
-                self.adopting[role].append(env)
-            else:
-                self.node.k.reply(env, NotOwner(role))
+            self.node.k.reply(env, NotOwner(role))
         return rs
 
     def handle_decide(self, env, req: DecideReq) -> None:
@@ -165,7 +163,7 @@ class RecorderState:
             self.node.k.reply(env, PushResp(decision, rec.epoch))
             return
         if req.above is None or req.txn in rs.deciding:
-            rs.pending.setdefault(req.txn, []).append(env)
+            rs.pending.setdefault(req.txn, {})[env.src, PushReq] = env
             return
         if rec is None:
             rec = rs.records[req.txn] = rs.in_progress[req.txn] = \
@@ -208,7 +206,7 @@ class RecorderState:
             return answer(DecideResp(rec.status, rec.epoch))
         if txn in rs.deciding:
             if env is not None:
-                rs.pending.setdefault(txn, []).append(env)
+                rs.pending.setdefault(txn, {})[env.src, DecideReq] = env
             return
 
         rs.deciding.add(txn)
@@ -233,7 +231,7 @@ class RecorderState:
         rs.deciding.discard(txn)
         # Parked readers learn the outcome before the coordinator does;
         # each parked envelope gets the answer its request asked for.
-        for penv in rs.pending.pop(txn, ()):
+        for penv in rs.pending.pop(txn, {}).values():
             if isinstance(penv.payload, DecideReq):
                 self.node.k.reply(penv, DecideResp(status, epoch))
             else:
@@ -248,29 +246,22 @@ class RecorderState:
             return
         self.node.k.trace("fenced", node=self.node.node_id, role=role)
         for waiters in rs.pending.values():
-            for penv in waiters:
+            for penv in waiters.values():
                 self.node.k.reply(penv, NotOwner(role))
 
     def adopt_role(self, role: str, expected_owner: str):
         """Generator task run on the successor: fence the old owner via a
-        membership CAS, reload the role's records from its durable stream,
-        then serve whatever arrived while we were loading."""
-        if role in self.roles or role in self.adopting:
+        membership CAS, then reload the role's records from its durable
+        stream and serve the role from them."""
+        if role in self.roles:
             return
-        self.adopting[role] = []
         won = yield self.node.storage.cas_membership(role, expected_owner,
                                                      self.node.node_id)
         if not won:
-            held = self.adopting.pop(role, [])
-            for env in held:
-                self.node.k.reply(env, NotOwner(role))
             return
         yield from self.load_role(role)
         self._grace = self.node.k.local_now()
         self.node.k.trace("takeover", role=role, node=self.node.node_id)
-        held = self.adopting.pop(role, [])
-        for env in held:
-            self.node.on_envelope(env)
 
     def load_role(self, role: str):
         """Generator: rebuild the records of ``role`` from its durable
@@ -289,10 +280,7 @@ class RecorderState:
     def _sweep_loop(self):
         while True:
             yield self.node.k.sleep_local(SWEEP_INTERVAL_NS)
-            for role in list(self.roles.keys()):
-                rs = self.roles.get(role)
-                if rs is None:
-                    continue
+            for role, rs in self.roles.items():  # spawning runs nothing yet
                 # Floored records first, then the transactions that readers
                 # are parked on but that have no record yet.
                 unrecorded = [txn for txn in rs.pending

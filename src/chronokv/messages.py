@@ -53,11 +53,11 @@ class ReadResp:
 
 
 @dataclass(slots=True)
-class ReadParked:
-    """Interim reply: the read waits behind an undecided intent, and its
-    ReadResp follows under the same request id once the writer's verdict
-    is in. The sender stops counting tries; it only asks again now and
-    then, in case the answer is lost."""
+class Pending:
+    """Interim reply: the request is still being served (a read parked
+    behind an undecided intent, or any re-ask, see ``replication.serve``)
+    and its answer follows under the same request id. The sender stops
+    counting tries and only asks again now and then."""
 
 
 @dataclass(slots=True)

@@ -17,8 +17,9 @@ any node, message or clock:
 - the write rule, ``KeyStore.write``: refuse a write below the key's read
   timestamp (a reader already took a snapshot the write would
   retroactively invalidate) or below a restarted node's floor, and
-  accept everything else optimistically as an intent. Only primaries
-  write;
+  accept everything else optimistically as an intent. Only a later op
+  (a larger ``idx``) replaces it, and the primary logs only an intent
+  that changed. Only primaries write;
 - the settle rule, ``KeyStore.resolve`` with ``KeyStore.insert_intent``:
   a verdict promotes or drops a transaction's intents, and an intent
   whose verdict is already known applies it at once. Primaries settle
@@ -31,13 +32,13 @@ any node, message or clock:
 The nodes keep only what the rules leave out: the waiting, the log
 appends, the replies and the traces.
 
-A primary's parked read tells its sender at once with a ``ReadParked``
+A primary's parked read tells its sender at once with a ``Pending``
 reply, and its ``ReadResp`` follows under the same request id when the
 verdict is in. The sender then stops counting tries and only asks again
-every ``LONG_POLL_NS``, in case that answer is lost; a re-ask of a read
-still parked gets only another ``ReadParked``. So a read stays
-parked for as long as its writer takes to be decided, while the
-Settler keeps pushing, not for as long as the sender's retries last.
+every ``LONG_POLL_NS``, in case that answer is lost; ``replication.serve``
+answers a re-ask of a read still parked, or a write still flushing, with
+another ``Pending``. So a read stays parked for as long as its writer
+takes to be decided, not for as long as the sender's retries last.
 
 The node's durable state is a single ordered log per node (intents,
 finalizes, epoch cut markers) in region-local shared storage, plus one
@@ -62,8 +63,8 @@ from .messages import (
     FinalizeReq,
     Heartbeat,
     LogShip,
+    Pending,
     PushReq,
-    ReadParked,
     ReadReq,
     ReadResp,
     WriteReq,
@@ -75,6 +76,7 @@ from .replication import (
     FinalizeEntry,
     IntentEntry,
     recorder_role,
+    serve,
 )
 from .simnet import Future, Node
 from .tsbatch import Timestamp, TsProxy
@@ -177,9 +179,9 @@ class KeyStore:
         """The write rule -> the intent ``key`` now holds for the
         transaction, or None if the write is refused. A transaction's
         first write of a key is refused below the key's read timestamp or
-        below ``floor``, a restarted node's bound in nanoseconds; its
-        later writes of the key replace the value, unless they are late
-        tries of an earlier op (a smaller ``idx``), which change nothing."""
+        below ``floor``, a restarted node's bound in nanoseconds. Only a
+        later op (a larger ``idx``) replaces the held intent, keeping its
+        proposal: ``intent`` is returned iff the key's intent changed."""
         chain = self.touch(key)
         held = chain.intents.get(intent.txn)
         if held is None:
@@ -188,10 +190,11 @@ class KeyStore:
                 return None
             self.insert_intent(key, intent)
             return intent
-        if intent.idx >= held.idx:
-            held.value = intent.value
-            held.idx = intent.idx
-        return held
+        if intent.idx <= held.idx:
+            return held
+        intent.proposal = held.proposal
+        chain.intents[intent.txn] = intent
+        return intent
 
     def raise_floor(self, txn: str, floor: int) -> None:
         """An epoch floor for ``txn``: it commits into epoch ``floor`` or
@@ -353,8 +356,7 @@ class DataNode(Node):
         self.recorder = RecorderState(self)
         self.store = KeyStore()
         self.settler = Settler(self, self.store, self._apply_finalize)
-        # (reader, key, ts) of each read parked here
-        self.parked: set[tuple] = set()
+        self.serving: set[tuple] = set()  # see replication.serve
 
     def epoch_now(self) -> int:
         return self.cutter.epoch_now()
@@ -377,9 +379,9 @@ class DataNode(Node):
         if not self.ready:
             return  # recovering: stay silent, senders retry
         if isinstance(p, ReadReq):
-            self.k.spawn(self._read_task(env, p))
+            serve(self, env, self._read_task(env, p))
         elif isinstance(p, WriteReq):
-            self.k.spawn(self._write_task(env, p))
+            serve(self, env, self._write_task(env, p))
         elif isinstance(p, FinalizeReq):
             self.settler.settle(p.txn, p.decision, p.epoch)
         elif isinstance(p, DecideReq):
@@ -390,19 +392,10 @@ class DataNode(Node):
     # -- reads -------------------------------------------------------------------
 
     def _read_task(self, env, r: ReadReq):
-        read = (r.reader, r.key, r.ts)
-        if read in self.parked:  # its first request is answered when it wakes
-            self.k.reply(env, ReadParked())
-            return
-
-        def on_park():
-            self.parked.add(read)
-            self.k.reply(env, ReadParked())
-
         chain = self.store.touch(r.key)
-        yield from self.settler.settle_below(chain, r.ts, r.reader,
-                                             on_park=on_park)
-        self.parked.discard(read)
+        yield from self.settler.settle_below(
+            chain, r.ts, r.reader,
+            on_park=lambda: self.k.reply(env, Pending()))
         vts, value = chain.read(r.ts)
         self.k.reply(env, ReadResp(value, vts))
 
@@ -413,17 +406,15 @@ class DataNode(Node):
             # Late retry of a settled transaction; nothing left to promise.
             self.k.reply(env, WriteResp(True, None))
             return
-        intent = self.store.write(
-            w.key, WriteIntent(w.txn, w.ts, w.value, w.role, self.epoch_now(),
-                               w.idx),
-            floor=self.rt_floor)
+        new = WriteIntent(w.txn, w.ts, w.value, w.role, self.epoch_now(),
+                          w.idx)
+        intent = self.store.write(w.key, new, floor=self.rt_floor)
         if intent is None:
             self.k.reply(env, WriteResp(False, None))
             return
-        if intent.idx == w.idx:  # else a late try, overtaken: nothing to log
-            entry = IntentEntry(w.txn, w.key, w.ts, w.value, w.role,
-                                intent.proposal, w.idx)
-            yield self.append_log([entry])
+        if intent is new:  # else a re-ask or a late try: nothing to log
+            yield self.append_log([IntentEntry(
+                w.txn, w.key, w.ts, w.value, w.role, new.proposal, w.idx)])
         self.k.reply(env, WriteResp(True, intent.proposal))
 
     # -- settling -----------------------------------------------------------------

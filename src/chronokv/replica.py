@@ -4,12 +4,15 @@ A replica applies its primary's durable data log strictly in order. A
 segment arriving ahead of the prefix is parked, not applied: usually the
 missing piece is just jittered and lands a moment later, so parking costs
 nothing, while a catch-up request naming the prefix we already have
-covers the genuinely-dropped case. Applying the cut marker for epoch
+covers the genuinely-dropped case. It is the one repair path: a live
+primary logs a cut every epoch interval and every append ships, so a
+later ship always exposes a lost one. Applying the cut marker for epoch
 ``n`` makes views 1..n servable: a read at timestamp ``ts`` belongs to
 view ``ceil(ts / interval)`` and blocks until that view has replayed. No
 commit with an epoch at or below ``n`` can be durably logged after
 marker ``n``, so a replayed view is a closed book — the replica can
-answer from local state alone.
+answer from local state alone. A read waits as long as its view takes
+to replay, and a re-ask meanwhile gets ``Pending`` (``replication.serve``).
 
 Two wrinkles remain. Undecided intents below the read timestamp are
 settled by the primary's own ``mvto.Settler``: the reader parks and a
@@ -31,9 +34,8 @@ from __future__ import annotations
 from .epochs import ceiling_epoch
 from .messages import CatchUp, LogShip, ReplicaReadReq, ReplicaReadResp
 from .mvto import KeyStore, Settler, apply_log_entry
-from .simnet import MS, Future, Node
-
-CATCHUP_INTERVAL_NS = 100 * MS
+from .replication import serve
+from .simnet import Future, Node
 
 
 class ReplicaNode(Node):
@@ -52,16 +54,14 @@ class ReplicaNode(Node):
         self._view_waiters: dict[int, Future] = {}
         self.settler = Settler(self, self.store, self.store.resolve,
                                above=lambda: self.replayed_epoch)
-
-    def start(self) -> None:
-        self.k.spawn(self._catchup_loop())
+        self.serving: set[tuple] = set()  # see replication.serve
 
     def handle(self, env) -> None:
         p = env.payload
         if isinstance(p, LogShip):
             self._on_ship(p)
         elif isinstance(p, ReplicaReadReq):
-            self.k.spawn(self._read_task(env, p))
+            serve(self, env, self._read_task(env, p))
 
     # -- log application ---------------------------------------------------------
 
@@ -104,11 +104,6 @@ class ReplicaNode(Node):
         txn = getattr(entry, "txn", None)
         if txn is not None and txn in self.store.decided:
             self.settler.wake(txn)
-
-    def _catchup_loop(self):
-        while True:
-            yield self.k.sleep_local(CATCHUP_INTERVAL_NS)
-            self.k.send(self.primary_id, CatchUp(self.applied))
 
     # -- reads ----------------------------------------------------------------------
 

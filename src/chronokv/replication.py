@@ -24,7 +24,9 @@ membership register names, through ``RoleDirectory.call``, which
 re-reads the owner when a try times out or is refused. Consecutive
 tries to one node are tries of one ``simnet.Call``, so a reply to any
 of them is heard (the hedged-request rule of Dean and Barroso, "The
-Tail at Scale", CACM 2013).
+Tail at Scale", CACM 2013). ``serve`` is the server half: a re-ask of a
+request still being served gets ``messages.Pending`` and starts no
+second task (the at-most-once rule of Birrell and Nelson, TOCS 1984).
 
 Log positions double as replication sequence numbers: primaries ship
 their data log's durable entries to replicas, which apply them strictly
@@ -39,13 +41,13 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional
 
-from .messages import NotOwner, ReadParked
+from .messages import NotOwner, Pending
 from .simnet import MS, RPC_TIMEOUT, Future, Simulation, retry_backoff_ns
 
 FENCED = "fenced"
 
-#: The shortest wait of a long poll: a push for a verdict, or a read
-#: parked behind one, is asked again no sooner than this.
+#: The shortest wait of a long poll: a push for a verdict, or a request
+#: answered ``Pending``, is asked again no sooner than this.
 LONG_POLL_NS = 30 * MS
 
 
@@ -56,10 +58,10 @@ def call_node(k, node_id: str, payload, timeout_ns: Optional[int] = None,
     off by ``retry_backoff_ns``. A try waits ``timeout_ns``; by default
     1.25 round trips to ``node_id``, which cover its two ±10% jittered
     legs and a write's flush, and at least 5 ms. A try answered by
-    ``ReadParked`` waits for the answer that follows, and asks again
-    every ``LONG_POLL_NS`` (or try timeout, if longer) while the read
-    stays parked; only a try that hears nothing at all counts against
-    ``attempts``."""
+    ``Pending`` waits for the answer that follows, and asks again every
+    ``LONG_POLL_NS`` (or try timeout, if longer) while the request is
+    still being served; only a try that hears nothing at all counts
+    against ``attempts``."""
     if timeout_ns is None:
         timeout_ns = max(k.one_way_ns(node_id) * 5 // 2, 5 * MS)
     reask = max(timeout_ns, LONG_POLL_NS)
@@ -69,7 +71,7 @@ def call_node(k, node_id: str, payload, timeout_ns: Optional[int] = None,
             if i:
                 yield k.sleep_local(retry_backoff_ns(i - 1))
             resp = yield call.ask(timeout_ns)
-            while isinstance(resp, ReadParked):
+            while isinstance(resp, Pending):
                 resp = yield call.listen(reask)
                 if resp is RPC_TIMEOUT:
                     resp = yield call.ask(timeout_ns)
@@ -78,6 +80,23 @@ def call_node(k, node_id: str, payload, timeout_ns: Optional[int] = None,
         return None
     finally:
         call.close()
+
+
+def serve(node, env, task) -> None:
+    """Spawn ``task``, which answers ``env``, unless ``node.serving`` holds
+    its ``(sender, request id)``: a try of the same call is being served,
+    and its answer answers this one too, which gets ``Pending``."""
+    call_id = (env.src, env.rid)
+    serving = node.serving
+    if call_id in serving:
+        return node.k.reply(env, Pending())
+    serving.add(call_id)
+
+    def run():
+        yield from task
+        serving.discard(call_id)
+
+    node.k.spawn(run())
 
 
 # -- log entries -------------------------------------------------------------

@@ -15,13 +15,14 @@ fetch costs microseconds, not the intra-region RTT (which would dwarf
 the batch lifetime).
 
 Input fails loudly: a key the loader does not know, at any level, a
-message filter naming no class in ``messages``, a partition of a region
-outside ``regions``, a crash of a node that no data node, standby or
-coordinator has, a takeover of a role or to a node that no data node or
-standby has, a probability outside [0, 1], a fault window or restart
-that does not end after it starts, replica readers without replicas,
-and a negative drift bound, count, duration or hold all raise
-InvalidConfig.
+region listed twice in ``regions`` or ``replicate_to``, a pair of
+regions with no known round-trip time, a message filter naming no class
+in ``messages``, a partition of a region outside ``regions``, a crash of
+a node that no data node, standby or coordinator has, a takeover of a
+role or to a node that no data node or standby has, a probability
+outside [0, 1], a fault window or restart that does not end after it
+starts, replica readers without replicas, and a negative drift bound,
+count, duration or hold all raise InvalidConfig.
 """
 
 from __future__ import annotations
@@ -154,6 +155,12 @@ class Scenario:
         if self.replica_read_mode not in ("fresh", "stale", "mixed"):
             raise InvalidConfig(
                 f"unknown replica_read_mode {self.replica_read_mode!r}")
+        for name in ("regions", "replicate_to"):
+            if len(set(getattr(self, name))) != len(getattr(self, name)):
+                raise InvalidConfig(f"{name} lists a region twice")
+        n = len(self.regions)
+        if len(full_rtt_table(self.regions)) != n * (n + 1) // 2:
+            raise InvalidConfig(f"no rtt is known between {self.regions}")
         known = set(self.regions)
         for r in (list(self.data_nodes) + list(self.standbys)
                   + list(self.replicate_to) + list(self.coordinators)):

@@ -569,7 +569,7 @@ class Call:
     CACM 2013): under drops and reordering a late reply to the first try
     often lands before the reply to the second. A destination may answer
     one try more than once (an interim reply first, see
-    ``messages.ReadParked``), and replies are taken in arrival order.
+    ``messages.Pending``), and replies are taken in arrival order.
     """
 
     __slots__ = ("_k", "dst", "_payload", "_rid")

@@ -6,12 +6,13 @@ clients run on their home coordinator's kernel. Replica readers are
 clients of the replicas, not of the coordinator: each coordinator's
 readers share one client host in its region, with its own timestamp
 proxy, so they outlive a crash of the coordinator. A replica read is
-sent through ``replication.call_node`` like any request to a fixed
-node, with a try timeout long enough to wait out a fresh read's view;
-a read whose every try goes unanswered is not recorded. A stale read
-asks for a view ``STALE_LAG_NS`` older than a fresh timestamp. Written
-values are globally unique (``client.txnseq.opidx``) which lets the
-checkers match every read to the exact write that produced it.
+sent through ``replication.call_node`` like any request to a fixed node,
+and waits as long as its view takes to replay: the replica answers a
+re-ask meanwhile with ``Pending``. A read whose every try goes
+unanswered is not recorded. A stale read asks for a view
+``STALE_LAG_NS`` older than a fresh timestamp. Written values are
+globally unique (``client.txnseq.opidx``) which lets the checkers match
+every read to the exact write that produced it.
 
 The client set keeps no transaction outcomes: the trace holds every
 transaction, one whose client a crash killed included.

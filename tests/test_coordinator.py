@@ -22,6 +22,7 @@ from chronokv.messages import (
     DecideResp,
     Heartbeat,
     NotOwner,
+    Pending,
     PushReq,
     PushResp,
     ReadReq,
@@ -30,10 +31,11 @@ from chronokv.messages import (
     WriteReq,
 )
 from chronokv.metrics import run_summary
-from chronokv.replication import LONG_POLL_NS
+from chronokv.replication import LONG_POLL_NS, IntentEntry
 from chronokv.scenario import Scenario, WorkloadSpec, load_scenario
 from chronokv.simnet import (
     MS,
+    RPC_TIMEOUT,
     SEC,
     CrashDirective,
     FaultSchedule,
@@ -227,6 +229,53 @@ def test_a_fenced_decision_answers_every_waiting_envelope_not_owner():
     assert records == []
 
 
+def test_one_senders_pushes_of_an_undecided_txn_get_one_answer():
+    # a pusher's later call replaces its earlier one, which it has closed
+    # by then; here both stay open, so an answer to each would be heard
+    cluster = Cluster(small(clients_per_coordinator=0))
+    cluster.start()
+    sim, coord = cluster.sim, cluster.coordinators[0]
+    node = cluster.data_nodes[0]
+    role, txn = node.role_self, f"{coord.node_id}:99"
+    answers = record_sends(cluster, PushResp)
+    pushes = []
+    for _ in range(2):
+        pushes.append(coord.k.spawn(ask_once(coord.k, node.node_id,
+                                             PushReq(role, txn), 100 * MS)))
+        sim.run_until(sim.now + MS)
+    decide = coord.k.spawn(ask_once(coord.k, node.node_id,
+                                    DecideReq(role, txn, COMMIT, [1]),
+                                    100 * MS))
+    sim.run_until(1 << 62, stop=lambda: all(p.done for p in pushes)
+                  and decide.done)
+    assert decide.value.status == COMMITTED
+    assert [p.value for p in pushes] == \
+        [RPC_TIMEOUT, PushResp(COMMIT, decide.value.epoch)]
+    assert len(answers) == 1
+
+
+def test_a_decide_between_an_adopters_cas_and_its_reload_is_refused():
+    # the adopter answers NotOwner until the role's records are loaded;
+    # the sender re-reads the register and asks again
+    cluster, (coord, _reader) = standby_cluster()
+    sim, standby = cluster.sim, cluster.standby_nodes[0]
+    role, txn = coord.home_role, f"{coord.node_id}:99"
+    refused = record_sends(cluster, NotOwner)
+    standby.k.spawn(standby.recorder.adopt_role(role, "d0.SH"))
+    coord.membership.invalidate(role)
+    # the register read lands with the CAS, a storage read before the
+    # reload, and the decide reaches the adopter between the two
+    resp = drive(sim, coord.k, coord.membership.call(
+        coord.k, role, DecideReq(role, txn, COMMIT, [1]), attempts=5))
+    assert resp.status == COMMITTED
+    assert refused == [(refused[0][0], NotOwner(role))]
+    assert [f["node"] for _t, kind, f in sim.trace.events
+            if kind == "takeover"] == [standby.node_id]
+    assert [(f["role"], f["txn"]) for _t, kind, f in sim.trace.events
+            if kind == "record"] == [(role, txn)]
+    assert standby.recorder.roles[role].records[txn].status == COMMITTED
+
+
 # -- single transactions driven by hand on an idle cluster -------------------
 
 
@@ -411,6 +460,33 @@ def test_a_late_try_of_an_earlier_write_does_not_overwrite_a_later_one():
     node.restart()
     sim.run_until(sim.now + 1 * SEC)
     assert node.store.chains[a].intents[txn].value == "v2"
+
+
+def test_a_write_reasked_in_and_after_its_flush_is_logged_once():
+    cluster, coord = idle_cluster()
+    sim = cluster.sim
+    node = cluster.data_nodes[0]
+    [a] = keys_on(cluster, node.node_id)
+    txn = f"{coord.node_id}:99"
+    ts = drive(sim, coord.k, coord.tsproxy.acquire())
+    req = WriteReq(a, txn, ts, "v0", coord.home_role, 0)
+
+    def writer():
+        call = coord.k.call(node.node_id, req)
+        first = yield call.ask(node.storage.flush_ns // 4)  # in the flush
+        again = yield call.ask(SEC)
+        answer = yield call.listen(SEC)
+        after = yield call.ask(SEC)  # once answered
+        call.close()
+        return first, again, answer, after
+
+    first, again, answer, after = drive(sim, coord.k, writer())
+    assert first is RPC_TIMEOUT
+    assert again == Pending()
+    assert answer.ok and after == answer
+    entries = [e for e in node.storage.streams[node.node_id]
+               if isinstance(e, IntentEntry)]
+    assert [(e.txn, e.key, e.idx) for e in entries] == [(txn, a, 0)]
 
 
 def test_a_read_after_a_write_of_its_key_is_served_from_the_write():

@@ -8,20 +8,25 @@ from chronokv.cluster import Cluster, run_scenario
 from chronokv.messages import (
     COMMIT,
     COMMITTED,
+    CatchUp,
     DecideReq,
     DecideResp,
+    Pending,
     PushReq,
     PushResp,
     ReplicaReadReq,
+    ReplicaReadResp,
 )
 from chronokv.scenario import Scenario, WorkloadSpec
 from chronokv.simnet import (
     MS,
+    RPC_TIMEOUT,
     SEC,
     CrashDirective,
     FaultSchedule,
     retry_backoff_ns,
 )
+from chronokv.tsbatch import Timestamp
 
 
 def replica_scenario(seed, mode, **kw):
@@ -209,3 +214,52 @@ def test_a_lost_replica_read_is_asked_again_after_a_backoff():
     assert len(sent) == 2
     assert sent[1] - sent[0] == timeout + retry_backoff_ns(0)
     assert [rr[0] for rr in r.replica_reads] == ["rr0.0.0"]
+
+
+# -- one repair path, and one answer per read -----------------------------
+
+
+def test_an_idle_replica_with_no_gap_sends_no_catch_up():
+    # its primary still cuts an epoch every 50 ms, and every cut ships
+    cluster, _coord = idle_replicated_cluster()
+    sim, replica = cluster.sim, cluster.replicas[0]
+    catchups, shipped = [], []
+    send = cluster.net.send
+
+    def recording(src, dst_id, payload, rid=0, is_reply=False):
+        if isinstance(payload, CatchUp):
+            catchups.append(sim.now)
+        send(src, dst_id, payload, rid, is_reply)
+
+    cluster.net.send = recording
+    applied = replica.applied
+    sim.run_until(sim.now + SEC)
+    assert replica.applied >= applied + 15  # the cuts arrived
+    assert catchups == []
+
+
+def test_a_replica_read_reasked_while_it_waits_for_its_view_is_answered_once():
+    cluster, coord = idle_replicated_cluster()
+    sim = cluster.sim
+    interval = cluster.scenario.interval_ns
+    fresh = drive(sim, coord.k, coord.tsproxy.acquire())
+    # a view that replays more than an interval from now
+    ts = Timestamp(fresh.nanos + interval, fresh.server_id)
+    req = ReplicaReadReq(["y"], ts, "rr", "fresh")
+
+    def reader():
+        call = coord.k.call("d0.SH@BJ", req)
+        first = yield call.ask(20 * MS)  # nothing yet: the view is out
+        again = yield call.ask(SEC)  # the re-ask, answered at once
+        answer = yield call.listen(SEC)
+        late = yield call.listen(3 * interval)
+        call.close()
+        return first, again, answer, late
+
+    first, again, answer, late = drive(sim, coord.k, reader())
+    assert first is RPC_TIMEOUT
+    assert again == Pending()
+    assert isinstance(answer, ReplicaReadResp)
+    assert late is RPC_TIMEOUT  # no second answer
+    assert [f["reader"] for _t, kind, f in sim.trace.events
+            if kind == "rread"] == ["rr"]

@@ -5,7 +5,7 @@ owner."""
 from conftest import Host, drive, one_region
 
 from chronokv.history import build_history
-from chronokv.messages import NotOwner, ReadParked
+from chronokv.messages import NotOwner, Pending
 from chronokv.replication import (
     FENCED,
     LONG_POLL_NS,
@@ -265,7 +265,7 @@ def test_node_loop_backs_off_between_unanswered_tries_and_not_after_the_last():
 
 def test_node_loop_does_not_count_parked_tries_and_reasks_every_long_poll():
     sim, net, _st, caller, _d = call_rig()
-    parker = Owner(sim, net, "d0.R0", ReadParked())
+    parker = Owner(sim, net, "d0.R0", Pending())
     answer_at = 4 * LONG_POLL_NS
     sim.at(answer_at, lambda: parker.k.reply(parker.last, "value"))
     # one try: a loop that counted the parked ones would give up at the

@@ -80,6 +80,11 @@ def test_scenario_from_dict_round_trips_faults():
     dict(max_drift_ppm=-1),
     dict(clients_per_coordinator=-1),
     dict(replica_readers=-1),
+    # Cluster could not build these: no rtt, and duplicate node ids
+    dict(regions=["SH", "XX"], data_nodes=["SH"], coordinators=["XX"]),
+    dict(regions=["SH", "SH"], data_nodes=["SH"], coordinators=["SH"]),
+    dict(regions=["SH", "SG"], data_nodes=["SH"], coordinators=["SH"],
+         replicate_to=["SG", "SG"]),
 ])
 def test_invalid_scenarios_are_rejected(bad):
     with pytest.raises(InvalidConfig):

@@ -24,19 +24,19 @@ SCENARIOS = ROOT / "scenarios"
 
 PINNED = {
     "baseline.yaml":
-        "05cd7fe9297a82810a7e576cc7ae7612d481439b1939a222cb18fe5300b61020",
+        "1f3cfc361d156cbbfe9265186399d419a02dae295f3171d83680805b5514f827",
     "faults.yaml":
-        "8da4c62493936bf3a5f07c95294e5664aac53f60301560b4ae0df909fcf5569d",
+        "6589253d1775d70ec90b50603efc3fad353d1000444c9e254cdf3d8298eb4458",
 }
 
 # The benchmark's workloads at seed 1, full size.
 PINNED_WORKLOADS = {
     "steady":
-        "da319703ea62936d14bc8604a571fe8394ed2a1ae7d49931c6258251214756c5",
+        "e3227f1828f9069d5e4b58657a2570db367a842633202bbc405dc8e6d367cb96",
     "hot-rmw":
-        "13f928c86027ca8ac24841651f405c29b669e8b99972da19872643846b4d6b00",
+        "49718d9f1240dc91e3a99cc7343586609dbbf045dc533c97accfc38453a39217",
     "chaos":
-        "6428593d7a4211e6518f08e2c96cafd2b08d6741180123d5bb678911479e891f",
+        "7f76cb6b95b774b70669de52e1578599a6fd3bbc301d2daa9ec19e04714181fa",
 }
 
 
