@@ -35,20 +35,21 @@ discovered the hard way — a durable append bounces with a fence — after
 which the old recorder answers NotOwner and the sender looks up the
 successor named by the membership register.
 
-Retries: there is one retry loop per kind of destination, both in
-``replication``, and both back off by ``retry_backoff_ns`` before the
-try after an unanswered one. An op goes to the key's fixed primary
-through ``call_node``: 30 tries, each waiting for the link's round trip
-with room for its jitter and a flush. A read parked behind an undecided
-intent says so at once (``messages.Pending``), as does every server to
-a re-ask of a request it is still serving: from then on the op's tries
-are not counted, and it is only asked again every ``LONG_POLL_NS`` in
-case its answer is lost. A decide goes to whoever owns the home role
-through ``RoleDirectory.call``, which re-reads the owner after a timeout
-or a NotOwner; a commit's decide makes 30 tries, and an abort no one
-answered is asked for in the background until it is. A timestamp the
-oracle cannot give is asked for again by ``TsProxy.acquire_waiting``, 30
-times at most.
+Retries: every request goes through one retry loop,
+``replication.request``. A try waits 1.25 round trips to its
+destination, at least 5 ms, and a try after an unanswered one first
+backs off by ``retry_backoff_ns``. An op goes to the key's fixed primary
+and makes 30 tries. A decide goes to whoever owns the home role, read
+from the membership register again after a try that heard nothing or a
+NotOwner; a commit's decide makes 30 tries, and an abort no one answered
+is asked for in the background until it is. Every server that parks a
+request says so at once (``messages.Pending``): a read behind an
+undecided intent, a push or a decide waiting for a decision, and any
+re-ask of a request still being served. From then on the request's
+tries are not counted, and it is only asked again every
+``LONG_POLL_NS`` in case its answer is lost. A timestamp the oracle
+cannot give is asked for again by ``TsProxy.acquire_waiting``, 30 times
+at most.
 """
 
 from __future__ import annotations
@@ -73,8 +74,14 @@ from .messages import (
     ReadReq,
     WriteReq,
 )
-from .replication import RecordEntry, call_node, recorder_role
-from .simnet import MS, Node
+from .replication import (
+    RecordEntry,
+    recorder_role,
+    request,
+    serve,
+    tell_parked,
+)
+from .simnet import MS, Future, Node
 from .tsbatch import Timestamp, TsProxy
 
 HB_INTERVAL_NS = 100 * MS
@@ -98,10 +105,11 @@ class _RoleState:
         self.in_progress: dict[str, TxnRecord] = {
             txn: rec for txn, rec in self.records.items()
             if rec.status == IN_PROGRESS}
-        # txn -> {(sender, request kind): envelope} parked until its
-        # decision: readers' pushes, and decides that arrived while it was
-        # in flight. A sender's newer try replaces its older, closed one.
-        self.pending: dict[str, dict] = {}
+        # txn -> the Future that requests parked until its decision wait
+        # on: readers' pushes, and decides that arrived while it was in
+        # flight. It resolves with the decided record, or with None when
+        # the role is lost.
+        self.pending: dict[str, Future] = {}
         # txns whose decision append is in flight
         self.deciding: set[str] = set()
 
@@ -134,80 +142,79 @@ class RecorderState:
 
     # -- wire entry points ----------------------------------------------------
 
-    def _owned(self, env, role: str) -> Optional[_RoleState]:
-        """The state of ``role`` if this recorder serves it; else ``env``
-        is answered NotOwner, also mid-adoption: the sender re-reads the
-        register and asks again."""
-        rs = self.roles.get(role)
-        if rs is None:
-            self.node.k.reply(env, NotOwner(role))
-        return rs
-
     def handle_decide(self, env, req: DecideReq) -> None:
-        if self._owned(env, req.role) is None:
-            return
-        self.node.k.spawn(self._decide_core(req.role, req.txn, req.decision,
-                                            req.proposals, env))
+        serve(self.node, env, self._decide_core(
+            req.role, req.txn, req.decision, req.proposals, env))
 
     def handle_push(self, env, req: PushReq) -> None:
-        """Answer a decided transaction's verdict at once. A replica's push
-        (``req.above`` set) for a transaction that is not being decided
-        gets an epoch floor, which creates its in-progress record if there
-        is none; any other push parks until the decision."""
-        rs = self._owned(env, req.role)
+        serve(self.node, env, self._push_task(env, req))
+
+    def _park(self, env, rs: _RoleState, txn: str):
+        """Generator -> the decided record of ``txn``, or None if the role
+        is lost first. ``env`` is told so at once."""
+        tell_parked(self.node, env)
+        fut = rs.pending.get(txn)
+        if fut is None:
+            fut = rs.pending[txn] = Future(self.node.sim)
+        return (yield fut)
+
+    def _push_task(self, env, req: PushReq):
+        """Generator task -> the answer to a push: a decided transaction's
+        verdict at once. A replica's push (``req.above`` set) for a
+        transaction that is not being decided gets an epoch floor, which
+        creates its in-progress record if there is none; any other push
+        parks until the decision."""
+        role, txn = req.role, req.txn
+        rs = self.roles.get(role)
         if rs is None:
-            return
+            return NotOwner(role)
+        rec = rs.records.get(txn)
+        if rec is None or rec.status == IN_PROGRESS:
+            if req.above is not None and txn not in rs.deciding:
+                return (yield from self._floor(rs, req))
+            rec = yield from self._park(env, rs, txn)
+            if rec is None:
+                return NotOwner(role)
+        return PushResp(COMMIT if rec.status == COMMITTED else ABORT,
+                        rec.epoch)
+
+    def _floor(self, rs: _RoleState, req: PushReq):
+        """Generator -> an epoch floor above ``req``'s replayed epoch,
+        durable in the transaction's in-progress record."""
         rec = rs.records.get(req.txn)
-        if rec is not None and rec.status != IN_PROGRESS:
-            decision = COMMIT if rec.status == COMMITTED else ABORT
-            self.node.k.reply(env, PushResp(decision, rec.epoch))
-            return
-        if req.above is None or req.txn in rs.deciding:
-            rs.pending.setdefault(req.txn, {})[env.src, PushReq] = env
-            return
         if rec is None:
             rec = rs.records[req.txn] = rs.in_progress[req.txn] = \
                 TxnRecord(IN_PROGRESS, None)
         # Raised and appended now, so a decision that starts later commits
         # at or above the floor, and its entry lands after this one.
-        rec.epoch = max(rec.epoch or 0, req.above + 1)
-        answer = PushResp(None, rec.epoch)
-        flush = self.node.storage.append(
-            req.role, [RecordEntry(req.txn, IN_PROGRESS, rec.epoch)],
+        rec.epoch = floor = max(rec.epoch or 0, req.above + 1)
+        res = yield self.node.storage.append(
+            req.role, [RecordEntry(req.txn, IN_PROGRESS, floor)],
             writer=self.node.node_id, role=req.role)
-
-        def task():
-            if (yield flush)[0] == "ok":
-                self.node.k.reply(env, answer)
-            else:
-                self._fence_lost(req.role)
-                self.node.k.reply(env, NotOwner(req.role))
-
-        self.node.k.spawn(task())
+        if res[0] != "ok":
+            self._fence_lost(req.role)
+            return NotOwner(req.role)
+        return PushResp(None, floor)
 
     # -- deciding ----------------------------------------------------------------
 
     def _decide_core(self, role, txn, decision, proposals, env):
-        """Generator task: at most one durable decision per transaction.
-        A decide that arrives while the decision is in flight parks with
-        the pushes until it lands; every later one answers from the
-        record. The answer, a DecideResp or NotOwner, goes to ``env``
-        unless it is None (the sweep's)."""
-
-        def answer(resp):
-            if env is not None:
-                self.node.k.reply(env, resp)
-
+        """Generator task -> a DecideResp or NotOwner: at most one durable
+        decision per transaction. A decide that arrives while the decision
+        is in flight parks with the pushes until it lands, unless ``env``
+        is None (the sweep's); every later one answers from the record."""
         rs = self.roles.get(role)
         if rs is None:
-            return answer(NotOwner(role))
+            return NotOwner(role)
         rec = rs.records.get(txn)
-        if rec is not None and rec.status != IN_PROGRESS:
-            return answer(DecideResp(rec.status, rec.epoch))
         if txn in rs.deciding:
-            if env is not None:
-                rs.pending.setdefault(txn, {})[env.src, DecideReq] = env
-            return
+            if env is None:
+                return None
+            rec = yield from self._park(env, rs, txn)
+            if rec is None:
+                return NotOwner(role)
+        if rec is not None and rec.status != IN_PROGRESS:
+            return DecideResp(rec.status, rec.epoch)
 
         rs.deciding.add(txn)
         if decision == COMMIT:
@@ -220,23 +227,18 @@ class RecorderState:
         entry = RecordEntry(txn, status, epoch)
         res = yield self.node.storage.append(role, [entry],
                                              writer=self.node.node_id, role=role)
-        rs_now = self.roles.get(role)
         if res[0] != "ok":
             self._fence_lost(role)
-            return answer(NotOwner(role))
-        if rs_now is not rs:  # adopted away and back? treat as fenced
-            return answer(NotOwner(role))
-        rs.records[txn] = TxnRecord(status, epoch)
+            return NotOwner(role)
+        if self.roles.get(role) is not rs:  # adopted away and back?
+            return NotOwner(role)
+        rec = rs.records[txn] = TxnRecord(status, epoch)
         rs.in_progress.pop(txn, None)
         rs.deciding.discard(txn)
-        # Parked readers learn the outcome before the coordinator does;
-        # each parked envelope gets the answer its request asked for.
-        for penv in rs.pending.pop(txn, {}).values():
-            if isinstance(penv.payload, DecideReq):
-                self.node.k.reply(penv, DecideResp(status, epoch))
-            else:
-                self.node.k.reply(penv, PushResp(decision, epoch))
-        return answer(DecideResp(status, epoch))
+        fut = rs.pending.pop(txn, None)
+        if fut is not None:
+            fut.resolve(rec)
+        return DecideResp(status, epoch)
 
     # -- fencing / takeover --------------------------------------------------------
 
@@ -245,9 +247,8 @@ class RecorderState:
         if rs is None:
             return
         self.node.k.trace("fenced", node=self.node.node_id, role=role)
-        for waiters in rs.pending.values():
-            for penv in waiters.values():
-                self.node.k.reply(penv, NotOwner(role))
+        for fut in rs.pending.values():
+            fut.resolve(None)
 
     def adopt_role(self, role: str, expected_owner: str):
         """Generator task run on the successor: fence the old owner via a
@@ -392,7 +393,7 @@ class Coordinator(Node):
                          vts=list(h.ts), val=value)
             return value
         node = self.router.primary(key)
-        resp = yield from call_node(self.k, node, ReadReq(key, h.ts, h.txn))
+        resp = yield from request(self.k, node, ReadReq(key, h.ts, h.txn))
         if resp is None:
             if h.status == "active":
                 h.status, h.reason = "failed", "unreachable"
@@ -414,7 +415,7 @@ class Coordinator(Node):
         their intents are known to the abort."""
         node = self.router.primary(key)
         req = WriteReq(key, h.txn, h.ts, ops[-1][1], h.role, ops[-1][0])
-        resp = yield from call_node(self.k, node, req)
+        resp = yield from request(self.k, node, req)
         if resp is None:
             if h.status == "active":
                 h.status, h.reason = "failed", "unreachable"
@@ -521,7 +522,8 @@ class Coordinator(Node):
         """Generator -> the recorder's DecideResp, or None after
         ``attempts`` tries (never, if ``attempts`` is None)."""
         req = DecideReq(h.role, h.txn, decision, list(h.proposals))
-        return (yield from self.membership.call(self.k, h.role, req, attempts))
+        return (yield from request(self.k, h.role, req, attempts,
+                                   roles=self.membership))
 
     def _abandon(self, h: TxnHandle):
         """Abort path: make the abort durable if an intent, or a floored

@@ -54,10 +54,14 @@ class ReadResp:
 
 @dataclass(slots=True)
 class Pending:
-    """Interim reply: the request is still being served (a read parked
-    behind an undecided intent, or any re-ask, see ``replication.serve``)
-    and its answer follows under the same request id. The sender stops
-    counting tries and only asks again now and then."""
+    """Interim reply: the request is still being served and its answer
+    follows under the same request id. Every server that parks a request
+    says so at once: a primary's read behind an undecided intent, a
+    replica's read waiting for its view or a settle, and a recorder's
+    push or decide waiting for a decision; so does every server to a
+    re-ask of a request it is still serving (``replication.serve``). The
+    sender stops counting tries and only asks again every
+    ``LONG_POLL_NS``."""
 
 
 @dataclass(slots=True)

@@ -32,13 +32,11 @@ any node, message or clock:
 The nodes keep only what the rules leave out: the waiting, the log
 appends, the replies and the traces.
 
-A primary's parked read tells its sender at once with a ``Pending``
-reply, and its ``ReadResp`` follows under the same request id when the
-verdict is in. The sender then stops counting tries and only asks again
-every ``LONG_POLL_NS``, in case that answer is lost; ``replication.serve``
-answers a re-ask of a read still parked, or a write still flushing, with
-another ``Pending``. So a read stays parked for as long as its writer
-takes to be decided, not for as long as the sender's retries last.
+A parked read tells its sender at once with ``Pending``, and its answer
+follows under the same request id when the verdict is in, as every
+parked request's does (see ``replication``). So a read stays parked for
+as long as its writer takes to be decided, not for as long as the
+sender's retries last.
 
 The node's durable state is a single ordered log per node (intents,
 finalizes, epoch cut markers) in region-local shared storage, plus one
@@ -63,7 +61,6 @@ from .messages import (
     FinalizeReq,
     Heartbeat,
     LogShip,
-    Pending,
     PushReq,
     ReadReq,
     ReadResp,
@@ -71,12 +68,13 @@ from .messages import (
     WriteResp,
 )
 from .replication import (
-    LONG_POLL_NS,
     CutEntry,
     FinalizeEntry,
     IntentEntry,
     recorder_role,
+    request,
     serve,
+    tell_parked,
 )
 from .simnet import Future, Node
 from .tsbatch import Timestamp, TsProxy
@@ -240,14 +238,14 @@ class Settler:
 
     A reader that meets an undecided intent below its timestamp waits for
     the writer's verdict instead of guessing, and one push task per
-    transaction asks the writer's recorder for it. A push is a long poll:
-    the recorder answers once the transaction is decided, so each try
-    waits at least 30 ms and a timed-out try re-polls at once, for as
-    long as the transaction stays undecided. Primaries and replicas
-    settle alike; each hands in ``apply(txn, decision, epoch)``, which
-    folds a pushed verdict into its own state. Verdicts that arrive by
-    other means (a finalize, or one shipped to a replica) wake the waiters
-    through ``wake``.
+    transaction asks the writer's recorder for it. A push is one request
+    that asks until it is answered: the recorder says ``Pending`` while
+    the transaction is undecided and answers once it is decided, so the
+    push is a long poll that lasts as long as the transaction stays
+    undecided. Primaries and replicas settle alike; each hands in
+    ``apply(txn, decision, epoch)``, which folds a pushed verdict into its
+    own state. Verdicts that arrive by other means (a finalize, or one
+    shipped to a replica) wake the waiters through ``wake``.
 
     A replica also hands in ``above()``, its replayed epoch, and its
     pushes carry it. The recorder may then answer an undecided
@@ -267,22 +265,20 @@ class Settler:
         self.apply = apply
         self.above = above
         # txn -> the Future its waiters park on. The txn's push task runs
-        # while it is here, or polls on after a finalize's wake, when the
-        # txn is decided and no waiter looks here.
+        # while it is here, or waits on for its answer after a finalize's
+        # wake, when the txn is decided and no waiter looks here.
         self._decided: dict[str, Future] = {}
 
     def settle_below(self, chain: KeyChain, ts: Timestamp, reader: str,
                      view: Optional[int] = None, on_park=None):
         """Generator: wait until ``chain.blocker(ts, reader, view)`` finds
-        nothing. ``on_park()`` is called once, before the first wait, if
-        there is one."""
+        nothing. ``on_park()`` is called before each wait."""
         while True:
             intent = chain.blocker(ts, reader, view)
             if intent is None:
                 return
             if on_park is not None:
                 on_park()
-                on_park = None
             yield from self.wait(intent.txn, intent.role, reader)
 
     def wait(self, txn: str, role: str, reader: str):
@@ -312,21 +308,17 @@ class Settler:
             fut.resolve()
 
     def _push_task(self, txn: str, role: str):
-        """Push until ``txn`` is decided, or until a floor answers a
-        replica's push: the waiters the floor leaves blocked push again.
-        Each try carries the replica's replayed epoch as it is then."""
-        k = self.node.k
-        while txn not in self.store.decided:
-            above = self.above() if self.above is not None else None
-            req = PushReq(role, txn, above)
-            resp = yield from self.node.membership.call(k, role, req,
-                                                        floor_ns=LONG_POLL_NS)
-            if resp is None:
-                continue
-            if resp.decision is None:
-                self.store.raise_floor(txn, resp.epoch)
-                self.wake(txn)
-                break
+        """Push until the recorder answers: a verdict settles ``txn``, and
+        a floor, which answers a replica's push, lifts its intents'
+        proposals; either way the waiters wake, and those the floor
+        leaves blocked push again."""
+        above = self.above() if self.above is not None else None
+        resp = yield from request(self.node.k, role, PushReq(role, txn, above),
+                                  attempts=None, roles=self.node.membership)
+        if resp.decision is None:
+            self.store.raise_floor(txn, resp.epoch)
+            self.wake(txn)
+        else:
             self.settle(txn, resp.decision, resp.epoch)
 
 
@@ -356,7 +348,7 @@ class DataNode(Node):
         self.recorder = RecorderState(self)
         self.store = KeyStore()
         self.settler = Settler(self, self.store, self._apply_finalize)
-        self.serving: set[tuple] = set()  # see replication.serve
+        self.serving: dict[tuple, object] = {}  # see replication.serve
 
     def epoch_now(self) -> int:
         return self.cutter.epoch_now()
@@ -381,7 +373,7 @@ class DataNode(Node):
         if isinstance(p, ReadReq):
             serve(self, env, self._read_task(env, p))
         elif isinstance(p, WriteReq):
-            serve(self, env, self._write_task(env, p))
+            serve(self, env, self._write_task(p))
         elif isinstance(p, FinalizeReq):
             self.settler.settle(p.txn, p.decision, p.epoch)
         elif isinstance(p, DecideReq):
@@ -394,28 +386,25 @@ class DataNode(Node):
     def _read_task(self, env, r: ReadReq):
         chain = self.store.touch(r.key)
         yield from self.settler.settle_below(
-            chain, r.ts, r.reader,
-            on_park=lambda: self.k.reply(env, Pending()))
+            chain, r.ts, r.reader, on_park=lambda: tell_parked(self, env))
         vts, value = chain.read(r.ts)
-        self.k.reply(env, ReadResp(value, vts))
+        return ReadResp(value, vts)
 
     # -- writes -------------------------------------------------------------------
 
-    def _write_task(self, env, w: WriteReq):
+    def _write_task(self, w: WriteReq):
         if w.txn in self.store.decided:
             # Late retry of a settled transaction; nothing left to promise.
-            self.k.reply(env, WriteResp(True, None))
-            return
+            return WriteResp(True, None)
         new = WriteIntent(w.txn, w.ts, w.value, w.role, self.epoch_now(),
                           w.idx)
         intent = self.store.write(w.key, new, floor=self.rt_floor)
         if intent is None:
-            self.k.reply(env, WriteResp(False, None))
-            return
+            return WriteResp(False, None)
         if intent is new:  # else a re-ask or a late try: nothing to log
             yield self.append_log([IntentEntry(
                 w.txn, w.key, w.ts, w.value, w.role, new.proposal, w.idx)])
-        self.k.reply(env, WriteResp(True, intent.proposal))
+        return WriteResp(True, intent.proposal)
 
     # -- settling -----------------------------------------------------------------
 

@@ -12,7 +12,9 @@ view ``ceil(ts / interval)`` and blocks until that view has replayed. No
 commit with an epoch at or below ``n`` can be durably logged after
 marker ``n``, so a replayed view is a closed book — the replica can
 answer from local state alone. A read waits as long as its view takes
-to replay, and a re-ask meanwhile gets ``Pending`` (``replication.serve``).
+to replay, or its intents take to settle. It tells its sender so at once
+with ``Pending``, as does a re-ask meanwhile (``replication.serve``),
+and the sender only asks again every ``LONG_POLL_NS``.
 
 Two wrinkles remain. Undecided intents below the read timestamp are
 settled by the primary's own ``mvto.Settler``: the reader parks and a
@@ -34,7 +36,7 @@ from __future__ import annotations
 from .epochs import ceiling_epoch
 from .messages import CatchUp, LogShip, ReplicaReadReq, ReplicaReadResp
 from .mvto import KeyStore, Settler, apply_log_entry
-from .replication import serve
+from .replication import serve, tell_parked
 from .simnet import Future, Node
 
 
@@ -54,7 +56,7 @@ class ReplicaNode(Node):
         self._view_waiters: dict[int, Future] = {}
         self.settler = Settler(self, self.store, self.store.resolve,
                                above=lambda: self.replayed_epoch)
-        self.serving: set[tuple] = set()  # see replication.serve
+        self.serving: dict[tuple, object] = {}  # see replication.serve
 
     def handle(self, env) -> None:
         p = env.payload
@@ -112,6 +114,7 @@ class ReplicaNode(Node):
         self.k.trace("rread_start", node=self.node_id, reader=r.reader,
                      ts=list(r.ts), view=view, mode=r.mode)
         while self.replayed_epoch < view:
+            tell_parked(self, env)
             fut = self._view_waiters.get(view)
             if fut is None:
                 fut = self._view_waiters[view] = Future(self.sim)
@@ -119,11 +122,12 @@ class ReplicaNode(Node):
         reads = []
         for key in r.keys:
             chain = self.store.touch(key)
-            yield from self.settler.settle_below(chain, r.ts, r.reader, view)
+            yield from self.settler.settle_below(
+                chain, r.ts, r.reader, view, lambda: tell_parked(self, env))
             vts, value = chain.visible(r.ts, view)
             reads.append((key, vts, value))
         self.k.trace("rread", node=self.node_id, reader=r.reader,
                      ts=list(r.ts), view=view, mode=r.mode,
                      reads=[[k, list(v) if v else None, val]
                             for k, v, val in reads])
-        self.k.reply(env, ReplicaReadResp(view, reads))
+        return ReplicaReadResp(view, reads)

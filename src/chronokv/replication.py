@@ -1,5 +1,5 @@
 """Durable logs, the shared storage layer beneath them, and the retry
-loops every request is sent through.
+loop every request is sent through.
 
 Each data node owns an append-only stream of log entries (write intents,
 finalizations, epoch cut markers) and each recorder role owns a stream of
@@ -16,17 +16,20 @@ recorder learns that it did: the stream outlives the recorder, so a
 record whose writer crashed mid-append is still durable, and still
 traced. A fenced append lands nothing and traces nothing.
 
-Every request that may be sent again goes through one of two retry
-loops, one per kind of destination. A request to a fixed node (a data
-op, a replica read, an oracle fetch) goes through ``call_node``. A
-request to a recorder role (a decide or a push) goes to the owner its
-membership register names, through ``RoleDirectory.call``, which
-re-reads the owner when a try times out or is refused. Consecutive
-tries to one node are tries of one ``simnet.Call``, so a reply to any
-of them is heard (the hedged-request rule of Dean and Barroso, "The
-Tail at Scale", CACM 2013). ``serve`` is the server half: a re-ask of a
-request still being served gets ``messages.Pending`` and starts no
-second task (the at-most-once rule of Birrell and Nelson, TOCS 1984).
+Every request that may be sent again goes through one retry loop,
+``request``, to a fixed node (a data op, a replica read, an oracle
+fetch) or to a recorder role (a decide or a push). A role's request goes
+to the owner its membership register names, looked up before each try
+and read again after a try that heard nothing or was refused. Every try
+waits by one rule (``try_timeout_ns``) and backs off by one rule
+(``retry_backoff_ns``). Consecutive tries to one node are tries of one
+``simnet.Call``, so a reply to any of them is heard (the hedged-request
+rule of Dean and Barroso, "The Tail at Scale", CACM 2013). ``serve`` is
+the server half: a re-ask of a request still being served gets
+``messages.Pending`` and starts no second task (the at-most-once rule of
+Birrell and Nelson, TOCS 1984), and every server that parks a request
+says ``Pending`` at once. The sender then only asks again every
+``LONG_POLL_NS``, in case the answer is lost.
 
 Log positions double as replication sequence numbers: primaries ship
 their data log's durable entries to replicas, which apply them strictly
@@ -42,61 +45,102 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .messages import NotOwner, Pending
-from .simnet import MS, RPC_TIMEOUT, Future, Simulation, retry_backoff_ns
+from .simnet import MS, RPC_TIMEOUT, SEC, Future, Simulation, retry_backoff_ns
 
 FENCED = "fenced"
 
-#: The shortest wait of a long poll: a push for a verdict, or a request
-#: answered ``Pending``, is asked again no sooner than this.
+#: The shortest wait of a long poll: a request answered ``Pending`` is
+#: asked again no sooner than this.
 LONG_POLL_NS = 30 * MS
 
+#: How long a server keeps an answer for a late try of its call: a try
+#: crosses the answer in flight, or follows it once it is lost, well
+#: within this.
+REPLY_KEEP_NS = SEC
 
-def call_node(k, node_id: str, payload, timeout_ns: Optional[int] = None,
-              attempts: int = 30):
-    """Generator -> ``node_id``'s reply to ``payload`` sent from kernel
-    ``k``, or None after ``attempts`` tries, each after the first backed
-    off by ``retry_backoff_ns``. A try waits ``timeout_ns``; by default
-    1.25 round trips to ``node_id``, which cover its two ±10% jittered
-    legs and a write's flush, and at least 5 ms. A try answered by
-    ``Pending`` waits for the answer that follows, and asks again every
-    ``LONG_POLL_NS`` (or try timeout, if longer) while the request is
-    still being served; only a try that hears nothing at all counts
-    against ``attempts``."""
-    if timeout_ns is None:
-        timeout_ns = max(k.one_way_ns(node_id) * 5 // 2, 5 * MS)
-    reask = max(timeout_ns, LONG_POLL_NS)
-    call = k.call(node_id, payload)
+
+def try_timeout_ns(k, node_id: str) -> int:
+    """The one try rule: a try to ``node_id`` from kernel ``k`` waits 1.25
+    round trips, which cover its two ±10% jittered legs and a flush, and
+    at least 5 ms."""
+    return max(k.one_way_ns(node_id) * 5 // 2, 5 * MS)
+
+
+def request(k, dst: str, payload, attempts: Optional[int] = 30,
+            timeout_ns: Optional[int] = None,
+            roles: Optional[RoleDirectory] = None):
+    """Generator -> the reply to ``payload`` sent from kernel ``k`` to node
+    ``dst`` or, given ``roles``, to the owner of recorder role ``dst``,
+    which ``roles`` looks up before each try; or None after ``attempts``
+    tries (never, if ``attempts`` is None).
+
+    A try waits ``timeout_ns``, by default ``try_timeout_ns``. A try that
+    hears nothing drops the role's cached owner, and the next try first
+    backs off by ``retry_backoff_ns``. A NotOwner drops it too and ends
+    the call: the next try starts at once, as a new call. With no owner
+    registered a try sleeps 5 ms. A try answered ``Pending`` waits for
+    the answer that follows, and asks again every ``LONG_POLL_NS`` (or
+    timeout, if longer) while the request is still being served: those
+    re-asks are not tries, and they keep the cached owner."""
+    call = resp = None
     try:
-        for i in range(attempts):
-            if i:
-                yield k.sleep_local(retry_backoff_ns(i - 1))
-            resp = yield call.ask(timeout_ns)
+        for i in itertools.count():
+            if i == attempts:
+                return None
+            owner = dst if roles is None else (yield from roles.lookup(dst))
+            if owner is None:
+                yield k.sleep_local(5 * MS)
+                continue
+            if call is None or call.dst != owner or \
+                    isinstance(resp, NotOwner):
+                if call is not None:
+                    call.close()
+                call = k.call(owner, payload)
+            timeout = timeout_ns or try_timeout_ns(k, owner)
+            resp = yield call.ask(timeout)
             while isinstance(resp, Pending):
-                resp = yield call.listen(reask)
+                resp = yield call.listen(max(timeout, LONG_POLL_NS))
                 if resp is RPC_TIMEOUT:
-                    resp = yield call.ask(timeout_ns)
-            if resp is not RPC_TIMEOUT:
+                    resp = yield call.ask(timeout)
+            if resp is not RPC_TIMEOUT and not isinstance(resp, NotOwner):
                 return resp
-        return None
+            if roles is not None:
+                roles.invalidate(dst)
+            if resp is RPC_TIMEOUT and i + 1 != attempts:
+                yield k.sleep_local(retry_backoff_ns(i))
     finally:
-        call.close()
+        if call is not None:
+            call.close()
 
 
 def serve(node, env, task) -> None:
-    """Spawn ``task``, which answers ``env``, unless ``node.serving`` holds
-    its ``(sender, request id)``: a try of the same call is being served,
-    and its answer answers this one too, which gets ``Pending``."""
+    """Run ``task``, a generator that returns the answer to ``env``, and
+    send that answer. ``node.serving`` holds the last reply to each call
+    it serves, by ``(sender, request id)``: a try of the same call starts
+    no second task, and gets that reply again, or ``Pending`` if there is
+    none yet. An answer is kept for ``REPLY_KEEP_NS``."""
     call_id = (env.src, env.rid)
     serving = node.serving
     if call_id in serving:
-        return node.k.reply(env, Pending())
-    serving.add(call_id)
+        return node.k.reply(env, serving[call_id] or Pending())
+    serving[call_id] = None
 
     def run():
-        yield from task
-        serving.discard(call_id)
+        answer = serving[call_id] = yield from task
+        node.k.reply(env, answer)
+        node.k.set_local_timer(REPLY_KEEP_NS,
+                               lambda: serving.pop(call_id, None))
 
     node.k.spawn(run())
+
+
+def tell_parked(node, env) -> None:
+    """Tell the sender of ``env``, which ``node`` serves, that its request
+    is parked: at once, and once."""
+    call_id = (env.src, env.rid)
+    if node.serving.get(call_id) is None:
+        node.serving[call_id] = Pending()
+        node.k.reply(env, Pending())
 
 
 # -- log entries -------------------------------------------------------------
@@ -210,8 +254,8 @@ def recorder_role(node_id: str) -> str:
 
 
 class RoleDirectory:
-    """A node's cache of recorder role owners, and the one way to send a
-    request to a role's owner.
+    """A node's cache of recorder role owners, which ``request`` reads
+    before each try to a role.
 
     The truth is the membership register in the storage of the role's
     home region, which ends its name (``rec/d0.SH`` lives in SH) and never
@@ -245,38 +289,3 @@ class RoleDirectory:
         if owner is not None:
             self._owners[role] = owner
         return owner
-
-    def call(self, k, role: str, payload, attempts: Optional[int] = 1,
-             floor_ns: int = 5 * MS):
-        """Generator -> the reply of ``role``'s owner to ``payload`` sent
-        from kernel ``k``, or None after ``attempts`` tries (never, if
-        ``attempts`` is None). With no owner registered a try sleeps 5 ms.
-        A timeout (at least ``floor_ns``) drops the cached owner, and the
-        next try first backs off by ``retry_backoff_ns``; a NotOwner drops
-        it and the next try starts at once. Tries in a row to one owner
-        listen for each other's replies (see ``simnet.Call``)."""
-        call = None
-        try:
-            for i in itertools.count():
-                if i == attempts:
-                    return None
-                owner = yield from self.lookup(role)
-                if owner is None:
-                    yield k.sleep_local(5 * MS)
-                    continue
-                if call is None or call.dst != owner:
-                    if call is not None:
-                        call.close()
-                    call = k.call(owner, payload)
-                resp = yield call.ask(k.rpc_timeout_for(owner, floor_ns))
-                if resp is RPC_TIMEOUT:
-                    self.invalidate(role)
-                    if i + 1 != attempts:
-                        yield k.sleep_local(retry_backoff_ns(i))
-                elif isinstance(resp, NotOwner):
-                    self.invalidate(role)
-                else:
-                    return resp
-        finally:
-            if call is not None:
-                call.close()

@@ -531,11 +531,6 @@ class NodeKernel:
         node = self._node
         return node.net.one_way_ns(node, node.net.nodes[dst_id])
 
-    def rpc_timeout_for(self, dst_id: str, floor_ns: int = 5 * MS) -> int:
-        """A generous per-attempt timeout for a destination, derived from the
-        configured link rtt (local-clock nanoseconds)."""
-        return max(int(self.one_way_ns(dst_id) * 2 * 2.5), floor_ns)
-
 
 class _Replies:
     """What a call has heard: the replies nobody took yet, and the Future

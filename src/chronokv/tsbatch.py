@@ -31,7 +31,7 @@ from typing import NamedTuple, Optional
 from .clock import UncertainTime
 from .errors import InvalidConfig, OracleUnavailable
 from .messages import TsReq, TsResp
-from .replication import call_node
+from .replication import request
 from .simnet import MS, Future, NodeKernel, retry_backoff_ns
 
 # The spacing of a batch's timestamps; a TTL must be a multiple of it.
@@ -152,8 +152,8 @@ class TsProxy:
     def _ask_oracle(self):
         """Generator -> the oracle's reply to one TsReq, or None."""
         self.fetches += 1
-        return (yield from call_node(self.k, self.oracle_id, TsReq(),
-                                     self.FETCH_TIMEOUT_NS, attempts=1))
+        return (yield from request(self.k, self.oracle_id, TsReq(), attempts=1,
+                                   timeout_ns=self.FETCH_TIMEOUT_NS))
 
     def _fetch(self):
         """Generator: one shared oracle round trip, which replaces the

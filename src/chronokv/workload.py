@@ -6,10 +6,10 @@ clients run on their home coordinator's kernel. Replica readers are
 clients of the replicas, not of the coordinator: each coordinator's
 readers share one client host in its region, with its own timestamp
 proxy, so they outlive a crash of the coordinator. A replica read is
-sent through ``replication.call_node`` like any request to a fixed node,
-and waits as long as its view takes to replay: the replica answers a
-re-ask meanwhile with ``Pending``. A read whose every try goes
-unanswered is not recorded. A stale read asks for a view
+sent through ``replication.request`` like any request, and waits as
+long as its view takes to replay: the replica says ``Pending`` at once,
+and the read is only asked again every ``LONG_POLL_NS``. A read whose
+every try goes unanswered is not recorded. A stale read asks for a view
 ``STALE_LAG_NS`` older than a fresh timestamp. Written values are
 globally unique (``client.txnseq.opidx``) which lets the checkers match
 every read to the exact write that produced it.
@@ -24,7 +24,7 @@ import bisect
 from dataclasses import dataclass, field
 
 from .messages import ReplicaReadReq
-from .replication import call_node
+from .replication import request
 from .simnet import MS, Node
 from .tsbatch import Timestamp, TsProxy
 
@@ -170,12 +170,7 @@ def _replica_reader(host, cluster, cs, rng, idx, zipf):
             reader = f"rr{idx}.{i}"
             for n, (target, group) in enumerate(sorted(by_replica.items())):
                 req = ReplicaReadReq(group, ts, f"{reader}.{n}", mode)
-                # Fresh reads may legitimately block for a whole epoch
-                # interval before the needed cut replays; time out well
-                # beyond that.
-                timeout = max(host.k.rpc_timeout_for(target),
-                              3 * sc.interval_ns + 100 * MS)
-                resp = yield from call_node(host.k, target, req, timeout)
+                resp = yield from request(host.k, target, req)
                 if resp is not None:
                     cs.replica_reads.append(
                         (f"{reader}.{n}", ts, mode, target, resp))

@@ -4,6 +4,7 @@ Most tests build their own scenario; these helpers only cover the common
 case of poking a single node or proxy without a full cluster.
 """
 
+from chronokv.messages import Pending
 from chronokv.simnet import (
     FaultSchedule,
     LatencyMatrix,
@@ -48,3 +49,15 @@ def ask_once(kernel, dst, payload, timeout_ns):
     resp = yield call.ask(timeout_ns)
     call.close()
     return resp
+
+
+def replies_to_one_try(kernel, dst, payload, timeout_ns):
+    """Generator -> the replies to one try of ``payload`` sent from
+    ``kernel``, each heard within ``timeout_ns`` of the last, up to the
+    first that is not ``Pending`` (RPC_TIMEOUT, if none came)."""
+    call = kernel.call(dst, payload)
+    replies = [(yield call.ask(timeout_ns))]
+    while isinstance(replies[-1], Pending):
+        replies.append((yield call.listen(timeout_ns)))
+    call.close()
+    return replies

@@ -5,7 +5,7 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
-from conftest import ask_once, drive
+from conftest import ask_once, drive, replies_to_one_try
 
 from chronokv.checkers import (
     check_strict_serializability,
@@ -31,7 +31,13 @@ from chronokv.messages import (
     WriteReq,
 )
 from chronokv.metrics import run_summary
-from chronokv.replication import LONG_POLL_NS, IntentEntry
+from chronokv.replication import (
+    LONG_POLL_NS,
+    IntentEntry,
+    RoleDirectory,
+    request,
+    try_timeout_ns,
+)
 from chronokv.scenario import Scenario, WorkloadSpec, load_scenario
 from chronokv.simnet import (
     MS,
@@ -41,6 +47,7 @@ from chronokv.simnet import (
     FaultSchedule,
     MsgFilter,
     OracleOutage,
+    retry_backoff_ns,
 )
 
 
@@ -195,8 +202,8 @@ def test_timestamp_service_counters_are_consistent():
 def ask_recorder_at_once(move_register: bool):
     """Two decides of one transaction and a push of it, sent to its
     recorder at one instant; ``move_register`` hands the role to another
-    node while the decision's append is in flight. Returns the three
-    answers and the txns of the trace's ``record`` events."""
+    node while the decision's append is in flight. Returns the replies to
+    each of the three and the txns of the trace's ``record`` events."""
     cluster = Cluster(small(clients_per_coordinator=0))
     cluster.start()
     sim, coord = cluster.sim, cluster.coordinators[0]
@@ -204,7 +211,8 @@ def ask_recorder_at_once(move_register: bool):
     role, txn = node.role_self, f"{coord.node_id}:99"
     decide = DecideReq(role, txn, COMMIT, [1])
     reqs = [decide, decide, PushReq(role, txn)]
-    asks = [coord.k.spawn(ask_once(coord.k, node.node_id, req, 100 * MS))
+    asks = [coord.k.spawn(replies_to_one_try(coord.k, node.node_id, req,
+                                             100 * MS))
             for req in reqs]
     if move_register:
         sim.run_until(sim.now + node.storage.flush_ns // 2)
@@ -216,8 +224,10 @@ def ask_recorder_at_once(move_register: bool):
 
 
 def test_decides_of_a_decision_in_flight_wait_for_it_with_the_pushes():
-    (first, second, push), records, txn = ask_recorder_at_once(False)
+    ([first], [told, second], [told_push, push]), records, txn = \
+        ask_recorder_at_once(False)
     assert isinstance(first, DecideResp) and first.status == COMMITTED
+    assert told == told_push == Pending()  # parked, and told so at once
     assert second == first
     assert push == PushResp(COMMIT, first.epoch)
     assert records == [txn]
@@ -225,33 +235,52 @@ def test_decides_of_a_decision_in_flight_wait_for_it_with_the_pushes():
 
 def test_a_fenced_decision_answers_every_waiting_envelope_not_owner():
     answers, records, _txn = ask_recorder_at_once(True)
-    assert answers == [NotOwner("rec/d0.SH")] * 3
+    assert answers == [[NotOwner("rec/d0.SH")],
+                       [Pending(), NotOwner("rec/d0.SH")],
+                       [Pending(), NotOwner("rec/d0.SH")]]
     assert records == []
 
 
-def test_one_senders_pushes_of_an_undecided_txn_get_one_answer():
-    # a pusher's later call replaces its earlier one, which it has closed
-    # by then; here both stay open, so an answer to each would be heard
+def test_a_parked_push_is_told_pending_and_answered_once_under_its_request_id():
     cluster = Cluster(small(clients_per_coordinator=0))
     cluster.start()
     sim, coord = cluster.sim, cluster.coordinators[0]
     node = cluster.data_nodes[0]
     role, txn = node.role_self, f"{coord.node_id}:99"
-    answers = record_sends(cluster, PushResp)
-    pushes = []
-    for _ in range(2):
-        pushes.append(coord.k.spawn(ask_once(coord.k, node.node_id,
-                                             PushReq(role, txn), 100 * MS)))
-        sim.run_until(sim.now + MS)
+    roles = RoleDirectory(cluster.storage)
+    reads = []
+    refresh = roles.refresh
+
+    def counted_refresh(role):
+        reads.append(sim.now)
+        return (yield from refresh(role))
+
+    roles.refresh = counted_refresh
+    sent = []
+    send = cluster.net.send
+
+    def recording(src, dst_id, payload, rid=0, is_reply=False):
+        if isinstance(payload, (PushReq, PushResp, Pending)):
+            sent.append((sim.now, type(payload), rid))
+        send(src, dst_id, payload, rid, is_reply)
+
+    cluster.net.send = recording
+    push = coord.k.spawn(request(coord.k, role, PushReq(role, txn),
+                                 attempts=None, roles=roles))
+    sim.run_until(sim.now + 200 * MS)
     decide = coord.k.spawn(ask_once(coord.k, node.node_id,
                                     DecideReq(role, txn, COMMIT, [1]),
                                     100 * MS))
-    sim.run_until(1 << 62, stop=lambda: all(p.done for p in pushes)
-                  and decide.done)
-    assert decide.value.status == COMMITTED
-    assert [p.value for p in pushes] == \
-        [RPC_TIMEOUT, PushResp(COMMIT, decide.value.epoch)]
-    assert len(answers) == 1
+    sim.run_until(1 << 62, stop=lambda: push.done and decide.done)
+    assert push.value == PushResp(COMMIT, decide.value.epoch)
+    assert len(reads) == 1  # a long poll keeps the owner
+    asked = [t for t, kind, _rid in sent if kind is PushReq]
+    assert len({rid for _t, _kind, rid in sent}) == 1  # one call
+    # every try is told Pending at once, and one answer follows
+    assert [kind for _t, kind, _rid in sent] == \
+        [PushReq, Pending] * len(asked) + [PushResp]
+    assert len(asked) >= 200 * MS // (LONG_POLL_NS + MS)
+    assert all(b - a >= LONG_POLL_NS for a, b in zip(asked, asked[1:]))
 
 
 def test_a_decide_between_an_adopters_cas_and_its_reload_is_refused():
@@ -265,8 +294,9 @@ def test_a_decide_between_an_adopters_cas_and_its_reload_is_refused():
     coord.membership.invalidate(role)
     # the register read lands with the CAS, a storage read before the
     # reload, and the decide reaches the adopter between the two
-    resp = drive(sim, coord.k, coord.membership.call(
-        coord.k, role, DecideReq(role, txn, COMMIT, [1]), attempts=5))
+    resp = drive(sim, coord.k, request(
+        coord.k, role, DecideReq(role, txn, COMMIT, [1]), attempts=5,
+        roles=coord.membership))
     assert resp.status == COMMITTED
     assert refused == [(refused[0][0], NotOwner(role))]
     assert [f["node"] for _t, kind, f in sim.trace.events
@@ -743,10 +773,16 @@ def test_a_read_parked_past_a_stuck_push_is_answered_once_a_push_lands():
     assert w.value.status == "committed"
     assert res.reads[0][3] == "new"
     assert sim.now > lost_until
-    # one push task: its tries keep coming, each a long poll apart
+    # one push task: each try follows the last by the try timeout, a
+    # back-off and a register read, since a try that heard nothing drops
+    # the owner
     assert len(pushes) > 1
     sent = [t for t, _p in pushes]
-    assert all(b - a >= LONG_POLL_NS for a, b in zip(sent, sent[1:]))
+    node = cluster.data_nodes[0]
+    timeout = try_timeout_ns(node.k, node.node_id)
+    assert [b - a for a, b in zip(sent, sent[1:])] == \
+        [timeout + retry_backoff_ns(i) + node.storage.read_ns
+         for i in range(len(sent) - 1)]
 
 
 # -- heartbeats and takeover -------------------------------------------------

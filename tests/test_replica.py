@@ -17,6 +17,7 @@ from chronokv.messages import (
     ReplicaReadReq,
     ReplicaReadResp,
 )
+from chronokv.replication import request, try_timeout_ns
 from chronokv.scenario import Scenario, WorkloadSpec
 from chronokv.simnet import (
     MS,
@@ -133,9 +134,8 @@ def test_a_replica_read_does_not_wait_for_a_txn_parked_behind_a_slow_writer():
     def replica_read():
         ts = yield from coord.tsproxy.acquire()
         start = sim.now
-        resp = yield from ask_once(coord.k, "d0.SH@BJ",
-                                   ReplicaReadReq(["y"], ts, "rr", "fresh"),
-                                   10 * SEC)
+        resp = yield from request(coord.k, "d0.SH@BJ",
+                                  ReplicaReadReq(["y"], ts, "rr", "fresh"))
         return sim.now - start, resp
 
     took, resp = drive(sim, coord.k, replica_read())
@@ -208,9 +208,9 @@ def test_a_lost_replica_read_is_asked_again_after_a_backoff():
 
     cluster.net.send = first_read_lost
     r = cluster.run()
-    # the reader's try timeout waits out three epoch intervals; it has no
-    # drift, so its local waits are true ones
-    timeout = 3 * r.scenario.interval_ns + 100 * MS
+    # the reader's try waits as long as any other; it has no drift, so
+    # its local waits are true ones
+    timeout = try_timeout_ns(cluster.net.nodes["r0.SH"].k, "d0.SH@BJ")
     assert len(sent) == 2
     assert sent[1] - sent[0] == timeout + retry_backoff_ns(0)
     assert [rr[0] for rr in r.replica_reads] == ["rr0.0.0"]
@@ -238,18 +238,47 @@ def test_an_idle_replica_with_no_gap_sends_no_catch_up():
     assert catchups == []
 
 
-def test_a_replica_read_reasked_while_it_waits_for_its_view_is_answered_once():
+def view_out_of_reach(cluster, coord):
+    """A fresh read of ``y`` at a view that replays more than an epoch
+    interval from now."""
+    fresh = drive(cluster.sim, coord.k, coord.tsproxy.acquire())
+    ts = Timestamp(fresh.nanos + cluster.scenario.interval_ns,
+                   fresh.server_id)
+    return ReplicaReadReq(["y"], ts, "rr", "fresh")
+
+
+def test_a_replica_read_waiting_for_its_view_is_told_pending_at_once():
     cluster, coord = idle_replicated_cluster()
     sim = cluster.sim
-    interval = cluster.scenario.interval_ns
-    fresh = drive(sim, coord.k, coord.tsproxy.acquire())
-    # a view that replays more than an interval from now
-    ts = Timestamp(fresh.nanos + interval, fresh.server_id)
-    req = ReplicaReadReq(["y"], ts, "rr", "fresh")
+    req = view_out_of_reach(cluster, coord)
+    rtt = 2 * coord.k.one_way_ns("d0.SH@BJ")
 
     def reader():
         call = coord.k.call("d0.SH@BJ", req)
-        first = yield call.ask(20 * MS)  # nothing yet: the view is out
+        start = sim.now
+        told = yield call.ask(SEC)
+        told_after = sim.now - start
+        answer = yield call.listen(SEC)
+        late = yield call.listen(SEC)
+        call.close()
+        return told, told_after, answer, late
+
+    told, told_after, answer, late = drive(sim, coord.k, reader())
+    assert told == Pending()
+    assert told_after < 1.2 * rtt  # one jittered round trip, no more
+    assert isinstance(answer, ReplicaReadResp)
+    assert late is RPC_TIMEOUT  # no second answer
+
+
+def test_a_replica_read_reasked_while_it_waits_for_its_view_is_answered_once():
+    cluster, coord = idle_replicated_cluster()
+    sim = cluster.sim
+    req = view_out_of_reach(cluster, coord)
+    interval = cluster.scenario.interval_ns
+
+    def reader():
+        call = coord.k.call("d0.SH@BJ", req)
+        first = yield call.ask(SEC)  # the view is out: told so at once
         again = yield call.ask(SEC)  # the re-ask, answered at once
         answer = yield call.listen(SEC)
         late = yield call.listen(3 * interval)
@@ -257,8 +286,7 @@ def test_a_replica_read_reasked_while_it_waits_for_its_view_is_answered_once():
         return first, again, answer, late
 
     first, again, answer, late = drive(sim, coord.k, reader())
-    assert first is RPC_TIMEOUT
-    assert again == Pending()
+    assert first == again == Pending()
     assert isinstance(answer, ReplicaReadResp)
     assert late is RPC_TIMEOUT  # no second answer
     assert [f["reader"] for _t, kind, f in sim.trace.events

@@ -1,5 +1,5 @@
 """Durable streams, membership registers, fencing at the flush point, and
-the retry loops for requests to a fixed node and to a recorder role's
+the one retry loop for requests to a fixed node and to a recorder role's
 owner."""
 
 from conftest import Host, drive, one_region
@@ -12,7 +12,8 @@ from chronokv.replication import (
     RecordEntry,
     RoleDirectory,
     SharedStorage,
-    call_node,
+    request,
+    try_timeout_ns,
 )
 from chronokv.simnet import (
     MS,
@@ -150,7 +151,7 @@ def test_role_directory_routes_by_home_region():
     assert run(sim, spawn(sim, d.lookup("rec/d4.SG"))) == "s0.SG"
 
 
-# -- RoleDirectory.call ---------------------------------------------------------
+# -- request to a role ---------------------------------------------------------
 
 ROLE = "rec/d0.R0"
 ONE_WAY = 100_000  # half the 0.2 ms rtt of one_region, without jitter
@@ -191,48 +192,20 @@ def test_call_follows_not_owner_to_the_new_owner_without_sleeping():
     drive(sim, caller.k, d.lookup(ROLE))  # warm the cache with the old owner
     st.membership[ROLE] = "s0.R0"  # a takeover the caller has not seen
     start = sim.now
-    assert drive(sim, caller.k, d.call(caller.k, ROLE, "req", 3)) == "created"
+    assert drive(sim, caller.k,
+                 request(caller.k, ROLE, "req", 3, roles=d)) == "created"
     assert len(old.arrivals) == len(new.arrivals) == 1
     # a round trip to the old owner, one register read, a round trip to
     # the new owner, and no sleep anywhere
     assert sim.now - start == 2 * ONE_WAY + st.read_ns + 2 * ONE_WAY
 
 
-def test_call_backs_off_between_timeouts_and_not_after_the_last():
-    sim, net, st, caller, d = call_rig()
-    silent = Owner(sim, net, "d0.R0", None)
-    attempts = 30
-    timeout = caller.k.rpc_timeout_for("d0.R0")
-    assert timeout == 5 * MS  # the floor, for a 0.2 ms rtt
-    assert drive(sim, caller.k, d.call(caller.k, ROLE, "req", attempts)) \
-        is None
-    arrivals = silent.arrivals
-    assert len(arrivals) == attempts
-    # each timeout drops the owner, so the next try re-reads the register
-    # after its back-off
-    sleeps = [b - a - timeout - st.read_ns
-              for a, b in zip(arrivals, arrivals[1:])]
-    assert sleeps == [min(2 * (i + 1), 50) * MS for i in range(attempts - 1)]
-    assert sleeps[-1] == 50 * MS
-    # the call returns when the last try times out
-    assert sim.now == arrivals[-1] - ONE_WAY + timeout
-
-
-def test_call_floor_lengthens_the_timeout():
-    for floor_ns in (5 * MS, 30 * MS):
-        sim, net, st, caller, d = call_rig()
-        Owner(sim, net, "d0.R0", None)
-        got = drive(sim, caller.k,
-                    d.call(caller.k, ROLE, "req", floor_ns=floor_ns))
-        assert got is None
-        assert sim.now == st.read_ns + floor_ns
-
-
 def test_call_without_a_limit_asks_until_it_is_answered():
     sim, net, _st, caller, d = call_rig()
     owner = Owner(sim, net, "d0.R0", None)
     sim.at(2 * SEC, lambda: setattr(owner, "answer", "late"))
-    got = drive(sim, caller.k, d.call(caller.k, ROLE, "req", attempts=None))
+    got = drive(sim, caller.k,
+                request(caller.k, ROLE, "req", attempts=None, roles=d))
     assert got == "late"
     assert len(owner.arrivals) > 30  # past a commit's decide
     assert owner.arrivals[-1] >= 2 * SEC
@@ -240,27 +213,36 @@ def test_call_without_a_limit_asks_until_it_is_answered():
 
 def test_call_without_an_owner_sleeps_and_gives_up_after_its_attempts():
     sim, net, st, caller, d = call_rig(owner=None)
-    assert drive(sim, caller.k, d.call(caller.k, ROLE, "req", 4)) is None
+    assert drive(sim, caller.k, request(caller.k, ROLE, "req", 4, roles=d)) \
+        is None
     assert sim.now == 4 * (st.read_ns + 5 * MS)
 
 
-# -- call_node -------------------------------------------------------------------
+# -- one loop for both kinds of destination -------------------------------------------------------------------
 
 
 def test_node_loop_backs_off_between_unanswered_tries_and_not_after_the_last():
-    sim, net, _st, caller, _d = call_rig()
-    silent = Owner(sim, net, "d0.R0", None)
-    attempts = 6
-    timeout = 5 * MS  # the floor: 1.25 round trips of 0.2 ms are less
-    assert drive(sim, caller.k,
-                 call_node(caller.k, "d0.R0", "req", attempts=attempts)) \
-        is None
-    arrivals = silent.arrivals
-    assert len(arrivals) == attempts
-    sleeps = [b - a - timeout for a, b in zip(arrivals, arrivals[1:])]
-    assert sleeps == [retry_backoff_ns(i) for i in range(attempts - 1)]
-    # the loop returns when the last try times out
-    assert sim.now == arrivals[-1] - ONE_WAY + timeout
+    # a node and a role share one try timeout and one back-off sequence;
+    # a role's try that heard nothing also drops its owner, so the next
+    # try first reads the register again
+    for to_role in (False, True):
+        sim, net, st, caller, d = call_rig()
+        silent = Owner(sim, net, "d0.R0", None)
+        attempts = 6
+        timeout = try_timeout_ns(caller.k, "d0.R0")
+        assert timeout == 5 * MS  # the floor: 1.25 round trips of 0.2 ms
+        dst, roles = (ROLE, d) if to_role else ("d0.R0", None)
+        assert drive(sim, caller.k,
+                     request(caller.k, dst, "req", attempts, roles=roles)) \
+            is None
+        arrivals = silent.arrivals
+        assert len(arrivals) == attempts
+        lookup = st.read_ns if to_role else 0
+        sleeps = [b - a - timeout - lookup
+                  for a, b in zip(arrivals, arrivals[1:])]
+        assert sleeps == [retry_backoff_ns(i) for i in range(attempts - 1)]
+        # the loop returns when the last try times out
+        assert sim.now == arrivals[-1] - ONE_WAY + timeout
 
 
 def test_node_loop_does_not_count_parked_tries_and_reasks_every_long_poll():
@@ -271,7 +253,7 @@ def test_node_loop_does_not_count_parked_tries_and_reasks_every_long_poll():
     # one try: a loop that counted the parked ones would give up at the
     # first re-ask, long before the answer
     assert drive(sim, caller.k,
-                 call_node(caller.k, "d0.R0", "req", attempts=1)) == "value"
+                 request(caller.k, "d0.R0", "req", attempts=1)) == "value"
     assert sim.now == answer_at + ONE_WAY
     # each re-ask leaves LONG_POLL_NS after the parked reply came back
     gaps = [b - a for a, b in zip(parker.arrivals, parker.arrivals[1:])]
@@ -283,7 +265,8 @@ def test_node_loop_with_one_attempt_sends_exactly_once():
     sim, net, _st, caller, _d = call_rig()
     silent = Owner(sim, net, "d0.R0", None)
     got = drive(sim, caller.k,
-                call_node(caller.k, "d0.R0", "req", 7 * MS, attempts=1))
+                request(caller.k, "d0.R0", "req", attempts=1,
+                        timeout_ns=7 * MS))
     assert got is None
     assert len(silent.arrivals) == 1
     assert sim.now == 7 * MS

@@ -24,19 +24,19 @@ SCENARIOS = ROOT / "scenarios"
 
 PINNED = {
     "baseline.yaml":
-        "1f3cfc361d156cbbfe9265186399d419a02dae295f3171d83680805b5514f827",
+        "28ff9399aa1fe477bfbc4bf1e5c347591d6d7af5deb96738b316cf3416c47ab7",
     "faults.yaml":
-        "6589253d1775d70ec90b50603efc3fad353d1000444c9e254cdf3d8298eb4458",
+        "ebec5d7025ed0a0633df42cd6aa8894c7bd0f60591bf92a2b34d9405cc007ec7",
 }
 
 # The benchmark's workloads at seed 1, full size.
 PINNED_WORKLOADS = {
     "steady":
-        "e3227f1828f9069d5e4b58657a2570db367a842633202bbc405dc8e6d367cb96",
+        "2f7a9c5069e3835a64f0a6e0a18a1230963972eb0f918347f7d8bd3df1796de2",
     "hot-rmw":
-        "49718d9f1240dc91e3a99cc7343586609dbbf045dc533c97accfc38453a39217",
+        "ebd0f91b45a304c2266cca103747b0c2b88c5c6e84e6b4d4f32464e2ecc972d6",
     "chaos":
-        "7f76cb6b95b774b70669de52e1578599a6fd3bbc301d2daa9ec19e04714181fa",
+        "069612d066f6d795ffbc6a40d7d125261b28d21b4cd0ccb351a3e7e4464a28b6",
 }
 
 
