@@ -200,6 +200,27 @@ def test_call_follows_not_owner_to_the_new_owner_without_sleeping():
     assert sim.now - start == 2 * ONE_WAY + st.read_ns + 2 * ONE_WAY
 
 
+def test_call_backs_off_between_timeouts_and_not_after_the_last():
+    # a role waits out each try by the same rule as a node does
+    sim, net, st, caller, d = call_rig()
+    silent = Owner(sim, net, "d0.R0", None)
+    attempts = 30
+    timeout = try_timeout_ns(caller.k, "d0.R0")
+    assert timeout == 5 * MS  # the floor, for a 0.2 ms rtt
+    assert drive(sim, caller.k,
+                 request(caller.k, ROLE, "req", attempts, roles=d)) is None
+    arrivals = silent.arrivals
+    assert len(arrivals) == attempts
+    # each timeout drops the owner, so the next try re-reads the register
+    # after its back-off
+    sleeps = [b - a - timeout - st.read_ns
+              for a, b in zip(arrivals, arrivals[1:])]
+    assert sleeps == [min(2 * (i + 1), 50) * MS for i in range(attempts - 1)]
+    assert sleeps[-1] == 50 * MS
+    # the call returns when the last try times out
+    assert sim.now == arrivals[-1] - ONE_WAY + timeout
+
+
 def test_call_without_a_limit_asks_until_it_is_answered():
     sim, net, _st, caller, d = call_rig()
     owner = Owner(sim, net, "d0.R0", None)
@@ -218,31 +239,23 @@ def test_call_without_an_owner_sleeps_and_gives_up_after_its_attempts():
     assert sim.now == 4 * (st.read_ns + 5 * MS)
 
 
-# -- one loop for both kinds of destination -------------------------------------------------------------------
+# -- request to a node ---------------------------------------------------------
 
 
 def test_node_loop_backs_off_between_unanswered_tries_and_not_after_the_last():
-    # a node and a role share one try timeout and one back-off sequence;
-    # a role's try that heard nothing also drops its owner, so the next
-    # try first reads the register again
-    for to_role in (False, True):
-        sim, net, st, caller, d = call_rig()
-        silent = Owner(sim, net, "d0.R0", None)
-        attempts = 6
-        timeout = try_timeout_ns(caller.k, "d0.R0")
-        assert timeout == 5 * MS  # the floor: 1.25 round trips of 0.2 ms
-        dst, roles = (ROLE, d) if to_role else ("d0.R0", None)
-        assert drive(sim, caller.k,
-                     request(caller.k, dst, "req", attempts, roles=roles)) \
-            is None
-        arrivals = silent.arrivals
-        assert len(arrivals) == attempts
-        lookup = st.read_ns if to_role else 0
-        sleeps = [b - a - timeout - lookup
-                  for a, b in zip(arrivals, arrivals[1:])]
-        assert sleeps == [retry_backoff_ns(i) for i in range(attempts - 1)]
-        # the loop returns when the last try times out
-        assert sim.now == arrivals[-1] - ONE_WAY + timeout
+    sim, net, _st, caller, _d = call_rig()
+    silent = Owner(sim, net, "d0.R0", None)
+    attempts = 6
+    timeout = try_timeout_ns(caller.k, "d0.R0")
+    assert timeout == 5 * MS  # the floor: 1.25 round trips of 0.2 ms
+    assert drive(sim, caller.k,
+                 request(caller.k, "d0.R0", "req", attempts)) is None
+    arrivals = silent.arrivals
+    assert len(arrivals) == attempts
+    sleeps = [b - a - timeout for a, b in zip(arrivals, arrivals[1:])]
+    assert sleeps == [retry_backoff_ns(i) for i in range(attempts - 1)]
+    # the loop returns when the last try times out
+    assert sim.now == arrivals[-1] - ONE_WAY + timeout
 
 
 def test_node_loop_does_not_count_parked_tries_and_reasks_every_long_poll():
