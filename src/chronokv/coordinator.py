@@ -29,27 +29,27 @@ coordinator heartbeats that owner alone, read from the membership
 register before each beat. Once a coordinator has gone quiet, the sweep
 durably aborts its transactions that hold a floored record or have
 readers parked on them, answering those readers. A coordinator that is
-alive but gave up reaching a recorder keeps asking it to abort in the
-background until it answers. Losing a role is
+alive asks its recorder for each of its decisions until it answers.
+Losing a role is
 discovered the hard way — a durable append bounces with a fence — after
 which the old recorder answers NotOwner and the sender looks up the
 successor named by the membership register.
 
 Retries: every request goes through one retry loop,
-``replication.request``. A try waits 1.25 round trips to its
-destination, at least 5 ms, and a try after an unanswered one first
-backs off by ``retry_backoff_ns``. An op goes to the key's fixed primary
-and makes 30 tries. A decide goes to whoever owns the home role, read
-from the membership register again after a try that heard nothing or a
-NotOwner; a commit's decide makes 30 tries, and an abort no one answered
-is asked for in the background until it is. Every server that parks a
+``replication.request``, and is asked until it is answered. A try waits
+1.25 round trips to its destination, at least 5 ms, and a try after an
+unanswered one first backs off by ``retry_backoff_ns``. An op goes to
+the key's fixed primary. A decide, to commit or to abort, goes to
+whoever owns the home role, read from the membership register again
+after a try that heard nothing or a NotOwner. Every server that parks a
 request says so at once (``messages.Pending``): a read behind an
 undecided intent, a push or a decide waiting for a decision, and any
-re-ask of a request still being served. From then on the request's
-tries are not counted, and it is only asked again every
-``LONG_POLL_NS`` in case its answer is lost. A timestamp the oracle
-cannot give is asked for again by ``TsProxy.acquire_waiting``, 30 times
-at most.
+re-ask of a request still being served. From then on the request is
+only asked again every ``LONG_POLL_NS`` in case its answer is lost. A
+timestamp the oracle cannot give is asked for again by
+``TsProxy.acquire_waiting`` until it comes. So a transaction ends
+committed or aborted, or dies with its coordinator in a crash; a fault
+that never heals leaves it waiting.
 """
 
 from __future__ import annotations
@@ -361,21 +361,15 @@ class Coordinator(Node):
     def begin(self):
         """Generator -> TxnHandle. The commit wait starts now, at timestamp
         acquisition, so execution time is absorbed into it. A timestamp the
-        oracle cannot give is asked for again, as often as an op is sent;
-        if it never comes, the handle has failed and has no timestamp."""
+        oracle cannot give is asked for again until it comes."""
         self._txn_n += 1
         txn = f"{self.node_id}:{self._txn_n}"
         self.k.trace("txn_begin", txn=txn, coord=self.node_id)
-        ts = yield from self.tsproxy.acquire_waiting(attempts=30)
-        if ts is None:
-            h = TxnHandle(txn, None, None)
-            h.status, h.reason = "failed", "oracle"
-            return h
+        ts = yield from self.tsproxy.acquire_waiting()
         # Traced now, not only in txn_end: a recorder can commit the
         # transaction after this coordinator has crashed.
         self.k.trace("txn_ts", txn=txn, ts=list(ts))
-        h = TxnHandle(txn, ts, self.k.local_now() + self.tsproxy.cwt_ns)
-        return h
+        return TxnHandle(txn, ts, self.k.local_now() + self.tsproxy.cwt_ns)
 
     @staticmethod
     def coordinator_of(txn: str) -> str:
@@ -394,10 +388,6 @@ class Coordinator(Node):
             return value
         node = self.router.primary(key)
         resp = yield from request(self.k, node, ReadReq(key, h.ts, h.txn))
-        if resp is None:
-            if h.status == "active":
-                h.status, h.reason = "failed", "unreachable"
-            return None
         vts = Timestamp(*resp.version_ts) if resp.version_ts else None
         h.reads.append((idx, key, vts, resp.value))
         self.k.trace("op", txn=h.txn, i=idx, op="r", key=key,
@@ -416,10 +406,6 @@ class Coordinator(Node):
         node = self.router.primary(key)
         req = WriteReq(key, h.txn, h.ts, ops[-1][1], h.role, ops[-1][0])
         resp = yield from request(self.k, node, req)
-        if resp is None:
-            if h.status == "active":
-                h.status, h.reason = "failed", "unreachable"
-            return False
         if not resp.ok:
             if h.status == "active":
                 h.status, h.reason = "aborted", "rt_conflict"
@@ -455,7 +441,7 @@ class Coordinator(Node):
     def _run_chain(self, h: TxnHandle, chain: list, horizon: int):
         """Generator: the ``(index, op)`` of one key, in program order.
         Reads go one at a time; each run of consecutive writes is one
-        write. No op is sent once the transaction has failed.
+        write. No op is sent once the transaction has aborted.
 
         Aligned reads: a read sets its key's read timestamp when it lands,
         and a primary refuses the writes below that timestamp still on
@@ -498,68 +484,44 @@ class Coordinator(Node):
             self._finish(h, None)
             return "committed"
         resp = yield from self._decide(h, COMMIT)
-        if resp is None:
-            h.status = "unknown"
-            h.reason = "decide_unreachable"
-            self._finish(h, None)
-            self.k.spawn(self._abort_in_background(h))
-            return "unknown"
         if resp.status == COMMITTED:
             h.status = "committed"
             self._broadcast_finalize(h, COMMIT, resp.epoch)
             self._finish(h, resp.epoch)
             return "committed"
-        h.status = "aborted"
-        h.reason = h.reason or "swept"
+        h.status, h.reason = "aborted", "swept"
         self._broadcast_finalize(h, ABORT, None)
         self._finish(h, None)
         return "aborted"
 
     # -- helpers -----------------------------------------------------------------
 
-    def _decide(self, h: TxnHandle, decision: str,
-                attempts: Optional[int] = 30):
-        """Generator -> the recorder's DecideResp, or None after
-        ``attempts`` tries (never, if ``attempts`` is None)."""
+    def _decide(self, h: TxnHandle, decision: str):
+        """Generator -> the recorder's DecideResp."""
         req = DecideReq(h.role, h.txn, decision, list(h.proposals))
-        return (yield from request(self.k, h.role, req, attempts,
-                                   roles=self.membership))
+        return (yield from request(self.k, h.role, req, roles=self.membership))
 
     def _abandon(self, h: TxnHandle):
         """Abort path: make the abort durable if an intent, or a floored
-        record, may exist, then sweep intents. An abort the recorder does
-        not answer is retried in the background."""
+        record, may exist, then sweep intents. No commit was asked for, so
+        the recorder answers aborted."""
         if h.role is not None:
-            resp = yield from self._decide(h, ABORT, attempts=5)
-            if resp is None:
-                self.k.spawn(self._abort_in_background(h))
+            yield from self._decide(h, ABORT)
         if h.intent_nodes:
             self._broadcast_finalize(h, ABORT, None)
-        status = "aborted" if h.status != "failed" else "failed"
         self._finish(h, None)
-        return status
-
-    def _abort_in_background(self, h: TxnHandle):
-        """Generator task: ask the recorder to abort ``h`` until it answers,
-        then finalize the intents with the outcome it holds, which is a
-        commit if the lost decide landed first. The sweep aborts only for
-        coordinators gone quiet, so without this readers of the keys would
-        park on the intents for good."""
-        resp = yield from self._decide(h, ABORT, attempts=None)
-        decision = COMMIT if resp.status == COMMITTED else ABORT
-        self._broadcast_finalize(h, decision, resp.epoch)
+        return h.status
 
     def _broadcast_finalize(self, h: TxnHandle, decision: str, epoch) -> None:
         for nid in h.intent_nodes:
             self.k.send(nid, FinalizeReq(h.txn, decision, epoch))
 
     def _finish(self, h: TxnHandle, epoch) -> None:
-        status = h.status
-        if status in ("aborted", "failed", "unknown"):
-            self.aborts_by_reason[h.reason or "?"] = \
-                self.aborts_by_reason.get(h.reason or "?", 0) + 1
-        self.k.trace("txn_end", txn=h.txn, status=status,
-                     ts=h.ts and list(h.ts), epoch=epoch, reason=h.reason)
+        if h.status == "aborted":
+            self.aborts_by_reason[h.reason] = \
+                self.aborts_by_reason.get(h.reason, 0) + 1
+        self.k.trace("txn_end", txn=h.txn, status=h.status, ts=list(h.ts),
+                     epoch=epoch, reason=h.reason)
 
     # -- one full transaction ------------------------------------------------------
 
@@ -577,8 +539,6 @@ class Coordinator(Node):
         segment pays about one round trip per op on its busiest key, not
         one per op. A writer's record will be at the home role."""
         h = yield from self.begin()
-        if h.status != "active":  # no timestamp: nothing is sent
-            program = ()
         if any(op[0] == "w" for op in program):
             h.role = self.home_role
         chains: dict[str, list] = {}

@@ -314,7 +314,7 @@ class Settler:
         leaves blocked push again."""
         above = self.above() if self.above is not None else None
         resp = yield from request(self.node.k, role, PushReq(role, txn, above),
-                                  attempts=None, roles=self.node.membership)
+                                  roles=self.node.membership)
         if resp.decision is None:
             self.store.raise_floor(txn, resp.epoch)
             self.wake(txn)

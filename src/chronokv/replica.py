@@ -68,23 +68,20 @@ class ReplicaNode(Node):
     # -- log application ---------------------------------------------------------
 
     def _on_ship(self, ship: LogShip) -> None:
+        """Park the segment, then apply the parked segments that the
+        applied prefix reaches, in start order. Every parked segment
+        starts beyond the prefix, so one that does not is the first."""
+        parked = self._parked
+        old = parked.get(ship.start)
+        if old is None or len(old) < len(ship.entries):
+            parked[ship.start] = ship.entries
         if ship.start > self.applied:
-            # Gap: park the segment for when the prefix lands, and ask
+            # Gap: keep the segment for when the prefix lands, and ask
             # the primary to resend from our prefix in case it's lost.
-            parked = self._parked
-            old = parked.get(ship.start)
-            if old is None or len(old) < len(ship.entries):
-                parked[ship.start] = ship.entries
             if len(parked) > 64:  # a busy log under heavy loss
                 parked.pop(max(parked))
             self.k.send(self.primary_id, CatchUp(self.applied))
             return
-        self._ingest(ship.start, ship.entries)
-
-    def _ingest(self, start: int, entries: list) -> None:
-        for entry in entries[self.applied - start:]:
-            self._apply(entry)
-        parked = self._parked
         while parked:
             start = min(parked)
             if start > self.applied:

@@ -16,12 +16,13 @@ recorder learns that it did: the stream outlives the recorder, so a
 record whose writer crashed mid-append is still durable, and still
 traced. A fenced append lands nothing and traces nothing.
 
-Every request that may be sent again goes through one retry loop,
-``request``, to a fixed node (a data op, a replica read, an oracle
-fetch) or to a recorder role (a decide or a push). A role's request goes
-to the owner its membership register names, looked up before each try
-and read again after a try that heard nothing or was refused. Every try
-waits by one rule (``try_timeout_ns``) and backs off by one rule
+Every request goes through one retry loop, ``request``, to a fixed
+node (a data op or a replica read) or to a recorder role (a decide or a
+push), and is asked until it is answered: a sender gives up on a
+request only by crashing. A role's request goes to the owner its
+membership register names, looked up before each try and read again
+after a try that heard nothing or was refused. Every try waits by one
+rule (``try_timeout_ns``) and backs off by one rule
 (``retry_backoff_ns``). Consecutive tries to one node are tries of one
 ``simnet.Call``, so a reply to any of them is heard (the hedged-request
 rule of Dean and Barroso, "The Tail at Scale", CACM 2013). ``serve`` is
@@ -66,27 +67,24 @@ def try_timeout_ns(k, node_id: str) -> int:
     return max(k.one_way_ns(node_id) * 5 // 2, 5 * MS)
 
 
-def request(k, dst: str, payload, attempts: Optional[int] = 30,
-            timeout_ns: Optional[int] = None,
-            roles: Optional[RoleDirectory] = None):
+def request(k, dst: str, payload, roles: Optional[RoleDirectory] = None):
     """Generator -> the reply to ``payload`` sent from kernel ``k`` to node
     ``dst`` or, given ``roles``, to the owner of recorder role ``dst``,
-    which ``roles`` looks up before each try; or None after ``attempts``
-    tries (never, if ``attempts`` is None).
+    which ``roles`` looks up before each try. The request is asked until
+    it is answered, so a sender that needs a node which never comes back
+    waits for good.
 
-    A try waits ``timeout_ns``, by default ``try_timeout_ns``. A try that
-    hears nothing drops the role's cached owner, and the next try first
-    backs off by ``retry_backoff_ns``. A NotOwner drops it too and ends
-    the call: the next try starts at once, as a new call. With no owner
-    registered a try sleeps 5 ms. A try answered ``Pending`` waits for
-    the answer that follows, and asks again every ``LONG_POLL_NS`` (or
-    timeout, if longer) while the request is still being served: those
-    re-asks are not tries, and they keep the cached owner."""
+    A try waits ``try_timeout_ns``. A try that hears nothing drops the
+    role's cached owner, and the next try first backs off by
+    ``retry_backoff_ns``. A NotOwner drops it too and ends the call: the
+    next try starts at once, as a new call. With no owner registered a
+    try sleeps 5 ms. A try answered ``Pending`` waits for the answer that
+    follows, and asks again every ``LONG_POLL_NS`` (or timeout, if
+    longer) while the request is still being served: those re-asks are
+    not tries, and they keep the cached owner."""
     call = resp = None
     try:
         for i in itertools.count():
-            if i == attempts:
-                return None
             owner = dst if roles is None else (yield from roles.lookup(dst))
             if owner is None:
                 yield k.sleep_local(5 * MS)
@@ -96,7 +94,7 @@ def request(k, dst: str, payload, attempts: Optional[int] = 30,
                 if call is not None:
                     call.close()
                 call = k.call(owner, payload)
-            timeout = timeout_ns or try_timeout_ns(k, owner)
+            timeout = try_timeout_ns(k, owner)
             resp = yield call.ask(timeout)
             while isinstance(resp, Pending):
                 resp = yield call.listen(max(timeout, LONG_POLL_NS))
@@ -106,7 +104,7 @@ def request(k, dst: str, payload, attempts: Optional[int] = 30,
                 return resp
             if roles is not None:
                 roles.invalidate(dst)
-            if resp is RPC_TIMEOUT and i + 1 != attempts:
+            if resp is RPC_TIMEOUT:
                 yield k.sleep_local(retry_backoff_ns(i))
     finally:
         if call is not None:

@@ -112,6 +112,14 @@ class WorkloadSpec:
 
 @dataclass
 class Scenario:
+    """One run: topology, workload and fault schedule, all seeded.
+
+    Every request is asked until it is answered, so faults are expected
+    to heal. A permanent one, such as a crash with no restart or an
+    outage that never ends, leaves each client that needs the lost node
+    waiting until ``duration_ms`` rather than failing its transaction;
+    the transactions it holds open end without a ``txn_end``."""
+
     name: str = "default"
     seed: int = 1
     duration_ms: int = 10_000      # hard cap on virtual time

@@ -248,6 +248,10 @@ class PartitionWindow:
 
 @dataclass(slots=True)
 class CrashDirective:
+    """Crash ``node`` at ``at_ns``, and restart it at ``restart_at_ns``.
+    With no restart the node stays down: requests to it are asked until
+    the run ends, so the clients that need it wait rather than fail."""
+
     node: str
     at_ns: int
     restart_at_ns: Optional[int] = None

@@ -31,7 +31,6 @@ from typing import NamedTuple, Optional
 from .clock import UncertainTime
 from .errors import InvalidConfig, OracleUnavailable
 from .messages import TsReq, TsResp
-from .replication import request
 from .simnet import MS, Future, NodeKernel, retry_backoff_ns
 
 # The spacing of a batch's timestamps; a TTL must be a multiple of it.
@@ -111,9 +110,10 @@ class TsProxy:
     in-flight fetch; concurrent acquirers share the fetch. In strawman
     mode every acquire pays an oracle round trip of its own and the
     returned timestamp is the reading's upper bound; a shared fetch would
-    hand one ``latest`` to two acquirers. Either way ``acquire`` asks the
-    oracle at most once and raises OracleUnavailable if that gives no
-    timestamp; ``acquire_waiting`` is the one loop that asks again.
+    hand one ``latest`` to two acquirers. Either way ``acquire`` probes
+    the oracle at most once, with one try of one TsReq, and raises
+    OracleUnavailable if that gives no timestamp; ``acquire_waiting`` is
+    the one loop that asks again, until a timestamp comes.
     """
 
     # An oracle round trip's timeout. The oracle sits in the rack, so its
@@ -150,10 +150,14 @@ class TsProxy:
         self._inflight = None
 
     def _ask_oracle(self):
-        """Generator -> the oracle's reply to one TsReq, or None."""
+        """Generator -> the oracle's reply to one try of a TsReq, or
+        RPC_TIMEOUT. A probe, not a request: ``acquire_waiting`` asks
+        again."""
         self.fetches += 1
-        return (yield from request(self.k, self.oracle_id, TsReq(), attempts=1,
-                                   timeout_ns=self.FETCH_TIMEOUT_NS))
+        call = self.k.call(self.oracle_id, TsReq())
+        resp = yield call.ask(self.FETCH_TIMEOUT_NS)
+        call.close()
+        return resp
 
     def _fetch(self):
         """Generator: one shared oracle round trip, which replaces the
@@ -197,15 +201,13 @@ class TsProxy:
             raise OracleUnavailable("the fetch gave no live batch")
         return ts
 
-    def acquire_waiting(self, attempts: Optional[int] = None):
-        """Generator -> Timestamp, or None after ``attempts`` failed tries
-        (never, if ``attempts`` is None). Each try after the first backs
-        off by ``retry_backoff_ns`` on the local clock."""
+    def acquire_waiting(self):
+        """Generator -> Timestamp, acquired again until one comes. Each try
+        after the first backs off by ``retry_backoff_ns`` on the local
+        clock."""
         for i in itertools.count():
-            if i:
-                yield self.k.sleep_local(retry_backoff_ns(i - 1))
             try:
                 return (yield from self.acquire())
             except OracleUnavailable:
-                if attempts is not None and i + 1 >= attempts:
-                    return None
+                pass
+            yield self.k.sleep_local(retry_backoff_ns(i))

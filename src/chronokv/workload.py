@@ -8,8 +8,9 @@ readers share one client host in its region, with its own timestamp
 proxy, so they outlive a crash of the coordinator. A replica read is
 sent through ``replication.request`` like any request, and waits as
 long as its view takes to replay: the replica says ``Pending`` at once,
-and the read is only asked again every ``LONG_POLL_NS``. A read whose
-every try goes unanswered is not recorded. A stale read asks for a view
+and the read is only asked again every ``LONG_POLL_NS``. A read is asked
+until it is answered, so every read that a crash does not kill is
+recorded. A stale read asks for a view
 ``STALE_LAG_NS`` older than a fresh timestamp. Written values are
 globally unique (``client.txnseq.opidx``) which lets the checkers match
 every read to the exact write that produced it.
@@ -171,9 +172,8 @@ def _replica_reader(host, cluster, cs, rng, idx, zipf):
             for n, (target, group) in enumerate(sorted(by_replica.items())):
                 req = ReplicaReadReq(group, ts, f"{reader}.{n}", mode)
                 resp = yield from request(host.k, target, req)
-                if resp is not None:
-                    cs.replica_reads.append(
-                        (f"{reader}.{n}", ts, mode, target, resp))
+                cs.replica_reads.append(
+                    (f"{reader}.{n}", ts, mode, target, resp))
             yield host.k.sleep_local(5 * MS)
     finally:
         cs.pending -= 1

@@ -1,4 +1,5 @@
-"""Shared scaffolding: a one-region simulation and a generator driver.
+"""Shared scaffolding: a one-region simulation, a generator driver and
+the horizon every wait is bounded by.
 
 Most tests build their own scenario; these helpers only cover the common
 case of poking a single node or proxy without a full cluster.
@@ -10,8 +11,14 @@ from chronokv.simnet import (
     LatencyMatrix,
     Network,
     Node,
+    SEC,
     Simulation,
 )
+
+#: How much virtual time a test lets pass while it waits for a task.
+#: Requests are asked until they are answered, so a task that can never
+#: end would run forever: past this horizon it fails instead.
+HORIZON_NS = 3600 * SEC
 
 
 class Host(Node):
@@ -34,11 +41,18 @@ def one_region(seed=1, faults=None, region="R0", rtt_ms=0.2, jitter_pct=10.0):
     return sim, net
 
 
-def drive(sim, kernel, gen, deadline=1 << 62):
-    """Run a generator task on a node's kernel to completion."""
+def run_until_done(sim, done, horizon_ns=HORIZON_NS):
+    """Run ``sim`` until ``done()`` holds, for at most ``horizon_ns`` of
+    virtual time from now."""
+    sim.run_until(sim.now + horizon_ns, stop=done)
+    assert done(), "did not finish within the horizon"
+
+
+def drive(sim, kernel, gen, horizon_ns=HORIZON_NS):
+    """Run a generator task on a node's kernel to completion, within
+    ``horizon_ns`` of virtual time."""
     fut = kernel.spawn(gen)
-    sim.run_until(deadline, stop=lambda: fut.done)
-    assert fut.done, "task did not finish before the deadline"
+    run_until_done(sim, lambda: fut.done, horizon_ns)
     return fut.value
 
 

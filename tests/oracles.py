@@ -9,7 +9,7 @@ measure the timestamp guarantee and batching against it.
 
 import random
 
-from conftest import one_region
+from conftest import one_region, run_until_done
 
 from chronokv.clock import OracleServer
 from chronokv.errors import OracleUnavailable
@@ -252,7 +252,7 @@ def timestamp_property_sweep(seed: int, txns: int = 10_000, hosts: int = 10,
             host.k.spawn(stream(host, proxy, proxy.cwt_ns, quota, rng))
             idx += 1
 
-    sim.run_until(1 << 62, stop=lambda: state["done"] == total_streams)
+    run_until_done(sim, lambda: state["done"] == total_streams)
     return {
         "txns": state["issued"],
         "violations": violations,
@@ -280,7 +280,7 @@ def bench_timestamp_service(seed: int, mode: str, n: int = 20_000,
         state["done"] = True
 
     host.k.spawn(driver())
-    sim.run_until(1 << 60, stop=lambda: state["done"])
+    run_until_done(sim, lambda: state["done"])
     return {
         "requests": proxy.requests,
         "fetches": proxy.fetches,

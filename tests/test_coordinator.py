@@ -5,7 +5,7 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
-from conftest import ask_once, drive, replies_to_one_try
+from conftest import ask_once, drive, replies_to_one_try, run_until_done
 
 from chronokv.checkers import (
     check_strict_serializability,
@@ -137,9 +137,9 @@ def faults_yaml_trace():
 
 
 def oracle_outage_trace():
-    # Both clients of c0.SH begin while its oracle is down, and share the
-    # fetch that fails them.
-    fs = FaultSchedule(oracle_outages=[OracleOutage(0, 0, 1 << 62)])
+    # Both clients of c0.SH begin while its oracle is down, share its
+    # fetches, and wait the outage out.
+    fs = FaultSchedule(oracle_outages=[OracleOutage(0, 0, 2 * SEC)])
     return run_scenario(small(txns_per_client=3, faults=fs)).trace
 
 
@@ -217,7 +217,7 @@ def ask_recorder_at_once(move_register: bool):
     if move_register:
         sim.run_until(sim.now + node.storage.flush_ns // 2)
         node.storage.membership[role] = other.node_id
-    sim.run_until(1 << 62, stop=lambda: all(a.done for a in asks))
+    run_until_done(sim, lambda: all(a.done for a in asks))
     records = [f["txn"] for _t, kind, f in sim.trace.events
                if kind == "record"]
     return [a.value for a in asks], records, txn
@@ -266,12 +266,12 @@ def test_a_parked_push_is_told_pending_and_answered_once_under_its_request_id():
 
     cluster.net.send = recording
     push = coord.k.spawn(request(coord.k, role, PushReq(role, txn),
-                                 attempts=None, roles=roles))
+                                 roles=roles))
     sim.run_until(sim.now + 200 * MS)
     decide = coord.k.spawn(ask_once(coord.k, node.node_id,
                                     DecideReq(role, txn, COMMIT, [1]),
                                     100 * MS))
-    sim.run_until(1 << 62, stop=lambda: push.done and decide.done)
+    run_until_done(sim, lambda: push.done and decide.done)
     assert push.value == PushResp(COMMIT, decide.value.epoch)
     assert len(reads) == 1  # a long poll keeps the owner
     asked = [t for t, kind, _rid in sent if kind is PushReq]
@@ -295,7 +295,7 @@ def test_a_decide_between_an_adopters_cas_and_its_reload_is_refused():
     # the register read lands with the CAS, a storage read before the
     # reload, and the decide reaches the adopter between the two
     resp = drive(sim, coord.k, request(
-        coord.k, role, DecideReq(role, txn, COMMIT, [1]), attempts=5,
+        coord.k, role, DecideReq(role, txn, COMMIT, [1]),
         roles=coord.membership))
     assert resp.status == COMMITTED
     assert refused == [(refused[0][0], NotOwner(role))]
@@ -381,8 +381,9 @@ def test_a_txn_begun_during_a_short_oracle_outage_commits():
     assert res.ts.nanos > 200 * MS
 
 
-def test_a_begin_in_a_permanent_outage_fails_after_thirty_fetches():
-    fs = FaultSchedule(oracle_outages=[OracleOutage(0, 0, 1 << 62)])
+def test_a_begin_in_a_long_outage_asks_the_oracle_until_it_ends():
+    outage_end = 2 * SEC
+    fs = FaultSchedule(oracle_outages=[OracleOutage(0, 0, outage_end)])
     cluster, coord = idle_cluster(fs)
     fetches = []
     send = cluster.net.send
@@ -394,10 +395,15 @@ def test_a_begin_in_a_permanent_outage_fails_after_thirty_fetches():
 
     cluster.net.send = recording
     h = drive(cluster.sim, coord.k, coord.begin())
-    assert (h.status, h.reason, h.ts) == ("failed", "oracle", None)
-    assert len(fetches) == 30
-    # 29 backoffs of 2, 4, ..., 50 ms, the last four capped: 850 ms
-    assert 849 * MS < fetches[-1] - fetches[0] < 852 * MS
+    assert h.status == "active"
+    assert h.ts.nanos > outage_end > fetches[-2]
+    # the outage outlasts 40 fetches and their back-offs
+    assert len(fetches) > 40
+    # each refused fetch is followed by a back-off of 2, 4, ..., 50 ms,
+    # the rule every request follows, and an in-rack round trip
+    gaps = [b - a for a, b in zip(fetches, fetches[1:])]
+    for i, gap in enumerate(gaps):
+        assert retry_backoff_ns(i) < gap < retry_backoff_ns(i) + MS
 
 
 def test_a_write_run_is_sent_at_once_coalesced_with_one_lead_write():
@@ -560,7 +566,7 @@ def test_an_rt_conflict_stops_other_chains_and_finalizes_their_intents():
          ("w", b, "w.3")]))
     sim.run_until(sim.now + 10 * MS)
     drive(sim, coord.k, coord.run_txn([("r", a)]))
-    sim.run_until(1 << 62, stop=lambda: writer.done)
+    run_until_done(sim, lambda: writer.done)
     res = writer.value
     assert (res.status, res.reason) == ("aborted", "rt_conflict")
     # a's write is refused at once, in SH; b's read is still on the wire
@@ -601,28 +607,68 @@ def test_a_client_killed_by_a_crash_mid_segment_is_released_at_the_crash():
         gc.enable()
 
 
-def test_a_commit_given_up_as_unknown_is_aborted_once_its_recorder_answers():
-    # every decide is lost for 5 s, well past the coordinator's retries
+def test_a_commit_whose_decides_are_lost_for_five_seconds_commits():
+    # every decide is lost for 5 s, which takes dozens of tries; the
+    # commit asks until a decide lands
     lost = MsgFilter(kinds=frozenset({"DecideReq"}), prob=1.0,
                      end_ns=5 * SEC)
     cluster, coord = idle_cluster(FaultSchedule(msg_filters=[lost]))
     sim = cluster.sim
     [a] = keys_on(cluster, "d0.SH")
-    res = drive(sim, coord.k, coord.run_txn([("w", a, "lost")]))
-    assert (res.status, res.reason) == ("unknown", "decide_unreachable")
-    assert sim.now < 5 * SEC
-
-    # the coordinator stays alive and keeps heartbeating, so only its own
-    # retries can decide the record
-    sim.run_until(6 * SEC)
+    decides = record_sends(cluster, DecideReq)
+    res = drive(sim, coord.k, coord.run_txn([("w", a, "late")]))
+    assert (res.status, res.reason) == ("committed", None)
+    assert decides[-1][0] >= 5 * SEC > decides[-2][0]
     h = build_history(sim.trace.events)
-    assert terminal_records(h)[res.txn][0] == "aborted"
+    assert terminal_records(h)[res.txn][0] == "committed"
+
+    # the coordinator stayed alive and heartbeating, so no sweep raced
+    # it, and its finalize installs the write
+    sim.run_until(sim.now + SEC)
     for chain in cluster.data_nodes[0].store.chains.values():
         assert res.txn not in chain.intents
     reader = drive(sim, coord.k, coord.run_txn([("r", a)]))
-    assert reader.reads[0][3] is None
+    assert reader.reads[0][3] == "late"
     assert not [p for p in build_history(sim.trace.events).pushes
                 if p[3] == reader.txn]
+
+
+def test_a_write_its_primary_misses_for_two_seconds_commits_once_it_lands():
+    # the primary shares the coordinator's region, so each try waits the
+    # 5 ms floor: the 2 s take more than 30 tries
+    lost = MsgFilter(kinds=frozenset({"WriteReq"}), prob=1.0,
+                     end_ns=2 * SEC)
+    cluster, coord = idle_cluster(FaultSchedule(msg_filters=[lost]))
+    sim = cluster.sim
+    [a] = keys_on(cluster, "d0.SH")
+    writes = record_sends(cluster, WriteReq)
+    res = drive(sim, coord.k, coord.run_txn([("w", a, "v")]))
+    assert (res.status, res.reason) == ("committed", None)
+    assert len(writes) > 30
+    assert writes[-1][0] >= 2 * SEC > writes[-2][0]
+    h = build_history(sim.trace.events)
+    assert terminal_records(h)[res.txn][0] == "committed"
+
+
+def test_a_write_to_a_crashed_primary_waits_for_its_restart_floor():
+    # A crashed primary is asked until it is back. It lost its read
+    # timestamps, so it then refuses writes below its restart floor, as
+    # this one is; the refusal is an abort the recorder makes durable.
+    down, up = 100 * MS, 2100 * MS
+    fs = FaultSchedule(crashes=[CrashDirective("d0.SH", down, up)])
+    cluster, coord = idle_cluster(fs)
+    sim = cluster.sim
+    [a] = keys_on(cluster, "d0.SH")
+    sim.run_until(down + MS)
+    writes = record_sends(cluster, WriteReq)
+    res = drive(sim, coord.k, coord.run_txn([("w", a, "v")]))
+    assert (res.status, res.reason) == ("aborted", "rt_conflict")
+    assert writes[0][0] < up < writes[-1][0]
+    [recovered] = [f for _t, kind, f in sim.trace.events
+                   if kind == "recovered"]
+    assert res.ts.nanos < recovered["rt_floor"]
+    h = build_history(sim.trace.events)
+    assert terminal_records(h)[res.txn][0] == "aborted"
 
 
 @pytest.mark.parametrize("conflict", ["lead", "other"])
@@ -637,7 +683,7 @@ def test_an_rt_conflict_on_any_write_of_a_run_aborts_durably(conflict):
     # a later reader raises one key's read timestamp above the writer's
     hot = a if conflict == "lead" else b
     drive(sim, coord.k, coord.run_txn([("r", hot)]))
-    sim.run_until(1 << 62, stop=lambda: writer.done)
+    run_until_done(sim, lambda: writer.done)
     res = writer.value
     assert (res.status, res.reason) == ("aborted", "rt_conflict")
 
@@ -656,7 +702,7 @@ def test_a_commit_settled_after_its_coordinator_crashed_keeps_its_ts():
     [a] = keys_on(cluster, "d0.SH")
     decides = record_sends(cluster, DecideReq)
     coord.k.spawn(coord.run_txn([("w", a, "orphan")]))
-    sim.run_until(1 << 62, stop=lambda: bool(decides))
+    run_until_done(sim, lambda: bool(decides))
     sim.after(1, coord.crash)  # the decide is already on the wire
     sim.run_until(sim.now + 1 * SEC)
     coord.restart()
@@ -721,7 +767,7 @@ def test_a_reader_parked_past_the_heartbeat_timeout_on_a_live_txn_waits():
     res = drive(sim, reader.k, reader.run_txn([("r", "x")]))
     assert sim.now - start > HB_TIMEOUT_NS
     assert res.reads[0][3] == "new"
-    sim.run_until(1 << 62, stop=lambda: w.done)
+    run_until_done(sim, lambda: w.done)
     assert w.value.status == "committed"
 
 
@@ -748,7 +794,7 @@ def test_a_read_parked_behind_a_long_hold_commits(hold):
     # and a re-ask does not park the read again: one answer comes back
     # (the writer reads nothing, so every ReadResp is the reader's)
     assert sum(isinstance(p, ReadResp) for _t, p in reads) <= 2
-    sim.run_until(1 << 62, stop=lambda: w.done)
+    run_until_done(sim, lambda: w.done)
     assert w.value.status == "committed"
 
 
@@ -769,7 +815,7 @@ def test_a_read_parked_past_a_stuck_push_is_answered_once_a_push_lands():
     sim.run_until(sim.now + 10 * MS)
     pushes = record_sends(cluster, PushReq)
     res = drive(sim, reader.k, reader.run_txn([("r", "x")]),
-                deadline=sim.now + 5 * SEC)
+                horizon_ns=5 * SEC)
     assert w.value.status == "committed"
     assert res.reads[0][3] == "new"
     assert sim.now > lost_until
@@ -828,7 +874,7 @@ def test_a_takeover_during_a_live_writers_hold_does_not_sweep_it():
     sim.run_until(sim.now + 100 * MS)
     assert not r.done  # parked
     standby.k.spawn(standby.recorder.adopt_role(writer.home_role, "d0.SH"))
-    sim.run_until(1 << 62, stop=lambda: w.done and r.done)
+    run_until_done(sim, lambda: w.done and r.done)
     assert [f["node"] for _t, kind, f in sim.trace.events
             if kind == "takeover"] == [standby.node_id]
     assert (w.value.status, w.value.reason) == ("committed", None)

@@ -1,7 +1,7 @@
 """Replica reads: epoch-gated visibility in fresh, stale, and mixed modes."""
 
 import pytest
-from conftest import ask_once, drive
+from conftest import ask_once, drive, run_until_done
 
 from chronokv.checkers import run_all_checks
 from chronokv.cluster import Cluster, run_scenario
@@ -143,7 +143,7 @@ def test_a_replica_read_does_not_wait_for_a_txn_parked_behind_a_slow_writer():
     assert took < 200 * MS
     assert not t.done and not slow.done
     assert resp.reads == [("y", None, None)]
-    sim.run_until(1 << 62, stop=lambda: t.done)
+    run_until_done(sim, lambda: t.done)
     assert t.value.status == "committed"
     [epoch] = [f["epoch"] for _t, kind, f in sim.trace.events
                if kind == "txn_end" and f["txn"] == t.value.txn]

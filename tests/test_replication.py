@@ -2,7 +2,7 @@
 the one retry loop for requests to a fixed node and to a recorder role's
 owner."""
 
-from conftest import Host, drive, one_region
+from conftest import Host, drive, one_region, run_until_done
 
 from chronokv.history import build_history
 from chronokv.messages import NotOwner, Pending
@@ -31,7 +31,7 @@ def rig(flush_ns=500_000):
 
 
 def run(sim, fut):
-    sim.run_until(1 << 62, stop=lambda: fut.done)
+    run_until_done(sim, lambda: fut.done)
     return fut.value
 
 
@@ -158,21 +158,24 @@ ONE_WAY = 100_000  # half the 0.2 ms rtt of one_region, without jitter
 
 
 class Owner(Node):
-    """Answers every request with ``answer``, or stays silent when it is
-    None, and remembers when each request arrived."""
+    """Answers every request from its ``answer_from``-th on with
+    ``answer``, or stays silent when that is None, and remembers when each
+    request arrived."""
 
     kind = "host"
 
-    def __init__(self, sim, net, node_id, answer):
+    def __init__(self, sim, net, node_id, answer, answer_from=1):
         super().__init__(sim, net, node_id, "R0")
         self.answer = answer
+        self.answer_from = answer_from
         self.arrivals = []
         self.last = None  # the latest request envelope
 
     def handle(self, env):
         self.arrivals.append(self.sim.now)
         self.last = env
-        if self.answer is not None:
+        if self.answer is not None and \
+                len(self.arrivals) >= self.answer_from:
             self.k.reply(env, self.answer)
 
 
@@ -193,7 +196,7 @@ def test_call_follows_not_owner_to_the_new_owner_without_sleeping():
     st.membership[ROLE] = "s0.R0"  # a takeover the caller has not seen
     start = sim.now
     assert drive(sim, caller.k,
-                 request(caller.k, ROLE, "req", 3, roles=d)) == "created"
+                 request(caller.k, ROLE, "req", roles=d)) == "created"
     assert len(old.arrivals) == len(new.arrivals) == 1
     # a round trip to the old owner, one register read, a round trip to
     # the new owner, and no sleep anywhere
@@ -201,42 +204,48 @@ def test_call_follows_not_owner_to_the_new_owner_without_sleeping():
 
 
 def test_call_backs_off_between_timeouts_and_not_after_the_last():
-    # a role waits out each try by the same rule as a node does
+    # a role waits out each try by the same rule as a node does; the
+    # last try is the one answered
     sim, net, st, caller, d = call_rig()
-    silent = Owner(sim, net, "d0.R0", None)
-    attempts = 30
+    tries = 30
+    owner = Owner(sim, net, "d0.R0", "late", answer_from=tries)
     timeout = try_timeout_ns(caller.k, "d0.R0")
     assert timeout == 5 * MS  # the floor, for a 0.2 ms rtt
     assert drive(sim, caller.k,
-                 request(caller.k, ROLE, "req", attempts, roles=d)) is None
-    arrivals = silent.arrivals
-    assert len(arrivals) == attempts
+                 request(caller.k, ROLE, "req", roles=d)) == "late"
+    arrivals = owner.arrivals
+    assert len(arrivals) == tries
     # each timeout drops the owner, so the next try re-reads the register
     # after its back-off
     sleeps = [b - a - timeout - st.read_ns
               for a, b in zip(arrivals, arrivals[1:])]
-    assert sleeps == [min(2 * (i + 1), 50) * MS for i in range(attempts - 1)]
+    assert sleeps == [min(2 * (i + 1), 50) * MS for i in range(tries - 1)]
     assert sleeps[-1] == 50 * MS
-    # the call returns when the last try times out
-    assert sim.now == arrivals[-1] - ONE_WAY + timeout
+    # the call returns with the last try's answer, and sleeps no more
+    assert sim.now == arrivals[-1] + ONE_WAY
 
 
 def test_call_without_a_limit_asks_until_it_is_answered():
     sim, net, _st, caller, d = call_rig()
     owner = Owner(sim, net, "d0.R0", None)
     sim.at(2 * SEC, lambda: setattr(owner, "answer", "late"))
-    got = drive(sim, caller.k,
-                request(caller.k, ROLE, "req", attempts=None, roles=d))
+    got = drive(sim, caller.k, request(caller.k, ROLE, "req", roles=d))
     assert got == "late"
-    assert len(owner.arrivals) > 30  # past a commit's decide
+    assert len(owner.arrivals) > 30
     assert owner.arrivals[-1] >= 2 * SEC
 
 
-def test_call_without_an_owner_sleeps_and_gives_up_after_its_attempts():
+def test_call_without_an_owner_sleeps_until_one_is_registered():
     sim, net, st, caller, d = call_rig(owner=None)
-    assert drive(sim, caller.k, request(caller.k, ROLE, "req", 4, roles=d)) \
-        is None
-    assert sim.now == 4 * (st.read_ns + 5 * MS)
+    owner = Owner(sim, net, "d0.R0", "found")
+    # four register reads find no owner, each followed by a 5 ms sleep;
+    # the owner is registered during the fourth sleep
+    lookups = 4 * (st.read_ns + 5 * MS)
+    sim.at(lookups - 1, lambda: st.set_initial_owner(ROLE, "d0.R0"))
+    assert drive(sim, caller.k,
+                 request(caller.k, ROLE, "req", roles=d)) == "found"
+    assert owner.arrivals == [lookups + st.read_ns + ONE_WAY]
+    assert sim.now == lookups + st.read_ns + 2 * ONE_WAY
 
 
 # -- request to a node ---------------------------------------------------------
@@ -244,18 +253,17 @@ def test_call_without_an_owner_sleeps_and_gives_up_after_its_attempts():
 
 def test_node_loop_backs_off_between_unanswered_tries_and_not_after_the_last():
     sim, net, _st, caller, _d = call_rig()
-    silent = Owner(sim, net, "d0.R0", None)
-    attempts = 6
+    tries = 6
+    owner = Owner(sim, net, "d0.R0", "late", answer_from=tries)
     timeout = try_timeout_ns(caller.k, "d0.R0")
     assert timeout == 5 * MS  # the floor: 1.25 round trips of 0.2 ms
-    assert drive(sim, caller.k,
-                 request(caller.k, "d0.R0", "req", attempts)) is None
-    arrivals = silent.arrivals
-    assert len(arrivals) == attempts
+    assert drive(sim, caller.k, request(caller.k, "d0.R0", "req")) == "late"
+    arrivals = owner.arrivals
+    assert len(arrivals) == tries
     sleeps = [b - a - timeout for a, b in zip(arrivals, arrivals[1:])]
-    assert sleeps == [retry_backoff_ns(i) for i in range(attempts - 1)]
-    # the loop returns when the last try times out
-    assert sim.now == arrivals[-1] - ONE_WAY + timeout
+    assert sleeps == [retry_backoff_ns(i) for i in range(tries - 1)]
+    # the loop returns with the last try's answer, and sleeps no more
+    assert sim.now == arrivals[-1] + ONE_WAY
 
 
 def test_node_loop_does_not_count_parked_tries_and_reasks_every_long_poll():
@@ -263,23 +271,10 @@ def test_node_loop_does_not_count_parked_tries_and_reasks_every_long_poll():
     parker = Owner(sim, net, "d0.R0", Pending())
     answer_at = 4 * LONG_POLL_NS
     sim.at(answer_at, lambda: parker.k.reply(parker.last, "value"))
-    # one try: a loop that counted the parked ones would give up at the
-    # first re-ask, long before the answer
-    assert drive(sim, caller.k,
-                 request(caller.k, "d0.R0", "req", attempts=1)) == "value"
+    assert drive(sim, caller.k, request(caller.k, "d0.R0", "req")) == "value"
     assert sim.now == answer_at + ONE_WAY
-    # each re-ask leaves LONG_POLL_NS after the parked reply came back
+    # each re-ask leaves LONG_POLL_NS after the parked reply came back: a
+    # parked try is not an unanswered one, so no back-off is added
     gaps = [b - a for a, b in zip(parker.arrivals, parker.arrivals[1:])]
     assert gaps == [LONG_POLL_NS + 2 * ONE_WAY] * (len(parker.arrivals) - 1)
     assert len(parker.arrivals) == 4
-
-
-def test_node_loop_with_one_attempt_sends_exactly_once():
-    sim, net, _st, caller, _d = call_rig()
-    silent = Owner(sim, net, "d0.R0", None)
-    got = drive(sim, caller.k,
-                request(caller.k, "d0.R0", "req", attempts=1,
-                        timeout_ns=7 * MS))
-    assert got is None
-    assert len(silent.arrivals) == 1
-    assert sim.now == 7 * MS

@@ -26,7 +26,7 @@ PINNED = {
     "baseline.yaml":
         "28ff9399aa1fe477bfbc4bf1e5c347591d6d7af5deb96738b316cf3416c47ab7",
     "faults.yaml":
-        "ebec5d7025ed0a0633df42cd6aa8894c7bd0f60591bf92a2b34d9405cc007ec7",
+        "b8a23f67acdf82a20da9e4f8e106fb4a83200290f683e16b37b9eb0e4250c25c",
 }
 
 # The benchmark's workloads at seed 1, full size.

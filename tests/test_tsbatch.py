@@ -11,7 +11,7 @@ from chronokv.cluster import run_scenario
 from chronokv.errors import InvalidConfig, OracleUnavailable
 from chronokv.messages import TsReq, TsErr
 from chronokv.scenario import Scenario
-from chronokv.simnet import MS, FaultSchedule, OracleOutage
+from chronokv.simnet import MS, FaultSchedule, MsgFilter, OracleOutage
 from chronokv.tsbatch import (
     STEP_NS,
     Timestamp,
@@ -221,14 +221,30 @@ def test_an_acquire_in_an_outage_asks_the_oracle_once(mode):
     assert proxy.fetches == 1
 
 
-def test_acquire_waiting_gives_up_after_its_attempts():
-    faults = FaultSchedule(oracle_outages=[
-        OracleOutage(server_id=0, start_ns=0, end_ns=1 << 62)])
-    sim, host, proxy = proxy_rig(faults=faults)
-    assert drive(sim, host.k, proxy.acquire_waiting(attempts=3)) is None
-    assert proxy.requests == proxy.fetches == 3
-    # backed off by 2 and then 4 ms
-    assert 6 * MS < sim.now < 7 * MS
+def test_a_fetch_the_oracle_never_answers_is_one_try_of_one_ms():
+    # a probe, not a request: one TsReq, heard for FETCH_TIMEOUT_NS, and
+    # no second try; acquire_waiting is the loop that asks again
+    lost = MsgFilter(kinds=frozenset({"TsReq"}), prob=1.0)
+    sim, host, proxy = proxy_rig(faults=FaultSchedule(msg_filters=[lost]))
+    asked = []
+    send = host.net.send
+
+    def recording(src, dst_id, payload, rid=0, is_reply=False):
+        if isinstance(payload, TsReq):
+            asked.append(sim.now)
+        send(src, dst_id, payload, rid, is_reply)
+
+    host.net.send = recording
+
+    def attempt():
+        try:
+            yield from proxy.acquire()
+        except OracleUnavailable:
+            return sim.now
+
+    assert drive(sim, host.k, attempt()) == TsProxy.FETCH_TIMEOUT_NS == MS
+    assert asked == [0]
+    assert proxy.fetches == 1
 
 
 def test_acquire_waiting_outlasts_an_outage_in_five_ms_pauses():
