@@ -68,19 +68,20 @@ def terminal_records(h: History) -> dict:
 
 
 def effective_outcomes(h: History) -> dict:
-    """txn -> (status, epoch). Client-visible outcome, with unknowns
-    settled by their durable record where one exists."""
+    """txn -> (status, epoch). Client-visible outcome; a transaction that
+    never ended (a crash killed it) is settled by its durable record
+    where one exists, and is unknown where none does."""
     records = terminal_records(h)
     out: dict = {}
     for t in h.txns.values():
         status, epoch = t.status, t.epoch
-        if status in ("unknown", None, "failed"):
+        if status is None:
             rec = records.get(t.txn)
-            if rec is not None:
+            if rec is None:
+                status = "unknown"
+            else:
                 status = "committed" if rec[0] == COMMITTED else "aborted"
                 epoch = rec[1]
-            elif status is None:
-                status = "unknown"
         out[t.txn] = (status, epoch)
     return out
 

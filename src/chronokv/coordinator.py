@@ -4,11 +4,24 @@ A coordinator runs transactions for co-located clients: it takes one
 timestamp up front, which doubles as the read snapshot and the commit
 timestamp, so what an op returns depends on that timestamp and not on
 when the op is sent. The ops between two holds therefore leave at once,
-one chain per key: a chain keeps its key's ops in program order, and
-consecutive writes in it are coalesced into one write carrying the last
-value, so no two writes of one transaction to one key are ever in flight
-together. Reads are held back so that they land together with the
-segment's farthest op (see ``Coordinator._run_chain``).
+one chain per key, by these rules (see ``Coordinator._run_chain``):
+
+- a chain keeps its key's ops in program order, and consecutive writes
+  in it are coalesced into one write carrying the last value, so no two
+  writes of one transaction to one key are ever in flight together;
+- a read of a key the transaction has written is answered from its own
+  write buffer;
+- a read at the primary carries the run of writes that follows it, so a
+  read-modify-write is one round trip: a primary that finds the key free
+  applies the read rule and then the write rule in one event, leaving
+  the intent for later readers to wait on where a reader with a later
+  timestamp would otherwise have refused the write. A read that must
+  wait behind an undecided intent is answered as a plain read, and its
+  writes then go on their own. So no op installs an intent as it wakes,
+  and readers of a hot key queue behind one holder at a time, not
+  behind a convoy of waiters that each become the next holder;
+- reads are held back so that they land together with the segment's
+  farthest op.
 
 Every writing transaction's record lives at the coordinator's home role:
 the recorder role of the data node nearest to it, fixed when the
@@ -377,9 +390,15 @@ class Coordinator(Node):
         ``begin`` minted."""
         return txn.rsplit(":", 1)[0]
 
-    def execute_read(self, h: TxnHandle, key: str, idx: int):
+    def execute_read(self, h: TxnHandle, key: str, idx: int, ops=None):
         """Generator -> value. Read ``key`` at ``h.ts`` as op ``idx``; a key
-        this transaction has written is read from its own write buffer."""
+        this transaction has written is read from its own write buffer.
+
+        ``ops``, if given, is the run of writes to ``key`` that follows the
+        read in its chain, as ``execute_write`` takes it. The read then
+        carries their write, which the primary applies along with the read
+        if the key is free; else the chain sends it on its own once the
+        read is answered (see ``_run_chain``)."""
         if key in h.write_buf:
             value = h.write_buf[key]
             h.reads.append((idx, key, h.ts, value))
@@ -387,11 +406,15 @@ class Coordinator(Node):
                          vts=list(h.ts), val=value)
             return value
         node = self.router.primary(key)
-        resp = yield from request(self.k, node, ReadReq(key, h.ts, h.txn))
+        write = self._write_req(h, key, ops) if ops else None
+        resp = yield from request(self.k, node,
+                                  ReadReq(key, h.ts, h.txn, write))
         vts = Timestamp(*resp.version_ts) if resp.version_ts else None
         h.reads.append((idx, key, vts, resp.value))
         self.k.trace("op", txn=h.txn, i=idx, op="r", key=key,
                      vts=list(vts) if vts else None, val=resp.value)
+        if resp.write is not None:
+            self._wrote(h, node, key, ops, resp.write)
         return resp.value
 
     def execute_write(self, h: TxnHandle, key: str, ops: list):
@@ -404,8 +427,17 @@ class Coordinator(Node):
         transaction; ops of other chains already in flight finish, so
         their intents are known to the abort."""
         node = self.router.primary(key)
-        req = WriteReq(key, h.txn, h.ts, ops[-1][1], h.role, ops[-1][0])
-        resp = yield from request(self.k, node, req)
+        resp = yield from request(self.k, node, self._write_req(h, key, ops))
+        return self._wrote(h, node, key, ops, resp)
+
+    @staticmethod
+    def _write_req(h: TxnHandle, key: str, ops: list) -> WriteReq:
+        return WriteReq(key, h.txn, h.ts, ops[-1][1], h.role, ops[-1][0])
+
+    def _wrote(self, h: TxnHandle, node: str, key: str, ops: list,
+               resp) -> bool:
+        """Fold a write's ack into ``h``: a refusal aborts the
+        transaction, and an accepted intent is noted for the finalize."""
         if not resp.ok:
             if h.status == "active":
                 h.status, h.reason = "aborted", "rt_conflict"
@@ -440,8 +472,11 @@ class Coordinator(Node):
 
     def _run_chain(self, h: TxnHandle, chain: list, horizon: int):
         """Generator: the ``(index, op)`` of one key, in program order.
-        Reads go one at a time; each run of consecutive writes is one
-        write. No op is sent once the transaction has aborted.
+        Each run of consecutive writes is one write, and a read at the
+        primary carries the run that follows it, so a read-modify-write
+        costs one round trip when its key is free. A run whose read came
+        back without its ack goes on its own. No op is sent once the
+        transaction has aborted.
 
         Aligned reads: a read sets its key's read timestamp when it lands,
         and a primary refuses the writes below that timestamp still on
@@ -453,22 +488,26 @@ class Coordinator(Node):
         while i < len(chain) and h.status == "active":
             idx, op = chain[i]
             i += 1
+            key = op[1]
+            ops = [(idx, op[2])] if op[0] == "w" else []
+            while i < len(chain) and chain[i][1][0] == "w":
+                ops.append((chain[i][0], chain[i][1][2]))
+                i += 1
             if op[0] == "r":
-                key = op[1]
-                if key not in h.write_buf:
+                if key in h.write_buf:
+                    yield from self.execute_read(h, key, idx)
+                else:
                     wait = (horizon - self.k.local_now()
                             - self.k.one_way_ns(self.router.primary(key)))
                     if wait > 0:
                         yield self.k.sleep_local(wait)
                         if h.status != "active":
                             break
-                yield from self.execute_read(h, key, idx)
-                continue
-            ops = [(idx, op[2])]
-            while i < len(chain) and chain[i][1][0] == "w":
-                ops.append((chain[i][0], chain[i][1][2]))
-                i += 1
-            yield from self.execute_write(h, op[1], ops)
+                    yield from self.execute_read(h, key, idx, ops)
+                    if key in h.write_buf:  # the writes rode on the read
+                        ops = []
+            if ops and h.status == "active":
+                yield from self.execute_write(h, key, ops)
 
     def commit(self, h: TxnHandle):
         """Generator -> final status string. The commit wait for h.ts must
@@ -536,8 +575,9 @@ class Coordinator(Node):
         (see ``_run_chain``): the snapshot is ``ts`` whenever an op is
         sent, and a chain keeps each key's ops ordered, because a read
         must not overtake the transaction's own write to its key. So a
-        segment pays about one round trip per op on its busiest key, not
-        one per op. A writer's record will be at the home role."""
+        segment pays at most one round trip per op on its busiest key
+        (one per read-modify-write of a free key), not one per op. A
+        writer's record will be at the home role."""
         h = yield from self.begin()
         if any(op[0] == "w" for op in program):
             h.role = self.home_role

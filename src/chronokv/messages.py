@@ -41,15 +41,25 @@ class TsErr:
 
 @dataclass(slots=True)
 class ReadReq:
+    """A read at a key's primary. A read-modify-write also carries the
+    write that follows it in its chain (``write``, to the same key at the
+    same timestamp): if the read meets no undecided intent below it when
+    it arrives, the primary applies the write rule in the same event and
+    answers both. A read that must wait is answered as a plain read, and
+    the coordinator sends its write on its own."""
+
     key: str
     ts: tuple
     reader: str  # txn id or replica-reader tag, for push bookkeeping
+    write: Optional[WriteReq] = None
 
 
 @dataclass(slots=True)
 class ReadResp:
     value: Optional[str]
     version_ts: Optional[tuple]
+    # The answer to the request's ``write``, or None if it was not applied
+    write: Optional[WriteResp] = None
 
 
 @dataclass(slots=True)

@@ -210,7 +210,7 @@ def run_summary(result) -> dict:
         "seed": sc.seed,
         "txns": len(h.txns),
         **{status: outcomes[status]
-           for status in ("committed", "aborted", "failed", "unknown")},
+           for status in ("committed", "aborted", "unknown")},
         "abort_reasons": dict(Counter(t.reason for t in h.txns.values()
                                       if t.reason is not None)),
         "latency": latency_summary(h),

@@ -20,6 +20,13 @@ any node, message or clock:
   accept everything else optimistically as an intent. Only a later op
   (a larger ``idx``) replaces it, and the primary logs only an intent
   that changed. Only primaries write;
+- the read-modify-write rule, which only orders the three above and so
+  lives on the primary, in ``DataNode._read_task``: a read that carries
+  a write, and that ``blocker`` lets through the moment it arrives,
+  applies the read rule and then the write rule in the same event, and
+  answers both. A read that had to wait answers as a plain read and
+  installs nothing, so an op that parked never holds a key against the
+  readers queued behind it;
 - the settle rule, ``KeyStore.resolve`` with ``KeyStore.insert_intent``:
   a verdict promotes or drops a transaction's intents, and an intent
   whose verdict is already known applies it at once. Primaries settle
@@ -384,11 +391,17 @@ class DataNode(Node):
     # -- reads -------------------------------------------------------------------
 
     def _read_task(self, env, r: ReadReq):
+        """Generator -> ReadResp. A read that carries a write and finds
+        its key free applies the write rule in the same event, right
+        after the read rule, and answers its ack too; one that had to
+        park leaves the write to its own request."""
         chain = self.store.touch(r.key)
+        fused = r.write is not None and chain.blocker(r.ts, r.reader) is None
         yield from self.settler.settle_below(
             chain, r.ts, r.reader, on_park=lambda: tell_parked(self, env))
         vts, value = chain.read(r.ts)
-        return ReadResp(value, vts)
+        ack = (yield from self._write_task(r.write)) if fused else None
+        return ReadResp(value, vts, ack)
 
     # -- writes -------------------------------------------------------------------
 

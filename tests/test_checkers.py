@@ -122,15 +122,22 @@ def test_commit_record_checker_flags_a_record_contradicting_the_client():
 
 
 def test_effective_outcomes_settles_unknowns_by_their_durable_record():
+    # a crash killed "c" and "a" before their txn_end; their recorder
+    # decided them anyway. "open" was never decided.
     h = History()
-    h.txns["u"] = TxnInfo("u", 0, end_ns=10, status="unknown", ts=ts(5))
-    h.txns["f"] = TxnInfo("f", 0, end_ns=10, status="failed")
-    h.txns["open"] = TxnInfo("open", 0)  # still running at the end
-    h.records = [(8, "rec/a.SH", "u", "committed", 3)]
+    h.txns["c"] = TxnInfo("c", 0, ts=ts(5))
+    h.txns["a"] = TxnInfo("a", 0, ts=ts(6))
+    h.txns["open"] = TxnInfo("open", 0)
+    h.txns["ended"] = TxnInfo("ended", 0, end_ns=10, status="aborted",
+                              ts=ts(7), reason="rt_conflict")
+    h.records = [(8, "rec/a.SH", "c", "committed", 3),
+                 (9, "rec/a.SH", "a", "aborted", None),
+                 (12, "rec/a.SH", "ended", "aborted", None)]
     out = effective_outcomes(h)
-    assert out["u"] == ("committed", 3)
-    assert out["f"] == ("failed", None)
+    assert out["c"] == ("committed", 3)
+    assert out["a"] == ("aborted", None)
     assert out["open"] == ("unknown", None)
+    assert out["ended"] == ("aborted", None)
 
 
 # -- epochs and replicas --------------------------------------------------------

@@ -29,6 +29,7 @@ from chronokv.messages import (
     ReadResp,
     TsReq,
     WriteReq,
+    WriteResp,
 )
 from chronokv.metrics import run_summary
 from chronokv.replication import (
@@ -459,16 +460,24 @@ def test_reads_of_distinct_keys_leave_in_one_instant():
     assert res.reads[1][3] == "old"
 
 
-def test_a_write_after_a_read_of_its_key_waits_for_the_reply():
+def test_a_read_carries_the_writes_after_it_and_later_ones_wait_for_it():
     cluster, coord = idle_cluster()
     [b] = keys_on(cluster, "d1.BJ")
     sent = record_sends(cluster, (ReadReq, ReadResp, WriteReq))
-    res = drive(cluster.sim, coord.k,
-                coord.run_txn([("r", b), ("w", b, "v1")]))
+    res = drive(cluster.sim, coord.k, coord.run_txn(
+        [("r", b), ("w", b, "v1"), ("w", b, "v2"), ("r", b), ("w", b, "v4")]))
     assert res.status == "committed"
+    # the read carries the run of writes after it, coalesced; the read
+    # after them is served from the write buffer, and the last write
+    # leaves on its own once the reply has crossed back from BJ
     assert [type(p) for _t, p in sent] == [ReadReq, ReadResp, WriteReq]
-    # the reply crosses back from BJ before the write leaves SH
+    read, reply, write = (p for _t, p in sent)
+    assert (read.write.key, read.write.value, read.write.idx) == (b, "v2", 2)
+    assert reply.write.ok
+    assert (write.value, write.idx) == ("v4", 4)
     assert sent[0][0] < sent[1][0] < sent[2][0]
+    assert res.writes == [(1, b, "v1"), (2, b, "v2"), (4, b, "v4")]
+    assert res.reads == [(0, b, None, None), (3, b, res.ts, "v2")]
 
 
 def test_a_late_try_of_an_earlier_write_does_not_overwrite_a_later_one():
@@ -561,18 +570,22 @@ def test_an_rt_conflict_stops_other_chains_and_finalizes_their_intents():
     [a] = keys_on(cluster, "d0.SH")
     b, c = keys_on(cluster, "d1.BJ", 2)
     sent = record_sends(cluster, WriteReq)
+    reads = record_sends(cluster, ReadReq)
     writer = coord.k.spawn(coord.run_txn(
         [("hold", 100 * MS), ("w", a, "w.0"), ("w", c, "w.1"), ("r", b),
-         ("w", b, "w.3")]))
+         ("w", b, "w.3"), ("r", b), ("w", b, "w.5")]))
     sim.run_until(sim.now + 10 * MS)
     drive(sim, coord.k, coord.run_txn([("r", a)]))
     run_until_done(sim, lambda: writer.done)
     res = writer.value
     assert (res.status, res.reason) == ("aborted", "rt_conflict")
-    # a's write is refused at once, in SH; b's read is still on the wire
-    # to BJ then, so b's write is never sent; c's write was and landed
+    # a's write is refused at once, in SH; b's read, carrying its first
+    # write, is still on the wire to BJ then, and lands; so does c's
+    # write. b's second write would follow b's reply, and is never sent
     assert [p.key for _t, p in sent if p.txn == res.txn] == [a, c]
-    assert res.writes == [(2, c, "w.1")]
+    [read] = [p for _t, p in reads if p.reader == res.txn]
+    assert (read.key, read.write.value) == (b, "w.3")
+    assert res.writes == [(2, c, "w.1"), (4, b, "w.3")]
 
     sim.run_until(sim.now + 1 * SEC)
     h = build_history(sim.trace.events)
@@ -580,6 +593,105 @@ def test_an_rt_conflict_stops_other_chains_and_finalizes_their_intents():
     for node in cluster.data_nodes:
         for chain in node.store.chains.values():
             assert res.txn not in chain.intents
+
+
+def test_a_read_modify_write_of_a_free_key_costs_one_read_and_no_write():
+    cluster, coord = idle_cluster()
+    sim = cluster.sim
+    node = cluster.data_nodes[1]
+    [b] = keys_on(cluster, node.node_id)
+    sent = record_sends(cluster, (ReadReq, ReadResp, WriteReq, WriteResp))
+    res = drive(sim, coord.k, coord.run_txn([("r", b), ("w", b, "v1")]))
+    assert (res.status, res.reason) == ("committed", None)
+    assert [type(p) for _t, p in sent] == [ReadReq, ReadResp]
+    assert sent[1][1].write.ok
+    assert res.reads == [(0, b, None, None)]
+    assert res.writes == [(1, b, "v1")]
+    # the intent is logged once, with the write's index and value
+    entries = [e for e in node.storage.streams[node.node_id]
+               if isinstance(e, IntentEntry)]
+    assert [(e.txn, e.key, e.value, e.idx) for e in entries] == \
+        [(res.txn, b, "v1", 1)]
+    after = drive(sim, coord.k, coord.run_txn([("r", b)]))
+    assert after.reads[0][3] == "v1"
+
+
+def test_a_read_modify_write_parked_behind_an_intent_writes_on_its_own():
+    # the parked op is answered as a plain read once the older writer
+    # is decided, and only then sends its write
+    cluster, (writer, reader) = two_coordinator_cluster()
+    sim = cluster.sim
+    node = cluster.data_nodes[0]
+    drive(sim, writer.k, writer.run_txn([("w", "x", "old")]))
+    w = writer.k.spawn(writer.run_txn([("w", "x", "new"),
+                                       ("hold", 100 * MS)]))
+    sim.run_until(sim.now + 10 * MS)  # the intent on x is installed
+    sent = []  # what the reader's coordinator sends and hears
+    send = cluster.net.send
+
+    def recording(src, dst_id, payload, rid=0, is_reply=False):
+        if reader in (src, cluster.net.nodes.get(dst_id)):
+            sent.append(payload)
+        send(src, dst_id, payload, rid, is_reply)
+
+    cluster.net.send = recording
+    res = drive(sim, reader.k, reader.run_txn([("r", "x"), ("w", "x", "rmw")]))
+    assert w.value.status == "committed"
+    assert (res.status, res.reason) == ("committed", None)
+    assert res.reads[0][3] == "new"
+    ops = [p for p in sent
+           if isinstance(p, (ReadReq, Pending, ReadResp, WriteReq, WriteResp))]
+    # told it is parked, and re-asking every long poll; then answered as
+    # a plain read, and only then the write
+    kinds = [type(p) for p in ops]
+    answered = kinds.index(ReadResp)
+    assert kinds[:2] == [ReadReq, Pending]
+    assert set(kinds[:answered]) == {ReadReq, Pending}
+    assert kinds[answered:] == [ReadResp, WriteReq, WriteResp]
+    read, reply, write = ops[0], ops[answered], ops[answered + 1]
+    assert read.write is not None and reply.write is None
+    assert (write.key, write.value, write.idx) == ("x", "rmw", 1)
+    after = drive(sim, reader.k, reader.run_txn([("r", "x")]))
+    assert after.reads[0][3] == "rmw"
+    assert node.store.chains["x"].intents == {}
+
+
+def test_a_refused_read_modify_write_logs_nothing_nor_does_a_late_one():
+    cluster, coord = idle_cluster()
+    sim = cluster.sim
+    node = cluster.data_nodes[0]
+    [a] = keys_on(cluster, node.node_id)
+
+    def intents_logged():
+        return [(e.txn, e.value)
+                for e in node.storage.streams.get(node.node_id, [])
+                if isinstance(e, IntentEntry)]
+
+    # a later reader raises a's read timestamp before the op lands
+    writer = coord.k.spawn(coord.run_txn(
+        [("hold", 100 * MS), ("r", a), ("w", a, "refused")]))
+    sim.run_until(sim.now + 10 * MS)
+    drive(sim, coord.k, coord.run_txn([("r", a)]))
+    replies = record_sends(cluster, ReadResp)
+    run_until_done(sim, lambda: writer.done)
+    res = writer.value
+    assert (res.status, res.reason) == ("aborted", "rt_conflict")
+    assert [p.write for _t, p in replies] == [WriteResp(False, None)]
+    assert res.writes == [] and res.reads == [(1, a, None, None)]
+    assert intents_logged() == []
+    assert node.store.chains[a].intents == {}
+
+    # a late try of a decided transaction's op installs nothing
+    done = drive(sim, coord.k, coord.run_txn([("w", a, "v")]))
+    sim.run_until(sim.now + 100 * MS)  # its finalize lands
+    assert done.txn in node.store.decided
+    late = ReadReq(a, done.ts, done.txn,
+                   WriteReq(a, done.txn, done.ts, "late", coord.home_role, 5))
+    resp = drive(sim, coord.k, ask_once(coord.k, node.node_id, late, SEC))
+    assert resp == ReadResp("v", done.ts, WriteResp(True, None))
+    assert intents_logged() == [(done.txn, "v")]
+    assert node.store.chains[a].intents == {}
+    assert node.store.chains[a].visible(done.ts) == (done.ts, "v")
 
 
 def test_a_client_killed_by_a_crash_mid_segment_is_released_at_the_crash():

@@ -172,7 +172,8 @@ class MvtoMachine(RuleBasedStateMachine):
     overlaps every other in real time and only the timestamp order is
     checked. A read that ``blocker`` makes wait is not answered; the
     transaction may ask again later. A transaction whose write is refused
-    aborts, as its coordinator would."""
+    aborts, as its coordinator would. ``floor`` stands for a restarted
+    node's bound, below which every first write is refused."""
 
     def __init__(self):
         super().__init__()
@@ -182,6 +183,7 @@ class MvtoMachine(RuleBasedStateMachine):
         self.open = []       # undecided txns, in begin order
         self.read_ts = {}    # key -> highest timestamp a read was served at
         self.epoch = 1
+        self.floor = None
 
     def pick(self, n):
         return self.txns[self.open[n % len(self.open)]]
@@ -212,14 +214,18 @@ class MvtoMachine(RuleBasedStateMachine):
     @precondition(lambda self: self.open)
     @rule(n=st.integers(0, 7), key=st.sampled_from(KEYS))
     def write(self, n, key):
-        t = self.pick(n)
+        self.write_as(self.pick(n), key)
+
+    def write_as(self, t, key):
         i = len(t.ops)
         value = f"{t.txn}.{i}"
         first = not any(op[1] == "w" and op[2] == key for op in t.ops)
         below_rt = key in self.read_ts and t.ts < self.read_ts[key]
+        below_floor = self.floor is not None and t.ts.nanos < self.floor
         held = self.store.write(
-            key, WriteIntent(t.txn, t.ts, value, "rec/d0", self.epoch, i))
-        assert (held is None) == (first and below_rt)
+            key, WriteIntent(t.txn, t.ts, value, "rec/d0", self.epoch, i),
+            floor=self.floor)
+        assert (held is None) == (first and (below_rt or below_floor))
         if held is None:
             self.decide_as(t, ABORT)
             return
@@ -227,6 +233,33 @@ class MvtoMachine(RuleBasedStateMachine):
         self.log.append(IntentEntry(t.txn, key, t.ts, value, "rec/d0",
                                     held.proposal, i))
         t.ops.append((i, "w", key, None, value))
+
+    @precondition(lambda self: self.open)
+    @rule(n=st.integers(0, 7), key=st.sampled_from(KEYS))
+    def read_modify_write(self, n, key):
+        """A read that carries the write after it. Only a read that finds
+        the key free applies the write rule, in the same step; one that
+        must wait is answered as a plain read later, and its write goes
+        on its own, as the ``read`` and ``write`` rules do."""
+        t = self.pick(n)
+        if any(op[1] == "w" and op[2] == key for op in t.ops):
+            return  # read from the transaction's writes; the write goes alone
+        chain = self.store.touch(key)
+        if chain.blocker(t.ts, t.txn) is not None:
+            return
+        before = len(self.log)
+        self.read(self.open.index(t.txn), key)
+        self.write_as(t, key)
+        installed = t.txn in chain.intents
+        assert installed == (t.ts >= self.read_ts[key] and (
+            self.floor is None or t.ts.nanos >= self.floor))
+        logged = [e for e in self.log[before:] if isinstance(e, IntentEntry)]
+        assert len(logged) == installed
+
+    @rule(nanos=st.integers(1, 40))
+    def restart_floor(self, nanos):
+        """A restart's floor: it only ever rises."""
+        self.floor = max(self.floor or 0, nanos)
 
     @precondition(lambda self: any(
         op[1] == "w" for txn in self.open for op in self.txns[txn].ops))
@@ -241,7 +274,8 @@ class MvtoMachine(RuleBasedStateMachine):
         i, _, key, _, value = writes[m % len(writes)]
         latest = [op for op in writes if op[2] == key][-1]
         held = self.store.write(
-            key, WriteIntent(t.txn, t.ts, value, "rec/d0", self.epoch, i))
+            key, WriteIntent(t.txn, t.ts, value, "rec/d0", self.epoch, i),
+            floor=self.floor)
         assert (held.value, held.idx) == (latest[4], latest[0])
         if held.idx == i:
             self.log.append(IntentEntry(t.txn, key, t.ts, value, "rec/d0",

@@ -24,19 +24,19 @@ SCENARIOS = ROOT / "scenarios"
 
 PINNED = {
     "baseline.yaml":
-        "28ff9399aa1fe477bfbc4bf1e5c347591d6d7af5deb96738b316cf3416c47ab7",
+        "a1ec91807dbdff93e540b79a95f13208842a4c445d7e289675c286e477833f8a",
     "faults.yaml":
-        "b8a23f67acdf82a20da9e4f8e106fb4a83200290f683e16b37b9eb0e4250c25c",
+        "61c9bb8e3a33b619de22b3700ad5f164090814aab1861d3d9e512cc1fad3c5ab",
 }
 
 # The benchmark's workloads at seed 1, full size.
 PINNED_WORKLOADS = {
     "steady":
-        "2f7a9c5069e3835a64f0a6e0a18a1230963972eb0f918347f7d8bd3df1796de2",
+        "fdabd436d539fe8a908be83c9bf52fdee042926806a529406f2a8233d00ebf94",
     "hot-rmw":
-        "ebd0f91b45a304c2266cca103747b0c2b88c5c6e84e6b4d4f32464e2ecc972d6",
+        "7a147971533b3d6f4cf7e2fcb03ae6a55c4fcd7ca361dd98a00d8939164a6b8a",
     "chaos":
-        "069612d066f6d795ffbc6a40d7d125261b28d21b4cd0ccb351a3e7e4464a28b6",
+        "ed5e44293ffb9659a4d0df0507c437df2d65d839487615b1db7d4c94c298c653",
 }
 
 
