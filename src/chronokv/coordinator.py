@@ -12,14 +12,18 @@ one chain per key, by these rules (see ``Coordinator._run_chain``):
 - a read of a key the transaction has written is answered from its own
   write buffer;
 - a read at the primary carries the run of writes that follows it, so a
-  read-modify-write is one round trip: a primary that finds the key free
-  applies the read rule and then the write rule in one event, leaving
-  the intent for later readers to wait on where a reader with a later
-  timestamp would otherwise have refused the write. A read that must
-  wait behind an undecided intent is answered as a plain read, and its
-  writes then go on their own. So no op installs an intent as it wakes,
-  and readers of a hot key queue behind one holder at a time, not
-  behind a convoy of waiters that each become the next holder;
+  read-modify-write is one round trip: the primary applies the read
+  rule and then the write rule in one event, leaving the intent for
+  later readers to wait on where a reader with a later timestamp would
+  otherwise have refused the write. An op that must wait behind an
+  undecided intent does the same when it wakes, but only if it is the
+  highest bidder for the key: if a read above it has been served or is
+  still parked, its write is refused at once, since the write rule
+  would refuse it once that read lands. So of the ops that wake on one
+  verdict only the highest takes the key, the ones below it abort
+  without sending a write, and no convoy forms of waiters that each
+  become the next holder. A run of writes after a read goes on its own
+  only when that read was served from the write buffer;
 - reads are held back so that they land together with the segment's
   farthest op.
 
@@ -396,9 +400,8 @@ class Coordinator(Node):
 
         ``ops``, if given, is the run of writes to ``key`` that follows the
         read in its chain, as ``execute_write`` takes it. The read then
-        carries their write, which the primary applies along with the read
-        if the key is free; else the chain sends it on its own once the
-        read is answered (see ``_run_chain``)."""
+        carries their write, and the primary answers its ack too (see
+        ``execute_write``)."""
         if key in h.write_buf:
             value = h.write_buf[key]
             h.reads.append((idx, key, h.ts, value))
@@ -417,7 +420,7 @@ class Coordinator(Node):
             self._wrote(h, node, key, ops, resp.write)
         return resp.value
 
-    def execute_write(self, h: TxnHandle, key: str, ops: list):
+    def execute_write(self, h: TxnHandle, key: str, ops: list, idx=None):
         """Generator -> bool. Install this transaction's intent on ``key``.
 
         ``ops`` is the ``(index, value)`` of every op of a run of
@@ -425,7 +428,18 @@ class Coordinator(Node):
         write carries the last value, and each op is traced with its own
         index once the write is acknowledged. A write that fails ends the
         transaction; ops of other chains already in flight finish, so
-        their intents are known to the abort."""
+        their intents are known to the abort.
+
+        Given ``idx``, the run follows a read of ``key`` as op ``idx``: the
+        write rides on that read, and is sent on its own only if the read
+        came back without its ack (it was served from the write buffer)."""
+        if idx is not None:
+            rides = key not in h.write_buf
+            yield from self.execute_read(h, key, idx, ops)
+            if rides and key in h.write_buf:
+                return True
+            if h.status != "active":
+                return False
         node = self.router.primary(key)
         resp = yield from request(self.k, node, self._write_req(h, key, ops))
         return self._wrote(h, node, key, ops, resp)
@@ -474,9 +488,8 @@ class Coordinator(Node):
         """Generator: the ``(index, op)`` of one key, in program order.
         Each run of consecutive writes is one write, and a read at the
         primary carries the run that follows it, so a read-modify-write
-        costs one round trip when its key is free. A run whose read came
-        back without its ack goes on its own. No op is sent once the
-        transaction has aborted.
+        costs one round trip (``execute_write`` with the read's index).
+        No op is sent once the transaction has aborted.
 
         Aligned reads: a read sets its key's read timestamp when it lands,
         and a primary refuses the writes below that timestamp still on
@@ -493,21 +506,19 @@ class Coordinator(Node):
             while i < len(chain) and chain[i][1][0] == "w":
                 ops.append((chain[i][0], chain[i][1][2]))
                 i += 1
-            if op[0] == "r":
-                if key in h.write_buf:
-                    yield from self.execute_read(h, key, idx)
-                else:
-                    wait = (horizon - self.k.local_now()
-                            - self.k.one_way_ns(self.router.primary(key)))
-                    if wait > 0:
-                        yield self.k.sleep_local(wait)
-                        if h.status != "active":
-                            break
-                    yield from self.execute_read(h, key, idx, ops)
-                    if key in h.write_buf:  # the writes rode on the read
-                        ops = []
-            if ops and h.status == "active":
+            if op[0] == "r" and key not in h.write_buf:
+                wait = (horizon - self.k.local_now()
+                        - self.k.one_way_ns(self.router.primary(key)))
+                if wait > 0:
+                    yield self.k.sleep_local(wait)
+                    if h.status != "active":
+                        break
+            if op[0] == "w":
                 yield from self.execute_write(h, key, ops)
+            elif ops:
+                yield from self.execute_write(h, key, ops, idx)
+            else:
+                yield from self.execute_read(h, key, idx)
 
     def commit(self, h: TxnHandle):
         """Generator -> final status string. The commit wait for h.ts must
@@ -576,7 +587,7 @@ class Coordinator(Node):
         sent, and a chain keeps each key's ops ordered, because a read
         must not overtake the transaction's own write to its key. So a
         segment pays at most one round trip per op on its busiest key
-        (one per read-modify-write of a free key), not one per op. A
+        (one per read-modify-write), not one per op. A
         writer's record will be at the home role."""
         h = yield from self.begin()
         if any(op[0] == "w" for op in program):

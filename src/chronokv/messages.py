@@ -43,10 +43,11 @@ class TsErr:
 class ReadReq:
     """A read at a key's primary. A read-modify-write also carries the
     write that follows it in its chain (``write``, to the same key at the
-    same timestamp): if the read meets no undecided intent below it when
-    it arrives, the primary applies the write rule in the same event and
-    answers both. A read that must wait is answered as a plain read, and
-    the coordinator sends its write on its own."""
+    same timestamp), and the primary applies the write rule right after
+    the read, in the same event, and answers both. A read that must wait
+    behind an undecided intent does so when it wakes, unless a read above
+    it was served or is still parked: then its write is refused at once
+    (see ``mvto.KeyChain.outbid``)."""
 
     key: str
     ts: tuple
@@ -58,7 +59,7 @@ class ReadReq:
 class ReadResp:
     value: Optional[str]
     version_ts: Optional[tuple]
-    # The answer to the request's ``write``, or None if it was not applied
+    # The answer to the request's ``write``, or None if it carried none
     write: Optional[WriteResp] = None
 
 

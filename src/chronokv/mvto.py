@@ -20,13 +20,17 @@ any node, message or clock:
   accept everything else optimistically as an intent. Only a later op
   (a larger ``idx``) replaces it, and the primary logs only an intent
   that changed. Only primaries write;
-- the read-modify-write rule, which only orders the three above and so
-  lives on the primary, in ``DataNode._read_task``: a read that carries
-  a write, and that ``blocker`` lets through the moment it arrives,
+- the read-modify-write rule, which orders the three above on the
+  primary, in ``DataNode._read_task``: a read that carries a write
   applies the read rule and then the write rule in the same event, and
-  answers both. A read that had to wait answers as a plain read and
-  installs nothing, so an op that parked never holds a key against the
-  readers queued behind it;
+  answers both;
+- the wake rule, ``KeyChain.outbid``: a read-modify-write that had to
+  wait (it stays in the key's ``waiters`` meanwhile) has its write
+  refused at once when it wakes if a read above its timestamp has been
+  served or is still parked, since the write rule would refuse that
+  write once the read lands. So of the ops that wake on one verdict
+  only the highest installs, and none holds the key against a reader
+  queued behind it;
 - the settle rule, ``KeyStore.resolve`` with ``KeyStore.insert_intent``:
   a verdict promotes or drops a transaction's intents, and an intent
   whose verdict is already known applies it at once. Primaries settle
@@ -101,13 +105,16 @@ class WriteIntent:
 
 
 class KeyChain:
-    __slots__ = ("versions", "order", "intents", "rt")
+    __slots__ = ("versions", "order", "intents", "rt", "waiters")
 
     def __init__(self):
         self.versions: dict[Timestamp, tuple] = {}  # ts -> (value, epoch)
         self.order: list[Timestamp] = []
         self.intents: dict[str, WriteIntent] = {}
         self.rt: Optional[Timestamp] = None
+        # reader -> ts of each read parked on this key at a primary. Like
+        # ``rt``, it is volatile: a crash replaces the whole store.
+        self.waiters: dict[str, Timestamp] = {}
 
     def visible(self, ts: Timestamp, view: Optional[int] = None):
         """Newest committed version at or below ts -> (vts, value). Given
@@ -141,6 +148,14 @@ class KeyChain:
         if self.rt is None or ts > self.rt:
             self.rt = ts
         return self.visible(ts)
+
+    def outbid(self, ts: Timestamp) -> bool:
+        """The wake rule: whether a write at ``ts`` by a read-modify-write
+        that was parked here is doomed. It is if a read above ``ts`` has
+        been served, or is still parked and will be: ``rt`` only rises,
+        so the write rule would refuse the write then."""
+        return (self.rt is not None and self.rt > ts) or \
+            any(w > ts for w in self.waiters.values())
 
 
 class KeyStore:
@@ -391,16 +406,29 @@ class DataNode(Node):
     # -- reads -------------------------------------------------------------------
 
     def _read_task(self, env, r: ReadReq):
-        """Generator -> ReadResp. A read that carries a write and finds
-        its key free applies the write rule in the same event, right
-        after the read rule, and answers its ack too; one that had to
-        park leaves the write to its own request."""
+        """Generator -> ReadResp. A read that carries a write applies the
+        write rule in the same event, right after the read rule, and
+        answers its ack too. One that had to park waits in the key's
+        ``waiters`` with its timestamp; once it wakes and reads, its write
+        is refused at once if ``KeyChain.outbid`` finds it doomed. So of
+        the ops parked on one verdict only the highest installs, and the
+        ones below it end without sending a write."""
         chain = self.store.touch(r.key)
-        fused = r.write is not None and chain.blocker(r.ts, r.reader) is None
-        yield from self.settler.settle_below(
-            chain, r.ts, r.reader, on_park=lambda: tell_parked(self, env))
+        parked = chain.blocker(r.ts, r.reader) is not None
+        if parked:
+            # Left in place if a crash kills the task: the crash replaces
+            # the store, and with it the key's waiters.
+            chain.waiters[r.reader] = r.ts
+            yield from self.settler.settle_below(
+                chain, r.ts, r.reader, on_park=lambda: tell_parked(self, env))
+            del chain.waiters[r.reader]
         vts, value = chain.read(r.ts)
-        ack = (yield from self._write_task(r.write)) if fused else None
+        if r.write is None:
+            ack = None
+        elif parked and chain.outbid(r.ts):
+            ack = WriteResp(False, None)
+        else:
+            ack = yield from self._write_task(r.write)
         return ReadResp(value, vts, ack)
 
     # -- writes -------------------------------------------------------------------

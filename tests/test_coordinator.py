@@ -109,7 +109,7 @@ def test_run_summary_counts_the_txns_a_coordinator_crash_killed():
     r = run_scenario(small(seed=11, txns_per_client=60, faults=fs))
     s = run_summary(r)
     begins = sum(1 for _t, kind, _f in r.trace if kind == "txn_begin")
-    assert s["txns"] == begins == 50
+    assert s["txns"] == begins == 48
     assert s["unknown"] == 2
     assert s["ts_requests"] == begins
 
@@ -616,17 +616,19 @@ def test_a_read_modify_write_of_a_free_key_costs_one_read_and_no_write():
     assert after.reads[0][3] == "v1"
 
 
-def test_a_read_modify_write_parked_behind_an_intent_writes_on_its_own():
-    # the parked op is answered as a plain read once the older writer
-    # is decided, and only then sends its write
+def parked_behind_an_intent():
+    """Two SH coordinators on one SH data node: c0.SH has committed
+    ``old`` to x and holds an undecided intent of ``new`` there for
+    100 ms, so every op on x that c1.SH sends parks until it commits.
+    Returns the cluster, both coordinators, the writer's task and the
+    payloads c1.SH sends and hears from now on."""
     cluster, (writer, reader) = two_coordinator_cluster()
     sim = cluster.sim
-    node = cluster.data_nodes[0]
     drive(sim, writer.k, writer.run_txn([("w", "x", "old")]))
     w = writer.k.spawn(writer.run_txn([("w", "x", "new"),
                                        ("hold", 100 * MS)]))
     sim.run_until(sim.now + 10 * MS)  # the intent on x is installed
-    sent = []  # what the reader's coordinator sends and hears
+    sent = []
     send = cluster.net.send
 
     def recording(src, dst_id, payload, rid=0, is_reply=False):
@@ -635,25 +637,109 @@ def test_a_read_modify_write_parked_behind_an_intent_writes_on_its_own():
         send(src, dst_id, payload, rid, is_reply)
 
     cluster.net.send = recording
+    return cluster, writer, reader, w, sent
+
+
+def test_a_read_modify_write_parked_behind_an_intent_installs_as_it_wakes():
+    # the parked op is answered once the older writer is decided, with
+    # its read and its ack: no write goes on its own
+    cluster, writer, reader, w, sent = parked_behind_an_intent()
+    sim = cluster.sim
+    node = cluster.data_nodes[0]
     res = drive(sim, reader.k, reader.run_txn([("r", "x"), ("w", "x", "rmw")]))
     assert w.value.status == "committed"
     assert (res.status, res.reason) == ("committed", None)
     assert res.reads[0][3] == "new"
+    assert res.writes == [(1, "x", "rmw")]
     ops = [p for p in sent
            if isinstance(p, (ReadReq, Pending, ReadResp, WriteReq, WriteResp))]
-    # told it is parked, and re-asking every long poll; then answered as
-    # a plain read, and only then the write
+    # told it is parked, and re-asking every long poll; then answered
+    # with both the read and the write
     kinds = [type(p) for p in ops]
-    answered = kinds.index(ReadResp)
     assert kinds[:2] == [ReadReq, Pending]
-    assert set(kinds[:answered]) == {ReadReq, Pending}
-    assert kinds[answered:] == [ReadResp, WriteReq, WriteResp]
-    read, reply, write = ops[0], ops[answered], ops[answered + 1]
-    assert read.write is not None and reply.write is None
-    assert (write.key, write.value, write.idx) == ("x", "rmw", 1)
+    assert set(kinds[:-1]) == {ReadReq, Pending} and kinds[-1] == ReadResp
+    assert ops[-1].write.ok
+    assert node.store.chains["x"].waiters == {}
     after = drive(sim, reader.k, reader.run_txn([("r", "x")]))
     assert after.reads[0][3] == "rmw"
     assert node.store.chains["x"].intents == {}
+
+
+@pytest.mark.parametrize("first", ["low", "high"])
+def test_of_two_parked_read_modify_writes_only_the_higher_installs(first):
+    # Both wake on one verdict, in the order they parked. The lower is
+    # refused at its wake whichever wakes first: the higher is either
+    # still parked or has read already.
+    cluster, writer, reader, w, sent = parked_behind_an_intent()
+    sim = cluster.sim
+    node = cluster.data_nodes[0]
+    delay = {"low": [], "high": []}
+    delay["high" if first == "low" else "low"] = [("hold", 5 * MS)]
+    low = reader.k.spawn(reader.run_txn(
+        delay["low"] + [("r", "x"), ("w", "x", "low")]))
+    sim.run_until(sim.now + MS)
+    high = reader.k.spawn(reader.run_txn(
+        delay["high"] + [("r", "x"), ("w", "x", "high")]))
+    run_until_done(sim, lambda: low.done and high.done)
+    assert low.value.ts < high.value.ts
+    parked = [p.reader for p in sent if isinstance(p, ReadReq)]
+    assert parked[0] == (low if first == "low" else high).value.txn
+    assert w.value.status == "committed"
+    assert (low.value.status, low.value.reason) == ("aborted", "rt_conflict")
+    assert (high.value.status, high.value.reason) == ("committed", None)
+    assert low.value.reads[0][3] == high.value.reads[0][3] == "new"
+    assert not [p for p in sent if isinstance(p, WriteReq)]
+    # the refusal leaves at once, the ack once its intent is flushed
+    assert [p.write.ok for p in sent if isinstance(p, ReadResp)] == \
+        [False, True]
+    assert node.store.chains["x"].waiters == {}
+    after = drive(sim, reader.k, reader.run_txn([("r", "x")]))
+    assert after.reads[0][3] == "high"
+
+
+def test_a_higher_parked_plain_read_outbids_a_lower_read_modify_write():
+    cluster, writer, reader, w, sent = parked_behind_an_intent()
+    sim = cluster.sim
+    rmw = reader.k.spawn(reader.run_txn([("r", "x"), ("w", "x", "rmw")]))
+    sim.run_until(sim.now + MS)
+    read = reader.k.spawn(reader.run_txn([("r", "x")]))
+    run_until_done(sim, lambda: rmw.done and read.done)
+    assert rmw.value.ts < read.value.ts
+    assert (rmw.value.status, rmw.value.reason) == ("aborted", "rt_conflict")
+    assert read.value.status == "committed"
+    assert read.value.reads[0][3] == "new"
+    assert not [p for p in sent if isinstance(p, WriteReq)]
+    [refused] = [p.write for p in sent
+                 if isinstance(p, ReadResp) and p.write is not None]
+    assert refused == WriteResp(False, None)
+
+
+def test_a_crash_forgets_the_read_modify_writes_parked_at_a_primary():
+    # The parked ops die with the primary's process; the restarted
+    # primary holds no waiter from before, and a new op on the key
+    # installs as on a free key, with no park and no write of its own.
+    cluster, writer, reader, w, sent = parked_behind_an_intent()
+    sim = cluster.sim
+    node = cluster.data_nodes[0]
+    for value in ("a", "b"):
+        reader.k.spawn(reader.run_txn([("r", "x"), ("w", "x", value)]))
+        sim.run_until(sim.now + MS)
+    old = node.store.chains["x"]
+    assert len(old.waiters) == 2
+    node.crash()
+    sim.run_until(sim.now + 100 * MS)
+    node.restart()
+    run_until_done(sim, lambda: node.ready and w.done)
+    assert node.store.chains["x"] is not old
+    assert node.store.chains["x"].waiters == {}
+    sim.run_until(sim.now + SEC)  # the writer's intent is finalized
+    del sent[:]
+    res = drive(sim, reader.k, reader.run_txn([("r", "x"), ("w", "x", "c")]))
+    assert (res.status, res.reason) == ("committed", None)
+    kinds = [type(p) for p in sent
+             if isinstance(p, (ReadReq, Pending, ReadResp, WriteReq))]
+    assert kinds == [ReadReq, ReadResp]
+    assert node.store.chains["x"].waiters == {}
 
 
 def test_a_refused_read_modify_write_logs_nothing_nor_does_a_late_one():

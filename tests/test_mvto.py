@@ -6,6 +6,7 @@ from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (
     RuleBasedStateMachine,
+    initialize,
     invariant,
     precondition,
     rule,
@@ -170,10 +171,12 @@ class MvtoMachine(RuleBasedStateMachine):
 
     Timestamps are drawn, not read from a clock, so every transaction
     overlaps every other in real time and only the timestamp order is
-    checked. A read that ``blocker`` makes wait is not answered; the
-    transaction may ask again later. A transaction whose write is refused
-    aborts, as its coordinator would. ``floor`` stands for a restarted
-    node's bound, below which every first write is refused."""
+    checked. A read that ``blocker`` makes wait parks in its key's
+    ``waiters``, and every verdict wakes the parked ops it unblocks. A
+    transaction whose write is refused aborts, as its coordinator would,
+    and one with an op parked is not decided otherwise. ``floor`` stands
+    for a restarted node's bound, below which every first write is
+    refused."""
 
     def __init__(self):
         super().__init__()
@@ -184,9 +187,15 @@ class MvtoMachine(RuleBasedStateMachine):
         self.read_ts = {}    # key -> highest timestamp a read was served at
         self.epoch = 1
         self.floor = None
+        self.parked = []     # (txn, key, carries a write), in park order
+        self.early = []      # (key, ts) of each write refused as it woke
 
     def pick(self, n):
         return self.txns[self.open[n % len(self.open)]]
+
+    def is_parked(self, t, key=None):
+        return any(txn == t.txn and key in (None, k)
+                   for txn, k, _ in self.parked)
 
     @rule(nanos=st.integers(1, 40))
     def begin(self, nanos):
@@ -204,17 +213,25 @@ class MvtoMachine(RuleBasedStateMachine):
         if own:  # the coordinator answers from the transaction's writes
             t.ops.append((len(t.ops), "r", key, t.ts, own[-1][4]))
             return
-        chain = self.store.touch(key)
-        if chain.blocker(t.ts, t.txn) is not None:
+        if self.is_parked(t, key):
             return
-        vts, value = chain.read(t.ts)
+        if self.store.touch(key).blocker(t.ts, t.txn) is not None:
+            self.park(t, key, False)
+        else:
+            self.serve_read(t, key)
+
+    def serve_read(self, t, key):
+        vts, value = self.store.chains[key].read(t.ts)
         self.read_ts[key] = max(self.read_ts.get(key, t.ts), t.ts)
-        t.ops.append((len(t.ops), "r", key, vts, value))
+        if t.txn in self.open:
+            t.ops.append((len(t.ops), "r", key, vts, value))
 
     @precondition(lambda self: self.open)
     @rule(n=st.integers(0, 7), key=st.sampled_from(KEYS))
     def write(self, n, key):
-        self.write_as(self.pick(n), key)
+        t = self.pick(n)
+        if not self.is_parked(t, key):  # its chain waits for the read
+            self.write_as(t, key)
 
     def write_as(self, t, key):
         i = len(t.ops)
@@ -237,25 +254,86 @@ class MvtoMachine(RuleBasedStateMachine):
     @precondition(lambda self: self.open)
     @rule(n=st.integers(0, 7), key=st.sampled_from(KEYS))
     def read_modify_write(self, n, key):
-        """A read that carries the write after it. Only a read that finds
-        the key free applies the write rule, in the same step; one that
-        must wait is answered as a plain read later, and its write goes
-        on its own, as the ``read`` and ``write`` rules do."""
+        """A read that carries the write after it. One that finds the key
+        free applies the write rule in the same step; one that must wait
+        parks, and ``wake`` serves it."""
         t = self.pick(n)
         if any(op[1] == "w" and op[2] == key for op in t.ops):
             return  # read from the transaction's writes; the write goes alone
         chain = self.store.touch(key)
+        if self.is_parked(t, key):
+            return
         if chain.blocker(t.ts, t.txn) is not None:
+            self.park(t, key, True)
             return
         before = len(self.log)
-        self.read(self.open.index(t.txn), key)
+        self.serve_read(t, key)
         self.write_as(t, key)
         installed = t.txn in chain.intents
         assert installed == (t.ts >= self.read_ts[key] and (
             self.floor is None or t.ts.nanos >= self.floor))
-        logged = [e for e in self.log[before:] if isinstance(e, IntentEntry)]
+        # an abort for a refusal may wake parked ops, which log their own
+        logged = [e for e in self.log[before:] if isinstance(e, IntentEntry)
+                  and (e.txn, e.key) == (t.txn, key)]
         assert len(logged) == installed
 
+    def park(self, t, key, carries_write):
+        """A read, or a read-modify-write, that ``blocker`` makes wait
+        joins its key's waiters, as ``DataNode._read_task`` parks it."""
+        self.store.chains[key].waiters[t.txn] = t.ts
+        self.parked.append((t.txn, key, carries_write))
+
+    @precondition(lambda self: self.parked)
+    @rule(m=st.integers(0, 7), commit=st.booleans())
+    def settle(self, m, commit):
+        """A push brings back the verdict on what blocks a parked op."""
+        txn, key, _ = self.parked[m % len(self.parked)]
+        blocker = self.store.chains[key].blocker(self.txns[txn].ts, txn)
+        t = self.txns[blocker.txn]
+        if not self.is_parked(t):
+            self.decide_as(t, COMMIT if commit else ABORT)
+
+    def wake_unblocked(self):
+        """After a verdict, every parked op that ``blocker`` now lets
+        through wakes, in the order they parked."""
+        for parked in list(self.parked):
+            txn, key, _ = parked
+            if parked in self.parked and self.store.chains[key].blocker(
+                    self.txns[txn].ts, txn) is None:
+                self.wake(parked)
+
+    def wake(self, parked):
+        """A woken op reads. A write it carries is refused at once if a
+        read above it was served or is still parked; else this op is the
+        key's top bidder and applies the write rule. An op of a
+        transaction that has since aborted reads and installs nothing,
+        as a late try of a decided one."""
+        txn, key, carries_write = parked
+        t = self.txns[txn]
+        chain = self.store.chains[key]
+        self.parked.remove(parked)
+        del chain.waiters[txn]
+        self.serve_read(t, key)
+        if not carries_write:
+            return
+        above = [self.txns[other].ts for other, k, _ in self.parked
+                 if k == key and self.txns[other].ts > t.ts]
+        outbid = chain.outbid(t.ts)
+        assert outbid == bool(above or self.read_ts[key] > t.ts)
+        if outbid:
+            self.early.append((key, t.ts))
+            if txn in self.open:
+                self.decide_as(t, ABORT)
+        elif txn in self.open:
+            # the top bidder: no read above it was served or is parked,
+            # and only a restart's floor can refuse its write
+            self.write_as(t, key)
+            assert (txn in chain.intents) == (
+                self.floor is None or t.ts.nanos >= self.floor)
+
+    restarts = True
+
+    @precondition(lambda self: self.restarts)
     @rule(nanos=st.integers(1, 40))
     def restart_floor(self, nanos):
         """A restart's floor: it only ever rises."""
@@ -284,14 +362,18 @@ class MvtoMachine(RuleBasedStateMachine):
     @precondition(lambda self: self.open)
     @rule(n=st.integers(0, 7), commit=st.booleans())
     def decide(self, n, commit):
-        self.decide_as(self.pick(n), COMMIT if commit else ABORT)
+        t = self.pick(n)
+        if not self.is_parked(t):  # its coordinator waits for every op
+            self.decide_as(t, COMMIT if commit else ABORT)
 
     def decide_as(self, t, decision):
-        self.open.remove(t.txn)
+        if t.txn in self.open:  # see HotKeysMachine
+            self.open.remove(t.txn)
         t.status = "committed" if decision == COMMIT else "aborted"
         if self.store.resolve(t.txn, decision, self.epoch):
             self.log.append(FinalizeEntry(t.txn, decision, self.epoch))
         self.epoch += 1
+        self.wake_unblocked()
 
     @invariant()
     def replaying_the_log_rebuilds_the_store(self):
@@ -299,6 +381,24 @@ class MvtoMachine(RuleBasedStateMachine):
         for entry in self.log:
             apply_log_entry(replayed, entry)
         assert durable_state(replayed) == durable_state(self.store)
+
+    @invariant()
+    def each_key_holds_the_ops_parked_on_it(self):
+        for key, chain in self.store.chains.items():
+            assert chain.waiters == {txn: self.txns[txn].ts
+                                     for txn, k, _ in self.parked if k == key}
+
+    @invariant()
+    def every_early_refusal_is_one_the_write_rule_makes_later(self):
+        """Once every op parked on the key has read, the read timestamp
+        is at least the highest of them, and the write rule refuses each
+        write that was refused early."""
+        for key, at in self.early:
+            chain = self.store.chains[key]
+            later = KeyStore()
+            later.touch(key).rt = max([chain.rt, *chain.waiters.values()])
+            assert later.write(key, WriteIntent("w", at, "v", "rec/d0", 1)) \
+                is None
 
     @invariant()
     def committed_reads_replay_serially_in_timestamp_order(self):
@@ -323,3 +423,33 @@ def test_mvto_rules_hold_as_a_state_machine():
     run_state_machine_as_test(MvtoMachine, settings=settings(
         derandomize=True, database=None, deadline=None, max_examples=150,
         stateful_step_count=40))
+
+
+class HotKeysMachine(MvtoMachine):
+    """The same rules, started with a transaction below every other
+    holding an intent on each key. It is not open: no rule sends its ops
+    or decides it, and only a ``settle`` brings its verdict, so ops pile
+    up behind it and wake together. No restart floor: one drawn early
+    refuses most later writes, which leaves few intents to park on."""
+
+    restarts = False
+
+    @initialize()
+    def hold_every_key(self):
+        self.begin(0)
+        for key in KEYS:
+            self.write_as(self.txns["t0"], key)
+        self.open.remove("t0")
+
+    @precondition(lambda self: len(self.parked) > 1)
+    @rule(m=st.integers(0, 7), commit=st.booleans())
+    def settle(self, m, commit):
+        """As ``MvtoMachine.settle``, once two ops or more are parked."""
+        super().settle(m, commit)
+
+
+def test_ops_parked_on_one_verdict_wake_by_the_mvto_rules():
+    # the derandomized run wakes 114 top bidders and refuses 43 ops early
+    run_state_machine_as_test(HotKeysMachine, settings=settings(
+        derandomize=True, database=None, deadline=None, max_examples=100,
+        stateful_step_count=100))

@@ -24,19 +24,19 @@ SCENARIOS = ROOT / "scenarios"
 
 PINNED = {
     "baseline.yaml":
-        "a1ec91807dbdff93e540b79a95f13208842a4c445d7e289675c286e477833f8a",
+        "5d850cf7d85308a39b9c82cfd3493b035c5c552b53463033baf537d8adaba66d",
     "faults.yaml":
-        "61c9bb8e3a33b619de22b3700ad5f164090814aab1861d3d9e512cc1fad3c5ab",
+        "6f8c797529a51a4cf2134aee7dd2fdb31dea13a177fd8b503915581f11fcbcaf",
 }
 
 # The benchmark's workloads at seed 1, full size.
 PINNED_WORKLOADS = {
     "steady":
-        "fdabd436d539fe8a908be83c9bf52fdee042926806a529406f2a8233d00ebf94",
+        "c37c8b110d5ccdc00794f26d32572391934f3451623464fb9fd671f4064b4972",
     "hot-rmw":
-        "7a147971533b3d6f4cf7e2fcb03ae6a55c4fcd7ca361dd98a00d8939164a6b8a",
+        "0ecb776eb97d23b149c553193985ad1222a2a9ff8ea4e557a275e95d5494221f",
     "chaos":
-        "ed5e44293ffb9659a4d0df0507c437df2d65d839487615b1db7d4c94c298c653",
+        "4c533af53dc1367f4bd9c2932039e6cf2b9dcb143faf0658d52fca700273fd50",
 }
 
 
