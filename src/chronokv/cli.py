@@ -1,4 +1,5 @@
-"""Command-line front end: run scenarios and check their traces."""
+"""Command-line front end: run scenarios, check their traces and
+compare two of them."""
 
 from __future__ import annotations
 
@@ -80,6 +81,39 @@ def _cmd_check(args) -> int:
     return 0 if all(verdicts) else 1
 
 
+#: events ``diff`` shows on each side of the first difference
+DIFF_CONTEXT = 3
+
+
+def _cmd_diff(args) -> int:
+    """Print the first event at which two traces that ``run --trace``
+    wrote differ: ``DIFF_CONTEXT`` events before it, which both share,
+    then that many after it from each, ``-`` for A and ``+`` for B.
+    Headers are not compared. Exits 0 if the events are identical, else
+    1."""
+    from .history import read_trace
+
+    _, a = read_trace(args.a)
+    _, b = read_trace(args.b)
+    first = next((i for i, (x, y) in enumerate(zip(a, b)) if x != y),
+                 min(len(a), len(b)))
+    if first == len(a) == len(b):
+        print(f"identical: {len(a)} events")
+        return 0
+    print(f"first difference at event {first} "
+          f"(A: {len(a)} events, B: {len(b)})")
+
+    def show(mark, events, lo, hi):
+        for i in range(max(lo, 0), min(hi, len(events))):
+            print(f"{mark} {i} " + json.dumps(list(events[i]),
+                                              separators=(",", ":")))
+
+    show(" ", a, first - DIFF_CONTEXT, first)
+    show("-", a, first, first + DIFF_CONTEXT + 1)
+    show("+", b, first, first + DIFF_CONTEXT + 1)
+    return 1
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="chronokv",
@@ -100,6 +134,11 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=["all", "ss", "replica", "visibility"])
     check.add_argument("--csv", help="dump the visibility series as CSV")
     check.set_defaults(fn=_cmd_check)
+
+    diff = sub.add_parser("diff", help="the first event two traces differ at")
+    diff.add_argument("a", help="a trace that run --trace wrote")
+    diff.add_argument("b", help="another")
+    diff.set_defaults(fn=_cmd_diff)
     return p
 
 

@@ -3,8 +3,19 @@
 A coordinator runs transactions for co-located clients: it takes one
 timestamp up front, which doubles as the read snapshot and the commit
 timestamp, so what an op returns depends on that timestamp and not on
-when the op is sent. The ops between two holds therefore leave at once,
-one chain per key, by these rules (see ``Coordinator._run_chain``):
+when the op is sent. The timestamp leads: it is moved later by the
+one-way delay to the farthest primary of the program's first segment,
+rounded up to a multiple of the proxy's TTL (``Coordinator.lead``). So
+each op lands at its primary before its own timestamp, and ops from
+every region reach a primary in timestamp order. Without the lead, an op
+from a far region lands one one-way delay after its timestamp, often
+after a nearer transaction with a later timestamp has read the key, and
+its write is refused. This is the
+use of synchronized clocks that Tiga (SOSP 2025) and Nezha's
+deadline-ordered multicast (VLDB 2023) make: a request is stamped with
+its send time plus its expected one-way delay. The ops between two
+holds leave at once, one chain per key, by these rules (see
+``Coordinator._run_chain``):
 
 - a chain keeps its key's ops in program order, and consecutive writes
   in it are coalesced into one write carrying the last value, so no two
@@ -17,15 +28,22 @@ one chain per key, by these rules (see ``Coordinator._run_chain``):
   later readers to wait on where a reader with a later timestamp would
   otherwise have refused the write. An op that must wait behind an
   undecided intent does the same when it wakes, but only if it is the
-  highest bidder for the key: if a read above it has been served or is
-  still parked, its write is refused at once, since the write rule
-  would refuse it once that read lands. So of the ops that wake on one
-  verdict only the highest takes the key, the ones below it abort
-  without sending a write, and no convoy forms of waiters that each
-  become the next holder. A run of writes after a read goes on its own
-  only when that read was served from the write buffer;
+  highest bidder for the key: once a read above it has been served or
+  is parked, the write rule would refuse its write when that read
+  lands, so the primary refuses it then and there, and the op reads
+  nothing (``mvto.DataNode._read_task``). So only the highest of the
+  ops parked on a key takes it, the ones below it abort without
+  sending a write, and no convoy forms of waiters that each become the
+  next holder. A run of writes after a read goes on its own only when
+  that read was served from the write buffer;
 - reads are held back so that they land together with the segment's
-  farthest op.
+  farthest op; as the lead covers that op's delay, they all land about
+  a TTL before their timestamp.
+
+The commit wait is the proxy's 2(ttl+eps)(1+D) plus the lead times
+(1+D), counted from the timestamp's acquisition. It stays hidden behind
+execution: ops to the farthest primary take a round trip, about twice
+the lead.
 
 Every writing transaction's record lives at the coordinator's home role:
 the recorder role of the data node nearest to it, fixed when the
@@ -90,6 +108,7 @@ from .messages import (
     PushResp,
     ReadReq,
     WriteReq,
+    WriteResp,
 )
 from .replication import (
     RecordEntry,
@@ -99,7 +118,7 @@ from .replication import (
     tell_parked,
 )
 from .simnet import MS, Future, Node
-from .tsbatch import Timestamp, TsProxy
+from .tsbatch import Timestamp, TsProxy, lead_ns, led
 
 HB_INTERVAL_NS = 100 * MS
 HB_TIMEOUT_NS = 500 * MS  # silence after which the sweep aborts txns
@@ -259,6 +278,15 @@ class RecorderState:
 
     # -- fencing / takeover --------------------------------------------------------
 
+    def release(self) -> None:
+        """Answer every request parked here as a lost role's are. At its
+        node's crash their tasks are dead, and each resumes no further;
+        so they are freed at the crash, not whenever the cycle collector
+        runs."""
+        for rs in self.roles.values():
+            for fut in rs.pending.values():
+                fut.resolve(None)
+
     def _fence_lost(self, role: str) -> None:
         rs = self.roles.pop(role, None)
         if rs is None:
@@ -375,18 +403,22 @@ class Coordinator(Node):
 
     # -- transaction verbs ------------------------------------------------------
 
-    def begin(self):
-        """Generator -> TxnHandle. The commit wait starts now, at timestamp
-        acquisition, so execution time is absorbed into it. A timestamp the
-        oracle cannot give is asked for again until it comes."""
+    def begin(self, lead: int):
+        """Generator -> TxnHandle. The timestamp acquired is moved
+        ``lead`` nanoseconds later (``tsbatch.led``), a multiple of the
+        proxy's TTL, and the commit wait grows by the lead. The wait
+        starts now, at timestamp acquisition, so execution time is
+        absorbed into it. A timestamp the oracle cannot give is asked for
+        again until it comes."""
         self._txn_n += 1
         txn = f"{self.node_id}:{self._txn_n}"
         self.k.trace("txn_begin", txn=txn, coord=self.node_id)
-        ts = yield from self.tsproxy.acquire_waiting()
+        ts = led((yield from self.tsproxy.acquire_waiting()), lead)
         # Traced now, not only in txn_end: a recorder can commit the
         # transaction after this coordinator has crashed.
         self.k.trace("txn_ts", txn=txn, ts=list(ts))
-        return TxnHandle(txn, ts, self.k.local_now() + self.tsproxy.cwt_ns)
+        return TxnHandle(txn, ts, self.k.local_now() +
+                         self.tsproxy.commit_wait(lead))
 
     @staticmethod
     def coordinator_of(txn: str) -> str:
@@ -401,7 +433,9 @@ class Coordinator(Node):
         ``ops``, if given, is the run of writes to ``key`` that follows the
         read in its chain, as ``execute_write`` takes it. The read then
         carries their write, and the primary answers its ack too (see
-        ``execute_write``)."""
+        ``execute_write``), or answers only a refused write if it refused
+        that write before the read was served: no op is traced then, and
+        the value is None."""
         if key in h.write_buf:
             value = h.write_buf[key]
             h.reads.append((idx, key, h.ts, value))
@@ -412,6 +446,9 @@ class Coordinator(Node):
         write = self._write_req(h, key, ops) if ops else None
         resp = yield from request(self.k, node,
                                   ReadReq(key, h.ts, h.txn, write))
+        if isinstance(resp, WriteResp):
+            self._wrote(h, node, key, ops, resp)
+            return None
         vts = Timestamp(*resp.version_ts) if resp.version_ts else None
         h.reads.append((idx, key, vts, resp.value))
         self.k.trace("op", txn=h.txn, i=idx, op="r", key=key,
@@ -575,6 +612,17 @@ class Coordinator(Node):
 
     # -- one full transaction ------------------------------------------------------
 
+    def lead(self, program) -> int:
+        """How far ``program``'s timestamp leads: the one-way delay to the
+        farthest primary of its first segment, rounded up to a multiple
+        of the proxy's TTL; 0 if that segment is empty."""
+        far = 0
+        for op in program:
+            if op[0] not in ("r", "w"):
+                break
+            far = max(far, self.k.one_way_ns(self.router.primary(op[1])))
+        return lead_ns(far, self.tsproxy.ttl_ns)
+
     def run_txn(self, program):
         """Generator -> TxnHandle, with ``reads`` and ``writes`` sorted by
         op index. ``program`` is a list of ops:
@@ -588,8 +636,11 @@ class Coordinator(Node):
         must not overtake the transaction's own write to its key. So a
         segment pays at most one round trip per op on its busiest key
         (one per read-modify-write), not one per op. A
-        writer's record will be at the home role."""
-        h = yield from self.begin()
+        writer's record will be at the home role.
+
+        The timestamp leads by the one-way delay to the first segment's
+        farthest primary, rounded up to the proxy's TTL (``lead``)."""
+        h = yield from self.begin(self.lead(program))
         if any(op[0] == "w" for op in program):
             h.role = self.home_role
         chains: dict[str, list] = {}

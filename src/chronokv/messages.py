@@ -46,8 +46,9 @@ class ReadReq:
     same timestamp), and the primary applies the write rule right after
     the read, in the same event, and answers both. A read that must wait
     behind an undecided intent does so when it wakes, unless a read above
-    it was served or is still parked: then its write is refused at once
-    (see ``mvto.KeyChain.outbid``)."""
+    it was served or is parked: then the answer is its write refused, a
+    ``WriteResp`` alone, with nothing read (see ``mvto.KeyChain.outbid``
+    and ``mvto.DataNode._read_task``)."""
 
     key: str
     ts: tuple

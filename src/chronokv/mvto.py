@@ -24,13 +24,14 @@ any node, message or clock:
   primary, in ``DataNode._read_task``: a read that carries a write
   applies the read rule and then the write rule in the same event, and
   answers both;
-- the wake rule, ``KeyChain.outbid``: a read-modify-write that had to
-  wait (it stays in the key's ``waiters`` meanwhile) has its write
-  refused at once when it wakes if a read above its timestamp has been
-  served or is still parked, since the write rule would refuse that
-  write once the read lands. So of the ops that wake on one verdict
-  only the highest installs, and none holds the key against a reader
-  queued behind it;
+- the wake rule, ``KeyChain.outbid``: a read-modify-write that must
+  wait is doomed once a read above its timestamp has been served or is
+  parked, since the write rule will refuse its write once that read
+  lands. It is applied as soon as it becomes true: such an op is
+  refused with nothing read instead of parking, and one that parks
+  (``KeyChain.park``) refuses each read-modify-write parked below it on
+  the key. So only the highest of the ops parked on a key installs, and
+  none holds the key against a reader queued behind it;
 - the settle rule, ``KeyStore.resolve`` with ``KeyStore.insert_intent``:
   a verdict promotes or drops a transaction's intents, and an intent
   whose verdict is already known applies it at once. Primaries settle
@@ -55,13 +56,14 @@ record stream per recorder role; only the data log ships to the node's
 replicas. Recovery is a replay of those streams;
 the read-timestamp cache is intentionally not logged, so a restarted node
 refuses writes below a conservative floor instead (the last promised cut
-boundary or a fresh timestamp, whichever is higher).
+boundary or a fresh timestamp led as far as any coordinator leads one,
+whichever is higher).
 """
 
 from __future__ import annotations
 
 import bisect
-from typing import Optional
+from typing import Callable, Optional
 
 from .coordinator import RecorderState
 from .epochs import EpochCutter, promised_end_ns
@@ -88,7 +90,7 @@ from .replication import (
     tell_parked,
 )
 from .simnet import Future, Node
-from .tsbatch import Timestamp, TsProxy
+from .tsbatch import Timestamp, TsProxy, lead_ns
 
 
 class WriteIntent:
@@ -105,16 +107,19 @@ class WriteIntent:
 
 
 class KeyChain:
-    __slots__ = ("versions", "order", "intents", "rt", "waiters")
+    __slots__ = ("versions", "order", "intents", "rt", "waiters", "refusals")
 
     def __init__(self):
         self.versions: dict[Timestamp, tuple] = {}  # ts -> (value, epoch)
         self.order: list[Timestamp] = []
         self.intents: dict[str, WriteIntent] = {}
         self.rt: Optional[Timestamp] = None
-        # reader -> ts of each read parked on this key at a primary. Like
-        # ``rt``, it is volatile: a crash replaces the whole store.
+        # reader -> ts of each read parked on this key at a primary, and
+        # reader -> the handle that refuses the write of each of them that
+        # carries one. Like ``rt``, both are volatile: a crash replaces the
+        # whole store.
         self.waiters: dict[str, Timestamp] = {}
+        self.refusals: dict[str, Callable[[], None]] = {}
 
     def visible(self, ts: Timestamp, view: Optional[int] = None):
         """Newest committed version at or below ts -> (vts, value). Given
@@ -156,6 +161,21 @@ class KeyChain:
         so the write rule would refuse the write then."""
         return (self.rt is not None and self.rt > ts) or \
             any(w > ts for w in self.waiters.values())
+
+    def park(self, reader: str, ts: Timestamp, refuse=None) -> None:
+        """Register a read parked at ``ts``; ``refuse``, given if it
+        carries a write, refuses that write. The wake rule, applied as it
+        becomes true: every read-modify-write parked below ``ts`` is
+        doomed from now on, so its handle is called, once."""
+        for other in [r for r in self.refusals if self.waiters[r] < ts]:
+            self.refusals.pop(other)()
+        self.waiters[reader] = ts
+        if refuse is not None:
+            self.refusals[reader] = refuse
+
+    def unpark(self, reader: str) -> None:
+        del self.waiters[reader]
+        self.refusals.pop(reader, None)
 
 
 class KeyStore:
@@ -292,20 +312,24 @@ class Settler:
         self._decided: dict[str, Future] = {}
 
     def settle_below(self, chain: KeyChain, ts: Timestamp, reader: str,
-                     view: Optional[int] = None, on_park=None):
+                     view: Optional[int] = None, on_park=None,
+                     refused: Optional[Future] = None):
         """Generator: wait until ``chain.blocker(ts, reader, view)`` finds
-        nothing. ``on_park()`` is called before each wait."""
-        while True:
+        nothing, or until ``refused`` is resolved. ``on_park()`` is called
+        before each wait."""
+        while refused is None or not refused.done:
             intent = chain.blocker(ts, reader, view)
             if intent is None:
                 return
             if on_park is not None:
                 on_park()
-            yield from self.wait(intent.txn, intent.role, reader)
+            yield from self.wait(intent.txn, intent.role, reader, refused)
 
-    def wait(self, txn: str, role: str, reader: str):
+    def wait(self, txn: str, role: str, reader: str,
+             refused: Optional[Future] = None):
         """Generator: park ``reader`` until ``txn`` is decided or gets an
-        epoch floor."""
+        epoch floor, or until ``refused`` is resolved, if that comes
+        first."""
         if txn in self.store.decided:
             return
         k = self.node.k
@@ -314,6 +338,11 @@ class Settler:
         if fut is None:
             fut = self._decided[txn] = Future(self.node.sim)
             k.spawn(self._push_task(txn, role))
+        if refused is not None:
+            first = Future(self.node.sim)
+            fut.add_done(first.resolve)
+            refused.add_done(first.resolve)
+            fut = first
         yield fut
         k.trace("push_done", node=self.node.node_id, reader=reader, txn=txn)
 
@@ -328,6 +357,13 @@ class Settler:
         fut = self._decided.pop(txn, None)
         if fut is not None:
             fut.resolve()
+
+    def release(self) -> None:
+        """Resolve every Future a reader is parked on. At its node's crash
+        the readers' tasks are dead, and each resumes no further; so they
+        are freed at the crash, not whenever the cycle collector runs."""
+        for txn in list(self._decided):
+            self.wake(txn)
 
     def _push_task(self, txn: str, role: str):
         """Push until the recorder answers: a verdict settles ``txn``, and
@@ -406,27 +442,36 @@ class DataNode(Node):
     # -- reads -------------------------------------------------------------------
 
     def _read_task(self, env, r: ReadReq):
-        """Generator -> ReadResp. A read that carries a write applies the
-        write rule in the same event, right after the read rule, and
-        answers its ack too. One that had to park waits in the key's
-        ``waiters`` with its timestamp; once it wakes and reads, its write
-        is refused at once if ``KeyChain.outbid`` finds it doomed. So of
-        the ops parked on one verdict only the highest installs, and the
-        ones below it end without sending a write."""
+        """Generator -> ReadResp, or a refused WriteResp alone. A read
+        that carries a write applies the write rule in the same event,
+        right after the read rule, and answers its ack too.
+
+        A read that must park behind an undecided intent waits in the
+        key's ``waiters``. One that carries a write is answered its
+        write refused, with nothing read, as soon as the wake rule
+        (``KeyChain.outbid``) dooms it: before it parks, or while it is
+        parked, once a read above it parks. A parked op always reads when
+        it wakes, so this is the refusal it would get then, without the
+        wait."""
         chain = self.store.touch(r.key)
         parked = chain.blocker(r.ts, r.reader) is not None
         if parked:
+            if r.write is not None and chain.outbid(r.ts):
+                return WriteResp(False, None)
+            refused = None if r.write is None else Future(self.sim)
             # Left in place if a crash kills the task: the crash replaces
             # the store, and with it the key's waiters.
-            chain.waiters[r.reader] = r.ts
+            chain.park(r.reader, r.ts,
+                       None if refused is None else refused.resolve)
             yield from self.settler.settle_below(
-                chain, r.ts, r.reader, on_park=lambda: tell_parked(self, env))
-            del chain.waiters[r.reader]
+                chain, r.ts, r.reader, on_park=lambda: tell_parked(self, env),
+                refused=refused)
+            chain.unpark(r.reader)
+            if refused is not None and refused.done:
+                return WriteResp(False, None)
         vts, value = chain.read(r.ts)
         if r.write is None:
             ack = None
-        elif parked and chain.outbid(r.ts):
-            ack = WriteResp(False, None)
         else:
             ack = yield from self._write_task(r.write)
         return ReadResp(value, vts, ack)
@@ -473,6 +518,11 @@ class DataNode(Node):
 
     # -- crash recovery ---------------------------------------------------------------
 
+    def crash(self) -> None:
+        super().crash()
+        self.settler.release()
+        self.recorder.release()
+
     def on_restart(self) -> None:
         # alive: the network delivers again (and our own tasks may run);
         # ready stays False so data-plane requests are ignored until the
@@ -497,12 +547,24 @@ class DataNode(Node):
             yield from self.recorder.load_role(role)
         # The read-timestamp cache died with the process. Refuse writes
         # below a floor no pre-crash read can have exceeded: the next
-        # timestamp the oracle hands out, or the last promised cut end.
+        # timestamp the oracle hands out, led as far as any coordinator
+        # leads one, or the last promised cut end.
         fresh = yield from self.tsproxy.acquire_waiting()
         self.rt_floor = max(promised_end_ns(cuts, self.cutter.interval_ns),
-                            fresh.nanos)
+                            fresh.nanos + self._farthest_lead())
         self.recorder.start()
         self.cutter.start()
         self.ready = True
         self.k.trace("recovered", node=self.node_id, cuts=cuts,
                      rt_floor=self.rt_floor)
+
+    def _farthest_lead(self) -> int:
+        """The largest lead a coordinator gives a timestamp: the one-way
+        delay from the farthest coordinator to the farthest data node,
+        rounded up as ``Coordinator.lead`` rounds it."""
+        nodes = self.net.nodes.values()
+        coords = {n.region for n in nodes if n.kind == "coord"}
+        primaries = {n.region for n in nodes if n.kind == "data"}
+        far = max((self.net.latency.one_way_ns(a, b)
+                   for a in coords for b in primaries), default=0)
+        return lead_ns(far, self.tsproxy.ttl_ns)

@@ -9,14 +9,19 @@ while less than one TTL of (drift-compensated) local time has passed
 since the fetch was *sent*, every issued timestamp is strictly in the future of the true
 instant it was handed out. That is what lets a transaction's commit wait
 be a constant: by ``2*(ttl+eps)`` of true time after issuance, the
-timestamp is strictly in the past.
+timestamp is strictly in the past. A coordinator moves its timestamp a
+lead later, so that its ops reach their primaries before it
+(``lead_ns``); the wait then starts after the lead, and is
+``(lead + 2*(ttl+eps))*(1+D)`` of local time.
 
 The step only spaces a batch's own timestamps apart. Two batches from
 one server may overlap and share nanosecond values; each timestamp
 carries its batch's lower bound as a final tie-break, and since a
 server's upper bounds strictly increase, no two batches share one. So no
 two issued timestamps are equal (Lamport's rule: equal clock values are
-ordered by their issuer).
+ordered by their issuer). Leads keep this: they are multiples of the TTL
+and a batch's steps span less than one, so two led timestamps of one
+batch still differ in their nanoseconds (``led``).
 
 Expiry is judged on the owner's local timer with the worst-case drift
 folded in: the batch is usable only while ``elapsed * (1 + D) < ttl``.
@@ -93,14 +98,29 @@ def build_batch(reading: UncertainTime, ttl_ns: int,
 
 
 def commit_wait_ns(ttl_ns: int, epsilon_ns: int, max_drift_ppm: int,
-                   strawman: bool = False) -> int:
+                   strawman: bool = False, lead_ns: int = 0) -> int:
     """Local-clock duration a transaction must outlive its timestamp.
 
-    Batched mode: 2*(ttl+eps)*(1+D). Direct-oracle mode pays no TTL:
-    2*eps*(1+D). Rounded up so the true wait can never undershoot."""
+    Batched mode: (lead+2*(ttl+eps))*(1+D). Direct-oracle mode pays no
+    TTL: (lead+2*eps)*(1+D). Rounded up so the true wait can never
+    undershoot."""
     base = 2 * epsilon_ns if strawman else 2 * (ttl_ns + epsilon_ns)
-    num = base * (1_000_000 + max_drift_ppm)
+    num = (lead_ns + base) * (1_000_000 + max_drift_ppm)
     return -(-num // 1_000_000)
+
+
+def lead_ns(one_way_ns: int, ttl_ns: int) -> int:
+    """The lead of a timestamp whose ops travel ``one_way_ns`` to their
+    farthest primary: that delay rounded up to a multiple of the TTL."""
+    return -(-one_way_ns // ttl_ns) * ttl_ns
+
+
+def led(ts: Timestamp, lead: int) -> Timestamp:
+    """``ts`` moved ``lead`` nanoseconds later, a multiple of the TTL
+    (``lead_ns``). A timestamp no batch issued keeps its own nanoseconds
+    as the tie-break: the oracle's upper bounds never repeat, so neither
+    do the led timestamps."""
+    return Timestamp(ts.nanos + lead, ts.server_id, ts.batch or ts.nanos)
 
 
 class TsProxy:
@@ -140,8 +160,13 @@ class TsProxy:
 
     @property
     def cwt_ns(self) -> int:
+        return self.commit_wait(0)
+
+    def commit_wait(self, lead: int) -> int:
+        """The commit wait of a timestamp of this proxy led by ``lead``."""
         return commit_wait_ns(self.ttl_ns, self.epsilon_ns, self.max_drift_ppm,
-                              strawman=(self.mode == "strawman"))
+                              strawman=(self.mode == "strawman"),
+                              lead_ns=lead)
 
     def forget(self) -> None:
         """Drop what a crash of the owner loses: the live batch and the

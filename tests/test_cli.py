@@ -125,6 +125,49 @@ def test_check_measures_visibility_like_run_on_two_primaries(tmp_path, capsys):
     assert json.loads(out.removeprefix("visibility: ")) == run_vis
 
 
+def test_diff_prints_the_first_event_two_traces_differ_at(tmp_path, capsys):
+    def trace(name, events):
+        path = tmp_path / name
+        path.write_text("\n".join(
+            [json.dumps({"kind": "header", "schema": 1, "seed": name})]
+            + [json.dumps(e) for e in events]) + "\n")
+        return str(path)
+
+    events = [[i, "op", {"i": i}] for i in range(10)]
+    a = trace("a", events)
+    b = trace("b", events[:5] + [[5, "op", {"i": 99}]] + events[6:])
+    assert main(["diff", a, trace("same", events)]) == 0
+    assert capsys.readouterr().out == "identical: 10 events\n"
+    # DIFF_CONTEXT (3) shared events before it, that many after it
+    assert main(["diff", a, b]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "first difference at event 5 (A: 10 events, B: 10)",
+        '  2 [2,"op",{"i":2}]', '  3 [3,"op",{"i":3}]',
+        '  4 [4,"op",{"i":4}]',
+        '- 5 [5,"op",{"i":5}]', '- 6 [6,"op",{"i":6}]',
+        '- 7 [7,"op",{"i":7}]', '- 8 [8,"op",{"i":8}]',
+        '+ 5 [5,"op",{"i":99}]', '+ 6 [6,"op",{"i":6}]',
+        '+ 7 [7,"op",{"i":7}]', '+ 8 [8,"op",{"i":8}]']
+    # a trace that stops early differs where it stops
+    assert main(["diff", a, trace("short", events[:2])]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "first difference at event 2 (A: 10 events, B: 2)",
+        '  0 [0,"op",{"i":0}]', '  1 [1,"op",{"i":1}]',
+        '- 2 [2,"op",{"i":2}]', '- 3 [3,"op",{"i":3}]',
+        '- 4 [4,"op",{"i":4}]', '- 5 [5,"op",{"i":5}]']
+
+
+def test_diff_of_two_seeds_of_one_scenario(tmp_path, capsys):
+    sc = small_yaml(tmp_path)
+    paths = [str(tmp_path / f"{seed}.trace") for seed in (3, 4)]
+    for seed, path in zip((3, 4), paths):
+        main(["run", "--scenario", sc, "--seed", str(seed), "--trace", path])
+    capsys.readouterr()
+    assert main(["diff", paths[0], paths[0]]) == 0
+    assert main(["diff", *paths]) == 1
+    assert "first difference at event" in capsys.readouterr().out
+
+
 def test_unknown_arguments_exit_with_usage_errors():
     with pytest.raises(SystemExit) as e:
         main([])

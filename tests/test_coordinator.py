@@ -1,6 +1,8 @@
 """End-to-end coordinator behaviour on small clusters."""
 
 import gc
+import sys
+import weakref
 from collections import Counter
 from pathlib import Path
 
@@ -9,6 +11,7 @@ from conftest import ask_once, drive, replies_to_one_try, run_until_done
 
 from chronokv.checkers import (
     check_strict_serializability,
+    check_timestamp_property,
     effective_outcomes,
     terminal_records,
 )
@@ -50,6 +53,7 @@ from chronokv.simnet import (
     OracleOutage,
     retry_backoff_ns,
 )
+from chronokv.tsbatch import Timestamp
 
 
 def small(seed=7, **kw):
@@ -109,9 +113,65 @@ def test_run_summary_counts_the_txns_a_coordinator_crash_killed():
     r = run_scenario(small(seed=11, txns_per_client=60, faults=fs))
     s = run_summary(r)
     begins = sum(1 for _t, kind, _f in r.trace if kind == "txn_begin")
-    assert s["txns"] == begins == 48
+    assert s["txns"] == begins == 50
     assert s["unknown"] == 2
     assert s["ts_requests"] == begins
+
+
+@pytest.mark.parametrize("mode", ["batched", "strawman"])
+@pytest.mark.parametrize("ttl_ns", [100_000, 20 * MS])
+def test_timestamps_led_to_the_farthest_primary_stay_in_their_lifetimes(
+        mode, ttl_ns):
+    # Every program's only primary is in BJ, the farthest region from SG,
+    # so each timestamp leads by the longest delay there is; read-only
+    # programs commit after the same wait.
+    r = run_scenario(small(
+        regions=["BJ", "SG"], data_nodes=["BJ"], coordinators=["SG"],
+        txns_per_client=20, ts_mode=mode, ttl_ns=ttl_ns,
+        workload=WorkloadSpec(kind="ycsb", keys=64, ops_per_txn=2,
+                              write_ratio=0.3)))
+    h = r.history()
+    v = check_timestamp_property(h)
+    assert v.ok, v.violations[:3]
+    lead = -(-38_800_000 // ttl_ns) * ttl_ns
+    committed = [t for t in h.txns.values() if t.committed]
+    assert v.checked == len(committed) > 20
+    assert any(not any(op[1] == "w" for op in t.ops) for t in committed)
+    for t in committed:
+        assert t.ts.nanos > t.begin_ns + lead
+
+
+def test_a_restarted_primary_refuses_writes_below_a_far_led_read():
+    # With a 30 ms TTL, SG's 34.65 ms to SH rounds up to a 60 ms lead, so
+    # a read served just before a crash stands far above the timestamp
+    # the restart then reads. The floor covers every lead a coordinator
+    # can give, so a write between the two is refused.
+    cluster = Cluster(Scenario(
+        name="floor", seed=1, duration_ms=60_000, regions=["SH", "SG"],
+        data_nodes=["SH"], coordinators=["SG"], clients_per_coordinator=0,
+        ttl_ns=30 * MS))
+    cluster.start()
+    sim, coord, node = cluster.sim, cluster.coordinators[0], \
+        cluster.data_nodes[0]
+    coord.k.spawn(coord.run_txn([("r", "x")]))
+    run_until_done(sim, lambda: "x" in node.store.chains)
+    read = node.store.chains["x"].rt
+    fresh = []
+    acquire = node.tsproxy.acquire_waiting
+
+    def recording():
+        fresh.append((yield from acquire()))
+        return fresh[-1]
+
+    node.tsproxy.acquire_waiting = recording
+    node.crash()
+    node.restart()
+    run_until_done(sim, lambda: node.ready)
+    assert fresh[0].nanos + 20 * MS < read.nanos < node.rt_floor
+    ts = Timestamp(read.nanos - MS, read.server_id, read.batch)
+    write = WriteReq("x", "c0.SG:99", ts, "v", coord.home_role, 0)
+    resp = drive(sim, coord.k, ask_once(coord.k, node.node_id, write, SEC))
+    assert resp == WriteResp(False, None)
 
 
 def test_a_restarted_data_node_keeps_its_timestamp_proxy():
@@ -395,7 +455,7 @@ def test_a_begin_in_a_long_outage_asks_the_oracle_until_it_ends():
         send(src, dst_id, payload, rid, is_reply)
 
     cluster.net.send = recording
-    h = drive(cluster.sim, coord.k, coord.begin())
+    h = drive(cluster.sim, coord.k, coord.begin(0))
     assert h.status == "active"
     assert h.ts.nanos > outage_end > fetches[-2]
     # the outage outlasts 40 fetches and their back-offs
@@ -666,10 +726,10 @@ def test_a_read_modify_write_parked_behind_an_intent_installs_as_it_wakes():
 
 
 @pytest.mark.parametrize("first", ["low", "high"])
-def test_of_two_parked_read_modify_writes_only_the_higher_installs(first):
-    # Both wake on one verdict, in the order they parked. The lower is
-    # refused at its wake whichever wakes first: the higher is either
-    # still parked or has read already.
+def test_of_two_read_modify_writes_parked_on_a_key_the_lower_never_reads(
+        first):
+    # The lower is refused with nothing read as soon as the higher is
+    # parked: at the higher's park if it parked first, or as it arrives.
     cluster, writer, reader, w, sent = parked_behind_an_intent()
     sim = cluster.sim
     node = cluster.data_nodes[0]
@@ -682,50 +742,73 @@ def test_of_two_parked_read_modify_writes_only_the_higher_installs(first):
         delay["high"] + [("r", "x"), ("w", "x", "high")]))
     run_until_done(sim, lambda: low.done and high.done)
     assert low.value.ts < high.value.ts
-    parked = [p.reader for p in sent if isinstance(p, ReadReq)]
-    assert parked[0] == (low if first == "low" else high).value.txn
+    sent_first = [p.reader for p in sent if isinstance(p, ReadReq)][0]
+    assert sent_first == (low if first == "low" else high).value.txn
     assert w.value.status == "committed"
     assert (low.value.status, low.value.reason) == ("aborted", "rt_conflict")
     assert (high.value.status, high.value.reason) == ("committed", None)
-    assert low.value.reads[0][3] == high.value.reads[0][3] == "new"
+    assert low.value.reads == [] and high.value.reads[0][3] == "new"
     assert not [p for p in sent if isinstance(p, WriteReq)]
-    # the refusal leaves at once, the ack once its intent is flushed
-    assert [p.write.ok for p in sent if isinstance(p, ReadResp)] == \
-        [False, True]
+    # the refusal alone answers the lower, before the higher wakes
+    refusal, answer = [p for p in sent
+                       if isinstance(p, (ReadResp, WriteResp))]
+    assert refusal == WriteResp(False, None) and answer.write.ok
+    events = sim.trace.events
+    ops = [f["txn"] for _t, kind, f in events if kind == "op"]
+    assert low.value.txn not in ops
+    # only one that parks traces a wait, and its wait ends at the refusal
+    waits = [(t, kind) for t, kind, f in events
+             if kind in ("push_wait", "push_done")
+             and f["reader"] == low.value.txn]
+    [high_parks] = [t for t, kind, f in events if kind == "push_wait"
+                    and f["reader"] == high.value.txn]
+    if first == "low":
+        assert [kind for _t, kind in waits] == ["push_wait", "push_done"]
+        assert waits[1][0] == high_parks
+    else:
+        assert waits == []
     assert node.store.chains["x"].waiters == {}
+    assert node.store.chains["x"].refusals == {}
     after = drive(sim, reader.k, reader.run_txn([("r", "x")]))
     assert after.reads[0][3] == "high"
 
 
-def test_a_higher_parked_plain_read_outbids_a_lower_read_modify_write():
+def test_a_plain_read_that_parks_above_a_read_modify_write_refuses_it():
     cluster, writer, reader, w, sent = parked_behind_an_intent()
     sim = cluster.sim
     rmw = reader.k.spawn(reader.run_txn([("r", "x"), ("w", "x", "rmw")]))
     sim.run_until(sim.now + MS)
     read = reader.k.spawn(reader.run_txn([("r", "x")]))
-    run_until_done(sim, lambda: rmw.done and read.done)
+    sim.run_until(sim.now + MS)
+    # refused while the writer that blocks both is still undecided
+    assert rmw.done and not w.done
+    run_until_done(sim, lambda: read.done)
     assert rmw.value.ts < read.value.ts
     assert (rmw.value.status, rmw.value.reason) == ("aborted", "rt_conflict")
+    assert rmw.value.reads == []
     assert read.value.status == "committed"
     assert read.value.reads[0][3] == "new"
     assert not [p for p in sent if isinstance(p, WriteReq)]
-    [refused] = [p.write for p in sent
-                 if isinstance(p, ReadResp) and p.write is not None]
-    assert refused == WriteResp(False, None)
+    assert [p for p in sent if isinstance(p, WriteResp)] == \
+        [WriteResp(False, None)]
 
 
-def test_a_crash_forgets_the_read_modify_writes_parked_at_a_primary():
-    # The parked ops die with the primary's process; the restarted
-    # primary holds no waiter from before, and a new op on the key
-    # installs as on a free key, with no park and no write of its own.
+def test_a_crash_forgets_the_ops_parked_at_a_primary():
+    # A plain read parks below a read-modify-write, so neither dooms the
+    # other. Both die with the primary's process; the restarted primary
+    # holds no waiter from before, and a new op on the key installs as
+    # on a free key, with no park and no write of its own.
     cluster, writer, reader, w, sent = parked_behind_an_intent()
     sim = cluster.sim
     node = cluster.data_nodes[0]
-    for value in ("a", "b"):
-        reader.k.spawn(reader.run_txn([("r", "x"), ("w", "x", value)]))
-        sim.run_until(sim.now + MS)
+    read = reader.k.spawn(reader.run_txn([("r", "x")]))
+    sim.run_until(sim.now + MS)
+    rmw = reader.k.spawn(reader.run_txn([("r", "x"), ("w", "x", "a")]))
+    sim.run_until(sim.now + MS)
     old = node.store.chains["x"]
-    assert len(old.waiters) == 2
+    assert not read.done and not rmw.done
+    assert list(old.waiters) == ["c1.SH:1", "c1.SH:2"]
+    assert list(old.refusals) == ["c1.SH:2"]
     node.crash()
     sim.run_until(sim.now + 100 * MS)
     node.restart()
@@ -740,6 +823,52 @@ def test_a_crash_forgets_the_read_modify_writes_parked_at_a_primary():
              if isinstance(p, (ReadReq, Pending, ReadResp, WriteReq))]
     assert kinds == [ReadReq, ReadResp]
     assert node.store.chains["x"].waiters == {}
+
+
+@pytest.mark.parametrize("programs", [
+    [[("r", "x")]],
+    [[("r", "x"), ("w", "x", "a")]],
+    [[("r", "x")], [("r", "x"), ("w", "x", "a")]],
+], ids=["read", "rmw", "both"])
+def test_ops_parked_at_a_crashed_primary_are_freed_at_the_crash(
+        monkeypatch, programs):
+    # Parked reads, read-modify-writes and the push they started all wait
+    # on futures the crashed node holds. They are freed at the crash, so
+    # the cycle collector later finds nothing of theirs to finalize.
+    cluster, writer, reader, w, sent = parked_behind_an_intent()
+    sim = cluster.sim
+    node = cluster.data_nodes[0]
+    parked = []
+
+    def tracked(owner, name):
+        def task(*args):
+            gen = getattr(type(owner), name)(owner, *args)
+            parked.append(weakref.ref(gen))
+            return gen
+
+        setattr(owner, name, task)
+
+    tracked(node, "_read_task")
+    tracked(node.recorder, "_push_task")
+    reported = []
+    monkeypatch.setattr(sys, "unraisablehook", reported.append)
+    gc.collect()
+    gc.disable()
+    try:
+        for program in programs:
+            reader.k.spawn(reader.run_txn(program))
+            sim.run_until(sim.now + MS)
+        assert len(node.store.chains["x"].waiters) == len(programs)
+        assert len(parked) == len(programs) + 1  # and one push
+        node.crash()
+        sim.run_until(sim.now + 100 * MS)
+        assert [task() for task in parked] == [None] * len(parked)
+    finally:
+        gc.enable()
+    node.restart()
+    run_until_done(sim, lambda: node.ready)
+    gc.collect()
+    assert reported == []
 
 
 def test_a_refused_read_modify_write_logs_nothing_nor_does_a_late_one():

@@ -24,19 +24,19 @@ SCENARIOS = ROOT / "scenarios"
 
 PINNED = {
     "baseline.yaml":
-        "5d850cf7d85308a39b9c82cfd3493b035c5c552b53463033baf537d8adaba66d",
+        "f31e056dadc0d95ba40aaf7f802aa0c8deeb34238d78ef20261e7e0ee4efbf44",
     "faults.yaml":
-        "6f8c797529a51a4cf2134aee7dd2fdb31dea13a177fd8b503915581f11fcbcaf",
+        "0ef0beed0dcc0c96c9130c80cdbf4cde457f42b558029fa2e48cb7e48d29074a",
 }
 
 # The benchmark's workloads at seed 1, full size.
 PINNED_WORKLOADS = {
     "steady":
-        "c37c8b110d5ccdc00794f26d32572391934f3451623464fb9fd671f4064b4972",
+        "138e6fcef3ef92c8f02a76208dfd430fb7aad986fad3c261238edfa0f8ea02af",
     "hot-rmw":
-        "0ecb776eb97d23b149c553193985ad1222a2a9ff8ea4e557a275e95d5494221f",
+        "6305c37f3b0cc078d40e11f6c753f55cc519ba4c4ff6ed3f107f8af67a904bba",
     "chaos":
-        "4c533af53dc1367f4bd9c2932039e6cf2b9dcb143faf0658d52fca700273fd50",
+        "f51f29d173b2bd1726b12c48757a1cbc460514e0e5660dfd0c95e0e16aa412a8",
 }
 
 

@@ -3,6 +3,8 @@
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import Host, drive, one_region
 from chronokv.checkers import run_all_checks
@@ -18,6 +20,8 @@ from chronokv.tsbatch import (
     TsProxy,
     build_batch,
     commit_wait_ns,
+    lead_ns,
+    led,
     validate_batch_params,
 )
 
@@ -115,6 +119,58 @@ def test_commit_wait_constants():
 def test_commit_wait_rounds_up():
     # 2*(1+0)*1.0002 = 2.0004 -> 3
     assert commit_wait_ns(1, 0, D) == 3
+
+
+def test_commit_wait_grows_by_the_lead_with_drift():
+    assert commit_wait_ns(TTL, EPS, D, lead_ns=3 * TTL) == 700_140
+    assert commit_wait_ns(TTL, EPS, D, strawman=True, lead_ns=TTL) == 300_060
+
+
+# -- leads ------------------------------------------------------------------------
+
+
+def test_a_lead_is_the_delay_rounded_up_to_the_ttl():
+    assert [lead_ns(d, TTL) for d in (0, 1, TTL, TTL + 1)] == \
+        [0, TTL, TTL, 2 * TTL]
+
+
+def test_leads_keep_apart_what_they_would_otherwise_map_onto_one():
+    # a batch's steps: only a lead on the TTL grid keeps them apart
+    b = batch()
+    first, second = b.next_timestamp(0), b.next_timestamp(0)
+    assert led(first, STEP_NS) == led(second, 0)
+    assert led(first, lead_ns(STEP_NS, TTL)) != led(second, 0)
+    # two oracle readings one TTL apart: the tie-break keeps them apart
+    early, late = Timestamp(1_000_000, 0), Timestamp(1_000_000 + TTL, 0)
+    assert led(early, TTL).nanos == led(late, 0).nanos
+    assert led(early, TTL) != led(late, 0)
+
+
+# One-way delays: a batch's first steps, which only the TTL grid keeps
+# apart, or any delay; and pauses within a batch and beyond it.
+ONE_WAY = st.one_of(st.sampled_from([0, STEP_NS, 2 * STEP_NS]),
+                    st.integers(0, 80 * MS))
+PAUSE = st.sampled_from([0, 0, STEP_NS, TTL // 2, 2 * TTL])
+
+
+@pytest.mark.parametrize("mode", ["batched", "strawman"])
+@settings(max_examples=40, deadline=None, database=None)
+@given(steps=st.lists(st.tuples(ONE_WAY, PAUSE), min_size=2, max_size=40))
+def test_led_timestamps_of_one_proxy_are_pairwise_distinct(mode, steps):
+    # each acquire leads by its own one-way delay, after its own pause
+    sim, host, proxy = proxy_rig(mode=mode)
+
+    def acquires():
+        out = []
+        for one_way, pause in steps:
+            if pause:
+                yield host.k.sleep_local(pause)
+            ts = yield from proxy.acquire()
+            out.append(led(ts, lead_ns(one_way, TTL)))
+        return out
+
+    got = drive(sim, host.k, acquires())
+    assert len(set(got)) == len(got)
 
 
 # -- proxy over the wire ------------------------------------------------------------
