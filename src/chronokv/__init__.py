@@ -18,25 +18,12 @@ checkers hold that handle.
 """
 
 from .errors import InvalidConfig, LivelockGuard, OracleUnavailable
-from .tsbatch import Timestamp, TimestampBatch, build_batch, commit_wait_ns
 
 __version__ = "0.1.0"
-
-
-def run_scenario(sc):
-    """Run a Scenario to completion and return its RunResult."""
-    from .cluster import run_scenario as _run
-    return _run(sc)
-
 
 __all__ = [
     "InvalidConfig",
     "LivelockGuard",
     "OracleUnavailable",
-    "Timestamp",
-    "TimestampBatch",
-    "build_batch",
-    "commit_wait_ns",
-    "run_scenario",
     "__version__",
 ]

@@ -12,7 +12,7 @@ MS = 1_000_000
 
 def _cmd_run(args) -> int:
     from . import metrics
-    from .cluster import Cluster
+    from .cluster import run_scenario
     from .history import write_trace
     from .scenario import Scenario, load_scenario
 
@@ -21,14 +21,13 @@ def _cmd_run(args) -> int:
         sc.seed = args.seed
     if args.until_ms is not None:
         sc.duration_ms = args.until_ms
-    cluster = Cluster(sc)
-    result = cluster.run()
+    result = run_scenario(sc)
     if args.trace:
         write_trace(args.trace, result.trace, meta={
             "seed": sc.seed,
             "interval_ms": sc.interval_ms,
             "epsilon_ns": sc.epsilon_ns,
-            "data_nodes": cluster.router.ids,
+            "data_nodes": result.cluster.router.ids,
             "replicas_of": result.replicas_of(),
         })
     summary = metrics.run_summary(result)

@@ -58,17 +58,20 @@ that the commit will meet (see ``mvto.Settler``); the floor is the one
 thing written to a record before its decision.
 
 Recorders also guarantee progress for everyone else's transactions. A
-transaction's id names its coordinator (``Coordinator.coordinator_of``),
-and only the owner of that coordinator's home role judges it, so the
-coordinator heartbeats that owner alone, read from the membership
-register before each beat. Once a coordinator has gone quiet, the sweep
-durably aborts its transactions that hold a floored record or have
-readers parked on them, answering those readers. A coordinator that is
+transaction's id names its coordinator and its number there
+(``Coordinator.coordinator_of``), and only the owner of that
+coordinator's home role judges it, so the coordinator heartbeats that
+owner alone, read from the membership register before each beat. The
+sweep judges a transaction by the incarnation of its coordinator that
+began it: once that incarnation is gone, because the coordinator has
+gone quiet or because it has restarted since (each beat carries the last
+number an earlier incarnation gave, ``messages.Heartbeat.since``), the
+sweep durably aborts the transaction if it holds a floored record or
+has readers parked on it, answering those readers. A coordinator that is
 alive asks its recorder for each of its decisions until it answers.
-Losing a role is
-discovered the hard way — a durable append bounces with a fence — after
-which the old recorder answers NotOwner and the sender looks up the
-successor named by the membership register.
+Losing a role is discovered the hard way — a durable append bounces with
+a fence — after which the old recorder answers NotOwner and the sender
+looks up the successor named by the membership register.
 
 Retries: every request goes through one retry loop,
 ``replication.request``, and is asked until it is answered. A try waits
@@ -158,6 +161,7 @@ class RecorderState:
         self.node = node
         self.roles: dict[str, _RoleState] = {}
         self.last_heard: dict[str, int] = {}
+        self.since: dict[str, int] = {}  # coordinator -> Heartbeat.since
         self._grace = node.k.local_now()
 
     def start(self) -> None:
@@ -169,10 +173,18 @@ class RecorderState:
 
     # -- liveness of coordinators -------------------------------------------
 
-    def on_heartbeat(self, coordinator: str) -> None:
-        self.last_heard[coordinator] = self.node.k.local_now()
+    def on_heartbeat(self, hb: Heartbeat) -> None:
+        self.last_heard[hb.coordinator] = self.node.k.local_now()
+        # A beat of an earlier incarnation can arrive late: keep the max.
+        self.since[hb.coordinator] = max(hb.since,
+                                         self.since.get(hb.coordinator, 0))
 
-    def _coordinator_stale(self, coordinator: str) -> bool:
+    def _orphaned(self, txn: str) -> bool:
+        """Whether ``txn``'s coordinator can no longer end it: it began
+        ``txn`` in an earlier incarnation, or it has gone quiet."""
+        coordinator, n = Coordinator.coordinator_of(txn)
+        if n <= self.since.get(coordinator, 0):
+            return True
         heard = self.last_heard.get(coordinator, self._grace)
         return self.node.k.local_now() - heard > HB_TIMEOUT_NS
 
@@ -332,8 +344,7 @@ class RecorderState:
                 unrecorded = [txn for txn in rs.pending
                               if txn not in rs.records]
                 for txn in [*rs.in_progress, *unrecorded]:
-                    if txn not in rs.deciding and self._coordinator_stale(
-                            Coordinator.coordinator_of(txn)):
+                    if txn not in rs.deciding and self._orphaned(txn):
                         self.node.k.spawn(
                             self._decide_core(role, txn, ABORT, [], None))
 
@@ -375,6 +386,7 @@ class Coordinator(Node):
         # in router order) holds the record of every writing transaction.
         self.home_role = recorder_role(min(router.ids, key=self.k.one_way_ns))
         self._txn_n = 0
+        self._since = 0  # Heartbeat.since
         self.aborts_by_reason: dict[str, int] = {}
 
     def handle(self, env) -> None:  # coordinators receive only rpc replies
@@ -384,10 +396,11 @@ class Coordinator(Node):
         self.k.spawn(self._heartbeat_loop())
 
     def on_restart(self) -> None:
-        # In-flight transactions died with the process; the owner of the
-        # home role sweeps them once heartbeats go stale. The txn counter
-        # survives so ids never repeat across incarnations, and the
-        # timestamp proxy keeps its counters.
+        # In-flight transactions died with the process. The txn counter
+        # survives, so ids never repeat across incarnations, and each beat
+        # now tells the owner of the home role to sweep every id up to
+        # where it stood. The timestamp proxy keeps its counters.
+        self._since = self._txn_n
         self.tsproxy.forget()
         self.alive = True
         self.k.spawn(self._heartbeat_loop())
@@ -398,7 +411,7 @@ class Coordinator(Node):
         while True:
             owner = yield from self.membership.refresh(self.home_role)
             if owner is not None:
-                self.k.send(owner, Heartbeat(self.node_id))
+                self.k.send(owner, Heartbeat(self.node_id, self._since))
             yield self.k.sleep_local(HB_INTERVAL_NS)
 
     # -- transaction verbs ------------------------------------------------------
@@ -412,19 +425,20 @@ class Coordinator(Node):
         again until it comes."""
         self._txn_n += 1
         txn = f"{self.node_id}:{self._txn_n}"
-        self.k.trace("txn_begin", txn=txn, coord=self.node_id)
+        self.k.trace("txn_begin", txn=txn)
         ts = led((yield from self.tsproxy.acquire_waiting()), lead)
-        # Traced now, not only in txn_end: a recorder can commit the
+        # Traced now, not at txn_end: a recorder can commit the
         # transaction after this coordinator has crashed.
         self.k.trace("txn_ts", txn=txn, ts=list(ts))
         return TxnHandle(txn, ts, self.k.local_now() +
                          self.tsproxy.commit_wait(lead))
 
     @staticmethod
-    def coordinator_of(txn: str) -> str:
-        """The coordinator that began ``txn``, read back from the id that
-        ``begin`` minted."""
-        return txn.rsplit(":", 1)[0]
+    def coordinator_of(txn: str) -> tuple[str, int]:
+        """The coordinator that began ``txn`` and the number it gave it,
+        read back from the id that ``begin`` minted."""
+        coordinator, n = txn.rsplit(":", 1)
+        return coordinator, int(n)
 
     def execute_read(self, h: TxnHandle, key: str, idx: int, ops=None):
         """Generator -> value. Read ``key`` at ``h.ts`` as op ``idx``; a key
@@ -558,28 +572,30 @@ class Coordinator(Node):
                 yield from self.execute_read(h, key, idx)
 
     def commit(self, h: TxnHandle):
-        """Generator -> final status string. The commit wait for h.ts must
-        have elapsed on the local clock; then a writer asks its recorder
-        for the one durable decision."""
-        if h.status != "active":
-            return (yield from self._abandon(h))
-        remaining = h.cwt_deadline_local - self.k.local_now()
-        if remaining > 0:
-            yield self.k.sleep_local(remaining)
-        if not h.writes:
+        """Generator -> final status string; every transaction ends here.
+        An active one waits out the commit wait for h.ts on the local
+        clock, and a writer then asks its recorder for the one durable
+        decision. An aborted one that may hold an intent, or a floored
+        record, makes its abort durable. Then the intents are finalized."""
+        epoch = None
+        if h.status == "active":
+            remaining = h.cwt_deadline_local - self.k.local_now()
+            if remaining > 0:
+                yield self.k.sleep_local(remaining)
             h.status = "committed"
-            self._finish(h, None)
-            return "committed"
-        resp = yield from self._decide(h, COMMIT)
-        if resp.status == COMMITTED:
-            h.status = "committed"
-            self._broadcast_finalize(h, COMMIT, resp.epoch)
-            self._finish(h, resp.epoch)
-            return "committed"
-        h.status, h.reason = "aborted", "swept"
-        self._broadcast_finalize(h, ABORT, None)
-        self._finish(h, None)
-        return "aborted"
+            if h.writes:
+                resp = yield from self._decide(h, COMMIT)
+                if resp.status == COMMITTED:
+                    epoch = resp.epoch
+                else:
+                    h.status, h.reason = "aborted", "swept"
+        elif h.role is not None:
+            yield from self._decide(h, ABORT)
+        decision = COMMIT if h.status == "committed" else ABORT
+        for nid in h.intent_nodes:
+            self.k.send(nid, FinalizeReq(h.txn, decision, epoch))
+        self._finish(h, epoch)
+        return h.status
 
     # -- helpers -----------------------------------------------------------------
 
@@ -588,27 +604,12 @@ class Coordinator(Node):
         req = DecideReq(h.role, h.txn, decision, list(h.proposals))
         return (yield from request(self.k, h.role, req, roles=self.membership))
 
-    def _abandon(self, h: TxnHandle):
-        """Abort path: make the abort durable if an intent, or a floored
-        record, may exist, then sweep intents. No commit was asked for, so
-        the recorder answers aborted."""
-        if h.role is not None:
-            yield from self._decide(h, ABORT)
-        if h.intent_nodes:
-            self._broadcast_finalize(h, ABORT, None)
-        self._finish(h, None)
-        return h.status
-
-    def _broadcast_finalize(self, h: TxnHandle, decision: str, epoch) -> None:
-        for nid in h.intent_nodes:
-            self.k.send(nid, FinalizeReq(h.txn, decision, epoch))
-
     def _finish(self, h: TxnHandle, epoch) -> None:
         if h.status == "aborted":
             self.aborts_by_reason[h.reason] = \
                 self.aborts_by_reason.get(h.reason, 0) + 1
-        self.k.trace("txn_end", txn=h.txn, status=h.status, ts=list(h.ts),
-                     epoch=epoch, reason=h.reason)
+        self.k.trace("txn_end", txn=h.txn, status=h.status, epoch=epoch,
+                     reason=h.reason)
 
     # -- one full transaction ------------------------------------------------------
 

@@ -6,11 +6,12 @@ read results, cut and replay instants — is derived here in one pass so
 each checker can stay a pure function over plain data.
 
 A transaction's life is ``txn_begin``, then ``txn_ts`` once its
-timestamp is acquired, its ``op`` events, and ``txn_end``. The timestamp
-comes from ``txn_ts``, so a transaction whose coordinator crashed before
-``txn_end`` still has one. ``txn_end`` carries it too (traces written
-before ``txn_ts`` existed have it only there); one without it does not
-erase it.
+timestamp is acquired, its ``op`` events, and ``txn_end``. Each fact is
+traced once: the timestamp only in ``txn_ts``, so a transaction whose
+coordinator crashed before ``txn_end`` still has one, and the
+coordinator only in the id (``TxnInfo.coord``). This is schema 2;
+``read_trace`` refuses schema 1, whose ``txn_end`` also carried the
+timestamp and which older traces hold only there.
 """
 
 from __future__ import annotations
@@ -19,9 +20,10 @@ import json
 from dataclasses import dataclass, field
 from typing import Optional
 
+from .coordinator import Coordinator
 from .tsbatch import Timestamp
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 def _ts(v) -> Optional[Timestamp]:
@@ -40,7 +42,11 @@ class TxnInfo:
     epoch: Optional[int] = None
     reason: Optional[str] = None
     ops: list = field(default_factory=list)  # (i, kind, key, vts, val)
-    coord: Optional[str] = None    # the coordinator that began it
+
+    @property
+    def coord(self) -> str:
+        """The coordinator that began this transaction."""
+        return Coordinator.coordinator_of(self.txn)[0]
 
     @property
     def committed(self) -> bool:
@@ -68,7 +74,6 @@ class History:
     records: list = field(default_factory=list)     # (t, role, txn, status, epoch)
     pushes: list = field(default_factory=list)      # (t, kind, node, reader, txn)
     oracle: list = field(default_factory=list)      # (t, srv, lo, hi)
-    recoveries: list = field(default_factory=list)  # (t, node, cuts, rt_floor)
 
 
 def build_history(events) -> History:
@@ -76,8 +81,7 @@ def build_history(events) -> History:
     rr_pending: dict = {}
     for t, kind, f in events:
         if kind == "txn_begin":
-            h.txns[f["txn"]] = TxnInfo(f["txn"], begin_ns=t,
-                                       coord=f.get("coord"))
+            h.txns[f["txn"]] = TxnInfo(f["txn"], begin_ns=t)
         elif kind == "txn_ts":
             info = h.txns.get(f["txn"])
             if info is not None:
@@ -90,11 +94,9 @@ def build_history(events) -> History:
         elif kind == "txn_end":
             info = h.txns.get(f["txn"])
             if info is None:
-                info = h.txns[f["txn"]] = TxnInfo(f["txn"], begin_ns=t)
+                continue
             info.end_ns = t
             info.status = f["status"]
-            if f.get("ts") is not None:
-                info.ts = _ts(f["ts"])
             info.epoch = f.get("epoch")
             info.reason = f.get("reason")
         elif kind == "rread_start":
@@ -117,8 +119,6 @@ def build_history(events) -> History:
             h.pushes.append((t, kind, f["node"], f["reader"], f["txn"]))
         elif kind == "oracle":
             h.oracle.append((t, f["srv"], f["lo"], f["hi"]))
-        elif kind == "recovered":
-            h.recoveries.append((t, f["node"], f["cuts"], f["rt_floor"]))
     return h
 
 

@@ -142,7 +142,12 @@ class PushResp:
 
 @dataclass(slots=True)
 class Heartbeat:
+    """A coordinator's beat to the owner of its home role. ``since`` is
+    the number of the last transaction it began before its current
+    incarnation, 0 in its first: those died with an earlier process, so
+    the sweep aborts them although their coordinator beats."""
     coordinator: str
+    since: int
 
 
 # -- replication ----------------------------------------------------------------

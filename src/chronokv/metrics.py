@@ -180,7 +180,7 @@ def latency_summary(h: History) -> dict:
             out[status] = _latency(vals)
     by_region: dict = {}
     for t in h.txns.values():
-        if t.committed and t.coord is not None:
+        if t.committed:
             by_region.setdefault(t.coord.rsplit(".", 1)[-1], []).append(
                 t.end_ns - t.begin_ns)
     if by_region:

@@ -311,18 +311,18 @@ class Settler:
         # wake, when the txn is decided and no waiter looks here.
         self._decided: dict[str, Future] = {}
 
-    def settle_below(self, chain: KeyChain, ts: Timestamp, reader: str,
-                     view: Optional[int] = None, on_park=None,
+    def settle_below(self, env, chain: KeyChain, ts: Timestamp, reader: str,
+                     view: Optional[int] = None,
                      refused: Optional[Future] = None):
         """Generator: wait until ``chain.blocker(ts, reader, view)`` finds
-        nothing, or until ``refused`` is resolved. ``on_park()`` is called
-        before each wait."""
+        nothing, or until ``refused`` is resolved. Before each wait the
+        sender of ``env``, the request being served, is told that it is
+        parked (``replication.tell_parked``, which tells it once)."""
         while refused is None or not refused.done:
             intent = chain.blocker(ts, reader, view)
             if intent is None:
                 return
-            if on_park is not None:
-                on_park()
+            tell_parked(self.node, env)
             yield from self.wait(intent.txn, intent.role, reader, refused)
 
     def wait(self, txn: str, role: str, reader: str,
@@ -421,7 +421,7 @@ class DataNode(Node):
     def handle(self, env) -> None:
         p = env.payload
         if isinstance(p, Heartbeat):
-            self.recorder.on_heartbeat(p.coordinator)
+            self.recorder.on_heartbeat(p)
             return
         if isinstance(p, CatchUp):
             self.k.spawn(self._serve_catchup(env, p))
@@ -464,8 +464,7 @@ class DataNode(Node):
             chain.park(r.reader, r.ts,
                        None if refused is None else refused.resolve)
             yield from self.settler.settle_below(
-                chain, r.ts, r.reader, on_park=lambda: tell_parked(self, env),
-                refused=refused)
+                env, chain, r.ts, r.reader, refused=refused)
             chain.unpark(r.reader)
             if refused is not None and refused.done:
                 return WriteResp(False, None)

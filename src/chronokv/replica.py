@@ -120,7 +120,7 @@ class ReplicaNode(Node):
         for key in r.keys:
             chain = self.store.touch(key)
             yield from self.settler.settle_below(
-                chain, r.ts, r.reader, view, lambda: tell_parked(self, env))
+                env, chain, r.ts, r.reader, view)
             vts, value = chain.visible(r.ts, view)
             reads.append((key, vts, value))
         self.k.trace("rread", node=self.node_id, reader=r.reader,

@@ -14,6 +14,7 @@ all. Tolerances are pinned as constants next to the test they gate.
 
 import random
 import time
+from collections import Counter
 
 from oracles import (
     bench_timestamp_service,
@@ -113,16 +114,29 @@ def _chaos_scenario(seed: int) -> Scenario:
     )
 
 
+def _open_push_waits(h) -> list:
+    """(node, reader, txn) of each push wait with no push_done after it."""
+    open_waits = Counter()
+    for _t, kind, node, reader, txn in h.pushes:
+        open_waits[node, reader, txn] += 1 if kind == "push_wait" else -1
+    return sorted(w for w, n in open_waits.items() if n)
+
+
 def test_a02_strict_serializability_survives_chaos_on_twenty_seeds():
     t0 = time.monotonic()
     txns = 0
     for seed in CHAOS_SEEDS:
-        r = run_scenario(_chaos_scenario(seed))
+        sc = _chaos_scenario(seed)
+        r = run_scenario(sc)
         h = _all_checks(r, f"chaos-{seed}")
         v = check_strict_serializability(h)
         assert v.ok, (seed, v.violations[:5])
         outcomes = r.outcomes()
         assert outcomes["committed"] > 0
+        # progress: every client finishes its quota and every reader's
+        # wait ends, though a crash killed transactions holding intents
+        assert r.end_ns < sc.duration_ms * MS, (seed, r.end_ns)
+        assert _open_push_waits(h) == [], (seed, _open_push_waits(h)[:5])
         txns += sum(outcomes.values())
     elapsed = time.monotonic() - t0
     assert elapsed < CHAOS_BUDGET_S, f"sweep took {elapsed:.0f}s"

@@ -64,6 +64,18 @@ def test_fast_checker_matches_brute_force_on_corrupted_histories():
             assert not fast  # both must reject the planted anomaly
 
 
+def test_strict_serializability_flags_a_real_time_inversion():
+    # "late" began after "early" was released, yet orders below it; the
+    # two touch no key, so only the real-time half can catch it
+    h = History()
+    h.txns["early"] = committed_txn("early", 0, 90, 100, [])
+    h.txns["late"] = committed_txn("late", 200, 50, 300, [])
+    v = check_strict_serializability(h)
+    assert not v.ok and len(v.violations) == 1
+    assert "real-time order inverted: early" in v.violations[0]
+    assert "late" in v.violations[0]
+
+
 # -- timestamp property -------------------------------------------------------
 
 
@@ -119,6 +131,29 @@ def test_commit_record_checker_flags_a_record_contradicting_the_client():
     v = check_commit_records(h)
     assert not v.ok
     assert "client saw commit" in v.violations[0]
+
+
+def test_commit_record_checker_flags_an_abort_the_record_says_committed():
+    h = History()
+    h.txns["t"] = TxnInfo("t", 0, end_ns=20, status="aborted", ts=ts(10),
+                          reason="swept")
+    h.records = [(5, "rec/x.SH", "t", "committed", 1)]
+    v = check_commit_records(h)
+    assert not v.ok and len(v.violations) == 1
+    assert "t: client saw abort, record says committed" in v.violations[0]
+
+
+def test_commit_record_checker_flags_a_read_of_an_aborted_writer():
+    h = History()
+    h.txns["w"] = TxnInfo("w", 0, end_ns=20, status="aborted", ts=ts(10),
+                          reason="rt_conflict",
+                          ops=[(0, "w", "k", None, "dirty")])
+    h.txns["r"] = committed_txn("r", 30, 40, 50,
+                                [(0, "r", "k", ts(10), "dirty")])
+    h.records = [(15, "rec/x.SH", "w", "aborted", None)]
+    v = check_commit_records(h)
+    assert not v.ok and len(v.violations) == 1
+    assert "r: read 'dirty' from k, writer was aborted" in v.violations[0]
 
 
 def test_effective_outcomes_settles_unknowns_by_their_durable_record():

@@ -71,12 +71,13 @@ def test_check_fails_on_a_trace_with_a_planted_violation(tmp_path, capsys):
     # a commit stamped after the transaction already released
     trace = tmp_path / "bad.trace"
     trace.write_text("\n".join([
-        json.dumps({"kind": "header", "schema": 1,
+        json.dumps({"kind": "header", "schema": 2,
                     "interval_ms": 100, "epsilon_ns": 100000,
                     "data_nodes": ["d0.SH"], "replicas_of": {}}),
-        json.dumps([1000, "txn_begin", {"txn": "t0"}]),
-        json.dumps([2000, "txn_end", {"txn": "t0", "status": "committed",
-                                      "ts": [5000, 0], "epoch": 1}]),
+        json.dumps([1000, "txn_begin", {"txn": "c0.SH:1"}]),
+        json.dumps([1500, "txn_ts", {"txn": "c0.SH:1", "ts": [5000, 0, 0]}]),
+        json.dumps([2000, "txn_end", {"txn": "c0.SH:1", "status": "committed",
+                                      "epoch": 1}]),
     ]) + "\n")
     rc = main(["check", "--trace", str(trace)])
     out = capsys.readouterr().out
@@ -87,9 +88,9 @@ def test_check_fails_on_a_trace_with_a_planted_violation(tmp_path, capsys):
 def test_check_exits_2_naming_a_key_the_trace_header_lacks(tmp_path, capsys):
     trace = tmp_path / "headless.trace"
     trace.write_text("\n".join([
-        json.dumps({"kind": "header", "schema": 1, "interval_ms": 100,
+        json.dumps({"kind": "header", "schema": 2, "interval_ms": 100,
                     "epsilon_ns": 100000, "data_nodes": ["d0.SH"]}),
-        json.dumps([1000, "txn_begin", {"txn": "t0"}]),
+        json.dumps([1000, "txn_begin", {"txn": "c0.SH:1"}]),
     ]) + "\n")
     rc = main(["check", "--trace", str(trace)])
     assert rc == 2
@@ -129,7 +130,7 @@ def test_diff_prints_the_first_event_two_traces_differ_at(tmp_path, capsys):
     def trace(name, events):
         path = tmp_path / name
         path.write_text("\n".join(
-            [json.dumps({"kind": "header", "schema": 1, "seed": name})]
+            [json.dumps({"kind": "header", "schema": 2, "seed": name})]
             + [json.dumps(e) for e in events]) + "\n")
         return str(path)
 

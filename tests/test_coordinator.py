@@ -1083,6 +1083,36 @@ def test_a_reader_parked_on_a_crashed_coordinators_txn_reads_the_old_value():
         ["aborted"]
 
 
+def test_a_reader_parked_on_a_txn_its_restarted_coordinator_lost_reads_old():
+    # The writer's coordinator crashes holding an intent and is back, and
+    # beating, long before anyone parks on it. So it never goes quiet:
+    # only its beats' ``since`` tells the recorder that the transaction
+    # died with the earlier incarnation.
+    cluster, (writer, reader) = two_coordinator_cluster()
+    sim = cluster.sim
+    drive(sim, writer.k, writer.run_txn([("w", "x", "old")]))
+    w = writer.k.spawn(writer.run_txn([("w", "x", "new"), ("hold", SEC)]))
+    sim.run_until(sim.now + 10 * MS)  # the intent on x is installed
+    [txn] = [i.txn for i in cluster.data_nodes[0].store.chains["x"]
+             .intents.values()]
+    writer.crash()
+    sim.run_until(sim.now + 100 * MS)
+    writer.restart()
+    sim.run_until(sim.now + 2 * HB_TIMEOUT_NS)
+    start = sim.now
+    res = drive(sim, reader.k, reader.run_txn([("r", "x")]), horizon_ns=SEC)
+    assert not w.done
+    assert (res.status, res.reads[0][3]) == ("committed", "old")
+    assert sim.now - start < SEC
+    h = build_history(sim.trace.events)
+    assert [status for _t, _role, t, status, _e in h.records if t == txn] == \
+        ["aborted"]
+    # the restarted coordinator's own transactions are not swept
+    after = drive(sim, writer.k, writer.run_txn([("w", "x", "again"),
+                                                 ("hold", SEC)]))
+    assert (after.status, after.reason) == ("committed", None)
+
+
 def test_a_reader_parked_past_the_heartbeat_timeout_on_a_live_txn_waits():
     cluster, (writer, reader) = two_coordinator_cluster()
     sim = cluster.sim

@@ -52,31 +52,25 @@ def test_trace_round_trips_through_jsonl_with_meta(tmp_path):
 def test_timestamp_comes_from_txn_ts_and_a_later_txn_end_keeps_it():
     events = [
         # the coordinator crashed after acquiring: no txn_end ever came
-        (10, "txn_begin", {"txn": "a", "coord": "c0"}),
-        (20, "txn_ts", {"txn": "a", "ts": [500, 0]}),
-        # a txn_end without a timestamp does not erase the traced one
-        (30, "txn_begin", {"txn": "b", "coord": "c0"}),
-        (40, "txn_ts", {"txn": "b", "ts": [600, 0]}),
-        (50, "txn_end", {"txn": "b", "status": "failed", "ts": None,
-                         "epoch": None, "reason": "unreachable"}),
-        # a trace written before txn_ts existed keeps ts in txn_end
-        (60, "txn_begin", {"txn": "c", "coord": "c0"}),
-        (70, "txn_end", {"txn": "c", "status": "committed", "ts": [700, 1],
+        (10, "txn_begin", {"txn": "c0.SH:1"}),
+        (20, "txn_ts", {"txn": "c0.SH:1", "ts": [500, 0]}),
+        (30, "txn_begin", {"txn": "c1.BJ:1"}),
+        (40, "txn_ts", {"txn": "c1.BJ:1", "ts": [600, 0]}),
+        (50, "txn_end", {"txn": "c1.BJ:1", "status": "committed",
                          "epoch": 2, "reason": None}),
     ]
     h = build_history(events)
-    assert (h.txns["a"].status, h.txns["a"].ts) == (None, Timestamp(500, 0))
-    assert (h.txns["b"].status, h.txns["b"].ts) == \
-        ("failed", Timestamp(600, 0))
-    assert (h.txns["c"].status, h.txns["c"].ts, h.txns["c"].epoch) == \
-        ("committed", Timestamp(700, 1), 2)
+    a, b = h.txns["c0.SH:1"], h.txns["c1.BJ:1"]
+    assert (a.status, a.ts, a.coord) == (None, Timestamp(500, 0), "c0.SH")
+    assert (b.status, b.ts, b.epoch, b.coord) == \
+        ("committed", Timestamp(600, 0), 2, "c1.BJ")
 
 
 def test_two_element_timestamps_of_older_traces_read_as_batch_zero():
     events = [
-        (10, "txn_begin", {"txn": "old", "coord": "c0"}),
+        (10, "txn_begin", {"txn": "old"}),
         (20, "txn_ts", {"txn": "old", "ts": [500, 1]}),
-        (30, "txn_begin", {"txn": "new", "coord": "c0"}),
+        (30, "txn_begin", {"txn": "new"}),
         (40, "txn_ts", {"txn": "new", "ts": [500, 1, 400]}),
     ]
     h = build_history(events)
@@ -86,10 +80,12 @@ def test_two_element_timestamps_of_older_traces_read_as_batch_zero():
 
 
 def test_read_trace_rejects_unknown_schema_versions(tmp_path):
+    # schema 1 traced the timestamp in txn_end too, which is read no more
     p = tmp_path / "bad.trace"
-    p.write_text('{"kind": "header", "schema": 99}\n')
-    with pytest.raises(ValueError, match="schema"):
-        read_trace(str(p))
+    for schema in (1, 99):
+        p.write_text(f'{{"kind": "header", "schema": {schema}}}\n')
+        with pytest.raises(ValueError, match="schema"):
+            read_trace(str(p))
 
 
 def test_replica_read_intervals_pair_start_and_finish():

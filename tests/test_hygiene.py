@@ -1,10 +1,10 @@
 """Static hygiene of the package: no module imports a name it never uses,
-every module-level function and class is used by the package or the
-benchmark, every exception the package exports is raised somewhere in
-it, every wire message is sent by some module, the declared runtime
-dependencies are exactly the third-party packages the modules import,
-and the ``test`` extra is exactly the third-party packages the tests
-import."""
+every module-level function and class, and every method, is used by the
+package or the benchmark, every exception the package exports is raised
+somewhere in it, every wire message is sent by some module, the declared
+runtime dependencies are exactly the third-party packages the modules
+import, and the ``test`` extra is exactly the third-party packages the
+tests import."""
 
 import ast
 import re
@@ -69,31 +69,56 @@ DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 def referenced_names(tree):
     """Names ``tree`` loads, reads as an attribute or imports, leaving out
-    each module-level definition's references to its own name."""
-    names = set()
-    for stmt in tree.body:
-        found = set()
-        for node in ast.walk(stmt):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                found.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                found.add(node.attr)
-            elif isinstance(node, ast.ImportFrom):
-                found |= {alias.name for alias in node.names}
-        if isinstance(stmt, DEFINITIONS):
-            found.discard(stmt.name)
-        names |= found
-    return names
+    each definition's references to its own name inside its own body: a
+    method that only calls itself, or a class that only its own methods
+    name, is not referenced."""
+    found = set()
+    for child in ast.iter_child_nodes(tree):
+        found |= referenced_names(child)
+    if isinstance(tree, ast.Name) and isinstance(tree.ctx, ast.Load):
+        found.add(tree.id)
+    elif isinstance(tree, ast.Attribute):
+        found.add(tree.attr)
+    elif isinstance(tree, ast.ImportFrom):
+        found |= {alias.name for alias in tree.names}
+    if isinstance(tree, DEFINITIONS):
+        found.discard(tree.name)
+    return found
+
+
+def string_names(tree):
+    """Strings in ``tree`` that could name a definition: the benchmark
+    looks the methods it wraps up by name."""
+    return {node.value for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and node.value.isidentifier()}
+
+
+def definitions(tree):
+    """(line, name) of each module-level function and class of ``tree``,
+    and of each method of its classes but the dunders, which Python
+    calls by itself."""
+    for node in tree.body:
+        if isinstance(node, DEFINITIONS):
+            yield node.lineno, node.name
+        if isinstance(node, ast.ClassDef):
+            for method in node.body:
+                if isinstance(method, DEFINITIONS[:2]) and not (
+                        method.name.startswith("__")
+                        and method.name.endswith("__")):
+                    yield method.lineno, f"{node.name}.{method.name}"
 
 
 def test_every_function_and_class_has_a_caller_outside_the_tests():
     referenced = set(chronokv.__all__)
     for path in MODULES + BENCH:
         referenced |= referenced_names(parse(path))
+    for path in BENCH:
+        referenced |= string_names(parse(path))
     assert BENCH, "no benchmark script found"
-    unused = [f"{path.name}:{node.lineno} {node.name}"
-              for path in MODULES for node in parse(path).body
-              if isinstance(node, DEFINITIONS) and node.name not in referenced]
+    unused = [f"{path.name}:{line} {name}"
+              for path in MODULES for line, name in definitions(parse(path))
+              if name.rsplit(".", 1)[-1] not in referenced]
     assert unused == []
 
 
@@ -102,6 +127,18 @@ def test_a_definition_referenced_only_by_itself_is_caught():
                      "class C:\n    pass\n"
                      "def g():\n    return C.x\n")
     assert referenced_names(tree) == {"n", "C", "x"}
+
+
+def test_a_method_referenced_only_by_itself_is_caught():
+    tree = ast.parse("class C:\n"
+                     "    def __init__(self):\n        self.used()\n"
+                     "    def used(self):\n        return C\n"
+                     "    def loop(self):\n        return self.loop()\n"
+                     "wrap = getattr(C, 'by_name')\n")
+    assert [name for _line, name in definitions(tree)] == \
+        ["C", "C.used", "C.loop"]
+    assert referenced_names(tree) == {"self", "used", "C", "getattr"}
+    assert "by_name" in string_names(tree)
 
 
 def raised_names():

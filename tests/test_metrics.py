@@ -127,8 +127,8 @@ def test_latency_summary_splits_committed_latency_by_coordinator_region():
             ("c0.SH", 10, "committed"), ("c0.SH", 30, "committed"),
             ("c2.SH", 20, "committed"), ("c1.BJ", 80, "committed"),
             ("c1.BJ", 500, "aborted"), ("c1.BJ", 7, None)]):
-        h.txns[f"t{n}"] = TxnInfo(
-            f"t{n}", begin_ns=0, coord=coord, status=status,
+        h.txns[f"{coord}:{n}"] = TxnInfo(
+            f"{coord}:{n}", begin_ns=0, status=status,
             end_ns=None if status is None else ms * 1_000_000)
     lat = latency_summary(h)
     assert lat["committed"]["count"] == 4
@@ -153,7 +153,7 @@ def test_run_summary_reports_counts_latency_and_batching():
     assert s["txns"] == 40
     assert s["committed"] == committed
     assert s["latency"]["committed"]["count"] == committed
-    # the regions come from txn_begin's coordinator, through the history
+    # the regions come from each transaction's id, through the history
     assert {region: v["count"] for region, v in
             s["latency"]["committed_by_region"].items()} == {"SH": committed}
     assert s["ts_requests"] == 40

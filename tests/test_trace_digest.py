@@ -24,19 +24,19 @@ SCENARIOS = ROOT / "scenarios"
 
 PINNED = {
     "baseline.yaml":
-        "f31e056dadc0d95ba40aaf7f802aa0c8deeb34238d78ef20261e7e0ee4efbf44",
+        "dd57e3b328bdec57b9ad177485df9abfd7f7676576e80c3791933946326d2205",
     "faults.yaml":
-        "0ef0beed0dcc0c96c9130c80cdbf4cde457f42b558029fa2e48cb7e48d29074a",
+        "9721fce64a0cde2986106d5f189e3a83eea8430103e4b6f1cf4eae5402698eb6",
 }
 
 # The benchmark's workloads at seed 1, full size.
 PINNED_WORKLOADS = {
     "steady":
-        "138e6fcef3ef92c8f02a76208dfd430fb7aad986fad3c261238edfa0f8ea02af",
+        "5571e7cb02267b0d13cef28ea412821490f5be5ee3694ad48f7e27b188f9c11f",
     "hot-rmw":
-        "6305c37f3b0cc078d40e11f6c753f55cc519ba4c4ff6ed3f107f8af67a904bba",
+        "687311a4a8e7eb4159a76612d11724ca6ef85a5f18e12655ba0bc34a533f0d58",
     "chaos":
-        "f51f29d173b2bd1726b12c48757a1cbc460514e0e5660dfd0c95e0e16aa412a8",
+        "9a84e742626b2e0e8cc35482e1a2ad6502005c764c7ea6d35a0221a409781de8",
 }
 
 
