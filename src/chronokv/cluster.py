@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import zlib
 from collections import Counter
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass
 
 from . import workload
 from .clock import OracleServer
@@ -52,7 +53,11 @@ class RunResult:
     ts_fetches: int = 0
     ts_local: int = 0
     end_ns: int = 0
-    trace: list = field(default_factory=list)
+    #: The run's events, read as ``(true_ns, kind, fields)`` tuples: a
+    #: read-only view over the trace log's rows (``simnet.TraceLog``).
+    #: Timestamps in ``fields`` are the ``Timestamp`` tuples the protocol
+    #: traced, where a written trace holds lists.
+    trace: Sequence = ()
     cluster: object = None
 
     def history(self):

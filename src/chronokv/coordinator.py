@@ -429,7 +429,7 @@ class Coordinator(Node):
         ts = led((yield from self.tsproxy.acquire_waiting()), lead)
         # Traced now, not at txn_end: a recorder can commit the
         # transaction after this coordinator has crashed.
-        self.k.trace("txn_ts", txn=txn, ts=list(ts))
+        self.k.trace("txn_ts", txn=txn, ts=ts)
         return TxnHandle(txn, ts, self.k.local_now() +
                          self.tsproxy.commit_wait(lead))
 
@@ -454,7 +454,7 @@ class Coordinator(Node):
             value = h.write_buf[key]
             h.reads.append((idx, key, h.ts, value))
             self.k.trace("op", txn=h.txn, i=idx, op="r", key=key,
-                         vts=list(h.ts), val=value)
+                         vts=h.ts, val=value)
             return value
         node = self.router.primary(key)
         write = self._write_req(h, key, ops) if ops else None
@@ -466,7 +466,7 @@ class Coordinator(Node):
         vts = Timestamp(*resp.version_ts) if resp.version_ts else None
         h.reads.append((idx, key, vts, resp.value))
         self.k.trace("op", txn=h.txn, i=idx, op="r", key=key,
-                     vts=list(vts) if vts else None, val=resp.value)
+                     vts=vts, val=resp.value)
         if resp.write is not None:
             self._wrote(h, node, key, ops, resp.write)
         return resp.value

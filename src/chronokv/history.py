@@ -12,27 +12,40 @@ coordinator crashed before ``txn_end`` still has one, and the
 coordinator only in the id (``TxnInfo.coord``). This is schema 2;
 ``read_trace`` refuses schema 1, whose ``txn_end`` also carried the
 timestamp and which older traces hold only there.
+
+A trace in memory (``RunResult.trace``, or what ``read_trace`` returns)
+is the read-only view of a ``simnet.TraceLog``: it keeps each event as
+one flat row and builds the ``(t, kind, fields)`` tuple when the event
+is read. Its timestamps are the ``Timestamp`` tuples the protocol
+traced; a written trace holds them as JSON lists, and ``read_trace``
+reads them back as lists. ``build_history`` takes either, and any other
+iterable of ``(t, kind, fields)`` tuples.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 from typing import Optional
 
 from .coordinator import Coordinator
+from .simnet import TraceLog
 from .tsbatch import Timestamp
 
 SCHEMA_VERSION = 2
 
 
 def _ts(v) -> Optional[Timestamp]:
+    # A trace in memory holds the Timestamp itself, a written one a list.
     # Traces written before timestamps carried their batch hold 2-element
     # lists; those read as batch 0.
-    return None if v is None else Timestamp(*v)
+    if v is None or type(v) is Timestamp:
+        return v
+    return Timestamp(*v)
 
 
-@dataclass
+@dataclass(slots=True)
 class TxnInfo:
     txn: str
     begin_ns: int
@@ -53,7 +66,7 @@ class TxnInfo:
         return self.status == "committed"
 
 
-@dataclass
+@dataclass(slots=True)
 class ReplicaRead:
     reader: str
     node: str
@@ -132,8 +145,10 @@ def write_trace(path: str, events, meta: dict = None) -> None:
 
 
 def read_trace(path: str):
-    """Returns (meta, events); meta is the header minus kind/schema."""
-    events = []
+    """Returns (meta, events); meta is the header minus kind/schema, and
+    events the read-only view of a ``TraceLog`` filled from the file, as
+    a run's own trace is."""
+    log = TraceLog()
     with open(path) as src:
         header = json.loads(src.readline())
         if header.get("schema") != SCHEMA_VERSION:
@@ -143,5 +158,5 @@ def read_trace(path: str):
             if not line.strip():
                 continue
             t, kind, fields = json.loads(line)
-            events.append((t, kind, fields))
-    return meta, events
+            log.add(t, sys.intern(kind), fields)
+    return meta, log.events

@@ -124,7 +124,10 @@ def sawtooth_period_ns(series: list, interval_ns: int) -> dict:
     interval wide (empty bins carry the previous value forward),
     mean-removed, and autocorrelated; the strongest lag in [0.4, 1.6] x
     the expected interval is reported. A sawtooth of period P shows its
-    first autocorrelation peak at P.
+    first autocorrelation peak at P. A strongest lag on either edge of
+    that window is no peak: the correlation only falls (or rises) across
+    the window, as it does when the delays vary by more than a short
+    interval, so no period is reported.
     """
     bin_ns = max(1, interval_ns // 20)
     if len(series) < 8:
@@ -160,6 +163,8 @@ def sawtooth_period_ns(series: list, interval_ns: int) -> dict:
         return sum(x * y for x, y in zip(sig, sig[lag:])) / denom
 
     peak = max(range(lo, hi + 1), key=corr)  # the first, on a tie
+    if peak in (lo, hi):
+        return {"ok": False, "reason": "no peak inside the window"}
     return {
         "ok": True,
         "period_ns": peak * bin_ns,

@@ -109,7 +109,7 @@ class ReplicaNode(Node):
     def _read_task(self, env, r: ReplicaReadReq):
         view = ceiling_epoch(r.ts.nanos, self.interval_ns)
         self.k.trace("rread_start", node=self.node_id, reader=r.reader,
-                     ts=list(r.ts), view=view, mode=r.mode)
+                     ts=r.ts, view=view, mode=r.mode)
         while self.replayed_epoch < view:
             tell_parked(self, env)
             fut = self._view_waiters.get(view)
@@ -124,7 +124,5 @@ class ReplicaNode(Node):
             vts, value = chain.visible(r.ts, view)
             reads.append((key, vts, value))
         self.k.trace("rread", node=self.node_id, reader=r.reader,
-                     ts=list(r.ts), view=view, mode=r.mode,
-                     reads=[[k, list(v) if v else None, val]
-                            for k, v, val in reads])
+                     ts=r.ts, view=view, mode=r.mode, reads=reads)
         return ReplicaReadResp(view, reads)

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import heapq
 import random
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -199,17 +200,60 @@ def spawn(sim: Simulation, gen, guard: Optional[Callable[[], bool]] = None) -> F
 
 
 class TraceLog:
-    """Append-only run log. Entries are ``(true_ns, kind, fields)`` tuples;
-    the log stamps ground-truth time so emitters never need to see it."""
+    """Append-only run log, which stamps ground-truth time so emitters
+    never need to see it.
 
-    __slots__ = ("sim", "events")
+    An event is kept as one flat row ``(true_ns, kind, names, *values)``:
+    ``names`` is the event's tuple of field names, stored once per shape
+    and shared by every row of that shape, and the values are the
+    emitter's own objects, not copies (a ``Timestamp`` stays the tuple the
+    protocol holds). ``events`` reads the rows back as ``(true_ns, kind,
+    fields)`` tuples with a fresh ``fields`` dict on each read."""
 
-    def __init__(self, sim: Simulation):
+    __slots__ = ("sim", "events", "_rows", "_shapes")
+
+    def __init__(self, sim: Optional[Simulation] = None):
         self.sim = sim
-        self.events: list[tuple[int, str, dict]] = []
+        self._rows: list[tuple] = []
+        self._shapes: dict[tuple, tuple] = {}
+        self.events = TraceEvents(self._rows)
 
     def emit(self, kind: str, **fields) -> None:
-        self.events.append((self.sim.now, kind, fields))
+        self.add(self.sim.now, kind, fields)
+
+    def add(self, t: int, kind: str, fields: dict) -> None:
+        """Append an event stamped ``t``; the log keeps ``fields``'
+        values, not the dict."""
+        names = tuple(fields)
+        names = self._shapes.setdefault(names, names)
+        self._rows.append((t, kind, names, *fields.values()))
+
+
+class TraceEvents(Sequence):
+    """A read-only view of a ``TraceLog``: ``len``, iteration, indexes
+    and slices, each event read as a ``(true_ns, kind, fields)`` tuple
+    whose ``fields`` dict is built for that read, so changing it changes
+    nothing in the log."""
+
+    __slots__ = ("_rows",)
+
+    def __init__(self, rows: list):
+        self._rows = rows
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [_event(row) for row in self._rows[i]]
+        return _event(self._rows[i])
+
+    def __iter__(self):
+        return map(_event, self._rows)
+
+
+def _event(row: tuple) -> tuple:
+    return row[0], row[1], dict(zip(row[2], row[3:]))
 
 
 # ---------------------------------------------------------------------------
@@ -528,7 +572,8 @@ class NodeKernel:
         return spawn(node.sim, gen, guard=lambda: node.alive and node.incarnation == inc)
 
     def trace(self, kind: str, **fields) -> None:
-        self._node.sim.trace.emit(kind, **fields)
+        sim = self._node.sim
+        sim.trace.add(sim.now, kind, fields)
 
     def one_way_ns(self, dst_id: str) -> int:
         """The configured one-way delay to ``dst_id``, before jitter."""

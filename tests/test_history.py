@@ -49,6 +49,28 @@ def test_trace_round_trips_through_jsonl_with_meta(tmp_path):
     assert h0.records == h1.records
 
 
+def test_a_written_and_read_trace_builds_the_history_of_the_run(tmp_path):
+    # replica reads too, so rread's timestamps and reads go through JSON
+    r = run_scenario(Scenario(
+        name="hist-rt", seed=5, duration_ms=30_000,
+        regions=["SH", "BJ"], data_nodes=["SH"], replicate_to=["BJ"],
+        coordinators=["SH"], clients_per_coordinator=1, txns_per_client=10,
+        replica_readers=1, replica_reads_per_reader=5, interval_ms=50,
+    ))
+    p = tmp_path / "run.trace"
+    write_trace(str(p), r.trace)
+    _meta, events = read_trace(str(p))
+    # a trace in memory holds the Timestamp itself, a written one a list
+    def ts_types(trace):
+        return {type(f["ts"]) for _t, kind, f in trace
+                if kind in ("txn_ts", "rread_start", "rread")}
+
+    assert ts_types(r.trace) == {Timestamp} and ts_types(events) == {list}
+    h = build_history(r.trace)
+    assert h.rreads and h.txns
+    assert build_history(events) == h
+
+
 def test_timestamp_comes_from_txn_ts_and_a_later_txn_end_keeps_it():
     events = [
         # the coordinator crashed after acquiring: no txn_end ever came

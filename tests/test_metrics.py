@@ -1,10 +1,12 @@
 """Visibility-delay measurement and the run summary."""
 
+import dataclasses
 import random
 
 import pytest
 
-from chronokv.cluster import run_scenario
+from test_trace_digest import benchmark_workloads
+from chronokv.cluster import Cluster, run_scenario
 from chronokv.history import History, TxnInfo
 from chronokv.metrics import (
     latency_summary,
@@ -97,18 +99,21 @@ def test_percentile_matches_numpy_bit_for_bit():
                 float(np.percentile(np.asarray(vals, dtype=float), q))
 
 
-def test_sawtooth_period_recovered_from_a_synthetic_signal():
-    interval = 100 * 1_000_000
+def sawtooth(interval, period, spans=40):
+    """Commits every ~2 ms whose delay ramps down over each ``period``."""
     rng = random.Random(33)
     series = []
     t = 0
-    # commits arrive every ~2ms; delay ramps down within each interval
-    while t < 40 * interval:
-        phase = t % interval
-        delay = (interval - phase) + rng.randrange(-500_000, 500_000)
+    while t < spans * interval:
+        delay = period - t % period + rng.randrange(-500_000, 500_000)
         series.append((t, delay))
         t += 2_000_000 + rng.randrange(-300_000, 300_000)
-    shape = sawtooth_period_ns(series, interval)
+    return series
+
+
+def test_sawtooth_period_recovered_from_a_synthetic_signal():
+    interval = 100 * 1_000_000
+    shape = sawtooth_period_ns(sawtooth(interval, interval), interval)
     assert shape["ok"]
     assert abs(shape["period_ns"] - interval) <= 0.1 * interval
     assert shape["peak_corr"] > 0.5
@@ -119,6 +124,33 @@ def test_sawtooth_rejects_short_or_flat_series():
     assert not sawtooth_period_ns([(0, 1)] * 4, interval)["ok"]
     flat = [(i * 10, 7) for i in range(400)]
     assert not sawtooth_period_ns(flat, interval)["ok"]
+
+
+@pytest.mark.parametrize("period_x10", [25, 17])
+def test_sawtooth_reports_no_period_for_a_peak_on_the_windows_edge(
+        period_x10):
+    # The window is 0.4..1.6 intervals. A period of 2.5 intervals makes
+    # the autocorrelation fall across it, and one of 1.7 rise across it.
+    interval = 20 * 1_000_000
+    series = sawtooth(interval, interval * period_x10 // 10)
+    shape = sawtooth_period_ns(series, interval)
+    assert shape == {"ok": False, "reason": "no peak inside the window"}
+    # the same window finds a period that lies inside it
+    inside = sawtooth_period_ns(sawtooth(interval, interval), interval)
+    assert inside["ok"] and inside["period_ns"] == interval
+
+
+def test_steady_at_a_10ms_interval_reports_no_sawtooth_period():
+    # The delays (p50 38.5 ms) vary by more than the interval, and the
+    # strongest lag is the window's lower edge, once read as a 4 ms period.
+    sc = dataclasses.replace(benchmark_workloads()["steady"].build(1, False),
+                             interval_ms=10)
+    r = Cluster(sc).run()
+    vis = visibility_delays(r.history(), replicas_of=r.replicas_of(),
+                            written_primaries=r.written_primaries)
+    assert len(vis["series"]) > 2000
+    assert not sawtooth_period_ns(vis["series"], sc.interval_ns)["ok"]
+    assert "sawtooth_period_ms" not in run_summary(r)["visibility"]
 
 
 def test_latency_summary_splits_committed_latency_by_coordinator_region():

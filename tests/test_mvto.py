@@ -1,8 +1,10 @@
 """Version chains, intent settlement, and log replay semantics; the
 MVTO rules checked as a state machine."""
 
+from collections import Counter
+
 import pytest
-from hypothesis import settings
+from hypothesis import event, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (
     RuleBasedStateMachine,
@@ -189,8 +191,17 @@ class MvtoMachine(RuleBasedStateMachine):
         self.epoch = 1
         self.floor = None
         self.floors = 0
+        self.logged_at_floor = 0  # log entries when the last floor rose
         self.parked = []     # (txn, key, carries a write), in park order
         self.early = []      # (key, ts) of each write refused unread
+
+    #: Firings of each rule that matters to the machine's reach, counted
+    #: over a whole run of the machine (see ``run_counted``).
+    fired = Counter()
+
+    def fire(self, rule):
+        event(rule)
+        self.fired[rule] += 1
 
     def pick(self, n):
         return self.txns[self.open[n % len(self.open)]]
@@ -299,6 +310,7 @@ class MvtoMachine(RuleBasedStateMachine):
                    if carries_write else None)
         assert sorted(self.called) == sorted(txn for txn, _, _ in doomed)
         self.parked.append((t.txn, key, carries_write))
+        self.fire("park")
         for parked in doomed:
             self.parked.remove(parked)
             chain.unpark(parked[0])
@@ -308,6 +320,7 @@ class MvtoMachine(RuleBasedStateMachine):
     def refuse(self, t, key):
         """A read-modify-write refused with nothing read: its transaction
         aborts."""
+        self.fire("early refusal")
         self.early.append((key, t.ts))
         if t.txn in self.open:
             self.decide_as(t, ABORT)
@@ -320,6 +333,7 @@ class MvtoMachine(RuleBasedStateMachine):
         blocker = self.store.chains[key].blocker(self.txns[txn].ts, txn)
         t = self.txns[blocker.txn]
         if not self.is_parked(t):
+            self.fire("settle")
             self.decide_as(t, COMMIT if commit else ABORT)
 
     def wake_unblocked(self):
@@ -338,6 +352,7 @@ class MvtoMachine(RuleBasedStateMachine):
         has since aborted reads and installs nothing, as a late try of a
         decided one."""
         txn, key, carries_write = parked
+        self.fire("wake")
         t = self.txns[txn]
         chain = self.store.chains[key]
         self.parked.remove(parked)
@@ -365,6 +380,7 @@ class MvtoMachine(RuleBasedStateMachine):
         """A restart's floor: it only ever rises."""
         self.floors += 1
         self.floor = max(self.floor or 0, nanos)
+        self.logged_at_floor = len(self.log)
 
     @precondition(lambda self: any(
         op[1] == "w" for txn in self.open for op in self.txns[txn].ops))
@@ -404,6 +420,8 @@ class MvtoMachine(RuleBasedStateMachine):
 
     @invariant()
     def replaying_the_log_rebuilds_the_store(self):
+        if self.floor is not None and len(self.log) > self.logged_at_floor:
+            self.fire("replay after a floor")
         replayed = KeyStore()
         for entry in self.log:
             apply_log_entry(replayed, entry)
@@ -450,10 +468,26 @@ def durable_state(store):
     return versions, intents, store.decided, store.txn_keys
 
 
+def run_counted(machine, floors, **kwargs):
+    """Run ``machine`` derandomized, and fail if a rule in ``floors``
+    fired fewer times than its floor over the whole run. The counts move
+    with edits that change no rule (an edit of a docstring once took one
+    from 16 to 30), so each floor sits well below its count."""
+    machine.fired = Counter()
+    run_state_machine_as_test(machine, settings=settings(
+        derandomize=True, database=None, deadline=None, **kwargs))
+    short = {rule: machine.fired[rule] for rule, least in floors.items()
+             if machine.fired[rule] < least}
+    assert not short, f"fired below their floors {floors}: {short}"
+
+
 def test_mvto_rules_hold_as_a_state_machine():
-    run_state_machine_as_test(MvtoMachine, settings=settings(
-        derandomize=True, database=None, deadline=None, max_examples=150,
-        stateful_step_count=40))
+    # the run parks 37 ops, wakes 25, settles 16, refuses 3 unread, and
+    # replays the log 1828 times over entries written since a floor
+    run_counted(MvtoMachine, {"park": 15, "wake": 10, "settle": 6,
+                              "early refusal": 1,
+                              "replay after a floor": 600},
+                max_examples=150, stateful_step_count=40)
 
 
 class HotKeysMachine(MvtoMachine):
@@ -480,8 +514,7 @@ class HotKeysMachine(MvtoMachine):
 
 
 def test_ops_parked_on_one_verdict_wake_by_the_mvto_rules():
-    # the derandomized run wakes 68 top bidders and refuses 125 ops with
-    # nothing read: 113 as they would park, 12 as a higher op parked
-    run_state_machine_as_test(HotKeysMachine, settings=settings(
-        derandomize=True, database=None, deadline=None, max_examples=100,
-        stateful_step_count=100))
+    # the run parks 443 ops, wakes 189, settles 76 and refuses 97 unread
+    run_counted(HotKeysMachine, {"park": 180, "wake": 75, "settle": 30,
+                                 "early refusal": 40},
+                max_examples=100, stateful_step_count=100)

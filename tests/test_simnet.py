@@ -1,10 +1,14 @@
-"""Simulation substrate: virtual time, drifting clocks, message faults."""
+"""Simulation substrate: virtual time, drifting clocks, message faults,
+and the trace log."""
 
 import gc
+import tracemalloc
 
 import pytest
 
 from conftest import Host, ask_once, drive, one_region
+from test_trace_digest import benchmark_workloads
+from chronokv.cluster import Cluster
 from chronokv.simnet import (
     MS,
     RPC_TIMEOUT,
@@ -15,6 +19,7 @@ from chronokv.simnet import (
     Network,
     PartitionWindow,
     Simulation,
+    TraceLog,
     local_interval_to_true,
     true_interval_to_local,
 )
@@ -353,3 +358,80 @@ def test_duplicate_node_id_rejected():
     Host(sim, net, "dup.R0", "R0")
     with pytest.raises(ValueError):
         Host(sim, net, "dup.R0", "R0")
+
+
+# -- trace log ----------------------------------------------------------------
+
+
+def small_log():
+    sim = Simulation(seed=1)
+    sim.trace.emit("a", x=1, y=[2])
+    sim.now = 5
+    sim.trace.emit("b", y=3)
+    sim.now = 7
+    sim.trace.emit("a", x=4, y=None)
+    return sim.trace
+
+
+def test_trace_events_read_back_as_emitted():
+    events = small_log().events
+    expected = [(0, "a", {"x": 1, "y": [2]}), (5, "b", {"y": 3}),
+                (7, "a", {"x": 4, "y": None})]
+    assert list(events) == list(events) == expected
+    assert len(events) == 3
+    assert events[0] == expected[0] and events[-1] == expected[-1]
+    assert events[1:] == expected[1:] and events[::-1] == expected[::-1]
+    assert list(reversed(events)) == expected[::-1]
+    with pytest.raises(IndexError):
+        events[3]
+
+
+def test_each_read_of_an_event_builds_a_fresh_dict():
+    log = small_log()
+    events = log.events
+    _t, _kind, fields = events[0]
+    fields["x"] = 99
+    del fields["y"]
+    next(iter(events))[2]["z"] = 1
+    events[:1][0][2].clear()
+    assert events[0] == (0, "a", {"x": 1, "y": [2]})
+    assert events[0][2] is not events[0][2]
+    # the view has no way to add, remove or replace an event
+    with pytest.raises(TypeError):
+        events[0] = (0, "c", {})
+    assert not hasattr(events, "append")
+
+
+def test_events_of_one_shape_share_their_field_names():
+    log = small_log()
+    (_, _, a1, *_), (_, _, b, *_), (_, _, a2, *_) = log._rows
+    assert a1 is a2 and a1 == ("x", "y") and b == ("y",)
+    # a value is the emitter's own object, not a copy
+    value = [2]
+    log.add(9, "a", {"x": 1, "y": value})
+    assert log._rows[-1][-1] is value
+
+
+#: Bytes the trace log keeps per event on a tiny steady run, counted by
+#: tracemalloc as the log takes the run's events again: about 126, and
+#: about 103 on a full-size run, where each field-name tuple is shared by
+#: more events. A log that kept a ``(t, kind, fields)`` tuple and its dict
+#: per event took about 266.
+STORE_BYTES_PER_EVENT = 160
+
+
+def test_the_trace_log_keeps_little_per_event():
+    sc = benchmark_workloads()["steady"].build(1, True)
+    events = list(Cluster(sc).run().trace)
+    tracemalloc.start()
+    try:
+        log = TraceLog()
+        before = tracemalloc.get_traced_memory()[0]
+        for t, kind, fields in events:
+            log.add(t, kind, fields)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(log.events) == len(events) > 300
+    assert list(log.events) == events
+    assert kept / len(events) < STORE_BYTES_PER_EVENT
