@@ -1,5 +1,11 @@
 """Command-line front end: run scenarios, check their traces and
-compare two of them."""
+compare two of them.
+
+Input that a command cannot read (a missing file, a scenario with an
+unknown key, a trace that is empty, of another schema or whose header
+lacks a key) exits 2 with one line on stderr that names the file and
+the reason, so that exit 1 keeps its meaning: ``check`` found a
+violation, or ``diff`` found a difference."""
 
 from __future__ import annotations
 
@@ -10,13 +16,29 @@ import sys
 MS = 1_000_000
 
 
+class Unreadable(Exception):
+    """An input file that a command cannot read; ``main`` exits 2."""
+
+
+def _read(path: str, load):
+    """``load(path)``, raising what reading ``path`` fails with as
+    ``Unreadable``."""
+    import yaml
+
+    try:
+        return load(path)
+    except (OSError, ValueError, yaml.YAMLError) as e:
+        reason = e.strerror if isinstance(e, OSError) and e.strerror else e
+        raise Unreadable(f"{path}: {reason}") from e
+
+
 def _cmd_run(args) -> int:
     from . import metrics
     from .cluster import run_scenario
     from .history import write_trace
     from .scenario import Scenario, load_scenario
 
-    sc = load_scenario(args.scenario) if args.scenario else Scenario()
+    sc = _read(args.scenario, load_scenario) if args.scenario else Scenario()
     if args.seed is not None:
         sc.seed = args.seed
     if args.until_ms is not None:
@@ -29,6 +51,7 @@ def _cmd_run(args) -> int:
             "epsilon_ns": sc.epsilon_ns,
             "data_nodes": result.cluster.router.ids,
             "replicas_of": result.replicas_of(),
+            "end_ns": result.end_ns,
         })
     summary = metrics.run_summary(result)
     json.dump(summary, sys.stdout, indent=2, default=str)
@@ -41,26 +64,25 @@ def _cmd_run(args) -> int:
 
 def _cmd_check(args) -> int:
     """Check a trace that ``run --trace`` wrote. Its header names the
-    epoch interval, epsilon and the topology, so visibility is measured
-    as in ``run``; a header that lacks one of them exits 2."""
+    epoch interval, epsilon, the topology and the run's end, so the
+    checks judge the trace as they do in process and visibility is
+    measured as in ``run``; a header that lacks one of them exits 2."""
     from . import checkers, metrics
     from .cluster import Router
     from .history import build_history, read_trace
 
-    meta, events = read_trace(args.trace)
-    for key in ("interval_ms", "epsilon_ns", "data_nodes", "replicas_of"):
+    meta, events = _read(args.trace, read_trace)
+    for key in ("interval_ms", "epsilon_ns", "data_nodes", "replicas_of",
+                "end_ns"):
         if key not in meta:
-            print(f"chronokv check: trace header lacks {key!r}",
-                  file=sys.stderr)
-            return 2
+            raise Unreadable(f"{args.trace}: trace header lacks {key!r}")
     interval_ns = meta["interval_ms"] * MS
     h = build_history(events)
-    end_ns = events[-1][0] if events else None
 
     verdicts = []
     if args.property != "visibility":
         verdicts = checkers.run_all_checks(
-            h, interval_ns, meta["epsilon_ns"], end_ns=end_ns,
+            h, interval_ns, meta["epsilon_ns"], end_ns=meta["end_ns"],
             group=None if args.property == "all" else args.property)
     for v in verdicts:
         print(v.summary())
@@ -92,8 +114,8 @@ def _cmd_diff(args) -> int:
     1."""
     from .history import read_trace
 
-    _, a = read_trace(args.a)
-    _, b = read_trace(args.b)
+    _, a = _read(args.a, read_trace)
+    _, b = _read(args.b, read_trace)
     first = next((i for i, (x, y) in enumerate(zip(a, b)) if x != y),
                  min(len(a), len(b)))
     if first == len(a) == len(b):
@@ -143,7 +165,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except Unreadable as e:
+        print(f"chronokv {args.cmd}: {e}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -290,15 +290,6 @@ class RecorderState:
 
     # -- fencing / takeover --------------------------------------------------------
 
-    def release(self) -> None:
-        """Answer every request parked here as a lost role's are. At its
-        node's crash their tasks are dead, and each resumes no further;
-        so they are freed at the crash, not whenever the cycle collector
-        runs."""
-        for rs in self.roles.values():
-            for fut in rs.pending.values():
-                fut.resolve(None)
-
     def _fence_lost(self, role: str) -> None:
         rs = self.roles.pop(role, None)
         if rs is None:
@@ -528,12 +519,8 @@ class Coordinator(Node):
         first, *rest = chains.values()
         tasks = [self.k.spawn(self._run_chain(h, c, horizon)) for c in rest]
         yield from self._run_chain(h, first, horizon)  # inline: one task fewer
-        # Hold no task while waiting on it: a frame holding the future it
-        # waits on forms a cycle with the future's callback, and a task
-        # killed by a crash would then be freed, and its client's finally
-        # run, whenever the cycle collector happens to run.
-        while tasks:
-            yield tasks.pop(0)
+        for task in tasks:
+            yield task
 
     def _run_chain(self, h: TxnHandle, chain: list, horizon: int):
         """Generator: the ``(index, op)`` of one key, in program order.

@@ -150,9 +150,13 @@ def read_trace(path: str):
     a run's own trace is."""
     log = TraceLog()
     with open(path) as src:
-        header = json.loads(src.readline())
-        if header.get("schema") != SCHEMA_VERSION:
-            raise ValueError(f"unsupported trace schema {header.get('schema')!r}")
+        first = src.readline()
+        if not first:
+            raise ValueError("the file is empty")
+        header = json.loads(first)
+        schema = header.get("schema") if isinstance(header, dict) else None
+        if schema != SCHEMA_VERSION:
+            raise ValueError(f"unsupported trace schema {schema!r}")
         meta = {k: v for k, v in header.items() if k not in ("kind", "schema")}
         for line in src:
             if not line.strip():

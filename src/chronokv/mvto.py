@@ -358,13 +358,6 @@ class Settler:
         if fut is not None:
             fut.resolve()
 
-    def release(self) -> None:
-        """Resolve every Future a reader is parked on. At its node's crash
-        the readers' tasks are dead, and each resumes no further; so they
-        are freed at the crash, not whenever the cycle collector runs."""
-        for txn in list(self._decided):
-            self.wake(txn)
-
     def _push_task(self, txn: str, role: str):
         """Push until the recorder answers: a verdict settles ``txn``, and
         a floor, which answers a replica's push, lifts its intents'
@@ -516,11 +509,6 @@ class DataNode(Node):
             self.k.send(env.src, LogShip(req.have, entries))
 
     # -- crash recovery ---------------------------------------------------------------
-
-    def crash(self) -> None:
-        super().crash()
-        self.settler.release()
-        self.recorder.release()
 
     def on_restart(self) -> None:
         # alive: the network delivers again (and our own tasks may run);

@@ -12,10 +12,12 @@ seed plus the name, which keeps one component's draws from perturbing
 another's.
 
 Capability split: protocol code acts through a :class:`NodeKernel`, which
-exposes the node's *drifting* local clock, local timers, messaging and
-calls (requests that may be sent again, see :class:`Call`) -- and nothing
-that reveals ground truth. ``Simulation.true_now()`` is held by the
-simulator itself, the trace log, and the offline checkers only.
+exposes the node's *drifting* local clock, local timers, messaging,
+calls (requests that may be sent again, see :class:`Call`) and tasks --
+and nothing that reveals ground truth. ``Simulation.true_now()`` is held
+by the simulator itself, the trace log, and the offline checkers only.
+A crash ends the node's work at once (``Node.crash``): it drops the replies
+to the node's calls, closes its tasks and stops its timers.
 """
 
 from __future__ import annotations
@@ -166,37 +168,37 @@ class Future:
 
 
 class _Task:
-    """Drives one generator task (see ``spawn``). Nothing in a task refers
-    back to it, so once nothing can resume it any more (its node crashed
-    while it waited on a call, say) it is freed at that instant, and its
-    generator's ``finally`` blocks run then rather than whenever the cycle
-    collector happens to run."""
+    """Drives one generator task (see ``spawn``) while ``tasks`` lists
+    it."""
 
-    __slots__ = ("gen", "guard", "result")
+    __slots__ = ("gen", "tasks", "result")
 
-    def __init__(self, gen, guard, result: Future):
+    def __init__(self, gen, tasks: dict, result: Future):
         self.gen = gen
-        self.guard = guard
+        self.tasks = tasks
         self.result = result
 
     def step(self, value=None) -> None:
-        if self.guard is not None and not self.guard():
+        if self not in self.tasks:
             return
         try:
             fut = self.gen.send(value)
         except StopIteration as stop:
+            del self.tasks[self]
             self.result.resolve(stop.value)
             return
         fut.add_done(self.step)
 
 
-def spawn(sim: Simulation, gen, guard: Optional[Callable[[], bool]] = None) -> Future:
+def spawn(sim: Simulation, gen, tasks: Optional[dict] = None) -> Future:
     """Drive a generator task that yields Futures; returns a Future for its
-    StopIteration value. ``guard`` is checked before every resume -- a node
-    passes its incarnation check so tasks die silently across a crash."""
-    result = Future(sim)
-    sim.after(0, _Task(gen, guard, result).step)
-    return result
+    StopIteration value. The task is listed in ``tasks`` until it returns,
+    and is resumed only while listed there: a node passes its kernel's
+    dict of running tasks, which its crash empties (see ``Node.crash``)."""
+    task = _Task(gen, {} if tasks is None else tasks, Future(sim))
+    task.tasks[task] = None
+    sim.after(0, task.step)
+    return task.result
 
 
 class TraceLog:
@@ -472,12 +474,23 @@ class Node:
     # -- liveness -----------------------------------------------------------
 
     def crash(self) -> None:
+        """Stop the process: the node hears nothing more, replies to its
+        calls are dropped, its local timers do not fire, and every task it
+        runs is closed, in spawn order, so each task's ``finally`` blocks
+        run now. A restart starts from none of them.
+
+        Those ``finally`` blocks must stay local bookkeeping (closing a
+        call, counting a client out): one that sent, traced or scheduled
+        would make the close order part of the run."""
         if not self.alive:
             return
         self.alive = False
         self.incarnation += 1
         self.k._pending_rpc.clear()
-        self.k._timers.clear()
+        tasks = list(self.k._tasks)
+        self.k._tasks.clear()
+        for task in tasks:
+            task.gen.close()
         self.sim.trace.emit("crash", node=self.node_id)
 
     def restart(self) -> None:
@@ -497,7 +510,7 @@ class NodeKernel:
     and tracing. No ground truth."""
 
     __slots__ = ("_node", "drift_ppm", "_offset", "_pending_rpc", "_next_rid",
-                 "_timers", "_next_timer")
+                 "_tasks")
 
     def __init__(self, node: Node, drift_ppm: int):
         self._node = node
@@ -505,13 +518,11 @@ class NodeKernel:
         # Arbitrary epoch offset so absolute local readings are meaningless
         # across nodes; only intervals carry information.
         self._offset = node.sim.rng("clock-offsets").randrange(0, SEC)
-        # request id -> the _Replies of the Call that sent it
-        self._pending_rpc: dict[int, _Replies] = {}
+        # request id -> the Call that sent it, until the call closes
+        self._pending_rpc: dict[int, Call] = {}
         self._next_rid = 1
-        # timer id -> callback of each pending local timer; a crash drops
-        # them all, so a task asleep on one is freed at the crash
-        self._timers: dict[int, Callable[[], None]] = {}
-        self._next_timer = 1
+        # the running tasks, in spawn order
+        self._tasks: dict[_Task, None] = {}
 
     # -- clock ---------------------------------------------------------------
 
@@ -525,13 +536,10 @@ class NodeKernel:
         if not node.alive:
             return
         true_delay = max(1, local_interval_to_true(local_duration_ns, self.drift_ppm))
-        tid = self._next_timer
-        self._next_timer += 1
-        self._timers[tid] = fn
+        inc = node.incarnation
 
         def fire():
-            fn = self._timers.pop(tid, None)
-            if fn is not None:
+            if node.incarnation == inc:
                 fn()
 
         node.sim.after(true_delay, fire)
@@ -549,27 +557,25 @@ class NodeKernel:
     def reply(self, env: Envelope, payload) -> None:
         self._node.net.send(self._node, env.src, payload, rid=env.rid, is_reply=True)
 
-    def _send_request(self, dst_id: str, payload, rid: int,
-                      pending: "_Replies") -> None:
-        self._pending_rpc[rid] = pending
-        self._node.net.send(self._node, dst_id, payload, rid=rid, is_reply=False)
-
     def call(self, dst_id: str, payload) -> "Call":
         """A request to ``dst_id`` that may be sent several times, every
         try listening for the replies to all of them (see ``Call``)."""
         return Call(self, dst_id, payload)
 
     def _complete_rpc(self, rid: int, payload) -> None:
-        pending = self._pending_rpc.get(rid)
-        if pending is not None:
-            pending.hear(payload)
+        call = self._pending_rpc.get(rid)
+        if call is not None:
+            call.hear(payload)
 
     # -- tasks / trace ---------------------------------------------------------
 
     def spawn(self, gen) -> Future:
+        """Run ``gen`` as one of this node's tasks. A dead node runs
+        nothing."""
         node = self._node
-        inc = node.incarnation
-        return spawn(node.sim, gen, guard=lambda: node.alive and node.incarnation == inc)
+        if not node.alive:
+            return Future(node.sim)
+        return spawn(node.sim, gen, self._tasks)
 
     def trace(self, kind: str, **fields) -> None:
         sim = self._node.sim
@@ -579,28 +585,6 @@ class NodeKernel:
         """The configured one-way delay to ``dst_id``, before jitter."""
         node = self._node
         return node.net.one_way_ns(node, node.net.nodes[dst_id])
-
-
-class _Replies:
-    """What a call has heard: the replies nobody took yet, and the Future
-    of the wait for the next one. The kernel holds it under the call's
-    request id, and the call does not: so a task that a crash kills, with
-    its kernel's pending requests, holds no path back to itself and is
-    freed at the crash."""
-
-    __slots__ = ("queue", "waiting")
-
-    def __init__(self):
-        self.queue: list = []
-        self.waiting: Optional[Future] = None
-
-    def hear(self, payload) -> None:
-        waiting = self.waiting
-        if waiting is None:
-            self.queue.append(payload)
-        else:
-            self.waiting = None
-            waiting.resolve(payload)
 
 
 class Call:
@@ -616,7 +600,7 @@ class Call:
     ``messages.Pending``), and replies are taken in arrival order.
     """
 
-    __slots__ = ("_k", "dst", "_payload", "_rid")
+    __slots__ = ("_k", "dst", "_payload", "_rid", "queue", "waiting")
 
     def __init__(self, k: NodeKernel, dst: str, payload):
         self._k = k
@@ -624,31 +608,38 @@ class Call:
         self._payload = payload
         self._rid = k._next_rid
         k._next_rid += 1
+        self.queue: list = []  # replies heard and not yet taken
+        self.waiting: Optional[Future] = None  # the wait for the next one
 
-    def _replies(self) -> _Replies:
-        return self._k._pending_rpc.get(self._rid) or _Replies()
+    def hear(self, payload) -> None:
+        waiting = self.waiting
+        if waiting is None:
+            self.queue.append(payload)
+        else:
+            self.waiting = None
+            waiting.resolve(payload)
 
     def ask(self, timeout_local_ns: int) -> Future:
         """Send one more try, unless a reply is already waiting to be
         taken; resolves with the next reply, or with RPC_TIMEOUT if none
         came within the local-clock timeout."""
-        replies = self._replies()
-        if not replies.queue:
-            self._k._send_request(self.dst, self._payload, self._rid, replies)
+        if not self.queue:
+            k = self._k
+            k._pending_rpc[self._rid] = self
+            k._node.net.send(k._node, self.dst, self._payload, rid=self._rid)
         return self.listen(timeout_local_ns)
 
     def listen(self, timeout_local_ns: int) -> Future:
         """Like ``ask``, without sending."""
-        replies = self._replies()
         fut = Future(self._k._node.sim)
-        if replies.queue:
-            fut.resolve(replies.queue.pop(0))
+        if self.queue:
+            fut.resolve(self.queue.pop(0))
             return fut
-        replies.waiting = fut
+        self.waiting = fut
 
         def on_timeout():
-            if replies.waiting is fut:
-                replies.waiting = None
+            if self.waiting is fut:
+                self.waiting = None
                 fut.resolve(RPC_TIMEOUT)
 
         self._k.set_local_timer(timeout_local_ns, on_timeout)

@@ -5,7 +5,9 @@ samples beyond it, and ``perfbench/run.py --trace 1`` then stops with
 "metrics not measured". A change that makes some span rare (a phase
 that most transactions now skip) breaks the report that way, so each
 workload's traced pass, at its default seed and full size, must measure
-every per-layer metric ``BENCHMARK.json`` declares.
+every per-layer metric ``BENCHMARK.json`` declares. And since the
+tracer must only observe, the traced pass's trace must be the one that
+``tests/test_trace_digest.py`` pins for the untraced run.
 """
 
 import importlib
@@ -14,6 +16,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from test_trace_digest import PINNED_WORKLOADS
 
 ROOT = Path(__file__).resolve().parent.parent
 # The benchmark is a directory of scripts that import each other by
@@ -29,5 +33,9 @@ PER_LAYER = {m["name"] for m in json.loads(
 
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
 def test_a_traced_pass_measures_every_per_layer_metric(name):
-    out = one_pass.run_pass(name, WORKLOADS[name].default_seed, traced=True)
+    seed = WORKLOADS[name].default_seed
+    out = one_pass.run_pass(name, seed, traced=True)
     assert sorted(PER_LAYER & set(out["refused"])) == []
+    # The tracer only observes: the traced run is the pinned untraced one.
+    assert seed == 1
+    assert out["digest"] == PINNED_WORKLOADS[name]

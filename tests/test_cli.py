@@ -1,6 +1,7 @@
 """The chronokv CLI driven in-process."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -41,6 +42,7 @@ def test_run_prints_a_summary_and_writes_a_trace(tmp_path, capsys):
     lines = trace.read_text().splitlines()
     header = json.loads(lines[0])
     assert header["seed"] == 3 and header["interval_ms"] == 50
+    assert header["end_ns"] >= json.loads(lines[-1])[0]
     assert len(lines) > 12
 
 
@@ -73,7 +75,8 @@ def test_check_fails_on_a_trace_with_a_planted_violation(tmp_path, capsys):
     trace.write_text("\n".join([
         json.dumps({"kind": "header", "schema": 2,
                     "interval_ms": 100, "epsilon_ns": 100000,
-                    "data_nodes": ["d0.SH"], "replicas_of": {}}),
+                    "data_nodes": ["d0.SH"], "replicas_of": {},
+                    "end_ns": 2000}),
         json.dumps([1000, "txn_begin", {"txn": "c0.SH:1"}]),
         json.dumps([1500, "txn_ts", {"txn": "c0.SH:1", "ts": [5000, 0, 0]}]),
         json.dumps([2000, "txn_end", {"txn": "c0.SH:1", "status": "committed",
@@ -89,12 +92,73 @@ def test_check_exits_2_naming_a_key_the_trace_header_lacks(tmp_path, capsys):
     trace = tmp_path / "headless.trace"
     trace.write_text("\n".join([
         json.dumps({"kind": "header", "schema": 2, "interval_ms": 100,
-                    "epsilon_ns": 100000, "data_nodes": ["d0.SH"]}),
+                    "epsilon_ns": 100000, "data_nodes": ["d0.SH"],
+                    "end_ns": 1000}),
         json.dumps([1000, "txn_begin", {"txn": "c0.SH:1"}]),
     ]) + "\n")
     rc = main(["check", "--trace", str(trace)])
     assert rc == 2
     assert "'replicas_of'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("end_ns, verdict", [
+    (1_400_000_000, "push-progress: ok"),
+    (1_520_000_000, "push-progress: FAIL"),
+], ids=["end-at-last-event", "end-after-it"])
+def test_check_judges_push_progress_at_the_run_end_in_the_header(
+        tmp_path, capsys, end_ns, verdict):
+    # The wait's writer was decided at 1.0 s, and the last event is at
+    # 1.4 s: within the 0.5 s grace of the last event, but 0.52 s before
+    # a run that ended at 1.52 s.
+    trace = tmp_path / "open-wait.trace"
+    trace.write_text("\n".join([
+        json.dumps({"kind": "header", "schema": 2, "interval_ms": 100,
+                    "epsilon_ns": 100000, "data_nodes": ["d0.SH"],
+                    "replicas_of": {}, "end_ns": end_ns}),
+        json.dumps([900_000_000, "push_wait", {
+            "node": "d0.SH", "reader": "c0.SH:2", "txn": "c0.SH:1"}]),
+        json.dumps([1_000_000_000, "record", {
+            "role": "rec/d0.SH", "txn": "c0.SH:1", "status": "committed",
+            "epoch": 1}]),
+        json.dumps([1_400_000_000, "cut", {
+            "node": "d0.SH", "epoch": 14, "promised": 1_400_000_000}]),
+    ]) + "\n")
+    rc = main(["check", "--trace", str(trace), "--property", "ss"])
+    out = capsys.readouterr().out
+    assert verdict in out
+    assert rc == (0 if verdict.endswith("ok") else 1)
+
+
+@pytest.mark.parametrize("argv, culprit, reason", [
+    (["check", "--trace", "empty"], "empty", "the file is empty"),
+    (["check", "--trace", "schema1"], "schema1", "unsupported trace schema 1"),
+    (["check", "--trace", "missing"], "missing", "No such file or directory"),
+    (["check", "--trace", "listed"], "listed", "unsupported trace schema None"),
+    (["diff", "schema1", "empty"], "schema1", "unsupported trace schema 1"),
+    (["diff", "clean", "missing"], "missing", "No such file or directory"),
+    (["run", "--scenario", "bad_key"], "bad_key", "unknown key 'bogus'"),
+    (["run", "--scenario", "missing"], "missing", "No such file or directory"),
+], ids=["check-empty", "check-schema-1", "check-missing",
+        "check-header-not-an-object", "diff-schema-1", "diff-missing",
+        "run-unknown-key", "run-missing"])
+def test_input_a_command_cannot_read_exits_2_with_one_line(
+        tmp_path, capsys, argv, culprit, reason):
+    # Exit 1 means a violation to check and a difference to diff.
+    (tmp_path / "empty").write_text("")
+    (tmp_path / "schema1").write_text(
+        json.dumps({"kind": "header", "schema": 1}) + "\n")
+    (tmp_path / "listed").write_text("[2]\n")
+    (tmp_path / "clean").write_text(
+        json.dumps({"kind": "header", "schema": 2}) + "\n")
+    Path(small_yaml(tmp_path, bogus="1")).rename(tmp_path / "bad_key")
+    files = {"empty", "schema1", "listed", "clean", "missing", "bad_key"}
+    argv = [str(tmp_path / a) if a in files else a for a in argv]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith(f"chronokv {argv[0]}: {tmp_path / culprit}: ")
+    assert reason in line
 
 
 def test_check_property_subsets_run_only_their_checkers(tmp_path, capsys):

@@ -7,8 +7,10 @@ import tracemalloc
 import pytest
 
 from conftest import Host, ask_once, drive, one_region
-from test_trace_digest import benchmark_workloads
+from test_trace_digest import SCENARIOS, benchmark_workloads
 from chronokv.cluster import Cluster
+from chronokv.replication import SharedStorage
+from chronokv.scenario import load_scenario
 from chronokv.simnet import (
     MS,
     RPC_TIMEOUT,
@@ -292,17 +294,45 @@ def test_crash_drops_inbound_and_kills_tasks_and_timers():
     assert [e.payload for e in a.inbox] == ["for-the-living"]
 
 
-def test_a_task_killed_by_a_crash_is_released_at_the_crash():
-    # Without the cycle collector, a dead task is freed only if nothing
-    # refers to it; then its finally runs at a fixed virtual instant.
+def _wait_on_a_call(a, released):
+    Host(a.sim, a.net, "mute.R0", "R0")  # never replies
+    yield from ask_once(a.k, "mute.R0", "ping", 50 * MS)
+
+
+def _wait_on_a_local_timer(a, released):
+    yield a.k.sleep_local(50 * MS)  # a transaction's hold
+
+
+def _wait_on_a_child_task(a, released):
+    def child():
+        try:
+            yield a.k.sleep_local(50 * MS)
+        finally:
+            released.append(a.sim.now)
+
+    yield a.k.spawn(child())
+
+
+def _wait_on_a_storage_append(a, released):
+    storage = SharedStorage(a.sim, flush_ns=50 * MS)
+    yield storage.append("log", ["entry"], writer=a.node_id)
+
+
+@pytest.mark.parametrize("wait, tasks", [
+    (_wait_on_a_call, 1), (_wait_on_a_local_timer, 1),
+    (_wait_on_a_child_task, 2), (_wait_on_a_storage_append, 1),
+], ids=["call", "local-timer", "child-task", "storage-append"])
+def test_a_task_killed_by_a_crash_is_released_at_the_crash(wait, tasks):
+    # A crash closes every task its node runs, whatever each waits on, so
+    # each one's finally runs at the crash: with the cycle collector off,
+    # and before the wait would have ended.
     sim, net = one_region()
     a = Host(sim, net, "a.R0", "R0")
-    Host(sim, net, "mute.R0", "R0")  # never replies
     released = []
 
     def task():
         try:
-            yield from ask_once(a.k, "mute.R0", "ping", 50 * MS)
+            yield from wait(a, released)
         finally:
             released.append(sim.now)
 
@@ -311,32 +341,35 @@ def test_a_task_killed_by_a_crash_is_released_at_the_crash():
         a.k.spawn(task())
         sim.run_until(1 * MS)
         a.crash()
-        assert released == [1 * MS]
+        assert released == [1 * MS] * tasks
+        assert a.k._tasks == {}
+        sim.run_until(100 * MS)
+        assert released == [1 * MS] * tasks
     finally:
         gc.enable()
 
 
-def test_a_task_asleep_on_a_local_timer_is_released_at_the_crash():
-    # A crash drops the node's pending timers, as it drops its pending
-    # rpcs, so the event queue no longer holds the sleeping task.
-    sim, net = one_region()
-    a = Host(sim, net, "a.R0", "R0")
-    released = []
+#: The tasks a node still runs once its clients are done: the loops it
+#: runs for as long as it lives.
+NODE_LOOPS = {
+    "data": ["EpochCutter.run", "RecorderState._sweep_loop"],
+    "coord": ["Coordinator._heartbeat_loop"],
+}
 
-    def task():
-        try:
-            yield a.k.sleep_local(50 * MS)  # a transaction's hold
-        finally:
-            released.append(sim.now)
 
-    gc.disable()
-    try:
-        a.k.spawn(task())
-        sim.run_until(1 * MS)
-        a.crash()
-        assert released == [1 * MS]
-    finally:
-        gc.enable()
+@pytest.mark.parametrize("name", ["steady", "hot-rmw", "chaos", "faults.yaml"])
+def test_a_finished_run_leaves_each_node_only_its_loops(name):
+    # A task that nothing will resume, and that stays listed, is a leak
+    # that grows with the run.
+    if name.endswith(".yaml"):
+        sc = load_scenario(str(SCENARIOS / name))
+    else:
+        sc = benchmark_workloads()[name].build(1, True)
+    cluster = Cluster(sc)
+    cluster.run()
+    for node in cluster.net.nodes.values():
+        running = sorted(task.gen.__qualname__ for task in node.k._tasks)
+        assert running == NODE_LOOPS.get(node.kind, []), node.node_id
 
 
 def test_reorder_holds_messages_back():
