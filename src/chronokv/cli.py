@@ -2,14 +2,17 @@
 compare two of them.
 
 Input that a command cannot read (a missing file, a scenario with an
-unknown key, a trace that is empty, of another schema or whose header
-lacks a key) exits 2 with one line on stderr that names the file and
-the reason, so that exit 1 keeps its meaning: ``check`` found a
-violation, or ``diff`` found a difference."""
+unknown key or a value of the wrong type, a trace that is empty, of
+another schema, whose header lacks a key or with a line that is no
+event) exits 2 with one line on stderr that names the file and the
+reason, so that exit 1 keeps its meaning: ``check`` found a violation,
+or ``diff`` found a difference. ``run``'s ``--seed`` and ``--until-ms``
+are checked as the scenario's own values are."""
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -35,21 +38,24 @@ def _read(path: str, load):
 def _cmd_run(args) -> int:
     from . import metrics
     from .cluster import run_scenario
+    from .errors import InvalidConfig
     from .history import write_trace
     from .scenario import Scenario, load_scenario
 
     sc = _read(args.scenario, load_scenario) if args.scenario else Scenario()
-    if args.seed is not None:
-        sc.seed = args.seed
-    if args.until_ms is not None:
-        sc.duration_ms = args.until_ms
+    overrides = {"seed": args.seed, "duration_ms": args.until_ms}
+    try:
+        sc = dataclasses.replace(
+            sc, **{k: v for k, v in overrides.items() if v is not None})
+    except InvalidConfig as e:
+        raise Unreadable(f"--seed/--until-ms: {e}") from e
     result = run_scenario(sc)
     if args.trace:
         write_trace(args.trace, result.trace, meta={
             "seed": sc.seed,
             "interval_ms": sc.interval_ms,
             "epsilon_ns": sc.epsilon_ns,
-            "data_nodes": result.cluster.router.ids,
+            "data_nodes": result.router.ids,
             "replicas_of": result.replicas_of(),
             "end_ns": result.end_ns,
         })
@@ -72,12 +78,12 @@ def _cmd_check(args) -> int:
     from .history import build_history, read_trace
 
     meta, events = _read(args.trace, read_trace)
+    h = _read(args.trace, lambda _path: build_history(events))
     for key in ("interval_ms", "epsilon_ns", "data_nodes", "replicas_of",
                 "end_ns"):
         if key not in meta:
             raise Unreadable(f"{args.trace}: trace header lacks {key!r}")
     interval_ns = meta["interval_ms"] * MS
-    h = build_history(events)
 
     verdicts = []
     if args.property != "visibility":

@@ -6,18 +6,19 @@ Standby nodes are full data nodes that the key router simply never picks:
 they cut epochs, host their own recorder role, and can adopt someone
 else's — which is exactly what the takeover fault injects.
 
-A run's result is its trace. Transaction outcomes are read from the
-history built over it, so a transaction that a crash killed before it
-ended counts as unknown; only the timestamp proxies' counters, which the
-trace does not hold, are collected from the nodes.
+A run's result is the cluster itself, and what it says is its trace.
+Transaction outcomes are read from the history built over the trace, so
+a transaction that a crash killed before it ended counts as unknown.
+The clients add to the cluster's ``pending`` count and ``replica_reads``
+list, and ``run`` stops once ``pending`` is back at zero. Only the
+timestamp proxies' counters, which the trace does not hold, are read
+from the nodes (``metrics.run_summary``).
 """
 
 from __future__ import annotations
 
 import zlib
 from collections import Counter
-from collections.abc import Sequence
-from dataclasses import dataclass
 
 from . import workload
 from .clock import OracleServer
@@ -45,42 +46,6 @@ class Router:
         return {self.primary(op[2]) for op in t.ops if op[1] == "w"}
 
 
-@dataclass
-class RunResult:
-    scenario: Scenario
-    replica_reads: list
-    ts_requests: int = 0
-    ts_fetches: int = 0
-    ts_local: int = 0
-    end_ns: int = 0
-    #: The run's events, read as ``(true_ns, kind, fields)`` tuples: a
-    #: read-only view over the trace log's rows (``simnet.TraceLog``).
-    #: Timestamps in ``fields`` are the ``Timestamp`` tuples the protocol
-    #: traced, where a written trace holds lists.
-    trace: Sequence = ()
-    cluster: object = None
-
-    def history(self):
-        from .history import build_history
-        if getattr(self, "_history", None) is None:
-            self._history = build_history(self.trace)
-        return self._history
-
-    def outcomes(self) -> Counter:
-        """Status -> number of transactions begun in the trace; one that
-        never ended counts as unknown."""
-        return Counter(t.status or "unknown"
-                       for t in self.history().txns.values())
-
-    def replicas_of(self):
-        """primary node id -> replica node ids."""
-        return {nid: list(rids)
-                for nid, rids in self.cluster.replicas_of.items()}
-
-    def written_primaries(self, t) -> set:
-        return self.cluster.router.written_primaries(t)
-
-
 class Cluster:
     def __init__(self, sc: Scenario):
         self.scenario = sc
@@ -100,7 +65,7 @@ class Cluster:
         self.router = Router(data_ids)
 
         # The replicas of each data node, which its data log ships to.
-        self.replicas_of: dict[str, list] = {
+        self._replicas_of: dict[str, list] = {
             nid: [f"{nid}@{rr}" for rr in sc.replicate_to]
             for nid in data_ids if sc.replicate_to}
 
@@ -128,7 +93,12 @@ class Cluster:
             ))
 
         self._started = False
-        self._clients = None
+        #: Clients still running, and each answered replica read as
+        #: ``(reader, ts, mode, replica, response)``; ``workload`` keeps both.
+        self.pending = 0
+        self.replica_reads: list = []
+        self.end_ns = 0
+        self._history = None
 
     def proxy_args(self, region: str) -> dict:
         sc = self.scenario
@@ -145,7 +115,7 @@ class Cluster:
             storage=self.storage[region],
             directory=RoleDirectory(self.storage),
             tsproxy_args=self.proxy_args(region),
-            replicas=self.replicas_of.get(nid, []),
+            replicas=self._replicas_of.get(nid, []),
             interval_ns=sc.interval_ns,
         )
         self.storage[region].set_initial_owner(node.role_self, nid)
@@ -180,7 +150,7 @@ class Cluster:
                 self.sim.at(c.restart_at_ns, node.restart)
         for t in sc.faults.takeovers:
             self.sim.at(t.at_ns, self._takeover_fn(t))
-        self._clients = workload.spawn_clients(self)
+        workload.spawn_clients(self)
 
     def _takeover_fn(self, t):
         def fire():
@@ -191,26 +161,45 @@ class Cluster:
 
         return fire
 
-    def run(self) -> RunResult:
+    def run(self) -> Cluster:
+        """Run the workload until every client is done or ``duration_ms``
+        is up, then ``drain_ms`` more; returns the cluster."""
         sc = self.scenario
         self.start()
-        clients = self._clients
-        stop = clients.all_done if sc.stop_on_idle else None
-        self.sim.run_until(sc.duration_ms * MS, stop=stop)
+        self.sim.run_until(sc.duration_ms * MS, stop=lambda: self.pending == 0)
         self.sim.run_until(self.sim.now + sc.drain_ms * MS)
-        return self._collect(clients)
+        self.end_ns = self.sim.now
+        return self
 
-    def _collect(self, clients) -> RunResult:
-        res = RunResult(scenario=self.scenario,
-                        replica_reads=list(clients.replica_reads),
-                        end_ns=self.sim.now,
-                        trace=self.sim.trace.events, cluster=self)
-        for c in self.coordinators:
-            res.ts_requests += c.tsproxy.requests
-            res.ts_fetches += c.tsproxy.fetches
-            res.ts_local += c.tsproxy.served_local
-        return res
+    # -- the run's result ---------------------------------------------------------
+
+    @property
+    def trace(self):
+        """The run's events, read as ``(true_ns, kind, fields)`` tuples: a
+        read-only view over the trace log's rows (``simnet.TraceLog``).
+        Timestamps in ``fields`` are the ``Timestamp`` tuples the protocol
+        traced, where a written trace holds lists."""
+        return self.sim.trace.events
+
+    def history(self):
+        from .history import build_history
+        if self._history is None:
+            self._history = build_history(self.trace)
+        return self._history
+
+    def outcomes(self) -> Counter:
+        """Status -> number of transactions begun in the trace; one that
+        never ended counts as unknown."""
+        return Counter(t.status or "unknown"
+                       for t in self.history().txns.values())
+
+    def replicas_of(self):
+        """primary node id -> replica node ids."""
+        return {nid: list(rids) for nid, rids in self._replicas_of.items()}
+
+    def written_primaries(self, t) -> set:
+        return self.router.written_primaries(t)
 
 
-def run_scenario(sc: Scenario) -> RunResult:
+def run_scenario(sc: Scenario) -> Cluster:
     return Cluster(sc).run()

@@ -13,7 +13,7 @@ coordinator only in the id (``TxnInfo.coord``). This is schema 2;
 ``read_trace`` refuses schema 1, whose ``txn_end`` also carried the
 timestamp and which older traces hold only there.
 
-A trace in memory (``RunResult.trace``, or what ``read_trace`` returns)
+A trace in memory (``Cluster.trace``, or what ``read_trace`` returns)
 is the read-only view of a ``simnet.TraceLog``: it keeps each event as
 one flat row and builds the ``(t, kind, fields)`` tuple when the event
 is read. Its timestamps are the ``Timestamp`` tuples the protocol
@@ -90,48 +90,56 @@ class History:
 
 
 def build_history(events) -> History:
+    """Raises ValueError naming the first event that lacks a field its
+    kind needs, or holds one of another shape."""
     h = History()
     rr_pending: dict = {}
-    for t, kind, f in events:
-        if kind == "txn_begin":
-            h.txns[f["txn"]] = TxnInfo(f["txn"], begin_ns=t)
-        elif kind == "txn_ts":
-            info = h.txns.get(f["txn"])
-            if info is not None:
-                info.ts = _ts(f["ts"])
-        elif kind == "op":
-            info = h.txns.get(f["txn"])
-            if info is not None:
-                info.ops.append((f["i"], f["op"], f["key"],
-                                 _ts(f.get("vts")), f.get("val")))
-        elif kind == "txn_end":
-            info = h.txns.get(f["txn"])
-            if info is None:
-                continue
-            info.end_ns = t
-            info.status = f["status"]
-            info.epoch = f.get("epoch")
-            info.reason = f.get("reason")
-        elif kind == "rread_start":
-            rr_pending[(f["node"], f["reader"])] = t
-        elif kind == "rread":
-            key = (f["node"], f["reader"])
-            start = rr_pending.pop(key, t)
-            h.rreads.append(ReplicaRead(
-                reader=f["reader"], node=f["node"], ts=_ts(f["ts"]),
-                view=f["view"], mode=f["mode"], start_ns=start, end_ns=t,
-                reads=[(r[0], _ts(r[1]), r[2]) for r in f["reads"]],
-            ))
-        elif kind == "cut":
-            h.cuts.append((t, f["node"], f["epoch"], f["promised"]))
-        elif kind == "replay":
-            h.replays.append((t, f["node"], f["src"], f["epoch"]))
-        elif kind == "record":
-            h.records.append((t, f["role"], f["txn"], f["status"], f.get("epoch")))
-        elif kind in ("push_wait", "push_done"):
-            h.pushes.append((t, kind, f["node"], f["reader"], f["txn"]))
-        elif kind == "oracle":
-            h.oracle.append((t, f["srv"], f["lo"], f["hi"]))
+    try:
+        for t, kind, f in events:
+            if kind == "txn_begin":
+                h.txns[f["txn"]] = TxnInfo(f["txn"], begin_ns=t)
+            elif kind == "txn_ts":
+                info = h.txns.get(f["txn"])
+                if info is not None:
+                    info.ts = _ts(f["ts"])
+            elif kind == "op":
+                info = h.txns.get(f["txn"])
+                if info is not None:
+                    info.ops.append((f["i"], f["op"], f["key"],
+                                     _ts(f.get("vts")), f.get("val")))
+            elif kind == "txn_end":
+                info = h.txns.get(f["txn"])
+                if info is None:
+                    continue
+                info.end_ns = t
+                info.status = f["status"]
+                info.epoch = f.get("epoch")
+                info.reason = f.get("reason")
+            elif kind == "rread_start":
+                rr_pending[(f["node"], f["reader"])] = t
+            elif kind == "rread":
+                key = (f["node"], f["reader"])
+                start = rr_pending.pop(key, t)
+                h.rreads.append(ReplicaRead(
+                    reader=f["reader"], node=f["node"], ts=_ts(f["ts"]),
+                    view=f["view"], mode=f["mode"], start_ns=start, end_ns=t,
+                    reads=[(r[0], _ts(r[1]), r[2]) for r in f["reads"]],
+                ))
+            elif kind == "cut":
+                h.cuts.append((t, f["node"], f["epoch"], f["promised"]))
+            elif kind == "replay":
+                h.replays.append((t, f["node"], f["src"], f["epoch"]))
+            elif kind == "record":
+                h.records.append((t, f["role"], f["txn"], f["status"],
+                                  f.get("epoch")))
+            elif kind in ("push_wait", "push_done"):
+                h.pushes.append((t, kind, f["node"], f["reader"], f["txn"]))
+            elif kind == "oracle":
+                h.oracle.append((t, f["srv"], f["lo"], f["hi"]))
+    except (KeyError, TypeError, IndexError) as e:
+        what = (f"lacks field {e}" if isinstance(e, KeyError)
+                else f"is malformed: {e}")
+        raise ValueError(f"event {json.dumps([t, kind, f])} {what}") from None
     return h
 
 
@@ -147,7 +155,8 @@ def write_trace(path: str, events, meta: dict = None) -> None:
 def read_trace(path: str):
     """Returns (meta, events); meta is the header minus kind/schema, and
     events the read-only view of a ``TraceLog`` filled from the file, as
-    a run's own trace is."""
+    a run's own trace is. A line that is no ``[int, str, object]``
+    raises ValueError naming its number."""
     log = TraceLog()
     with open(path) as src:
         first = src.readline()
@@ -158,9 +167,16 @@ def read_trace(path: str):
         if schema != SCHEMA_VERSION:
             raise ValueError(f"unsupported trace schema {schema!r}")
         meta = {k: v for k, v in header.items() if k not in ("kind", "schema")}
-        for line in src:
+        for n, line in enumerate(src, 2):
             if not line.strip():
                 continue
-            t, kind, fields = json.loads(line)
-            log.add(t, sys.intern(kind), fields)
+            try:
+                event = json.loads(line)
+            except ValueError:
+                event = None
+            if (type(event) is not list
+                    or [*map(type, event)] != [int, str, dict]):
+                raise ValueError(f"line {n}: {line.strip()} is not an event "
+                                 f"[int, str, object]")
+            log.add(event[0], sys.intern(event[1]), event[2])
     return meta, log.events

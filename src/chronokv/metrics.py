@@ -1,7 +1,7 @@
 """Post-run measurement: visibility delay, latency, batching efficiency.
 
-Everything here is analysis over a completed History/RunResult — floats are
-fine, nothing feeds back into the simulation.
+Everything here is analysis over a History or a cluster that has run —
+floats are fine, nothing feeds back into the simulation.
 """
 
 from __future__ import annotations
@@ -204,13 +204,17 @@ def _latency(vals: list) -> dict:
 
 
 def run_summary(result) -> dict:
-    """Flat dict for the CLI: outcome counts, latency, batching stats.
-    All but the ``ts_*`` figures, which the trace does not hold, are read
-    from the history, where a transaction that never ended is unknown."""
+    """Flat dict for the CLI over a cluster that has run: outcome counts,
+    latency, batching stats. All but the ``ts_*`` figures are read from
+    the history, where a transaction that never ended is unknown. The
+    trace does not hold those: they are the coordinators' timestamp
+    proxies' counters, summed."""
     h = result.history()
     sc = result.scenario
     outcomes = result.outcomes()
-    ts_req = result.ts_requests
+    proxies = [c.tsproxy for c in result.coordinators]
+    ts_req = sum(p.requests for p in proxies)
+    ts_local = sum(p.served_local for p in proxies)
     summary = {
         "seed": sc.seed,
         "txns": len(h.txns),
@@ -220,9 +224,9 @@ def run_summary(result) -> dict:
                                       if t.reason is not None)),
         "latency": latency_summary(h),
         "ts_requests": ts_req,
-        "ts_fetches": result.ts_fetches,
-        "ts_served_local": result.ts_local,
-        "ts_local_ratio": (result.ts_local / ts_req) if ts_req else None,
+        "ts_fetches": sum(p.fetches for p in proxies),
+        "ts_served_local": ts_local,
+        "ts_local_ratio": (ts_local / ts_req) if ts_req else None,
         "replica_reads": len(h.rreads),
         "epoch_cuts": len(h.cuts),
     }

@@ -15,8 +15,10 @@ fetch costs microseconds, not the intra-region RTT (which would dwarf
 the batch lifetime).
 
 Input fails loudly: a key the loader does not know, at any level, a
-region listed twice in ``regions`` or ``replicate_to``, a pair of
-regions with no known round-trip time, a message filter naming no class
+value of another type than its field's (``true`` for an int, ``SG``
+for a list; an int does for a float), a region listed twice in
+``regions`` or ``replicate_to``, a pair of regions with no known
+round-trip time, a message filter naming no class
 in ``messages``, a partition of a region outside ``regions``, a crash of
 a node that no data node, standby or coordinator has, a takeover of a
 role or to a node that no data node or standby has, a probability
@@ -80,10 +82,32 @@ def full_rtt_table(regions):
     return table
 
 
-def _check_keys(d: dict, known, where: str) -> None:
-    for key in d:
-        if key not in known:
+# The types a value that YAML read may have, by its field's annotation:
+# ``true`` is no int, ``1.5`` no int and ``SG`` no list, but 1 is a float.
+_NUM, _STR, _LIST, _MAP = (int, float), (str,), (list,), (dict,)
+_YAML_TYPES = {"int": (int,), "float": _NUM, "str": _STR, "bool": (bool,),
+               "list": _LIST, "dict": _MAP, "WorkloadSpec": _MAP,
+               "FaultSchedule": _MAP}
+
+
+def _field_types(cls) -> dict:
+    return {f.name: _YAML_TYPES[f.type.partition("[")[0]]
+            for f in fields(cls)}
+
+
+def _check_fields(d, types: dict, where: str) -> None:
+    """Refuse a key that ``types`` does not name, and a value that is not
+    of its key's type."""
+    if type(d) is not dict:
+        raise InvalidConfig(f"{where}: {d!r} is not a mapping")
+    for key, value in d.items():
+        if key not in types:
             raise InvalidConfig(f"unknown key {key!r} in {where}")
+        ok = types[key]
+        if type(value) not in ok:
+            raise InvalidConfig(f"{key} in {where} must be "
+                                f"{'/'.join(t.__name__ for t in ok)}, "
+                                f"not {value!r}")
 
 
 @dataclass
@@ -150,10 +174,6 @@ class Scenario:
     replica_reads_per_reader: int = 20
     replica_read_mode: str = "fresh"   # fresh | stale | mixed
 
-    # stop as soon as every client finished (False: run the full duration,
-    # e.g. to accumulate epoch cuts past the end of the workload)
-    stop_on_idle: bool = True
-
     faults: FaultSchedule = field(default_factory=FaultSchedule)
 
     def __post_init__(self):
@@ -194,10 +214,6 @@ class Scenario:
                 raise InvalidConfig(f"node {node} drift {d}ppm exceeds "
                                     f"bound {self.max_drift_ppm}ppm")
         self._check_faults()
-        if isinstance(self.workload, dict):
-            _check_keys(self.workload, {f.name for f in fields(WorkloadSpec)},
-                        "workload")
-            self.workload = WorkloadSpec(**self.workload)
         self.workload.validate()
 
     def _check_faults(self) -> None:
@@ -258,41 +274,40 @@ def _ms(v) -> int:
     return int(float(v) * MS)
 
 
-# The keys of each kind of fault entry: those it must have, and those it
-# may have.
+# The keys of each kind of fault entry, with their types: those it must
+# have, and those it may have.
 _FAULT_ENTRY_KEYS = {
-    "crashes": ({"node", "at_ms"}, {"restart_at_ms"}),
-    "partitions": ({"regions", "from_ms", "to_ms"}, set()),
-    "oracle_outages": ({"region", "from_ms", "to_ms"}, set()),
-    "takeovers": ({"role", "to", "at_ms"}, set()),
-    "msg_filters": ({"kinds", "prob"}, {"from_ms", "to_ms"}),
+    "crashes": ({"node": _STR, "at_ms": _NUM}, {"restart_at_ms": _NUM}),
+    "partitions": ({"regions": _LIST, "from_ms": _NUM, "to_ms": _NUM}, {}),
+    "oracle_outages": ({"region": _STR, "from_ms": _NUM, "to_ms": _NUM}, {}),
+    "takeovers": ({"role": _STR, "to": _STR, "at_ms": _NUM}, {}),
+    "msg_filters": ({"kinds": _LIST, "prob": _NUM},
+                    {"from_ms": _NUM, "to_ms": _NUM}),
 }
 
 
 def scenario_from_dict(d: dict) -> Scenario:
-    _check_keys(d, {f.name for f in fields(Scenario)}, "scenario")
-    d = dict(d)
-    d["workload"] = d.get("workload") or {}
-    fault_d = d.pop("faults", None) or {}
+    # A workload or faults key with no value is an empty mapping.
+    d = {**d, **{k: {} for k in ("workload", "faults") if d.get(k) is None}}
+    _check_fields(d, _field_types(Scenario), "scenario")
+    _check_fields(d["workload"], _field_types(WorkloadSpec), "workload")
+    d["workload"] = WorkloadSpec(**d["workload"])
+    fault_d = d.pop("faults")
     regions = d.get("regions", DEFAULT_REGIONS)
     return Scenario(**d, faults=_faults_from_dict(fault_d, regions))
 
 
 def _faults_from_dict(fd: dict, regions: list) -> FaultSchedule:
-    _check_keys(fd, {"drop_prob", "reorder_prob", "duplicate_prob",
-                     *_FAULT_ENTRY_KEYS}, "faults")
+    _check_fields(fd, _field_types(FaultSchedule), "faults")
     for kind, (required, optional) in _FAULT_ENTRY_KEYS.items():
         for entry in fd.get(kind, ()):
-            _check_keys(entry, required | optional, f"faults.{kind}")
-            missing = sorted(required - set(entry))
+            _check_fields(entry, {**required, **optional}, f"faults.{kind}")
+            missing = sorted(required.keys() - entry.keys())
             if missing:
                 raise InvalidConfig(
                     f"missing key {missing[0]!r} in faults.{kind}")
-    fs = FaultSchedule(
-        drop_prob=float(fd.get("drop_prob", 0.0)),
-        reorder_prob=float(fd.get("reorder_prob", 0.0)),
-        duplicate_prob=float(fd.get("duplicate_prob", 0.0)),
-    )
+    probs = ("drop_prob", "reorder_prob", "duplicate_prob")
+    fs = FaultSchedule(**{k: float(fd[k]) for k in probs if k in fd})
     for c in fd.get("crashes", ()):
         restart = c.get("restart_at_ms")
         fs.crashes.append(CrashDirective(

@@ -15,14 +15,15 @@ recorded. A stale read asks for a view
 globally unique (``client.txnseq.opidx``) which lets the checkers match
 every read to the exact write that produced it.
 
-The client set keeps no transaction outcomes: the trace holds every
-transaction, one whose client a crash killed included.
+The clients count themselves in the cluster's ``pending`` while they
+run and add each answered replica read to its ``replica_reads``; they
+keep no transaction outcomes: the trace holds every transaction, one
+whose client a crash killed included.
 """
 
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field
 
 from .messages import ReplicaReadReq
 from .replication import request
@@ -84,27 +85,15 @@ def build_program(rng, spec, interval_ns: int, tag: str, zipf: ZipfKeys):
     return ops
 
 
-@dataclass
-class ClientSet:
-    replica_reads: list = field(default_factory=list)
-    pending: int = 0
-
-    def all_done(self) -> bool:
-        return self.pending == 0
-
-
-def spawn_clients(cluster) -> ClientSet:
+def spawn_clients(cluster) -> None:
     sc = cluster.scenario
-    cs = ClientSet()
     zipf = ZipfKeys(sc.workload.keys, sc.workload.zipf_theta)
     for coord in cluster.coordinators:
         for j in range(sc.clients_per_coordinator):
             cid = f"{coord.node_id}/{j}"
             rng = cluster.sim.rng(f"client/{cid}")
-            cs.pending += 1
-            coord.k.spawn(_txn_client(coord, cluster, cs, rng, cid, zipf))
-    if not sc.replicate_to:
-        return cs
+            cluster.pending += 1
+            coord.k.spawn(_txn_client(coord, cluster, rng, cid, zipf))
     # Built after every cluster node, so no earlier seeded draw moves.
     hosts: dict = {}
     for j in range(sc.replica_readers):
@@ -117,9 +106,8 @@ def spawn_clients(cluster) -> ClientSet:
                                          cluster.drift(hid),
                                          cluster.proxy_args(region))
         rng = cluster.sim.rng(f"rreader/{j}")
-        cs.pending += 1
-        host.k.spawn(_replica_reader(host, cluster, cs, rng, j, zipf))
-    return cs
+        cluster.pending += 1
+        host.k.spawn(_replica_reader(host, cluster, rng, j, zipf))
 
 
 class ClientHost(Node):
@@ -137,7 +125,7 @@ class ClientHost(Node):
         pass
 
 
-def _txn_client(coord, cluster, cs, rng, cid, zipf):
+def _txn_client(coord, cluster, rng, cid, zipf):
     sc = cluster.scenario
     try:
         for i in range(sc.txns_per_client):
@@ -145,10 +133,10 @@ def _txn_client(coord, cluster, cs, rng, cid, zipf):
                                     f"{cid}.{i}", zipf)
             yield from coord.run_txn(program)
     finally:
-        cs.pending -= 1
+        cluster.pending -= 1
 
 
-def _replica_reader(host, cluster, cs, rng, idx, zipf):
+def _replica_reader(host, cluster, rng, idx, zipf):
     sc = cluster.scenario
     try:
         for i in range(sc.replica_reads_per_reader):
@@ -172,8 +160,8 @@ def _replica_reader(host, cluster, cs, rng, idx, zipf):
             for n, (target, group) in enumerate(sorted(by_replica.items())):
                 req = ReplicaReadReq(group, ts, f"{reader}.{n}", mode)
                 resp = yield from request(host.k, target, req)
-                cs.replica_reads.append(
+                cluster.replica_reads.append(
                     (f"{reader}.{n}", ts, mode, target, resp))
             yield host.k.sleep_local(5 * MS)
     finally:
-        cs.pending -= 1
+        cluster.pending -= 1

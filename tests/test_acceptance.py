@@ -199,9 +199,9 @@ def test_a06_cut_instants_strictly_exceed_their_promises_at_full_drift():
     drifts = {f"d{i}.{r}": 200 if i % 2 == 0 else -200
               for i, r in enumerate(data_nodes)}
     sc = Scenario(
-        name="cuts", seed=11, duration_ms=5_200, drain_ms=100,
+        name="cuts", seed=11, drain_ms=5_300,
         data_nodes=data_nodes, coordinators=["SH"], node_drift_ppm=drifts,
-        clients_per_coordinator=0, interval_ms=5, stop_on_idle=False,
+        clients_per_coordinator=0, interval_ms=5,
     )
     r = run_scenario(sc)
     h = r.history()

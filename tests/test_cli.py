@@ -129,6 +129,28 @@ def test_check_judges_push_progress_at_the_run_end_in_the_header(
     assert rc == (0 if verdict.endswith("ok") else 1)
 
 
+# Trace files of a schema 2 header and one event line each.
+EVENT_LINES = {
+    "event-int": "5",
+    "event-no-fields": '[1,"op"]',
+    "fields-not-an-object": '[1,"op",5]',
+    "kind-not-a-string": '[1,5,{}]',
+    "op-without-txn": '[1,"op",{}]',
+}
+
+# Scenario files of the SMALL scenario with one value replaced.
+BAD_VALUES = {
+    "workload-int": {"workload": "5"},
+    "regions-int": {"regions": "5"},
+    "duration-string": {"duration_ms": "abc"},
+    "txns-float": {"txns_per_client": "1.5"},
+    "seed-bool": {"seed": "true"},
+    "crash-int": {"faults": "{crashes: [5]}"},
+    "partition-string": {
+        "faults": "{partitions: [{regions: SH, from_ms: 0, to_ms: 1}]}"},
+}
+
+
 @pytest.mark.parametrize("argv, culprit, reason", [
     (["check", "--trace", "empty"], "empty", "the file is empty"),
     (["check", "--trace", "schema1"], "schema1", "unsupported trace schema 1"),
@@ -138,9 +160,36 @@ def test_check_judges_push_progress_at_the_run_end_in_the_header(
     (["diff", "clean", "missing"], "missing", "No such file or directory"),
     (["run", "--scenario", "bad_key"], "bad_key", "unknown key 'bogus'"),
     (["run", "--scenario", "missing"], "missing", "No such file or directory"),
+    (["check", "--trace", "event-int"], "event-int",
+     "line 2: 5 is not an event [int, str, object]"),
+    (["check", "--trace", "event-no-fields"], "event-no-fields",
+     'line 2: [1,"op"] is not an event'),
+    (["check", "--trace", "fields-not-an-object"], "fields-not-an-object",
+     'line 2: [1,"op",5] is not an event'),
+    (["diff", "clean", "kind-not-a-string"], "kind-not-a-string",
+     'line 2: [1,5,{}] is not an event'),
+    (["check", "--trace", "op-without-txn"], "op-without-txn",
+     """event [1, "op", {}] lacks field 'txn'"""),
+    (["run", "--scenario", "workload-int"], "workload-int",
+     "workload in scenario must be dict, not 5"),
+    (["run", "--scenario", "regions-int"], "regions-int",
+     "regions in scenario must be list, not 5"),
+    (["run", "--scenario", "duration-string"], "duration-string",
+     "duration_ms in scenario must be int, not 'abc'"),
+    (["run", "--scenario", "txns-float"], "txns-float",
+     "txns_per_client in scenario must be int, not 1.5"),
+    (["run", "--scenario", "seed-bool"], "seed-bool",
+     "seed in scenario must be int, not True"),
+    (["run", "--scenario", "crash-int"], "crash-int",
+     "faults.crashes: 5 is not a mapping"),
+    (["run", "--scenario", "partition-string"], "partition-string",
+     "regions in faults.partitions must be list, not 'SH'"),
+    (["run", "--until-ms", "-5"], "--seed/--until-ms",
+     "duration_ms must be >= 0"),
 ], ids=["check-empty", "check-schema-1", "check-missing",
         "check-header-not-an-object", "diff-schema-1", "diff-missing",
-        "run-unknown-key", "run-missing"])
+        "run-unknown-key", "run-missing", *EVENT_LINES, *BAD_VALUES,
+        "run-negative-until"])
 def test_input_a_command_cannot_read_exits_2_with_one_line(
         tmp_path, capsys, argv, culprit, reason):
     # Exit 1 means a violation to check and a difference to diff.
@@ -150,14 +199,21 @@ def test_input_a_command_cannot_read_exits_2_with_one_line(
     (tmp_path / "listed").write_text("[2]\n")
     (tmp_path / "clean").write_text(
         json.dumps({"kind": "header", "schema": 2}) + "\n")
+    for name, line in EVENT_LINES.items():
+        (tmp_path / name).write_text(
+            json.dumps({"kind": "header", "schema": 2}) + "\n" + line + "\n")
     Path(small_yaml(tmp_path, bogus="1")).rename(tmp_path / "bad_key")
-    files = {"empty", "schema1", "listed", "clean", "missing", "bad_key"}
+    for name, values in BAD_VALUES.items():
+        Path(small_yaml(tmp_path, **values)).rename(tmp_path / name)
+    files = {"empty", "schema1", "listed", "clean", "missing", "bad_key",
+             *EVENT_LINES, *BAD_VALUES}
     argv = [str(tmp_path / a) if a in files else a for a in argv]
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     [line] = captured.err.splitlines()
-    assert line.startswith(f"chronokv {argv[0]}: {tmp_path / culprit}: ")
+    where = tmp_path / culprit if culprit in files else culprit
+    assert line.startswith(f"chronokv {argv[0]}: {where}: ")
     assert reason in line
 
 

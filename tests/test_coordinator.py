@@ -180,8 +180,8 @@ def test_a_restarted_data_node_keeps_its_timestamp_proxy():
     fs = FaultSchedule()
     fs.crashes.append(CrashDirective(node="d0.SH", at_ns=SEC,
                                      restart_at_ns=2 * SEC))
-    cluster = Cluster(small(clients_per_coordinator=0, stop_on_idle=False,
-                            duration_ms=3000, faults=fs))
+    cluster = Cluster(small(clients_per_coordinator=0, drain_ms=4000,
+                            faults=fs))
     node = cluster.data_nodes[0]
     proxy = node.tsproxy
     before = []
@@ -247,14 +247,15 @@ def test_contended_read_modify_write_aborts_carry_reasons():
 
 def test_timestamp_service_counters_are_consistent():
     r = run_scenario(small(seed=13))
+    s = run_summary(r)
     # one timestamp acquisition per transaction
-    assert r.ts_requests == sum(r.outcomes().values())
+    assert s["ts_requests"] == sum(r.outcomes().values())
     # a request is served from the live batch, by its own fetch, or by
     # piggybacking on a fetch already in flight -- so local + fetches
     # never exceeds requests, and with 100us batches against ~27ms txn
     # gaps nearly every acquisition needs a fresh fetch
-    assert r.ts_local + r.ts_fetches <= r.ts_requests
-    assert r.ts_fetches >= r.ts_requests // 2
+    assert s["ts_served_local"] + s["ts_fetches"] <= s["ts_requests"]
+    assert s["ts_fetches"] >= s["ts_requests"] // 2
 
 
 # -- the recorder's waiting list ----------------------------------------------

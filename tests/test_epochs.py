@@ -30,11 +30,11 @@ def test_commit_epoch_is_max_of_proposals_and_recorder():
 def test_cutter_never_cuts_before_the_promise_and_covers_every_epoch():
     # two regions, drifts forced to the extremes, short interval so a short
     # run still crosses dozens of boundaries
-    sc = Scenario(seed=11, duration_ms=3_000, drain_ms=200, interval_ms=20,
+    sc = Scenario(seed=11, drain_ms=3_200, interval_ms=20,
                   regions=["SH", "BJ"], data_nodes=["SH", "BJ"],
                   coordinators=["SH"],
                   node_drift_ppm={"d0.SH": 200, "d1.BJ": -200},
-                  txns_per_client=2, stop_on_idle=False)
+                  txns_per_client=2)
     res = run_scenario(sc)
     h = res.history()
     assert len(h.cuts) >= 100
@@ -55,9 +55,9 @@ def test_cutter_resumes_from_durable_cuts_after_a_crash():
     fs = FaultSchedule()
     fs.crashes.append(CrashDirective(node="d0.SH", at_ns=1_000_000_000,
                                      restart_at_ns=1_400_000_000))
-    sc = Scenario(seed=3, duration_ms=3_000, drain_ms=200, interval_ms=50,
+    sc = Scenario(seed=3, drain_ms=3_200, interval_ms=50,
                   regions=["SH"], data_nodes=["SH"], coordinators=["SH"],
-                  txns_per_client=2, stop_on_idle=False, faults=fs)
+                  txns_per_client=2, faults=fs)
     res = run_scenario(sc)
     assert any(kind == "recovered" for _t, kind, _f in res.trace), \
         "node never recovered"

@@ -2,6 +2,7 @@
 
 import dataclasses
 import random
+from pathlib import Path
 
 import pytest
 
@@ -17,7 +18,7 @@ from chronokv.metrics import (
     summarize_delays,
     visibility_delays,
 )
-from chronokv.scenario import Scenario, WorkloadSpec
+from chronokv.scenario import Scenario, WorkloadSpec, load_scenario
 from chronokv.tsbatch import Timestamp
 
 
@@ -192,3 +193,14 @@ def test_run_summary_reports_counts_latency_and_batching():
     assert s["epoch_cuts"] > 0
     assert s["visibility"]["count"] > 0
     assert s["visibility"]["max_ns"] > 0
+
+
+def test_run_summary_pins_the_coordinators_proxy_tallies_on_baseline():
+    # The trace does not hold these counters, so no digest pin guards
+    # them. They sum the coordinators' proxies only: the data nodes' and
+    # the replica readers' client host's proxies would add 510 requests
+    # and 510 fetches.
+    path = Path(__file__).resolve().parent.parent / "scenarios/baseline.yaml"
+    s = run_summary(run_scenario(load_scenario(str(path))))
+    assert (s["ts_requests"], s["ts_fetches"], s["ts_served_local"]) == (
+        600, 594, 1)

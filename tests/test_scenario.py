@@ -18,7 +18,6 @@ def test_defaults_are_a_five_region_wide_area_cluster():
     assert sc.regions == ["SH", "BJ", "GZ", "GY", "SG"]
     assert sc.data_node_ids() == ["d0.SH", "d1.BJ", "d2.GZ", "d3.GY", "d4.SG"]
     assert sc.coordinator_ids() == ["c0.SH", "c1.BJ", "c2.GZ", "c3.GY", "c4.SG"]
-    assert sc.stop_on_idle is True
     assert sc.interval_ns == 100_000_000
 
 
@@ -40,7 +39,8 @@ def test_scenario_from_dict_round_trips_faults():
         "standbys": ["SH"],
         "replicate_to": ["BJ"],
         "coordinators": ["SH"],
-        "workload": {"kind": "rmw", "keys": 10, "ops_per_txn": 2},
+        "workload": {"kind": "rmw", "keys": 10, "ops_per_txn": 2,
+                     "write_ratio": 1},  # an int is a float
         "faults": {
             "drop_prob": 0.01,
             "reorder_prob": 0.05,
@@ -54,7 +54,7 @@ def test_scenario_from_dict_round_trips_faults():
                              "to_ms": 100}],
         },
     })
-    assert sc.workload.kind == "rmw"
+    assert sc.workload.kind == "rmw" and sc.workload.write_ratio == 1
     fs = sc.faults
     assert fs.drop_prob == 0.01 and fs.reorder_prob == 0.05
     assert [c.node for c in fs.crashes] == ["c0.SH", "d0.SH"]
@@ -144,6 +144,23 @@ TWO_REGIONS = {"regions": ["SH", "BJ"], "data_nodes": ["SH"],
     ({"replica_reads_per_reader": -1}, "replica_reads_per_reader"),
     ({"drain_ms": -1}, "drain_ms"),
     ({"duration_ms": -5}, "duration_ms"),
+    # a value of another type than its field's
+    ({"seed": True}, "seed in scenario must be int, not True"),
+    ({"interval_ms": 2.5}, "interval_ms in scenario must be int"),
+    ({"coordinators": "BJ"}, "coordinators in scenario must be list"),
+    ({"drift_spread": 1}, "drift_spread in scenario must be bool"),
+    ({"workload": 5}, "workload in scenario must be dict"),
+    ({"workload": {"keys": "many"}}, "keys in workload must be int"),
+    ({"workload": {"write_ratio": "half"}}, "write_ratio in workload"),
+    ({"faults": 5}, "faults in scenario must be dict"),
+    ({"faults": {"drop_prob": "x"}}, "drop_prob in faults must be int/float"),
+    ({"faults": {"crashes": {"node": "c0.BJ", "at_ms": 5}}},
+     "crashes in faults must be list"),
+    ({"faults": {"crashes": [5]}}, "faults.crashes: 5 is not a mapping"),
+    ({"faults": {"crashes": [{"node": "c0.BJ", "at_ms": "5"}]}},
+     "at_ms in faults.crashes must be int/float"),
+    ({"faults": {"msg_filters": [{"kinds": "DecideReq", "prob": 0.5}]}},
+     "kinds in faults.msg_filters must be list"),
 ])
 def test_scenario_input_that_names_nothing_is_rejected(extra, named):
     with pytest.raises(InvalidConfig, match=named):

@@ -39,6 +39,16 @@ PINNED_WORKLOADS = {
         "9a84e742626b2e0e8cc35482e1a2ad6502005c764c7ea6d35a0221a409781de8",
 }
 
+# The same at seed 1009, the first seed of the held-out seed set.
+PINNED_WORKLOADS_1009 = {
+    "steady":
+        "9d8f4287ad6bead1640b425290809c7142d1ea92638e3045ba4abffd60344878",
+    "hot-rmw":
+        "e7135ef48c5de7731c50c6020bd86941ad322f896bd802b972989fddc70087f4",
+    "chaos":
+        "ff69c1f86ab5273d93cb483aeeb96ff0b3b254f8e33f34dc8897ae17968f98aa",
+}
+
 
 def trace_digest(tmp_path, events) -> str:
     path = tmp_path / "run.trace"
@@ -68,8 +78,18 @@ def test_trace_digest_is_pinned(tmp_path, name):
     assert trace_digest(tmp_path, result.trace) == PINNED[name]
 
 
+def workload_digest(tmp_path, name: str, seed: int) -> str:
+    sc = benchmark_workloads()[name].build(seed, False)
+    return trace_digest(tmp_path, Cluster(sc).run().trace)
+
+
 @pytest.mark.parametrize("name", sorted(PINNED_WORKLOADS))
 def test_benchmark_workload_trace_digest_is_pinned(tmp_path, name):
-    sc = benchmark_workloads()[name].build(1, False)
-    result = Cluster(sc).run()
-    assert trace_digest(tmp_path, result.trace) == PINNED_WORKLOADS[name]
+    assert workload_digest(tmp_path, name, 1) == PINNED_WORKLOADS[name]
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_WORKLOADS_1009))
+def test_benchmark_workload_trace_digest_is_pinned_at_seed_1009(tmp_path,
+                                                                 name):
+    assert (workload_digest(tmp_path, name, 1009)
+            == PINNED_WORKLOADS_1009[name])
