@@ -10,23 +10,16 @@ seeded stream, so sweeps exercise the worst placements.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from .messages import TsErr, TsReq, TsResp
 from .simnet import Network, Node, Simulation
 
 
-class UncertainTime(NamedTuple):
-    """An oracle reading: true time is somewhere in [earliest, latest]."""
-
-    earliest: int
-    latest: int
-    server_id: int
-
-
 class TTCOracle:
     """The sampling core of one oracle server, separated from the wire so it
-    can be driven directly in tests.
+    can be driven directly in tests. A reading is the server's reply, a
+    ``TsResp``.
 
     Guarantees, per server:
       * containment: earliest <= true <= latest, with latest-earliest == 2*eps;
@@ -44,7 +37,7 @@ class TTCOracle:
         self.rng = rng
         self._last_latest = -1
 
-    def sample(self, true_now: int) -> UncertainTime:
+    def sample(self, true_now: int) -> TsResp:
         eps = self.epsilon_ns
         skew = self.rng.randrange(0, 2 * eps + 1)
         lo = max(self._last_latest + 1, true_now)
@@ -55,7 +48,7 @@ class TTCOracle:
             )
         latest = max(true_now + (2 * eps - skew), lo)
         self._last_latest = latest
-        return UncertainTime(latest - 2 * eps, latest, self.server_id)
+        return TsResp(latest - 2 * eps, latest, self.server_id)
 
 
 class OracleServer(Node):
@@ -90,4 +83,4 @@ class OracleServer(Node):
         self.sim.trace.emit(
             "oracle", srv=self.server_id, lo=reading.earliest, hi=reading.latest
         )
-        self.k.reply(env, TsResp(reading.earliest, reading.latest, self.server_id))
+        self.k.reply(env, reading)

@@ -92,7 +92,6 @@ that never heals leaves it waiting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .epochs import assign_commit_epoch
@@ -128,25 +127,20 @@ HB_TIMEOUT_NS = 500 * MS  # silence after which the sweep aborts txns
 SWEEP_INTERVAL_NS = 100 * MS
 
 
-@dataclass(slots=True)
-class TxnRecord:
-    status: str
-    epoch: Optional[int]
-
-
 class _RoleState:
     __slots__ = ("records", "in_progress", "pending", "deciding")
 
     def __init__(self, records=None):
-        self.records: dict[str, TxnRecord] = records or {}
+        # txn -> the last entry appended to its record, that very object
+        self.records: dict[str, RecordEntry] = records or {}
         # The in-progress subset of ``records``, in the same order, so the
         # sweep scans only what it may abort.
-        self.in_progress: dict[str, TxnRecord] = {
+        self.in_progress: dict[str, RecordEntry] = {
             txn: rec for txn, rec in self.records.items()
             if rec.status == IN_PROGRESS}
         # txn -> the Future that requests parked until its decision wait
         # on: readers' pushes, and decides that arrived while it was in
-        # flight. It resolves with the decided record, or with None when
+        # flight. It resolves with the decision's entry, or with None when
         # the role is lost.
         self.pending: dict[str, Future] = {}
         # txns whose decision append is in flight
@@ -198,7 +192,7 @@ class RecorderState:
         serve(self.node, env, self._push_task(env, req))
 
     def _park(self, env, rs: _RoleState, txn: str):
-        """Generator -> the decided record of ``txn``, or None if the role
+        """Generator -> the decision entry of ``txn``, or None if the role
         is lost first. ``env`` is told so at once."""
         tell_parked(self.node, env)
         fut = rs.pending.get(txn)
@@ -230,15 +224,13 @@ class RecorderState:
         """Generator -> an epoch floor above ``req``'s replayed epoch,
         durable in the transaction's in-progress record."""
         rec = rs.records.get(req.txn)
-        if rec is None:
-            rec = rs.records[req.txn] = rs.in_progress[req.txn] = \
-                TxnRecord(IN_PROGRESS, None)
-        # Raised and appended now, so a decision that starts later commits
+        floor = max(rec.epoch if rec is not None else 0, req.above + 1)
+        # Held and appended now, so a decision that starts later commits
         # at or above the floor, and its entry lands after this one.
-        rec.epoch = floor = max(rec.epoch or 0, req.above + 1)
+        entry = rs.records[req.txn] = rs.in_progress[req.txn] = \
+            RecordEntry(req.txn, IN_PROGRESS, floor)
         res = yield self.node.storage.append(
-            req.role, [RecordEntry(req.txn, IN_PROGRESS, floor)],
-            writer=self.node.node_id, role=req.role)
+            req.role, [entry], writer=self.node.node_id, role=req.role)
         if res[0] != "ok":
             self._fence_lost(req.role)
             return NotOwner(req.role)
@@ -280,12 +272,12 @@ class RecorderState:
             return NotOwner(role)
         if self.roles.get(role) is not rs:  # adopted away and back?
             return NotOwner(role)
-        rec = rs.records[txn] = TxnRecord(status, epoch)
+        rs.records[txn] = entry
         rs.in_progress.pop(txn, None)
         rs.deciding.discard(txn)
         fut = rs.pending.pop(txn, None)
         if fut is not None:
-            fut.resolve(rec)
+            fut.resolve(entry)
         return DecideResp(status, epoch)
 
     # -- fencing / takeover --------------------------------------------------------
@@ -318,11 +310,8 @@ class RecorderState:
         wins, which restores its highest epoch floor: no in-progress entry
         is appended once a decision has started."""
         entries = yield self.node.storage.read_stream(role)
-        records: dict[str, TxnRecord] = {}
-        for e in entries:
-            if isinstance(e, RecordEntry):
-                records[e.txn] = TxnRecord(e.status, e.epoch)
-        self.roles[role] = _RoleState(records)
+        self.roles[role] = _RoleState(
+            {e.txn: e for e in entries if isinstance(e, RecordEntry)})
 
     # -- progress sweep -------------------------------------------------------------
 
@@ -342,8 +331,8 @@ class RecorderState:
 
 class TxnHandle:
     __slots__ = (
-        "txn", "ts", "cwt_deadline_local", "status", "reads", "write_buf",
-        "writes", "intent_nodes", "proposals", "role", "reason",
+        "txn", "ts", "cwt_deadline_local", "status", "write_buf",
+        "intent_nodes", "proposals", "role", "reason",
     )
 
     def __init__(self, txn: str, ts: Timestamp, cwt_deadline_local: int):
@@ -351,9 +340,7 @@ class TxnHandle:
         self.ts = ts
         self.cwt_deadline_local = cwt_deadline_local
         self.status = "active"
-        self.reads: list = []
         self.write_buf: dict[str, str] = {}
-        self.writes: list = []
         self.intent_nodes: dict[str, bool] = {}
         self.proposals: list[int] = []
         # A writer's recorder role, set before its first op is sent: from
@@ -443,7 +430,6 @@ class Coordinator(Node):
         the value is None."""
         if key in h.write_buf:
             value = h.write_buf[key]
-            h.reads.append((idx, key, h.ts, value))
             self.k.trace("op", txn=h.txn, i=idx, op="r", key=key,
                          vts=h.ts, val=value)
             return value
@@ -454,10 +440,8 @@ class Coordinator(Node):
         if isinstance(resp, WriteResp):
             self._wrote(h, node, key, ops, resp)
             return None
-        vts = Timestamp(*resp.version_ts) if resp.version_ts else None
-        h.reads.append((idx, key, vts, resp.value))
         self.k.trace("op", txn=h.txn, i=idx, op="r", key=key,
-                     vts=vts, val=resp.value)
+                     vts=resp.version_ts, val=resp.value)
         if resp.write is not None:
             self._wrote(h, node, key, ops, resp.write)
         return resp.value
@@ -503,7 +487,6 @@ class Coordinator(Node):
             h.proposals.append(resp.proposal)
         for idx, value in ops:
             h.write_buf[key] = value
-            h.writes.append((idx, key, value))
             self.k.trace("op", txn=h.txn, i=idx, op="w", key=key, val=value)
         return True
 
@@ -570,7 +553,7 @@ class Coordinator(Node):
             if remaining > 0:
                 yield self.k.sleep_local(remaining)
             h.status = "committed"
-            if h.writes:
+            if h.write_buf:
                 resp = yield from self._decide(h, COMMIT)
                 if resp.status == COMMITTED:
                     epoch = resp.epoch
@@ -612,8 +595,8 @@ class Coordinator(Node):
         return lead_ns(far, self.tsproxy.ttl_ns)
 
     def run_txn(self, program):
-        """Generator -> TxnHandle, with ``reads`` and ``writes`` sorted by
-        op index. ``program`` is a list of ops:
+        """Generator -> the ended TxnHandle; its reads and writes are its
+        ``op`` events in the trace. ``program`` is a list of ops:
         ("r", key) | ("w", key, value) | ("hold", local_ns). Each op's index
         is its position in the program.
 
@@ -646,6 +629,4 @@ class Coordinator(Node):
         else:
             yield from self._run_segment(h, chains)
         yield from self.commit(h)
-        h.reads.sort()
-        h.writes.sort()
         return h

@@ -8,7 +8,7 @@ number is what writes propose. A cut for epoch ``n`` is only logged once
 the node has proof the true instant is past ``T_n``: it grabs a timestamp,
 re-arms until the timestamp exceeds the promised end, then waits out the
 timestamp's own uncertainty horizon, the commit wait of its timestamp
-proxy (``TsProxy.cwt_ns``), on its local timer. Late cuts are
+proxy (``TsProxy.commit_wait(0)``), on its local timer. Late cuts are
 fine (the schedule is a promise about lower bounds, not an alarm clock);
 early cuts would break replica reads and never happen.
 
@@ -84,7 +84,7 @@ class EpochCutter:
             # The timestamp may lead true time by its whole uncertainty
             # horizon; wait it out so the cut instant truly follows the
             # promised end.
-            yield k.sleep_local(self.node.tsproxy.cwt_ns)
+            yield k.sleep_local(self.node.tsproxy.commit_wait(0))
             self.node.append_log([CutEntry(target)])
             self.cuts_done = target
             k.trace("cut", node=self.node.node_id, epoch=target, promised=promised)

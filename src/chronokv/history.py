@@ -38,8 +38,6 @@ SCHEMA_VERSION = 2
 
 def _ts(v) -> Optional[Timestamp]:
     # A trace in memory holds the Timestamp itself, a written one a list.
-    # Traces written before timestamps carried their batch hold 2-element
-    # lists; those read as batch 0.
     if v is None or type(v) is Timestamp:
         return v
     return Timestamp(*v)

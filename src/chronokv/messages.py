@@ -1,7 +1,7 @@
 """Wire payloads. Every message rides a simnet envelope that adds sender,
 receiver and, for an rpc, the request id its reply answers; payloads
-carry protocol fields only. Timestamps travel as (nanos, server_id,
-batch) tuples."""
+carry protocol fields only. Timestamps travel as the protocol's
+``tsbatch.Timestamp`` tuples."""
 
 from __future__ import annotations
 
@@ -26,6 +26,8 @@ class TsReq:
 
 @dataclass(slots=True)
 class TsResp:
+    """An oracle reading: true time is somewhere in [earliest, latest]."""
+
     earliest: int
     latest: int
     server_id: int

@@ -16,7 +16,9 @@ the batch lifetime).
 
 Input fails loudly: a key the loader does not know, at any level, a
 value of another type than its field's (``true`` for an int, ``SG``
-for a list; an int does for a float), a region listed twice in
+for a list; an int does for a float), or holding an element, key or
+value of another type than its field's (``[SH, [BJ]]`` for a list of
+regions, ``{5: 10}`` for a drift by node id), a region listed twice in
 ``regions`` or ``replicate_to``, a pair of regions with no known
 round-trip time, a message filter naming no class
 in ``messages``, a partition of a region outside ``regions``, a crash of
@@ -82,32 +84,48 @@ def full_rtt_table(regions):
     return table
 
 
-# The types a value that YAML read may have, by its field's annotation:
-# ``true`` is no int, ``1.5`` no int and ``SG`` no list, but 1 is a float.
-_NUM, _STR, _LIST, _MAP = (int, float), (str,), (list,), (dict,)
-_YAML_TYPES = {"int": (int,), "float": _NUM, "str": _STR, "bool": (bool,),
-               "list": _LIST, "dict": _MAP, "WorkloadSpec": _MAP,
-               "FaultSchedule": _MAP}
+# The types a value that YAML read may have, by the name in its field's
+# annotation: ``true`` is no int, ``1.5`` no int and ``SG`` no list, but 1
+# is a float.
+_YAML_TYPES = {"int": (int,), "float": (int, float), "str": (str,),
+               "bool": (bool,), "list": (list,), "dict": (dict,),
+               "WorkloadSpec": (dict,), "FaultSchedule": (dict,)}
 
 
 def _field_types(cls) -> dict:
-    return {f.name: _YAML_TYPES[f.type.partition("[")[0]]
-            for f in fields(cls)}
+    return {f.name: f.type for f in fields(cls)}
+
+
+def _check_type(value, name: str, what: str) -> None:
+    ok = _YAML_TYPES[name]
+    if type(value) not in ok:
+        raise InvalidConfig(f"{what} must be "
+                            f"{'/'.join(t.__name__ for t in ok)}, "
+                            f"not {value!r}")
 
 
 def _check_fields(d, types: dict, where: str) -> None:
     """Refuse a key that ``types`` does not name, and a value that is not
-    of its key's type."""
+    of the annotation ``types`` gives its key: a type's name, or
+    ``list[E]`` or ``dict[K, V]`` of them, whose every element, key and
+    value is checked too. A list of fault entries (``list[CrashDirective]``)
+    is checked entry by entry, by ``_faults_from_dict``."""
     if type(d) is not dict:
         raise InvalidConfig(f"{where}: {d!r} is not a mapping")
     for key, value in d.items():
         if key not in types:
             raise InvalidConfig(f"unknown key {key!r} in {where}")
-        ok = types[key]
-        if type(value) not in ok:
-            raise InvalidConfig(f"{key} in {where} must be "
-                                f"{'/'.join(t.__name__ for t in ok)}, "
-                                f"not {value!r}")
+        what = f"{key} in {where}"
+        outer, _, inner = types[key].rstrip("]").partition("[")
+        _check_type(value, outer, what)
+        if outer == "list" and inner in _YAML_TYPES:
+            for v in value:
+                _check_type(v, inner, f"each element of {what}")
+        elif outer == "dict" and inner:
+            k_name, v_name = inner.split(", ")
+            for k, v in value.items():
+                _check_type(k, k_name, f"each key of {what}")
+                _check_type(v, v_name, f"each value of {what}")
 
 
 @dataclass
@@ -149,22 +167,24 @@ class Scenario:
     duration_ms: int = 10_000      # hard cap on virtual time
     drain_ms: int = 1_000          # extra time for finalize/replication tails
 
-    regions: list = field(default_factory=lambda: list(DEFAULT_REGIONS))
+    regions: list[str] = field(default_factory=lambda: list(DEFAULT_REGIONS))
 
     # clocks and timestamps
     epsilon_ns: int = 100_000
     max_drift_ppm: int = 200       # D, the bound on every node's drift
-    node_drift_ppm: dict = field(default_factory=dict)  # node id -> drift
+    node_drift_ppm: dict[str, int] = field(default_factory=dict)  # id -> drift
     drift_spread: bool = False     # give other nodes a seeded drift in [-D, D]
     ts_mode: str = "batched"       # batched | strawman
     ttl_ns: int = 100_000
     interval_ms: int = 100         # epoch length
 
     # topology: one entry per node, naming its region
-    data_nodes: list = field(default_factory=lambda: list(DEFAULT_REGIONS))
-    standbys: list = field(default_factory=list)
-    replicate_to: list = field(default_factory=list)
-    coordinators: list = field(default_factory=lambda: list(DEFAULT_REGIONS))
+    data_nodes: list[str] = field(
+        default_factory=lambda: list(DEFAULT_REGIONS))
+    standbys: list[str] = field(default_factory=list)
+    replicate_to: list[str] = field(default_factory=list)
+    coordinators: list[str] = field(
+        default_factory=lambda: list(DEFAULT_REGIONS))
 
     # workload
     workload: WorkloadSpec = field(default_factory=WorkloadSpec)
@@ -210,6 +230,9 @@ class Scenario:
         if self.replica_readers and not self.replicate_to:
             raise InvalidConfig("replica_readers need replicate_to")
         for node, d in self.node_drift_ppm.items():
+            # A float drift would make virtual time a float.
+            if type(d) is not int:
+                raise InvalidConfig(f"node {node} drift {d!r} is not an int")
             if abs(d) > self.max_drift_ppm:
                 raise InvalidConfig(f"node {node} drift {d}ppm exceeds "
                                     f"bound {self.max_drift_ppm}ppm")
@@ -274,15 +297,17 @@ def _ms(v) -> int:
     return int(float(v) * MS)
 
 
-# The keys of each kind of fault entry, with their types: those it must
-# have, and those it may have.
+# The keys of each kind of fault entry, annotated as a field is: those it
+# must have, and those it may have.
 _FAULT_ENTRY_KEYS = {
-    "crashes": ({"node": _STR, "at_ms": _NUM}, {"restart_at_ms": _NUM}),
-    "partitions": ({"regions": _LIST, "from_ms": _NUM, "to_ms": _NUM}, {}),
-    "oracle_outages": ({"region": _STR, "from_ms": _NUM, "to_ms": _NUM}, {}),
-    "takeovers": ({"role": _STR, "to": _STR, "at_ms": _NUM}, {}),
-    "msg_filters": ({"kinds": _LIST, "prob": _NUM},
-                    {"from_ms": _NUM, "to_ms": _NUM}),
+    "crashes": ({"node": "str", "at_ms": "float"}, {"restart_at_ms": "float"}),
+    "partitions": ({"regions": "list[str]", "from_ms": "float",
+                    "to_ms": "float"}, {}),
+    "oracle_outages": ({"region": "str", "from_ms": "float",
+                        "to_ms": "float"}, {}),
+    "takeovers": ({"role": "str", "to": "str", "at_ms": "float"}, {}),
+    "msg_filters": ({"kinds": "list[str]", "prob": "float"},
+                    {"from_ms": "float", "to_ms": "float"}),
 }
 
 

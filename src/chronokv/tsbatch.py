@@ -33,7 +33,6 @@ import itertools
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
-from .clock import UncertainTime
 from .errors import InvalidConfig, OracleUnavailable
 from .messages import TsReq, TsResp
 from .simnet import MS, Future, NodeKernel, retry_backoff_ns
@@ -83,8 +82,10 @@ def validate_batch_params(ttl_ns: int) -> None:
         raise InvalidConfig(f"step {STEP_NS}ns must divide ttl {ttl_ns}ns")
 
 
-def build_batch(reading: UncertainTime, ttl_ns: int,
+def build_batch(reading: TsResp, ttl_ns: int,
                 acquired_local: int, max_drift_ppm: int) -> TimestampBatch:
+    """The batch of the oracle's reply ``reading`` to a fetch sent at
+    the owner's local instant ``acquired_local``."""
     validate_batch_params(ttl_ns)
     low = reading.latest + ttl_ns
     return TimestampBatch(
@@ -158,10 +159,6 @@ class TsProxy:
         self.fetches = 0
         self.served_local = 0
 
-    @property
-    def cwt_ns(self) -> int:
-        return self.commit_wait(0)
-
     def commit_wait(self, lead: int) -> int:
         """The commit wait of a timestamp of this proxy led by ``lead``."""
         return commit_wait_ns(self.ttl_ns, self.epsilon_ns, self.max_drift_ppm,
@@ -195,8 +192,7 @@ class TsProxy:
         sent_local = self.k.local_now()
         resp = yield from self._ask_oracle()
         if isinstance(resp, TsResp):
-            reading = UncertainTime(resp.earliest, resp.latest, resp.server_id)
-            self.batch = build_batch(reading, self.ttl_ns,
+            self.batch = build_batch(resp, self.ttl_ns,
                                      acquired_local=sent_local,
                                      max_drift_ppm=self.max_drift_ppm)
         self._inflight = None

@@ -249,7 +249,7 @@ def timestamp_property_sweep(seed: int, txns: int = 10_000, hosts: int = 10,
             quota = txns // total_streams + (1 if idx < txns % total_streams
                                              else 0)
             rng = sim.rng(f"p1/{hi}/{si}")
-            host.k.spawn(stream(host, proxy, proxy.cwt_ns, quota, rng))
+            host.k.spawn(stream(host, proxy, proxy.commit_wait(0), quota, rng))
             idx += 1
 
     run_until_done(sim, lambda: state["done"] == total_streams)
@@ -286,5 +286,5 @@ def bench_timestamp_service(seed: int, mode: str, n: int = 20_000,
         "fetches": proxy.fetches,
         "served_local": proxy.served_local,
         "failures": state["failures"],
-        "commit_wait_ns": proxy.cwt_ns,
+        "commit_wait_ns": proxy.commit_wait(0),
     }

@@ -29,8 +29,8 @@ from chronokv.checkers import (
     run_all_checks,
     terminal_records,
 )
-from chronokv.clock import UncertainTime
 from chronokv.cluster import run_scenario
+from chronokv.messages import TsResp
 from chronokv.metrics import measure_visibility, sawtooth_period_ns
 from chronokv.scenario import Scenario, WorkloadSpec
 from chronokv.simnet import (
@@ -318,7 +318,7 @@ def test_a09_batched_mode_serves_nearly_all_requests_locally():
     assert stats["failures"] == 0
     ratio = stats["served_local"] / stats["requests"]
     assert ratio >= LOCAL_RATIO_FLOOR, stats
-    batch = build_batch(UncertainTime(800_000, 1_000_000, 0), BATCH_TTL_NS,
+    batch = build_batch(TsResp(800_000, 1_000_000, 0), BATCH_TTL_NS,
                         acquired_local=0, max_drift_ppm=200)
     assert batch.capacity == 10_000
     print(f"a09 PASS: {ratio:.2%} served locally "

@@ -217,6 +217,40 @@ def test_replica_checker_flags_wrong_views_and_stale_values():
     assert any("r2" in x and "view" in x for x in v.violations)
 
 
+def replica_read_of(key, vts, val):
+    return ReplicaRead("r0", "d0@BJ", ts(250), view=3, mode="fresh",
+                       start_ns=250, end_ns=260, reads=[(key, vts, val)])
+
+
+def test_replica_checker_accepts_a_writer_a_crash_left_unknown_until_aborted():
+    # A crash killed "w" before its txn_end, so a replica may have seen
+    # its write or not, until its record says it aborted.
+    interval = 100
+    h = History()
+    h.txns["w"] = TxnInfo("w", 0, ts=ts(50),
+                          ops=[(0, "w", "k", None, "lost")])
+    h.rreads = [replica_read_of("k", ts(50), "lost")]
+    v = check_replica_consistency(h, interval)
+    assert v.ok, v.violations
+    assert v.checked == 2
+    h.records = [(80, "rec/d0.SH", "w", "aborted", None)]
+    v = check_replica_consistency(h, interval)
+    assert v.violations == [
+        "r0 k@250/view3: saw (Timestamp(nanos=50, server_id=0, batch=0), "
+        "'lost'), expected None"]
+
+
+def test_replica_checker_skips_a_transaction_with_no_timestamp():
+    # "begun" died before its timestamp came, so it sent no write: a
+    # replica that shows its value made it up.
+    interval = 100
+    h = History()
+    h.txns["begun"] = TxnInfo("begun", 0, ops=[(0, "w", "k", None, "ghost")])
+    h.rreads = [replica_read_of("k", ts(50), "ghost")]
+    v = check_replica_consistency(h, interval)
+    assert len(v.violations) == 1 and "saw" in v.violations[0]
+
+
 def test_replay_monotonicity_checker_flags_epoch_jumps():
     h = History()
     h.replays = [(10, "d0@BJ", "d0.SH", 1), (20, "d0@BJ", "d0.SH", 2),

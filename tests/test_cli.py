@@ -148,6 +148,11 @@ BAD_VALUES = {
     "crash-int": {"faults": "{crashes: [5]}"},
     "partition-string": {
         "faults": "{partitions: [{regions: SH, from_ms: 0, to_ms: 1}]}"},
+    "drift-string": {"node_drift_ppm": "{d0.SH: abc}"},
+    "drift-float": {"node_drift_ppm": "{d0.SH: 1.5}"},
+    "drift-int-key": {"node_drift_ppm": "{5: 10}"},
+    "data-nodes-nested": {"data_nodes": "[[SH]]"},
+    "regions-nested": {"regions": "[SH, [BJ]]"},
 }
 
 
@@ -184,6 +189,16 @@ BAD_VALUES = {
      "faults.crashes: 5 is not a mapping"),
     (["run", "--scenario", "partition-string"], "partition-string",
      "regions in faults.partitions must be list, not 'SH'"),
+    (["run", "--scenario", "drift-string"], "drift-string",
+     "each value of node_drift_ppm in scenario must be int, not 'abc'"),
+    (["run", "--scenario", "drift-float"], "drift-float",
+     "each value of node_drift_ppm in scenario must be int, not 1.5"),
+    (["run", "--scenario", "drift-int-key"], "drift-int-key",
+     "each key of node_drift_ppm in scenario must be str, not 5"),
+    (["run", "--scenario", "data-nodes-nested"], "data-nodes-nested",
+     "each element of data_nodes in scenario must be str, not ['SH']"),
+    (["run", "--scenario", "regions-nested"], "regions-nested",
+     "each element of regions in scenario must be str, not ['BJ']"),
     (["run", "--until-ms", "-5"], "--seed/--until-ms",
      "duration_ms must be >= 0"),
 ], ids=["check-empty", "check-schema-1", "check-missing",

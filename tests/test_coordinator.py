@@ -73,6 +73,26 @@ def small(seed=7, **kw):
     return Scenario(**base)
 
 
+def traced_ops(sim, h, kind: str) -> list:
+    """The ops of kind ``kind`` that the trace holds of the transaction of
+    ``h``, by index, as ``build_history`` reads them."""
+    ops = build_history(sim.trace.events).txns[h.txn].ops
+    return sorted((op for op in ops if op[1] == kind), key=lambda op: op[0])
+
+
+def reads_of(sim, h) -> list:
+    """``(index, key, version timestamp, value)`` of each read that the
+    transaction of ``h`` traced, by index."""
+    return [(i, key, vts, val)
+            for i, _r, key, vts, val in traced_ops(sim, h, "r")]
+
+
+def writes_of(sim, h) -> list:
+    """``(index, key, value)`` of each write that the transaction of ``h``
+    traced, by index."""
+    return [(i, key, val) for i, _w, key, _vts, val in traced_ops(sim, h, "w")]
+
+
 def test_small_run_commits_and_accounts_for_every_txn():
     r = run_scenario(small())
     outcomes = r.outcomes()
@@ -303,6 +323,29 @@ def test_a_fenced_decision_answers_every_waiting_envelope_not_owner():
     assert records == []
 
 
+def test_a_floor_whose_append_is_fenced_answers_not_owner():
+    # A replica's push of an undecided transaction gets an epoch floor,
+    # made durable in an in-progress record. The role moves to another
+    # node while that append is flushing, so the append is fenced.
+    cluster = Cluster(small(clients_per_coordinator=0))
+    cluster.start()
+    sim, coord = cluster.sim, cluster.coordinators[0]
+    node, other = cluster.data_nodes
+    role, txn = node.role_self, f"{coord.node_id}:99"
+    push = coord.k.spawn(ask_once(coord.k, node.node_id,
+                                  PushReq(role, txn, above=40), 100 * MS))
+    sim.run_until(sim.now + 3 * MS // 10)
+    assert 3 * MS // 10 < node.storage.flush_ns
+    node.storage.membership[role] = other.node_id
+    run_until_done(sim, lambda: push.done)
+    assert push.value == NotOwner(role)
+    events = sim.trace.events
+    assert [(f["node"], f["role"]) for _t, kind, f in events
+            if kind == "fenced"] == [(node.node_id, role)]
+    assert not [f for _t, kind, f in events if kind == "record"]
+    assert role not in node.recorder.roles
+
+
 def test_a_parked_push_is_told_pending_and_answered_once_under_its_request_id():
     cluster = Cluster(small(clients_per_coordinator=0))
     cluster.start()
@@ -486,9 +529,9 @@ def test_a_write_run_is_sent_at_once_coalesced_with_one_lead_write():
     assert {p.role for _t, p in sent} == {"rec/d0.SH"}
 
     # every op keeps its own index and value
-    assert res.writes == [(0, a, "v0"), (1, b, "v1"), (2, a, "v2"),
-                          (4, c, "v4"), (5, a, "v5")]
-    assert res.reads == [(3, b, res.ts, "v1")]
+    assert writes_of(cluster.sim, res) == [
+        (0, a, "v0"), (1, b, "v1"), (2, a, "v2"), (4, c, "v4"), (5, a, "v5")]
+    assert reads_of(cluster.sim, res) == [(3, b, res.ts, "v1")]
     ops = build_history(cluster.sim.trace.events).txns[res.txn].ops
     assert sorted(op for op in ops if op[1] == "w") == [
         (0, "w", a, None, "v0"), (1, "w", b, None, "v1"),
@@ -497,7 +540,7 @@ def test_a_write_run_is_sent_at_once_coalesced_with_one_lead_write():
 
     after = drive(cluster.sim, coord.k,
                   coord.run_txn([("r", a), ("r", b), ("r", c)]))
-    assert [r[3] for r in after.reads] == ["v5", "v1", "v4"]
+    assert [r[3] for r in reads_of(cluster.sim, after)] == ["v5", "v1", "v4"]
 
 
 def test_reads_of_distinct_keys_leave_in_one_instant():
@@ -517,8 +560,9 @@ def test_reads_of_distinct_keys_leave_in_one_instant():
     landed = {t + coord.k.one_way_ns(cluster.router.primary(p.key))
               for t, p in sent}
     assert len(landed) == 1
-    assert [r[:2] for r in res.reads] == [(0, a), (1, b), (2, c)]
-    assert res.reads[1][3] == "old"
+    assert [r[:2] for r in reads_of(cluster.sim, res)] == \
+        [(0, a), (1, b), (2, c)]
+    assert reads_of(cluster.sim, res)[1][3] == "old"
 
 
 def test_a_read_carries_the_writes_after_it_and_later_ones_wait_for_it():
@@ -537,8 +581,10 @@ def test_a_read_carries_the_writes_after_it_and_later_ones_wait_for_it():
     assert reply.write.ok
     assert (write.value, write.idx) == ("v4", 4)
     assert sent[0][0] < sent[1][0] < sent[2][0]
-    assert res.writes == [(1, b, "v1"), (2, b, "v2"), (4, b, "v4")]
-    assert res.reads == [(0, b, None, None), (3, b, res.ts, "v2")]
+    assert writes_of(cluster.sim, res) == \
+        [(1, b, "v1"), (2, b, "v2"), (4, b, "v4")]
+    assert reads_of(cluster.sim, res) == \
+        [(0, b, None, None), (3, b, res.ts, "v2")]
 
 
 def test_a_late_try_of_an_earlier_write_does_not_overwrite_a_later_one():
@@ -603,7 +649,7 @@ def test_a_read_after_a_write_of_its_key_is_served_from_the_write():
                 coord.run_txn([("w", b, "v0"), ("r", b)]))
     assert res.status == "committed"
     assert reads == []
-    assert res.reads == [(1, b, res.ts, "v0")]
+    assert reads_of(cluster.sim, res) == [(1, b, res.ts, "v0")]
 
 
 def test_a_hold_is_a_barrier():
@@ -621,8 +667,8 @@ def test_a_hold_is_a_barrier():
     assert sent[0][0] == sent[1][0] and sent[2][0] == sent[3][0]
     # the hold starts only once the read of b, across the WAN, is answered
     assert sent[2][0] >= replies[0][0] + hold * 0.99 > sent[0][0] + hold
-    assert res.writes == [(1, a, "v1"), (4, b, "v4")]
-    assert [r[:2] for r in res.reads] == [(0, b), (3, c)]
+    assert writes_of(cluster.sim, res) == [(1, a, "v1"), (4, b, "v4")]
+    assert [r[:2] for r in reads_of(cluster.sim, res)] == [(0, b), (3, c)]
 
 
 def test_an_rt_conflict_stops_other_chains_and_finalizes_their_intents():
@@ -646,7 +692,7 @@ def test_an_rt_conflict_stops_other_chains_and_finalizes_their_intents():
     assert [p.key for _t, p in sent if p.txn == res.txn] == [a, c]
     [read] = [p for _t, p in reads if p.reader == res.txn]
     assert (read.key, read.write.value) == (b, "w.3")
-    assert res.writes == [(2, c, "w.1"), (4, b, "w.3")]
+    assert writes_of(sim, res) == [(2, c, "w.1"), (4, b, "w.3")]
 
     sim.run_until(sim.now + 1 * SEC)
     h = build_history(sim.trace.events)
@@ -666,15 +712,15 @@ def test_a_read_modify_write_of_a_free_key_costs_one_read_and_no_write():
     assert (res.status, res.reason) == ("committed", None)
     assert [type(p) for _t, p in sent] == [ReadReq, ReadResp]
     assert sent[1][1].write.ok
-    assert res.reads == [(0, b, None, None)]
-    assert res.writes == [(1, b, "v1")]
+    assert reads_of(sim, res) == [(0, b, None, None)]
+    assert writes_of(sim, res) == [(1, b, "v1")]
     # the intent is logged once, with the write's index and value
     entries = [e for e in node.storage.streams[node.node_id]
                if isinstance(e, IntentEntry)]
     assert [(e.txn, e.key, e.value, e.idx) for e in entries] == \
         [(res.txn, b, "v1", 1)]
     after = drive(sim, coord.k, coord.run_txn([("r", b)]))
-    assert after.reads[0][3] == "v1"
+    assert reads_of(sim, after)[0][3] == "v1"
 
 
 def parked_behind_an_intent():
@@ -710,8 +756,8 @@ def test_a_read_modify_write_parked_behind_an_intent_installs_as_it_wakes():
     res = drive(sim, reader.k, reader.run_txn([("r", "x"), ("w", "x", "rmw")]))
     assert w.value.status == "committed"
     assert (res.status, res.reason) == ("committed", None)
-    assert res.reads[0][3] == "new"
-    assert res.writes == [(1, "x", "rmw")]
+    assert reads_of(sim, res)[0][3] == "new"
+    assert writes_of(sim, res) == [(1, "x", "rmw")]
     ops = [p for p in sent
            if isinstance(p, (ReadReq, Pending, ReadResp, WriteReq, WriteResp))]
     # told it is parked, and re-asking every long poll; then answered
@@ -722,7 +768,7 @@ def test_a_read_modify_write_parked_behind_an_intent_installs_as_it_wakes():
     assert ops[-1].write.ok
     assert node.store.chains["x"].waiters == {}
     after = drive(sim, reader.k, reader.run_txn([("r", "x")]))
-    assert after.reads[0][3] == "rmw"
+    assert reads_of(sim, after)[0][3] == "rmw"
     assert node.store.chains["x"].intents == {}
 
 
@@ -748,7 +794,8 @@ def test_of_two_read_modify_writes_parked_on_a_key_the_lower_never_reads(
     assert w.value.status == "committed"
     assert (low.value.status, low.value.reason) == ("aborted", "rt_conflict")
     assert (high.value.status, high.value.reason) == ("committed", None)
-    assert low.value.reads == [] and high.value.reads[0][3] == "new"
+    assert reads_of(sim, low.value) == []
+    assert reads_of(sim, high.value)[0][3] == "new"
     assert not [p for p in sent if isinstance(p, WriteReq)]
     # the refusal alone answers the lower, before the higher wakes
     refusal, answer = [p for p in sent
@@ -771,7 +818,7 @@ def test_of_two_read_modify_writes_parked_on_a_key_the_lower_never_reads(
     assert node.store.chains["x"].waiters == {}
     assert node.store.chains["x"].refusals == {}
     after = drive(sim, reader.k, reader.run_txn([("r", "x")]))
-    assert after.reads[0][3] == "high"
+    assert reads_of(sim, after)[0][3] == "high"
 
 
 def test_a_plain_read_that_parks_above_a_read_modify_write_refuses_it():
@@ -786,9 +833,9 @@ def test_a_plain_read_that_parks_above_a_read_modify_write_refuses_it():
     run_until_done(sim, lambda: read.done)
     assert rmw.value.ts < read.value.ts
     assert (rmw.value.status, rmw.value.reason) == ("aborted", "rt_conflict")
-    assert rmw.value.reads == []
+    assert reads_of(sim, rmw.value) == []
     assert read.value.status == "committed"
-    assert read.value.reads[0][3] == "new"
+    assert reads_of(sim, read.value)[0][3] == "new"
     assert not [p for p in sent if isinstance(p, WriteReq)]
     assert [p for p in sent if isinstance(p, WriteResp)] == \
         [WriteResp(False, None)]
@@ -893,7 +940,8 @@ def test_a_refused_read_modify_write_logs_nothing_nor_does_a_late_one():
     res = writer.value
     assert (res.status, res.reason) == ("aborted", "rt_conflict")
     assert [p.write for _t, p in replies] == [WriteResp(False, None)]
-    assert res.writes == [] and res.reads == [(1, a, None, None)]
+    assert writes_of(sim, res) == []
+    assert reads_of(sim, res) == [(1, a, None, None)]
     assert intents_logged() == []
     assert node.store.chains[a].intents == {}
 
@@ -956,7 +1004,7 @@ def test_a_commit_whose_decides_are_lost_for_five_seconds_commits():
     for chain in cluster.data_nodes[0].store.chains.values():
         assert res.txn not in chain.intents
     reader = drive(sim, coord.k, coord.run_txn([("r", a)]))
-    assert reader.reads[0][3] == "late"
+    assert reads_of(sim, reader)[0][3] == "late"
     assert not [p for p in build_history(sim.trace.events).pushes
                 if p[3] == reader.txn]
 
@@ -1035,7 +1083,7 @@ def test_a_commit_settled_after_its_coordinator_crashed_keeps_its_ts():
     sim.run_until(sim.now + 1 * SEC)
     coord.restart()
     res = drive(sim, coord.k, coord.run_txn([("r", a)]))
-    assert res.reads[0][3] == "orphan"
+    assert reads_of(sim, res)[0][3] == "orphan"
 
     h = build_history(sim.trace.events)
     orphan = h.txns[decides[0][1].txn]
@@ -1077,7 +1125,7 @@ def test_a_reader_parked_on_a_crashed_coordinators_txn_reads_the_old_value():
     res = drive(sim, reader.k, reader.run_txn([("r", "x")]))
     assert not w.done
     assert res.status == "committed"
-    assert res.reads[0][3] == "old"
+    assert reads_of(sim, res)[0][3] == "old"
     assert sim.now - crashed < HB_TIMEOUT_NS + 2 * SWEEP_INTERVAL_NS + 100 * MS
     h = build_history(sim.trace.events)
     assert [status for _t, _role, t, status, _e in h.records if t == txn] == \
@@ -1103,7 +1151,7 @@ def test_a_reader_parked_on_a_txn_its_restarted_coordinator_lost_reads_old():
     start = sim.now
     res = drive(sim, reader.k, reader.run_txn([("r", "x")]), horizon_ns=SEC)
     assert not w.done
-    assert (res.status, res.reads[0][3]) == ("committed", "old")
+    assert (res.status, reads_of(sim, res)[0][3]) == ("committed", "old")
     assert sim.now - start < SEC
     h = build_history(sim.trace.events)
     assert [status for _t, _role, t, status, _e in h.records if t == txn] == \
@@ -1112,6 +1160,28 @@ def test_a_reader_parked_on_a_txn_its_restarted_coordinator_lost_reads_old():
     after = drive(sim, writer.k, writer.run_txn([("w", "x", "again"),
                                                  ("hold", SEC)]))
     assert (after.status, after.reason) == ("committed", None)
+
+
+def test_a_writer_swept_while_its_beats_are_lost_ends_swept():
+    # The writer's coordinator is alive, but its beats are lost for 1.5 s,
+    # so the sweep aborts the transaction a reader is parked on. The
+    # writer learns it only when it asks to commit, after its hold.
+    cluster, (writer, reader) = two_coordinator_cluster()
+    sim = cluster.sim
+    cluster.net.faults.msg_filters.append(
+        MsgFilter(frozenset({"Heartbeat"}), 1.0, end_ns=sim.now + 1500 * MS))
+    drive(sim, writer.k, writer.run_txn([("w", "x", "old")]))
+    w = writer.k.spawn(writer.run_txn([("w", "x", "new"), ("hold", SEC),
+                                       ("w", "y", "z")]))
+    sim.run_until(sim.now + 10 * MS)  # the intent on x is installed
+    res = drive(sim, reader.k, reader.run_txn([("r", "x")]))
+    assert (res.status, reads_of(sim, res)[0][3]) == ("committed", "old")
+    run_until_done(sim, lambda: w.done)
+    assert (w.value.status, w.value.reason) == ("aborted", "swept")
+    h = build_history(sim.trace.events)
+    assert [(t, status) for t, _role, txn, status, _e in h.records
+            if txn == w.value.txn] == [(600 * MS + MS // 2, "aborted")]
+    assert h.txns[w.value.txn].reason == "swept"
 
 
 def test_a_reader_parked_past_the_heartbeat_timeout_on_a_live_txn_waits():
@@ -1124,7 +1194,7 @@ def test_a_reader_parked_past_the_heartbeat_timeout_on_a_live_txn_waits():
     start = sim.now
     res = drive(sim, reader.k, reader.run_txn([("r", "x")]))
     assert sim.now - start > HB_TIMEOUT_NS
-    assert res.reads[0][3] == "new"
+    assert reads_of(sim, res)[0][3] == "new"
     run_until_done(sim, lambda: w.done)
     assert w.value.status == "committed"
 
@@ -1142,7 +1212,7 @@ def test_a_read_parked_behind_a_long_hold_commits(hold):
     start = sim.now
     res = drive(sim, reader.k, reader.run_txn([("r", "x")]))
     assert (res.status, res.reason) == ("committed", None)
-    assert res.reads[0][3] == "new"
+    assert reads_of(sim, res)[0][3] == "new"
     assert sim.now - start > hold - 20 * MS
     # told the read is parked, the reader only asks again every 30 ms
     sent = [t for t, p in reads if isinstance(p, ReadReq)
@@ -1175,7 +1245,7 @@ def test_a_read_parked_past_a_stuck_push_is_answered_once_a_push_lands():
     res = drive(sim, reader.k, reader.run_txn([("r", "x")]),
                 horizon_ns=5 * SEC)
     assert w.value.status == "committed"
-    assert res.reads[0][3] == "new"
+    assert reads_of(sim, res)[0][3] == "new"
     assert sim.now > lost_until
     # one push task: each try follows the last by the try timeout, a
     # back-off and a register read, since a try that heard nothing drops
@@ -1237,4 +1307,4 @@ def test_a_takeover_during_a_live_writers_hold_does_not_sweep_it():
             if kind == "takeover"] == [standby.node_id]
     assert (w.value.status, w.value.reason) == ("committed", None)
     assert r.value.status == "committed"
-    assert r.value.reads[0][3] == "new"
+    assert reads_of(sim, r.value)[0][3] == "new"

@@ -1,12 +1,14 @@
 """Static hygiene of the package: no module imports a name it never uses,
 every module-level function and class, and every method, is used by the
 package or the benchmark, every exception the package exports is raised
-somewhere in it, every wire message is sent by some module, the declared
-runtime dependencies are exactly the third-party packages the modules
-import, and the ``test`` extra is exactly the third-party packages the
-tests import."""
+somewhere in it, every wire message is sent by some module, no two
+classes hold the same fields, the declared runtime dependencies are
+exactly the third-party packages the modules import, and the ``test``
+extra is exactly the third-party packages the tests import."""
 
 import ast
+import dataclasses
+import importlib
 import re
 import sys
 from importlib.metadata import packages_distributions
@@ -178,6 +180,45 @@ def test_every_message_class_is_constructed_outside_its_module():
             constructed |= constructed_names(parse(path))
     assert defined, "chronokv.messages defines no class"
     assert sorted(defined - constructed) == []
+
+
+# Field-less markers: a type that carries no data.
+MARKERS = {"messages.TsReq", "messages.TsErr", "messages.Pending"}
+# The one pair allowed to share its fields: a primary logs a finalize as a
+# frozen entry, which its replicas share, whether the verdict came in a
+# FinalizeReq or in the answer to a push.
+SAME_FIELDS_ALLOWED = [["messages.FinalizeReq", "replication.FinalizeEntry"]]
+
+
+def record_classes():
+    """``module.Class`` -> field names, for each dataclass and NamedTuple
+    that a module of the package defines."""
+    found = {}
+    for path in MODULES:
+        module = importlib.import_module(f"chronokv.{path.stem}")
+        for name, cls in vars(module).items():
+            if not isinstance(cls, type) or cls.__module__ != module.__name__:
+                continue
+            if dataclasses.is_dataclass(cls):
+                fields = [f.name for f in dataclasses.fields(cls)]
+            elif issubclass(cls, tuple) and hasattr(cls, "_fields"):
+                fields = list(cls._fields)
+            else:
+                continue
+            found[f"{path.stem}.{name}"] = frozenset(fields)
+    return found
+
+
+def test_no_two_classes_hold_the_same_fields():
+    # One shape per fact: a second class with the same fields is a copy
+    # that the code converts to and from.
+    by_fields = {}
+    for name, fields in record_classes().items():
+        if name not in MARKERS:
+            by_fields.setdefault(fields, []).append(name)
+    assert by_fields, "the package defines no dataclass"
+    assert sorted(sorted(names) for names in by_fields.values()
+                  if len(names) > 1) == SAME_FIELDS_ALLOWED
 
 
 def test_an_unused_import_is_caught():

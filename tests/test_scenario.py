@@ -78,6 +78,7 @@ def test_scenario_from_dict_round_trips_faults():
     dict(epsilon_ns=0),
     dict(epsilon_ns=-1),
     dict(max_drift_ppm=-1),
+    dict(node_drift_ppm={"d0.SH": 1.5}),  # virtual time would be a float
     dict(clients_per_coordinator=-1),
     dict(replica_readers=-1),
     # Cluster could not build these: no rtt, and duplicate node ids
@@ -161,6 +162,18 @@ TWO_REGIONS = {"regions": ["SH", "BJ"], "data_nodes": ["SH"],
      "at_ms in faults.crashes must be int/float"),
     ({"faults": {"msg_filters": [{"kinds": "DecideReq", "prob": 0.5}]}},
      "kinds in faults.msg_filters must be list"),
+    # or holding an element, key or value of another type
+    ({"node_drift_ppm": {"d0.SH": "abc"}},
+     "each value of node_drift_ppm in scenario must be int, not 'abc'"),
+    ({"node_drift_ppm": {"d0.SH": 1.5}},
+     "each value of node_drift_ppm in scenario must be int, not 1.5"),
+    ({"node_drift_ppm": {5: 10}},
+     "each key of node_drift_ppm in scenario must be str, not 5"),
+    ({"data_nodes": [["SH"]]}, "each element of data_nodes in scenario"),
+    ({"regions": ["SH", ["BJ"]]}, "each element of regions in scenario"),
+    ({"faults": {"partitions": [{"regions": ["SH", ["BJ"]], "from_ms": 0,
+                                 "to_ms": 1}]}},
+     "each element of regions in faults.partitions must be str"),
 ])
 def test_scenario_input_that_names_nothing_is_rejected(extra, named):
     with pytest.raises(InvalidConfig, match=named):

@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 
 from conftest import Host, drive, one_region
 from chronokv.checkers import run_all_checks
-from chronokv.clock import OracleServer, UncertainTime
+from chronokv.clock import OracleServer
 from chronokv.cluster import run_scenario
 from chronokv.errors import InvalidConfig, OracleUnavailable
-from chronokv.messages import TsReq, TsErr
+from chronokv.messages import TsReq, TsErr, TsResp
 from chronokv.scenario import Scenario
 from chronokv.simnet import MS, FaultSchedule, MsgFilter, OracleOutage
 from chronokv.tsbatch import (
@@ -31,7 +31,7 @@ D = 200
 
 
 def batch(latest=1_000_000, acquired_local=0):
-    return build_batch(UncertainTime(latest - 2 * EPS, latest, 0),
+    return build_batch(TsResp(latest - 2 * EPS, latest, 0),
                        TTL, acquired_local, D)
 
 
@@ -54,7 +54,7 @@ def test_batch_issues_the_grid_in_order():
 
 
 def test_batch_exhausts_after_capacity():
-    b = build_batch(UncertainTime(0, 100, 7), ttl_ns=50,
+    b = build_batch(TsResp(0, 100, 7), ttl_ns=50,
                     acquired_local=0, max_drift_ppm=D)
     assert b.capacity == 5
     for i in range(5):
@@ -99,8 +99,8 @@ def test_timestamps_order_by_nanos_then_server():
 def test_overlapping_aligned_batches_of_one_server_issue_distinct_timestamps():
     # two readings of one server one step apart: their windows overlap in
     # all but one step and agree modulo the step
-    a = build_batch(UncertainTime(0, 1_000_000, 0), TTL, 0, D)
-    b = build_batch(UncertainTime(STEP_NS, 1_000_000 + STEP_NS, 0), TTL, 0, D)
+    a = build_batch(TsResp(0, 1_000_000, 0), TTL, 0, D)
+    b = build_batch(TsResp(STEP_NS, 1_000_000 + STEP_NS, 0), TTL, 0, D)
     issued = [x.next_timestamp(0) for x in (a, b) for _ in range(a.capacity)]
     nanos = {ts.nanos for ts in issued}
     assert len(nanos) == a.capacity + 1
@@ -336,7 +336,7 @@ def test_strawman_mode_pays_a_round_trip_every_time():
     assert got == sorted(got)
     assert proxy.fetches == 20
     assert proxy.served_local == 0
-    assert proxy.cwt_ns == 200_040
+    assert proxy.commit_wait(0) == 200_040
 
 
 def test_unknown_mode_rejected():
