@@ -76,12 +76,7 @@ def effective_outcomes(h: History) -> dict:
     for t in h.txns.values():
         status, epoch = t.status, t.epoch
         if status is None:
-            rec = records.get(t.txn)
-            if rec is None:
-                status = "unknown"
-            else:
-                status = "committed" if rec[0] == COMMITTED else "aborted"
-                epoch = rec[1]
+            status, epoch, _t = records.get(t.txn, ("unknown", epoch, None))
         out[t.txn] = (status, epoch)
     return out
 

@@ -3,11 +3,12 @@ compare two of them.
 
 Input that a command cannot read (a missing file, a scenario with an
 unknown key or a value of the wrong type, a trace that is empty, of
-another schema, whose header lacks a key or with a line that is no
-event) exits 2 with one line on stderr that names the file and the
-reason, so that exit 1 keeps its meaning: ``check`` found a violation,
-or ``diff`` found a difference. ``run``'s ``--seed`` and ``--until-ms``
-are checked as the scenario's own values are."""
+another schema, whose header lacks a key or holds a value of the wrong
+type or range, or with a line that is no event) exits 2 with one line
+on stderr that names the file and the reason, so that exit 1 keeps its
+meaning: ``check`` found a violation, or ``diff`` found a difference.
+``run``'s ``--seed`` and ``--until-ms`` are checked as the scenario's
+own values are."""
 
 from __future__ import annotations
 
@@ -18,14 +19,19 @@ import sys
 
 MS = 1_000_000
 
+#: What ``check`` reads of a trace header, annotated as a scenario field
+#: is (see ``scenario.check_fields``).
+HEADER = {"interval_ms": "int", "epsilon_ns": "int", "end_ns": "int",
+          "data_nodes": "list[str]", "replicas_of": "dict[str, list]"}
+
 
 class Unreadable(Exception):
     """An input file that a command cannot read; ``main`` exits 2."""
 
 
 def _read(path: str, load):
-    """``load(path)``, raising what reading ``path`` fails with as
-    ``Unreadable``."""
+    """``load(path)``, raising what reading ``path``, a file or the
+    options it names, fails with as ``Unreadable``."""
     import yaml
 
     try:
@@ -38,17 +44,13 @@ def _read(path: str, load):
 def _cmd_run(args) -> int:
     from . import metrics
     from .cluster import run_scenario
-    from .errors import InvalidConfig
     from .history import write_trace
     from .scenario import Scenario, load_scenario
 
     sc = _read(args.scenario, load_scenario) if args.scenario else Scenario()
     overrides = {"seed": args.seed, "duration_ms": args.until_ms}
-    try:
-        sc = dataclasses.replace(
-            sc, **{k: v for k, v in overrides.items() if v is not None})
-    except InvalidConfig as e:
-        raise Unreadable(f"--seed/--until-ms: {e}") from e
+    sc = _read("--seed/--until-ms", lambda _options: dataclasses.replace(
+        sc, **{k: v for k, v in overrides.items() if v is not None}))
     result = run_scenario(sc)
     if args.trace:
         write_trace(args.trace, result.trace, meta={
@@ -72,17 +74,15 @@ def _cmd_check(args) -> int:
     """Check a trace that ``run --trace`` wrote. Its header names the
     epoch interval, epsilon, the topology and the run's end, so the
     checks judge the trace as they do in process and visibility is
-    measured as in ``run``; a header that lacks one of them exits 2."""
+    measured as in ``run``; a header that ``_check_header`` refuses
+    exits 2."""
     from . import checkers, metrics
     from .cluster import Router
     from .history import build_history, read_trace
 
     meta, events = _read(args.trace, read_trace)
     h = _read(args.trace, lambda _path: build_history(events))
-    for key in ("interval_ms", "epsilon_ns", "data_nodes", "replicas_of",
-                "end_ns"):
-        if key not in meta:
-            raise Unreadable(f"{args.trace}: trace header lacks {key!r}")
+    _read(args.trace, lambda _path: _check_header(meta))
     interval_ns = meta["interval_ms"] * MS
 
     verdicts = []
@@ -106,6 +106,20 @@ def _cmd_check(args) -> int:
                     out.write(f"{t / MS:.3f},{d / MS:.3f}\n")
 
     return 0 if all(verdicts) else 1
+
+
+def _check_header(meta: dict) -> None:
+    """Raise ValueError if ``meta`` lacks a key of ``HEADER`` or holds one
+    of another type, if its interval or epsilon is not positive, or if it
+    names no data node."""
+    from .scenario import check_fields
+
+    check_fields({k: v for k, v in meta.items() if k in HEADER}, HEADER,
+                 "trace header", HEADER)
+    if min(meta["interval_ms"], meta["epsilon_ns"]) <= 0:
+        raise ValueError("interval_ms and epsilon_ns must be positive")
+    if not meta["data_nodes"]:
+        raise ValueError("data_nodes is empty")
 
 
 #: events ``diff`` shows on each side of the first difference

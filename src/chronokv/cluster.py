@@ -65,9 +65,7 @@ class Cluster:
         self.router = Router(data_ids)
 
         # The replicas of each data node, which its data log ships to.
-        self._replicas_of: dict[str, list] = {
-            nid: [f"{nid}@{rr}" for rr in sc.replicate_to]
-            for nid in data_ids if sc.replicate_to}
+        self._replicas_of: dict[str, list] = sc.replica_ids()
 
         self.data_nodes = [self._data_node(nid, region)
                            for nid, region in zip(data_ids, sc.data_nodes)]
@@ -76,10 +74,10 @@ class Cluster:
                                                      sc.standbys)]
 
         self.replicas = []
-        for nid in data_ids:
-            for rr in sc.replicate_to:
+        for nid, rids in self._replicas_of.items():
+            for rid, rr in zip(rids, sc.replicate_to):
                 self.replicas.append(ReplicaNode(
-                    self.sim, self.net, f"{nid}@{rr}", rr, self.drift(f"{nid}@{rr}"),
+                    self.sim, self.net, rid, rr, self.drift(rid),
                     primary_id=nid, directory=RoleDirectory(self.storage),
                     interval_ns=sc.interval_ns,
                 ))

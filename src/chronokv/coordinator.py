@@ -96,9 +96,7 @@ from typing import Optional
 
 from .epochs import assign_commit_epoch
 from .messages import (
-    ABORT,
     ABORTED,
-    COMMIT,
     COMMITTED,
     DecideReq,
     DecideResp,
@@ -186,7 +184,7 @@ class RecorderState:
 
     def handle_decide(self, env, req: DecideReq) -> None:
         serve(self.node, env, self._decide_core(
-            req.role, req.txn, req.decision, req.proposals, env))
+            req.role, req.txn, req.decision, req.proposal, env))
 
     def handle_push(self, env, req: PushReq) -> None:
         serve(self.node, env, self._push_task(env, req))
@@ -217,8 +215,7 @@ class RecorderState:
             rec = yield from self._park(env, rs, txn)
             if rec is None:
                 return NotOwner(role)
-        return PushResp(COMMIT if rec.status == COMMITTED else ABORT,
-                        rec.epoch)
+        return PushResp(rec.status, rec.epoch)
 
     def _floor(self, rs: _RoleState, req: PushReq):
         """Generator -> an epoch floor above ``req``'s replayed epoch,
@@ -238,7 +235,7 @@ class RecorderState:
 
     # -- deciding ----------------------------------------------------------------
 
-    def _decide_core(self, role, txn, decision, proposals, env):
+    def _decide_core(self, role, txn, decision, proposal, env):
         """Generator task -> a DecideResp or NotOwner: at most one durable
         decision per transaction. A decide that arrives while the decision
         is in flight parks with the pushes until it lands, unless ``env``
@@ -257,14 +254,10 @@ class RecorderState:
             return DecideResp(rec.status, rec.epoch)
 
         rs.deciding.add(txn)
-        if decision == COMMIT:
-            floor = rec.epoch if rec is not None else None
-            epoch = assign_commit_epoch(proposals, self.node.epoch_now(), floor)
-            status = COMMITTED
-        else:
-            epoch = None
-            status = ABORTED
-        entry = RecordEntry(txn, status, epoch)
+        floor = rec.epoch if rec is not None else None
+        epoch = assign_commit_epoch(proposal, self.node.epoch_now(), floor) \
+            if decision == COMMITTED else None
+        entry = RecordEntry(txn, decision, epoch)
         res = yield self.node.storage.append(role, [entry],
                                              writer=self.node.node_id, role=role)
         if res[0] != "ok":
@@ -278,7 +271,7 @@ class RecorderState:
         fut = rs.pending.pop(txn, None)
         if fut is not None:
             fut.resolve(entry)
-        return DecideResp(status, epoch)
+        return DecideResp(decision, epoch)
 
     # -- fencing / takeover --------------------------------------------------------
 
@@ -326,23 +319,23 @@ class RecorderState:
                 for txn in [*rs.in_progress, *unrecorded]:
                     if txn not in rs.deciding and self._orphaned(txn):
                         self.node.k.spawn(
-                            self._decide_core(role, txn, ABORT, [], None))
+                            self._decide_core(role, txn, ABORTED, 0, None))
 
 
 class TxnHandle:
     __slots__ = (
         "txn", "ts", "cwt_deadline_local", "status", "write_buf",
-        "intent_nodes", "proposals", "role", "reason",
+        "intent_nodes", "proposal", "role", "reason",
     )
 
     def __init__(self, txn: str, ts: Timestamp, cwt_deadline_local: int):
         self.txn = txn
         self.ts = ts
         self.cwt_deadline_local = cwt_deadline_local
-        self.status = "active"
+        self.status = "active"  # then COMMITTED or ABORTED
         self.write_buf: dict[str, str] = {}
         self.intent_nodes: dict[str, bool] = {}
-        self.proposals: list[int] = []
+        self.proposal = 0  # the highest epoch a write ack proposed
         # A writer's recorder role, set before its first op is sent: from
         # then on intents, and a record, may exist.
         self.role: Optional[str] = None
@@ -480,11 +473,11 @@ class Coordinator(Node):
         transaction, and an accepted intent is noted for the finalize."""
         if not resp.ok:
             if h.status == "active":
-                h.status, h.reason = "aborted", "rt_conflict"
+                h.status, h.reason = ABORTED, "rt_conflict"
             return False
         h.intent_nodes[node] = True
         if resp.proposal is not None:
-            h.proposals.append(resp.proposal)
+            h.proposal = max(h.proposal, resp.proposal)
         for idx, value in ops:
             h.write_buf[key] = value
             self.k.trace("op", txn=h.txn, i=idx, op="w", key=key, val=value)
@@ -552,30 +545,30 @@ class Coordinator(Node):
             remaining = h.cwt_deadline_local - self.k.local_now()
             if remaining > 0:
                 yield self.k.sleep_local(remaining)
-            h.status = "committed"
+            h.status = COMMITTED
             if h.write_buf:
-                resp = yield from self._decide(h, COMMIT)
+                resp = yield from self._decide(h)
                 if resp.status == COMMITTED:
                     epoch = resp.epoch
                 else:
-                    h.status, h.reason = "aborted", "swept"
+                    h.status, h.reason = ABORTED, "swept"
         elif h.role is not None:
-            yield from self._decide(h, ABORT)
-        decision = COMMIT if h.status == "committed" else ABORT
+            yield from self._decide(h)
         for nid in h.intent_nodes:
-            self.k.send(nid, FinalizeReq(h.txn, decision, epoch))
+            self.k.send(nid, FinalizeReq(h.txn, h.status, epoch))
         self._finish(h, epoch)
         return h.status
 
     # -- helpers -----------------------------------------------------------------
 
-    def _decide(self, h: TxnHandle, decision: str):
-        """Generator -> the recorder's DecideResp."""
-        req = DecideReq(h.role, h.txn, decision, list(h.proposals))
+    def _decide(self, h: TxnHandle):
+        """Generator -> the recorder's DecideResp to a decide of
+        ``h.status``."""
+        req = DecideReq(h.role, h.txn, h.status, h.proposal)
         return (yield from request(self.k, h.role, req, roles=self.membership))
 
     def _finish(self, h: TxnHandle, epoch) -> None:
-        if h.status == "aborted":
+        if h.status == ABORTED:
             self.aborts_by_reason[h.reason] = \
                 self.aborts_by_reason.get(h.reason, 0) + 1
         self.k.trace("txn_end", txn=h.txn, status=h.status, epoch=epoch,

@@ -12,9 +12,10 @@ proxy (``TsProxy.commit_wait(0)``), on its local timer. Late cuts are
 fine (the schedule is a promise about lower bounds, not an alarm clock);
 early cuts would break replica reads and never happen.
 
-A transaction's commit epoch is the max over every proposal its writes
-collected plus the recorder's own current epoch, so no write of a
-transaction can hide in a log segment later than the epoch that claims it.
+A transaction's commit epoch is the highest proposal its writes collected
+or the recorder's own current epoch, whichever is higher, so no write of
+a transaction can hide in a log segment later than the epoch that claims
+it.
 It is also at least the record's epoch floor, if a replica's push set
 one: the replica has served the views below the floor without waiting
 for the transaction, so the commit must land in the floor's epoch or
@@ -37,9 +38,9 @@ def ceiling_epoch(ts_nanos: int, interval_ns: int) -> int:
     return max(1, -(-ts_nanos // interval_ns))
 
 
-def assign_commit_epoch(proposals, recorder_epoch: int,
+def assign_commit_epoch(proposal: int, recorder_epoch: int,
                         floor: Optional[int] = None) -> int:
-    return max(max(proposals, default=0), recorder_epoch, floor or 0)
+    return max(proposal, recorder_epoch, floor or 0)
 
 
 class EpochCutter:

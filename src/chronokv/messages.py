@@ -8,9 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-COMMIT = "commit"
-ABORT = "abort"
-
+# A record's status; the last two are a transaction's verdict too
 IN_PROGRESS = "in_progress"
 COMMITTED = "committed"
 ABORTED = "aborted"
@@ -101,7 +99,7 @@ class FinalizeReq:
     """One-way: install or discard the transaction's intents."""
 
     txn: str
-    decision: str  # COMMIT | ABORT
+    decision: str  # COMMITTED | ABORTED
     epoch: Optional[int]
 
 
@@ -112,8 +110,8 @@ class FinalizeReq:
 class DecideReq:
     role: str
     txn: str
-    decision: str
-    proposals: list  # epochs proposed by write acks
+    decision: str  # COMMITTED | ABORTED
+    proposal: int  # the highest epoch a write ack proposed, 0 if none
 
 
 @dataclass(slots=True)
@@ -138,7 +136,7 @@ class PushReq:
 
 @dataclass(slots=True)
 class PushResp:
-    decision: Optional[str]  # COMMIT | ABORT, or None for an epoch floor
+    decision: Optional[str]  # COMMITTED | ABORTED, or None for a floor
     epoch: Optional[int]  # commit epoch, or the floor the commit will meet
 
 
@@ -180,4 +178,4 @@ class ReplicaReadReq:
 @dataclass(slots=True)
 class ReplicaReadResp:
     view: int
-    reads: list  # [(key, value, version_ts)]
+    reads: list  # [(key, version_ts, value)]

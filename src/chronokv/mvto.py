@@ -68,7 +68,7 @@ from typing import Callable, Optional
 from .coordinator import RecorderState
 from .epochs import EpochCutter, promised_end_ns
 from .messages import (
-    COMMIT,
+    COMMITTED,
     CatchUp,
     DecideReq,
     FinalizeReq,
@@ -107,19 +107,19 @@ class WriteIntent:
 
 
 class KeyChain:
-    __slots__ = ("versions", "order", "intents", "rt", "waiters", "refusals")
+    __slots__ = ("versions", "order", "intents", "rt", "waiters")
 
     def __init__(self):
         self.versions: dict[Timestamp, tuple] = {}  # ts -> (value, epoch)
         self.order: list[Timestamp] = []
         self.intents: dict[str, WriteIntent] = {}
         self.rt: Optional[Timestamp] = None
-        # reader -> ts of each read parked on this key at a primary, and
-        # reader -> the handle that refuses the write of each of them that
-        # carries one. Like ``rt``, both are volatile: a crash replaces the
-        # whole store.
-        self.waiters: dict[str, Timestamp] = {}
-        self.refusals: dict[str, Callable[[], None]] = {}
+        # reader -> (ts, handle) of each read parked on this key at a
+        # primary, in park order. The handle refuses the read's write, if
+        # it carries one and is not refused yet, else it is None. Like
+        # ``rt``, the waiters are volatile: a crash replaces the whole
+        # store.
+        self.waiters: dict[str, tuple[Timestamp, Optional[Callable]]] = {}
 
     def visible(self, ts: Timestamp, view: Optional[int] = None):
         """Newest committed version at or below ts -> (vts, value). Given
@@ -160,22 +160,23 @@ class KeyChain:
         been served, or is still parked and will be: ``rt`` only rises,
         so the write rule would refuse the write then."""
         return (self.rt is not None and self.rt > ts) or \
-            any(w > ts for w in self.waiters.values())
+            any(at > ts for at, _ in self.waiters.values())
 
     def park(self, reader: str, ts: Timestamp, refuse=None) -> None:
         """Register a read parked at ``ts``; ``refuse``, given if it
         carries a write, refuses that write. The wake rule, applied as it
         becomes true: every read-modify-write parked below ``ts`` is
-        doomed from now on, so its handle is called, once."""
-        for other in [r for r in self.refusals if self.waiters[r] < ts]:
-            self.refusals.pop(other)()
-        self.waiters[reader] = ts
-        if refuse is not None:
-            self.refusals[reader] = refuse
+        doomed from now on, so its handle is called, once. A refused read
+        stays registered at its ts, which ``outbid`` counts, until its
+        own task unparks it."""
+        for other, (at, refusal) in list(self.waiters.items()):
+            if refusal is not None and at < ts:
+                self.waiters[other] = (at, None)
+                refusal()
+        self.waiters[reader] = (ts, refuse)
 
     def unpark(self, reader: str) -> None:
         del self.waiters[reader]
-        self.refusals.pop(reader, None)
 
 
 class KeyStore:
@@ -184,7 +185,8 @@ class KeyStore:
 
     def __init__(self):
         self.chains: dict[str, KeyChain] = {}
-        self.decided: dict[str, tuple] = {}  # txn -> (decision, epoch)
+        # txn -> (COMMITTED | ABORTED, epoch)
+        self.decided: dict[str, tuple] = {}
         self.txn_keys: dict[str, dict] = {}  # txn -> {key: True}
 
     def touch(self, key: str) -> KeyChain:
@@ -208,7 +210,7 @@ class KeyStore:
         finalize before the intent)."""
         known = self.decided.get(intent.txn)
         if known is not None:
-            if known[0] == COMMIT:
+            if known[0] == COMMITTED:
                 self.insert_version(key, intent.ts, intent.value, known[1])
             return
         self.touch(key).intents[intent.txn] = intent
@@ -244,14 +246,15 @@ class KeyStore:
             intent.proposal = max(intent.proposal, floor)
 
     def resolve(self, txn: str, decision: str, epoch) -> bool:
-        """Settle a transaction: drop or promote its intents. Idempotent;
-        works even when the outcome arrives before any intent has."""
+        """Settle a transaction on its ``decision``, COMMITTED or
+        ABORTED: promote or drop its intents. Idempotent; works even when
+        the outcome arrives before any intent has."""
         if txn in self.decided:
             return False
         self.decided[txn] = (decision, epoch)
         for key in self.txn_keys.pop(txn, ()):
             intent = self.chains[key].intents.pop(txn, None)
-            if intent is not None and decision == COMMIT:
+            if intent is not None and decision == COMMITTED:
                 self.insert_version(key, intent.ts, intent.value, epoch)
         return True
 

@@ -158,7 +158,7 @@ class IntentEntry:
 @dataclass(slots=True, frozen=True)
 class FinalizeEntry:
     txn: str
-    decision: str
+    decision: str  # COMMITTED | ABORTED
     epoch: Optional[int]
 
 

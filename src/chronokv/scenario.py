@@ -3,8 +3,9 @@
 A Scenario is a plain dataclass so tests can build them inline; the YAML
 loader exists for the CLI. Node ids are derived, in order, from the
 region lists — data nodes ``d0.SH, d1.BJ, ...``, standbys ``s0.SH, ...``,
-coordinators ``c0.SH, ...``, oracles ``ts.SH``, replicas ``d0.SH@SG`` —
-and fault entries refer to nodes by those ids.
+coordinators ``c0.SH, ...``, oracles ``ts.SH``, replicas ``d0.SH@SG``,
+replica readers' client hosts ``r0.SH, ...`` — and fault entries and
+per-node drifts refer to nodes by those ids.
 
 All durations in field names carry their unit. The region set defaults
 to a five-site wide-area layout, and the round-trip table between sites
@@ -22,7 +23,9 @@ regions, ``{5: 10}`` for a drift by node id), a region listed twice in
 ``regions`` or ``replicate_to``, a pair of regions with no known
 round-trip time, a message filter naming no class
 in ``messages``, a partition of a region outside ``regions``, a crash of
-a node that no data node, standby or coordinator has, a takeover of a
+a node that no data node, standby or coordinator has, a drift of an id
+that no data node, standby, replica, coordinator or reader host has
+(oracles never drift), a takeover of a
 role or to a node that no data node or standby has, a probability
 outside [0, 1], a fault window or restart that does not end after it
 starts, replica readers without replicas, and a negative drift bound,
@@ -104,12 +107,13 @@ def _check_type(value, name: str, what: str) -> None:
                             f"not {value!r}")
 
 
-def _check_fields(d, types: dict, where: str) -> None:
-    """Refuse a key that ``types`` does not name, and a value that is not
-    of the annotation ``types`` gives its key: a type's name, or
-    ``list[E]`` or ``dict[K, V]`` of them, whose every element, key and
-    value is checked too. A list of fault entries (``list[CrashDirective]``)
-    is checked entry by entry, by ``_faults_from_dict``."""
+def check_fields(d, types: dict, where: str, required=()) -> None:
+    """Refuse a key that ``types`` does not name, a value that is not of
+    the annotation ``types`` gives its key, and a mapping that lacks a
+    key in ``required``. An annotation is a type's name, or ``list[E]``
+    or ``dict[K, V]`` of them, whose every element, key and value is
+    checked too. A list of fault entries (``list[CrashDirective]``) is
+    checked entry by entry, by ``_faults_from_dict``."""
     if type(d) is not dict:
         raise InvalidConfig(f"{where}: {d!r} is not a mapping")
     for key, value in d.items():
@@ -126,6 +130,9 @@ def _check_fields(d, types: dict, where: str) -> None:
             for k, v in value.items():
                 _check_type(k, k_name, f"each key of {what}")
                 _check_type(v, v_name, f"each value of {what}")
+    missing = sorted(set(required) - d.keys())
+    if missing:
+        raise InvalidConfig(f"missing key {missing[0]!r} in {where}")
 
 
 @dataclass
@@ -229,7 +236,13 @@ class Scenario:
                 raise InvalidConfig(f"{name} must be >= 0")
         if self.replica_readers and not self.replicate_to:
             raise InvalidConfig("replica_readers need replicate_to")
+        drifting = {*self.data_node_ids(), *self.standby_ids(),
+                    *self.coordinator_ids(), *self.reader_host_ids(),
+                    *sum(self.replica_ids().values(), [])}
         for node, d in self.node_drift_ppm.items():
+            if node not in drifting:
+                raise InvalidConfig(
+                    f"node_drift_ppm: {node!r} names no node that drifts")
             # A float drift would make virtual time a float.
             if type(d) is not int:
                 raise InvalidConfig(f"node {node} drift {d!r} is not an int")
@@ -292,6 +305,19 @@ class Scenario:
     def coordinator_ids(self):
         return [f"c{i}.{r}" for i, r in enumerate(self.coordinators)]
 
+    def replica_ids(self) -> dict:
+        """Primary id -> its replicas' ids, one per ``replicate_to``
+        region; empty without replicas."""
+        return {nid: [f"{nid}@{r}" for r in self.replicate_to]
+                for nid in self.data_node_ids() if self.replicate_to}
+
+    def reader_host_ids(self):
+        """The client hosts of the replica readers: one in the region of
+        each of the first ``replica_readers`` coordinators, numbered as
+        they are. Reader ``j`` runs on host ``j`` modulo their number."""
+        n = min(self.replica_readers, len(self.coordinators))
+        return [f"r{i}.{r}" for i, r in enumerate(self.coordinators[:n])]
+
 
 def _ms(v) -> int:
     return int(float(v) * MS)
@@ -314,8 +340,8 @@ _FAULT_ENTRY_KEYS = {
 def scenario_from_dict(d: dict) -> Scenario:
     # A workload or faults key with no value is an empty mapping.
     d = {**d, **{k: {} for k in ("workload", "faults") if d.get(k) is None}}
-    _check_fields(d, _field_types(Scenario), "scenario")
-    _check_fields(d["workload"], _field_types(WorkloadSpec), "workload")
+    check_fields(d, _field_types(Scenario), "scenario")
+    check_fields(d["workload"], _field_types(WorkloadSpec), "workload")
     d["workload"] = WorkloadSpec(**d["workload"])
     fault_d = d.pop("faults")
     regions = d.get("regions", DEFAULT_REGIONS)
@@ -323,14 +349,11 @@ def scenario_from_dict(d: dict) -> Scenario:
 
 
 def _faults_from_dict(fd: dict, regions: list) -> FaultSchedule:
-    _check_fields(fd, _field_types(FaultSchedule), "faults")
+    check_fields(fd, _field_types(FaultSchedule), "faults")
     for kind, (required, optional) in _FAULT_ENTRY_KEYS.items():
         for entry in fd.get(kind, ()):
-            _check_fields(entry, {**required, **optional}, f"faults.{kind}")
-            missing = sorted(required.keys() - entry.keys())
-            if missing:
-                raise InvalidConfig(
-                    f"missing key {missing[0]!r} in faults.{kind}")
+            check_fields(entry, {**required, **optional}, f"faults.{kind}",
+                         required)
     probs = ("drop_prob", "reorder_prob", "duplicate_prob")
     fs = FaultSchedule(**{k: float(fd[k]) for k in probs if k in fd})
     for c in fd.get("crashes", ()):

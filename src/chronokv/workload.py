@@ -95,13 +95,13 @@ def spawn_clients(cluster) -> None:
             cluster.pending += 1
             coord.k.spawn(_txn_client(coord, cluster, rng, cid, zipf))
     # Built after every cluster node, so no earlier seeded draw moves.
+    host_ids = sc.reader_host_ids()
     hosts: dict = {}
     for j in range(sc.replica_readers):
-        i = j % len(cluster.coordinators)
+        i = j % len(host_ids)
         host = hosts.get(i)
         if host is None:
-            region = cluster.coordinators[i].region
-            hid = f"r{i}.{region}"
+            hid, region = host_ids[i], sc.coordinators[i]
             host = hosts[i] = ClientHost(cluster.sim, cluster.net, hid, region,
                                          cluster.drift(hid),
                                          cluster.proxy_args(region))

@@ -153,6 +153,20 @@ BAD_VALUES = {
     "drift-int-key": {"node_drift_ppm": "{5: 10}"},
     "data-nodes-nested": {"data_nodes": "[[SH]]"},
     "regions-nested": {"regions": "[SH, [BJ]]"},
+    "drift-of-no-node": {"node_drift_ppm": "{d9.SH: 150}"},
+}
+
+# A whole trace header, and trace files of it with one value replaced.
+HEADER = {"kind": "header", "schema": 2, "interval_ms": 100,
+          "epsilon_ns": 100000, "data_nodes": ["d0.SH"], "replicas_of": {},
+          "end_ns": 2000}
+BAD_HEADERS = {
+    "header-data-nodes-int": {"data_nodes": 5},
+    "header-interval-zero": {"interval_ms": 0},
+    "header-interval-string": {"interval_ms": "abc"},
+    "header-replicas-of-list": {"replicas_of": [1]},
+    "header-epsilon-string": {"epsilon_ns": "5"},
+    "header-no-data-node": {"data_nodes": []},
 }
 
 
@@ -199,12 +213,28 @@ BAD_VALUES = {
      "each element of data_nodes in scenario must be str, not ['SH']"),
     (["run", "--scenario", "regions-nested"], "regions-nested",
      "each element of regions in scenario must be str, not ['BJ']"),
+    (["run", "--scenario", "drift-of-no-node"], "drift-of-no-node",
+     "node_drift_ppm: 'd9.SH' names no node that drifts"),
     (["run", "--until-ms", "-5"], "--seed/--until-ms",
      "duration_ms must be >= 0"),
+    (["check", "--trace", "header-data-nodes-int"], "header-data-nodes-int",
+     "data_nodes in trace header must be list, not 5"),
+    (["check", "--trace", "header-interval-zero"], "header-interval-zero",
+     "interval_ms and epsilon_ns must be positive"),
+    (["check", "--trace", "header-interval-string"],
+     "header-interval-string",
+     "interval_ms in trace header must be int, not 'abc'"),
+    (["check", "--trace", "header-replicas-of-list"],
+     "header-replicas-of-list",
+     "replicas_of in trace header must be dict, not [1]"),
+    (["check", "--trace", "header-epsilon-string"], "header-epsilon-string",
+     "epsilon_ns in trace header must be int, not '5'"),
+    (["check", "--trace", "header-no-data-node"], "header-no-data-node",
+     "data_nodes is empty"),
 ], ids=["check-empty", "check-schema-1", "check-missing",
         "check-header-not-an-object", "diff-schema-1", "diff-missing",
         "run-unknown-key", "run-missing", *EVENT_LINES, *BAD_VALUES,
-        "run-negative-until"])
+        "run-negative-until", *BAD_HEADERS])
 def test_input_a_command_cannot_read_exits_2_with_one_line(
         tmp_path, capsys, argv, culprit, reason):
     # Exit 1 means a violation to check and a difference to diff.
@@ -220,8 +250,10 @@ def test_input_a_command_cannot_read_exits_2_with_one_line(
     Path(small_yaml(tmp_path, bogus="1")).rename(tmp_path / "bad_key")
     for name, values in BAD_VALUES.items():
         Path(small_yaml(tmp_path, **values)).rename(tmp_path / name)
+    for name, values in BAD_HEADERS.items():
+        (tmp_path / name).write_text(json.dumps({**HEADER, **values}) + "\n")
     files = {"empty", "schema1", "listed", "clean", "missing", "bad_key",
-             *EVENT_LINES, *BAD_VALUES}
+             *EVENT_LINES, *BAD_VALUES, *BAD_HEADERS}
     argv = [str(tmp_path / a) if a in files else a for a in argv]
     assert main(argv) == 2
     captured = capsys.readouterr()

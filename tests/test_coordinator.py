@@ -19,7 +19,6 @@ from chronokv.cluster import Cluster, run_scenario
 from chronokv.coordinator import HB_TIMEOUT_NS, SWEEP_INTERVAL_NS
 from chronokv.history import build_history
 from chronokv.messages import (
-    COMMIT,
     COMMITTED,
     DecideReq,
     DecideResp,
@@ -291,7 +290,7 @@ def ask_recorder_at_once(move_register: bool):
     sim, coord = cluster.sim, cluster.coordinators[0]
     node, other = cluster.data_nodes
     role, txn = node.role_self, f"{coord.node_id}:99"
-    decide = DecideReq(role, txn, COMMIT, [1])
+    decide = DecideReq(role, txn, COMMITTED, 1)
     reqs = [decide, decide, PushReq(role, txn)]
     asks = [coord.k.spawn(replies_to_one_try(coord.k, node.node_id, req,
                                              100 * MS))
@@ -311,7 +310,7 @@ def test_decides_of_a_decision_in_flight_wait_for_it_with_the_pushes():
     assert isinstance(first, DecideResp) and first.status == COMMITTED
     assert told == told_push == Pending()  # parked, and told so at once
     assert second == first
-    assert push == PushResp(COMMIT, first.epoch)
+    assert push == PushResp(COMMITTED, first.epoch)
     assert records == [txn]
 
 
@@ -374,10 +373,10 @@ def test_a_parked_push_is_told_pending_and_answered_once_under_its_request_id():
                                  roles=roles))
     sim.run_until(sim.now + 200 * MS)
     decide = coord.k.spawn(ask_once(coord.k, node.node_id,
-                                    DecideReq(role, txn, COMMIT, [1]),
+                                    DecideReq(role, txn, COMMITTED, 1),
                                     100 * MS))
     run_until_done(sim, lambda: push.done and decide.done)
-    assert push.value == PushResp(COMMIT, decide.value.epoch)
+    assert push.value == PushResp(COMMITTED, decide.value.epoch)
     assert len(reads) == 1  # a long poll keeps the owner
     asked = [t for t, kind, _rid in sent if kind is PushReq]
     assert len({rid for _t, _kind, rid in sent}) == 1  # one call
@@ -400,7 +399,7 @@ def test_a_decide_between_an_adopters_cas_and_its_reload_is_refused():
     # the register read lands with the CAS, a storage read before the
     # reload, and the decide reaches the adopter between the two
     resp = drive(sim, coord.k, request(
-        coord.k, role, DecideReq(role, txn, COMMIT, [1]),
+        coord.k, role, DecideReq(role, txn, COMMITTED, 1),
         roles=coord.membership))
     assert resp.status == COMMITTED
     assert refused == [(refused[0][0], NotOwner(role))]
@@ -475,6 +474,29 @@ def test_a_writer_records_only_its_decision_at_home():
     h = build_history(cluster.sim.trace.events)
     assert [(role, status) for _t, role, txn, status, _e in h.records
             if txn == res.txn] == [("rec/d0.SH", "committed")]
+
+
+def test_a_commit_asks_for_the_highest_write_proposal():
+    # Three writes to BJ, acked while d1.BJ proposes epochs 3, 5 and 4,
+    # all above the recorder's own epoch: the decide carries the highest,
+    # and the transaction commits into it.
+    cluster, coord = idle_cluster()
+    sim, bj = cluster.sim, cluster.data_nodes[1]
+    decides = record_sends(cluster, DecideReq)
+    acks = record_sends(cluster, WriteResp)
+    h = drive(sim, coord.k, coord.begin(0))
+    h.role = coord.home_role
+    for i, (key, cuts) in enumerate(zip(keys_on(cluster, "d1.BJ", 3),
+                                        (2, 4, 3))):
+        bj.cutter.cuts_done = cuts
+        assert drive(sim, coord.k, coord.execute_write(h, key, [(i, "v")]))
+    assert [p.proposal for _t, p in acks] == [3, 5, 4]
+    assert h.proposal == 5
+    assert cluster.data_nodes[0].epoch_now() < 5
+    assert drive(sim, coord.k, coord.commit(h)) == COMMITTED
+    assert [p.proposal for _t, p in decides] == [5]
+    assert [(f["txn"], f["epoch"]) for _t, kind, f in sim.trace.events
+            if kind == "record"] == [(h.txn, 5)]
 
 
 def test_a_txn_begun_during_a_short_oracle_outage_commits():
@@ -816,7 +838,6 @@ def test_of_two_read_modify_writes_parked_on_a_key_the_lower_never_reads(
     else:
         assert waits == []
     assert node.store.chains["x"].waiters == {}
-    assert node.store.chains["x"].refusals == {}
     after = drive(sim, reader.k, reader.run_txn([("r", "x")]))
     assert reads_of(sim, after)[0][3] == "high"
 
@@ -856,7 +877,8 @@ def test_a_crash_forgets_the_ops_parked_at_a_primary():
     old = node.store.chains["x"]
     assert not read.done and not rmw.done
     assert list(old.waiters) == ["c1.SH:1", "c1.SH:2"]
-    assert list(old.refusals) == ["c1.SH:2"]
+    assert [reader for reader, (_ts, refuse) in old.waiters.items()
+            if refuse is not None] == ["c1.SH:2"]
     node.crash()
     sim.run_until(sim.now + 100 * MS)
     node.restart()

@@ -22,9 +22,12 @@ def test_ceiling_epoch_boundaries():
 
 
 def test_commit_epoch_is_max_of_proposals_and_recorder():
-    assert assign_commit_epoch([3, 5, 4], recorder_epoch=2) == 5
-    assert assign_commit_epoch([1], recorder_epoch=9) == 9
-    assert assign_commit_epoch([], recorder_epoch=4) == 4
+    # the highest proposal of a transaction's write acks: see
+    # test_coordinator's test_a_commit_asks_for_the_highest_write_proposal
+    assert assign_commit_epoch(5, recorder_epoch=2) == 5
+    assert assign_commit_epoch(1, recorder_epoch=9) == 9
+    assert assign_commit_epoch(0, recorder_epoch=4) == 4
+    assert assign_commit_epoch(5, recorder_epoch=2, floor=7) == 7
 
 
 def test_cutter_never_cuts_before_the_promise_and_covers_every_epoch():

@@ -3,6 +3,7 @@ MVTO rules checked as a state machine."""
 
 from collections import Counter
 
+import hypothesis
 import pytest
 from hypothesis import event, settings
 from hypothesis import strategies as st
@@ -17,7 +18,7 @@ from hypothesis.stateful import (
 
 from chronokv.checkers import check_strict_serializability
 from chronokv.history import History, TxnInfo
-from chronokv.messages import ABORT, COMMIT, COMMITTED
+from chronokv.messages import ABORTED, COMMITTED
 from chronokv.mvto import KeyStore, WriteIntent, apply_log_entry
 from chronokv.replication import (
     CutEntry,
@@ -68,17 +69,17 @@ def test_commit_promotes_intents_to_versions():
     s = KeyStore()
     s.insert_intent("x", intent("t1", 5, "val-x"))
     s.insert_intent("y", intent("t1", 5, "val-y"))
-    assert s.resolve("t1", COMMIT, epoch=3) is True
+    assert s.resolve("t1", COMMITTED, epoch=3) is True
     assert s.chains["x"].visible(ts(5)) == (ts(5), "val-x")
     assert s.chains["y"].versions[ts(5)] == ("val-y", 3)
     assert s.chains["x"].intents == {}
-    assert s.decided["t1"] == (COMMIT, 3)
+    assert s.decided["t1"] == (COMMITTED, 3)
 
 
 def test_abort_drops_intents_without_a_trace():
     s = KeyStore()
     s.insert_intent("x", intent("t1", 5))
-    assert s.resolve("t1", ABORT, None) is True
+    assert s.resolve("t1", ABORTED, None) is True
     assert s.chains["x"].intents == {}
     assert s.chains["x"].visible(ts(99)) == (None, None)
 
@@ -86,15 +87,15 @@ def test_abort_drops_intents_without_a_trace():
 def test_resolve_is_idempotent():
     s = KeyStore()
     s.insert_intent("x", intent("t1", 5))
-    assert s.resolve("t1", COMMIT, 1) is True
-    assert s.resolve("t1", COMMIT, 1) is False
-    assert s.resolve("t1", ABORT, None) is False  # too late to change fate
+    assert s.resolve("t1", COMMITTED, 1) is True
+    assert s.resolve("t1", COMMITTED, 1) is False
+    assert s.resolve("t1", ABORTED, None) is False  # too late to change fate
     assert s.chains["x"].visible(ts(5)) == (ts(5), "v")
 
 
 def test_outcome_arriving_before_any_intent_still_lands():
     s = KeyStore()
-    assert s.resolve("t9", COMMIT, 2) is True
+    assert s.resolve("t9", COMMITTED, 2) is True
     # the intent shows up later (reordered ship); replay path must promote
     apply_log_entry(s, IntentEntry("t9", "k", ts(7), "late", "rec/d0", 1))
     assert s.chains["k"].visible(ts(7)) == (ts(7), "late")
@@ -109,7 +110,7 @@ def test_replay_intent_then_finalize_commit():
     s = KeyStore()
     apply_log_entry(s, IntentEntry("t1", "k", ts(5), "v5", "rec/d0", 1))
     assert "t1" in s.chains["k"].intents
-    apply_log_entry(s, FinalizeEntry("t1", COMMIT, 4))
+    apply_log_entry(s, FinalizeEntry("t1", COMMITTED, 4))
     assert s.chains["k"].versions[ts(5)] == ("v5", 4)
 
 
@@ -132,7 +133,7 @@ def test_same_txn_writes_two_timestamps_to_one_key_record_first():
     # a transaction wrote the key twice (two intents at different ts);
     # the outcome was settled before either intent was replayed
     s = KeyStore()
-    s.resolve("t1", COMMIT, 3)
+    s.resolve("t1", COMMITTED, 3)
     apply_log_entry(s, IntentEntry("t1", "k", ts(5), "old", "rec/d0", 1))
     apply_log_entry(s, IntentEntry("t1", "k", ts(5), "new", "rec/d0", 1))
     assert s.chains["k"].versions[ts(5)] == ("new", 3)
@@ -179,12 +180,21 @@ class MvtoMachine(RuleBasedStateMachine):
     transaction whose write is refused aborts, as its coordinator would,
     and one with an op parked is not decided otherwise. ``floor`` stands
     for a restarted node's bound, below which every first write is
-    refused."""
+    refused.
+
+    Beside the uniform draws of a transaction and a key, some draws aim
+    at the states these rules act in: a read above an intent, a
+    read-modify-write below a parked op, and the verdict a parked op
+    waits for. Each example ends with every parked op woken or refused
+    (``teardown``)."""
 
     def __init__(self):
         super().__init__()
         self.store = KeyStore()
         self.log = []
+        self.replayed = KeyStore()  # the log's entries so far, replayed
+        self.replayed_n = 0
+        self.serial_checked = 0  # committed txns the serial order covers
         self.txns = {}       # txn -> TxnInfo
         self.open = []       # undecided txns, in begin order
         self.read_ts = {}    # key -> highest timestamp a read was served at
@@ -212,16 +222,24 @@ class MvtoMachine(RuleBasedStateMachine):
 
     @rule(nanos=st.integers(1, 40))
     def begin(self, nanos):
+        self.begin_at(nanos)
+
+    def begin_at(self, nanos):
+        """A transaction at ``nanos``, above every one begun before at
+        the same nanos -> its TxnInfo."""
         n = len(self.txns)
         txn = f"t{n}"
-        self.txns[txn] = TxnInfo(txn, begin_ns=0, end_ns=1,
-                                 ts=Timestamp(nanos, 0, n))
+        t = self.txns[txn] = TxnInfo(txn, begin_ns=0, end_ns=1,
+                                     ts=Timestamp(nanos, 0, n))
         self.open.append(txn)
+        return t
 
     @precondition(lambda self: self.open)
     @rule(n=st.integers(0, 7), key=st.sampled_from(KEYS))
     def read(self, n, key):
-        t = self.pick(n)
+        self.read_as(self.pick(n), key)
+
+    def read_as(self, t, key):
         own = [op for op in t.ops if op[1] == "w" and op[2] == key]
         if own:  # the coordinator answers from the transaction's writes
             t.ops.append((len(t.ops), "r", key, t.ts, own[-1][4]))
@@ -257,7 +275,7 @@ class MvtoMachine(RuleBasedStateMachine):
             floor=self.floor)
         assert (held is None) == (first and (below_rt or below_floor))
         if held is None:
-            self.decide_as(t, ABORT)
+            self.decide_as(t, ABORTED)
             return
         assert (held.value, held.idx) == (value, i)
         self.log.append(IntentEntry(t.txn, key, t.ts, value, "rec/d0",
@@ -270,7 +288,9 @@ class MvtoMachine(RuleBasedStateMachine):
         """A read that carries the write after it. One that finds the key
         free applies the write rule in the same step; one that must wait
         parks, and ``wake`` serves it."""
-        t = self.pick(n)
+        self.read_modify_write_as(self.pick(n), key)
+
+    def read_modify_write_as(self, t, key):
         if any(op[1] == "w" and op[2] == key for op in t.ops):
             return  # read from the transaction's writes; the write goes alone
         chain = self.store.touch(key)
@@ -289,6 +309,41 @@ class MvtoMachine(RuleBasedStateMachine):
         logged = [e for e in self.log[before:] if isinstance(e, IntentEntry)
                   and (e.txn, e.key) == (t.txn, key)]
         assert len(logged) == installed
+
+    # The uniform draws above seldom meet a parked op: ``decide`` settles
+    # most intents before a read lands on them. These two aim at the
+    # states the read-wait and wake rules act in.
+
+    def held_intents(self):
+        return [(key, i) for key, chain in self.store.chains.items()
+                for i in chain.intents.values()]
+
+    @precondition(lambda self: self.held_intents())
+    @rule(m=st.integers(0, 7), gap=st.integers(0, 3),
+          carries_write=st.booleans())
+    def read_above_an_intent(self, m, gap, carries_write):
+        """A read, or a read-modify-write, of a key that holds an intent,
+        by a transaction begun above that intent: it must wait."""
+        intents = self.held_intents()
+        key, held = intents[m % len(intents)]
+        t = self.begin_at(held.ts.nanos + gap)
+        if carries_write:
+            self.read_modify_write_as(t, key)
+        else:
+            self.read_as(t, key)
+
+    @precondition(lambda self: self.parked)
+    @rule(m=st.integers(0, 7), k=st.integers(0, 7))
+    def read_modify_write_below_a_parked_op(self, m, k):
+        """A read-modify-write of a key with a parked op, between that op
+        and the intent it waits for: it must wait too, and the op above
+        dooms it. Where no timestamp lies between, it lands just above
+        the parked op, which it dooms if that op carries a write."""
+        txn, key, _ = self.parked[m % len(self.parked)]
+        top = self.txns[txn].ts
+        below = self.store.chains[key].blocker(top, txn).ts
+        nanos = below.nanos + k % max(1, top.nanos - below.nanos)
+        self.read_modify_write_as(self.begin_at(nanos), key)
 
     def park(self, t, key, carries_write):
         """A read, or a read-modify-write, that ``blocker`` makes wait
@@ -323,18 +378,7 @@ class MvtoMachine(RuleBasedStateMachine):
         self.fire("early refusal")
         self.early.append((key, t.ts))
         if t.txn in self.open:
-            self.decide_as(t, ABORT)
-
-    @precondition(lambda self: self.parked)
-    @rule(m=st.integers(0, 7), commit=st.booleans())
-    def settle(self, m, commit):
-        """A push brings back the verdict on what blocks a parked op."""
-        txn, key, _ = self.parked[m % len(self.parked)]
-        blocker = self.store.chains[key].blocker(self.txns[txn].ts, txn)
-        t = self.txns[blocker.txn]
-        if not self.is_parked(t):
-            self.fire("settle")
-            self.decide_as(t, COMMIT if commit else ABORT)
+            self.decide_as(t, ABORTED)
 
     def wake_unblocked(self):
         """After a verdict, every parked op that ``blocker`` now lets
@@ -402,58 +446,101 @@ class MvtoMachine(RuleBasedStateMachine):
             self.log.append(IntentEntry(t.txn, key, t.ts, value, "rec/d0",
                                         held.proposal, i))
 
-    @precondition(lambda self: self.open)
-    @rule(n=st.integers(0, 7), commit=st.booleans())
-    def decide(self, n, commit):
-        t = self.pick(n)
-        if not self.is_parked(t):  # its coordinator waits for every op
-            self.decide_as(t, COMMIT if commit else ABORT)
+    def waited_for(self):
+        """The transaction each parked op waits for, in park order; an op
+        that a verdict has just unblocked, and is yet to wake, waits for
+        none."""
+        blockers = [self.store.chains[key].blocker(self.txns[txn].ts, txn)
+                    for txn, key, _ in self.parked]
+        return [b.txn for b in blockers if b is not None]
+
+    @precondition(lambda self: self.open or self.parked)
+    @rule(n=st.integers(0, 7), commit=st.booleans(), push=st.booleans())
+    def decide(self, n, commit, push):
+        """The verdict on a transaction with no op parked: its coordinator
+        waits for every op. With ``push``, and an op parked, it is drawn
+        among the transactions that parked ops wait for, as a push brings
+        it back; one of them is not parked itself, since each op waits for
+        an intent below its own timestamp."""
+        if push and self.parked:
+            txns = [txn for txn in self.waited_for()
+                    if not self.is_parked(self.txns[txn])]
+        else:
+            txns = [txn for txn in self.open
+                    if not self.is_parked(self.txns[txn])]
+        if txns:
+            self.decide_as(self.txns[txns[n % len(txns)]],
+                           COMMITTED if commit else ABORTED)
 
     def decide_as(self, t, decision):
+        """Decide ``t``, and wake what its verdict unblocks: a settle, if
+        a parked op waits for it."""
+        if t.txn in self.waited_for():
+            self.fire("settle")
         if t.txn in self.open:  # see HotKeysMachine
             self.open.remove(t.txn)
-        t.status = "committed" if decision == COMMIT else "aborted"
+        t.status = decision
         if self.store.resolve(t.txn, decision, self.epoch):
             self.log.append(FinalizeEntry(t.txn, decision, self.epoch))
         self.epoch += 1
         self.wake_unblocked()
 
+    def teardown(self):
+        """In the end every transaction is decided, so every parked op
+        wakes or is refused: commit what the parked ops wait for, one at
+        a time, until none is parked, and check the rules after each."""
+        while self.parked:
+            txn = next(txn for txn in self.waited_for()
+                       if not self.is_parked(self.txns[txn]))
+            self.decide_as(self.txns[txn], COMMITTED)
+            self.replaying_the_log_rebuilds_the_store()
+            self.each_key_holds_the_ops_parked_on_it()
+            self.every_early_refusal_is_one_the_write_rule_makes_later()
+            self.committed_reads_replay_serially_in_timestamp_order()
+
     @invariant()
     def replaying_the_log_rebuilds_the_store(self):
+        """Replay is the same whether the whole log is replayed at once
+        or in parts, so the entries are replayed as they are logged."""
         if self.floor is not None and len(self.log) > self.logged_at_floor:
             self.fire("replay after a floor")
-        replayed = KeyStore()
-        for entry in self.log:
-            apply_log_entry(replayed, entry)
-        assert durable_state(replayed) == durable_state(self.store)
+        for entry in self.log[self.replayed_n:]:
+            apply_log_entry(self.replayed, entry)
+        self.replayed_n = len(self.log)
+        assert durable_state(self.replayed) == durable_state(self.store)
 
     @invariant()
     def each_key_holds_the_ops_parked_on_it(self):
         for key, chain in self.store.chains.items():
-            assert chain.waiters == {txn: self.txns[txn].ts
-                                     for txn, k, _ in self.parked if k == key}
-            assert set(chain.refusals) == {
-                txn for txn, k, carries_write in self.parked
-                if k == key and carries_write}
+            assert {txn: (at, refuse is not None)
+                    for txn, (at, refuse) in chain.waiters.items()} == {
+                txn: (self.txns[txn].ts, carries_write)
+                for txn, k, carries_write in self.parked if k == key}
 
     @invariant()
     def every_early_refusal_is_one_the_write_rule_makes_later(self):
         """Once every op parked on the key has read, the read timestamp
         is at least the highest of them, and the write rule refuses each
         write that was refused early."""
-        for key, at in self.early:
-            chain = self.store.chains[key]
-            later = KeyStore()
+        later = KeyStore()
+        for key, chain in self.store.chains.items():
             later.touch(key).rt = max(
-                r for r in [chain.rt, *chain.waiters.values()] if r)
+                [r for r in [chain.rt, *(at for at, _ in
+                                         chain.waiters.values())] if r],
+                default=None)
+        for key, at in self.early:
             assert later.write(key, WriteIntent("w", at, "v", "rec/d0", 1)) \
                 is None
 
     @invariant()
     def committed_reads_replay_serially_in_timestamp_order(self):
-        h = History(txns={txn: t for txn, t in self.txns.items()
-                          if t.committed})
-        v = check_strict_serializability(h)
+        """Checked once per commit: a committed transaction's ops are
+        final."""
+        committed = {txn: t for txn, t in self.txns.items() if t.committed}
+        if len(committed) == self.serial_checked:
+            return
+        self.serial_checked = len(committed)
+        v = check_strict_serializability(History(txns=committed))
         assert v.ok, v.violations
 
 
@@ -468,53 +555,73 @@ def durable_state(store):
     return versions, intents, store.decided, store.txn_keys
 
 
-def run_counted(machine, floors, **kwargs):
-    """Run ``machine`` derandomized, and fail if a rule in ``floors``
-    fired fewer times than its floor over the whole run. The counts move
-    with edits that change no rule (an edit of a docstring once took one
-    from 16 to 30), so each floor sits well below its count."""
+def run_counted(machine, floors, seed=None, **kwargs):
+    """Run ``machine`` derandomized, or at hypothesis seed ``seed``, and
+    fail, giving every rule's count, if a rule in ``floors`` fired fewer
+    times than its floor over the whole run. A derandomized run draws
+    from a digest of the machine's source, so its counts move with edits
+    that change no rule, and the counts of one run differ with what ran
+    before it: MvtoMachine parks 291 ops derandomized in the whole suite
+    or from a script, and 351 when its test file runs alone. So each
+    floor sits at a fifth of its count or less, derandomized and at each
+    of seeds 1 to 5, in either context."""
     machine.fired = Counter()
-    run_state_machine_as_test(machine, settings=settings(
+    factory = machine if seed is None else hypothesis.seed(seed)(
+        lambda: machine())
+    run_state_machine_as_test(factory, settings=settings(
         derandomize=True, database=None, deadline=None, **kwargs))
-    short = {rule: machine.fired[rule] for rule, least in floors.items()
-             if machine.fired[rule] < least}
-    assert not short, f"fired below their floors {floors}: {short}"
+    short = sorted(rule for rule, least in floors.items()
+                   if machine.fired[rule] < least)
+    counts = {rule: machine.fired[rule]
+              for rule in sorted({*floors, *machine.fired})}
+    assert not short, f"{short} fired below their floors {floors}: {counts}"
+
+
+# The fewest over the derandomized run and seeds 1 to 5, each run both
+# under pytest and from a script: 291 parks, 199 wakes, 116 settles, 184
+# early refusals and 3219 replays over entries written since a floor.
+MVTO_FLOORS = {"park": 50, "wake": 35, "settle": 20, "early refusal": 35,
+               "replay after a floor": 600}
+MVTO_RUN = dict(max_examples=150, stateful_step_count=60)
 
 
 def test_mvto_rules_hold_as_a_state_machine():
-    # the run parks 37 ops, wakes 25, settles 16, refuses 3 unread, and
-    # replays the log 1828 times over entries written since a floor
-    run_counted(MvtoMachine, {"park": 15, "wake": 10, "settle": 6,
-                              "early refusal": 1,
-                              "replay after a floor": 600},
-                max_examples=150, stateful_step_count=40)
+    run_counted(MvtoMachine, MVTO_FLOORS, **MVTO_RUN)
+
+
+def test_mvto_rules_hold_as_a_state_machine_at_seed_3():
+    run_counted(MvtoMachine, MVTO_FLOORS, seed=3, **MVTO_RUN)
 
 
 class HotKeysMachine(MvtoMachine):
     """The same rules, started with a transaction below every other
-    holding an intent on each key. It is not open: no rule sends its ops
-    or decides it, and only a ``settle`` brings its verdict, so ops pile
-    up behind it and wake together. No restart floor: one drawn early
-    refuses most later writes, which leaves few intents to park on."""
+    holding an intent on each key. It is not open: no rule sends its ops,
+    and only a pushed verdict (``decide`` with ``push``) decides it, so
+    ops pile up behind it and wake together. No restart floor: one drawn
+    early refuses most later writes, which leaves few intents to park
+    on."""
 
     restarts = 0
 
     @initialize()
     def hold_every_key(self):
-        self.begin(0)
+        self.begin_at(0)
         for key in KEYS:
             self.write_as(self.txns["t0"], key)
         self.open.remove("t0")
 
-    @precondition(lambda self: len(self.parked) > 1)
-    @rule(m=st.integers(0, 7), commit=st.booleans())
-    def settle(self, m, commit):
-        """As ``MvtoMachine.settle``, once two ops or more are parked."""
-        super().settle(m, commit)
+
+# The fewest over the derandomized run and seeds 1 to 5, each run both
+# under pytest and from a script: 974 parks, 830 wakes, 300 settles and
+# 854 early refusals.
+HOT_KEYS_FLOORS = {"park": 180, "wake": 150, "settle": 55,
+                   "early refusal": 150}
+HOT_KEYS_RUN = dict(max_examples=100, stateful_step_count=100)
 
 
 def test_ops_parked_on_one_verdict_wake_by_the_mvto_rules():
-    # the run parks 443 ops, wakes 189, settles 76 and refuses 97 unread
-    run_counted(HotKeysMachine, {"park": 180, "wake": 75, "settle": 30,
-                                 "early refusal": 40},
-                max_examples=100, stateful_step_count=100)
+    run_counted(HotKeysMachine, HOT_KEYS_FLOORS, **HOT_KEYS_RUN)
+
+
+def test_ops_parked_on_one_verdict_wake_by_the_mvto_rules_at_seed_1():
+    run_counted(HotKeysMachine, HOT_KEYS_FLOORS, seed=1, **HOT_KEYS_RUN)

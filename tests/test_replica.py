@@ -6,7 +6,6 @@ from conftest import ask_once, drive, run_until_done
 from chronokv.checkers import run_all_checks
 from chronokv.cluster import Cluster, run_scenario
 from chronokv.messages import (
-    COMMIT,
     COMMITTED,
     CatchUp,
     DecideReq,
@@ -171,7 +170,7 @@ def test_a_decide_after_an_epoch_floor_commits_at_or_above_it():
     node.restart()
     sim.run_until(sim.now + 1 * SEC)
     assert node.epoch_now() < 41
-    assert call(DecideReq(role, txn, COMMIT, [1])) == \
+    assert call(DecideReq(role, txn, COMMITTED, 1)) == \
         DecideResp(COMMITTED, 41)
 
 

@@ -103,6 +103,26 @@ def test_node_drift_is_applied_within_its_bound_and_rejected_beyond():
         Scenario(max_drift_ppm=200, node_drift_ppm={"c0.SH": 201})
 
 
+def test_a_drift_applies_to_each_node_that_drifts_and_names_no_other():
+    # Replicas and the replica readers' client hosts drift as listed. An
+    # id that names no node is refused, and so is an oracle's: oracles
+    # never drift.
+    base = dict(regions=["SH", "SG"], data_nodes=["SH"],
+                coordinators=["SH", "SG"], replicate_to=["SG"],
+                replica_readers=3)
+    sc = Scenario(**base, node_drift_ppm={"d0.SH@SG": 5, "r1.SG": -3})
+    assert sc.replica_ids() == {"d0.SH": ["d0.SH@SG"]}
+    assert sc.reader_host_ids() == ["r0.SH", "r1.SG"]
+    cluster = Cluster(sc)
+    cluster.start()
+    nodes = cluster.net.nodes
+    assert [nodes[n].k.drift_ppm for n in ("d0.SH@SG", "r1.SG", "r0.SH")] \
+        == [5, -3, 0]
+    for node in ("d9.SH", "d0.SH@BJ", "r2.SH", "ts.SH"):
+        with pytest.raises(InvalidConfig, match=f"'{node}' names no node"):
+            Scenario(**base, node_drift_ppm={node: 1})
+
+
 TWO_REGIONS = {"regions": ["SH", "BJ"], "data_nodes": ["SH"],
                "coordinators": ["BJ"]}
 
@@ -174,6 +194,7 @@ TWO_REGIONS = {"regions": ["SH", "BJ"], "data_nodes": ["SH"],
     ({"faults": {"partitions": [{"regions": ["SH", ["BJ"]], "from_ms": 0,
                                  "to_ms": 1}]}},
      "each element of regions in faults.partitions must be str"),
+    ({"node_drift_ppm": {"d9.SH": 150}}, "'d9.SH' names no node that drifts"),
 ])
 def test_scenario_input_that_names_nothing_is_rejected(extra, named):
     with pytest.raises(InvalidConfig, match=named):
