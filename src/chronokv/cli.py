@@ -1,28 +1,29 @@
 """Command-line front end: run scenarios, check their traces and
 compare two of them.
 
+The header of a trace that ``run --trace`` writes is
+``{"scenario": <the mapping that ran>, "end_ns": <the run's end>}``,
+where the mapping is the scenario file's with ``--seed`` and
+``--until-ms`` applied. So every trace names a scenario that can be run
+again, and ``check`` derives what it needs of the run from it as the
+run did.
+
 Input that a command cannot read (a missing file, a scenario with an
 unknown key or a value of the wrong type, a trace that is empty, of
-another schema, whose header lacks a key or holds a value of the wrong
-type or range, or with a line that is no event) exits 2 with one line
-on stderr that names the file and the reason, so that exit 1 keeps its
-meaning: ``check`` found a violation, or ``diff`` found a difference.
-``run``'s ``--seed`` and ``--until-ms`` are checked as the scenario's
-own values are."""
+another schema, whose header lacks its scenario or end or holds a
+scenario that ``run`` would refuse, or with a line that is no event)
+exits 2 with one line on stderr that names the file and the reason, so
+that exit 1 keeps its meaning: ``check`` found a violation, or ``diff``
+found a difference. ``run``'s ``--seed`` and ``--until-ms`` are checked
+as the scenario's own values are."""
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 
 MS = 1_000_000
-
-#: What ``check`` reads of a trace header, annotated as a scenario field
-#: is (see ``scenario.check_fields``).
-HEADER = {"interval_ms": "int", "epsilon_ns": "int", "end_ns": "int",
-          "data_nodes": "list[str]", "replicas_of": "dict[str, list]"}
 
 
 class Unreadable(Exception):
@@ -45,22 +46,20 @@ def _cmd_run(args) -> int:
     from . import metrics
     from .cluster import run_scenario
     from .history import write_trace
-    from .scenario import Scenario, load_scenario
+    from .scenario import read_scenario, scenario_from_dict
 
-    sc = _read(args.scenario, load_scenario) if args.scenario else Scenario()
-    overrides = {"seed": args.seed, "duration_ms": args.until_ms}
-    sc = _read("--seed/--until-ms", lambda _options: dataclasses.replace(
-        sc, **{k: v for k, v in overrides.items() if v is not None}))
+    d = {}
+    if args.scenario:
+        d = _read(args.scenario, read_scenario)
+        _read(args.scenario, lambda _path: scenario_from_dict(d))
+    d.update((k, v) for k, v in (("seed", args.seed),
+                                 ("duration_ms", args.until_ms))
+             if v is not None)
+    sc = _read("--seed/--until-ms", lambda _options: scenario_from_dict(d))
     result = run_scenario(sc)
     if args.trace:
-        write_trace(args.trace, result.trace, meta={
-            "seed": sc.seed,
-            "interval_ms": sc.interval_ms,
-            "epsilon_ns": sc.epsilon_ns,
-            "data_nodes": result.router.ids,
-            "replicas_of": result.replicas_of(),
-            "end_ns": result.end_ns,
-        })
+        write_trace(args.trace, result.trace,
+                    meta={"scenario": d, "end_ns": result.end_ns})
     summary = metrics.run_summary(result)
     json.dump(summary, sys.stdout, indent=2, default=str)
     print()
@@ -71,33 +70,35 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    """Check a trace that ``run --trace`` wrote. Its header names the
-    epoch interval, epsilon, the topology and the run's end, so the
-    checks judge the trace as they do in process and visibility is
-    measured as in ``run``; a header that ``_check_header`` refuses
-    exits 2."""
+    """Check a trace that ``run --trace`` wrote. The scenario in its
+    header gives the epoch interval, epsilon and the topology, and the
+    header gives the run's end, so the checks judge the trace as they do
+    in process and visibility is measured as in ``run``."""
     from . import checkers, metrics
     from .cluster import Router
     from .history import build_history, read_trace
+    from .scenario import check_fields, scenario_from_dict
 
     meta, events = _read(args.trace, read_trace)
     h = _read(args.trace, lambda _path: build_history(events))
-    _read(args.trace, lambda _path: _check_header(meta))
-    interval_ns = meta["interval_ms"] * MS
+    header = {"scenario": "dict", "end_ns": "int"}
+    _read(args.trace, lambda _path: check_fields(meta, header, "trace header",
+                                                 required=header))
+    sc = _read(args.trace, lambda _path: scenario_from_dict(meta["scenario"]))
 
     verdicts = []
     if args.property != "visibility":
         verdicts = checkers.run_all_checks(
-            h, interval_ns, meta["epsilon_ns"], end_ns=meta["end_ns"],
+            h, sc.interval_ns, sc.epsilon_ns, end_ns=meta["end_ns"],
             group=None if args.property == "all" else args.property)
     for v in verdicts:
         print(v.summary())
 
     if args.property in ("all", "visibility"):
         vis = metrics.measure_visibility(
-            h, replicas_of=meta["replicas_of"],
-            written_primaries=Router(meta["data_nodes"]).written_primaries,
-            interval_ns=interval_ns)
+            h, replicas_of=sc.replica_ids(),
+            written_primaries=Router(sc.data_node_ids()).written_primaries,
+            interval_ns=sc.interval_ns)
         print("visibility: " + json.dumps(vis["summary"]))
         if args.csv:
             with open(args.csv, "w") as out:
@@ -106,20 +107,6 @@ def _cmd_check(args) -> int:
                     out.write(f"{t / MS:.3f},{d / MS:.3f}\n")
 
     return 0 if all(verdicts) else 1
-
-
-def _check_header(meta: dict) -> None:
-    """Raise ValueError if ``meta`` lacks a key of ``HEADER`` or holds one
-    of another type, if its interval or epsilon is not positive, or if it
-    names no data node."""
-    from .scenario import check_fields
-
-    check_fields({k: v for k, v in meta.items() if k in HEADER}, HEADER,
-                 "trace header", HEADER)
-    if min(meta["interval_ms"], meta["epsilon_ns"]) <= 0:
-        raise ValueError("interval_ms and epsilon_ns must be positive")
-    if not meta["data_nodes"]:
-        raise ValueError("data_nodes is empty")
 
 
 #: events ``diff`` shows on each side of the first difference

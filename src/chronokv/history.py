@@ -20,6 +20,13 @@ is read. Its timestamps are the ``Timestamp`` tuples the protocol
 traced; a written trace holds them as JSON lists, and ``read_trace``
 reads them back as lists. ``build_history`` takes either, and any other
 iterable of ``(t, kind, fields)`` tuples.
+
+A written trace is one header line, then one JSON line per event. The
+header holds the schema and what the writer adds to it: ``chronokv run
+--trace`` adds the scenario that ran and the run's end (see ``cli``),
+which ``chronokv check`` reads back. The header lies outside the events,
+so two runs of one scenario at one seed write the same event lines
+whatever their headers say.
 """
 
 from __future__ import annotations
@@ -142,6 +149,8 @@ def build_history(events) -> History:
 
 
 def write_trace(path: str, events, meta: dict = None) -> None:
+    """Write ``events`` as JSONL below a header of the schema and the
+    entries of ``meta``."""
     header = {"kind": "header", "schema": SCHEMA_VERSION}
     header.update(meta or {})
     with open(path, "w") as out:

@@ -1,9 +1,13 @@
 """Multi-version timestamp-ordered storage and the primary data node.
 
 Each key keeps a chain of committed versions plus at most a handful of
-undecided write intents. The rules of multi-version timestamp ordering
-(Bernstein & Goodman, TODS 1983) live once each on the store, free of
-any node, message or clock:
+undecided write intents. An intent is the ``replication.IntentEntry``
+that its primary logs: a primary's chain holds the very entry it
+appended and shipped, and a replica's, or a recovered primary's, the
+entry it replayed. Entries are frozen, so a rule that changes an
+intent's proposal holds a copy. The rules of multi-version timestamp
+ordering (Bernstein & Goodman, TODS 1983) live once each on the store,
+free of any node, message or clock:
 
 - the read-wait rule, ``KeyChain.blocker``: a read at ``ts`` must not
   answer while an undecided intent below ``ts`` may commit into what it
@@ -37,7 +41,8 @@ any node, message or clock:
   whose verdict is already known applies it at once. Primaries settle
   on finalizes, and both node kinds on the verdicts their pushes bring
   back; ``apply_log_entry`` replays the data log by the same two
-  methods for crash recovery and for replicas. ``KeyStore.raise_floor``
+  methods for crash recovery and for replicas, handing each intent
+  entry itself to ``insert_intent``. ``KeyStore.raise_floor``
   lifts the proposals of a replica's intents when a push answers with
   an epoch floor instead.
 
@@ -63,6 +68,7 @@ whichever is higher).
 from __future__ import annotations
 
 import bisect
+from dataclasses import replace
 from typing import Callable, Optional
 
 from .coordinator import RecorderState
@@ -93,26 +99,14 @@ from .simnet import Future, Node
 from .tsbatch import Timestamp, TsProxy, lead_ns
 
 
-class WriteIntent:
-    __slots__ = ("txn", "ts", "value", "role", "proposal", "idx")
-
-    def __init__(self, txn: str, ts: Timestamp, value, role: str, proposal: int,
-                 idx: int = 0):
-        self.txn = txn
-        self.ts = ts
-        self.value = value
-        self.role = role
-        self.proposal = proposal
-        self.idx = idx  # program index of the op whose value it holds
-
-
 class KeyChain:
     __slots__ = ("versions", "order", "intents", "rt", "waiters")
 
     def __init__(self):
         self.versions: dict[Timestamp, tuple] = {}  # ts -> (value, epoch)
         self.order: list[Timestamp] = []
-        self.intents: dict[str, WriteIntent] = {}
+        # txn -> the log entry of its undecided write of this key
+        self.intents: dict[str, IntentEntry] = {}
         self.rt: Optional[Timestamp] = None
         # reader -> (ts, handle) of each read parked on this key at a
         # primary, in park order. The handle refuses the read's write, if
@@ -135,7 +129,7 @@ class KeyChain:
         return None, None
 
     def blocker(self, ts: Timestamp, reader: str,
-                view: Optional[int] = None) -> Optional[WriteIntent]:
+                view: Optional[int] = None) -> Optional[IntentEntry]:
         """The read-wait rule: the first undecided intent below ``ts``
         that a read by ``reader`` must wait for, or None. A reader never
         waits for its own intent. A replica passes its ``view``: an
@@ -204,46 +198,48 @@ class KeyStore:
             bisect.insort(chain.order, ts)
         chain.versions[ts] = (value, epoch)
 
-    def insert_intent(self, key: str, intent: WriteIntent) -> None:
+    def insert_intent(self, intent: IntentEntry) -> None:
         """Hold ``intent`` until its transaction is decided, or apply the
-        outcome at once if it is already known (a log replay may meet the
-        finalize before the intent)."""
+        outcome at once if it is already known (a replica may learn the
+        verdict by a push before the intent's ship arrives)."""
         known = self.decided.get(intent.txn)
         if known is not None:
             if known[0] == COMMITTED:
-                self.insert_version(key, intent.ts, intent.value, known[1])
+                self.insert_version(intent.key, intent.ts, intent.value,
+                                    known[1])
             return
-        self.touch(key).intents[intent.txn] = intent
-        self.txn_keys.setdefault(intent.txn, {})[key] = True
+        self.touch(intent.key).intents[intent.txn] = intent
+        self.txn_keys.setdefault(intent.txn, {})[intent.key] = True
 
-    def write(self, key: str, intent: WriteIntent,
-              floor: Optional[int] = None) -> Optional[WriteIntent]:
-        """The write rule -> the intent ``key`` now holds for the
-        transaction, or None if the write is refused. A transaction's
-        first write of a key is refused below the key's read timestamp or
-        below ``floor``, a restarted node's bound in nanoseconds. Only a
-        later op (a larger ``idx``) replaces the held intent, keeping its
-        proposal: ``intent`` is returned iff the key's intent changed."""
-        chain = self.touch(key)
+    def write(self, intent: IntentEntry, floor: Optional[int] = None):
+        """The write rule -> ``(held, changed)``: the intent its key now
+        holds for the transaction, or None if the write is refused, and
+        whether the write changed it. A transaction's first write of a
+        key is refused below the key's read timestamp or below ``floor``,
+        a restarted node's bound in nanoseconds. Only a later op (a
+        larger ``idx``) replaces the held intent, by a copy of ``intent``
+        with the held one's proposal."""
+        chain = self.touch(intent.key)
         held = chain.intents.get(intent.txn)
         if held is None:
             if (chain.rt is not None and intent.ts < chain.rt) or \
                     (floor is not None and intent.ts.nanos < floor):
-                return None
-            self.insert_intent(key, intent)
-            return intent
+                return None, False
+            self.insert_intent(intent)
+            return intent, True
         if intent.idx <= held.idx:
-            return held
-        intent.proposal = held.proposal
-        chain.intents[intent.txn] = intent
-        return intent
+            return held, False
+        held = chain.intents[intent.txn] = replace(intent,
+                                                   proposal=held.proposal)
+        return held, True
 
     def raise_floor(self, txn: str, floor: int) -> None:
         """An epoch floor for ``txn``: it commits into epoch ``floor`` or
         later, so lift its intents' proposals to at least that."""
         for key in self.txn_keys.get(txn, ()):
-            intent = self.chains[key].intents[txn]
-            intent.proposal = max(intent.proposal, floor)
+            intents = self.chains[key].intents
+            if intents[txn].proposal < floor:
+                intents[txn] = replace(intents[txn], proposal=floor)
 
     def resolve(self, txn: str, decision: str, epoch) -> bool:
         """Settle a transaction on its ``decision``, COMMITTED or
@@ -264,11 +260,7 @@ def apply_log_entry(store: KeyStore, entry) -> Optional[int]:
     when the entry is a cut marker, else None. Used verbatim by crash
     recovery and by replicas."""
     if isinstance(entry, IntentEntry):
-        store.insert_intent(
-            entry.key,
-            WriteIntent(entry.txn, entry.ts, entry.value, entry.role,
-                        entry.proposal, entry.idx),
-        )
+        store.insert_intent(entry)
         return None
     if isinstance(entry, FinalizeEntry):
         store.resolve(entry.txn, entry.decision, entry.epoch)
@@ -477,14 +469,13 @@ class DataNode(Node):
         if w.txn in self.store.decided:
             # Late retry of a settled transaction; nothing left to promise.
             return WriteResp(True, None)
-        new = WriteIntent(w.txn, w.ts, w.value, w.role, self.epoch_now(),
-                          w.idx)
-        intent = self.store.write(w.key, new, floor=self.rt_floor)
+        intent, changed = self.store.write(IntentEntry(
+            w.txn, w.key, w.ts, w.value, w.role, self.epoch_now(), w.idx),
+            floor=self.rt_floor)
         if intent is None:
             return WriteResp(False, None)
-        if intent is new:  # else a re-ask or a late try: nothing to log
-            yield self.append_log([IntentEntry(
-                w.txn, w.key, w.ts, w.value, w.role, new.proposal, w.idx)])
+        if changed:  # else a re-ask or a late try: nothing to log
+            yield self.append_log([intent])
         return WriteResp(True, intent.proposal)
 
     # -- settling -----------------------------------------------------------------

@@ -146,13 +146,19 @@ def tell_parked(node, env) -> None:
 
 @dataclass(slots=True, frozen=True)
 class IntentEntry:
+    """A write intent, as its primary logs and ships it and as every
+    ``mvto.KeyChain`` holds it until its transaction is decided."""
+
     txn: str
     key: str
     ts: tuple
     value: str
     role: str  # recorder role that will decide this transaction
-    proposal: int  # epoch in force when the intent was logged
-    idx: int = 0  # the WriteReq's idx
+    # The epoch in force when the intent was logged. A chain's copy may
+    # hold a higher one: a replica lifts it to an epoch floor
+    # (``KeyStore.raise_floor``).
+    proposal: int
+    idx: int = 0  # the WriteReq's idx: the op whose value it holds
 
 
 @dataclass(slots=True, frozen=True)

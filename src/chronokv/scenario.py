@@ -28,12 +28,14 @@ that no data node, standby, replica, coordinator or reader host has
 (oracles never drift), a takeover of a
 role or to a node that no data node or standby has, a probability
 outside [0, 1], a fault window or restart that does not end after it
-starts, replica readers without replicas, and a negative drift bound,
-count, duration or hold all raise InvalidConfig.
+starts, replica readers without replicas, a negative drift bound,
+count, duration or hold, and a float that is not finite (``.inf``,
+``.nan``) all raise InvalidConfig.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 
 import yaml
@@ -105,6 +107,8 @@ def _check_type(value, name: str, what: str) -> None:
         raise InvalidConfig(f"{what} must be "
                             f"{'/'.join(t.__name__ for t in ok)}, "
                             f"not {value!r}")
+    if name == "float" and not math.isfinite(value):
+        raise InvalidConfig(f"{what} must be finite, not {value!r}")
 
 
 def check_fields(d, types: dict, where: str, required=()) -> None:
@@ -153,10 +157,9 @@ class WorkloadSpec:
         for name in ("write_ratio", "slow_fraction"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise InvalidConfig(f"{name} outside [0, 1]")
-        if self.hold_intervals < 0.0:
-            raise InvalidConfig("hold_intervals must be >= 0")
-        if self.zipf_theta < 0.0:
-            raise InvalidConfig("zipf_theta must be >= 0")
+        for name in ("hold_intervals", "zipf_theta"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise InvalidConfig(f"{name} must be finite and >= 0")
 
 
 @dataclass
@@ -388,9 +391,12 @@ def _faults_from_dict(fd: dict, regions: list) -> FaultSchedule:
     return fs
 
 
-def load_scenario(path: str) -> Scenario:
+def read_scenario(path: str) -> dict:
+    """The mapping a scenario file holds, which ``scenario_from_dict``
+    builds the Scenario from. ``chronokv run`` keeps the mapping, to
+    write it in the trace's header."""
     with open(path) as f:
         raw = yaml.safe_load(f) or {}
     if not isinstance(raw, dict):
         raise InvalidConfig(f"{path}: expected a mapping at top level")
-    return scenario_from_dict(raw)
+    return raw

@@ -23,6 +23,12 @@ SMALL = {
 }
 
 
+#: The scenario of the hand-written traces below, and their header.
+ONE_REGION = {"regions": ["SH"], "data_nodes": ["SH"], "coordinators": ["SH"]}
+HEADER = {"kind": "header", "schema": 2, "scenario": ONE_REGION,
+          "end_ns": 2000}
+
+
 def small_yaml(tmp_path, **overrides):
     fields = {**SMALL, **overrides}
     p = tmp_path / "scenario.yaml"
@@ -41,7 +47,10 @@ def test_run_prints_a_summary_and_writes_a_trace(tmp_path, capsys):
     assert summary["committed"] + summary["aborted"] == 12
     lines = trace.read_text().splitlines()
     header = json.loads(lines[0])
-    assert header["seed"] == 3 and header["interval_ms"] == 50
+    # the scenario as the file holds it
+    assert header["scenario"]["seed"] == 3
+    assert header["scenario"]["workload"] == {
+        "kind": "ycsb", "keys": 16, "write_ratio": 0.8}
     assert header["end_ns"] >= json.loads(lines[-1])[0]
     assert len(lines) > 12
 
@@ -50,10 +59,16 @@ def test_run_seed_override_changes_the_run(tmp_path, capsys):
     sc = small_yaml(tmp_path)
     main(["run", "--scenario", sc])
     first = capsys.readouterr().out
-    main(["run", "--scenario", sc, "--seed", "99"])
+    trace = tmp_path / "99.trace"
+    main(["run", "--scenario", sc, "--seed", "99", "--until-ms", "20000",
+          "--trace", str(trace)])
     second = capsys.readouterr().out
     assert json.loads(first)["seed"] == 3
     assert json.loads(second)["seed"] == 99
+    # the header holds the scenario that ran, overrides applied
+    header = json.loads(trace.read_text().splitlines()[0])
+    assert header["scenario"]["seed"] == 99
+    assert header["scenario"]["duration_ms"] == 20000
 
 
 def test_check_passes_on_a_clean_trace(tmp_path, capsys):
@@ -73,10 +88,7 @@ def test_check_fails_on_a_trace_with_a_planted_violation(tmp_path, capsys):
     # a commit stamped after the transaction already released
     trace = tmp_path / "bad.trace"
     trace.write_text("\n".join([
-        json.dumps({"kind": "header", "schema": 2,
-                    "interval_ms": 100, "epsilon_ns": 100000,
-                    "data_nodes": ["d0.SH"], "replicas_of": {},
-                    "end_ns": 2000}),
+        json.dumps(HEADER),
         json.dumps([1000, "txn_begin", {"txn": "c0.SH:1"}]),
         json.dumps([1500, "txn_ts", {"txn": "c0.SH:1", "ts": [5000, 0, 0]}]),
         json.dumps([2000, "txn_end", {"txn": "c0.SH:1", "status": "committed",
@@ -89,16 +101,16 @@ def test_check_fails_on_a_trace_with_a_planted_violation(tmp_path, capsys):
 
 
 def test_check_exits_2_naming_a_key_the_trace_header_lacks(tmp_path, capsys):
-    trace = tmp_path / "headless.trace"
-    trace.write_text("\n".join([
-        json.dumps({"kind": "header", "schema": 2, "interval_ms": 100,
-                    "epsilon_ns": 100000, "data_nodes": ["d0.SH"],
-                    "end_ns": 1000}),
-        json.dumps([1000, "txn_begin", {"txn": "c0.SH:1"}]),
-    ]) + "\n")
-    rc = main(["check", "--trace", str(trace)])
-    assert rc == 2
-    assert "'replicas_of'" in capsys.readouterr().err
+    for key in ("scenario", "end_ns"):
+        trace = tmp_path / "headless.trace"
+        trace.write_text("\n".join([
+            json.dumps({k: v for k, v in HEADER.items() if k != key}),
+            json.dumps([1000, "txn_begin", {"txn": "c0.SH:1"}]),
+        ]) + "\n")
+        rc = main(["check", "--trace", str(trace)])
+        assert rc == 2
+        assert f"missing key '{key}' in trace header" in \
+            capsys.readouterr().err
 
 
 @pytest.mark.parametrize("end_ns, verdict", [
@@ -112,9 +124,7 @@ def test_check_judges_push_progress_at_the_run_end_in_the_header(
     # a run that ended at 1.52 s.
     trace = tmp_path / "open-wait.trace"
     trace.write_text("\n".join([
-        json.dumps({"kind": "header", "schema": 2, "interval_ms": 100,
-                    "epsilon_ns": 100000, "data_nodes": ["d0.SH"],
-                    "replicas_of": {}, "end_ns": end_ns}),
+        json.dumps({**HEADER, "end_ns": end_ns}),
         json.dumps([900_000_000, "push_wait", {
             "node": "d0.SH", "reader": "c0.SH:2", "txn": "c0.SH:1"}]),
         json.dumps([1_000_000_000, "record", {
@@ -154,19 +164,29 @@ BAD_VALUES = {
     "data-nodes-nested": {"data_nodes": "[[SH]]"},
     "regions-nested": {"regions": "[SH, [BJ]]"},
     "drift-of-no-node": {"node_drift_ppm": "{d9.SH: 150}"},
+    "crash-at-inf": {"faults": "{crashes: [{node: c0.SH, at_ms: .inf}]}"},
+    "hold-inf": {"workload": "{kind: slow_commit, hold_intervals: .inf}"},
+    "outage-from-nan": {
+        "faults": "{oracle_outages: [{region: SH, from_ms: .nan, to_ms: 5}]}"},
 }
 
-# A whole trace header, and trace files of it with one value replaced.
-HEADER = {"kind": "header", "schema": 2, "interval_ms": 100,
-          "epsilon_ns": 100000, "data_nodes": ["d0.SH"], "replicas_of": {},
-          "end_ns": 2000}
-BAD_HEADERS = {
+# Trace files of HEADER with one value of its scenario replaced, or one
+# of its own values replaced or left out (None).
+BAD_SCENARIOS = {
     "header-data-nodes-int": {"data_nodes": 5},
     "header-interval-zero": {"interval_ms": 0},
     "header-interval-string": {"interval_ms": "abc"},
-    "header-replicas-of-list": {"replicas_of": [1]},
     "header-epsilon-string": {"epsilon_ns": "5"},
     "header-no-data-node": {"data_nodes": []},
+    "header-replicate-to-int": {"replicate_to": [1]},
+}
+BAD_HEADERS = {
+    **{name: {"scenario": {**ONE_REGION, **values}}
+       for name, values in BAD_SCENARIOS.items()},
+    # the header older traces have
+    "header-replicas-of-list": {"replicas_of": [1]},
+    "header-scenario-list": {"scenario": [1]},
+    "header-no-end": {"end_ns": None},
 }
 
 
@@ -215,22 +235,35 @@ BAD_HEADERS = {
      "each element of regions in scenario must be str, not ['BJ']"),
     (["run", "--scenario", "drift-of-no-node"], "drift-of-no-node",
      "node_drift_ppm: 'd9.SH' names no node that drifts"),
+    (["run", "--scenario", "crash-at-inf"], "crash-at-inf",
+     "at_ms in faults.crashes must be finite, not inf"),
+    (["run", "--scenario", "hold-inf"], "hold-inf",
+     "hold_intervals in workload must be finite, not inf"),
+    (["run", "--scenario", "outage-from-nan"], "outage-from-nan",
+     "from_ms in faults.oracle_outages must be finite, not nan"),
     (["run", "--until-ms", "-5"], "--seed/--until-ms",
      "duration_ms must be >= 0"),
     (["check", "--trace", "header-data-nodes-int"], "header-data-nodes-int",
-     "data_nodes in trace header must be list, not 5"),
+     "data_nodes in scenario must be list, not 5"),
     (["check", "--trace", "header-interval-zero"], "header-interval-zero",
-     "interval_ms and epsilon_ns must be positive"),
+     "interval_ms must be positive"),
     (["check", "--trace", "header-interval-string"],
      "header-interval-string",
-     "interval_ms in trace header must be int, not 'abc'"),
+     "interval_ms in scenario must be int, not 'abc'"),
+    (["check", "--trace", "header-epsilon-string"], "header-epsilon-string",
+     "epsilon_ns in scenario must be int, not '5'"),
+    (["check", "--trace", "header-no-data-node"], "header-no-data-node",
+     "need at least one data node"),
+    (["check", "--trace", "header-replicate-to-int"],
+     "header-replicate-to-int",
+     "each element of replicate_to in scenario must be str, not 1"),
     (["check", "--trace", "header-replicas-of-list"],
      "header-replicas-of-list",
-     "replicas_of in trace header must be dict, not [1]"),
-    (["check", "--trace", "header-epsilon-string"], "header-epsilon-string",
-     "epsilon_ns in trace header must be int, not '5'"),
-    (["check", "--trace", "header-no-data-node"], "header-no-data-node",
-     "data_nodes is empty"),
+     "unknown key 'replicas_of' in trace header"),
+    (["check", "--trace", "header-scenario-list"], "header-scenario-list",
+     "scenario in trace header must be dict, not [1]"),
+    (["check", "--trace", "header-no-end"], "header-no-end",
+     "missing key 'end_ns' in trace header"),
 ], ids=["check-empty", "check-schema-1", "check-missing",
         "check-header-not-an-object", "diff-schema-1", "diff-missing",
         "run-unknown-key", "run-missing", *EVENT_LINES, *BAD_VALUES,
@@ -251,7 +284,9 @@ def test_input_a_command_cannot_read_exits_2_with_one_line(
     for name, values in BAD_VALUES.items():
         Path(small_yaml(tmp_path, **values)).rename(tmp_path / name)
     for name, values in BAD_HEADERS.items():
-        (tmp_path / name).write_text(json.dumps({**HEADER, **values}) + "\n")
+        header = {k: v for k, v in {**HEADER, **values}.items()
+                  if v is not None}
+        (tmp_path / name).write_text(json.dumps(header) + "\n")
     files = {"empty", "schema1", "listed", "clean", "missing", "bad_key",
              *EVENT_LINES, *BAD_VALUES, *BAD_HEADERS}
     argv = [str(tmp_path / a) if a in files else a for a in argv]

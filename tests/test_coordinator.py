@@ -41,7 +41,12 @@ from chronokv.replication import (
     request,
     try_timeout_ns,
 )
-from chronokv.scenario import Scenario, WorkloadSpec, load_scenario
+from chronokv.scenario import (
+    Scenario,
+    WorkloadSpec,
+    read_scenario,
+    scenario_from_dict,
+)
 from chronokv.simnet import (
     MS,
     RPC_TIMEOUT,
@@ -213,7 +218,7 @@ def test_a_restarted_data_node_keeps_its_timestamp_proxy():
 
 def faults_yaml_trace():
     path = Path(__file__).resolve().parent.parent / "scenarios/faults.yaml"
-    return Cluster(load_scenario(str(path))).run().trace
+    return Cluster(scenario_from_dict(read_scenario(str(path)))).run().trace
 
 
 def oracle_outage_trace():

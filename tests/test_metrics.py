@@ -18,7 +18,12 @@ from chronokv.metrics import (
     summarize_delays,
     visibility_delays,
 )
-from chronokv.scenario import Scenario, WorkloadSpec, load_scenario
+from chronokv.scenario import (
+    Scenario,
+    WorkloadSpec,
+    read_scenario,
+    scenario_from_dict,
+)
 from chronokv.tsbatch import Timestamp
 
 
@@ -201,6 +206,7 @@ def test_run_summary_pins_the_coordinators_proxy_tallies_on_baseline():
     # the replica readers' client host's proxies would add 510 requests
     # and 510 fetches.
     path = Path(__file__).resolve().parent.parent / "scenarios/baseline.yaml"
-    s = run_summary(run_scenario(load_scenario(str(path))))
+    s = run_summary(run_scenario(scenario_from_dict(read_scenario(
+        str(path)))))
     assert (s["ts_requests"], s["ts_fetches"], s["ts_served_local"]) == (
         600, 594, 1)

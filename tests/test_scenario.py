@@ -1,5 +1,7 @@
 """Scenario construction, validation, and YAML loading."""
 
+import math
+
 import pytest
 
 from chronokv.cluster import Cluster
@@ -8,7 +10,7 @@ from chronokv.scenario import (
     Scenario,
     WorkloadSpec,
     full_rtt_table,
-    load_scenario,
+    read_scenario,
     scenario_from_dict,
 )
 
@@ -86,6 +88,13 @@ def test_scenario_from_dict_round_trips_faults():
     dict(regions=["SH", "SH"], data_nodes=["SH"], coordinators=["SH"]),
     dict(regions=["SH", "SG"], data_nodes=["SH"], coordinators=["SH"],
          replicate_to=["SG", "SG"]),
+    dict(workload=WorkloadSpec(keys=0)),
+    dict(workload=WorkloadSpec(ops_per_txn=0)),
+    dict(workload=WorkloadSpec(zipf_theta=-0.1)),
+    # a workload built inline skips the loader's finite check
+    dict(workload=WorkloadSpec(kind="slow_commit", hold_intervals=math.inf)),
+    dict(workload=WorkloadSpec(hold_intervals=math.nan)),
+    dict(workload=WorkloadSpec(zipf_theta=math.inf)),
 ])
 def test_invalid_scenarios_are_rejected(bad):
     with pytest.raises(InvalidConfig):
@@ -195,6 +204,18 @@ TWO_REGIONS = {"regions": ["SH", "BJ"], "data_nodes": ["SH"],
                                  "to_ms": 1}]}},
      "each element of regions in faults.partitions must be str"),
     ({"node_drift_ppm": {"d9.SH": 150}}, "'d9.SH' names no node that drifts"),
+    # or a float that is not finite
+    ({"faults": {"crashes": [{"node": "c0.BJ", "at_ms": math.inf}]}},
+     "at_ms in faults.crashes must be finite, not inf"),
+    ({"workload": {"kind": "slow_commit", "hold_intervals": math.inf}},
+     "hold_intervals in workload must be finite, not inf"),
+    ({"faults": {"oracle_outages": [{"region": "SH", "from_ms": math.nan,
+                                     "to_ms": 5}]}},
+     "from_ms in faults.oracle_outages must be finite, not nan"),
+    ({"workload": {"zipf_theta": -math.inf}},
+     "zipf_theta in workload must be finite, not -inf"),
+    ({"faults": {"drop_prob": math.nan}},
+     "drop_prob in faults must be finite, not nan"),
 ])
 def test_scenario_input_that_names_nothing_is_rejected(extra, named):
     with pytest.raises(InvalidConfig, match=named):
@@ -234,7 +255,7 @@ def test_load_scenario_reads_yaml(tmp_path):
         "workload: {kind: blind, write_ratio: 1.0}\n"
         "faults: {drop_prob: 0.02}\n"
     )
-    sc = load_scenario(str(p))
+    sc = scenario_from_dict(read_scenario(str(p)))
     assert sc.name == "from-yaml"
     assert sc.seed == 9
     assert sc.coordinator_ids() == ["c0.BJ"]
@@ -246,4 +267,4 @@ def test_load_scenario_rejects_non_mapping_yaml(tmp_path):
     p = tmp_path / "bad.yaml"
     p.write_text("- just\n- a\n- list\n")
     with pytest.raises(InvalidConfig, match="mapping"):
-        load_scenario(str(p))
+        scenario_from_dict(read_scenario(str(p)))

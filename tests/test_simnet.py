@@ -10,7 +10,7 @@ from conftest import Host, ask_once, drive, one_region
 from test_trace_digest import SCENARIOS, benchmark_workloads
 from chronokv.cluster import Cluster
 from chronokv.replication import SharedStorage
-from chronokv.scenario import load_scenario
+from chronokv.scenario import read_scenario, scenario_from_dict
 from chronokv.simnet import (
     MS,
     RPC_TIMEOUT,
@@ -362,7 +362,7 @@ def test_a_finished_run_leaves_each_node_only_its_loops(name):
     # A task that nothing will resume, and that stays listed, is a leak
     # that grows with the run.
     if name.endswith(".yaml"):
-        sc = load_scenario(str(SCENARIOS / name))
+        sc = scenario_from_dict(read_scenario(str(SCENARIOS / name)))
     else:
         sc = benchmark_workloads()[name].build(1, True)
     cluster = Cluster(sc)

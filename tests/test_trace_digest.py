@@ -17,7 +17,7 @@ import pytest
 
 from chronokv.cluster import Cluster
 from chronokv.history import write_trace
-from chronokv.scenario import load_scenario
+from chronokv.scenario import read_scenario, scenario_from_dict
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = ROOT / "scenarios"
@@ -74,7 +74,8 @@ def benchmark_workloads() -> dict:
 
 @pytest.mark.parametrize("name", sorted(PINNED))
 def test_trace_digest_is_pinned(tmp_path, name):
-    result = Cluster(load_scenario(str(SCENARIOS / name))).run()
+    sc = scenario_from_dict(read_scenario(str(SCENARIOS / name)))
+    result = Cluster(sc).run()
     assert trace_digest(tmp_path, result.trace) == PINNED[name]
 
 
