@@ -64,17 +64,16 @@ class Cluster:
         data_ids = sc.data_node_ids()
         self.router = Router(data_ids)
 
-        # The replicas of each data node, which its data log ships to.
-        self._replicas_of: dict[str, list] = sc.replica_ids()
-
-        self.data_nodes = [self._data_node(nid, region)
+        replicas_of = sc.replica_ids()
+        self.data_nodes = [self._data_node(nid, region,
+                                           replicas_of.get(nid, []))
                            for nid, region in zip(data_ids, sc.data_nodes)]
-        self.standby_nodes = [self._data_node(nid, region)
+        self.standby_nodes = [self._data_node(nid, region, [])
                               for nid, region in zip(sc.standby_ids(),
                                                      sc.standbys)]
 
         self.replicas = []
-        for nid, rids in self._replicas_of.items():
+        for nid, rids in replicas_of.items():
             for rid, rr in zip(rids, sc.replicate_to):
                 self.replicas.append(ReplicaNode(
                     self.sim, self.net, rid, rr, self.drift(rid),
@@ -104,16 +103,17 @@ class Cluster:
                     epsilon_ns=sc.epsilon_ns, max_drift_ppm=sc.max_drift_ppm,
                     mode=sc.ts_mode)
 
-    def _data_node(self, nid: str, region: str) -> DataNode:
-        """A data node owning its own recorder role. Standbys are built
-        the same way; the router just never picks them."""
+    def _data_node(self, nid: str, region: str, replicas: list) -> DataNode:
+        """A data node owning its own recorder role, whose data log ships
+        to ``replicas``. Standbys are built the same way, with none; the
+        router just never picks them."""
         sc = self.scenario
         node = DataNode(
             self.sim, self.net, nid, region, self.drift(nid),
             storage=self.storage[region],
             directory=RoleDirectory(self.storage),
             tsproxy_args=self.proxy_args(region),
-            replicas=self._replicas_of.get(nid, []),
+            replicas=replicas,
             interval_ns=sc.interval_ns,
         )
         self.storage[region].set_initial_owner(node.role_self, nid)
@@ -174,9 +174,10 @@ class Cluster:
     @property
     def trace(self):
         """The run's events, read as ``(true_ns, kind, fields)`` tuples: a
-        read-only view over the trace log's rows (``simnet.TraceLog``).
-        Timestamps in ``fields`` are the ``Timestamp`` tuples the protocol
-        traced, where a written trace holds lists."""
+        read-only view over the trace log's columns of values
+        (``simnet.TraceLog``). Timestamps in ``fields`` are the
+        ``Timestamp`` tuples the protocol traced, where a written trace
+        holds lists."""
         return self.sim.trace.events
 
     def history(self):
@@ -191,9 +192,10 @@ class Cluster:
         return Counter(t.status or "unknown"
                        for t in self.history().txns.values())
 
-    def replicas_of(self):
-        """primary node id -> replica node ids."""
-        return {nid: list(rids) for nid, rids in self._replicas_of.items()}
+    def replicas_of(self) -> dict:
+        """Primary node id -> replica node ids, a fresh mapping on each
+        call (``Scenario.replica_ids``)."""
+        return self.scenario.replica_ids()
 
     def written_primaries(self, t) -> set:
         return self.router.written_primaries(t)

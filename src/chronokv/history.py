@@ -14,12 +14,15 @@ coordinator only in the id (``TxnInfo.coord``). This is schema 2;
 timestamp and which older traces hold only there.
 
 A trace in memory (``Cluster.trace``, or what ``read_trace`` returns)
-is the read-only view of a ``simnet.TraceLog``: it keeps each event as
-one flat row and builds the ``(t, kind, fields)`` tuple when the event
-is read. Its timestamps are the ``Timestamp`` tuples the protocol
-traced; a written trace holds them as JSON lists, and ``read_trace``
-reads them back as lists. ``build_history`` takes either, and any other
-iterable of ``(t, kind, fields)`` tuples.
+is the read-only view of a ``simnet.TraceLog``: it keeps each shape's
+values in one flat list, no object per event, and builds the ``(t,
+kind, fields)`` tuple when the event is read. Its timestamps are the
+``Timestamp`` tuples the protocol traced; a written trace holds them as
+JSON lists, and ``read_trace`` reads them back as lists. ``build_history``
+takes either, and any other iterable of ``(t, kind, fields)`` tuples.
+The history shares what the trace holds where it can: the event times,
+the timestamps, and the replica's own list of reads of each ``rread``;
+only a written trace's lists are converted.
 
 A written trace is one header line, then one JSON line per event. The
 header holds the schema and what the writer adds to it: ``chronokv run
@@ -32,7 +35,6 @@ whatever their headers say.
 from __future__ import annotations
 
 import json
-import sys
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -48,6 +50,15 @@ def _ts(v) -> Optional[Timestamp]:
     if v is None or type(v) is Timestamp:
         return v
     return Timestamp(*v)
+
+
+def _reads(reads: list) -> list:
+    # A replica's own list of (key, vts, value) tuples is kept as it is;
+    # a written trace's lists of lists become tuples with Timestamps.
+    if all(type(r) is tuple and (r[1] is None or type(r[1]) is Timestamp)
+           for r in reads):
+        return reads
+    return [(r[0], _ts(r[1]), r[2]) for r in reads]
 
 
 @dataclass(slots=True)
@@ -128,7 +139,7 @@ def build_history(events) -> History:
                 h.rreads.append(ReplicaRead(
                     reader=f["reader"], node=f["node"], ts=_ts(f["ts"]),
                     view=f["view"], mode=f["mode"], start_ns=start, end_ns=t,
-                    reads=[(r[0], _ts(r[1]), r[2]) for r in f["reads"]],
+                    reads=_reads(f["reads"]),
                 ))
             elif kind == "cut":
                 h.cuts.append((t, f["node"], f["epoch"], f["promised"]))
@@ -185,5 +196,5 @@ def read_trace(path: str):
                     or [*map(type, event)] != [int, str, dict]):
                 raise ValueError(f"line {n}: {line.strip()} is not an event "
                                  f"[int, str, object]")
-            log.add(event[0], sys.intern(event[1]), event[2])
+            log.add(event[0], event[1], event[2])
     return meta, log.events

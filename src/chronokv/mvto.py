@@ -74,6 +74,7 @@ from typing import Callable, Optional
 from .coordinator import RecorderState
 from .epochs import EpochCutter, promised_end_ns
 from .messages import (
+    ABORTED,
     COMMITTED,
     CatchUp,
     DecideReq,
@@ -179,8 +180,9 @@ class KeyStore:
 
     def __init__(self):
         self.chains: dict[str, KeyChain] = {}
-        # txn -> (COMMITTED | ABORTED, epoch)
-        self.decided: dict[str, tuple] = {}
+        # txn -> its commit epoch, or ABORTED: an aborted transaction
+        # has no epoch
+        self.decided: dict[str, object] = {}
         self.txn_keys: dict[str, dict] = {}  # txn -> {key: True}
 
     def touch(self, key: str) -> KeyChain:
@@ -202,11 +204,11 @@ class KeyStore:
         """Hold ``intent`` until its transaction is decided, or apply the
         outcome at once if it is already known (a replica may learn the
         verdict by a push before the intent's ship arrives)."""
-        known = self.decided.get(intent.txn)
-        if known is not None:
-            if known[0] == COMMITTED:
+        if intent.txn in self.decided:
+            epoch = self.decided[intent.txn]
+            if epoch != ABORTED:
                 self.insert_version(intent.key, intent.ts, intent.value,
-                                    known[1])
+                                    epoch)
             return
         self.touch(intent.key).intents[intent.txn] = intent
         self.txn_keys.setdefault(intent.txn, {})[intent.key] = True
@@ -243,11 +245,13 @@ class KeyStore:
 
     def resolve(self, txn: str, decision: str, epoch) -> bool:
         """Settle a transaction on its ``decision``, COMMITTED or
-        ABORTED: promote or drop its intents. Idempotent; works even when
-        the outcome arrives before any intent has."""
+        ABORTED: promote or drop its intents. ``epoch`` is the commit
+        epoch; every caller passes None with ABORTED, since an aborted
+        record has none. Idempotent; works even when the outcome arrives
+        before any intent has."""
         if txn in self.decided:
             return False
-        self.decided[txn] = (decision, epoch)
+        self.decided[txn] = epoch if decision == COMMITTED else ABORTED
         for key in self.txn_keys.pop(txn, ()):
             intent = self.chains[key].intents.pop(txn, None)
             if intent is not None and decision == COMMITTED:

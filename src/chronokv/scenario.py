@@ -38,8 +38,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields
 
-import yaml
-
 from . import messages
 from .errors import InvalidConfig
 from .replication import recorder_role
@@ -394,7 +392,10 @@ def _faults_from_dict(fd: dict, regions: list) -> FaultSchedule:
 def read_scenario(path: str) -> dict:
     """The mapping a scenario file holds, which ``scenario_from_dict``
     builds the Scenario from. ``chronokv run`` keeps the mapping, to
-    write it in the trace's header."""
+    write it in the trace's header. PyYAML is imported here, so a run
+    that reads no file does not load it."""
+    import yaml
+
     with open(path) as f:
         raw = yaml.safe_load(f) or {}
     if not isinstance(raw, dict):

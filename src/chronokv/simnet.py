@@ -24,8 +24,10 @@ from __future__ import annotations
 
 import heapq
 import random
+from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Callable, Optional
 
 from .errors import LivelockGuard
@@ -205,20 +207,25 @@ class TraceLog:
     """Append-only run log, which stamps ground-truth time so emitters
     never need to see it.
 
-    An event is kept as one flat row ``(true_ns, kind, names, *values)``:
-    ``names`` is the event's tuple of field names, stored once per shape
-    and shared by every row of that shape, and the values are the
-    emitter's own objects, not copies (a ``Timestamp`` stays the tuple the
-    protocol holds). ``events`` reads the rows back as ``(true_ns, kind,
-    fields)`` tuples with a fresh ``fields`` dict on each read."""
+    The log is columnar and keeps no object per event. An event's shape
+    is its kind and its tuple of field names. Each shape keeps one flat
+    list of values, ``[t, v1, ..., vn, t, v1, ...]`` with stride n + 1,
+    and ``_ids`` holds each event's shape id in emission order. ``t`` is
+    the loop's own int and the values are the emitter's own objects, not
+    copies (a ``Timestamp`` stays the tuple the protocol holds).
+    ``events`` reads the log back as ``(true_ns, kind, fields)`` tuples
+    with a fresh ``fields`` dict on each read."""
 
-    __slots__ = ("sim", "events", "_rows", "_shapes")
+    __slots__ = ("sim", "events", "_ids", "_shapes", "_index")
 
     def __init__(self, sim: Optional[Simulation] = None):
         self.sim = sim
-        self._rows: list[tuple] = []
-        self._shapes: dict[tuple, tuple] = {}
-        self.events = TraceEvents(self._rows)
+        self._ids = array("I")
+        # shape id -> (kind, names, values)
+        self._shapes: list[tuple[str, tuple, list]] = []
+        # (kind, *names) -> (shape id, values)
+        self._index: dict[tuple, tuple[int, list]] = {}
+        self.events = TraceEvents(self._ids, self._shapes)
 
     def emit(self, kind: str, **fields) -> None:
         self.add(self.sim.now, kind, fields)
@@ -226,36 +233,69 @@ class TraceLog:
     def add(self, t: int, kind: str, fields: dict) -> None:
         """Append an event stamped ``t``; the log keeps ``fields``'
         values, not the dict."""
-        names = tuple(fields)
-        names = self._shapes.setdefault(names, names)
-        self._rows.append((t, kind, names, *fields.values()))
+        shape = self._index.get((kind, *fields))
+        if shape is None:
+            shape = self._index[(kind, *fields)] = (len(self._shapes), [])
+            self._shapes.append((kind, tuple(fields), shape[1]))
+        self._ids.append(shape[0])
+        values = shape[1]
+        values.append(t)
+        values += fields.values()
 
 
 class TraceEvents(Sequence):
     """A read-only view of a ``TraceLog``: ``len``, iteration, indexes
     and slices, each event read as a ``(true_ns, kind, fields)`` tuple
     whose ``fields`` dict is built for that read, so changing it changes
-    nothing in the log."""
+    nothing in the log.
 
-    __slots__ = ("_rows",)
+    Iteration, either way, keeps one cursor per shape and reads the
+    events logged when it began. An index counts the events of its
+    shape before it, and a slice iterates up to where it ends."""
 
-    def __init__(self, rows: list):
-        self._rows = rows
+    __slots__ = ("_ids", "_shapes")
+
+    def __init__(self, ids: array, shapes: list):
+        self._ids = ids
+        self._shapes = shapes
 
     def __len__(self) -> int:
-        return len(self._rows)
+        return len(self._ids)
 
     def __getitem__(self, i):
+        n = len(self)
         if isinstance(i, slice):
-            return [_event(row) for row in self._rows[i]]
-        return _event(self._rows[i])
+            start, stop, step = i.indices(n)
+            if step > 0:
+                return list(islice(self, start, stop, step))
+            return list(islice(reversed(self), n - 1 - start, n - 1 - stop,
+                               -step))
+        j = i + n if i < 0 else i
+        if not 0 <= j < n:
+            raise IndexError("trace index out of range")
+        s = self._ids[j]
+        kind, names, values = self._shapes[s]
+        o = self._ids[:j].count(s) * (len(names) + 1)
+        end = o + 1 + len(names)
+        return values[o], kind, dict(zip(names, values[o + 1:end]))
 
     def __iter__(self):
-        return map(_event, self._rows)
+        # Each shape's iterator over its values is its cursor. zip takes
+        # a name before each value, so it stops at the event's last one.
+        shapes = [(kind, names, iter(values))
+                  for kind, names, values in self._shapes]
+        for s in islice(self._ids, len(self)):
+            kind, names, it = shapes[s]
+            yield next(it), kind, dict(zip(names, it))
 
-
-def _event(row: tuple) -> tuple:
-    return row[0], row[1], dict(zip(row[2], row[3:]))
+    def __reversed__(self):
+        shapes = self._shapes
+        cursors = [len(values) for _kind, _names, values in shapes]
+        for s in reversed(self._ids):
+            kind, names, values = shapes[s]
+            end = cursors[s]
+            o = cursors[s] = end - 1 - len(names)
+            yield values[o], kind, dict(zip(names, values[o + 1:end]))
 
 
 # ---------------------------------------------------------------------------

@@ -68,7 +68,13 @@ def test_a_written_and_read_trace_builds_the_history_of_the_run(tmp_path):
     assert ts_types(r.trace) == {Timestamp} and ts_types(events) == {list}
     h = build_history(r.trace)
     assert h.rreads and h.txns
-    assert build_history(events) == h
+    # the history keeps each replica's own list of reads, not a copy
+    lists = [f["reads"] for _t, kind, f in r.trace if kind == "rread"]
+    assert len(lists) == len(h.rreads)
+    assert all(rr.reads is own for rr, own in zip(h.rreads, lists))
+    written = build_history(events)
+    assert written == h
+    assert not any(rr.reads is own for rr, own in zip(written.rreads, lists))
 
 
 def test_timestamp_comes_from_txn_ts_and_a_later_txn_end_keeps_it():

@@ -3,13 +3,16 @@ every module-level function and class, and every method, is used by the
 package or the benchmark, every exception the package exports is raised
 somewhere in it, every wire message is sent by some module, no two
 classes hold the same fields, the declared runtime dependencies are
-exactly the third-party packages the modules import, and the ``test``
-extra is exactly the third-party packages the tests import."""
+exactly the third-party packages the modules import, the ``test``
+extra is exactly the third-party packages the tests import, and a run
+that reads no scenario file does not load PyYAML."""
 
 import ast
 import dataclasses
 import importlib
+import os
 import re
+import subprocess
 import sys
 from importlib.metadata import packages_distributions
 from pathlib import Path
@@ -265,3 +268,17 @@ def test_runtime_dependencies_are_exactly_the_imported_packages():
 def test_test_extra_is_exactly_the_packages_the_tests_import():
     assert third_party_imports(TESTS) == \
         package_names(pyproject()["optional-dependencies"]["test"])
+
+
+def test_a_run_that_reads_no_scenario_file_leaves_pyyaml_unloaded():
+    # Loading PyYAML costs a process about 1.3 MB; only
+    # ``scenario.read_scenario`` needs it, and imports it when called.
+    code = ("import sys\n"
+            "import chronokv.checkers, chronokv.cluster, chronokv.history, "
+            "chronokv.metrics\n"
+            "print(sorted(m for m in sys.modules if m.startswith('yaml')))")
+    path = os.pathsep.join([str(SRC.parent), os.environ.get("PYTHONPATH", "")])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": path})
+    assert out.stdout.strip() == "[]"

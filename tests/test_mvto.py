@@ -80,7 +80,7 @@ def test_commit_promotes_intents_to_versions():
     assert s.chains["x"].visible(ts(5)) == (ts(5), "val-x")
     assert s.chains["y"].versions[ts(5)] == ("val-y", 3)
     assert s.chains["x"].intents == {}
-    assert s.decided["t1"] == (COMMITTED, 3)
+    assert s.decided["t1"] == 3  # the commit epoch
 
 
 def test_abort_drops_intents_without_a_trace():
@@ -89,6 +89,9 @@ def test_abort_drops_intents_without_a_trace():
     assert s.resolve("t1", ABORTED, None) is True
     assert s.chains["x"].intents == {}
     assert s.chains["x"].visible(ts(99)) == (None, None)
+    assert s.decided["t1"] == ABORTED  # an aborted transaction has no epoch
+    s.insert_intent(intent("t1", "y", 6))  # a late intent of it lands nowhere
+    assert "y" not in s.chains
 
 
 def test_resolve_is_idempotent():

@@ -2,6 +2,7 @@
 and the trace log."""
 
 import gc
+import random
 import tracemalloc
 
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from conftest import Host, ask_once, drive, one_region
 from test_trace_digest import SCENARIOS, benchmark_workloads
 from chronokv.cluster import Cluster
+from chronokv.history import read_trace, write_trace
 from chronokv.replication import SharedStorage
 from chronokv.scenario import read_scenario, scenario_from_dict
 from chronokv.simnet import (
@@ -437,20 +439,62 @@ def test_each_read_of_an_event_builds_a_fresh_dict():
 
 def test_events_of_one_shape_share_their_field_names():
     log = small_log()
-    (_, _, a1, *_), (_, _, b, *_), (_, _, a2, *_) = log._rows
-    assert a1 is a2 and a1 == ("x", "y") and b == ("y",)
-    # a value is the emitter's own object, not a copy
-    value = [2]
-    log.add(9, "a", {"x": 1, "y": value})
-    assert log._rows[-1][-1] is value
+    # one field-name tuple, and one column of values, per shape
+    assert [(kind, names) for kind, names, _values in log._shapes] == \
+        [("a", ("x", "y")), ("b", ("y",))]
+    assert list(log._ids) == [0, 1, 0]
+    # a value is the emitter's own object, not a copy, and so is the time
+    value, t = [2], 10**12 + 1
+    log.add(t, "a", {"x": 1, "y": value})
+    assert len(log._shapes) == 2
+    assert log._shapes[0][2][-3:] == [t, 1, value]
+    assert log._shapes[0][2][-1] is value and log._shapes[0][2][-3] is t
+    assert log.events[-1][0] is t and log.events[-1][2]["y"] is value
+
+
+def test_interleaved_shapes_read_back_by_index_slice_and_iteration():
+    log = TraceLog()
+    # "c" has the field names of one "a" shape: a shape is kind and names
+    shapes = [("a", ("x",)), ("b", ("x", "y")), ("a", ("y",)), ("d", ()),
+              ("c", ("x",))]
+    draw = random.Random(3)
+    emitted = []
+    for i in range(60):
+        kind, names = draw.choice(shapes)
+        event = (i * 10, kind, {n: (n, i) for n in names})
+        emitted.append(event)
+        log.add(*event)
+    assert len(log._shapes) == len(shapes)
+    events = log.events
+    assert len(events) == 60
+    assert list(events) == emitted
+    assert list(reversed(events)) == emitted[::-1]
+    assert [events[i] for i in range(-60, 60)] == emitted + emitted
+    for s in (slice(3, 50, 4), slice(None, None, -3), slice(45, 5, -2),
+              slice(-7, None), slice(10, 3), slice(0, 60, 100)):
+        assert events[s] == emitted[s]
+    with pytest.raises(IndexError):
+        events[-61]
+
+
+def test_a_written_trace_of_many_field_sets_reads_back(tmp_path):
+    # more field sets than a two-byte shape id could number
+    n = 2**16 + 2
+    emitted = [(i, "e", {f"f{i}": i}) for i in range(n)]
+    path = tmp_path / "many.trace"
+    write_trace(str(path), emitted)
+    _meta, events = read_trace(str(path))
+    assert list(events) == emitted
+    assert events[n - 1] == emitted[-1] and events[-n] == emitted[0]
 
 
 #: Bytes the trace log keeps per event on a tiny steady run, counted by
-#: tracemalloc as the log takes the run's events again: about 126, and
-#: about 103 on a full-size run, where each field-name tuple is shared by
-#: more events. A log that kept a ``(t, kind, fields)`` tuple and its dict
-#: per event took about 266.
-STORE_BYTES_PER_EVENT = 160
+#: tracemalloc as the log takes the run's events again: about 56, and
+#: about 46 on a full-size run, where each shape's list is longer. A log
+#: that kept one flat tuple per event took about 105 and 102, and one
+#: that kept a ``(t, kind, fields)`` tuple and its dict per event about
+#: 266.
+STORE_BYTES_PER_EVENT = 64
 
 
 def test_the_trace_log_keeps_little_per_event():
